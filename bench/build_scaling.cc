@@ -194,11 +194,16 @@ int main(int argc, char** argv) {
   // candidate cap and space budget apply identically — so the wall-clock
   // gap is the pass-1 swap: O(N*M^2) similarity accumulation vs the
   // O(N*M*l) streaming sketch (l = k_max + oversample << M).
-  {
-    const std::size_t rand_rows =
-        static_cast<std::size_t>(flags.GetInt("rand_rows", rows));
-    const std::size_t rand_cols =
-        static_cast<std::size_t>(flags.GetInt("rand_cols", cols));
+  // --rand_rows=0 (or --rand_cols=0) skips the section and its scalars.
+  const std::size_t rand_rows =
+      static_cast<std::size_t>(flags.GetInt("rand_rows", rows));
+  const std::size_t rand_cols =
+      static_cast<std::size_t>(flags.GetInt("rand_cols", cols));
+  if (rand_rows == 0 || rand_cols == 0) {
+    std::printf("engine comparison skipped: --rand_rows=%zu "
+                "--rand_cols=%zu\n\n",
+                rand_rows, rand_cols);
+  } else {
     const double rand_space = flags.GetDouble("rand_space", 1.0);
     const std::size_t rand_candidates =
         static_cast<std::size_t>(flags.GetInt("rand_candidates", 2));

@@ -6,14 +6,13 @@
 // locking, copies) rather than spindle latency — which is exactly the
 // part the backend choice controls.
 //
-// Sequential section: rows/s and MB/s for (a) plain ReadRow streaming,
-// (b) the same scan through a ReadaheadRowSource producer thread, and
-// (c) zero-copy ReadRowView (only different under mmap). Batched
-// section: a cold CachedRowReader probing random cell batches, with and
-// without a BlockPrefetcher wave warming each batch's blocks first.
+// Sequential section: rows/s and MB/s for (a) plain ReadRow streaming
+// and (b) zero-copy ReadRowView (only different under mmap). Batched
+// section: a cold CachedRowReader probing random cell batches with
+// demand reads.
 //
-// Flags: --rows=10000 --cols=366 --seed=42 --prefetch_depth=8
-//        --cache_blocks=1024 --batches=64 --batch_cells=256 --json=FILE
+// Flags: --rows=10000 --cols=366 --seed=42 --cache_blocks=1024
+//        --batches=64 --batch_cells=256 --json=FILE
 
 #include <cstdio>
 #include <string>
@@ -24,7 +23,6 @@
 #include "data/generators.h"
 #include "storage/cached_row_reader.h"
 #include "storage/io_backend.h"
-#include "storage/prefetcher.h"
 #include "storage/row_store.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -49,26 +47,6 @@ ScanResult SequentialReadRow(const std::string& path, IoBackendKind kind) {
   tsc::Timer timer;
   for (std::size_t i = 0; i < reader->rows(); ++i) {
     TSC_CHECK(reader->ReadRow(i, row).ok());
-    result.checksum += row[0] + row[row.size() - 1];
-  }
-  result.seconds = timer.ElapsedSeconds();
-  return result;
-}
-
-ScanResult SequentialReadahead(const std::string& path, IoBackendKind kind,
-                               std::size_t depth, bool* engaged) {
-  auto reader = tsc::RowStoreReader::Open(path, kind);
-  TSC_CHECK(reader.ok());
-  tsc::FileRowSource file_source(std::move(*reader));
-  tsc::ReadaheadRowSource source(&file_source, depth);
-  if (engaged != nullptr) *engaged = source.active();
-  std::vector<double> row(source.cols());
-  ScanResult result;
-  tsc::Timer timer;
-  for (;;) {
-    auto has_row = source.NextRow(row);
-    TSC_CHECK(has_row.ok());
-    if (!*has_row) break;
     result.checksum += row[0] + row[row.size() - 1];
   }
   result.seconds = timer.ElapsedSeconds();
@@ -112,23 +90,15 @@ CellBatches MakeBatches(std::size_t rows, std::size_t batches,
 
 ScanResult ColdBatchedProbes(const std::string& path, IoBackendKind kind,
                              std::size_t cache_blocks,
-                             std::size_t prefetch_depth,
-                             const CellBatches& work,
-                             bool* waves_ran = nullptr) {
+                             const CellBatches& work) {
   auto reader = tsc::RowStoreReader::Open(path, kind);
   TSC_CHECK(reader.ok());
   const std::size_t cols = reader->cols();
   tsc::CachedRowReader cached(std::move(*reader), cache_blocks);
-  tsc::BlockPrefetcher prefetcher(prefetch_depth == 0 ? 1 : prefetch_depth);
-  if (waves_ran != nullptr) *waves_ran = false;
   std::vector<double> row(cols);
   ScanResult result;
   tsc::Timer timer;
   for (const auto& batch : work.batch_rows) {
-    if (prefetch_depth > 0) {
-      const bool ran = cached.PrefetchRows(batch, &prefetcher);
-      if (waves_ran != nullptr && ran) *waves_ran = true;
-    }
     for (const std::size_t r : batch) {
       TSC_CHECK(cached.ReadRow(r, row).ok());
       result.checksum += row[0];
@@ -136,11 +106,6 @@ ScanResult ColdBatchedProbes(const std::string& path, IoBackendKind kind,
   }
   result.seconds = timer.ElapsedSeconds();
   return result;
-}
-
-std::string Mb(double bytes, double seconds) {
-  return tsc::TablePrinter::Num(bytes / (1024.0 * 1024.0) /
-                                (seconds > 0 ? seconds : 1e-9));
 }
 
 }  // namespace
@@ -152,8 +117,6 @@ int main(int argc, char** argv) {
   const std::size_t cols = static_cast<std::size_t>(flags.GetInt("cols", 366));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  const std::size_t prefetch_depth =
-      static_cast<std::size_t>(flags.GetInt("prefetch_depth", 8));
   const std::size_t cache_blocks =
       static_cast<std::size_t>(flags.GetInt("cache_blocks", 1024));
   const std::size_t batches =
@@ -173,10 +136,8 @@ int main(int argc, char** argv) {
   const std::string& path = data_file.path();
   const double payload_bytes =
       static_cast<double>(rows) * static_cast<double>(cols) * sizeof(double);
-  std::printf("dataset: %zux%zu (%.1f MB), prefetch depth %zu, cache %zu "
-              "blocks\n\n",
-              rows, cols, payload_bytes / (1024.0 * 1024.0), prefetch_depth,
-              cache_blocks);
+  std::printf("dataset: %zux%zu (%.1f MB), cache %zu blocks\n\n", rows, cols,
+              payload_bytes / (1024.0 * 1024.0), cache_blocks);
 
   std::vector<IoBackendKind> backends = {IoBackendKind::kStream,
                                          IoBackendKind::kPread};
@@ -191,7 +152,6 @@ int main(int argc, char** argv) {
   report.AddScalar("rows", static_cast<double>(rows));
   report.AddScalar("cols", static_cast<double>(cols));
   report.AddScalar("payload_mb", payload_bytes / (1024.0 * 1024.0));
-  report.AddScalar("prefetch_depth", static_cast<double>(prefetch_depth));
   report.AddScalar("cache_blocks", static_cast<double>(cache_blocks));
   report.AddScalar("batches", static_cast<double>(batches));
   report.AddScalar("batch_cells", static_cast<double>(batch_cells));
@@ -225,17 +185,6 @@ int main(int argc, char** argv) {
         payload_bytes / (1024.0 * 1024.0) / plain.seconds, 0.0,
         base / plain.seconds);
 
-    // The mode column records whether the producer thread actually
-    // engaged: "readahead(off)" means the wrapper auto-disabled itself
-    // (mmap source or single-core machine) and the row measures the
-    // passthrough — expected to track readrow, not beat it.
-    bool engaged = false;
-    const ScanResult ahead =
-        SequentialReadahead(path, kind, prefetch_depth, &engaged);
-    add("seq", name, engaged ? "readahead" : "readahead(off)", ahead.seconds,
-        payload_bytes / (1024.0 * 1024.0) / ahead.seconds, 0.0,
-        base / ahead.seconds);
-
     const ScanResult view = SequentialRowView(path, kind);
     add("seq", name, "rowview", view.seconds,
         payload_bytes / (1024.0 * 1024.0) / view.seconds, 0.0,
@@ -245,32 +194,14 @@ int main(int argc, char** argv) {
   const CellBatches work = MakeBatches(rows, batches, batch_cells, seed + 1);
   const double total_cells =
       static_cast<double>(batches) * static_cast<double>(batch_cells);
-  // Mode column: "prefetch" = waves actually ran; "prefetch(off)" = the
-  // reader auto-disabled them (no pool to overlap with and a positional
-  // backend, so a wave could only lose) and the row measures plain
-  // demand reads plus the disable check.
-  report.AddScalar(
-      "prefetch_parallel_waves",
-      tsc::BlockPrefetcher(prefetch_depth == 0 ? 1 : prefetch_depth).parallel()
-          ? 1.0
-          : 0.0);
-  double batch_baseline = 0.0;  // stream backend, no prefetch
+  double batch_baseline = 0.0;  // stream backend
   for (const IoBackendKind kind : backends) {
     const char* name = tsc::IoBackendName(kind);
-    const ScanResult demand =
-        ColdBatchedProbes(path, kind, cache_blocks, 0, work);
+    const ScanResult demand = ColdBatchedProbes(path, kind, cache_blocks, work);
     if (kind == IoBackendKind::kStream) batch_baseline = demand.seconds;
     const double base = batch_baseline > 0 ? batch_baseline : 1e-9;
     add("batch", name, "demand", demand.seconds, 0.0,
         total_cells / demand.seconds, base / demand.seconds);
-
-    bool waves_ran = false;
-    const ScanResult waved = ColdBatchedProbes(path, kind, cache_blocks,
-                                               prefetch_depth, work,
-                                               &waves_ran);
-    add("batch", name, waves_ran ? "prefetch" : "prefetch(off)",
-        waved.seconds, 0.0, total_cells / waved.seconds,
-        base / waved.seconds);
   }
 
   // --- quantized row scans --------------------------------------------------

@@ -271,8 +271,8 @@ int main(int argc, char** argv) {
   const tsc::QueryExecutor executor(&*model);
 
   // The request mix: a compressed-domain SQL aggregate, a scan-backed
-  // SQL aggregate, a windowed+downsampled data query, and a cell probe
-  // through the batcher. Expected bodies are computed up front.
+  // SQL aggregate, a windowed+downsampled data query, and a cell probe.
+  // Expected bodies are computed up front.
   std::vector<Expected> mix;
   const auto sql_expected = [&](const std::string& query) {
     auto result = executor.Execute(query);

@@ -46,7 +46,6 @@ commands:
   compress   --input=FILE --out=MODEL --space=PCT [--method=svdd|svd]
              [--b=8|4] [--quant=f64|f32|int16|int8] [--no-bloom]
              [--max-candidates=K] [--threads=N] [--shards=S]
-             [--prefetch-depth=N]  (overlap build-pass reads with compute)
              [--build=exact|randomized] [--seed=S] [--oversample=P]
              [--power-iters=Q]
              (--quant defaults to $TSC_QUANT; quantizes the U row store.
@@ -72,16 +71,16 @@ commands:
   evaluate   --model=MODEL --input=FILE
   reconstruct --model=MODEL --out=FILE.csv [--rows=COUNT]
   stats      --model=MODEL [--queries=N] [--cache-blocks=N] [--zipf=S]
-             [--seed=S] [--io-backend=stream|pread|mmap] [--prefetch-depth=N]
+             [--seed=S] [--io-backend=stream|pread|mmap]
                           (runs a serving workload, prints instrument values)
              --port=N [--host=IP]  (instead: fetch a running server's
                           /metrics table + SLO window, see docs/server.md)
   serve      --model=MODEL [--port=7496] [--bind=ADDR] [--max-concurrent=N]
              [--queue=N]
-             [--timeout-ms=MS] [--batch-window-us=US] [--duration-s=S]
+             [--timeout-ms=MS] [--duration-s=S]
              (--bind defaults to loopback; anything else exposes an
               UNAUTHENTICATED api — see docs/server.md)
-             [--cache-blocks=N] [--io-backend=...] [--prefetch-depth=N]
+             [--cache-blocks=N] [--io-backend=...]
              [--keys=FILE] [--slowlog=K] [--slo-budget-ms=MS]
              [--slo-window-s=S] [--no-rollup]
                           (HTTP query server on 127.0.0.1; endpoints
@@ -236,8 +235,6 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
   const std::size_t b = static_cast<std::size_t>(flags.GetInt("b", 8));
   const std::size_t threads =
       static_cast<std::size_t>(flags.GetInt("threads", 1));
-  const std::size_t prefetch_depth =
-      static_cast<std::size_t>(flags.GetInt("prefetch-depth", 0));
   // --quant wins; otherwise TSC_QUANT; otherwise the exact f64 store.
   // With --shards a comma list deals one scheme per shard.
   QuantScheme quant = QuantSchemeFromEnv();
@@ -362,7 +359,6 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
     options.max_candidates =
         static_cast<std::size_t>(flags.GetInt("max-candidates", 0));
     options.num_threads = threads;
-    options.prefetch_depth = prefetch_depth;
     options.engine = randomized ? SvddBuildEngine::kRandomized
                                 : SvddBuildEngine::kExact;
     options.sketch_seed = sketch_seed;
@@ -389,7 +385,6 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
     options.k = budget.MaxK();
     options.bytes_per_value = b;
     options.num_threads = threads;
-    options.prefetch_depth = prefetch_depth;
     if (options.k == 0) {
       return Fail(err, Status::ResourceExhausted("budget below 1 component"));
     }
@@ -746,8 +741,6 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   DiskBackedOptions disk_options;
   disk_options.cache_blocks = cache_blocks;
-  disk_options.prefetch_depth =
-      static_cast<std::size_t>(flags.GetInt("prefetch-depth", 0));
   if (const std::string backend = flags.GetString("io-backend", "");
       !backend.empty()) {
     auto kind = ParseIoBackendName(backend);
@@ -864,7 +857,7 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
 
   // A few SQL aggregates served straight from the two-file disk layout:
   // the executor sees the store through DiskBackedStoreView, so its
-  // batched scans hit the I/O engine (and the prefetch hook) under test.
+  // batched scans hit the I/O engine under test.
   const DiskBackedStoreView disk_view(&*store);
   const QueryExecutor executor(&disk_view);
   const std::size_t last_row = model.rows() - 1;
@@ -888,8 +881,7 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   out << "serving workload: " << queries << " cell queries ("
       << "zipf s=" << TablePrinter::Num(zipf_s) << "), " << sql.size()
       << " sql queries, cache=" << cache_blocks << " blocks\n";
-  out << "io backend:       " << store->io_backend_name()
-      << " (prefetch depth " << disk_options.prefetch_depth << ")\n";
+  out << "io backend:       " << store->io_backend_name() << "\n";
   // Serving footprint, broken down by component: the on-disk U row store
   // (at its true, possibly quantized stride), the in-memory delta table,
   // and the in-memory V + eigenvalues.
@@ -941,7 +933,7 @@ void ServeSignalHandler(int) { g_serve_interrupted.store(true); }
 /// Runs the concurrent query server over a model file until SIGINT /
 /// SIGTERM (or --duration-s elapses). With --cache-blocks > 0 an SVDD
 /// model is exported to the two-file disk layout and served through one
-/// shared BlockCache + BlockPrefetcher; otherwise the in-memory model
+/// shared BlockCache; otherwise the in-memory model
 /// serves directly (SVDD still gets the compressed-domain fast path).
 int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   auto loaded = LoadModel(flags.GetString("model", ""));
@@ -963,8 +955,6 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   options.max_queue = static_cast<std::size_t>(flags.GetInt("queue", 64));
   options.timeout_ms =
       static_cast<std::uint64_t>(flags.GetInt("timeout-ms", 2000));
-  options.batch_window_us =
-      static_cast<std::uint64_t>(flags.GetInt("batch-window-us", 150));
   options.slowlog_capacity =
       static_cast<std::size_t>(flags.GetInt("slowlog", 64));
   options.slo_window_s =
@@ -1025,8 +1015,6 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
                            "--cache-blocks needs an svdd model"));
     }
     disk_options.cache_blocks = cache_blocks;
-    disk_options.prefetch_depth =
-        static_cast<std::size_t>(flags.GetInt("prefetch-depth", 0));
     if (const std::string backend = flags.GetString("io-backend", "");
         !backend.empty()) {
       auto kind = ParseIoBackendName(backend);

@@ -15,19 +15,6 @@ struct CellRef {
   std::size_t col = 0;
 };
 
-/// Optional capability of a store whose rows live on slow storage: warm
-/// whatever backs `row_ids` before a batched reconstruction touches
-/// them, so a cold batch pays one overlapped I/O wave instead of N
-/// sequential misses. In-memory models do not implement this; the query
-/// executor probes for it with dynamic_cast and calls it once per scan
-/// block. Must be safe to call concurrently and must not change any
-/// reconstruction result.
-class RowPrefetchable {
- public:
-  virtual ~RowPrefetchable() = default;
-  virtual void PrefetchRows(std::span<const std::size_t> row_ids) const = 0;
-};
-
 /// A compressed representation of an N x M time-sequence matrix that
 /// supports "random access": reconstructing any cell in time independent
 /// of N and M. Every compression method in this library (SVD, SVDD, DCT,

@@ -78,10 +78,6 @@ StatusOr<DiskBackedStore> DiskBackedStore::Open(
   if (options.cache_blocks > 0) {
     store.cached_ = std::make_unique<CachedRowReader>(std::move(reader),
                                                       options.cache_blocks);
-    if (options.prefetch_depth > 0) {
-      store.prefetcher_ =
-          std::make_unique<BlockPrefetcher>(options.prefetch_depth);
-    }
   } else {
     store.u_reader_ = std::make_unique<RowStoreReader>(std::move(reader));
   }
@@ -123,27 +119,6 @@ StatusOr<QuantRowView> DiskBackedStore::ReadUQuantRow(
     std::size_t row, std::span<std::uint8_t> scratch) {
   if (cached_) return cached_->ReadQuantRow(row, scratch);
   return u_reader_->ReadQuantRow(row, scratch);
-}
-
-void DiskBackedStore::PrefetchURows(std::span<const std::size_t> row_ids) {
-  if (row_ids.empty()) return;
-  if (cached_ && prefetcher_) {
-    cached_->PrefetchRows(row_ids, prefetcher_.get());
-    return;
-  }
-  // No buffer pool: there is nowhere to stage blocks, but the kernel can
-  // still start readahead on the spanned byte range.
-  if (u_reader_) {
-    const auto [lo, hi] =
-        std::minmax_element(row_ids.begin(), row_ids.end());
-    if (*lo >= u_reader_->rows()) return;
-    const std::uint64_t row_bytes = u_reader_->row_stride_bytes();
-    const std::uint64_t first = u_reader_->header_bytes() + *lo * row_bytes;
-    const std::uint64_t last_row = std::min<std::uint64_t>(
-        *hi, u_reader_->rows() - 1);
-    u_reader_->io().AdviseWillNeed(first,
-                                   (last_row - *lo + 1) * row_bytes);
-  }
 }
 
 double DiskBackedStore::CellFromURow(const QuantRowView& urow,
@@ -206,9 +181,7 @@ Status DiskBackedStore::ReconstructCells(std::span<const CellRef> cells,
       return Status::OutOfRange("cell out of range");
     }
   }
-  // Visit cells row-major so each distinct U row is read exactly once;
-  // the prefetch wave fetches every distinct row's blocks up front so a
-  // cold batch overlaps its I/O instead of paying sequential misses.
+  // Visit cells row-major so each distinct U row is read exactly once.
   std::vector<std::size_t> order(cells.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
@@ -218,15 +191,6 @@ Status DiskBackedStore::ReconstructCells(std::span<const CellRef> cells,
               }
               return cells[a].col < cells[b].col;
             });
-  std::vector<std::size_t> distinct_rows;
-  distinct_rows.reserve(cells.size());
-  for (const std::size_t i : order) {
-    if (distinct_rows.empty() || distinct_rows.back() != cells[i].row) {
-      distinct_rows.push_back(cells[i].row);
-    }
-  }
-  PrefetchURows(distinct_rows);
-
   std::vector<std::uint8_t> scratch(u_row_stride_);
   QuantRowView urow;
   std::size_t loaded_row = std::numeric_limits<std::size_t>::max();
@@ -283,11 +247,10 @@ Status DiskBackedStore::ReconstructRegion(
     if (c >= cols()) return Status::OutOfRange("col out of range");
   }
   const std::size_t kk = k();
-  PrefetchURows(row_ids);
-  // Gather the selected U rows (one read each, prefetched above; a
-  // quantized row dequantizes once here, amortized over the whole column
-  // block) and the selected Lambda-weighted V rows into dense blocks,
-  // then run the same blocked product the in-memory models use.
+  // Gather the selected U rows (one read each; a quantized row
+  // dequantizes once here, amortized over the whole column block) and
+  // the selected Lambda-weighted V rows into dense blocks, then run the
+  // same blocked product the in-memory models use.
   Matrix a(row_ids.size(), kk);
   for (std::size_t r = 0; r < row_ids.size(); ++r) {
     TSC_RETURN_IF_ERROR(ReadURow(row_ids[r], a.Row(r)));

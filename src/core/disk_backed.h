@@ -12,7 +12,6 @@
 #include "storage/cached_row_reader.h"
 #include "storage/delta_table.h"
 #include "storage/io_backend.h"
-#include "storage/prefetcher.h"
 #include "storage/row_store.h"
 #include "util/status.h"
 
@@ -26,10 +25,6 @@ struct DiskBackedOptions {
   /// I/O engine for the U file; defaults to the TSC_IO-resolved backend
   /// (mmap where available).
   std::optional<IoBackendKind> io_backend;
-  /// > 0 enables batched block prefetch for ReconstructCells /
-  /// ReconstructRegion: that many fetches in flight per wave. Requires
-  /// cache_blocks > 0 to have an effect.
-  std::size_t prefetch_depth = 0;
 };
 
 /// The paper's deployment layout made concrete: V and the eigenvalues
@@ -49,7 +44,7 @@ class DiskBackedStore {
  public:
   /// Opens the pair of files produced by ExportSvddToDisk. The
   /// `cache_blocks` overload keeps the original signature; the options
-  /// overload adds I/O backend selection and prefetch.
+  /// overload adds I/O backend selection.
   static StatusOr<DiskBackedStore> Open(const std::string& u_path,
                                         const std::string& sidecar_path,
                                         std::size_t cache_blocks = 0);
@@ -90,21 +85,15 @@ class DiskBackedStore {
   Status ReconstructRow(std::size_t row, std::span<double> out);
 
   /// Batched point reconstruction: out[i] = cell cells[i]. Cells are
-  /// grouped by row so each distinct U row is read once, and with a
-  /// cache + prefetch configured the distinct rows' blocks are fetched
-  /// in one overlapped wave up front.
+  /// grouped by row so each distinct U row is read once.
   Status ReconstructCells(std::span<const CellRef> cells,
                           std::span<double> out);
 
   /// Batched region reconstruction mirroring the in-memory models:
-  /// prefetches and reads the selected U rows once, then runs the
-  /// blocked U * (Lambda V^T) product and one delta sweep.
+  /// reads the selected U rows once, then runs the blocked
+  /// U * (Lambda V^T) product and one delta sweep.
   Status ReconstructRegion(std::span<const std::size_t> row_ids,
                            std::span<const std::size_t> col_ids, Matrix* out);
-
-  /// Warms the buffer pool with the blocks backing `row_ids` in one
-  /// overlapped wave (no-op without a cache + prefetcher).
-  void PrefetchURows(std::span<const std::size_t> row_ids);
 
   /// Disk accesses performed so far against the U file (cache misses
   /// when a buffer pool is configured).
@@ -118,7 +107,6 @@ class DiskBackedStore {
     return cached_ ? cached_->cache_hits() : 0;
   }
   bool has_cache() const { return cached_ != nullptr; }
-  bool has_prefetch() const { return prefetcher_ != nullptr; }
   void ResetCounters() {
     if (cached_) {
       cached_->ResetStats();
@@ -149,7 +137,6 @@ class DiskBackedStore {
   // u_reader_ / cached_ is set.
   std::unique_ptr<RowStoreReader> u_reader_;
   std::unique_ptr<CachedRowReader> cached_;
-  std::unique_ptr<BlockPrefetcher> prefetcher_;
   std::vector<double> singular_values_;
   Matrix v_;
   Matrix weighted_v_;  ///< row j = lambda (.) v_j, derived at Open
@@ -162,12 +149,10 @@ class DiskBackedStore {
 
 /// CompressedStore adapter over a DiskBackedStore, so the query executor
 /// (and anything else programmed against the interface) can serve
-/// straight from the two-file disk layout. Implements RowPrefetchable:
-/// the executor's batched scan warms each block of rows before
-/// reconstructing it. Reads that fail surface as NaN (the interface has
-/// no error channel); `store` must outlive the view.
-class DiskBackedStoreView final : public CompressedStore,
-                                  public RowPrefetchable {
+/// straight from the two-file disk layout. Reads that fail surface as
+/// NaN (the interface has no error channel); `store` must outlive the
+/// view.
+class DiskBackedStoreView final : public CompressedStore {
  public:
   explicit DiskBackedStoreView(DiskBackedStore* store) : store_(store) {}
 
@@ -183,10 +168,6 @@ class DiskBackedStoreView final : public CompressedStore,
                          Matrix* out) const override;
   std::uint64_t CompressedBytes() const override;
   std::string MethodName() const override { return "svdd-disk"; }
-
-  void PrefetchRows(std::span<const std::size_t> row_ids) const override {
-    store_->PrefetchURows(row_ids);
-  }
 
  private:
   DiskBackedStore* store_;

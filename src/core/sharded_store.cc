@@ -363,9 +363,9 @@ void ShardedStore::ForEachShard(
   if (fan_out_pool_ != nullptr && active.size() > 1) {
     // Overlapping fan-outs (e.g. the executor's scan shards all hitting
     // ReconstructRegion) fall back to the serial loop instead of
-    // deadlocking on the non-reentrant pool — same discipline as
-    // BlockPrefetcher. Either path computes identical results because
-    // every shard writes disjoint output slots.
+    // deadlocking on the non-reentrant pool. Either path computes
+    // identical results because every shard writes disjoint output
+    // slots.
     std::unique_lock<std::mutex> lock(*fan_out_mutex_, std::try_to_lock);
     if (lock.owns_lock()) {
       obs::QueryContext* parent = obs::CurrentQueryContext();
@@ -634,17 +634,6 @@ void ShardedStore::ReconstructRegion(std::span<const std::size_t> row_ids,
   });
 }
 
-void ShardedStore::PrefetchRows(std::span<const std::size_t> row_ids) const {
-  std::vector<ShardSelection> selections = PartitionRows(row_ids);
-  for (std::size_t s = 0; s < selections.size(); ++s) {
-    if (selections[s].local_rows.empty()) continue;
-    if (const auto* prefetchable =
-            dynamic_cast<const RowPrefetchable*>(backend(s))) {
-      prefetchable->PrefetchRows(selections[s].local_rows);
-    }
-  }
-}
-
 std::uint64_t ShardedStore::CompressedBytes() const {
   std::uint64_t total = 0;
   for (const SvddModel& model : models_) total += model.CompressedBytes();
@@ -796,7 +785,6 @@ StatusOr<ShardedStore> BuildShardedStore(const Matrix& data,
     const auto start = std::chrono::steady_clock::now();
     SvddBuildOptions shard_options = options.base;
     shard_options.num_threads = 1;  // parallelism lives ACROSS shards
-    shard_options.prefetch_depth = 0;
     if (options.per_shard_quant.size() == 1) {
       shard_options.quant = options.per_shard_quant[0];
     } else if (options.per_shard_quant.size() == num_shards) {

@@ -111,7 +111,7 @@ struct ShardManifest {
 /// server all serve it transparently; batched calls fan out per shard
 /// and write disjoint output slots, which keeps results bit-identical
 /// to a serial loop at any thread count.
-class ShardedStore : public CompressedStore, public RowPrefetchable {
+class ShardedStore : public CompressedStore {
  public:
   ShardedStore(std::vector<SvddModel> models, ShardLayout layout);
 
@@ -142,10 +142,6 @@ class ShardedStore : public CompressedStore, public RowPrefetchable {
                          std::span<const std::size_t> col_ids,
                          Matrix* out) const override;
 
-  /// Forwards to every prefetch-capable shard backend (disk-backed
-  /// shards warm their own BlockCache set; in-memory shards ignore it).
-  void PrefetchRows(std::span<const std::size_t> row_ids) const override;
-
   std::uint64_t CompressedBytes() const override;
   std::string MethodName() const override { return "svdd-sharded"; }
 
@@ -173,9 +169,9 @@ class ShardedStore : public CompressedStore, public RowPrefetchable {
 
   /// Fans batched reconstructions out across shards on an internal pool
   /// (0/1 disables). Overlapping calls — e.g. from the executor's scan
-  /// shards — fall back to the serial loop instead of contending, the
-  /// same discipline as BlockPrefetcher; results are identical either
-  /// way because every shard writes its own output slots.
+  /// shards — fall back to the serial loop instead of contending;
+  /// results are identical either way because every shard writes its
+  /// own output slots.
   void EnableParallelFanOut(std::size_t num_threads);
 
  private:

@@ -9,7 +9,6 @@
 #include "linalg/kernels.h"
 #include "linalg/svd.h"
 #include "obs/trace.h"
-#include "storage/prefetcher.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -308,22 +307,6 @@ StatusOr<SvdModel> BuildSvdModel(RowSource* source,
                                  const SvdBuildOptions& options) {
   if (source->rows() == 0 || source->cols() == 0) {
     return Status::InvalidArgument("empty source");
-  }
-  // Readahead decorator: both passes still see rows in order (bitwise-
-  // identical model), but a producer thread keeps chunks in flight so
-  // the disk works while this thread computes. Threaded builds opt in
-  // automatically — the serial chunk read between parallel visits is
-  // exactly the Amdahl term that capped 2-thread speedup — and the
-  // wrapper self-disables (passthrough) when overlap cannot pay, so the
-  // auto-wrap is free for in-memory, mmap, and single-core sources.
-  const std::size_t readahead_depth =
-      options.prefetch_depth > 0
-          ? options.prefetch_depth
-          : (options.num_threads > 1 ? std::size_t{2} : std::size_t{0});
-  std::optional<ReadaheadRowSource> readahead;
-  if (readahead_depth > 0) {
-    readahead.emplace(source, readahead_depth);
-    source = &*readahead;
   }
   const std::size_t m = source->cols();
   std::unique_ptr<ThreadPool> pool;

@@ -137,13 +137,6 @@ struct SvdBuildOptions {
   /// their work by a fixed shard count and reduce in shard order, so any
   /// thread count produces a bitwise-identical model.
   std::size_t num_threads = 1;
-  /// > 0 reads each build pass through a ReadaheadRowSource holding that
-  /// many chunks in flight, so disk reads overlap compute. Row order is
-  /// unchanged, so the model stays bitwise-identical. 0 = automatic:
-  /// threaded builds (num_threads > 1) read through a depth-2 readahead,
-  /// which self-disables when overlap cannot pay (in-memory or mmap
-  /// sources, single-core machines); serial builds read directly.
-  std::size_t prefetch_depth = 0;
 };
 
 /// Builds a plain-SVD model with the paper's 2-pass algorithm

@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "linalg/symmetric_eigen.h"
-#include "storage/prefetcher.h"
 #include "util/bounded_heap.h"
 #include "util/kahan.h"
 #include "util/logging.h"
@@ -356,22 +355,6 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
                                    SvddBuildDiagnostics* diagnostics) {
   if (source->rows() == 0 || source->cols() == 0) {
     return Status::InvalidArgument("empty source");
-  }
-  // Readahead decorator: all three passes still see rows in order
-  // (bitwise-identical model), but a producer thread keeps chunks in
-  // flight so the disk works while this thread computes. Threaded
-  // builds opt in automatically — the serial chunk read between
-  // parallel visits is exactly the Amdahl term that capped 2-thread
-  // speedup — and the wrapper self-disables (passthrough) when overlap
-  // cannot pay (in-memory, mmap, or single-core sources).
-  const std::size_t readahead_depth =
-      options.prefetch_depth > 0
-          ? options.prefetch_depth
-          : (options.num_threads > 1 ? std::size_t{2} : std::size_t{0});
-  std::optional<ReadaheadRowSource> readahead;
-  if (readahead_depth > 0) {
-    readahead.emplace(source, readahead_depth);
-    source = &*readahead;
   }
   const std::size_t n = source->rows();
   const std::size_t m = source->cols();

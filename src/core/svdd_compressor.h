@@ -162,13 +162,6 @@ struct SvddBuildOptions {
   /// total-order outlier merge, so any thread count produces a
   /// bitwise-identical model.
   std::size_t num_threads = 1;
-  /// > 0 reads each of the three passes through a ReadaheadRowSource
-  /// holding that many chunks in flight (disk overlaps compute); 0 =
-  /// automatic: threaded builds use a depth-2 readahead that
-  /// self-disables when overlap cannot pay (in-memory or mmap sources,
-  /// single-core machines); serial builds read directly.
-  /// Order-preserving either way, so the model is unchanged.
-  std::size_t prefetch_depth = 0;
   /// Pass-1 subspace engine. kExact reproduces the paper; kRandomized
   /// swaps pass 1 for the streaming sketch PCA, leaving passes 2/3, the
   /// k_opt search, quantized-byte charging, and sharding unchanged.

@@ -18,7 +18,6 @@ QueryCostVector QueryContext::Costs() const {
   costs.io_bytes = io_bytes.load(std::memory_order_relaxed);
   costs.rows_scanned = rows_scanned.load(std::memory_order_relaxed);
   costs.delta_probes = delta_probes.load(std::memory_order_relaxed);
-  costs.batch_fill = batch_fill.load(std::memory_order_relaxed);
   costs.rollup_hits = rollup_hits.load(std::memory_order_relaxed);
   costs.scan_fallbacks = scan_fallbacks.load(std::memory_order_relaxed);
   costs.agg_nodes_read = agg_nodes_read.load(std::memory_order_relaxed);
@@ -32,7 +31,7 @@ std::string QueryCostVector::ToKvString() const {
   std::snprintf(buffer, sizeof(buffer),
                 "admission_wait_us=%llu cache_hits=%llu cache_misses=%llu "
                 "blocks_fetched=%llu io_bytes=%llu rows_scanned=%llu "
-                "delta_probes=%llu batch_fill=%llu rollup_hits=%llu "
+                "delta_probes=%llu rollup_hits=%llu "
                 "scan_fallbacks=%llu agg_nodes_read=%llu shard_queries=%llu "
                 "shard_fanout=%llu",
                 static_cast<unsigned long long>(admission_wait_us),
@@ -42,7 +41,6 @@ std::string QueryCostVector::ToKvString() const {
                 static_cast<unsigned long long>(io_bytes),
                 static_cast<unsigned long long>(rows_scanned),
                 static_cast<unsigned long long>(delta_probes),
-                static_cast<unsigned long long>(batch_fill),
                 static_cast<unsigned long long>(rollup_hits),
                 static_cast<unsigned long long>(scan_fallbacks),
                 static_cast<unsigned long long>(agg_nodes_read),

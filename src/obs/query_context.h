@@ -19,7 +19,7 @@ namespace tsc::obs {
 // the per-request deltas equal the process-wide counter deltas.
 //
 // Cost fields are relaxed atomics because attribution legitimately crosses
-// threads — a query-scan pool shard or a CellBatcher leader charges work
+// threads — a query-scan pool shard or a shard fan-out worker charges work
 // to the context of the request that caused it — and relaxed increments on
 // a per-request struct are contention-free in practice.
 // ---------------------------------------------------------------------------
@@ -34,7 +34,6 @@ struct QueryCostVector {
   std::uint64_t io_bytes = 0;           ///< io.bytes_read delta
   std::uint64_t rows_scanned = 0;       ///< query.rows_scanned delta
   std::uint64_t delta_probes = 0;       ///< delta.lookups delta
-  std::uint64_t batch_fill = 0;         ///< CellBatcher wave size, if any
   std::uint64_t rollup_hits = 0;        ///< agg.rollup_hits delta
   std::uint64_t scan_fallbacks = 0;     ///< agg.scan_fallbacks delta
   std::uint64_t agg_nodes_read = 0;     ///< agg.nodes_read delta
@@ -68,7 +67,6 @@ class QueryContext {
   std::atomic<std::uint64_t> io_bytes{0};
   std::atomic<std::uint64_t> rows_scanned{0};
   std::atomic<std::uint64_t> delta_probes{0};
-  std::atomic<std::uint64_t> batch_fill{0};
   std::atomic<std::uint64_t> rollup_hits{0};
   std::atomic<std::uint64_t> scan_fallbacks{0};
   std::atomic<std::uint64_t> agg_nodes_read{0};
@@ -99,7 +97,7 @@ inline QueryContext* CurrentQueryContext() {
 }
 
 /// RAII install/restore of the thread's current context. Pass the parent
-/// thread's context into worker lambdas (pool shards, batch leaders) to
+/// thread's context into worker lambdas (pool shards, fan-out workers) to
 /// keep attribution flowing across thread hops:
 ///
 ///   QueryContext* parent = CurrentQueryContext();
@@ -187,17 +185,6 @@ inline void ChargeShardQuery() {
 }
 inline void ChargeShardFanout(std::uint64_t shards) {
   detail::Charge(&QueryContext::shard_fanout, shards);
-}
-/// Wave size of the CellBatcher batch that served this request (set, not
-/// accumulated: one cell probe rides exactly one wave).
-inline void SetBatchFill(std::uint64_t fill) {
-#ifndef TSC_OBS_DISABLED
-  if (QueryContext* context = detail::t_query_context) {
-    context->batch_fill.store(fill, std::memory_order_relaxed);
-  }
-#else
-  (void)fill;
-#endif
 }
 
 /// Process-unique 16-hex-digit trace id (SplitMix64 of a process-wide

@@ -23,7 +23,6 @@ void CostsToJson(JsonWriter* json, const QueryCostVector& costs) {
   json->KV("io_bytes", costs.io_bytes);
   json->KV("rows_scanned", costs.rows_scanned);
   json->KV("delta_probes", costs.delta_probes);
-  json->KV("batch_fill", costs.batch_fill);
   json->EndObject();
 }
 

@@ -331,10 +331,6 @@ std::vector<GroupAcc> ScanGroupsBatched(const QueryPlan& plan,
   obs::TraceSpan span("query.scan");
   const bool keep_values = NeedsValueBuffer(plan);
   const std::size_t groups = plan.GroupCount();
-  // Disk-backed stores expose a prefetch hook: warming each scan block's
-  // backing blocks before ReconstructRegion turns a cold block into one
-  // overlapped I/O wave. In-memory stores don't implement it.
-  const auto* prefetchable = dynamic_cast<const RowPrefetchable*>(&store);
   std::vector<std::vector<GroupAcc>> shard_accs(kQueryShards);
   // Shards may run on pool threads: re-install the requesting thread's
   // QueryContext so cache/disk/delta work stays attributed per request.
@@ -351,7 +347,6 @@ std::vector<GroupAcc> ScanGroupsBatched(const QueryPlan& plan,
     block_index.reserve(kScanBlockRows);
     const auto flush = [&] {
       if (block_rows.empty()) return;
-      if (prefetchable != nullptr) prefetchable->PrefetchRows(block_rows);
       store.ReconstructRegion(block_rows, plan.col_ids, &block);
       batch_cells.Add(block_rows.size() * plan.col_ids.size());
       for (std::size_t b = 0; b < block_rows.size(); ++b) {

@@ -81,8 +81,8 @@ class ShardRouter {
 
  private:
   /// Runs fn(shard) for all shards, on the fan-out pool when free
-  /// (overlapping calls fall back to serial, the BlockPrefetcher
-  /// discipline). fn writes only its own shard's partial slots.
+  /// (overlapping calls fall back to serial). fn writes only its own
+  /// shard's partial slots.
   void ForEachShard(const std::function<void(std::size_t)>& fn) const;
 
   const ShardedStore* store_;

@@ -115,17 +115,13 @@ void SetRecvTimeout(int fd, int millis) {
 QueryServer::QueryServer(const QueryExecutor* executor,
                          const CompressedStore* store,
                          const ServerOptions& options)
-    : executor_(executor), options_(options) {
+    : executor_(executor), store_(store), options_(options) {
   AdmissionController::Options admission;
   admission.max_concurrent = options_.max_concurrent > 0
                                  ? options_.max_concurrent
                                  : ThreadPool::HardwareThreads();
   admission.max_queue = options_.max_queue;
   admission_ = std::make_unique<AdmissionController>(admission);
-  CellBatcher::Options batcher;
-  batcher.max_batch = options_.batch_max;
-  batcher.window = std::chrono::microseconds(options_.batch_window_us);
-  batcher_ = std::make_unique<CellBatcher>(store, batcher);
   slowlog_ = std::make_unique<obs::SlowQueryLog>(options_.slowlog_capacity);
   obs::SloTracker::Options slo;
   slo.window_seconds = options_.slo_window_s;
@@ -594,26 +590,23 @@ std::string QueryServer::RouteApi(const HttpRequest& request,
   }
 
   // /api/v1/cell
-  auto row = ParseRowsParam(request.Param("row", ""), executor_->rows(), 1);
-  auto col = ParseRowsParam(request.Param("col", ""), executor_->cols(), 1);
+  auto row = ParseRowsParam(request.Param("row", ""), store_->rows(), 1);
+  auto col = ParseRowsParam(request.Param("col", ""), store_->cols(), 1);
   if (!row.ok() || row->size() != 1 || (*row)[0].lo != (*row)[0].hi ||
       !col.ok() || col->size() != 1 || (*col)[0].lo != (*col)[0].hi) {
     *status_out = 400;
     return JsonError("row= and col= must each be one index");
   }
-  auto value = batcher_->Fetch((*row)[0].lo, (*col)[0].lo);
-  if (!value.ok()) {
-    *status_out = StatusToHttp(value.status());
-    body = JsonError(value.status().message());
-  } else {
-    JsonWriter json;
-    json.BeginObject();
-    json.KV("row", static_cast<std::uint64_t>((*row)[0].lo));
-    json.KV("col", static_cast<std::uint64_t>((*col)[0].lo));
-    json.KV("value", *value);
-    json.EndObject();
-    body = json.str();
-  }
+  // ParseRowsParam has range-checked both coordinates against the store.
+  const std::size_t r = (*row)[0].lo;
+  const std::size_t c = (*col)[0].lo;
+  JsonWriter json;
+  json.BeginObject();
+  json.KV("row", static_cast<std::uint64_t>(r));
+  json.KV("col", static_cast<std::uint64_t>(c));
+  json.KV("value", store_->ReconstructCell(r, c));
+  json.EndObject();
+  body = json.str();
   EndpointLatency("cell").Record(
       std::chrono::duration<double, std::micro>(Clock::now() - started)
           .count());

@@ -16,7 +16,6 @@
 #include "obs/slowlog.h"
 #include "query/executor.h"
 #include "server/admission.h"
-#include "server/batcher.h"
 #include "server/data_api.h"
 #include "server/http.h"
 #include "util/status.h"
@@ -40,9 +39,6 @@ struct ServerOptions {
   /// Connection handling.
   std::size_t max_connections = 1024;  ///< beyond this, connections get 503
   std::uint64_t idle_timeout_ms = 5000;  ///< keep-alive read timeout
-  /// Cell-probe batching window (0 disables coalescing delay).
-  std::uint64_t batch_window_us = 150;
-  std::size_t batch_max = 256;
   /// Request-shape ceilings.
   HttpLimits http;
   DataApiLimits data;
@@ -62,8 +58,8 @@ struct ServerOptions {
 /// keep-alive, and every API request passes through the shared
 /// AdmissionController before touching the executor. All connections
 /// share one QueryExecutor and one CompressedStore — against a
-/// disk-backed store that means one BlockCache buffer pool and one
-/// BlockPrefetcher serving the whole client population.
+/// disk-backed store that means one BlockCache buffer pool serving the
+/// whole client population.
 ///
 /// Endpoints:
 ///   GET /healthz            liveness probe ("ok"), never queued;
@@ -76,8 +72,8 @@ struct ServerOptions {
 ///                           index ranges or ~key-regex
 ///   GET /api/v1/query       q=<SQL>; format=text matches `tsctool sql`
 ///                           byte for byte, format=json adds stats
-///   GET /api/v1/cell        row=I&col=J single-cell probe, coalesced
-///                           across connections by the CellBatcher
+///   GET /api/v1/cell        row=I&col=J single-cell probe: one
+///                           store ReconstructCell (one U-row read)
 ///   GET /api/v1/debug/slow  the K slowest requests with their cost
 ///                           vectors, never queued; format=json | table
 ///
@@ -144,9 +140,9 @@ class QueryServer {
   std::string HealthzVerboseJson() const;
 
   const QueryExecutor* executor_;
+  const CompressedStore* store_;
   ServerOptions options_;
   std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<CellBatcher> batcher_;
   std::unique_ptr<obs::SlowQueryLog> slowlog_;
   std::unique_ptr<obs::SloTracker> slo_;
   std::chrono::steady_clock::time_point start_time_{};

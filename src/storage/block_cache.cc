@@ -83,13 +83,6 @@ const BlockCache::Shard& BlockCache::ShardFor(std::uint64_t block_id) const {
   return *shards_[MixBlockId(block_id) & shard_mask_];
 }
 
-bool BlockCache::Contains(std::uint64_t block_id) const {
-  const Shard& shard = ShardFor(block_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.entries.count(block_id) != 0 ||
-         shard.in_flight.count(block_id) != 0;
-}
-
 void BlockCache::InstallLocked(Shard& shard, std::uint64_t block_id,
                                const Handle& handle) {
   if (shard.entries.size() >= shard.capacity) {

@@ -52,14 +52,6 @@ class BlockCache {
   /// the same block counts as a hit (no I/O was issued).
   StatusOr<Handle> Get(std::uint64_t block_id, const FetchFn& fetch);
 
-  /// True when the block is resident or an in-flight fetch will install
-  /// it — i.e. a Get() for the block would issue no I/O right now. A
-  /// cheap membership probe: it does not promote the block in the LRU
-  /// and does not count as a hit. The answer is advisory under
-  /// concurrency (the block can be evicted the instant the lock drops);
-  /// the prefetcher uses it to skip warm blocks, never for correctness.
-  bool Contains(std::uint64_t block_id) const;
-
   /// Drops one block (e.g. after an off-line batch update touched it).
   /// An in-flight fetch of that block is still handed to its waiters but
   /// not installed, so no stale block can enter the cache.

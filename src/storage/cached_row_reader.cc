@@ -112,54 +112,4 @@ StatusOr<double> CachedRowReader::ReadCell(std::size_t row, std::size_t col) {
   return DecodeQuantValue(view, 0);
 }
 
-std::vector<std::uint64_t> CachedRowReader::BlocksForRows(
-    std::span<const std::size_t> row_ids) const {
-  const std::size_t block_size = cache_.block_size();
-  const std::uint64_t row_bytes = reader_->row_stride_bytes();
-  std::vector<std::uint64_t> blocks;
-  blocks.reserve(row_ids.size() * (1 + row_bytes / block_size));
-  for (const std::size_t index : row_ids) {
-    if (index >= rows()) continue;
-    const std::uint64_t offset =
-        reader_->header_bytes() +
-        static_cast<std::uint64_t>(index) * row_bytes;
-    const std::uint64_t first = offset / block_size;
-    const std::uint64_t last = (offset + row_bytes - 1) / block_size;
-    for (std::uint64_t b = first; b <= last; ++b) blocks.push_back(b);
-  }
-  std::sort(blocks.begin(), blocks.end());
-  blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
-  return blocks;
-}
-
-bool CachedRowReader::PrefetchRows(std::span<const std::size_t> row_ids,
-                                   BlockPrefetcher* prefetcher) {
-  if (prefetcher == nullptr || row_ids.empty()) return false;
-  // Auto-disable when the wave cannot win (see header): serial waves
-  // only help the seek-order-sensitive stream backend.
-  if (!prefetcher->parallel() &&
-      reader_->backend_kind() != IoBackendKind::kStream) {
-    return false;
-  }
-  const std::vector<std::uint64_t> blocks = BlocksForRows(row_ids);
-  if (blocks.empty()) return false;
-  // Tell the kernel too — but only when the wave is dense. The hint
-  // covers the whole [first, last] span, and a random batch spans most
-  // of the file while touching a sliver of it: advising that span every
-  // wave schedules file-sized kernel readahead the probes never use,
-  // which is exactly how a prefetch wave ends up slower than demand
-  // reads. A sparse wave relies on the per-block fetches alone.
-  const std::uint64_t block_size = cache_.block_size();
-  const std::uint64_t span_blocks = blocks.back() - blocks.front() + 1;
-  if (blocks.size() * 4 >= span_blocks) {
-    reader_->io().AdviseWillNeed(blocks.front() * block_size,
-                                 span_blocks * block_size);
-  }
-  prefetcher->Prefetch(
-      &cache_, blocks, [this](std::uint64_t id, BlockCache::Block* data) {
-        return reader_->ReadBlock(id, *data);
-      });
-  return true;
-}
-
 }  // namespace tsc

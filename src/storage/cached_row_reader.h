@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "storage/block_cache.h"
-#include "storage/prefetcher.h"
 #include "storage/row_store.h"
 
 namespace tsc {
@@ -42,28 +41,9 @@ class CachedRowReader {
                                       std::span<std::uint8_t> scratch);
 
   /// Reads the single cell (row, col) through the cache: only the
-  /// block(s) holding the row meta and the one code are touched, so a
-  /// prefetch-warmed probe is a pure cache hit. Counted in io.cell_reads.
+  /// block(s) holding the row meta and the one code are touched.
+  /// Counted in io.cell_reads.
   StatusOr<double> ReadCell(std::size_t row, std::size_t col);
-
-  /// The distinct cache blocks covering `row_ids`, ascending — the I/O
-  /// wave a cold batched read of those rows will pay.
-  std::vector<std::uint64_t> BlocksForRows(
-      std::span<const std::size_t> row_ids) const;
-
-  /// Warms the cache with every block covering `row_ids` in one
-  /// overlapped wave through `prefetcher` (dense waves additionally get
-  /// a WILLNEED hint for the spanned byte range). Subsequent ReadRow
-  /// calls for those rows are pure cache hits. Returns false when the
-  /// wave was skipped because it could not pay: with no worker pool
-  /// (single-core machine or depth 1) a wave cannot overlap anything,
-  /// and on the positional backends (pread/mmap) its only other lever —
-  /// issuing fetches in ascending file order — buys nothing either, so
-  /// running it would just tax every batch with wave bookkeeping. The
-  /// serialized stream backend keeps its serial waves: ordered fetches
-  /// genuinely beat the demand pattern there.
-  bool PrefetchRows(std::span<const std::size_t> row_ids,
-                    BlockPrefetcher* prefetcher);
 
   /// Disk accesses actually performed (i.e. cache misses, in blocks).
   std::uint64_t disk_accesses() const {

@@ -1,6 +1,5 @@
 #include "storage/io_backend.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -191,24 +190,6 @@ class MmapIoBackend final : public IoBackend {
       ::madvise(const_cast<std::uint8_t*>(map_),
                 static_cast<std::size_t>(size_), MADV_SEQUENTIAL);
     }
-  }
-
-  void AdviseWillNeed(std::uint64_t offset,
-                      std::uint64_t length) const override {
-    if (map_ == nullptr || offset >= size_) return;
-    length = std::min<std::uint64_t>(length, size_ - offset);
-    // madvise wants a page-aligned start; round the range outward. The
-    // page size is a runtime property (16K/64K on some ARM64 systems),
-    // not a constant — a misaligned start makes madvise fail EINVAL and
-    // silently drop the hint.
-    static const std::uint64_t page = [] {
-      const long size = ::sysconf(_SC_PAGESIZE);
-      return size > 0 ? static_cast<std::uint64_t>(size) : 4096u;
-    }();
-    const std::uint64_t start = offset / page * page;
-    ::madvise(const_cast<std::uint8_t*>(map_ + start),
-              static_cast<std::size_t>(offset - start + length),
-              MADV_WILLNEED);
   }
 
  private:

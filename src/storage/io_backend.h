@@ -82,13 +82,8 @@ class IoBackend {
   /// for the others. The view lives as long as the backend.
   virtual std::span<const std::uint8_t> Mapped() const { return {}; }
 
-  /// Access-pattern hints (madvise under mmap, no-ops elsewhere).
+  /// Sequential-scan hint (madvise under mmap, a no-op elsewhere).
   virtual void AdviseSequential() const {}
-  virtual void AdviseWillNeed(std::uint64_t offset,
-                              std::uint64_t length) const {
-    (void)offset;
-    (void)length;
-  }
 
  protected:
   IoBackend() = default;

@@ -34,14 +34,7 @@ class RowSource {
   /// returns false at end of data.
   virtual StatusOr<bool> NextRow(std::span<double> out) = 0;
 
-  /// Whether NextRow can block on I/O that a readahead producer thread
-  /// could usefully overlap with the consumer's compute. In-memory
-  /// sources return false (the default): copying their rows through a
-  /// second thread and a chunk queue is pure overhead. File sources
-  /// return true for the syscall-backed backends; the mmap backend
-  /// serves rows straight from the mapping, so it also returns false.
-  /// ReadaheadRowSource consults this to become a transparent no-op
-  /// wrapper instead of a pessimizing one (see storage/prefetcher.h).
+  /// Unused in src/; kept because perfbench's TimingRowSource overrides it.
   virtual bool BenefitsFromReadahead() const { return false; }
 
   /// Number of Reset() calls so far; each full scan is one pass.

@@ -215,9 +215,7 @@ Status WriteMatrixFile(const std::string& path, const Matrix& m,
 
 /// RowSource streaming a "TSCROWS1" file front to back with a bounded
 /// buffer: the multi-pass build path for datasets that do not fit in
-/// memory. Reads are accounted in the shared reader's counter. Wrap in a
-/// ReadaheadRowSource (storage/prefetcher.h) to overlap the file reads
-/// with the consumer's compute.
+/// memory. Reads are accounted in the shared reader's counter.
 class FileRowSource final : public RowSource {
  public:
   explicit FileRowSource(RowStoreReader reader)
@@ -229,13 +227,6 @@ class FileRowSource final : public RowSource {
   std::size_t cols() const override { return reader_.cols(); }
 
   StatusOr<bool> NextRow(std::span<double> out) override;
-
-  /// Readahead pays off when rows come through read syscalls; under mmap
-  /// the rows are already memory-mapped and a producer thread would only
-  /// add copies and handoffs.
-  bool BenefitsFromReadahead() const override {
-    return reader_.backend_kind() != IoBackendKind::kMmap;
-  }
 
   RowStoreReader& reader() { return reader_; }
 

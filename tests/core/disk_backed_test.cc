@@ -105,7 +105,6 @@ TEST_F(DiskBackedTest, BatchedCellsMatchPerCellPath) {
   for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{64}}) {
     DiskBackedOptions options;
     options.cache_blocks = cache_blocks;
-    options.prefetch_depth = cache_blocks > 0 ? 4 : 0;
     auto store = DiskBackedStore::Open(u_path_, sidecar_path_, options);
     ASSERT_TRUE(store.ok()) << "cache_blocks=" << cache_blocks;
     std::vector<CellRef> cells;
@@ -189,7 +188,6 @@ TEST_F(DiskBackedTest, DuplicateRegionIdsSeeDeltasInSweepPath) {
 TEST_F(DiskBackedTest, BatchedRegionMatchesModel) {
   DiskBackedOptions options;
   options.cache_blocks = 64;
-  options.prefetch_depth = 4;
   auto store = DiskBackedStore::Open(u_path_, sidecar_path_, options);
   ASSERT_TRUE(store.ok());
   const std::vector<std::size_t> rows = {0, 3, 9, 77, 149};
@@ -205,31 +203,6 @@ TEST_F(DiskBackedTest, BatchedRegionMatchesModel) {
       EXPECT_NEAR(region(r, c), want(r, c), 1e-12) << r << "," << c;
     }
   }
-}
-
-TEST_F(DiskBackedTest, PrefetchedBatchPaysOneIoWave) {
-  DiskBackedOptions options;
-  options.cache_blocks = 256;
-  options.prefetch_depth = 4;
-  // Stream backend: waves always run there, even on a single-core
-  // machine where the positional backends auto-disable serial waves.
-  options.io_backend = IoBackendKind::kStream;
-  auto store = DiskBackedStore::Open(u_path_, sidecar_path_, options);
-  ASSERT_TRUE(store.ok());
-  EXPECT_TRUE(store->has_prefetch());
-  std::vector<std::size_t> rows;
-  for (std::size_t i = 0; i < 150; i += 3) rows.push_back(i);
-  store->ResetCounters();
-  store->PrefetchURows(rows);
-  const std::uint64_t wave = store->disk_accesses();
-  EXPECT_GT(wave, 0u);
-  // The batched region read after the wave is served from cache: no new
-  // disk accesses beyond the wave itself.
-  Matrix region;
-  const std::vector<std::size_t> cols = {0, 10, 20, 39};
-  ASSERT_TRUE(store->ReconstructRegion(rows, cols, &region).ok());
-  EXPECT_EQ(store->disk_accesses(), wave);
-  EXPECT_GT(store->cache_hits(), 0u);
 }
 
 TEST_F(DiskBackedTest, ExplicitBackendsAgree) {
@@ -251,10 +224,6 @@ TEST_F(DiskBackedTest, ExplicitBackendsAgree) {
 TEST_F(DiskBackedTest, ViewDelegatesWithPrefetchHook) {
   DiskBackedOptions options;
   options.cache_blocks = 64;
-  options.prefetch_depth = 2;
-  // Stream backend so the prefetch wave runs even on a single-core
-  // machine (the positional backends auto-disable serial waves).
-  options.io_backend = IoBackendKind::kStream;
   auto store = DiskBackedStore::Open(u_path_, sidecar_path_, options);
   ASSERT_TRUE(store.ok());
   const DiskBackedStoreView view(&*store);
@@ -263,13 +232,15 @@ TEST_F(DiskBackedTest, ViewDelegatesWithPrefetchHook) {
   EXPECT_EQ(view.MethodName(), "svdd-disk");
   EXPECT_NEAR(view.ReconstructCell(10, 10),
               model_.ReconstructCell(10, 10), 1e-12);
-  // The view is a RowPrefetchable: the executor's scan hook discovers it
-  // via the base interface.
+  // Calls through the base interface reach the disk store's U rows.
   const CompressedStore& as_store = view;
-  const auto* prefetchable = dynamic_cast<const RowPrefetchable*>(&as_store);
-  ASSERT_NE(prefetchable, nullptr);
-  const std::vector<std::size_t> rows = {1, 2, 3};
-  prefetchable->PrefetchRows(rows);
+  std::vector<double> row(as_store.cols());
+  std::vector<double> want(as_store.cols());
+  as_store.ReconstructRow(2, row);
+  model_.ReconstructRow(2, want);
+  for (std::size_t j = 0; j < row.size(); ++j) {
+    EXPECT_NEAR(row[j], want[j], 1e-12) << "col " << j;
+  }
   EXPECT_GT(store->disk_accesses(), 0u);
   // Space accounting matches the in-memory model's Section 5.1 rules.
   EXPECT_EQ(view.CompressedBytes(), model_.CompressedBytes());

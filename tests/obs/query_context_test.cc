@@ -24,8 +24,6 @@ TEST(QueryContextTest, ChargesGoToTheInstalledContext) {
   ChargeRowsScanned(30);
   ChargeDeltaProbe();
   ChargeAdmissionWaitUs(250);
-  SetBatchFill(8);
-  SetBatchFill(3);  // a later wave replaces, not accumulates
 
   const QueryCostVector costs = CurrentQueryContext() == nullptr
                                     ? QueryCostVector{}
@@ -38,7 +36,6 @@ TEST(QueryContextTest, ChargesGoToTheInstalledContext) {
   EXPECT_EQ(costs.rows_scanned, 30u);
   EXPECT_EQ(costs.delta_probes, 1u);
   EXPECT_EQ(costs.admission_wait_us, 250u);
-  EXPECT_EQ(costs.batch_fill, 3u);
 #endif
 }
 
@@ -47,7 +44,6 @@ TEST(QueryContextTest, ChargesWithNoContextAreDropped) {
   // Must not crash; there is nowhere to account them.
   ChargeCacheHit();
   ChargeIoBytes(123);
-  SetBatchFill(7);
 }
 
 TEST(QueryContextTest, ScopesNestAndRestore) {
@@ -76,7 +72,7 @@ TEST(QueryContextTest, ScopesNestAndRestore) {
 }
 
 TEST(QueryContextTest, WorkerThreadsChargeTheParentContext) {
-  // The propagation pattern the executor pool and the cell batcher use:
+  // The propagation pattern the executor pool and shard fan-out use:
   // the request thread hands its context into worker lambdas, which
   // re-install it for their own charges.
   QueryContext context("cross-thread");
@@ -109,7 +105,11 @@ TEST(QueryContextTest, KvStringCarriesEveryField) {
   costs.io_bytes = 5;
   costs.rows_scanned = 6;
   costs.delta_probes = 7;
-  costs.batch_fill = 8;
+  costs.rollup_hits = 8;
+  costs.scan_fallbacks = 9;
+  costs.agg_nodes_read = 10;
+  costs.shard_queries = 11;
+  costs.shard_fanout = 12;
   const std::string kv = costs.ToKvString();
   EXPECT_NE(kv.find("admission_wait_us=1"), std::string::npos) << kv;
   EXPECT_NE(kv.find("cache_hits=2"), std::string::npos) << kv;
@@ -118,7 +118,11 @@ TEST(QueryContextTest, KvStringCarriesEveryField) {
   EXPECT_NE(kv.find("io_bytes=5"), std::string::npos) << kv;
   EXPECT_NE(kv.find("rows_scanned=6"), std::string::npos) << kv;
   EXPECT_NE(kv.find("delta_probes=7"), std::string::npos) << kv;
-  EXPECT_NE(kv.find("batch_fill=8"), std::string::npos) << kv;
+  EXPECT_NE(kv.find("rollup_hits=8"), std::string::npos) << kv;
+  EXPECT_NE(kv.find("scan_fallbacks=9"), std::string::npos) << kv;
+  EXPECT_NE(kv.find("agg_nodes_read=10"), std::string::npos) << kv;
+  EXPECT_NE(kv.find("shard_queries=11"), std::string::npos) << kv;
+  EXPECT_NE(kv.find("shard_fanout=12"), std::string::npos) << kv;
 }
 
 TEST(QueryContextTest, TraceIdsAreUniqueAndWellFormed) {

@@ -75,15 +75,13 @@ TEST_F(ExecutorTest, CompressedDomainMatchesRowReconstruction) {
 
 TEST_F(ExecutorTest, DiskBackedViewMatchesInMemoryModel) {
   // Serving straight from the two-file disk layout: the executor scans
-  // through DiskBackedStoreView (whose RowPrefetchable hook warms each
-  // block before ReconstructRegion) and must aggregate to the same
-  // numbers as the in-memory model it was exported from.
+  // through DiskBackedStoreView's ReconstructRegion and must aggregate to
+  // the same numbers as the in-memory model it was exported from.
   const std::string u_path = ::testing::TempDir() + "/exec_u.mat";
   const std::string sidecar = ::testing::TempDir() + "/exec_sidecar.bin";
   ASSERT_TRUE(ExportSvddToDisk(*model_, u_path, sidecar).ok());
   DiskBackedOptions options;
   options.cache_blocks = 64;
-  options.prefetch_depth = 4;
   auto store = DiskBackedStore::Open(u_path, sidecar, options);
   ASSERT_TRUE(store.ok());
   const DiskBackedStoreView view(&*store);

@@ -1,7 +1,7 @@
 // ThreadSanitizer hammer for the query server: many live connections
 // sharing ONE executor over ONE disk-backed store — one BlockCache, one
-// BlockPrefetcher, one delta table — mixing every endpoint while the
-// admission controller and cell batcher do their cross-thread work.
+// delta table — mixing every endpoint while the admission controller
+// does its cross-thread work.
 // Labeled server-tsan so both `ctest -L server` and the tsan preset
 // (-L tsan) run it.
 
@@ -31,7 +31,10 @@ namespace {
 using testing::ClientResponse;
 using testing::TestClient;
 
-TEST(ServerConcurrencyTest, EightConnectionsShareOneDiskBackedStore) {
+/// Builds the hammer's 96 x 40 phone model and exports it to the
+/// two-file disk layout at `<TempDir>/<name>_u` / `<name>_sidecar`.
+void ExportHammerModel(const std::string& name, std::string* u_path,
+                       std::string* sidecar_path) {
   PhoneDatasetConfig config;
   config.num_customers = 96;
   config.num_days = 40;
@@ -41,14 +44,17 @@ TEST(ServerConcurrencyTest, EightConnectionsShareOneDiskBackedStore) {
   build.space_percent = 25.0;
   auto model = BuildSvddModel(&source, build);
   TSC_CHECK_OK(model.status());
+  *u_path = ::testing::TempDir() + "/" + name + "_u";
+  *sidecar_path = ::testing::TempDir() + "/" + name + "_sidecar";
+  TSC_CHECK_OK(ExportSvddToDisk(*model, *u_path, *sidecar_path));
+}
 
-  const std::string dir = ::testing::TempDir();
-  const std::string u_path = dir + "/server_hammer_u";
-  const std::string sidecar_path = dir + "/server_hammer_sidecar";
-  TSC_CHECK_OK(ExportSvddToDisk(*model, u_path, sidecar_path));
+TEST(ServerConcurrencyTest, EightConnectionsShareOneDiskBackedStore) {
+  std::string u_path;
+  std::string sidecar_path;
+  ExportHammerModel("server_hammer", &u_path, &sidecar_path);
   DiskBackedOptions disk_options;
   disk_options.cache_blocks = 32;
-  disk_options.prefetch_depth = 4;
   auto store = DiskBackedStore::Open(u_path, sidecar_path, disk_options);
   TSC_CHECK_OK(store.status());
   const DiskBackedStoreView view(&*store);
@@ -110,7 +116,7 @@ TEST(ServerConcurrencyTest, EightConnectionsShareOneDiskBackedStore) {
           ++wrong;
         }
 
-        // Cell probes through the shared batcher.
+        // Cell probes against the shared store.
         const int i = round % 4;
         const std::size_t row =
             static_cast<std::size_t>(t * 11 + i * 3) % view.rows();
@@ -163,28 +169,13 @@ std::uint64_t CostField(const std::string& costs, const std::string& key) {
 // directly beside the process-wide counter it mirrors, so the cost
 // vectors of all concurrent requests must sum EXACTLY to the
 // process-counter deltas — across 8 connections, the executor's scan
-// pool, the shared block cache (including in-flight ride-alongs) and
-// the cell batcher's leader/rider handoff. Prefetching is disabled:
-// readahead I/O runs on prefetcher threads with no request context, so
-// it is process-counted but unattributable by design.
+// pool and the shared block cache (including in-flight ride-alongs).
 TEST(ServerConcurrencyTest, CostVectorsSumToProcessCountersUnderHammer) {
-  PhoneDatasetConfig config;
-  config.num_customers = 96;
-  config.num_days = 40;
-  Matrix data = GeneratePhoneDataset(config).values;
-  MatrixRowSource source(&data);
-  SvddBuildOptions build;
-  build.space_percent = 25.0;
-  auto model = BuildSvddModel(&source, build);
-  TSC_CHECK_OK(model.status());
-
-  const std::string dir = ::testing::TempDir();
-  const std::string u_path = dir + "/server_costsum_u";
-  const std::string sidecar_path = dir + "/server_costsum_sidecar";
-  TSC_CHECK_OK(ExportSvddToDisk(*model, u_path, sidecar_path));
+  std::string u_path;
+  std::string sidecar_path;
+  ExportHammerModel("server_costsum", &u_path, &sidecar_path);
   DiskBackedOptions disk_options;
-  disk_options.cache_blocks = 16;   // small cache: misses and evictions
-  disk_options.prefetch_depth = 0;  // see the invariant note above
+  disk_options.cache_blocks = 16;  // small cache: misses and evictions
   auto store = DiskBackedStore::Open(u_path, sidecar_path, disk_options);
   TSC_CHECK_OK(store.status());
   const DiskBackedStoreView view(&*store);
@@ -277,6 +268,77 @@ TEST(ServerConcurrencyTest, CostVectorsSumToProcessCountersUnderHammer) {
 #ifndef TSC_OBS_DISABLED
   // The hammer did real attributable work; the invariant is not 0 == 0.
   EXPECT_GT(sums[4].load(), 0u);  // rows_scanned
+#endif
+  std::remove(u_path.c_str());
+  std::remove(sidecar_path.c_str());
+}
+
+// Concurrent cell probes each pay for their own U-row read: every
+// response's cost vector shows at least one block-cache probe, so no
+// request's storage work is absorbed into another's.
+TEST(ServerConcurrencyTest, EveryCellProbeReportsItsOwnStorageWork) {
+  std::string u_path;
+  std::string sidecar_path;
+  ExportHammerModel("server_cellcost", &u_path, &sidecar_path);
+  DiskBackedOptions disk_options;
+  disk_options.cache_blocks = 32;
+  auto store = DiskBackedStore::Open(u_path, sidecar_path, disk_options);
+  TSC_CHECK_OK(store.status());
+  const DiskBackedStoreView view(&*store);
+  const QueryExecutor executor(&view);
+
+  constexpr int kConnections = 8;
+  constexpr int kProbes = 16;
+  ServerOptions options;
+  options.max_concurrent = kConnections;  // every probe executes at once
+  QueryServer server(&executor, &view, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::atomic<int> wrong{0};
+  std::atomic<int> unattributed{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kConnections; ++t) {
+    clients.emplace_back([&, t] {
+      TestClient client(server.port());
+      if (!client.connected()) {
+        ++wrong;
+        return;
+      }
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kProbes; ++i) {
+        const std::size_t row =
+            static_cast<std::size_t>(t * kProbes + i) % view.rows();
+        const std::size_t col = static_cast<std::size_t>(t + i) % view.cols();
+        const ClientResponse response =
+            client.Get("/api/v1/cell?row=" + std::to_string(row) +
+                       "&col=" + std::to_string(col) + "&debug=1");
+        if (!response.ok || response.status != 200) {
+          ++wrong;
+          continue;
+        }
+        const std::size_t value_pos = response.body.find("\"value\":");
+        if (value_pos == std::string::npos ||
+            std::strtod(response.body.c_str() + value_pos + 8, nullptr) !=
+                view.ReconstructCell(row, col)) {
+          ++wrong;
+        }
+        const std::string costs = response.Header("X-Query-Cost");
+        if (CostField(costs, "cache_hits") + CostField(costs, "cache_misses") <
+            1) {
+          ++unattributed;
+        }
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& client : clients) client.join();
+  server.Stop();
+
+  EXPECT_EQ(wrong.load(), 0);
+#ifndef TSC_OBS_DISABLED
+  EXPECT_EQ(unattributed.load(), 0)
+      << "cell responses whose cost vector shows no storage work";
 #endif
   std::remove(u_path.c_str());
   std::remove(sidecar_path.c_str());

@@ -143,15 +143,15 @@ TEST_F(ServerObsTest, CostVectorIsOptInAndDoesNotChangeTheBody) {
   ASSERT_TRUE(via_header.ok);
   EXPECT_FALSE(via_header.Header("X-Query-Cost").empty());
 
-  // A cell probe reports the batcher wave that served it.
+  // A cell probe carries the same cost vector. That each concurrent
+  // probe reports its own storage work is checked against a disk store
+  // in server_concurrency_test.cc.
   const ClientResponse cell = client.Get("/api/v1/cell?row=3&col=7&debug=1");
   ASSERT_TRUE(cell.ok);
   EXPECT_EQ(cell.status, 200);
   const std::string cell_costs = cell.Header("X-Query-Cost");
-  EXPECT_NE(cell_costs.find("batch_fill="), std::string::npos) << cell_costs;
-#ifndef TSC_OBS_DISABLED
-  EXPECT_EQ(cell_costs.find("batch_fill=0"), std::string::npos) << cell_costs;
-#endif
+  EXPECT_NE(cell_costs.find("cache_hits="), std::string::npos) << cell_costs;
+  EXPECT_NE(cell_costs.find("delta_probes="), std::string::npos) << cell_costs;
   server.Stop();
 }
 

@@ -10,7 +10,6 @@
 
 #include "data/generators.h"
 #include "server/admission.h"
-#include "server/batcher.h"
 #include "storage/row_source.h"
 #include "tests/server/http_client.h"
 #include "util/logging.h"
@@ -289,40 +288,6 @@ TEST(AdmissionControllerTest, AdmitsQueuesRejectsAndTimesOut) {
   EXPECT_EQ(admission.Acquire(std::chrono::steady_clock::now(),
                               &after_shutdown),
             AdmissionController::Outcome::kShutdown);
-}
-
-TEST_F(ServerTest, CellBatcherCoalescesConcurrentProbes) {
-  CellBatcher::Options options;
-  options.window = std::chrono::milliseconds(20);
-  CellBatcher batcher(model_, options);
-
-  constexpr int kThreads = 8;
-  std::atomic<int> wrong{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      while (!go.load()) std::this_thread::yield();
-      for (int i = 0; i < 10; ++i) {
-        const std::size_t row = static_cast<std::size_t>(t * 7 + i) %
-                                model_->rows();
-        const std::size_t col =
-            static_cast<std::size_t>(t + i * 3) % model_->cols();
-        auto value = batcher.Fetch(row, col);
-        if (!value.ok() || *value != model_->ReconstructCell(row, col)) {
-          ++wrong;
-        }
-      }
-    });
-  }
-  go.store(true);
-  for (std::thread& thread : threads) thread.join();
-
-  EXPECT_EQ(wrong.load(), 0);
-  EXPECT_EQ(batcher.batched_cells(), 80u);
-  // Concurrent probes coalesced: strictly fewer waves than cells.
-  EXPECT_LT(batcher.waves(), 80u);
-  EXPECT_FALSE(batcher.Fetch(model_->rows(), 0).ok());
 }
 
 }  // namespace

@@ -83,35 +83,6 @@ TEST(CachedRowReaderStatsTest, FullyCachedRereadCostsZeroDiskAccesses) {
   std::remove(path.c_str());
 }
 
-TEST(CachedRowReaderStatsTest, BlocksForRowsCoversEveryRowByte) {
-  const Matrix x = RandomMatrix(64, 100, 9);  // 800-byte rows
-  const std::string path = TempPath("blocks_for_rows.mat");
-  ASSERT_TRUE(WriteMatrixFile(path, x).ok());
-  auto reader = RowStoreReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  const std::uint64_t block_size = reader->counter().block_size();
-  const std::uint64_t header = reader->header_bytes();
-  CachedRowReader cached(std::move(*reader), 16);
-
-  const std::vector<std::size_t> rows = {0, 1, 63, 63, 5};
-  const std::vector<std::uint64_t> blocks = cached.BlocksForRows(rows);
-  // Ascending, unique.
-  for (std::size_t i = 1; i < blocks.size(); ++i) {
-    EXPECT_LT(blocks[i - 1], blocks[i]);
-  }
-  // Every byte of every requested row falls in a listed block.
-  const std::uint64_t row_bytes = x.cols() * sizeof(double);
-  for (const std::size_t r : rows) {
-    const std::uint64_t first = (header + r * row_bytes) / block_size;
-    const std::uint64_t last =
-        (header + (r + 1) * row_bytes - 1) / block_size;
-    for (std::uint64_t b = first; b <= last; ++b) {
-      EXPECT_NE(std::find(blocks.begin(), blocks.end(), b), blocks.end())
-          << "row " << r << " block " << b;
-    }
-  }
-}
-
 TEST(CachedRowReaderStatsTest, ResetStatsZeroesBothCounters) {
   const Matrix x = RandomMatrix(8, 8, 7);
   const std::string path = TempPath("cached_reset.mat");

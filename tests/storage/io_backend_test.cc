@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include "storage/cached_row_reader.h"
-#include "storage/prefetcher.h"
 #include "storage/row_store.h"
 #include "util/rng.h"
 
@@ -253,96 +252,6 @@ TEST(IoBackendTest, ReadRowViewFallsBackToScratch) {
   for (std::size_t j = 0; j < reader->cols(); ++j) {
     EXPECT_EQ((*view)[j], x(2, j));
   }
-}
-
-TEST(ReadaheadRowSourceTest, MatchesInnerAcrossTwoPasses) {
-  const Matrix x = RandomMatrix(700, 11, 31);  // > 2 chunks of 256
-  const std::string path = TempPath("readahead.mat");
-  ASSERT_TRUE(WriteMatrixFile(path, x).ok());
-  for (const IoBackendKind kind : AllBackends()) {
-    SCOPED_TRACE(IoBackendName(kind));
-    auto reader = RowStoreReader::Open(path, kind);
-    ASSERT_TRUE(reader.ok());
-    FileRowSource file_source(std::move(*reader));
-    ReadaheadRowSource source(&file_source, /*depth_chunks=*/3);
-    EXPECT_EQ(source.rows(), 700u);
-    EXPECT_EQ(source.cols(), 11u);
-    std::vector<double> row(source.cols());
-    for (int pass = 0; pass < 2; ++pass) {
-      ASSERT_TRUE(source.Reset().ok());
-      for (std::size_t i = 0; i < x.rows(); ++i) {
-        const auto has_row = source.NextRow(row);
-        ASSERT_TRUE(has_row.ok());
-        ASSERT_TRUE(*has_row) << "pass " << pass << " row " << i;
-        for (std::size_t j = 0; j < x.cols(); ++j) {
-          EXPECT_EQ(row[j], x(i, j));
-        }
-      }
-      const auto end = source.NextRow(row);
-      ASSERT_TRUE(end.ok());
-      EXPECT_FALSE(*end);
-    }
-  }
-}
-
-TEST(ReadaheadRowSourceTest, SmallDepthAndTinySource) {
-  const Matrix x = RandomMatrix(3, 2, 37);
-  MatrixRowSource inner(&x);
-  ReadaheadRowSource source(&inner, /*depth_chunks=*/1, /*chunk_rows=*/2);
-  std::vector<double> row(2);
-  std::size_t seen = 0;
-  for (;;) {
-    const auto has_row = source.NextRow(row);
-    ASSERT_TRUE(has_row.ok());
-    if (!*has_row) break;
-    EXPECT_EQ(row[0], x(seen, 0));
-    ++seen;
-  }
-  EXPECT_EQ(seen, 3u);
-}
-
-TEST(BlockPrefetcherTest, WarmedBatchIsAllCacheHits) {
-  const Matrix x = RandomMatrix(200, 24, 41);
-  const std::string path = TempPath("prefetch.mat");
-  ASSERT_TRUE(WriteMatrixFile(path, x).ok());
-  // Stream backend: waves always run there (ordered fetches beat the
-  // serialized demand pattern), even on a single-core machine where the
-  // positional backends auto-disable serial waves.
-  auto reader = RowStoreReader::Open(path, IoBackendKind::kStream);
-  ASSERT_TRUE(reader.ok());
-  CachedRowReader cached(std::move(*reader), /*capacity_blocks=*/256);
-  BlockPrefetcher prefetcher(/*depth=*/4);
-
-  const std::vector<std::size_t> batch = {3, 50, 51, 120, 199, 3};
-  EXPECT_TRUE(cached.PrefetchRows(batch, &prefetcher));
-  const std::uint64_t accesses_after_wave = cached.disk_accesses();
-  EXPECT_GT(accesses_after_wave, 0u);
-
-  std::vector<double> row(cached.cols());
-  for (const std::size_t r : batch) {
-    ASSERT_TRUE(cached.ReadRow(r, row).ok());
-    for (std::size_t j = 0; j < cached.cols(); ++j) {
-      EXPECT_EQ(row[j], x(r, j));
-    }
-  }
-  // Demand reads after the wave touch no new blocks: the wave already
-  // fetched everything the batch needs.
-  EXPECT_EQ(cached.disk_accesses(), accesses_after_wave);
-  EXPECT_GT(cached.cache_hits(), 0u);
-}
-
-TEST(BlockPrefetcherTest, OutOfRangeRowsAreIgnored) {
-  const Matrix x = RandomMatrix(10, 4, 43);
-  const std::string path = TempPath("prefetch_oob.mat");
-  ASSERT_TRUE(WriteMatrixFile(path, x).ok());
-  auto reader = RowStoreReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  CachedRowReader cached(std::move(*reader), 16);
-  BlockPrefetcher prefetcher(2);
-  const std::vector<std::size_t> batch = {2, 1000000};
-  cached.PrefetchRows(batch, &prefetcher);  // must not crash or fetch junk
-  std::vector<double> row(4);
-  EXPECT_TRUE(cached.ReadRow(2, row).ok());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Thread-safety hammer for the I/O engine: many threads reading one
-// RowStoreReader (per backend), one CachedRowReader with a concurrent
-// prefetch wave, and a DiskBackedStore serving parallel cell queries.
+// RowStoreReader (per backend) and a DiskBackedStore serving parallel
+// cell queries through a shared buffer pool.
 // Runs plain under `ctest -L io` and instrumented under the tsan preset
 // (the shared "io-tsan" label matches both -L regexes).
 
@@ -13,10 +13,8 @@
 
 #include "core/disk_backed.h"
 #include "data/generators.h"
-#include "storage/cached_row_reader.h"
 #include "storage/row_source.h"
 #include "storage/io_backend.h"
-#include "storage/prefetcher.h"
 #include "storage/row_store.h"
 #include "util/rng.h"
 
@@ -85,82 +83,6 @@ TEST(IoConcurrencyTest, EightThreadsOneReader) {
   }
 }
 
-TEST(IoConcurrencyTest, CachedReaderWithConcurrentPrefetchWaves) {
-  const Matrix x = RandomMatrix(128, 17, 2);
-  const std::string path = TempPath("conc_cached.mat");
-  ASSERT_TRUE(WriteMatrixFile(path, x).ok());
-  auto reader = RowStoreReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  CachedRowReader cached(std::move(*reader), /*capacity_blocks=*/8);
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(200 + t);
-      BlockPrefetcher prefetcher(3);
-      std::vector<double> row(x.cols());
-      for (int iter = 0; iter < 150; ++iter) {
-        if (t % 2 == 0) {
-          // Half the threads issue prefetch waves...
-          std::vector<std::size_t> batch;
-          for (int b = 0; b < 4; ++b) {
-            batch.push_back(
-                static_cast<std::size_t>(rng.UniformUint64(x.rows())));
-          }
-          cached.PrefetchRows(batch, &prefetcher);
-        }
-        // ...everyone reads through the same small (thrashing) cache.
-        const std::size_t i =
-            static_cast<std::size_t>(rng.UniformUint64(x.rows()));
-        if (!cached.ReadRow(i, row).ok() || row[0] != x(i, 0)) ++failures;
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(failures.load(), 0);
-}
-
-// Regression for the shared-pool race: ONE BlockPrefetcher (as a
-// DiskBackedStore holds) driven from 8 threads with waves large enough
-// (> kSerialWave = 16 blocks) to enter the ThreadPool path, which
-// overlapping callers used to corrupt. Rows are 512 bytes, blocks 8192,
-// so 40 rows strided 16 apart span 40 distinct blocks per wave.
-TEST(IoConcurrencyTest, SharedPrefetcherLargeWaves) {
-  const Matrix x = RandomMatrix(1024, 64, 4);
-  const std::string path = TempPath("conc_shared_prefetch.mat");
-  ASSERT_TRUE(WriteMatrixFile(path, x).ok());
-  auto reader = RowStoreReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  CachedRowReader cached(std::move(*reader), /*capacity_blocks=*/8);
-  BlockPrefetcher prefetcher(4);  // one shared pool, as in production
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(400 + t);
-      std::vector<double> row(x.cols());
-      for (int iter = 0; iter < 60; ++iter) {
-        const std::size_t base =
-            static_cast<std::size_t>(rng.UniformUint64(16));
-        std::vector<std::size_t> batch;
-        batch.reserve(40);
-        for (std::size_t b = 0; b < 40; ++b) {
-          batch.push_back((base + b * 16) % x.rows());
-        }
-        cached.PrefetchRows(batch, &prefetcher);
-        const std::size_t i = batch[static_cast<std::size_t>(
-            rng.UniformUint64(batch.size()))];
-        if (!cached.ReadRow(i, row).ok() || row[0] != x(i, 0) ||
-            row[x.cols() - 1] != x(i, x.cols() - 1)) {
-          ++failures;
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(failures.load(), 0);
-}
-
 TEST(IoConcurrencyTest, DiskBackedStoreParallelCells) {
   PhoneDatasetConfig config;
   config.num_customers = 80;
@@ -177,7 +99,6 @@ TEST(IoConcurrencyTest, DiskBackedStoreParallelCells) {
 
   DiskBackedOptions disk_options;
   disk_options.cache_blocks = 16;
-  disk_options.prefetch_depth = 2;
   auto store = DiskBackedStore::Open(u_path, sidecar, disk_options);
   ASSERT_TRUE(store.ok());
 
