@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -48,7 +49,9 @@ commands:
              [--max-candidates=K] [--threads=N] [--shards=S]
              [--build=exact|randomized] [--seed=S] [--oversample=P]
              [--power-iters=Q]
-             (--quant defaults to $TSC_QUANT; quantizes the U row store.
+             (--max-candidates evaluates K evenly spaced k instead of
+              every k in 1..k_max, the k_opt search ablation; 0 = all.
+              --quant defaults to $TSC_QUANT; quantizes the U row store.
               --shards=S runs S independent per-shard builds in parallel
               and writes a TSCSHARD1 manifest; --quant then accepts a
               comma list, one scheme per shard — hot f32 / cold int8.
@@ -377,6 +380,20 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
         << TablePrinter::Percent(model->SpacePercent(b)) << " of original, "
         << TablePrinter::Num(timer.ElapsedSeconds(), 3) << "s, " << passes
         << " passes\n";
+    out << "build:";
+    for (std::size_t pass = 0; pass < diag.pass_seconds.size(); ++pass) {
+      out << (pass == 0 ? " " : ", ") << "pass" << pass + 1 << " "
+          << TablePrinter::Num(diag.pass_seconds[pass], 3) << "s/"
+          << std::llround(diag.pass_end_rss_mb[pass]) << "MiB";
+    }
+    out << ", peak " << std::llround(diag.peak_rss_mb) << "MiB; "
+        << diag.resolved_candidates << "/" << diag.candidate_ks.size()
+        << " candidates resolved exactly; pass-2 outlier state "
+        << TablePrinter::Num(
+               static_cast<double>(diag.pass2_outlier_state_bytes) /
+                   (1024.0 * 1024.0),
+               3)
+        << "MiB\n";
   } else if (method == "svd") {
     SpaceBudget budget = SpaceBudget::FromPercent(
         dataset->rows(), dataset->cols(), space, b);

@@ -261,13 +261,26 @@ StatusOr<Matrix> AccumulateColumnSimilarity(RowSource* source,
   return c;
 }
 
+void EmitURow(std::span<const double> row, const Matrix& v,
+              const std::vector<double>& singular_values,
+              std::span<double> proj, std::span<double> urow) {
+  const std::size_t k = urow.size();
+  // proj = V^T x over the contiguous rows of V (vectorized axpy),
+  // summing each component in the same l order as the scalar dot it
+  // replaces.
+  std::fill(proj.begin(), proj.begin() + static_cast<std::ptrdiff_t>(k), 0.0);
+  for (std::size_t l = 0; l < row.size(); ++l) {
+    kernels::Axpy(row[l], v.Row(l).data(), proj.data(), k);
+  }
+  for (std::size_t p = 0; p < k; ++p) urow[p] = proj[p] / singular_values[p];
+}
+
 StatusOr<Matrix> EmitUMatrix(RowSource* source, const Matrix& v,
                              const std::vector<double>& singular_values,
                              std::size_t k, ThreadPool* pool) {
   TSC_CHECK_LE(k, v.cols());
   TSC_CHECK_LE(k, singular_values.size());
   const std::size_t n = source->rows();
-  const std::size_t m = source->cols();
   Matrix u(n, k);
   obs::TraceSpan emit_span("emit_u");
   TSC_RETURN_IF_ERROR(ForEachRowChunk(
@@ -284,18 +297,7 @@ StatusOr<Matrix> EmitUMatrix(RowSource* source, const Matrix& v,
           std::vector<double> proj(k);
           for (std::size_t r = FirstShardRow(shard, base); r < count;
                r += kBuildShards) {
-            const std::span<const double> row = rows.Row(r);
-            const std::span<double> urow = u.Row(base + r);
-            // proj = V^T x over the contiguous rows of V (vectorized
-            // axpy), summing each component in the same l order as the
-            // scalar dot it replaces.
-            std::fill(proj.begin(), proj.end(), 0.0);
-            for (std::size_t l = 0; l < m; ++l) {
-              kernels::Axpy(row[l], v.Row(l).data(), proj.data(), k);
-            }
-            for (std::size_t p = 0; p < k; ++p) {
-              urow[p] = proj[p] / singular_values[p];
-            }
+            EmitURow(rows.Row(r), v, singular_values, proj, u.Row(base + r));
           }
         });
         return Status::Ok();

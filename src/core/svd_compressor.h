@@ -154,11 +154,18 @@ StatusOr<SvdModel> BuildSvdModel(RowSource* source,
 StatusOr<Matrix> AccumulateColumnSimilarity(RowSource* source,
                                             ThreadPool* pool = nullptr);
 
-/// The U-emission kernel shared by SVD pass 2 and SVDD pass 3 (Figure 3 /
-/// Figure 5, Eq. 11): one more scan of `source` computing
-/// u(i, p) = (x_i . v_p) / lambda_p for p < k. Rows of U are independent,
-/// so the scan is row-parallel over `pool` with bit-identical output for
-/// any thread count.
+/// One row of U at rank urow.size(): urow[p] = (row . v_p) / lambda_p,
+/// with `proj` (at least urow.size() long) as scratch. The arithmetic
+/// depends on the rank, so U at k is not bitwise a prefix of U at k' > k.
+void EmitURow(std::span<const double> row, const Matrix& v,
+              const std::vector<double>& singular_values,
+              std::span<double> proj, std::span<double> urow);
+
+/// The U-emission pass of the plain SVD build (Figure 3, Eq. 11; SVDD
+/// pass 3 runs EmitURow inside its own scan): one more scan of `source`
+/// computing u(i, p) = (x_i . v_p) / lambda_p for p < k. Rows of U are
+/// independent, so the scan is row-parallel over `pool` with
+/// bit-identical output for any thread count.
 StatusOr<Matrix> EmitUMatrix(RowSource* source, const Matrix& v,
                              const std::vector<double>& singular_values,
                              std::size_t k, ThreadPool* pool = nullptr);

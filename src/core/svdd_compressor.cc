@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 
+#include "core/error_histogram.h"
 #include "core/parallel_build.h"
 #include "core/randomized_build.h"
 #include "linalg/kernels.h"
@@ -16,21 +16,22 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "linalg/symmetric_eigen.h"
-#include "util/bounded_heap.h"
 #include "util/kahan.h"
 #include "util/logging.h"
+#include "util/memory_usage.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace tsc {
 namespace {
 
 constexpr std::uint32_t kSvddModelMagic = 0x53564444;  // "SVDD"
 
-/// Heap key for pass 2: squared error with the cell id as tie-break, a
-/// strict total order. The global "top gamma_k cells" set is therefore
-/// unique, which is what makes the sharded heaps + merge deterministic:
-/// however the shards split the stream, sorting the union under this
-/// order and truncating recovers exactly that set.
+/// Outlier key: squared error with the cell id as tie-break, a strict
+/// total order. The "top gamma_k cells" set is therefore unique, which is
+/// what makes the outlier selection deterministic: however the shards
+/// split the stream, sorting their union under this order and truncating
+/// recovers exactly that set.
 struct CellErr {
   double err2;
   std::uint64_t cell;  ///< row-major cell key; unique per cell
@@ -41,21 +42,142 @@ struct CellErr {
   }
 };
 
+struct Outlier {
+  CellErr key;
+  double value;  ///< x_ij minus its reconstruction: the delta to store
+};
+
+struct OutlierDescending {
+  bool operator()(const Outlier& a, const Outlier& b) const {
+    return b.key < a.key;
+  }
+};
+
+/// Moves every shard's outliers into found[0], in shard order, and keeps
+/// the `count` largest under the total order (in no particular order).
+void KeepLargest(std::vector<std::vector<Outlier>>* found,
+                 std::uint64_t count) {
+  std::size_t total = 0;
+  for (const std::vector<Outlier>& part : *found) total += part.size();
+  std::vector<Outlier> kept;
+  kept.reserve(total);
+  for (std::vector<Outlier>& part : *found) {
+    kept.insert(kept.end(), part.begin(), part.end());
+    part = {};
+  }
+  if (kept.size() > count) {
+    const auto nth = kept.begin() + static_cast<std::ptrdiff_t>(count);
+    std::nth_element(kept.begin(), nth, kept.end(), OutlierDescending());
+    kept.resize(static_cast<std::size_t>(count));
+  }
+  (*found)[0] = std::move(kept);
+}
+
+// The per-candidate SSE is split over four interleaved Kahan lanes (cell
+// j feeds lane j % 4, folded in lane order afterwards): a single
+// compensated accumulator is a 4-add serial dependency chain per cell and
+// was the throughput floor of pass 2. Lane assignment depends only on j,
+// so the sum stays bit-deterministic at any thread count.
+constexpr std::size_t kSseLanes = 4;
+using LaneSum = std::array<KahanSum, kSseLanes>;
+
+/// Squared cell errors of one row at a rising sequence of ranks. Pass 2
+/// bins these errors and pass 3 re-derives them for the candidates it
+/// resolves; both run this one routine, so pass 3 sees the bits pass 2
+/// counted.
+class RowErrors {
+ public:
+  /// `vt` is V component-major (k_max x m), so the loops below run on
+  /// contiguous rows (kernels::Dot / kernels::Axpy).
+  RowErrors(const Matrix& vt, const std::vector<double>& singular_values,
+            QuantScheme quant)
+      : vt_(&vt),
+        singular_values_(&singular_values),
+        quant_(quant),
+        projection_(vt.rows()),
+        recon_(vt.cols()),
+        err2_(vt.cols()) {}
+
+  /// Projects `row` onto the leading k components and restarts the
+  /// reconstruction at rank 0. A quantized build previews the U row this
+  /// sequence will get (u_ip = projection_p / lambda_p, snapped at k_max)
+  /// and folds it back, so the errors — and hence the outliers — rank
+  /// cells by their combined truncation + quantization damage. The snap
+  /// reads every component, so it projects all k_max.
+  void Start(std::span<const double> row, std::size_t k) {
+    const std::size_t m = vt_->cols();
+    if (quant_ != QuantScheme::kF64) k = vt_->rows();
+    for (std::size_t p = 0; p < k; ++p) {
+      projection_[p] = kernels::Dot(row.data(), vt_->Row(p).data(), m);
+    }
+    if (quant_ != QuantScheme::kF64) {
+      const std::vector<double>& sv = *singular_values_;
+      for (std::size_t p = 0; p < k; ++p) projection_[p] /= sv[p];
+      SnapQuantRow(quant_, projection_);
+      for (std::size_t p = 0; p < k; ++p) projection_[p] *= sv[p];
+    }
+    std::fill(recon_.begin(), recon_.end(), 0.0);
+    rank_ = 0;
+  }
+
+  /// Extends the reconstruction to rank k >= the current rank (recon_k =
+  /// sum_{p<k} projection_p * v_p, one component slab at a time) and
+  /// fills err2(). With `sse`, also adds each err2 to lane j % 4 of it.
+  void Advance(std::span<const double> row, std::size_t k, LaneSum* sse) {
+    const std::size_t m = vt_->cols();
+    for (; rank_ < k; ++rank_) {
+      kernels::Axpy(projection_[rank_], vt_->Row(rank_).data(),
+                    recon_.data(), m);
+    }
+    if (sse != nullptr) {
+      LaneSum& lanes = *sse;
+      for (std::size_t j = 0; j < m; ++j) {
+        const double err = row[j] - recon_[j];
+        const double e2 = err * err;
+        err2_[j] = e2;
+        lanes[j % kSseLanes].Add(e2);
+      }
+    } else {
+      for (std::size_t j = 0; j < m; ++j) {
+        const double err = row[j] - recon_[j];
+        err2_[j] = err * err;
+      }
+    }
+  }
+
+  std::span<const double> err2() const { return err2_; }
+  std::span<const double> recon() const { return recon_; }
+
+ private:
+  const Matrix* vt_;
+  const std::vector<double>* singular_values_;
+  QuantScheme quant_;
+  std::vector<double> projection_;
+  std::vector<double> recon_;
+  std::vector<double> err2_;
+  std::size_t rank_ = 0;
+};
+
+/// A candidate k whose epsilon_k bracket leaves it a chance to be k_opt;
+/// pass 3 emits its U and resolves its epsilon_k exactly.
+struct Contender {
+  std::size_t ci = 0;  ///< candidate index
+  Matrix u;
+  /// Per shard: the cells at or above the candidate's cutoff.
+  std::vector<std::vector<Outlier>> found;
+  /// Per shard: cells collected (before any compaction).
+  std::vector<std::uint64_t> offered;
+  /// Collect more than twice the allowance? Then compact between chunks.
+  bool compact = false;
+  double epsilon = 0.0;
+};
+
 /// A Bloom pass followed by a delta miss is a false positive of the
 /// filter; the measured count backs EstimatedFalsePositiveRate().
 void CountBloomFalsePositive() {
   static obs::Counter& false_positives =
       obs::MetricRegistry::Default().GetCounter("bloom.false_positives");
   false_positives.Increment();
-}
-
-/// Lock-free monotonic max for the shared pass-2 pruning threshold.
-void UpdateMax(std::atomic<double>& target, double value) {
-  double current = target.load(std::memory_order_relaxed);
-  while (current < value &&
-         !target.compare_exchange_weak(current, value,
-                                       std::memory_order_relaxed)) {
-  }
 }
 
 /// Evenly spaced candidate cut-offs in [1, k_max], always including both
@@ -374,6 +496,14 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   // the trace shows the three passes back to back on the build thread,
   // with the per-shard worker spans nested under each.
   std::optional<obs::TraceSpan> phase;
+  Timer pass_timer;
+  std::array<double, 3> pass_seconds{};
+  std::array<double, 3> pass_end_rss_mb{};
+  const auto end_pass = [&](std::size_t pass) {
+    pass_seconds[pass] = pass_timer.ElapsedSeconds();
+    pass_end_rss_mb[pass] = CurrentRssMiB();
+    pass_timer.Reset();
+  };
 
   // ---------------------------------------------------------------------
   // Pass 1: subspace estimate -> k_max and gamma_k. Two engines produce
@@ -381,7 +511,7 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   // accumulates the full M x M column similarity and eigendecomposes it;
   // the randomized path streams a Gaussian sketch (O(M*(k+p)) resident,
   // independent of N) and Rayleigh-Ritz-solves the small problem.
-  // Everything downstream — k_opt search, pass-2 outlier queues, pass-3
+  // Everything downstream — k_opt search, pass-2 error histograms, pass-3
   // U emission, quantization, deltas, Bloom — is engine-agnostic.
   // ---------------------------------------------------------------------
   const std::size_t passes_before = source->passes_started();
@@ -460,100 +590,58 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
     singular_values[j] = std::sqrt(eigenvalues[j]);
     for (std::size_t i = 0; i < m; ++i) v(i, j) = eigenvectors(i, j);
   }
+  // The error histograms' window sits on the data's energy (the sum of
+  // the eigenvalues): no cell's err2 exceeds it, up to the quantized
+  // preview's rounding.
+  double energy = 0.0;
+  for (const double lambda : eigenvalues) energy += std::max(0.0, lambda);
+  const std::uint32_t histogram_base = ErrorHistogram::BaseFor(energy);
+  end_pass(0);
 
   // ---------------------------------------------------------------------
-  // Pass 2: per-candidate bounded queues of the worst cells + epsilon_k.
+  // Pass 2: epsilon_k = SSE_k - (sum of the gamma_k largest err2) for
+  // every candidate k, known within a bracket.
   //
   // Rows are dealt to kBuildShards shards (row % kBuildShards). Each shard
-  // keeps its own top-gamma_k selector per candidate k and its own
-  // compensated SSE partial, so no locks are taken on the hot path. A
-  // shared atomic threshold per candidate — the largest top-gamma_k
-  // cutoff any shard has published — lets shards skip cells that
-  // provably cannot make the global top gamma_k, keeping total retained
-  // entries near gamma_k instead of kBuildShards * gamma_k.
+  // keeps, per candidate, a compensated SSE partial and an ErrorHistogram
+  // of the err2 values at or above the candidate's skip bound; no cell is
+  // retained. Between row chunks, with every shard idle, the bound is
+  // raised to the lower edge of the bin where the count summed over the
+  // shards reaches gamma_k: at least gamma_k counted cells sit at or
+  // above it, so no cell below it can make the top gamma_k. The bound
+  // depends only on the rows streamed so far, so the histograms — and
+  // the model — do not depend on the thread count.
   // ---------------------------------------------------------------------
-  using OutlierHeap = BoundedTopSelector<CellErr, double>;  // value = err
-  // The per-candidate SSE is split over four interleaved Kahan lanes
-  // (cell j feeds lane j % 4, folded in lane order afterwards): a single
-  // compensated accumulator is a 4-add serial dependency chain per cell
-  // and was the throughput floor of the whole pass. Lane assignment
-  // depends only on j, so the sum stays bit-deterministic at any thread
-  // count.
-  constexpr std::size_t kSseLanes = 4;
-  using LaneSum = std::array<KahanSum, kSseLanes>;
-  struct Pass2Shard {
-    std::vector<OutlierHeap> queues;      // one per candidate k
-    std::vector<LaneSum> sse;             // one per candidate k
-    std::vector<double> projection;       // scratch: x_i . v_p
-    std::vector<double> ucoef;            // scratch: quantized-U preview
-    std::vector<double> recon;            // scratch: running recon of a row
-    std::vector<double> err2;             // scratch: squared errors of a row
-    std::vector<std::size_t> publish_at;  // next early-fractile watermark
-  };
-  std::vector<Pass2Shard> shards(kBuildShards);
-  for (Pass2Shard& shard : shards) {
-    shard.queues.reserve(num_candidates);
-    for (std::size_t ci = 0; ci < num_candidates; ++ci) {
-      shard.queues.emplace_back(static_cast<std::size_t>(gamma[ci]));
-    }
-    shard.sse.resize(num_candidates);
-    shard.projection.resize(k_max);
-    shard.ucoef.resize(k_max);
-    shard.recon.resize(m);
-    shard.err2.resize(m);
-  }
-  // Component-major copy of V so the hot loops below run on contiguous
-  // rows (kernels::Dot / kernels::Axpy) instead of striding column-wise
-  // through the m x k_max layout.
-  Matrix vt(k_max, m);
+  Matrix vt(k_max, m);  // component-major V for the row kernels
   for (std::size_t p = 0; p < k_max; ++p) {
     for (std::size_t l = 0; l < m; ++l) vt(p, l) = v(l, p);
   }
-  // Pruning bounds. A zero-allowance candidate retains nothing, so every
-  // offer to it can be skipped outright.
-  std::vector<std::atomic<double>> thresholds(num_candidates);
-  for (std::size_t ci = 0; ci < num_candidates; ++ci) {
-    thresholds[ci].store(gamma[ci] == 0
-                             ? std::numeric_limits<double>::infinity()
-                             : -std::numeric_limits<double>::infinity(),
-                         std::memory_order_relaxed);
+  struct Pass2Shard {
+    std::vector<ErrorHistogram> histograms;  // one per candidate k
+    std::vector<LaneSum> sse;                // one per candidate k
+    RowErrors errors;
+  };
+  std::vector<Pass2Shard> shards;
+  shards.reserve(kBuildShards);
+  for (std::size_t si = 0; si < kBuildShards; ++si) {
+    shards.push_back(Pass2Shard{
+        std::vector<ErrorHistogram>(num_candidates,
+                                    ErrorHistogram(histogram_base)),
+        std::vector<LaneSum>(num_candidates),
+        RowErrors(vt, singular_values, options.quant)});
   }
-  // Collective bound (distributed top-k fractile combining). A shard's
-  // own cutoff is its LOCAL gamma_k-th largest error, which with evenly
-  // dealt rows approximates the global (kBuildShards * gamma_k)-th
-  // largest — a loose bound that lets ~kBuildShards times too many cells
-  // through. Instead each shard also publishes its ceil(gamma_k /
-  // kBuildShards)-th largest retained error: every shard has at least
-  // that many cells at or above its publication, so at least
-  // kBuildShards * ceil(gamma_k / kBuildShards) >= gamma_k cells sit at
-  // or above the MINIMUM publication across shards. That minimum is
-  // therefore a valid lower bound on the global gamma_k-th largest error
-  // (any cell strictly below it is outranked by >= gamma_k cells), and
-  // it tracks the true global cutoff closely. Publications are
-  // per-shard slots (single writer each) and only ever increase, so
-  // stale reads just weaken the bound — pruning stays conservative and
-  // the final exact merge keeps the result timing-independent.
-  std::vector<std::size_t> fractile_rank(num_candidates);
-  for (std::size_t ci = 0; ci < num_candidates; ++ci) {
-    fractile_rank[ci] =
-        static_cast<std::size_t>((gamma[ci] + kBuildShards - 1) /
-                                 kBuildShards);
-  }
-  std::vector<std::array<std::atomic<double>, kBuildShards>> fractile(
-      num_candidates);
-  for (auto& per_shard : fractile) {
-    for (auto& slot : per_shard) {
-      slot.store(-std::numeric_limits<double>::infinity(),
-                 std::memory_order_relaxed);
+  const auto histograms_of = [&shards](std::size_t ci) {
+    std::array<const ErrorHistogram*, kBuildShards> parts;
+    for (std::size_t si = 0; si < kBuildShards; ++si) {
+      parts[si] = &shards[si].histograms[ci];
     }
+    return parts;
+  };
+  // A zero-allowance candidate counts nothing.
+  std::vector<double> bounds(num_candidates, 0.0);
+  for (std::size_t ci = 0; ci < num_candidates; ++ci) {
+    if (gamma[ci] == 0) bounds[ci] = std::numeric_limits<double>::infinity();
   }
-  // A shard can publish its fractile as soon as it RETAINS
-  // fractile_rank entries — long before its first compaction (which
-  // needs gamma_k + slack offers). Publishing early, at doubling
-  // buffer-size watermarks, activates the collective bound after
-  // roughly gamma_k total offers instead of kBuildShards * gamma_k,
-  // which is where most of the unpruned startup offers went.
-  for (Pass2Shard& shard : shards) shard.publish_at = fractile_rank;
 
   phase.emplace("svdd.pass2");
   TSC_RETURN_IF_ERROR(ForEachRowChunk(
@@ -566,99 +654,32 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
           Pass2Shard& shard = shards[si];
           for (std::size_t r = FirstShardRow(si, base); r < count;
                r += kBuildShards) {
-            const std::size_t i = base + r;
             const std::span<const double> row = rows.Row(r);
-            for (std::size_t p = 0; p < k_max; ++p) {
-              shard.projection[p] =
-                  kernels::Dot(row.data(), vt.Row(p).data(), m);
-            }
-            if (options.quant != QuantScheme::kF64) {
-              // Preview the quantized U row this sequence will get
-              // (u_ip = projection_p / lambda_p, snapped at k_max) and
-              // fold it back, so the per-cell errors below — and hence
-              // the outlier queues — rank cells by their combined
-              // truncation + quantization damage.
-              for (std::size_t p = 0; p < k_max; ++p) {
-                shard.ucoef[p] = shard.projection[p] / singular_values[p];
-              }
-              SnapQuantRow(options.quant, shard.ucoef);
-              for (std::size_t p = 0; p < k_max; ++p) {
-                shard.projection[p] = shard.ucoef[p] * singular_values[p];
-              }
-            }
-            // recon_k = sum_{p<k} projection_p * v_jp, accumulated one
-            // component slab at a time so each candidate k reads the
-            // whole-row partial sum exactly once, vectorized.
-            std::fill(shard.recon.begin(), shard.recon.end(), 0.0);
-            std::size_t p = 0;
+            shard.errors.Start(row, k_max);
             for (std::size_t ci = 0; ci < num_candidates; ++ci) {
-              for (; p < candidate_ks[ci]; ++p) {
-                kernels::Axpy(shard.projection[p], vt.Row(p).data(),
-                              shard.recon.data(), m);
-              }
-              // Branch-free squared errors + lane-compensated SSE first
-              // (the compiler vectorizes this whole loop: 4 Kahan lanes
-              // = one AVX register each), then a separate scan applies
-              // the pruning bound — on pruned rows it is a pure compare
-              // sweep over an L1-resident scratch array.
-              LaneSum& sse = shard.sse[ci];
-              for (std::size_t j = 0; j < m; ++j) {
-                const double err = row[j] - shard.recon[j];
-                const double e2 = err * err;
-                shard.err2[j] = e2;
-                sse[j % kSseLanes].Add(e2);
-              }
-              // One threshold read per row: the bound only tightens, so
-              // a slightly stale value just means a few extra appends.
-              const double bound =
-                  thresholds[ci].load(std::memory_order_relaxed);
-              bool tightened = false;
-              for (std::size_t j = 0; j < m; ++j) {
-                // Strictly below the published bound means at least
-                // gamma_k cells already beat this one — skip. (Ties must
-                // be offered: the tie-break may rank them above the
-                // bound's owner.)
-                if (!(shard.err2[j] < bound)) {
-                  tightened |= shard.queues[ci].Offer(
-                      CellErr{shard.err2[j], DeltaTable::CellKey(i, j, m)},
-                      row[j] - shard.recon[j]);
-                }
-              }
-              OutlierHeap& queue = shard.queues[ci];
-              if (tightened) {
-                UpdateMax(thresholds[ci], queue.Cutoff().err2);
-              }
-              if (fractile_rank[ci] > 0 &&
-                  (tightened || queue.size() >= shard.publish_at[ci]) &&
-                  queue.size() >= fractile_rank[ci]) {
-                // Publish this shard's fractile, then fold the collective
-                // minimum back into the shared threshold (a no-op until
-                // every shard has published at least once). Valid at any
-                // buffer size >= the rank: the buffer always holds a
-                // superset of the shard's true top entries, all of them
-                // genuinely seen.
-                fractile[ci][si].store(
-                    queue.NthLargestKey(fractile_rank[ci]).err2,
-                    std::memory_order_relaxed);
-                shard.publish_at[ci] = queue.size() * 2;
-                double collective = std::numeric_limits<double>::infinity();
-                for (const auto& slot : fractile[ci]) {
-                  collective = std::min(
-                      collective, slot.load(std::memory_order_relaxed));
-                }
-                UpdateMax(thresholds[ci], collective);
+              shard.errors.Advance(row, candidate_ks[ci], &shard.sse[ci]);
+              // A separate compare sweep over the L1-resident errors;
+              // strictly below the bound means at least gamma_k cells
+              // already beat this one.
+              const double bound = bounds[ci];
+              ErrorHistogram& histogram = shard.histograms[ci];
+              for (const double e2 : shard.errors.err2()) {
+                if (!(e2 < bound)) histogram.Add(e2);
               }
             }
           }
+        });
+        ParallelFor(pool.get(), num_candidates, [&](std::size_t ci) {
+          if (gamma[ci] == 0) return;
+          bounds[ci] = shards[0].histograms[ci].LowerEdge(
+              CutoffBin(histograms_of(ci), gamma[ci]));
         });
         return Status::Ok();
       }));
 
   // Deterministic reduction: fold shard SSE partials in shard order, then
-  // merge each candidate's shard queues under the CellErr total order and
-  // truncate to the allowance — exactly the unique global top-gamma_k set,
-  // however the stream was split.
-  phase.emplace("svdd.pass2.merge");
+  // bracket each epsilon_k from the histograms merged in shard order.
+  phase.emplace("svdd.pass2.bracket");
   std::vector<double> sse(num_candidates, 0.0);
   for (std::size_t ci = 0; ci < num_candidates; ++ci) {
     KahanSum total;
@@ -667,63 +688,149 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
     }
     sse[ci] = total.value();
   }
-  std::vector<std::vector<OutlierHeap::Entry>> merged(num_candidates);
+  std::vector<ResidualBracket> brackets(num_candidates);
   ParallelFor(pool.get(), num_candidates, [&](std::size_t ci) {
-    const auto desc = [](const OutlierHeap::Entry& a,
-                         const OutlierHeap::Entry& b) {
-      return b.key < a.key;  // descending under the total order
-    };
-    std::vector<OutlierHeap::Entry> all;
-    std::size_t union_size = 0;
-    for (const Pass2Shard& shard : shards) {
-      union_size += shard.queues[ci].entries().size();
-    }
-    all.reserve(union_size);
-    for (const Pass2Shard& shard : shards) {
-      const auto& entries = shard.queues[ci].entries();
-      all.insert(all.end(), entries.begin(), entries.end());
-    }
-    // Select the exact top gamma_k in O(union), then canonically order
-    // just the survivors: the descending sort makes the retained vector
-    // — and hence the compensated credit sum below — a pure function of
-    // the retained SET, which is what keeps the model bit-identical
-    // across thread counts. Sorting the whole union first cost more
-    // than the rest of the merge combined.
-    if (all.size() > gamma[ci]) {
-      auto nth = all.begin() + static_cast<std::ptrdiff_t>(gamma[ci]);
-      std::nth_element(all.begin(), nth, all.end(), desc);
-      all.resize(static_cast<std::size_t>(gamma[ci]));
-    }
-    std::sort(all.begin(), all.end(), desc);
-    merged[ci] = std::move(all);
+    brackets[ci] = BracketResidual(histograms_of(ci), gamma[ci], sse[ci]);
   });
 
-  // epsilon_k: SSE left after the affordable outliers are stored exactly.
-  // Compensated on both sides; clamped at zero, where the true residual
-  // lands when the allowance covers every cell.
-  std::size_t best_ci = 0;
-  double best_eps = std::numeric_limits<double>::infinity();
-  std::vector<double> residual(num_candidates, 0.0);
+  // k_opt is the first candidate with the strictly smallest epsilon_k.
+  // Candidate k can still be it unless a bracket proves otherwise: some
+  // candidate's upper bound is below k's lower bound, or an earlier
+  // candidate's upper bound reaches it (a tie goes to the earlier k).
+  // The candidate with the smallest upper bound always stays in.
+  double best_hi = std::numeric_limits<double>::infinity();
+  for (const ResidualBracket& bracket : brackets) {
+    best_hi = std::min(best_hi, bracket.hi);
+  }
+  std::vector<Contender> contenders;
+  double earlier_hi = std::numeric_limits<double>::infinity();
   for (std::size_t ci = 0; ci < num_candidates; ++ci) {
-    KahanSum credit;
-    for (const OutlierHeap::Entry& entry : merged[ci]) {
-      credit.Add(entry.key.err2);
+    const ResidualBracket& bracket = brackets[ci];
+    if (bracket.lo <= best_hi && bracket.lo < earlier_hi) {
+      Contender contender;
+      contender.ci = ci;
+      contender.found.resize(kBuildShards);
+      contender.offered.assign(kBuildShards, 0);
+      // The cells pass 3 offers are known per shard. Reserve for them,
+      // unless they outnumber twice the allowance (ties or an underflowed
+      // cutoff bin): then pass 3 compacts between chunks instead.
+      contender.compact = bracket.at_or_above > 2 * gamma[ci];
+      if (gamma[ci] > 0 && !contender.compact) {
+        const ErrorHistogram& shape = shards[0].histograms[ci];
+        const std::size_t cut = shape.BinOf(bracket.cutoff);
+        for (std::size_t si = 0; si < kBuildShards; ++si) {
+          contender.found[si].reserve(static_cast<std::size_t>(
+              shards[si].histograms[ci].CountAtOrAbove(cut)));
+        }
+      }
+      contenders.push_back(std::move(contender));
     }
-    const double eps = std::max(0.0, sse[ci] - credit.value());
-    residual[ci] = eps;
-    if (eps < best_eps) {
-      best_eps = eps;
-      best_ci = ci;
+    earlier_hi = std::min(earlier_hi, bracket.hi);
+  }
+  std::uint64_t pass2_state_bytes = 0;
+  for (const Pass2Shard& shard : shards) {
+    for (const ErrorHistogram& histogram : shard.histograms) {
+      pass2_state_bytes += histogram.MemoryBytes();
     }
   }
-  const std::size_t k_opt = candidate_ks[best_ci];
+  shards = {};
+  end_pass(1);
 
   // ---------------------------------------------------------------------
-  // Pass 3: emit U at k_opt (Figure 5, using Eq. 11); row-parallel.
+  // Pass 3: emit U (Figure 5, using Eq. 11) for every contender and
+  // resolve the contenders' epsilon_k exactly: re-derive each row's err2
+  // with pass 2's RowErrors and collect the cells at or above the
+  // contender's cutoff, a set pass 2 counted exactly. Usually one
+  // contender remains, and its cells are the only entries kept.
   // ---------------------------------------------------------------------
   phase.emplace("svdd.pass3");
-  TSC_ASSIGN_OR_RETURN(
-      Matrix u, EmitUMatrix(source, v, singular_values, k_opt, pool.get()));
+  std::size_t max_contender_k = 0;
+  bool collect = false;
+  for (Contender& c : contenders) {
+    c.u = Matrix(n, candidate_ks[c.ci]);
+    max_contender_k = std::max(max_contender_k, candidate_ks[c.ci]);
+    collect |= gamma[c.ci] > 0;
+  }
+  std::vector<RowErrors> pass3_errors(
+      kBuildShards, RowErrors(vt, singular_values, options.quant));
+  TSC_RETURN_IF_ERROR(ForEachRowChunk(
+      source, [&](std::size_t base, std::size_t count, const Matrix& rows) {
+        if (base + count > n) {
+          return Status::Internal("source grew between passes");
+        }
+        ParallelFor(pool.get(), kBuildShards, [&](std::size_t si) {
+          obs::TraceSpan shard_span("svdd.pass3.shard", si);
+          RowErrors& errors = pass3_errors[si];
+          std::vector<double> proj(max_contender_k);
+          for (std::size_t r = FirstShardRow(si, base); r < count;
+               r += kBuildShards) {
+            const std::size_t i = base + r;
+            const std::span<const double> row = rows.Row(r);
+            if (collect) errors.Start(row, max_contender_k);
+            for (Contender& c : contenders) {
+              EmitURow(row, v, singular_values, proj, c.u.Row(i));
+              if (gamma[c.ci] == 0) continue;
+              errors.Advance(row, candidate_ks[c.ci], nullptr);
+              const double cutoff = brackets[c.ci].cutoff;
+              const std::span<const double> err2 = errors.err2();
+              const std::span<const double> recon = errors.recon();
+              for (std::size_t j = 0; j < m; ++j) {
+                if (err2[j] < cutoff) continue;
+                c.found[si].push_back(
+                    Outlier{CellErr{err2[j], DeltaTable::CellKey(i, j, m)},
+                            row[j] - recon[j]});
+                ++c.offered[si];
+              }
+            }
+          }
+        });
+        for (Contender& c : contenders) {
+          if (!c.compact) continue;
+          std::size_t held = 0;
+          for (const auto& found : c.found) held += found.size();
+          if (held <= 2 * gamma[c.ci]) continue;
+          KeepLargest(&c.found, gamma[c.ci]);
+        }
+        return Status::Ok();
+      }));
+
+  phase.emplace("svdd.pass3.resolve");
+  ParallelFor(pool.get(), contenders.size(), [&](std::size_t index) {
+    Contender& c = contenders[index];
+    KeepLargest(&c.found, gamma[c.ci]);
+    // The canonical descending order makes the compensated credit — and
+    // the model bytes — a pure function of the retained set.
+    std::vector<Outlier>& kept = c.found[0];
+    std::sort(kept.begin(), kept.end(), OutlierDescending());
+    KahanSum credit;
+    for (const Outlier& outlier : kept) credit.Add(outlier.key.err2);
+    c.epsilon = std::max(0.0, sse[c.ci] - credit.value());
+  });
+  std::vector<double> residual(num_candidates);
+  for (std::size_t ci = 0; ci < num_candidates; ++ci) {
+    residual[ci] = brackets[ci].lo;
+  }
+  std::vector<bool> resolved(num_candidates, false);
+  std::size_t winner = 0;
+  for (std::size_t index = 0; index < contenders.size(); ++index) {
+    const Contender& c = contenders[index];
+    std::uint64_t offered = 0;
+    for (const std::uint64_t o : c.offered) offered += o;
+    if (gamma[c.ci] > 0 && offered != brackets[c.ci].at_or_above) {
+      return Status::Internal("pass 3 re-derived errors pass 2 never counted");
+    }
+    TSC_DCHECK(c.epsilon >= brackets[c.ci].lo &&
+               c.epsilon <= brackets[c.ci].hi);
+    residual[c.ci] = c.epsilon;
+    resolved[c.ci] = true;
+    if (c.epsilon < contenders[winner].epsilon) winner = index;
+  }
+  const std::size_t best_ci = contenders[winner].ci;
+  const std::size_t k_opt = candidate_ks[best_ci];
+  Matrix u = std::move(contenders[winner].u);
+  std::vector<Outlier> entries = std::move(contenders[winner].found[0]);
+  const std::size_t resolved_candidates = contenders.size();
+  contenders = {};
 
   // Assemble: truncate the factor matrices to k_opt and fill the table.
   phase.emplace("svdd.assemble");
@@ -737,7 +844,6 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   SvdModel svd(std::move(u), std::move(sv_opt), std::move(v_opt));
   svd.set_bytes_per_value(options.bytes_per_value);
 
-  std::vector<OutlierHeap::Entry> entries = std::move(merged[best_ci]);
   DeltaTable deltas(entries.size());
   deltas.set_entry_bytes(options.delta_bytes);
   if (options.bytes_per_value == 4 || options.quant != QuantScheme::kF64) {
@@ -769,6 +875,7 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   }
 
   phase.reset();
+  end_pass(2);
 
   const bool randomized = options.engine == SvddBuildEngine::kRandomized;
   // Every pass Reset()s the source exactly once, so streamed rows are
@@ -787,6 +894,8 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
       static_cast<double>(sketch_cols));
   obs::MetricRegistry::Default().GetGauge("build.power_iters").Set(
       randomized ? static_cast<double>(options.power_iterations) : 0.0);
+  obs::MetricRegistry::Default().GetGauge("build.resolved_candidates").Set(
+      static_cast<double>(resolved_candidates));
   obs::MetricRegistry::Default()
       .GetCounter("build.rows_streamed")
       .Add(rows_streamed);
@@ -804,6 +913,12 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
     diagnostics->power_iterations =
         randomized ? options.power_iterations : 0;
     diagnostics->rows_streamed = rows_streamed;
+    diagnostics->resolved_candidates = resolved_candidates;
+    diagnostics->candidate_resolved = std::move(resolved);
+    diagnostics->pass2_outlier_state_bytes = pass2_state_bytes;
+    diagnostics->pass_seconds = pass_seconds;
+    diagnostics->pass_end_rss_mb = pass_end_rss_mb;
+    diagnostics->peak_rss_mb = PeakRssMiB();
   }
   return SvddModel(std::move(svd), std::move(deltas), std::move(bloom));
 }

@@ -1,6 +1,7 @@
 #ifndef TSC_CORE_SVDD_COMPRESSOR_H_
 #define TSC_CORE_SVDD_COMPRESSOR_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -141,25 +142,25 @@ struct SvddBuildOptions {
   std::uint64_t delta_bytes = kDefaultDeltaBytes;
   /// Coefficient encoding of the U row store (storage/quant.h). A
   /// quantized scheme shrinks the on-disk U 2-8x; the freed budget buys
-  /// a larger k and more deltas, and pass 2 measures per-cell error
-  /// against the QUANTIZED reconstruction so the bounded queues pick the
+  /// a larger k and more deltas, and passes 2 and 3 measure per-cell
+  /// error against the QUANTIZED reconstruction so the outliers are the
   /// cells worst hit by truncation plus quantization combined.
   QuantScheme quant = QuantScheme::kF64;
   /// Force a specific k instead of optimizing (ablation hook); 0 = choose
   /// k_opt by the paper's algorithm.
   std::size_t forced_k = 0;
-  /// Cap on the number of candidate k values evaluated in pass 2; the
-  /// paper evaluates every k in 1..k_max, which is also our default (0).
-  /// Large scale-up runs can bound pass-2 memory by evaluating an evenly
-  /// spaced subset instead.
+  /// Cap on the number of candidate k values evaluated in pass 2 (the
+  /// k_opt search ablation): evenly spaced in 1..k_max, both ends
+  /// included. The paper evaluates every k, which is also the default
+  /// (0).
   std::size_t max_candidates = 0;
   EigenSolverKind solver = EigenSolverKind::kHouseholderQl;
   /// Build the Bloom filter in front of the delta table.
   bool build_bloom_filter = true;
   double bloom_bits_per_entry = 10.0;
   /// Worker threads for the three build passes (1 = serial). Work is
-  /// sharded by a fixed shard count with an ordered reduction and a
-  /// total-order outlier merge, so any thread count produces a
+  /// sharded by a fixed shard count with ordered reductions and a
+  /// total-order outlier selection, so any thread count produces a
   /// bitwise-identical model.
   std::size_t num_threads = 1;
   /// Pass-1 subspace engine. kExact reproduces the paper; kRandomized
@@ -186,7 +187,9 @@ struct SvddBuildDiagnostics {
   /// Total squared reconstruction error of plain SVD at each candidate.
   std::vector<double> candidate_sse;
   /// Squared error remaining after crediting the affordable deltas
-  /// (epsilon_k of Figure 5); k_opt minimizes this.
+  /// (epsilon_k of Figure 5); k_opt minimizes this. Exact for the
+  /// candidates pass 3 resolved; for the rest, the lower bound of the
+  /// bracket pass 2 put epsilon_k in, which already exceeds k_opt's.
   std::vector<double> candidate_residual_sse;
   /// Affordable outlier count at each candidate.
   std::vector<std::uint64_t> candidate_delta_counts;
@@ -199,16 +202,35 @@ struct SvddBuildDiagnostics {
   std::size_t power_iterations = 0;
   /// Data rows read across all streaming passes of the build.
   std::uint64_t rows_streamed = 0;
+  /// Candidates whose epsilon_k bracket overlapped the best one, so pass
+  /// 3 resolved them exactly (and emitted their U); usually 1.
+  std::size_t resolved_candidates = 0;
+  /// Per candidate: was its epsilon_k resolved exactly?
+  std::vector<bool> candidate_resolved;
+  /// Bytes pass 2 held to rank outliers: one error histogram per (shard,
+  /// candidate), a function of the candidate count alone — independent
+  /// of N and of the allowances gamma_k.
+  std::uint64_t pass2_outlier_state_bytes = 0;
+  /// Wall seconds of each pass: [0] the subspace estimate (all of its
+  /// streams and the eigensolve), [1] pass 2 with the brackets, [2] pass
+  /// 3 with the exact resolution and the model assembly.
+  std::array<double, 3> pass_seconds{};
+  /// Resident set size of the process at the end of each pass, MiB.
+  std::array<double, 3> pass_end_rss_mb{};
+  /// The process's peak resident set size when the build returned, MiB.
+  double peak_rss_mb = 0.0;
 };
 
 /// Builds an SVDD model with the paper's 3-pass algorithm (Figure 5):
 ///   pass 1  accumulate C = X^T X, eigendecompose, fix k_max and the
 ///           per-candidate outlier allowances gamma_k;
-///   pass 2  stream rows, maintain one bounded priority queue of the
-///           gamma_k largest cell errors per candidate k, accumulate each
-///           epsilon_k, and pick k_opt;
-///   pass 3  stream rows once more to emit U at k_opt.
-/// The delta table is filled from the k_opt queue.
+///   pass 2  stream rows, accumulate each candidate's SSE_k and a
+///           histogram of its largest cell errors, which puts each
+///           epsilon_k in a bracket;
+///   pass 3  stream rows once more to emit U and, for the candidates
+///           whose bracket overlaps the best one, collect the gamma_k
+///           largest errors exactly; pick k_opt among them.
+/// The delta table is filled from k_opt's collected cells.
 StatusOr<SvddModel> BuildSvddModel(RowSource* source,
                                    const SvddBuildOptions& options,
                                    SvddBuildDiagnostics* diagnostics = nullptr);

@@ -14,10 +14,8 @@
 namespace tsc {
 
 /// Keeps the `capacity` items with the LARGEST keys seen so far, in O(log c)
-/// per offer, using a min-heap on the key. This is the per-candidate-k
-/// priority queue of the SVDD pass-2 algorithm (Figure 5 of the paper):
-/// each queue retains the gamma_k cells with the largest reconstruction
-/// error.
+/// per offer, using a min-heap on the key (top-k similarity search, the
+/// wavelet baseline's coefficient pick, the row-outlier model).
 template <typename Key, typename Value>
 class BoundedTopHeap {
  public:
@@ -27,10 +25,8 @@ class BoundedTopHeap {
   };
 
   explicit BoundedTopHeap(std::size_t capacity) : capacity_(capacity) {
-    // Cap the eager reservation: the SVDD pass-2 build holds one heap per
-    // (shard, candidate k) pair, and capacities there are in the hundreds
-    // of thousands; reserving them all up front would dwarf the actual
-    // retained entries once threshold pruning kicks in.
+    // Cap the eager reservation: a capacity can be far above what a
+    // stream ever offers.
     heap_.reserve(std::min<std::size_t>(capacity, 1024));
   }
 
@@ -60,11 +56,9 @@ class BoundedTopHeap {
     return true;
   }
 
-  /// Sum of keys currently retained (used to credit outlier deltas against
-  /// the accumulated SSE when evaluating a candidate k). Floating-point
-  /// keys are summed with Kahan compensation: a queue can hold hundreds of
-  /// thousands of squared errors spanning many orders of magnitude, and a
-  /// naive sum loses enough precision to destabilize the k_opt pick.
+  /// Sum of keys currently retained. Floating-point keys are summed with
+  /// Kahan compensation: a heap can hold many keys spanning orders of
+  /// magnitude, where a naive sum loses precision.
   Key KeySum() const {
     if constexpr (std::is_floating_point_v<Key>) {
       KahanSum total;
@@ -99,94 +93,6 @@ class BoundedTopHeap {
 
   std::size_t capacity_;
   std::vector<Entry> heap_;
-};
-
-/// Keeps a superset of the `capacity` items with the largest keys in
-/// amortized O(1) per offer: offers append to a flat buffer, and when the
-/// buffer overflows its slack the exact top `capacity` are kept with
-/// nth_element under the key's strict total order. Functionally a
-/// BoundedTopHeap whose minimum is only re-published at compaction
-/// points — but offers cost a sequential append instead of an O(log c)
-/// sift through a multi-megabyte heap array, which is what dominated the
-/// SVDD pass-2 build once gamma_k reached hundreds of thousands of
-/// entries. Determinism is unaffected: the retained set after each
-/// compaction is the exact top `capacity` under the total order, so it
-/// (and the final merged top gamma_k) does not depend on thread timing.
-template <typename Key, typename Value>
-class BoundedTopSelector {
- public:
-  struct Entry {
-    Key key;
-    Value value;
-  };
-
-  explicit BoundedTopSelector(std::size_t capacity)
-      : capacity_(capacity),
-        // Slack trades transient memory (<= 1.25x capacity retained) for
-        // amortized compaction cost (~4 comparisons per appended entry).
-        compact_at_(capacity + std::max<std::size_t>(capacity / 4, 1024)) {
-    buffer_.reserve(std::min<std::size_t>(compact_at_, 2048));
-  }
-
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return buffer_.size(); }
-
-  /// The capacity-th largest key seen so far; valid once HasCutoff().
-  /// No key strictly below it can be among the top `capacity`.
-  bool HasCutoff() const { return has_cutoff_; }
-  const Key& Cutoff() const {
-    TSC_CHECK(has_cutoff_);
-    return cutoff_;
-  }
-
-  /// Appends the item. Returns true when the offer triggered a
-  /// compaction, i.e. Cutoff() just tightened and is worth republishing.
-  /// Capacity-zero selectors retain nothing.
-  bool Offer(const Key& key, const Value& value) {
-    if (capacity_ == 0) return false;
-    buffer_.push_back(Entry{key, value});
-    if (buffer_.size() < compact_at_) return false;
-    Compact();
-    return true;
-  }
-
-  /// The q-th largest retained key (1-indexed, q <= size()). Runs an
-  /// in-place partial select; the retained set is unchanged, only its
-  /// order (which entries() does not guarantee anyway). Lets callers
-  /// publish distribution fractiles of the retained keys — e.g. the
-  /// SVDD pass-2 collective pruning bound, which combines each shard's
-  /// (capacity/shards)-th largest into a bound on the global
-  /// capacity-th largest.
-  const Key& NthLargestKey(std::size_t q) {
-    TSC_CHECK(q >= 1 && q <= buffer_.size());
-    auto nth = buffer_.begin() + static_cast<std::ptrdiff_t>(q - 1);
-    std::nth_element(
-        buffer_.begin(), nth, buffer_.end(),
-        [](const Entry& a, const Entry& b) { return b.key < a.key; });
-    return nth->key;
-  }
-
-  /// Retained entries: the exact top `capacity` as of the last
-  /// compaction, plus everything offered since (no ordering guarantee).
-  /// Always a superset of this selector's true top `capacity`.
-  const std::vector<Entry>& entries() const { return buffer_; }
-
- private:
-  void Compact() {
-    auto nth = buffer_.begin() + static_cast<std::ptrdiff_t>(capacity_ - 1);
-    std::nth_element(
-        buffer_.begin(), nth, buffer_.end(),
-        [](const Entry& a, const Entry& b) { return b.key < a.key; });
-    cutoff_ = nth->key;
-    has_cutoff_ = true;
-    buffer_.resize(capacity_);
-  }
-
-  std::size_t capacity_;
-  std::size_t compact_at_;
-  std::vector<Entry> buffer_;
-  Key cutoff_{};
-  bool has_cutoff_ = false;
 };
 
 }  // namespace tsc

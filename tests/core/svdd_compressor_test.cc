@@ -1,14 +1,22 @@
 #include "core/svdd_compressor.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/metrics.h"
+#include "core/parallel_build.h"
 #include "data/generators.h"
+#include "linalg/kernels.h"
+#include "linalg/svd.h"
+#include "obs/metrics.h"
+#include "util/kahan.h"
 #include "util/rng.h"
 
 namespace tsc {
@@ -188,6 +196,58 @@ TEST(SvddCompressorTest, MaxCandidatesBoundsEvaluation) {
   EXPECT_EQ(diag.candidate_ks.front(), 1u);
 }
 
+TEST(SvddCompressorTest, Pass2OutlierStateIndependentOfRowsAndAllowance) {
+  // Pass 2 holds one error histogram per (shard, candidate) and retains
+  // no cell, so its outlier state must not grow with N or with gamma_k.
+  std::uint64_t state_bytes = 0;
+  std::uint64_t largest_allowance = 0;
+  const std::pair<std::size_t, double> runs[] = {
+      {200, 10.0}, {800, 10.0}, {800, 25.0}};
+  for (const auto& [rows, space] : runs) {
+    const Matrix x = SpikyMatrix(rows, 40);
+    MatrixRowSource source(&x);
+    SvddBuildOptions options;
+    options.space_percent = space;
+    options.max_candidates = 2;  // candidates {1, k_max} in every run
+    SvddBuildDiagnostics diag;
+    const auto model = BuildSvddModel(&source, options, &diag);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    ASSERT_EQ(diag.candidate_ks.size(), 2u);
+    EXPECT_GT(diag.candidate_delta_counts.front(), largest_allowance);
+    largest_allowance = diag.candidate_delta_counts.front();
+    EXPECT_GT(diag.pass2_outlier_state_bytes, 0u);
+    if (state_bytes == 0) state_bytes = diag.pass2_outlier_state_bytes;
+    EXPECT_EQ(diag.pass2_outlier_state_bytes, state_bytes);
+  }
+}
+
+TEST(SvddCompressorTest, DiagnosticsReportPassesAndResolution) {
+  const Matrix x = SpikyMatrix();
+  MatrixRowSource source(&x);
+  SvddBuildOptions options;
+  options.space_percent = 10.0;
+  SvddBuildDiagnostics diag;
+  const auto model = BuildSvddModel(&source, options, &diag);
+  ASSERT_TRUE(model.ok());
+  for (std::size_t pass = 0; pass < 3; ++pass) {
+    EXPECT_GE(diag.pass_seconds[pass], 0.0) << "pass " << pass + 1;
+    EXPECT_GT(diag.pass_end_rss_mb[pass], 0.0) << "pass " << pass + 1;
+    EXPECT_GE(diag.peak_rss_mb + 1.0, diag.pass_end_rss_mb[pass]);
+  }
+  ASSERT_EQ(diag.candidate_resolved.size(), diag.candidate_ks.size());
+  EXPECT_GE(diag.resolved_candidates, 1u);
+  EXPECT_EQ(diag.resolved_candidates,
+            static_cast<std::size_t>(std::count(diag.candidate_resolved.begin(),
+                                                diag.candidate_resolved.end(),
+                                                true)));
+#ifndef TSC_OBS_DISABLED
+  EXPECT_EQ(obs::MetricRegistry::Default()
+                .GetGauge("build.resolved_candidates")
+                .Value(),
+            static_cast<double>(diag.resolved_candidates));
+#endif
+}
+
 TEST(SvddCompressorTest, BloomFilterNeverChangesResults) {
   const Matrix x = SpikyMatrix();
   SvddBuildOptions with_bloom;
@@ -283,6 +343,318 @@ TEST(SvddCompressorTest, CorruptedModelFileRejected) {
     ASSERT_FALSE(ec);
   }
   EXPECT_FALSE(SvddModel::LoadFromFile(path).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Differential test against a brute-force oracle. The build never retains
+// the worst cells in pass 2; it brackets each epsilon_k from error
+// histograms and resolves only the candidates that can still win, in pass
+// 3. The oracle does none of that: it scores every candidate from every
+// cell's err2, sorted, with the gamma_k largest credited. Its arithmetic
+// mirrors the build's term for term (same kernels, same summation order),
+// so k_opt, the SSEs, every resolved epsilon_k and every delta must agree
+// bit for bit.
+// ---------------------------------------------------------------------------
+
+struct OracleCell {
+  double err2;
+  std::uint64_t key;
+  double err;
+};
+
+struct OracleResult {
+  std::vector<std::size_t> ks;
+  std::vector<std::uint64_t> gamma;
+  std::vector<double> sse;
+  std::vector<double> epsilon;
+  std::size_t k_opt = 0;
+  std::vector<std::pair<std::uint64_t, double>> deltas;  // key, delta
+};
+
+/// Exact-engine builds with every k a candidate.
+OracleResult RunOracle(const Matrix& x, const SvddBuildOptions& options) {
+  const std::size_t n = x.rows();
+  const std::size_t m = x.cols();
+  OracleResult result;
+  SpaceBudget budget = SpaceBudget::FromPercent(n, m, options.space_percent,
+                                                options.bytes_per_value);
+  budget.u_quant = options.quant;
+  MatrixRowSource source(&x);
+  const Matrix c = *AccumulateColumnSimilarity(&source);
+  const EigenDecomposition eigen = *SymmetricEigen(c, options.solver);
+  const double lambda_max = std::max(0.0, eigen.eigenvalues[0]);
+  std::size_t rank = 0;
+  while (rank < m && eigen.eigenvalues[rank] > 0.0 &&
+         eigen.eigenvalues[rank] > kSvdRelativeTolerance * lambda_max) {
+    ++rank;
+  }
+  const std::size_t k_max = options.forced_k > 0
+                                ? options.forced_k
+                                : std::min(budget.MaxK(), rank);
+  if (options.forced_k > 0) {
+    result.ks = {options.forced_k};
+  } else {
+    for (std::size_t k = 1; k <= k_max; ++k) result.ks.push_back(k);
+  }
+  const std::size_t num = result.ks.size();
+  if (num == 0) return result;  // the build refuses such a budget
+  for (const std::size_t k : result.ks) {
+    result.gamma.push_back(std::min<std::uint64_t>(
+        budget.DeltaCount(k, options.delta_bytes), n * m));
+  }
+  std::vector<double> sv(k_max);
+  Matrix v(m, k_max);
+  Matrix vt(k_max, m);
+  for (std::size_t p = 0; p < k_max; ++p) {
+    sv[p] = std::sqrt(eigen.eigenvalues[p]);
+    for (std::size_t l = 0; l < m; ++l) {
+      v(l, p) = eigen.eigenvectors(l, p);
+      vt(p, l) = v(l, p);
+    }
+  }
+
+  // Every cell's error at every candidate; SSE in the build's
+  // (shard, lane) Kahan partials, folded shard by shard.
+  std::vector<std::vector<OracleCell>> cells(num);
+  std::vector<std::array<std::array<KahanSum, 4>, kBuildShards>> lanes(num);
+  std::vector<double> projection(k_max);
+  std::vector<double> recon(m);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const double> row = x.Row(i);
+    for (std::size_t p = 0; p < k_max; ++p) {
+      projection[p] = kernels::Dot(row.data(), vt.Row(p).data(), m);
+    }
+    if (options.quant != QuantScheme::kF64) {
+      std::vector<double> u(k_max);
+      for (std::size_t p = 0; p < k_max; ++p) u[p] = projection[p] / sv[p];
+      SnapQuantRow(options.quant, u);
+      for (std::size_t p = 0; p < k_max; ++p) projection[p] = u[p] * sv[p];
+    }
+    std::fill(recon.begin(), recon.end(), 0.0);
+    std::size_t p = 0;
+    for (std::size_t ci = 0; ci < num; ++ci) {
+      for (; p < result.ks[ci]; ++p) {
+        kernels::Axpy(projection[p], vt.Row(p).data(), recon.data(), m);
+      }
+      for (std::size_t j = 0; j < m; ++j) {
+        const double err = row[j] - recon[j];
+        const double e2 = err * err;
+        lanes[ci][i % kBuildShards][j % 4].Add(e2);
+        cells[ci].push_back({e2, DeltaTable::CellKey(i, j, m), err});
+      }
+    }
+  }
+  for (std::size_t ci = 0; ci < num; ++ci) {
+    KahanSum total;
+    for (const auto& shard : lanes[ci]) {
+      for (const KahanSum& lane : shard) total.Merge(lane);
+    }
+    result.sse.push_back(total.value());
+    std::sort(cells[ci].begin(), cells[ci].end(),
+              [](const OracleCell& a, const OracleCell& b) {
+                if (a.err2 != b.err2) return a.err2 > b.err2;
+                return a.key < b.key;
+              });
+    cells[ci].resize(result.gamma[ci]);
+    KahanSum credit;
+    for (const OracleCell& cell : cells[ci]) credit.Add(cell.err2);
+    result.epsilon.push_back(std::max(0.0, result.sse[ci] - credit.value()));
+  }
+  std::size_t best = 0;
+  for (std::size_t ci = 1; ci < num; ++ci) {
+    if (result.epsilon[ci] < result.epsilon[best]) best = ci;
+  }
+  result.k_opt = result.ks[best];
+
+  // The build's assembly: U at k_opt, deltas re-derived against the
+  // quantized reconstruction where the factors are quantized.
+  Matrix u = *EmitUMatrix(&source, v, sv, result.k_opt);
+  Matrix v_opt(m, result.k_opt);
+  for (std::size_t l = 0; l < m; ++l) {
+    for (std::size_t q = 0; q < result.k_opt; ++q) v_opt(l, q) = v(l, q);
+  }
+  SvdModel svd(std::move(u),
+               std::vector<double>(sv.begin(), sv.begin() + result.k_opt),
+               std::move(v_opt));
+  svd.set_bytes_per_value(options.bytes_per_value);
+  std::vector<OracleCell>& kept = cells[best];
+  if (options.bytes_per_value == 4 || options.quant != QuantScheme::kF64) {
+    for (OracleCell& cell : kept) {
+      cell.err += svd.ReconstructCell(cell.key / m, cell.key % m);
+    }
+    if (options.bytes_per_value == 4) svd.QuantizeToFloat();
+    svd.ApplyQuantization(options.quant);
+    for (OracleCell& cell : kept) {
+      cell.err -= svd.ReconstructCell(cell.key / m, cell.key % m);
+    }
+  }
+  for (const OracleCell& cell : kept) {
+    const double delta = options.bytes_per_value == 4
+                             ? static_cast<double>(static_cast<float>(cell.err))
+                             : cell.err;
+    result.deltas.emplace_back(cell.key, delta);
+  }
+  return result;
+}
+
+/// Builds `x` at `options` for 1 and 4 threads and checks each build
+/// against the oracle. Returns the number of candidates resolved exactly.
+std::size_t ExpectMatchesOracle(const Matrix& x, SvddBuildOptions options) {
+  const OracleResult oracle = RunOracle(x, options);
+  EXPECT_FALSE(oracle.ks.empty()) << "budget fits no component";
+  if (oracle.ks.empty()) return 0;
+  std::size_t resolved_count = 0;
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.num_threads = threads;
+    MatrixRowSource source(&x);
+    SvddBuildDiagnostics diag;
+    const auto model = BuildSvddModel(&source, options, &diag);
+    EXPECT_TRUE(model.ok()) << model.status().ToString();
+    if (!model.ok()) return 0;
+    EXPECT_EQ(source.passes_started(), 3u);
+    EXPECT_EQ(diag.k_opt, oracle.k_opt);
+    EXPECT_EQ(model->k(), oracle.k_opt);
+    EXPECT_EQ(diag.candidate_ks, oracle.ks);
+    EXPECT_EQ(diag.candidate_delta_counts, oracle.gamma);
+    EXPECT_EQ(diag.candidate_sse, oracle.sse);
+    EXPECT_EQ(diag.resolved_candidates,
+              static_cast<std::size_t>(std::count(diag.candidate_resolved.begin(),
+                                                  diag.candidate_resolved.end(),
+                                                  true)));
+    if (diag.candidate_ks != oracle.ks) return 0;
+    const std::size_t opt = static_cast<std::size_t>(
+        std::find(oracle.ks.begin(), oracle.ks.end(), oracle.k_opt) -
+        oracle.ks.begin());
+    EXPECT_TRUE(diag.candidate_resolved[opt]);
+    for (std::size_t ci = 0; ci < oracle.ks.size(); ++ci) {
+      const double reported = diag.candidate_residual_sse[ci];
+      if (diag.candidate_resolved[ci]) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(reported),
+                  std::bit_cast<std::uint64_t>(oracle.epsilon[ci]))
+            << "k=" << oracle.ks[ci] << " " << reported << " vs "
+            << oracle.epsilon[ci];
+      } else {
+        // A bracket's lower bound: below the true epsilon_k, above k_opt's.
+        EXPECT_LE(reported, oracle.epsilon[ci]) << "k=" << oracle.ks[ci];
+        EXPECT_GT(reported, oracle.epsilon[opt]) << "k=" << oracle.ks[ci];
+      }
+    }
+    EXPECT_EQ(model->delta_count(), oracle.deltas.size());
+    for (const auto& [key, delta] : oracle.deltas) {
+      const std::optional<double> stored = model->deltas().Get(key);
+      EXPECT_TRUE(stored.has_value()) << "cell " << key;
+      if (!stored.has_value()) continue;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(*stored),
+                std::bit_cast<std::uint64_t>(delta))
+          << "cell " << key;
+    }
+    resolved_count = diag.resolved_candidates;
+  }
+  return resolved_count;
+}
+
+TEST(SvddOracleTest, MatchesOracleAcrossQuantSchemes) {
+  const Matrix x = SpikyMatrix(200, 40);
+  for (const QuantScheme quant :
+       {QuantScheme::kF64, QuantScheme::kF32, QuantScheme::kI8}) {
+    SCOPED_TRACE(QuantSchemeName(quant));
+    SvddBuildOptions options;
+    options.space_percent = 10.0;
+    options.quant = quant;
+    ExpectMatchesOracle(x, options);
+  }
+}
+
+TEST(SvddOracleTest, FloatValuesMatchOracle) {
+  const Matrix x = SpikyMatrix(150, 30);
+  SvddBuildOptions options;
+  options.space_percent = 12.0;
+  options.bytes_per_value = 4;
+  options.delta_bytes = 12;
+  ExpectMatchesOracle(x, options);
+}
+
+TEST(SvddOracleTest, TiedErrorsBreakByCellKey) {
+  // Every row three times over: each cell's err2 ties with two others,
+  // so the allowance cuts through runs of equal errors.
+  const Matrix base = SpikyMatrix(70, 30);
+  Matrix x(base.rows() * 3, base.cols());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const std::span<const double> src = base.Row(i % base.rows());
+    std::copy(src.begin(), src.end(), x.Row(i).begin());
+  }
+  for (const QuantScheme quant : {QuantScheme::kF64, QuantScheme::kI8}) {
+    SCOPED_TRACE(QuantSchemeName(quant));
+    SvddBuildOptions options;
+    options.space_percent = 20.0;
+    options.quant = quant;
+    ExpectMatchesOracle(x, options);
+  }
+}
+
+TEST(SvddOracleTest, ZeroAllowanceCandidate) {
+  // A budget that k_max's components fill to within one delta, so the
+  // largest candidate can afford no outlier at all.
+  const Matrix x = SpikyMatrix(200, 40);
+  double space = 0.0;
+  for (double s = 3.0; s < 30.0 && space == 0.0; s += 0.01) {
+    const SpaceBudget budget = SpaceBudget::FromPercent(200, 40, s, 8);
+    const std::size_t k = budget.MaxK();
+    if (k >= 3 && budget.DeltaCount(k, kDefaultDeltaBytes) == 0) space = s;
+  }
+  ASSERT_GT(space, 0.0);
+  SvddBuildOptions options;
+  options.space_percent = space;
+  const OracleResult oracle = RunOracle(x, options);
+  ASSERT_EQ(oracle.gamma.back(), 0u);
+  ExpectMatchesOracle(x, options);
+}
+
+TEST(SvddOracleTest, AllowanceCoveringEveryCell) {
+  // At 400% every candidate can store every cell: each epsilon_k is a
+  // rounding residue near 0, the brackets overlap, and pass 3 resolves
+  // several candidates at once.
+  const Matrix x = SpikyMatrix(60, 12);
+  SvddBuildOptions options;
+  options.space_percent = 400.0;
+  const OracleResult oracle = RunOracle(x, options);
+  for (const std::uint64_t g : oracle.gamma) EXPECT_EQ(g, 60u * 12u);
+  EXPECT_GE(ExpectMatchesOracle(x, options), 2u);
+}
+
+TEST(SvddOracleTest, ForcedKMatchesOracle) {
+  const Matrix x = SpikyMatrix(200, 40);
+  for (const QuantScheme quant : {QuantScheme::kF64, QuantScheme::kI8}) {
+    SCOPED_TRACE(QuantSchemeName(quant));
+    SvddBuildOptions options;
+    options.space_percent = 10.0;
+    options.forced_k = 3;
+    options.quant = quant;
+    EXPECT_EQ(ExpectMatchesOracle(x, options), 1u);
+  }
+}
+
+TEST(SvddOracleTest, NearTieResolvesSeveralCandidates) {
+  // Six nonzero rows among thousands of zero rows. A zero row projects
+  // to exactly 0, so its cells' err2 is exactly 0 at every k, and every
+  // allowance covers all 144 nonzero cells: each candidate's epsilon_k is
+  // a rounding residue near 0. The brackets all reach down to 0 and
+  // overlap, so pass 3 resolves several candidates together; their
+  // cutoff is 0, so each collects every cell and compacts between chunks.
+  Rng rng(29);
+  Matrix x(3000, 24);
+  for (std::size_t i = 0; i < 3000; i += 500) {
+    for (std::size_t j = 0; j < 24; ++j) x(i, j) = rng.UniformDouble(1.0, 9.0);
+  }
+  SvddBuildOptions options;
+  options.space_percent = 30.0;
+  const OracleResult oracle = RunOracle(x, options);
+  for (const std::uint64_t g : oracle.gamma) {
+    EXPECT_GE(g, 144u);
+    EXPECT_LT(2 * g, 3000u * 24u);
+  }
+  EXPECT_GE(ExpectMatchesOracle(x, options), 2u);
 }
 
 /// Parameterized sweep over space budgets: RMSPE decreases monotonically
