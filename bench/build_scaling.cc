@@ -25,7 +25,8 @@
 #include "common/json_reporter.h"
 #include "core/metrics.h"
 #include "core/parallel_build.h"
-#include "core/sharded_store.h"
+#include "core/svd_compressor.h"
+#include "core/svdd_compressor.h"
 #include "storage/row_source.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -43,8 +44,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.GetInt("max_candidates", 16));
   const std::vector<std::int64_t> thread_counts =
       flags.GetIntList("threads", {1, 2, 4, 8});
-  const std::vector<std::int64_t> shard_counts =
-      flags.GetIntList("shards", {1, 2, 4});
   const std::string json_path = flags.GetString("json", "");
 
   std::printf("=== Parallel build scaling (2-pass SVD / 3-pass SVDD) ===\n\n");
@@ -134,58 +133,6 @@ int main(int argc, char** argv) {
                    tsc::TablePrinter::Num(rmspe_pct)});
   }
   std::printf("%s\n", table.ToString().c_str());
-
-  // --- per-shard parallel sharded build (PR 9) ------------------------------
-  // BuildShardedStore runs S independent 3-pass SVDD builds, one worker
-  // per shard — each shard picks its own k_opt over its row slice, so
-  // unlike the intra-build parallelism above the units of work are
-  // coarse and embarrassingly parallel. Speedup is measured against the
-  // S=1 sharded build (one shard, one worker), which is the same
-  // pipeline as the unsharded build. The same scaling_measurable guard
-  // applies: a 1-core runner serializes the shard builds.
-  {
-    tsc::TablePrinter shard_table(
-        {"shards", "workers", "eff_thr", "build_s", "speedup", "slowest shard s"});
-    double shard_base = 0.0;
-    for (const std::int64_t sc : shard_counts) {
-      const std::size_t shards = static_cast<std::size_t>(sc);
-      tsc::ShardedBuildOptions options;
-      options.base.space_percent = space;
-      options.base.max_candidates = max_candidates;
-      options.shard_count = shards;
-      options.num_threads = shards;  // one worker per shard
-      tsc::ShardedBuildDiagnostics diag;
-      tsc::Timer timer;
-      const auto store =
-          tsc::BuildShardedStore(dataset.values, options, &diag);
-      const double build_s = timer.ElapsedSeconds();
-      if (!store.ok()) {
-        std::printf("sharded build S=%zu: %s\n", shards,
-                    store.status().ToString().c_str());
-        continue;
-      }
-      if (shard_base == 0.0) shard_base = build_s;
-      double slowest = 0.0;
-      for (const double s : diag.shard_seconds) {
-        slowest = std::max(slowest, s);
-      }
-      const std::size_t eff_threads = std::min(shards, hardware);
-      shard_table.AddRow(
-          {std::to_string(shards), std::to_string(shards),
-           std::to_string(eff_threads), tsc::TablePrinter::Num(build_s, 3),
-           tsc::TablePrinter::Num(shard_base / build_s, 2) + "x",
-           tsc::TablePrinter::Num(slowest, 3)});
-      const std::string suffix = "_s" + std::to_string(shards);
-      report.AddScalar("shard_build_s" + suffix, build_s);
-      report.AddScalar("shard_build_speedup" + suffix, shard_base / build_s);
-      report.AddScalar("shard_build_slowest_shard_s" + suffix, slowest);
-    }
-    std::printf("%s\n", shard_table.ToString().c_str());
-    std::printf("sharded build speedup = time(S=1) / time(S=N); near-linear\n"
-                "needs >= N cores (see scaling_measurable above). slowest\n"
-                "shard bounds the wall clock — range slices are balanced, so\n"
-                "skew means data, not the scheduler.\n\n");
-  }
 
   // --- randomized vs exact pass-1 engine (PR 10) ----------------------------
   // Head-to-head of the two subspace engines at a single (usually much

@@ -33,7 +33,6 @@
 #include "common/json_reporter.h"
 #include "core/disk_backed.h"
 #include "core/query.h"
-#include "core/sharded_store.h"
 #include "core/svdd_compressor.h"
 #include "obs/metrics.h"
 #include "query/executor.h"
@@ -44,7 +43,6 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table_printer.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -82,8 +80,6 @@ int main(int argc, char** argv) {
   const int probe_iters = static_cast<int>(flags.GetInt("probe_iters", 50));
   const std::size_t threads =
       static_cast<std::size_t>(flags.GetInt("threads", 4));
-  const std::vector<std::int64_t> shard_counts =
-      flags.GetIntList("shards", {1, 2, 4});
   const std::string json_path = flags.GetString("json", "");
 
   std::printf("=== ad hoc serving: raw disk vs SVDD layouts ===\n\n");
@@ -543,115 +539,6 @@ int main(int argc, char** argv) {
                 "normalized max err %.4f (budget %.2f)\n\n",
                 speedup, worst_err, quant_err_budget);
     TSC_CHECK(worst_err <= quant_err_budget);
-  }
-
-  // --- sharded scatter-gather serving ---------------------------------------
-  // The PR 9 axis: the same batched cell workload served by the single
-  // in-memory model vs a ShardedStore split from it at each --shards
-  // count. The split is exact (U rows copied, V/eigenvalues replicated,
-  // deltas re-keyed) and the scatter-gather merge writes disjoint output
-  // slots in shard order, so the sharded answers must be BIT-identical
-  // to the single store — enforced with TSC_CHECK, not a tolerance.
-  // Speedup ratios only mean something with >= 2 cores
-  // (shard_scaling_measurable, the same guard as build_scaling): on a
-  // 1-core runner the fan-out pool is disabled (min(S, hardware) = 1)
-  // and the honest number is the S=1 ratio, which the single-shard
-  // forward in ShardedStore keeps within noise of the plain store.
-  {
-    const std::size_t hardware = tsc::ThreadPool::HardwareThreads();
-    const bool shard_scaling_measurable = hardware >= 2;
-    std::vector<tsc::CellRef> refs;
-    refs.reserve(workload.cells.size());
-    for (const auto& [i, j] : workload.cells) refs.push_back({i, j});
-    std::vector<double> base_out(refs.size());
-    std::vector<double> out(refs.size());
-
-    // Split the stores up front, then measure all modes in interleaved
-    // rounds. A --probe_iters pass over one batch takes well under a
-    // millisecond here, so each sample runs for a minimum wall budget;
-    // interleaving the modes round-robin and keeping each mode's best
-    // round means slow drift in background load (the realistic noise on
-    // a shared box) hits every mode alike instead of biasing whichever
-    // one happened to run during the quiet spell.
-    const auto measure_once = [&](const auto& body) {
-      std::size_t batches = 0;
-      double elapsed_ms = 0.0;
-      tsc::Timer timer;
-      do {
-        for (int it = 0; it < probe_iters; ++it) body();
-        batches += static_cast<std::size_t>(probe_iters);
-        elapsed_ms = timer.ElapsedMillis();
-      } while (elapsed_ms < 150.0);
-      return static_cast<double>(refs.size()) *
-             static_cast<double>(batches) / (elapsed_ms / 1000.0);
-    };
-
-    std::vector<std::size_t> shard_sizes;
-    std::vector<tsc::ShardedStore> stores;
-    for (const std::int64_t sc : shard_counts) {
-      const std::size_t shards = static_cast<std::size_t>(sc);
-      auto layout = tsc::ShardLayout::Make(tsc::ShardPartition::kRange,
-                                           x.rows(), shards);
-      TSC_CHECK_OK(layout.status());
-      auto store = tsc::SplitSvddModel(*model, *layout);
-      TSC_CHECK_OK(store.status());
-      const std::size_t fan_out = std::min(shards, hardware);
-      store->EnableParallelFanOut(fan_out > 1 ? fan_out : 0);
-      // Warm up, and enforce the determinism contract once per store:
-      // every cell bit-identical to the single store, at any shard
-      // count.
-      model->ReconstructCells(refs, base_out);
-      store->ReconstructCells(refs, out);
-      for (std::size_t i = 0; i < refs.size(); ++i) {
-        TSC_CHECK(out[i] == base_out[i]);
-      }
-      shard_sizes.push_back(shards);
-      stores.push_back(std::move(*store));
-    }
-
-    double single_qps = 0.0;
-    std::vector<double> shard_qps(stores.size(), 0.0);
-    for (int round = 0; round < 3; ++round) {
-      single_qps = std::max(single_qps, measure_once([&] {
-                     model->ReconstructCells(refs, base_out);
-                     sink += base_out[0];
-                   }));
-      for (std::size_t s = 0; s < stores.size(); ++s) {
-        shard_qps[s] = std::max(shard_qps[s], measure_once([&] {
-                         stores[s].ReconstructCells(refs, out);
-                         sink += out[0];
-                       }));
-      }
-    }
-
-    tsc::TablePrinter shard_table(
-        {"serving store", "fan-out", "Mcells/s", "vs single"});
-    shard_table.AddRow({"single svdd", "-",
-                        tsc::TablePrinter::Num(single_qps / 1e6, 3), "1.0x"});
-    report.AddScalar("shard_single_qps", single_qps);
-    report.AddScalar("shard_scaling_measurable",
-                     shard_scaling_measurable ? 1.0 : 0.0);
-    double s1_ratio = 0.0;
-    for (std::size_t s = 0; s < stores.size(); ++s) {
-      const std::size_t shards = shard_sizes[s];
-      const std::size_t fan_out = std::min(shards, hardware);
-      const double ratio = single_qps > 0 ? shard_qps[s] / single_qps : 0.0;
-      if (shards == 1) s1_ratio = ratio;
-      shard_table.AddRow({"sharded S=" + std::to_string(shards),
-                          std::to_string(fan_out) + " thr",
-                          tsc::TablePrinter::Num(shard_qps[s] / 1e6, 3),
-                          tsc::TablePrinter::Num(ratio, 2) + "x"});
-      report.AddScalar("shard_qps_s" + std::to_string(shards), shard_qps[s]);
-      report.AddScalar("shard_qps_ratio_s" + std::to_string(shards), ratio);
-    }
-    report.AddScalar("shard_s1_qps_ratio", s1_ratio);
-    std::printf("sharded batched serving (range partition, answers checked "
-                "bit-identical):\n%s\n",
-                shard_table.ToString().c_str());
-    std::printf("S=1 vs single: %.2fx (budget: within 2%% when the box is "
-                "quiet); fan-out speedups need >= 2 cores "
-                "(shard_scaling_measurable=%d)\n\n",
-                s1_ratio, shard_scaling_measurable ? 1 : 0);
   }
 
   if (sink == 0.12345) std::printf("%f\n", sink);  // defeat dead-code elim

@@ -32,7 +32,6 @@ mkdir -p "${OUT_DIR}"
 
 echo "== query_throughput =="
 "${BENCH_DIR}/query_throughput" --rows=2000 --cells=200 --aggregates=10 \
-  --shards=1,2,4 \
   --json="${OUT_DIR}/BENCH_query_throughput.json"
 
 echo
@@ -47,7 +46,6 @@ echo "== build_scaling =="
 # the exact O(N*M^2) accumulation; rand_build_speedup is gated >= 2x
 # there).
 "${BENCH_DIR}/build_scaling" --rows=4000 --cols=128 --threads=1,2 \
-  --shards=1,2,4 \
   --rand_rows=200000 --rand_cols=366 \
   --json="${OUT_DIR}/BENCH_build_scaling.json"
 

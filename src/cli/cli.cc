@@ -1,5 +1,6 @@
 #include "cli/cli.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -8,11 +9,11 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <thread>
 
 #include "core/disk_backed.h"
 #include "core/metrics.h"
-#include "core/sharded_store.h"
 #include "core/query.h"
 #include "core/svd_compressor.h"
 #include "core/svdd_compressor.h"
@@ -23,7 +24,6 @@
 #include "obs/snapshot.h"
 #include "obs/trace.h"
 #include "query/executor.h"
-#include "query/shard_router.h"
 #include "server/server.h"
 #include "storage/io_backend.h"
 #include "storage/quant.h"
@@ -46,21 +46,15 @@ commands:
              --out=FILE          (.csv for text, anything else binary)
   compress   --input=FILE --out=MODEL --space=PCT [--method=svdd|svd]
              [--b=8|4] [--quant=f64|f32|int16|int8] [--no-bloom]
-             [--max-candidates=K] [--threads=N] [--shards=S]
+             [--max-candidates=K] [--threads=N]
              [--build=exact|randomized] [--seed=S] [--oversample=P]
              [--power-iters=Q]
              (--max-candidates evaluates K evenly spaced k instead of
               every k in 1..k_max, the k_opt search ablation; 0 = all.
               --quant defaults to $TSC_QUANT; quantizes the U row store.
-              --shards=S runs S independent per-shard builds in parallel
-              and writes a TSCSHARD1 manifest; --quant then accepts a
-              comma list, one scheme per shard — hot f32 / cold int8.
               --build=randomized swaps pass 1 for the streaming sketch
               PCA — O(M*(k+p)) memory at any N, deterministic per --seed;
               binary inputs stream off disk without loading the matrix)
-  reshard    --model=SVDD --out=MANIFEST --shards=S [--partition=range|hash]
-             (split one svdd model into S shard models that reconstruct
-              bit-identically, plus a TSCSHARD1 manifest)
   info       --model=MODEL
   query      --model=MODEL (--q="avg rows=0:9 cols=1,3:5" | --cell=i,j)
              [--threads=N]
@@ -95,9 +89,6 @@ commands:
                           (the K slowest requests on a running server,
                            with per-request cost vectors)
   help
-
-  every --model flag also accepts a TSCSHARD1 manifest: queries scatter
-  across the shards and merge deterministically (sql/query/stats/serve).
 
 global flags (any command):
   --metrics-out=FILE   write a JSON metric snapshot on exit
@@ -139,27 +130,10 @@ struct LoadedModel {
   std::size_t k = 0;
   std::size_t delta_count = 0;
   bool has_bloom = false;
-  std::size_t shard_count = 0;  ///< > 0 only for kind == "sharded"
 };
 
 StatusOr<LoadedModel> LoadModel(const std::string& path) {
   LoadedModel loaded;
-  // Sharded manifests dispatch on the TSCSHARD1 magic before either
-  // model reader touches the file.
-  if (ShardManifest::IsManifestFile(path)) {
-    auto sharded = ShardedStore::LoadFromManifest(path);
-    if (!sharded.ok()) return sharded.status();
-    loaded.kind = "sharded";
-    loaded.shard_count = sharded->shard_count();
-    for (std::size_t shard = 0; shard < sharded->shard_count(); ++shard) {
-      const SvddModel& model = sharded->shard_model(shard);
-      loaded.k = std::max(loaded.k, model.k());
-      loaded.delta_count += model.delta_count();
-      loaded.has_bloom = loaded.has_bloom || model.has_bloom_filter();
-    }
-    loaded.store = std::make_unique<ShardedStore>(std::move(*sharded));
-    return loaded;
-  }
   // Try SVDD first (its magic differs, so the wrong reader fails fast).
   if (auto svdd = SvddModel::LoadFromFile(path); svdd.ok()) {
     loaded.kind = "svdd";
@@ -239,32 +213,11 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
   const std::size_t threads =
       static_cast<std::size_t>(flags.GetInt("threads", 1));
   // --quant wins; otherwise TSC_QUANT; otherwise the exact f64 store.
-  // With --shards a comma list deals one scheme per shard.
   QuantScheme quant = QuantSchemeFromEnv();
-  std::vector<QuantScheme> quant_list;
   if (flags.Has("quant")) {
-    const std::string spec = flags.GetString("quant", "f64");
-    std::size_t start = 0;
-    while (start <= spec.size()) {
-      const std::size_t comma = spec.find(',', start);
-      const std::string token =
-          spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                        : comma - start);
-      auto parsed = ParseQuantScheme(token);
-      if (!parsed.ok()) return Fail(err, parsed.status());
-      quant_list.push_back(*parsed);
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    quant = quant_list.front();
-  }
-  const std::size_t shards =
-      static_cast<std::size_t>(flags.GetInt("shards", 1));
-  if (quant_list.size() > 1 && quant_list.size() != shards) {
-    return Fail(err, Status::InvalidArgument(
-                         "--quant lists one scheme per shard: got " +
-                         std::to_string(quant_list.size()) + " schemes for " +
-                         std::to_string(shards) + " shards"));
+    auto parsed = ParseQuantScheme(flags.GetString("quant", "f64"));
+    if (!parsed.ok()) return Fail(err, parsed.status());
+    quant = *parsed;
   }
   const std::string build_name = flags.GetString("build", "exact");
   if (build_name != "exact" && build_name != "randomized") {
@@ -284,17 +237,16 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
   const std::size_t power_iters =
       static_cast<std::size_t>(flags.GetInt("power-iters", 0));
 
-  // Single-store svdd builds stream binary row stores straight off the
-  // file: the build passes ARE the out-of-core algorithm, so compress
-  // never needs an N x M resident matrix (the whole point of the
-  // randomized engine at 10M rows). CSV inputs and the sharded/svd
-  // paths still load the dataset up front.
+  // svdd builds stream binary row stores straight off the file: the
+  // build passes ARE the out-of-core algorithm, so compress never needs
+  // an N x M resident matrix (the whole point of the randomized engine
+  // at 10M rows). CSV inputs and the svd path still load the dataset up
+  // front.
   std::optional<Dataset> dataset;
   std::optional<FileRowSource> file_source;
   std::optional<MatrixRowSource> matrix_source;
   RowSource* source = nullptr;
-  const bool stream_input =
-      method == "svdd" && shards == 1 && !EndsWith(input, ".csv");
+  const bool stream_input = method == "svdd" && !EndsWith(input, ".csv");
   if (stream_input) {
     auto reader = RowStoreReader::Open(input);
     if (!reader.ok()) return Fail(err, reader.status());
@@ -309,49 +261,6 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
   }
   Timer timer;
 
-  if (method == "svdd" && shards > 1) {
-    ShardedBuildOptions options;
-    options.base.space_percent = space;
-    options.base.bytes_per_value = b;
-    if (b == 4) options.base.delta_bytes = 12;
-    options.base.quant = quant;
-    options.base.build_bloom_filter = !flags.GetBool("no-bloom", false);
-    options.base.max_candidates =
-        static_cast<std::size_t>(flags.GetInt("max-candidates", 0));
-    options.base.engine = randomized ? SvddBuildEngine::kRandomized
-                                     : SvddBuildEngine::kExact;
-    options.base.sketch_seed = sketch_seed;
-    options.base.sketch_oversample = oversample;
-    options.base.power_iterations = power_iters;
-    options.shard_count = shards;
-    options.num_threads = threads;
-    if (quant_list.size() > 1) options.per_shard_quant = quant_list;
-    ShardedBuildDiagnostics diag;
-    auto store = BuildShardedStore(dataset->values, options, &diag);
-    if (!store.ok()) return Fail(err, store.status());
-    const Status save = store->SaveToFiles(model_path);
-    if (!save.ok()) return Fail(err, save);
-    out << "sharded svdd model: " << shards << " shards, "
-        << TablePrinter::Percent(store->SpacePercent(b)) << " of original, "
-        << TablePrinter::Num(timer.ElapsedSeconds(), 3)
-        << "s wall (threads=" << threads << ")\n";
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      const SvddModel& model = store->shard_model(shard);
-      out << "  shard " << shard << ": rows="
-          << store->layout().RowsIn(shard) << " k_opt="
-          << diag.shards[shard].k_opt << " deltas=" << model.delta_count()
-          << " quant=" << QuantSchemeName(model.svd().quant_scheme())
-          << " build=" << TablePrinter::Num(diag.shard_seconds[shard], 3)
-          << "s\n";
-    }
-    out << "manifest written to " << model_path << " (+" << shards
-        << " shard files)\n";
-    return 0;
-  }
-  if (shards > 1) {
-    return Fail(err,
-                Status::InvalidArgument("--shards needs --method=svdd"));
-  }
   if (method == "svdd") {
     SvddBuildOptions options;
     options.space_percent = space;
@@ -422,45 +331,6 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
   return 0;
 }
 
-/// Splits one svdd model file into a TSCSHARD1 manifest + S shard
-/// models that reconstruct every cell bit-identically (SplitSvddModel):
-/// U rows are dealt to shards, V and the eigenvalues replicated, deltas
-/// re-keyed, Bloom filters rebuilt per shard.
-int CmdReshard(const FlagParser& flags, std::ostream& out,
-               std::ostream& err) {
-  const std::string in_path = flags.GetString("model", "");
-  const std::string out_path = flags.GetString("out", "");
-  if (in_path.empty() || out_path.empty()) {
-    return Fail(err, Status::InvalidArgument("--model and --out required"));
-  }
-  const std::size_t shards =
-      static_cast<std::size_t>(flags.GetInt("shards", 2));
-  const std::string partition_name =
-      flags.GetString("partition", "range");
-  ShardPartition partition;
-  if (partition_name == "range") {
-    partition = ShardPartition::kRange;
-  } else if (partition_name == "hash") {
-    partition = ShardPartition::kHash;
-  } else {
-    return Fail(err, Status::InvalidArgument(
-                         "--partition must be range or hash, got " +
-                         partition_name));
-  }
-  auto model = SvddModel::LoadFromFile(in_path);
-  if (!model.ok()) return Fail(err, model.status());
-  auto layout = ShardLayout::Make(partition, model->rows(), shards);
-  if (!layout.ok()) return Fail(err, layout.status());
-  auto store = SplitSvddModel(*model, *layout);
-  if (!store.ok()) return Fail(err, store.status());
-  const Status save = store->SaveToFiles(out_path);
-  if (!save.ok()) return Fail(err, save);
-  out << "resharded " << model->rows() << " rows into " << shards << " "
-      << partition_name << " shards; manifest written to " << out_path
-      << "\n";
-  return 0;
-}
-
 int CmdInfo(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   auto loaded = LoadModel(flags.GetString("model", ""));
   if (!loaded.ok()) return Fail(err, loaded.status());
@@ -472,20 +342,6 @@ int CmdInfo(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   if (loaded->kind == "svdd") {
     out << "deltas:      " << loaded->delta_count << "\n"
         << "bloom:       " << (loaded->has_bloom ? "yes" : "no") << "\n";
-  }
-  if (loaded->kind == "sharded") {
-    const auto& sharded =
-        *static_cast<const ShardedStore*>(loaded->store.get());
-    out << "shards:      " << loaded->shard_count << " ("
-        << ShardPartitionName(sharded.layout().partition) << ")\n"
-        << "deltas:      " << loaded->delta_count << "\n";
-    for (std::size_t shard = 0; shard < sharded.shard_count(); ++shard) {
-      const SvddModel& model = sharded.shard_model(shard);
-      out << "  shard " << shard << ":   rows="
-          << sharded.layout().RowsIn(shard) << " k=" << model.k()
-          << " deltas=" << model.delta_count() << " quant="
-          << QuantSchemeName(model.svd().quant_scheme()) << "\n";
-    }
   }
   out << "bytes:       " << store.CompressedBytes() << "\n"
       << "space:       " << TablePrinter::Percent(store.SpacePercent())
@@ -553,20 +409,10 @@ int CmdSql(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   // --no-rollup falls back to the flat compressed-domain identity (the
   // pre-hierarchy strategy); TSC_NO_ROLLUP=1 does the same per-process.
   const bool enable_rollup = !flags.GetBool("no-rollup", false);
-  // SVDD models get the compressed-domain fast path; sharded manifests
-  // scatter-gather it across shards through a ShardRouter.
-  const SvddModel* svdd =
-      loaded->kind == "svdd"
-          ? static_cast<const SvddModel*>(loaded->store.get())
-          : nullptr;
-  std::optional<ShardRouter> router;
+  // SVDD models get the compressed-domain fast path.
   std::optional<QueryExecutor> executor_storage;
-  if (loaded->kind == "sharded") {
-    auto* sharded = static_cast<ShardedStore*>(loaded->store.get());
-    if (threads > 1) sharded->EnableParallelFanOut(threads);
-    router.emplace(sharded, enable_rollup);
-    executor_storage.emplace(&*router, threads);
-  } else if (svdd != nullptr) {
+  if (loaded->kind == "svdd") {
+    const auto* svdd = static_cast<const SvddModel*>(loaded->store.get());
     executor_storage.emplace(svdd, threads, enable_rollup);
   } else {
     executor_storage.emplace(loaded->store.get(), threads);
@@ -745,7 +591,7 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
 
   auto loaded = LoadModel(flags.GetString("model", ""));
   if (!loaded.ok()) return Fail(err, loaded.status());
-  if (loaded->kind != "svdd" && loaded->kind != "sharded") {
+  if (loaded->kind != "svdd") {
     return Fail(err, Status::InvalidArgument(
                          "stats needs an svdd model (disk layout)"));
   }
@@ -763,81 +609,6 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     auto kind = ParseIoBackendName(backend);
     if (!kind.ok()) return Fail(err, kind.status());
     disk_options.io_backend = *kind;
-  }
-
-  // Sharded manifests run the same workload against per-shard disk
-  // layouts: the total cache budget is split evenly across the shards'
-  // BlockCache sets, cell probes route through the layout, and the SQL
-  // aggregates scatter-gather through a ShardRouter.
-  if (loaded->kind == "sharded") {
-    auto* sharded = static_cast<ShardedStore*>(loaded->store.get());
-    const std::size_t shard_count = sharded->shard_count();
-    DiskBackedOptions shard_options = disk_options;
-    shard_options.cache_blocks =
-        std::max<std::size_t>(1, cache_blocks / shard_count);
-    obs::MetricRegistry::Default().ResetAll();
-    auto bundle = OpenShardedDiskBundle(
-        *sharded, flags.GetString("model", "") + ".stats_shard",
-        shard_options);
-    if (!bundle.ok()) return Fail(err, bundle.status());
-    sharded->AttachBackends(bundle->ViewPointers());
-
-    Rng rng(seed);
-    const ZipfSampler rows(sharded->rows(), zipf_s);
-    Timer timer;
-    for (std::size_t q = 0; q < queries; ++q) {
-      const std::size_t i = rows.Sample(&rng) - 1;
-      const std::size_t j =
-          static_cast<std::size_t>(rng.UniformUint64(sharded->cols()));
-      (void)sharded->ReconstructCell(i, j);
-    }
-    const double cell_seconds = timer.ElapsedSeconds();
-
-    const ShardRouter router(sharded);
-    const QueryExecutor executor(&router);
-    const std::size_t last_row = sharded->rows() - 1;
-    const std::vector<std::string> sql = {
-        "SELECT sum(value)",
-        "SELECT avg(value) WHERE row IN 0:" + std::to_string(last_row / 2),
-        "SELECT max(value) WHERE row IN 0:" +
-            std::to_string(std::min<std::size_t>(last_row, 9)),
-    };
-    for (const std::string& text : sql) {
-      auto result = executor.Execute(text);
-      if (!result.ok()) return Fail(err, result.status());
-    }
-
-    std::uint64_t hits = 0;
-    std::uint64_t misses_blocks = 0;
-    std::uint64_t u_bytes = 0;
-    for (const DiskBackedStore& shard_store : bundle->stores) {
-      hits += shard_store.cache_hits();
-      misses_blocks += shard_store.disk_accesses();
-      u_bytes += shard_store.u_file_bytes();
-    }
-    const std::uint64_t total_reads = hits + misses_blocks;
-    out << "serving workload: " << queries << " cell queries ("
-        << "zipf s=" << TablePrinter::Num(zipf_s) << "), " << sql.size()
-        << " sql queries, " << shard_count << " shards x "
-        << shard_options.cache_blocks << " cache blocks\n";
-    out << "footprint:        " << sharded->CompressedBytes()
-        << " bytes compressed (" << u_bytes << " bytes on-disk U)\n";
-    out << "cell latency:     "
-        << TablePrinter::Num(1e6 * cell_seconds /
-                             static_cast<double>(queries == 0 ? 1 : queries))
-        << " us/query\n";
-    out << "disk accesses:    " << misses_blocks << "\n";
-    out << "cache hit rate:   "
-        << TablePrinter::Percent(total_reads == 0
-                                     ? 0.0
-                                     : 100.0 * static_cast<double>(hits) /
-                                           static_cast<double>(total_reads))
-        << "\n";
-    const obs::StatsSnapshot snapshot = obs::TakeSnapshot();
-    if (!snapshot.empty()) out << "\n" << snapshot.ToTable();
-    sharded->AttachBackends({});
-    bundle->RemoveFiles();
-    return 0;
   }
 
   const SvddModel& model =
@@ -1010,27 +781,21 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       loaded->kind == "svdd"
           ? static_cast<const SvddModel*>(loaded->store.get())
           : nullptr;
-  ShardedStore* sharded =
-      loaded->kind == "sharded"
-          ? static_cast<ShardedStore*>(loaded->store.get())
-          : nullptr;
   const std::size_t cache_blocks =
       static_cast<std::size_t>(flags.GetInt("cache-blocks", 0));
 
   std::optional<DiskBackedStore> disk_store;
   std::optional<DiskBackedStoreView> disk_view;
-  std::optional<ShardedDiskBundle> shard_bundle;
-  std::optional<ShardRouter> router;
   std::optional<QueryExecutor> executor;
   const CompressedStore* store = loaded->store.get();
   std::string u_path;
   std::string sidecar_path;
-  DiskBackedOptions disk_options;
   if (cache_blocks > 0) {
-    if (svdd == nullptr && sharded == nullptr) {
+    if (svdd == nullptr) {
       return Fail(err, Status::InvalidArgument(
                            "--cache-blocks needs an svdd model"));
     }
+    DiskBackedOptions disk_options;
     disk_options.cache_blocks = cache_blocks;
     if (const std::string backend = flags.GetString("io-backend", "");
         !backend.empty()) {
@@ -1038,27 +803,6 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       if (!kind.ok()) return Fail(err, kind.status());
       disk_options.io_backend = *kind;
     }
-  }
-  if (sharded != nullptr) {
-    // One shared router serves every connection: per-shard hierarchies
-    // for the /api/v1/data bucket reductions, scatter-gather for SQL.
-    if (cache_blocks > 0) {
-      DiskBackedOptions shard_options = disk_options;
-      shard_options.cache_blocks = std::max<std::size_t>(
-          1, cache_blocks / sharded->shard_count());
-      auto bundle = OpenShardedDiskBundle(
-          *sharded, flags.GetString("model", "") + ".serve_shard",
-          shard_options);
-      if (!bundle.ok()) return Fail(err, bundle.status());
-      shard_bundle.emplace(std::move(*bundle));
-      sharded->AttachBackends(shard_bundle->ViewPointers());
-      out << "serving " << sharded->shard_count()
-          << " shards from disk layouts (" << shard_options.cache_blocks
-          << "-block cache each)\n";
-    }
-    router.emplace(sharded, !flags.GetBool("no-rollup", false));
-    executor.emplace(&*router, 1);
-  } else if (cache_blocks > 0) {
     u_path = flags.GetString("model", "") + ".serve_u";
     sidecar_path = flags.GetString("model", "") + ".serve_sidecar";
     Status status = ExportSvddToDisk(*svdd, u_path, sidecar_path);
@@ -1114,10 +858,6 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     std::remove(u_path.c_str());
     std::remove(sidecar_path.c_str());
   }
-  if (shard_bundle.has_value()) {
-    sharded->AttachBackends({});
-    shard_bundle->RemoveFiles();
-  }
   return status.ok() ? 0 : Fail(err, status);
 }
 
@@ -1145,6 +885,41 @@ int CmdSlowlog(const FlagParser& flags, std::ostream& out,
   return 0;
 }
 
+/// A command and the flags it accepts, besides the global ones.
+struct Command {
+  std::string_view name;
+  int (*run)(const FlagParser&, std::ostream&, std::ostream&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command> kCommands = {
+    {"generate", CmdGenerate, {"kind", "out", "rows", "cols", "seed", "rank"}},
+    {"compress",
+     CmdCompress,
+     {"input", "out", "space", "method", "b", "quant", "no-bloom",
+      "max-candidates", "threads", "build", "seed", "oversample",
+      "power-iters"}},
+    {"info", CmdInfo, {"model"}},
+    {"query", CmdQuery, {"model", "q", "cell", "threads"}},
+    {"sql",
+     CmdSql,
+     {"model", "query", "explain", "analyze", "threads", "no-rollup"}},
+    {"topk", CmdTopK, {"model", "count", "cols"}},
+    {"similar", CmdSimilar, {"model", "row", "count"}},
+    {"evaluate", CmdEvaluate, {"model", "input"}},
+    {"reconstruct", CmdReconstruct, {"model", "out", "rows"}},
+    {"stats",
+     CmdStats,
+     {"model", "queries", "cache-blocks", "zipf", "seed", "io-backend", "port",
+      "host"}},
+    {"serve",
+     CmdServe,
+     {"model", "port", "bind", "max-concurrent", "queue", "timeout-ms",
+      "duration-s", "cache-blocks", "io-backend", "keys", "slowlog",
+      "slo-budget-ms", "slo-window-s", "no-rollup"}},
+    {"slowlog", CmdSlowlog, {"port", "host", "format"}},
+};
+
 }  // namespace
 
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
@@ -1154,49 +929,33 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     return args.empty() ? 1 : 0;
   }
   const std::string& command = args[0];
+  const auto entry = std::find_if(
+      kCommands.begin(), kCommands.end(),
+      [&command](const Command& c) { return command == c.name; });
+  if (entry == kCommands.end()) {
+    err << "error: unknown command '" << command << "'\n" << kUsage;
+    return 1;
+  }
   const FlagParser flags(
       MakeFlags(std::vector<std::string>(args.begin() + 1, args.end())));
+  // A misspelled or retired flag would otherwise be ignored, and the
+  // command would run with the default in its place.
+  for (const std::string& name : flags.names()) {
+    if (name == "metrics-out" || name == "trace-out" ||
+        std::find(entry->flags.begin(), entry->flags.end(), name) !=
+            entry->flags.end()) {
+      continue;
+    }
+    return Fail(err, Status::InvalidArgument("unknown flag --" + name +
+                                             " for " + command));
+  }
 
   // Global observability flags, honored by every command.
   const std::string metrics_out = flags.GetString("metrics-out", "");
   const std::string trace_out = flags.GetString("trace-out", "");
   if (!trace_out.empty()) obs::TraceRecorder::Default().Enable();
 
-  int code = 1;
-  bool known = true;
-  if (command == "generate") {
-    code = CmdGenerate(flags, out, err);
-  } else if (command == "compress") {
-    code = CmdCompress(flags, out, err);
-  } else if (command == "reshard") {
-    code = CmdReshard(flags, out, err);
-  } else if (command == "info") {
-    code = CmdInfo(flags, out, err);
-  } else if (command == "query") {
-    code = CmdQuery(flags, out, err);
-  } else if (command == "sql") {
-    code = CmdSql(flags, out, err);
-  } else if (command == "topk") {
-    code = CmdTopK(flags, out, err);
-  } else if (command == "similar") {
-    code = CmdSimilar(flags, out, err);
-  } else if (command == "evaluate") {
-    code = CmdEvaluate(flags, out, err);
-  } else if (command == "reconstruct") {
-    code = CmdReconstruct(flags, out, err);
-  } else if (command == "stats") {
-    code = CmdStats(flags, out, err);
-  } else if (command == "serve") {
-    code = CmdServe(flags, out, err);
-  } else if (command == "slowlog") {
-    code = CmdSlowlog(flags, out, err);
-  } else {
-    known = false;
-  }
-  if (!known) {
-    err << "error: unknown command '" << command << "'\n" << kUsage;
-    return 1;
-  }
+  const int code = entry->run(flags, out, err);
 
   if (!trace_out.empty()) {
     obs::TraceRecorder::Default().Disable();

@@ -192,9 +192,8 @@ StatusOr<SvdModel> SvdModel::Deserialize(BinaryReader* reader) {
 }
 
 Status SvdModel::SaveToFile(const std::string& path) const {
-  TSC_ASSIGN_OR_RETURN(BinaryWriter writer, BinaryWriter::Open(path));
-  TSC_RETURN_IF_ERROR(Serialize(&writer));
-  return writer.FinishWithChecksum();
+  return WriteFileAtomically(
+      path, [this](BinaryWriter* writer) { return Serialize(writer); });
 }
 
 StatusOr<SvdModel> SvdModel::LoadFromFile(const std::string& path) {

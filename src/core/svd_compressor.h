@@ -100,15 +100,10 @@ class SvdModel : public CompressedStore {
   /// The U coefficient encoding ExportSvddToDisk will write.
   QuantScheme quant_scheme() const { return quant_scheme_; }
 
-  /// Records the scheme WITHOUT re-snapping U. For models whose U is
-  /// already quantization-snapped (deserialized files, shard splits of a
-  /// snapped model): decode(encode(x)) is not provably a fixed point in
-  /// floating point, so re-running ApplyQuantization could perturb
-  /// already-snapped values; this setter keeps them bit-identical.
-  void MarkQuantScheme(QuantScheme scheme) { quant_scheme_ = scheme; }
-
   Status Serialize(BinaryWriter* writer) const;
   static StatusOr<SvdModel> Deserialize(BinaryReader* reader);
+  /// Atomic: a failed save leaves any previous file at `path` as it was
+  /// (WriteFileAtomically).
   Status SaveToFile(const std::string& path) const;
   static StatusOr<SvdModel> LoadFromFile(const std::string& path);
 

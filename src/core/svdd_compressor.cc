@@ -44,7 +44,10 @@ struct CellErr {
 
 struct Outlier {
   CellErr key;
-  double value;  ///< x_ij minus its reconstruction: the delta to store
+  /// x_ij minus its reconstruction: the delta to store. A build whose
+  /// factors are quantized after pass 3 keeps x_ij itself instead and
+  /// derives the delta from the quantized model.
+  double value;
 };
 
 struct OutlierDescending {
@@ -95,26 +98,24 @@ class RowErrors {
         singular_values_(&singular_values),
         quant_(quant),
         projection_(vt.rows()),
+        coeffs_(quant == QuantScheme::kF64 ? 0 : vt.rows()),
         recon_(vt.cols()),
         err2_(vt.cols()) {}
 
   /// Projects `row` onto the leading k components and restarts the
-  /// reconstruction at rank 0. A quantized build previews the U row this
-  /// sequence will get (u_ip = projection_p / lambda_p, snapped at k_max)
-  /// and folds it back, so the errors — and hence the outliers — rank
-  /// cells by their combined truncation + quantization damage. The snap
-  /// reads every component, so it projects all k_max.
+  /// reconstruction at rank 0. A quantized build keeps the U row this
+  /// sequence will get (u_ip = projection_p / lambda_p) and previews its
+  /// quantized image at each rank (SnapPrefix), so the errors — and hence
+  /// the outliers — rank cells by their combined truncation +
+  /// quantization damage.
   void Start(std::span<const double> row, std::size_t k) {
     const std::size_t m = vt_->cols();
-    if (quant_ != QuantScheme::kF64) k = vt_->rows();
     for (std::size_t p = 0; p < k; ++p) {
       projection_[p] = kernels::Dot(row.data(), vt_->Row(p).data(), m);
     }
     if (quant_ != QuantScheme::kF64) {
       const std::vector<double>& sv = *singular_values_;
-      for (std::size_t p = 0; p < k; ++p) projection_[p] /= sv[p];
-      SnapQuantRow(quant_, projection_);
-      for (std::size_t p = 0; p < k; ++p) projection_[p] *= sv[p];
+      for (std::size_t p = 0; p < k; ++p) coeffs_[p] = projection_[p] / sv[p];
     }
     std::fill(recon_.begin(), recon_.end(), 0.0);
     rank_ = 0;
@@ -125,6 +126,7 @@ class RowErrors {
   /// fills err2(). With `sse`, also adds each err2 to lane j % 4 of it.
   void Advance(std::span<const double> row, std::size_t k, LaneSum* sse) {
     const std::size_t m = vt_->cols();
+    if (quant_ != QuantScheme::kF64) SnapPrefix(k);
     for (; rank_ < k; ++rank_) {
       kernels::Axpy(projection_[rank_], vt_->Row(rank_).data(),
                     recon_.data(), m);
@@ -149,13 +151,49 @@ class RowErrors {
   std::span<const double> recon() const { return recon_; }
 
  private:
+  /// Sets projection_[0..k) to the snapped U prefix u[0..k) times lambda:
+  /// ApplyQuantization snaps a row's k_opt coefficients, so the integer
+  /// schemes' affine map spans the prefix's min and max. While a longer
+  /// prefix leaves both unchanged, the coefficients already folded into
+  /// recon_ keep their snapped values and only the new ones are snapped;
+  /// otherwise the reconstruction restarts at rank 0 under the new map.
+  /// Either way recon_ holds the bits of a from-scratch sum in p order.
+  void SnapPrefix(std::size_t k) {
+    if (rank_ == k) return;
+    const std::span<const double> prefix(coeffs_.data(), k);
+    if (rank_ == 0) lo_ = hi_ = prefix[0];
+    bool grew = false;
+    for (std::size_t p = rank_; p < k; ++p) {
+      if (prefix[p] < lo_ || prefix[p] > hi_) {
+        lo_ = std::min(lo_, prefix[p]);
+        hi_ = std::max(hi_, prefix[p]);
+        grew = true;
+      }
+    }
+    if (rank_ == 0 || (grew && quant_ != QuantScheme::kF32)) {
+      meta_ = ComputeQuantRowMeta(quant_, prefix);
+      if (rank_ > 0) {
+        std::fill(recon_.begin(), recon_.end(), 0.0);
+        rank_ = 0;
+      }
+    }
+    const std::vector<double>& sv = *singular_values_;
+    for (std::size_t p = rank_; p < k; ++p) {
+      projection_[p] = SnapQuantValue(quant_, meta_, prefix[p]) * sv[p];
+    }
+  }
+
   const Matrix* vt_;
   const std::vector<double>* singular_values_;
   QuantScheme quant_;
   std::vector<double> projection_;
+  std::vector<double> coeffs_;  ///< unsnapped U row (quantized builds)
   std::vector<double> recon_;
   std::vector<double> err2_;
   std::size_t rank_ = 0;
+  double lo_ = 0.0;  ///< min and max of coeffs_[0..rank_)
+  double hi_ = 0.0;
+  QuantRowMeta meta_;  ///< the snap map of the current prefix
 };
 
 /// A candidate k whose epsilon_k bracket leaves it a chance to be k_opt;
@@ -272,88 +310,6 @@ void SvddModel::ReconstructCells(std::span<const CellRef> cells,
   }
 }
 
-namespace {
-
-// Flat per-model view: the fused loops below run the single-store
-// probe path verbatim, with the model resolved by one data-dependent
-// load (no branch to mispredict, no virtual call). The view table is
-// a handful of cache lines for realistic shard counts.
-struct FusedModelView {
-  const double* u;           // row-major, rows x k
-  const double* weighted_v;  // row-major, cols x k
-  std::size_t k;
-  std::size_t cols;
-  const BloomFilter* bloom;  // nullptr when the model has none
-  const DeltaTable* deltas;
-};
-
-std::vector<FusedModelView>& FusedViews(
-    std::span<const SvddModel* const> models) {
-  thread_local std::vector<FusedModelView> views;
-  views.resize(models.size());
-  for (std::size_t s = 0; s < models.size(); ++s) {
-    const SvddModel& m = *models[s];
-    views[s] = FusedModelView{m.svd().u().Row(0).data(),
-                              m.svd().weighted_v().Row(0).data(),
-                              m.svd().k(),
-                              m.cols(),
-                              m.has_bloom_filter() ? &m.bloom_filter() : nullptr,
-                              &m.deltas()};
-  }
-  return views;
-}
-
-inline double FusedReconstructCell(const FusedModelView& v, std::size_t row,
-                                   std::size_t col) {
-  double value =
-      kernels::Dot(v.u + row * v.k, v.weighted_v + col * v.k, v.k);
-  const std::uint64_t key = DeltaTable::CellKey(row, col, v.cols);
-  if (v.bloom == nullptr || v.bloom->MightContain(key)) {
-    const std::optional<double> delta = v.deltas->Get(key);
-    if (delta.has_value()) {
-      value += *delta;
-    } else if (v.bloom != nullptr) {
-      CountBloomFalsePositive();
-    }
-  }
-  return value;
-}
-
-}  // namespace
-
-void SvddModel::ReconstructCellsMulti(
-    std::span<const SvddModel* const> models,
-    std::span<const std::uint32_t> owner, std::span<const CellRef> cells,
-    std::span<double> out) {
-  const std::vector<FusedModelView>& views = FusedViews(models);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    out[i] = FusedReconstructCell(views[owner[i]], cells[i].row,
-                                  cells[i].col);
-  }
-}
-
-std::uint64_t SvddModel::ReconstructCellsRange(
-    std::span<const SvddModel* const> models,
-    std::span<const std::size_t> range_begin,
-    std::span<const CellRef> cells, std::span<double> out) {
-  const std::vector<FusedModelView>& views = FusedViews(models);
-  const std::size_t* rb = range_begin.data();
-  const std::size_t shard_count = models.size();
-  std::uint64_t hit = 0;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const std::size_t row = cells[i].row;
-    // Branchless owner scan: random rows mispredict a binary search,
-    // and at a few nanoseconds per cell that is the whole budget.
-    std::size_t s = 0;
-    for (std::size_t t = 1; t < shard_count; ++t) {
-      s += static_cast<std::size_t>(row >= rb[t]);
-    }
-    hit |= std::uint64_t{1} << (s & 63);
-    out[i] = FusedReconstructCell(views[s], row - rb[s], cells[i].col);
-  }
-  return hit;
-}
-
 void SvddModel::ReconstructRegion(std::span<const std::size_t> row_ids,
                                   std::span<const std::size_t> col_ids,
                                   Matrix* out) const {
@@ -460,9 +416,8 @@ StatusOr<SvddModel> SvddModel::Deserialize(BinaryReader* reader) {
 }
 
 Status SvddModel::SaveToFile(const std::string& path) const {
-  TSC_ASSIGN_OR_RETURN(BinaryWriter writer, BinaryWriter::Open(path));
-  TSC_RETURN_IF_ERROR(Serialize(&writer));
-  return writer.FinishWithChecksum();
+  return WriteFileAtomically(
+      path, [this](BinaryWriter* writer) { return Serialize(writer); });
 }
 
 StatusOr<SvddModel> SvddModel::LoadFromFile(const std::string& path) {
@@ -744,6 +699,8 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   // contender remains, and its cells are the only entries kept.
   // ---------------------------------------------------------------------
   phase.emplace("svdd.pass3");
+  const bool requantize =
+      options.bytes_per_value == 4 || options.quant != QuantScheme::kF64;
   std::size_t max_contender_k = 0;
   bool collect = false;
   for (Contender& c : contenders) {
@@ -778,7 +735,7 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
                 if (err2[j] < cutoff) continue;
                 c.found[si].push_back(
                     Outlier{CellErr{err2[j], DeltaTable::CellKey(i, j, m)},
-                            row[j] - recon[j]});
+                            requantize ? row[j] : row[j] - recon[j]});
                 ++c.offered[si];
               }
             }
@@ -846,15 +803,10 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
 
   DeltaTable deltas(entries.size());
   deltas.set_entry_bytes(options.delta_bytes);
-  if (options.bytes_per_value == 4 || options.quant != QuantScheme::kF64) {
-    // Quantize the factors first, then re-derive each stored delta
-    // against the QUANTIZED reconstruction so outlier cells still
+  if (requantize) {
+    // Quantize the factors first, then derive each stored delta from the
+    // kept x_ij against the QUANTIZED reconstruction, so outlier cells
     // round-trip (up to float rounding of the delta itself).
-    for (auto& entry : entries) {
-      const std::size_t i = static_cast<std::size_t>(entry.key.cell / m);
-      const std::size_t j = static_cast<std::size_t>(entry.key.cell % m);
-      entry.value += svd.ReconstructCell(i, j);  // = original x_ij
-    }
     if (options.bytes_per_value == 4) svd.QuantizeToFloat();
     svd.ApplyQuantization(options.quant);  // snaps U rows at k_opt
     for (auto& entry : entries) {

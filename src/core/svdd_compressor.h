@@ -70,31 +70,6 @@ class SvddModel : public CompressedStore {
   const DeltaTable& deltas() const { return deltas_; }
   DeltaTable& mutable_deltas() { return deltas_; }
 
-  /// Fused multi-model cell loop for sharded serving: cell i is served
-  /// by models[owner[i]] at the (already shard-local) coordinates
-  /// cells[i], writing out[i]. One pass over the batch — the same
-  /// inlined dot + bloom/delta probe as the single-store path, with the
-  /// model chosen per cell through a flat view table instead of
-  /// grouping the batch per shard; small batches keep single-store
-  /// speed because there are no scatter/gather copies to amortize.
-  /// Every owner value must index models.
-  static void ReconstructCellsMulti(std::span<const SvddModel* const> models,
-                                    std::span<const std::uint32_t> owner,
-                                    std::span<const CellRef> cells,
-                                    std::span<double> out);
-
-  /// Range-partitioned variant of ReconstructCellsMulti: cells carry
-  /// GLOBAL rows, and range_begin holds the models.size() + 1 ascending
-  /// slice boundaries (model s owns rows [range_begin[s],
-  /// range_begin[s+1])). Owner selection, row localization and the
-  /// reconstruction run in one fused pass — the owner is a branchless
-  /// boundary scan, so nothing is precomputed per cell at all. Returns
-  /// a bitmask of the owners hit (owner & 63) for fan-out accounting.
-  static std::uint64_t ReconstructCellsRange(
-      std::span<const SvddModel* const> models,
-      std::span<const std::size_t> range_begin,
-      std::span<const CellRef> cells, std::span<double> out);
-
   /// Batched off-line appends: folds new sequences in via the frozen
   /// subspace (see SvdModel::FoldInRows). New rows get no deltas; patch
   /// their worst cells with PatchCell if needed. Attached delta
@@ -119,6 +94,8 @@ class SvddModel : public CompressedStore {
 
   Status Serialize(BinaryWriter* writer) const;
   static StatusOr<SvddModel> Deserialize(BinaryReader* reader);
+  /// Atomic: a failed save leaves any previous file at `path` as it was
+  /// (WriteFileAtomically).
   Status SaveToFile(const std::string& path) const;
   static StatusOr<SvddModel> LoadFromFile(const std::string& path);
 
@@ -165,7 +142,7 @@ struct SvddBuildOptions {
   std::size_t num_threads = 1;
   /// Pass-1 subspace engine. kExact reproduces the paper; kRandomized
   /// swaps pass 1 for the streaming sketch PCA, leaving passes 2/3, the
-  /// k_opt search, quantized-byte charging, and sharding unchanged.
+  /// k_opt search and quantized-byte charging unchanged.
   SvddBuildEngine engine = SvddBuildEngine::kExact;
   /// Randomized engine only: Gaussian sketch seed. Builds are
   /// bit-identical for a fixed seed at any thread count.

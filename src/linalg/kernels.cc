@@ -258,8 +258,7 @@ __attribute__((target("avx2,fma"))) void GemmNT(
     // The odd remainder row runs through the exact same per-cell
     // accumulation as the paired rows (duplicate-row tiles, scratch
     // second outputs): a row's bytes must not depend on its position in
-    // the call, or row-partitioned scatter-gather could never merge
-    // bit-identically with the unsharded product.
+    // the call.
     const double* a0 = a + i * lda;
     double* c0 = c + i * ldc;
     double scratch0;

@@ -21,8 +21,6 @@ QueryCostVector QueryContext::Costs() const {
   costs.rollup_hits = rollup_hits.load(std::memory_order_relaxed);
   costs.scan_fallbacks = scan_fallbacks.load(std::memory_order_relaxed);
   costs.agg_nodes_read = agg_nodes_read.load(std::memory_order_relaxed);
-  costs.shard_queries = shard_queries.load(std::memory_order_relaxed);
-  costs.shard_fanout = shard_fanout.load(std::memory_order_relaxed);
   return costs;
 }
 
@@ -32,8 +30,7 @@ std::string QueryCostVector::ToKvString() const {
                 "admission_wait_us=%llu cache_hits=%llu cache_misses=%llu "
                 "blocks_fetched=%llu io_bytes=%llu rows_scanned=%llu "
                 "delta_probes=%llu rollup_hits=%llu "
-                "scan_fallbacks=%llu agg_nodes_read=%llu shard_queries=%llu "
-                "shard_fanout=%llu",
+                "scan_fallbacks=%llu agg_nodes_read=%llu",
                 static_cast<unsigned long long>(admission_wait_us),
                 static_cast<unsigned long long>(cache_hits),
                 static_cast<unsigned long long>(cache_misses),
@@ -43,9 +40,7 @@ std::string QueryCostVector::ToKvString() const {
                 static_cast<unsigned long long>(delta_probes),
                 static_cast<unsigned long long>(rollup_hits),
                 static_cast<unsigned long long>(scan_fallbacks),
-                static_cast<unsigned long long>(agg_nodes_read),
-                static_cast<unsigned long long>(shard_queries),
-                static_cast<unsigned long long>(shard_fanout));
+                static_cast<unsigned long long>(agg_nodes_read));
   return buffer;
 }
 

@@ -19,9 +19,9 @@ namespace tsc::obs {
 // the per-request deltas equal the process-wide counter deltas.
 //
 // Cost fields are relaxed atomics because attribution legitimately crosses
-// threads — a query-scan pool shard or a shard fan-out worker charges work
-// to the context of the request that caused it — and relaxed increments on
-// a per-request struct are contention-free in practice.
+// threads — a query-scan pool shard charges work to the context of the
+// request that caused it — and relaxed increments on a per-request struct
+// are contention-free in practice.
 // ---------------------------------------------------------------------------
 
 /// Plain-value copy of one request's attributed costs, the paper's
@@ -37,8 +37,6 @@ struct QueryCostVector {
   std::uint64_t rollup_hits = 0;        ///< agg.rollup_hits delta
   std::uint64_t scan_fallbacks = 0;     ///< agg.scan_fallbacks delta
   std::uint64_t agg_nodes_read = 0;     ///< agg.nodes_read delta
-  std::uint64_t shard_queries = 0;      ///< shard.queries delta
-  std::uint64_t shard_fanout = 0;       ///< shard.fanout delta
 
   /// Compact `k=v k=v` form for the X-Query-Cost response header and
   /// the slow-query log's text rendering.
@@ -70,8 +68,6 @@ class QueryContext {
   std::atomic<std::uint64_t> rollup_hits{0};
   std::atomic<std::uint64_t> scan_fallbacks{0};
   std::atomic<std::uint64_t> agg_nodes_read{0};
-  std::atomic<std::uint64_t> shard_queries{0};
-  std::atomic<std::uint64_t> shard_fanout{0};
 
   /// Consistent-enough copy of the costs (relaxed loads; exact once the
   /// request's work has quiesced, which is when responses are built).
@@ -97,7 +93,7 @@ inline QueryContext* CurrentQueryContext() {
 }
 
 /// RAII install/restore of the thread's current context. Pass the parent
-/// thread's context into worker lambdas (pool shards, fan-out workers) to
+/// thread's context into worker lambdas (query-scan pool shards) to
 /// keep attribution flowing across thread hops:
 ///
 ///   QueryContext* parent = CurrentQueryContext();
@@ -176,15 +172,6 @@ inline void ChargeScanFallback() {
 }
 inline void ChargeAggNodesRead(std::uint64_t nodes) {
   detail::Charge(&QueryContext::agg_nodes_read, nodes);
-}
-/// Sharded scatter-gather accounting: one shard query per batched
-/// operation routed through a ShardedStore/ShardRouter, and the number
-/// of shards that operation actually fanned out to.
-inline void ChargeShardQuery() {
-  detail::Charge(&QueryContext::shard_queries, 1);
-}
-inline void ChargeShardFanout(std::uint64_t shards) {
-  detail::Charge(&QueryContext::shard_fanout, shards);
 }
 
 /// Process-unique 16-hex-digit trace id (SplitMix64 of a process-wide

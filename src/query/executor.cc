@@ -11,7 +11,6 @@
 #include "obs/query_context.h"
 #include "obs/trace.h"
 #include "query/parser.h"
-#include "query/shard_router.h"
 #include "storage/delta_table.h"
 #include "util/logging.h"
 #include "util/stats.h"
@@ -198,13 +197,8 @@ class ResultBuilder {
  public:
   ResultBuilder(const QueryPlan& plan, const SvddModel* svdd,
                 const AggregateHierarchy* rollup = nullptr,
-                RollupStats* stats = nullptr,
-                const ShardRouter* router = nullptr)
-      : plan_(plan),
-        svdd_(svdd),
-        rollup_(rollup),
-        stats_(stats),
-        router_(router) {}
+                RollupStats* stats = nullptr)
+      : plan_(plan), svdd_(svdd), rollup_(rollup), stats_(stats) {}
 
   /// Per-group cell count (for count/avg in the compressed domain).
   std::size_t GroupCells() const {
@@ -239,13 +233,12 @@ class ResultBuilder {
       result.strategy_summary += ExecutionStrategyName(strategy);
       if (strategy == ExecutionStrategy::kCompressedDomain ||
           strategy == ExecutionStrategy::kRollup) {
-        if (svdd_ == nullptr && router_ == nullptr) {
+        if (svdd_ == nullptr) {
           return Status::Internal(
               "compressed-domain plan without SVDD model");
         }
         if (strategy == ExecutionStrategy::kRollup) {
-          if (rollup_ == nullptr &&
-              (router_ == nullptr || !router_->rollup_enabled())) {
+          if (rollup_ == nullptr) {
             return Status::Internal("rollup plan without hierarchy");
           }
           ++result.rollup_aggregates;
@@ -254,21 +247,8 @@ class ResultBuilder {
         if (sums.empty() && fn != AggregateFn::kCount) {
           // Ungrouped totals resolve purely from hierarchy nodes; grouped
           // sums need the per-group factor math either way and use the
-          // hierarchy only for the range-indexed delta fold. A router
-          // runs the same two shapes scatter-gathered across shards.
-          if (router_ != nullptr) {
-            if (router_->rollup_enabled() &&
-                plan_.group_by == GroupBy::kNone) {
-              const std::vector<IdRange> row_runs =
-                  CoalesceIds(std::span<const std::size_t>(plan_.row_ids));
-              const std::vector<IdRange> col_runs =
-                  CoalesceIds(std::span<const std::size_t>(plan_.col_ids));
-              sums = {router_->RegionSum(row_runs, col_runs, stats_)};
-            } else {
-              sums = router_->GroupedSums(plan_.row_ids, plan_.col_ids,
-                                          plan_.group_by, stats_);
-            }
-          } else if (rollup_ != nullptr && plan_.group_by == GroupBy::kNone) {
+          // hierarchy only for the range-indexed delta fold.
+          if (rollup_ != nullptr && plan_.group_by == GroupBy::kNone) {
             const std::vector<IdRange> row_runs =
                 CoalesceIds(std::span<const std::size_t>(plan_.row_ids));
             const std::vector<IdRange> col_runs =
@@ -312,7 +292,6 @@ class ResultBuilder {
   const SvddModel* svdd_;
   const AggregateHierarchy* rollup_;
   RollupStats* stats_;
-  const ShardRouter* router_;
 };
 
 /// Batched, sharded scan for the row-reconstruction strategy. Selected
@@ -483,21 +462,10 @@ QueryExecutor::QueryExecutor(const SvddModel* model, std::size_t num_threads,
   }
 }
 
-QueryExecutor::QueryExecutor(const ShardRouter* router,
-                             std::size_t num_threads)
-    : store_(&router->store()), router_(router) {
-  TSC_CHECK(router != nullptr);
-  if (num_threads > 1) pool_ = std::make_shared<ThreadPool>(num_threads);
-}
-
 StatusOr<QueryPlan> QueryExecutor::Plan(const std::string& query_text) const {
   TSC_ASSIGN_OR_RETURN(const QueryAst ast, ParseQuery(query_text));
-  const std::size_t model_k = svdd_ != nullptr   ? svdd_->k()
-                              : router_ != nullptr ? router_->model_k()
-                                                   : 0;
-  return PlanQuery(ast, rows(), cols(), model_k,
-                   rollup_ != nullptr ||
-                       (router_ != nullptr && router_->rollup_enabled()));
+  const std::size_t model_k = svdd_ != nullptr ? svdd_->k() : 0;
+  return PlanQuery(ast, rows(), cols(), model_k, rollup_ != nullptr);
 }
 
 StatusOr<std::string> QueryExecutor::Explain(
@@ -518,14 +486,10 @@ StatusOr<QueryResult> QueryExecutor::Execute(
   const double parse_us = MicrosSince(parse_start);
 
   const auto plan_start = std::chrono::steady_clock::now();
-  const std::size_t model_k = svdd_ != nullptr   ? svdd_->k()
-                              : router_ != nullptr ? router_->model_k()
-                                                   : 0;
+  const std::size_t model_k = svdd_ != nullptr ? svdd_->k() : 0;
   TSC_ASSIGN_OR_RETURN(const QueryPlan plan,
                        PlanQuery(ast, rows(), cols(), model_k,
-                                 rollup_ != nullptr ||
-                                     (router_ != nullptr &&
-                                      router_->rollup_enabled())));
+                                 rollup_ != nullptr));
   const double plan_us = MicrosSince(plan_start);
 
   TSC_ASSIGN_OR_RETURN(QueryResult result, ExecutePlan(plan));
@@ -564,8 +528,7 @@ StatusOr<QueryResult> QueryExecutor::ExecutePlan(const QueryPlan& plan) const {
         ScanGroupsBatched(plan, *store_, pool_.get(), &rows_scanned);
   }
   RollupStats rollup_stats;
-  const ResultBuilder builder(plan, svdd_, rollup_.get(), &rollup_stats,
-                              router_);
+  const ResultBuilder builder(plan, svdd_, rollup_.get(), &rollup_stats);
   TSC_ASSIGN_OR_RETURN(QueryResult result,
                        builder.Build(group_stats, rows_scanned));
   result.rollup_nodes_read = rollup_stats.nodes_read;

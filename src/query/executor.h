@@ -16,7 +16,6 @@
 namespace tsc {
 
 class AggregateHierarchy;
-class ShardRouter;
 class ThreadPool;
 
 /// One executed query's results plus execution statistics. Without
@@ -81,12 +80,6 @@ class QueryExecutor {
   /// environment kill switch) restores the pre-hierarchy behavior.
   explicit QueryExecutor(const SvddModel* model, std::size_t num_threads = 1,
                          bool enable_rollup = true);
-  /// Sharded store behind a router: linear aggregates scatter-gather
-  /// across the shards' factors and per-shard hierarchies; scans run
-  /// through the ShardedStore's CompressedStore surface exactly like the
-  /// generic ctor. The router (and its store) must outlive the executor.
-  explicit QueryExecutor(const ShardRouter* router,
-                         std::size_t num_threads = 1);
 
   std::size_t rows() const { return store_->rows(); }
   std::size_t cols() const { return store_->cols(); }
@@ -94,10 +87,6 @@ class QueryExecutor {
   /// The aggregate hierarchy, or nullptr (generic store / disabled).
   /// Shared with the server data API's bucket reductions.
   const AggregateHierarchy* rollup() const { return rollup_.get(); }
-
-  /// The shard router, or nullptr (unsharded executor). The server data
-  /// API routes its bucket reductions through this when present.
-  const ShardRouter* router() const { return router_; }
 
   /// Parse + plan + execute in one call.
   StatusOr<QueryResult> Execute(const std::string& query_text) const;
@@ -113,7 +102,6 @@ class QueryExecutor {
 
   const CompressedStore* store_;
   const SvddModel* svdd_ = nullptr;  ///< non-null enables the fast path
-  const ShardRouter* router_ = nullptr;  ///< non-null: sharded fast path
   std::shared_ptr<ThreadPool> pool_;  ///< null = scan on the calling thread
   /// Owned rollup hierarchy; registered (weakly) as the model's delta
   /// listener so PatchCell keeps it fresh. Null when disabled.

@@ -8,7 +8,6 @@
 
 #include "core/query.h"
 #include "cube/rollup.h"
-#include "query/shard_router.h"
 #include "obs/metrics.h"
 #include "obs/query_context.h"
 #include "util/json_writer.h"
@@ -132,16 +131,13 @@ StatusOr<DataResult> ExecuteBucketsViaRollup(const QueryExecutor& executor,
   const std::size_t window = request.before - request.after + 1;
   RollupStats stats;
   const AggregateHierarchy* rollup = executor.rollup();
-  const ShardRouter* router = executor.router();
   for (std::size_t b = 0; b < request.points; ++b) {
     const std::size_t lo = b * window / request.points;
     const std::size_t hi = (b + 1) * window / request.points;  // exclusive
     const IdRange col_run{request.after + lo, request.after + hi - 1};
     DataPoint point;
     point.t = request.after + lo;
-    point.value = rollup != nullptr
-                      ? rollup->RegionSum(row_runs, {&col_run, 1}, &stats)
-                      : router->RegionSum(row_runs, {&col_run, 1}, &stats);
+    point.value = rollup->RegionSum(row_runs, {&col_run, 1}, &stats);
     if (request.group == AggregateFn::kAvg) {
       point.value /= static_cast<double>(rows_selected * (hi - lo));
     }
@@ -322,15 +318,10 @@ StatusOr<std::vector<IndexRange>> ResolveRowsPattern(
 StatusOr<DataResult> ExecuteDataRequest(const QueryExecutor& executor,
                                         const DataRequest& request) {
   // Linear bucket reductions resolve straight from the aggregate
-  // hierarchy when the executor has one — or, behind a ShardRouter,
-  // from the per-shard hierarchies merged in shard order; min/max are
-  // not linear in the cells and stay on the scan path, byte-identical
-  // to before.
-  const bool rollup_ready =
-      executor.rollup() != nullptr ||
-      (executor.router() != nullptr && executor.router()->rollup_enabled());
-  if (rollup_ready && (request.group == AggregateFn::kSum ||
-                       request.group == AggregateFn::kAvg)) {
+  // hierarchy when the executor has one; min/max are not linear in the
+  // cells and stay on the scan path, byte-identical to before.
+  if (executor.rollup() != nullptr && (request.group == AggregateFn::kSum ||
+                                       request.group == AggregateFn::kAvg)) {
     return ExecuteBucketsViaRollup(executor, request);
   }
   // One per-column aggregate pass phrased in the query language, so the

@@ -214,31 +214,28 @@ double DecodeQuantValue(const QuantRowView& view, std::size_t i) {
 }
 
 QuantRowMeta SnapQuantRow(QuantScheme scheme, std::span<double> row) {
-  QuantRowMeta meta;
+  const QuantRowMeta meta = ComputeQuantRowMeta(scheme, row);
+  if (scheme == QuantScheme::kF64) return meta;
+  for (double& v : row) v = SnapQuantValue(scheme, meta, v);
+  return meta;
+}
+
+double SnapQuantValue(QuantScheme scheme, const QuantRowMeta& meta,
+                      double value) {
   switch (scheme) {
     case QuantScheme::kF64:
-      return meta;
+      return value;
     case QuantScheme::kF32:
-      for (double& v : row) v = static_cast<float>(v);
-      return meta;
+      return static_cast<float>(value);
     case QuantScheme::kI16:
     case QuantScheme::kI8:
       break;
   }
-  meta = ComputeQuantRowMeta(scheme, row);
-  if (meta.scale == 0.0) {
-    std::fill(row.begin(), row.end(), meta.offset);
-    return meta;
-  }
-  const double inv_scale = 1.0 / meta.scale;
+  if (meta.scale == 0.0) return meta.offset;
   const long qmax = QuantMaxCode(scheme);
-  for (double& v : row) {
-    const long code =
-        std::clamp<long>(std::lround((v - meta.offset) * inv_scale), -qmax,
-                         qmax);
-    v = meta.offset + meta.scale * static_cast<double>(code);
-  }
-  return meta;
+  const long code = std::clamp<long>(
+      std::lround((value - meta.offset) * (1.0 / meta.scale)), -qmax, qmax);
+  return meta.offset + meta.scale * static_cast<double>(code);
 }
 
 double QuantStepAbsError(QuantScheme scheme, const QuantRowMeta& meta) {

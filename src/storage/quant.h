@@ -100,6 +100,11 @@ double DecodeQuantValue(const QuantRowView& view, std::size_t i);
 /// post-quantization values.
 QuantRowMeta SnapQuantRow(QuantScheme scheme, std::span<double> row);
 
+/// The decode(encode(value)) image of one coefficient under `meta`, bit
+/// for bit what SnapQuantRow gives it when `meta` is its row's meta.
+double SnapQuantValue(QuantScheme scheme, const QuantRowMeta& meta,
+                      double value);
+
 /// Worst-case absolute decode error of the integer schemes under `meta`
 /// (half a code step); 0 for kF64. For kF32 the error is relative
 /// (2^-24), so callers bound it with the row's largest magnitude:

@@ -1,5 +1,9 @@
 #include "storage/serializer.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
 #include <limits>
 
@@ -181,6 +185,30 @@ StatusOr<Matrix> BinaryReader::ReadMatrix() {
     TSC_RETURN_IF_ERROR(ReadBytes(m.data().data(), count * sizeof(double)));
   }
   return m;
+}
+
+Status WriteFileAtomically(const std::string& path,
+                           const std::function<Status(BinaryWriter*)>& write) {
+  const std::string temp = path + ".tmp." + std::to_string(::getpid());
+  Status status = [&]() -> Status {
+    TSC_ASSIGN_OR_RETURN(BinaryWriter writer, BinaryWriter::Open(temp));
+    TSC_RETURN_IF_ERROR(write(&writer));
+    return writer.FinishWithChecksum();
+  }();
+  if (status.ok()) {
+    const int fd = ::open(temp.c_str(), O_RDONLY);
+    if (fd < 0 || ::fsync(fd) != 0) {
+      status = Status::IoError("cannot fsync " + temp);
+    }
+    if (fd >= 0) ::close(fd);
+  }
+  if (status.ok() && std::rename(temp.c_str(), path.c_str()) != 0) {
+    status = Status::IoError("cannot rename " + temp + " to " + path);
+  }
+  // unlink, not remove: a directory squatting on the temp name is not
+  // ours to delete.
+  if (!status.ok()) ::unlink(temp.c_str());
+  return status;
 }
 
 }  // namespace tsc

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,14 @@ class BinaryReader {
   std::ifstream in_;
   std::uint64_t checksum_ = BinaryWriter::kFnvOffsetBasis;
 };
+
+/// Writes `path` so that readers see either the previous file or the
+/// complete new one: `write` fills `<path>.tmp.<pid>`, which gets the
+/// checksum trailer, is flushed and fsync'ed, and is then renamed over
+/// `path`. On any failure the temp file is removed and `path` is left
+/// untouched.
+Status WriteFileAtomically(const std::string& path,
+                           const std::function<Status(BinaryWriter*)>& write);
 
 }  // namespace tsc
 

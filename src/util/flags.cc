@@ -32,6 +32,13 @@ FlagParser::FlagParser(int argc, char** argv) {
   }
 }
 
+std::vector<std::string> FlagParser::names() const {
+  std::vector<std::string> out;
+  out.reserve(values_.size());
+  for (const auto& entry : values_) out.push_back(entry.first);
+  return out;
+}
+
 bool FlagParser::Has(const std::string& name) const {
   return values_.count(name) > 0;
 }

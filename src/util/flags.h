@@ -32,6 +32,9 @@ class FlagParser {
       const std::string& name,
       const std::vector<std::int64_t>& default_value) const;
 
+  /// Every flag name given, sorted, without the leading "--".
+  std::vector<std::string> names() const;
+
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program_name() const { return program_name_; }
 

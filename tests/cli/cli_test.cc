@@ -318,6 +318,44 @@ TEST(CliTest, CompressRejectsMissingInput) {
             1);
 }
 
+TEST(CliTest, UnknownFlagsAreRejectedPerCommand) {
+  // Retired options and flags of another command fail by name instead of
+  // running with the default in their place; nothing is written.
+  const std::string data = TempPath("flags.mat");
+  ASSERT_EQ(RunTool({"generate", "--kind=phone", "--rows=200", "--cols=16",
+                     "--out=" + data})
+                .exit_code,
+            0);
+  const std::string model = TempPath("flags.model");
+  for (const std::string flag :
+       {"--shards=4", "--prefetch-depth=8", "--batch-window-us=50",
+        "--cache-blocks=8", "--spcae=5"}) {
+    SCOPED_TRACE(flag);
+    const CliResult result = RunTool(
+        {"compress", "--input=" + data, "--out=" + model, "--space=20", flag});
+    EXPECT_EQ(result.exit_code, 1);
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(result.err.find("INVALID_ARGUMENT"), std::string::npos)
+        << result.err;
+    EXPECT_NE(result.err.find("unknown flag " + name + " for compress"),
+              std::string::npos)
+        << result.err;
+    EXPECT_FALSE(std::ifstream(model).good());
+  }
+  const CliResult info = RunTool({"info", "--model=" + model, "--threads=2"});
+  EXPECT_EQ(info.exit_code, 1);
+  EXPECT_NE(info.err.find("unknown flag --threads for info"),
+            std::string::npos)
+      << info.err;
+
+  // Every command's own flags and the global ones still pass.
+  const CliResult ok = RunTool({"compress", "--input=" + data,
+                                "--out=" + model, "--space=20", "--threads=2",
+                                "--quant=int8", "--max-candidates=4",
+                                "--metrics-out=" + TempPath("flags.json")});
+  EXPECT_EQ(ok.exit_code, 0) << ok.err;
+}
+
 TEST(CliTest, InfoRejectsGarbageFile) {
   const std::string path = TempPath("garbage.bin");
   std::ofstream(path) << "not a model";

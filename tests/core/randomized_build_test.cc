@@ -2,8 +2,8 @@
 // SvddBuildEngine::kRandomized branch of BuildSvddModel): counter-based
 // Gaussian purity, subspace accuracy on low-rank data, seeded bitwise
 // determinism across thread counts, the RMSPE-vs-exact bound across
-// space budgets and quant schemes, and the sharded end-to-end byte
-// round-trip through save/load.
+// space budgets and quant schemes, and the end-to-end byte round-trip
+// through save/load.
 
 #include "core/randomized_build.h"
 
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/metrics.h"
-#include "core/sharded_store.h"
 #include "core/svdd_compressor.h"
 #include "data/generators.h"
 #include "linalg/kernels.h"
@@ -240,29 +239,28 @@ TEST(RandomizedBuildTest, RmspeWithinBoundOfExactAcrossBudgetsAndQuant) {
   }
 }
 
-// Satellite requirement: --build=randomized --shards=4 end-to-end byte
-// round-trip through save/load. The manifest + shard files must reload
-// into a store that reconstructs bit-identically and re-saves to the
-// same bytes.
-TEST(RandomizedBuildTest, ShardedBuildRoundTripsThroughDisk) {
+// --build=randomized end-to-end byte round-trip through save/load: the
+// model file must reload into a model that reconstructs bit-identically
+// and re-saves to the same bytes.
+TEST(RandomizedBuildTest, BuildRoundTripsThroughDisk) {
   const Matrix x = MakePhoneMatrix(600, 40);
-  ShardedBuildOptions options;
-  options.base.engine = SvddBuildEngine::kRandomized;
-  options.base.space_percent = 5.0;
-  options.base.sketch_seed = 7;
-  options.shard_count = 4;
-  const auto built = BuildShardedStore(x, options);
+  MatrixRowSource source(&x);
+  SvddBuildOptions options;
+  options.engine = SvddBuildEngine::kRandomized;
+  options.space_percent = 5.0;
+  options.sketch_seed = 7;
+  const auto built = BuildSvddModel(&source, options);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
 
-  const std::string manifest = ::testing::TempDir() + "/randbuild.shards";
-  ASSERT_TRUE(built->SaveToFiles(manifest).ok());
-  auto loaded = ShardedStore::LoadFromManifest(manifest);
+  const std::string path = ::testing::TempDir() + "/randbuild.model";
+  ASSERT_TRUE(built->SaveToFile(path).ok());
+  auto loaded = SvddModel::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->rows(), x.rows());
   ASSERT_EQ(loaded->cols(), x.cols());
 
   // Every cell reconstructs bit-identically between the built and
-  // reloaded stores (doubles compared with ==, not tolerance).
+  // reloaded models (doubles compared with ==, not tolerance).
   for (std::size_t i = 0; i < x.rows(); ++i) {
     for (std::size_t j = 0; j < x.cols(); ++j) {
       ASSERT_EQ(built->ReconstructCell(i, j), loaded->ReconstructCell(i, j))
@@ -272,15 +270,10 @@ TEST(RandomizedBuildTest, ShardedBuildRoundTripsThroughDisk) {
 
   // Byte round trip: serialization is canonical (delta entries are
   // written in key order, independent of hash-table history), so saving
-  // the reloaded store must reproduce the original shard files exactly.
-  const std::string manifest2 = ::testing::TempDir() + "/randbuild2.shards";
-  ASSERT_TRUE(loaded->SaveToFiles(manifest2).ok());
-  for (std::size_t s = 0; s < 4; ++s) {
-    const std::string suffix = ".shard" + std::to_string(s);
-    EXPECT_EQ(ReadFileBytes(manifest + suffix),
-              ReadFileBytes(manifest2 + suffix))
-        << "shard " << s;
-  }
+  // the reloaded model must reproduce the original file exactly.
+  const std::string path2 = ::testing::TempDir() + "/randbuild2.model";
+  ASSERT_TRUE(loaded->SaveToFile(path2).ok());
+  EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(path2));
 }
 
 }  // namespace

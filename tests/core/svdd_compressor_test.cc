@@ -6,7 +6,11 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <utility>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -117,6 +121,59 @@ TEST(SvddCompressorTest, DeltasTargetWorstCells) {
     }
   }
   EXPECT_GE(min_stored, max_unstored - 1e-9);
+}
+
+TEST(SvddCompressorTest, QuantizedBuildsKeepTheErrorContract) {
+  // The paper's contract under every U encoding: a delta cell reconstructs
+  // x exactly, and no other cell is off by more than the smallest stored
+  // |delta|. Quantized builds rank cells against a preview of the
+  // quantized U prefix and derive each delta only once the factors are
+  // quantized.
+  PhoneDatasetConfig config;
+  config.num_customers = 2000;
+  config.num_days = 366;
+  config.seed = 42;
+  const Matrix x = GeneratePhoneDataset(config).values;
+  for (const QuantScheme quant : {QuantScheme::kF64, QuantScheme::kF32,
+                                  QuantScheme::kI16, QuantScheme::kI8}) {
+    SCOPED_TRACE(QuantSchemeName(quant));
+    MatrixRowSource source(&x);
+    SvddBuildOptions options;
+    options.space_percent = 5.0;
+    options.num_threads = 3;
+    options.quant = quant;
+    const auto model = BuildSvddModel(&source, options);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    ASSERT_GT(model->delta_count(), 0u);
+    const auto tolerance = [](double value) {
+      return 1e-9 * (1.0 + std::abs(value));
+    };
+    double min_delta = std::numeric_limits<double>::infinity();
+    std::size_t inexact_deltas = 0;
+    model->deltas().ForEach([&](std::uint64_t key, double delta) {
+      min_delta = std::min(min_delta, std::abs(delta));
+      const std::size_t i = static_cast<std::size_t>(key / x.cols());
+      const std::size_t j = static_cast<std::size_t>(key % x.cols());
+      if (std::abs(model->ReconstructCell(i, j) - x(i, j)) > tolerance(x(i, j))) {
+        ++inexact_deltas;
+      }
+    });
+    EXPECT_EQ(inexact_deltas, 0u);
+    std::size_t over_bound = 0;
+    double worst = 0.0;
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      for (std::size_t j = 0; j < x.cols(); ++j) {
+        if (model->deltas().Contains(DeltaTable::CellKey(i, j, x.cols()))) {
+          continue;
+        }
+        const double err = std::abs(model->ReconstructCell(i, j) - x(i, j));
+        worst = std::max(worst, err);
+        if (err > min_delta + tolerance(x(i, j))) ++over_bound;
+      }
+    }
+    EXPECT_EQ(over_bound, 0u) << "worst non-delta error " << worst
+                              << ", smallest |delta| " << min_delta;
+  }
 }
 
 TEST(SvddCompressorTest, WorstCaseErrorFarBelowPlainSvd) {
@@ -289,6 +346,42 @@ TEST(SvddCompressorTest, HugeBudgetReconstructsExactly) {
   EXPECT_LT(Rmspe(x, *model), 1e-7);
 }
 
+TEST(SvddCompressorTest, FailedSaveKeepsThePreviousModel) {
+  const Matrix x = SpikyMatrix(100, 30);
+  MatrixRowSource source(&x);
+  SvddBuildOptions options;
+  options.space_percent = 12.0;
+  const auto first = BuildSvddModel(&source, options);
+  ASSERT_TRUE(first.ok());
+  options.space_percent = 20.0;
+  const auto second = BuildSvddModel(&source, options);
+  ASSERT_TRUE(second.ok());
+  const std::string path = ::testing::TempDir() + "/svdd_atomic.model";
+  ASSERT_TRUE(first->SaveToFile(path).ok());
+  const auto read_bytes = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+  };
+  const std::vector<char> before = read_bytes();
+
+  // A directory squatting on the temp name makes the save fail before a
+  // byte is written; the model at `path` must not be touched.
+  const std::string temp = path + ".tmp." + std::to_string(::getpid());
+  ASSERT_TRUE(std::filesystem::create_directory(temp));
+  EXPECT_FALSE(second->SaveToFile(path).ok());
+  EXPECT_EQ(read_bytes(), before);
+  EXPECT_TRUE(std::filesystem::is_directory(temp));
+  std::filesystem::remove(temp);
+
+  ASSERT_TRUE(second->SaveToFile(path).ok());
+  EXPECT_FALSE(std::filesystem::exists(temp));
+  const auto loaded = SvddModel::LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->k(), second->k());
+  EXPECT_EQ(loaded->delta_count(), second->delta_count());
+}
+
 TEST(SvddCompressorTest, SerializeRoundTrip) {
   const Matrix x = SpikyMatrix(100, 30);
   MatrixRowSource source(&x);
@@ -360,6 +453,7 @@ struct OracleCell {
   double err2;
   std::uint64_t key;
   double err;
+  double x;
 };
 
 struct OracleResult {
@@ -424,23 +518,25 @@ OracleResult RunOracle(const Matrix& x, const SvddBuildOptions& options) {
     for (std::size_t p = 0; p < k_max; ++p) {
       projection[p] = kernels::Dot(row.data(), vt.Row(p).data(), m);
     }
-    if (options.quant != QuantScheme::kF64) {
-      std::vector<double> u(k_max);
-      for (std::size_t p = 0; p < k_max; ++p) u[p] = projection[p] / sv[p];
-      SnapQuantRow(options.quant, u);
-      for (std::size_t p = 0; p < k_max; ++p) projection[p] = u[p] * sv[p];
-    }
-    std::fill(recon.begin(), recon.end(), 0.0);
-    std::size_t p = 0;
     for (std::size_t ci = 0; ci < num; ++ci) {
-      for (; p < result.ks[ci]; ++p) {
-        kernels::Axpy(projection[p], vt.Row(p).data(), recon.data(), m);
+      // Each candidate from scratch: the quantized U prefix the model
+      // would serve at this k, snapped as one row.
+      const std::size_t k = result.ks[ci];
+      std::vector<double> coeffs(projection.begin(), projection.begin() + k);
+      if (options.quant != QuantScheme::kF64) {
+        for (std::size_t p = 0; p < k; ++p) coeffs[p] /= sv[p];
+        SnapQuantRow(options.quant, coeffs);
+        for (std::size_t p = 0; p < k; ++p) coeffs[p] *= sv[p];
+      }
+      std::fill(recon.begin(), recon.end(), 0.0);
+      for (std::size_t p = 0; p < k; ++p) {
+        kernels::Axpy(coeffs[p], vt.Row(p).data(), recon.data(), m);
       }
       for (std::size_t j = 0; j < m; ++j) {
         const double err = row[j] - recon[j];
         const double e2 = err * err;
         lanes[ci][i % kBuildShards][j % 4].Add(e2);
-        cells[ci].push_back({e2, DeltaTable::CellKey(i, j, m), err});
+        cells[ci].push_back({e2, DeltaTable::CellKey(i, j, m), err, row[j]});
       }
     }
   }
@@ -479,13 +575,10 @@ OracleResult RunOracle(const Matrix& x, const SvddBuildOptions& options) {
   svd.set_bytes_per_value(options.bytes_per_value);
   std::vector<OracleCell>& kept = cells[best];
   if (options.bytes_per_value == 4 || options.quant != QuantScheme::kF64) {
-    for (OracleCell& cell : kept) {
-      cell.err += svd.ReconstructCell(cell.key / m, cell.key % m);
-    }
     if (options.bytes_per_value == 4) svd.QuantizeToFloat();
     svd.ApplyQuantization(options.quant);
     for (OracleCell& cell : kept) {
-      cell.err -= svd.ReconstructCell(cell.key / m, cell.key % m);
+      cell.err = cell.x - svd.ReconstructCell(cell.key / m, cell.key % m);
     }
   }
   for (const OracleCell& cell : kept) {

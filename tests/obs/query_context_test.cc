@@ -72,7 +72,7 @@ TEST(QueryContextTest, ScopesNestAndRestore) {
 }
 
 TEST(QueryContextTest, WorkerThreadsChargeTheParentContext) {
-  // The propagation pattern the executor pool and shard fan-out use:
+  // The propagation pattern the executor pool uses:
   // the request thread hands its context into worker lambdas, which
   // re-install it for their own charges.
   QueryContext context("cross-thread");
@@ -108,8 +108,6 @@ TEST(QueryContextTest, KvStringCarriesEveryField) {
   costs.rollup_hits = 8;
   costs.scan_fallbacks = 9;
   costs.agg_nodes_read = 10;
-  costs.shard_queries = 11;
-  costs.shard_fanout = 12;
   const std::string kv = costs.ToKvString();
   EXPECT_NE(kv.find("admission_wait_us=1"), std::string::npos) << kv;
   EXPECT_NE(kv.find("cache_hits=2"), std::string::npos) << kv;
@@ -121,8 +119,6 @@ TEST(QueryContextTest, KvStringCarriesEveryField) {
   EXPECT_NE(kv.find("rollup_hits=8"), std::string::npos) << kv;
   EXPECT_NE(kv.find("scan_fallbacks=9"), std::string::npos) << kv;
   EXPECT_NE(kv.find("agg_nodes_read=10"), std::string::npos) << kv;
-  EXPECT_NE(kv.find("shard_queries=11"), std::string::npos) << kv;
-  EXPECT_NE(kv.find("shard_fanout=12"), std::string::npos) << kv;
 }
 
 TEST(QueryContextTest, TraceIdsAreUniqueAndWellFormed) {

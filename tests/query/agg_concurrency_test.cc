@@ -6,6 +6,7 @@
 // hierarchy-only paths (sum/avg/count — never row reconstruction).
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -141,6 +142,59 @@ TEST(AggConcurrencyTest, DirectHierarchyHammer) {
   const double fresh_sum =
       fresh->DeltaSum({&all_rows, 1}, {&all_cols, 1}, &b);
   EXPECT_NEAR(live_sum, fresh_sum, 1e-7 * std::abs(fresh_sum) + 1e-8);
+}
+
+TEST(AggConcurrencyTest, FoldInStalenessConvergesUnderConcurrentReaders) {
+  SvddModel model = BuildModel();
+  const QueryExecutor executor(&model);
+  ASSERT_NE(executor.rollup(), nullptr);
+
+  // Fold rows in BEFORE the hammer: the hierarchy goes stale, then N
+  // concurrent readers race to trigger its lazy rebuild.
+  Matrix appended(8, model.cols());
+  Rng rng(9);
+  for (std::size_t r = 0; r < appended.rows(); ++r) {
+    for (std::size_t c = 0; c < appended.cols(); ++c) {
+      appended(r, c) = 5.0 + rng.UniformDouble() * 20.0;
+    }
+  }
+  model.FoldInRows(appended);
+
+  constexpr int kReaders = 6;
+  const std::string query = "select sum(value), count(value)";
+  std::atomic<bool> go{false};
+  std::vector<double> sums(kReaders, 0.0);
+  std::vector<double> counts(kReaders, 0.0);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      auto result = executor.Execute(query);
+      if (!result.ok() || result->values.size() != 2) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      sums[t] = result->values[0];
+      counts[t] = result->values[1];
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  // Every racer saw the same (fresh) answer, covering all rows
+  // including the folded-in ones.
+  const double expected_count =
+      static_cast<double>(model.rows() * model.cols());
+  for (int t = 0; t < kReaders; ++t) {
+    EXPECT_EQ(sums[t], sums[0]) << "reader " << t;
+    EXPECT_EQ(counts[t], expected_count) << "reader " << t;
+  }
+  auto after = executor.Execute(query);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->values[0], sums[0]);
 }
 
 }  // namespace

@@ -1,5 +1,11 @@
 #include "storage/row_store.h"
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "storage/serializer.h"
@@ -215,6 +221,52 @@ TEST(SerializerTest, TruncatedReadFails) {
   ASSERT_TRUE(reader.ok());
   ASSERT_TRUE(reader->ReadU32().ok());
   EXPECT_FALSE(reader->ReadU64().ok());
+}
+
+std::vector<char> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Names in `path`'s directory that start with its file name + ".tmp.".
+std::vector<std::string> TempSiblings(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp.";
+  std::vector<std::string> found;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) found.push_back(name);
+  }
+  return found;
+}
+
+TEST(SerializerTest, AtomicWriteReplacesOrKeepsThePreviousFile) {
+  const std::string path = TempPath("atomic.bin");
+  ASSERT_TRUE(WriteFileAtomically(path, [](BinaryWriter* writer) {
+                return writer->WriteString("first version");
+              }).ok());
+  const std::vector<char> first = FileBytes(path);
+  ASSERT_FALSE(first.empty());
+
+  // A writer that fails part-way: the old file survives byte for byte
+  // and the half-written temp file is gone.
+  const Status failed = WriteFileAtomically(path, [](BinaryWriter* writer) {
+    TSC_RETURN_IF_ERROR(writer->WriteString("second, never finished"));
+    return Status::IoError("injected");
+  });
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(FileBytes(path), first);
+  EXPECT_TRUE(TempSiblings(path).empty());
+
+  ASSERT_TRUE(WriteFileAtomically(path, [](BinaryWriter* writer) {
+                return writer->WriteString("second version");
+              }).ok());
+  EXPECT_TRUE(TempSiblings(path).empty());
+  auto reader = BinaryReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader->ReadString().value(), "second version");
+  EXPECT_TRUE(reader->VerifyChecksum().ok());
 }
 
 }  // namespace
