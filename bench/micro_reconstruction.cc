@@ -2,11 +2,12 @@
 // complexity claims rest on:
 //   - single-cell reconstruction is O(k), independent of N and M;
 //   - row reconstruction is O(k * M);
-//   - the delta-table probe is O(1) and the Bloom filter cheapens misses;
+//   - a delta-index probe is a binary search inside one row's run;
 //   - a disk-backed cell read is one block access plus O(k) arithmetic.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -96,31 +97,37 @@ void BM_RowReconstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_RowReconstruction)->Arg(4)->Arg(16)->Arg(36);
 
-void BM_DeltaTableProbe(benchmark::State& state) {
-  DeltaTable table(100000);
+void BM_DeltaIndexProbe(benchmark::State& state) {
+  // 100k deltas over a 100000 x 366 matrix (the phone100K shape at about
+  // a sixth of its delta count); every other probe is a stored cell.
+  constexpr std::size_t kRows = 100000;
+  constexpr std::size_t kCols = 366;
   Rng rng(4);
-  std::vector<std::uint64_t> keys;
+  std::vector<DeltaEntry> entries;
   for (int i = 0; i < 100000; ++i) {
-    keys.push_back(rng.NextUint64());
-    table.Put(keys.back(), 1.0);
+    entries.push_back({rng.UniformUint64(kRows * kCols), 1.0});
   }
+  std::sort(entries.begin(), entries.end(),
+            [](const DeltaEntry& a, const DeltaEntry& b) {
+              return a.key < b.key;
+            });
+  entries.erase(std::unique(entries.begin(), entries.end(),
+                            [](const DeltaEntry& a, const DeltaEntry& b) {
+                              return a.key == b.key;
+                            }),
+                entries.end());
+  auto index = DeltaIndex::Build(kRows, kCols, entries);
+  TSC_CHECK_OK(index.status());
+  Rng probe(5);
   std::size_t idx = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Get(keys[idx++ % keys.size()]));
+    const std::uint64_t key =
+        (idx++ & 1) != 0 ? entries[probe.UniformUint64(entries.size())].key
+                         : probe.UniformUint64(kRows * kCols);
+    benchmark::DoNotOptimize(index->Find(key / kCols, key % kCols));
   }
 }
-BENCHMARK(BM_DeltaTableProbe);
-
-void BM_BloomNegativeLookup(benchmark::State& state) {
-  BloomFilter filter(100000, 10.0);
-  Rng rng(5);
-  for (int i = 0; i < 100000; ++i) filter.Add(rng.NextUint64());
-  Rng probe(6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(filter.MightContain(probe.NextUint64()));
-  }
-}
-BENCHMARK(BM_BloomNegativeLookup);
+BENCHMARK(BM_DeltaIndexProbe);
 
 void BM_DiskBackedCellRead(benchmark::State& state) {
   const Built built = BuildFor(2000, 128, 12);

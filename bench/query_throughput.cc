@@ -221,8 +221,7 @@ int main(int argc, char** argv) {
         for (std::size_t m = 0; m < k; ++m) {
           value += svd.u()(i, m) * svd.singular_values()[m] * svd.v()(j, m);
         }
-        const auto delta = model->deltas().Get(
-            static_cast<std::uint64_t>(i) * x.cols() + j);
+        const auto delta = model->deltas()->Find(i, j);
         sink += delta.value_or(value);
       }
     });
@@ -435,7 +434,6 @@ int main(int argc, char** argv) {
     tsc::TablePrinter quant_table({"u encoding", "u file KB", "bytes/row",
                                    "cache hit%", "Mcells/s", "vs f64",
                                    "max err"});
-    std::uint64_t f64_u_bytes = 0;
     std::size_t cache_blocks = 0;
     std::size_t f64_k = 0;
     double f64_qps = 0.0;
@@ -467,7 +465,6 @@ int main(int argc, char** argv) {
           *qmodel, std::string("throughput_") + name, opts);
       if (scheme == tsc::QuantScheme::kF64) {
         f64_k = qmodel->k();
-        f64_u_bytes = qtemp.store().u_file_bytes();
         // Shared budget sized so the int8 U store just fits: the paper's
         // "keep the working set resident" regime, which the narrow
         // encodings reach and the wide ones miss.

@@ -45,7 +45,7 @@ commands:
   generate   --kind=phone|stocks|patients|lowrank --rows=N --cols=M --seed=S
              --out=FILE          (.csv for text, anything else binary)
   compress   --input=FILE --out=MODEL --space=PCT [--method=svdd|svd]
-             [--b=8|4] [--quant=f64|f32|int16|int8] [--no-bloom]
+             [--b=8|4] [--quant=f64|f32|int16|int8]
              [--max-candidates=K] [--threads=N]
              [--build=exact|randomized] [--seed=S] [--oversample=P]
              [--power-iters=Q]
@@ -129,7 +129,8 @@ struct LoadedModel {
   // Extra introspection, populated per kind.
   std::size_t k = 0;
   std::size_t delta_count = 0;
-  bool has_bloom = false;
+  std::uint64_t row_index_bytes = 0;
+  std::uint64_t column_index_bytes = 0;
 };
 
 StatusOr<LoadedModel> LoadModel(const std::string& path) {
@@ -138,8 +139,10 @@ StatusOr<LoadedModel> LoadModel(const std::string& path) {
   if (auto svdd = SvddModel::LoadFromFile(path); svdd.ok()) {
     loaded.kind = "svdd";
     loaded.k = svdd->k();
-    loaded.delta_count = svdd->delta_count();
-    loaded.has_bloom = svdd->has_bloom_filter();
+    const std::shared_ptr<const DeltaIndex> deltas = svdd->deltas();
+    loaded.delta_count = deltas->size();
+    loaded.row_index_bytes = deltas->RowIndexBytes();
+    loaded.column_index_bytes = deltas->ColumnIndexBytes();
     loaded.store = std::make_unique<SvddModel>(std::move(*svdd));
     return loaded;
   }
@@ -267,7 +270,6 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
     options.bytes_per_value = b;
     if (b == 4) options.delta_bytes = 12;
     options.quant = quant;
-    options.build_bloom_filter = !flags.GetBool("no-bloom", false);
     options.max_candidates =
         static_cast<std::size_t>(flags.GetInt("max-candidates", 0));
     options.num_threads = threads;
@@ -341,7 +343,8 @@ int CmdInfo(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       << "components:  " << loaded->k << "\n";
   if (loaded->kind == "svdd") {
     out << "deltas:      " << loaded->delta_count << "\n"
-        << "bloom:       " << (loaded->has_bloom ? "yes" : "no") << "\n";
+        << "row index:   " << loaded->row_index_bytes << " bytes\n"
+        << "col index:   " << loaded->column_index_bytes << " bytes\n";
   }
   out << "bytes:       " << store.CompressedBytes() << "\n"
       << "space:       " << TablePrinter::Percent(store.SpacePercent())
@@ -671,8 +674,9 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       << " sql queries, cache=" << cache_blocks << " blocks\n";
   out << "io backend:       " << store->io_backend_name() << "\n";
   // Serving footprint, broken down by component: the on-disk U row store
-  // (at its true, possibly quantized stride), the in-memory delta table,
-  // and the in-memory V + eigenvalues.
+  // (at its true, possibly quantized stride), the packed deltas, and the
+  // in-memory V + eigenvalues. The delta index's two orientations are
+  // resident acceleration structures, listed after the charged parts.
   const std::uint64_t u_bytes = store->u_file_bytes();
   const std::uint64_t delta_bytes = store->deltas().PackedBytes();
   const std::uint64_t v_bytes =
@@ -689,9 +693,12 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   out << "  u store:        " << u_bytes << " bytes ("
       << QuantSchemeName(store->u_scheme()) << ", "
       << store->u_row_stride_bytes() << " bytes/row)\n";
-  out << "  delta table:    " << delta_bytes << " bytes ("
+  out << "  deltas:         " << delta_bytes << " bytes ("
       << store->deltas().size() << " entries)\n";
   out << "  v + eigenvalues: " << v_bytes << " bytes\n";
+  out << "delta index:      " << store->deltas().RowIndexBytes()
+      << " bytes row CSR, " << store->deltas().ColumnIndexBytes()
+      << " bytes column sums (resident, not charged)\n";
   out << "cell latency:     "
       << TablePrinter::Num(1e6 * cell_seconds /
                            static_cast<double>(queries == 0 ? 1 : queries))
@@ -896,9 +903,8 @@ const std::vector<Command> kCommands = {
     {"generate", CmdGenerate, {"kind", "out", "rows", "cols", "seed", "rank"}},
     {"compress",
      CmdCompress,
-     {"input", "out", "space", "method", "b", "quant", "no-bloom",
-      "max-candidates", "threads", "build", "seed", "oversample",
-      "power-iters"}},
+     {"input", "out", "space", "method", "b", "quant", "max-candidates",
+      "threads", "build", "seed", "oversample", "power-iters"}},
     {"info", CmdInfo, {"model"}},
     {"query", CmdQuery, {"model", "q", "cell", "threads"}},
     {"sql",

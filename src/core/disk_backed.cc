@@ -6,7 +6,6 @@
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <unordered_map>
 
 #include "linalg/kernels.h"
 #include "obs/metrics.h"
@@ -18,14 +17,6 @@ namespace {
 
 constexpr std::uint32_t kSidecarMagic = 0x53494443;  // "SIDC"
 
-/// A Bloom pass followed by a delta miss is the filter lying to us; the
-/// measured rate backs the EstimatedFalsePositiveRate() formula.
-void CountBloomFalsePositive() {
-  static obs::Counter& false_positives =
-      obs::MetricRegistry::Default().GetCounter("bloom.false_positives");
-  false_positives.Increment();
-}
-
 }  // namespace
 
 Status ExportSvddToDisk(const SvddModel& model, const std::string& u_path,
@@ -33,26 +24,20 @@ Status ExportSvddToDisk(const SvddModel& model, const std::string& u_path,
   // U, row-wise, as its own row store: the structure the paper assumes
   // lives on disk and is fetched one row per query. The model's quant
   // scheme carries through, so a quantized build serves from quantized
-  // rows (the snapped doubles in U re-encode to the same codes).
-  TSC_RETURN_IF_ERROR(
-      WriteMatrixFile(u_path, model.svd().u(), model.svd().quant_scheme()));
-
-  TSC_ASSIGN_OR_RETURN(BinaryWriter writer, BinaryWriter::Open(sidecar_path));
-  TSC_RETURN_IF_ERROR(writer.WriteU32(kSidecarMagic));
-  TSC_RETURN_IF_ERROR(
-      writer.WriteDoubleVector(model.svd().singular_values()));
-  TSC_RETURN_IF_ERROR(writer.WriteMatrix(model.svd().v()));
-  TSC_RETURN_IF_ERROR(model.deltas().Serialize(&writer));
-  TSC_RETURN_IF_ERROR(writer.WriteU32(model.has_bloom_filter() ? 1 : 0));
-  if (model.has_bloom_filter()) {
-    // Rebuild the filter from the delta keys: the sidecar stays
-    // self-contained without poking at SvddModel internals.
-    BloomFilter filter(model.deltas().size(), 10.0);
-    model.deltas().ForEach(
-        [&filter](std::uint64_t key, double) { filter.Add(key); });
-    TSC_RETURN_IF_ERROR(filter.Serialize(&writer));
-  }
-  return writer.FinishWithChecksum();
+  // rows (the snapped doubles in U re-encode to the same codes). The
+  // sidecar is committed inside U's write, so a failure anywhere before
+  // U's rename leaves the previous U in place.
+  return ReplaceFileAtomically(u_path, [&](const std::string& u_temp) {
+    TSC_RETURN_IF_ERROR(WriteMatrixFile(u_temp, model.svd().u(),
+                                        model.svd().quant_scheme()));
+    return WriteFileAtomically(sidecar_path, [&](BinaryWriter* writer) {
+      TSC_RETURN_IF_ERROR(writer->WriteU32(kSidecarMagic));
+      TSC_RETURN_IF_ERROR(
+          writer->WriteDoubleVector(model.svd().singular_values()));
+      TSC_RETURN_IF_ERROR(writer->WriteMatrix(model.svd().v()));
+      return model.deltas()->Serialize(writer);
+    });
+  });
 }
 
 StatusOr<DiskBackedStore> DiskBackedStore::Open(
@@ -87,13 +72,9 @@ StatusOr<DiskBackedStore> DiskBackedStore::Open(
   if (magic != kSidecarMagic) return Status::IoError("not a sidecar file");
   TSC_ASSIGN_OR_RETURN(store.singular_values_, sidecar.ReadDoubleVector());
   TSC_ASSIGN_OR_RETURN(store.v_, sidecar.ReadMatrix());
-  TSC_ASSIGN_OR_RETURN(store.deltas_, DeltaTable::Deserialize(&sidecar));
-  TSC_ASSIGN_OR_RETURN(const std::uint32_t has_bloom, sidecar.ReadU32());
-  if (has_bloom != 0) {
-    TSC_ASSIGN_OR_RETURN(BloomFilter filter,
-                         BloomFilter::Deserialize(&sidecar));
-    store.bloom_ = std::move(filter);
-  }
+  TSC_ASSIGN_OR_RETURN(
+      store.deltas_,
+      DeltaIndex::Deserialize(&sidecar, store.rows(), store.v_.rows()));
   TSC_RETURN_IF_ERROR(sidecar.VerifyChecksum());
   if (u_cols != store.singular_values_.size() ||
       store.v_.cols() != store.singular_values_.size()) {
@@ -125,17 +106,9 @@ double DiskBackedStore::CellFromURow(const QuantRowView& urow,
                                      std::size_t row, std::size_t col) {
   // The fused kernel dequantizes in registers while it accumulates, so
   // the quantized row never materializes as doubles.
-  double value = QuantDot(urow, weighted_v_.Row(col).data());
-  const std::uint64_t key = DeltaTable::CellKey(row, col, cols());
-  if (!bloom_.has_value() || bloom_->MightContain(key)) {
-    const std::optional<double> delta = deltas_.Get(key);
-    if (delta.has_value()) {
-      value += *delta;
-    } else if (bloom_.has_value()) {
-      CountBloomFalsePositive();
-    }
-  }
-  return value;
+  const double value = QuantDot(urow, weighted_v_.Row(col).data());
+  const std::optional<double> delta = deltas_.Find(row, col);
+  return delta.has_value() ? value + *delta : value;
 }
 
 StatusOr<double> DiskBackedStore::ReconstructCell(std::size_t row,
@@ -157,16 +130,7 @@ Status DiskBackedStore::ReconstructRow(std::size_t row,
   TSC_ASSIGN_OR_RETURN(const QuantRowView urow, ReadUQuantRow(row, scratch));
   std::fill(out.begin(), out.end(), 0.0);
   QuantGemv(urow, weighted_v_.Row(0).data(), cols(), k(), out.data());
-  for (std::size_t j = 0; j < cols(); ++j) {
-    const std::uint64_t key = DeltaTable::CellKey(row, j, cols());
-    if (bloom_.has_value() && !bloom_->MightContain(key)) continue;
-    const std::optional<double> delta = deltas_.Get(key);
-    if (delta.has_value()) {
-      out[j] += *delta;
-    } else if (bloom_.has_value()) {
-      CountBloomFalsePositive();
-    }
-  }
+  deltas_.AddToRow(row, out);
   return Status::Ok();
 }
 
@@ -202,33 +166,10 @@ Status DiskBackedStore::ReconstructCells(std::span<const CellRef> cells,
     out[i] = QuantDot(urow, weighted_v_.Row(cells[i].col).data());
   }
   if (deltas_.empty()) return Status::Ok();
-  // Same batched delta strategy as SvddModel: one table sweep once the
-  // batch is a reasonable fraction of the table, probes otherwise.
-  if (cells.size() >= deltas_.size() / 4) {
-    // Multimap, not map: a batch may name the same cell twice, and every
-    // occurrence must see its delta (the per-cell probe path below does).
-    std::unordered_multimap<std::uint64_t, std::size_t> index;
-    index.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      index.emplace(DeltaTable::CellKey(cells[i].row, cells[i].col, cols()),
-                    i);
-    }
-    deltas_.ForEach([&](std::uint64_t key, double delta) {
-      const auto [begin, end] = index.equal_range(key);
-      for (auto it = begin; it != end; ++it) out[it->second] += delta;
-    });
-    return Status::Ok();
-  }
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const std::uint64_t key =
-        DeltaTable::CellKey(cells[i].row, cells[i].col, cols());
-    if (bloom_.has_value() && !bloom_->MightContain(key)) continue;
-    const std::optional<double> delta = deltas_.Get(key);
-    if (delta.has_value()) {
-      out[i] += *delta;
-    } else if (bloom_.has_value()) {
-      CountBloomFalsePositive();
-    }
+    const std::optional<double> delta =
+        deltas_.Find(cells[i].row, cells[i].col);
+    if (delta.has_value()) out[i] += *delta;
   }
   return Status::Ok();
 }
@@ -263,51 +204,7 @@ Status DiskBackedStore::ReconstructRegion(
   kernels::GemmNT(a.Row(0).data(), row_ids.size(), kk, b.Row(0).data(),
                   col_ids.size(), kk, kk, out->Row(0).data(),
                   col_ids.size());
-  if (deltas_.empty()) return Status::Ok();
-  const std::uint64_t region_cells =
-      static_cast<std::uint64_t>(row_ids.size()) * col_ids.size();
-  if (region_cells >= deltas_.size() / 4) {
-    // Multimaps so a region listing the same row or column twice patches
-    // every copy, matching the per-cell probe path below.
-    std::unordered_multimap<std::size_t, std::size_t> row_index;
-    row_index.reserve(row_ids.size());
-    for (std::size_t r = 0; r < row_ids.size(); ++r) {
-      row_index.emplace(row_ids[r], r);
-    }
-    std::unordered_multimap<std::size_t, std::size_t> col_index;
-    col_index.reserve(col_ids.size());
-    for (std::size_t c = 0; c < col_ids.size(); ++c) {
-      col_index.emplace(col_ids[c], c);
-    }
-    const std::size_t m = cols();
-    deltas_.ForEach([&](std::uint64_t key, double delta) {
-      const auto [rbegin, rend] =
-          row_index.equal_range(static_cast<std::size_t>(key / m));
-      if (rbegin == rend) return;
-      const auto [cbegin, cend] =
-          col_index.equal_range(static_cast<std::size_t>(key % m));
-      for (auto rit = rbegin; rit != rend; ++rit) {
-        for (auto cit = cbegin; cit != cend; ++cit) {
-          (*out)(rit->second, cit->second) += delta;
-        }
-      }
-    });
-    return Status::Ok();
-  }
-  for (std::size_t r = 0; r < row_ids.size(); ++r) {
-    const std::span<double> dst = out->Row(r);
-    for (std::size_t c = 0; c < col_ids.size(); ++c) {
-      const std::uint64_t key =
-          DeltaTable::CellKey(row_ids[r], col_ids[c], cols());
-      if (bloom_.has_value() && !bloom_->MightContain(key)) continue;
-      const std::optional<double> delta = deltas_.Get(key);
-      if (delta.has_value()) {
-        dst[c] += *delta;
-      } else if (bloom_.has_value()) {
-        CountBloomFalsePositive();
-      }
-    }
-  }
+  deltas_.AddToRegion(row_ids, col_ids, out);
   return Status::Ok();
 }
 
@@ -348,7 +245,7 @@ void DiskBackedStoreView::ReconstructRegion(
 std::uint64_t DiskBackedStoreView::CompressedBytes() const {
   // Section 3.4 accounting against the bytes actually served: the U row
   // store's true payload (quantized rows are smaller), k eigenvalues and
-  // k*M of V in memory, plus the packed delta table.
+  // k*M of V in memory, plus the packed delta pairs.
   const std::uint64_t u_payload =
       static_cast<std::uint64_t>(store_->rows()) *
       store_->u_row_stride_bytes();

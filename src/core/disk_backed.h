@@ -8,9 +8,8 @@
 
 #include "core/compressed_store.h"
 #include "core/svdd_compressor.h"
-#include "storage/bloom_filter.h"
 #include "storage/cached_row_reader.h"
-#include "storage/delta_table.h"
+#include "storage/delta_index.h"
 #include "storage/io_backend.h"
 #include "storage/row_store.h"
 #include "util/status.h"
@@ -28,9 +27,9 @@ struct DiskBackedOptions {
 };
 
 /// The paper's deployment layout made concrete: V and the eigenvalues
-/// pinned in memory, U stored row-wise on disk, the delta hash table and
-/// Bloom filter in memory. Reconstructing cell (i, j) then costs exactly
-/// one disk access — the read of row i of U — which the embedded
+/// pinned in memory, U stored row-wise on disk, the deltas in memory in
+/// a DeltaIndex. Reconstructing cell (i, j) then costs exactly one disk
+/// access — the read of row i of U — which the embedded
 /// DiskAccessCounter proves.
 ///
 /// Build with ExportSvddToDisk() + Open(); the exported U file is the
@@ -78,7 +77,7 @@ class DiskBackedStore {
   std::uint64_t u_file_bytes() const { return u_file_bytes_; }
 
   /// Reconstructs one cell; performs one U-row disk read plus O(k) work
-  /// and (for SVDD) one delta-table probe.
+  /// and one delta-index lookup.
   StatusOr<double> ReconstructCell(std::size_t row, std::size_t col);
 
   /// Reconstructs a whole row with the same single U-row read.
@@ -91,7 +90,7 @@ class DiskBackedStore {
 
   /// Batched region reconstruction mirroring the in-memory models:
   /// reads the selected U rows once, then runs the blocked
-  /// U * (Lambda V^T) product and one delta sweep.
+  /// U * (Lambda V^T) product and folds the selected rows' deltas.
   Status ReconstructRegion(std::span<const std::size_t> row_ids,
                            std::span<const std::size_t> col_ids, Matrix* out);
 
@@ -115,7 +114,7 @@ class DiskBackedStore {
     }
   }
 
-  const DeltaTable& deltas() const { return deltas_; }
+  const DeltaIndex& deltas() const { return deltas_; }
 
  private:
   DiskBackedStore() = default;
@@ -140,8 +139,7 @@ class DiskBackedStore {
   std::vector<double> singular_values_;
   Matrix v_;
   Matrix weighted_v_;  ///< row j = lambda (.) v_j, derived at Open
-  DeltaTable deltas_;
-  std::optional<BloomFilter> bloom_;
+  DeltaIndex deltas_;
   QuantScheme u_scheme_ = QuantScheme::kF64;
   std::size_t u_row_stride_ = 0;
   std::uint64_t u_file_bytes_ = 0;
@@ -175,7 +173,9 @@ class DiskBackedStoreView final : public CompressedStore {
 
 /// Writes `model` into the two-file disk layout: `u_path` holds U as a
 /// row store (one row per sequence), `sidecar_path` holds the memory-
-/// resident parts (eigenvalues, V, deltas, Bloom filter).
+/// resident parts (eigenvalues, V, deltas). Both files are written to
+/// temp files, fsync'ed and renamed into place (the sidecar first), so a
+/// failed export leaves any previous pair as it was.
 Status ExportSvddToDisk(const SvddModel& model, const std::string& u_path,
                         const std::string& sidecar_path);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "storage/delta_table.h"
 #include "util/bounded_heap.h"
 #include "util/logging.h"
 
@@ -69,9 +68,7 @@ std::vector<ScoredRow> TopRowsBySum(const SvddModel& model,
   // one row; a column-set bitmap makes the membership test O(1).
   std::vector<bool> in_set(model.cols(), false);
   for (const std::size_t j : col_ids) in_set[j] = true;
-  model.deltas().ForEach([&](std::uint64_t key, double delta) {
-    const std::size_t i = static_cast<std::size_t>(key / model.cols());
-    const std::size_t j = static_cast<std::size_t>(key % model.cols());
+  model.deltas()->ForEach([&](std::size_t i, std::size_t j, double delta) {
     if (in_set[j]) scores[i] += delta;
   });
   return TopByScore(std::move(scores), count);

@@ -6,7 +6,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "core/error_histogram.h"
 #include "core/parallel_build.h"
@@ -210,14 +209,6 @@ struct Contender {
   double epsilon = 0.0;
 };
 
-/// A Bloom pass followed by a delta miss is a false positive of the
-/// filter; the measured count backs EstimatedFalsePositiveRate().
-void CountBloomFalsePositive() {
-  static obs::Counter& false_positives =
-      obs::MetricRegistry::Default().GetCounter("bloom.false_positives");
-  false_positives.Increment();
-}
-
 /// Evenly spaced candidate cut-offs in [1, k_max], always including both
 /// endpoints. With cap == 0 every k is a candidate (the paper's loop).
 std::vector<std::size_t> ChooseCandidates(std::size_t k_max,
@@ -243,70 +234,29 @@ std::vector<std::size_t> ChooseCandidates(std::size_t k_max,
 
 }  // namespace
 
-SvddModel::SvddModel(SvdModel svd, DeltaTable deltas,
-                     std::optional<BloomFilter> bloom)
-    : svd_(std::move(svd)),
-      deltas_(std::move(deltas)),
-      bloom_(std::move(bloom)) {}
+SvddModel::SvddModel(SvdModel svd, DeltaIndex deltas)
+    : svd_(std::move(svd)), deltas_(std::move(deltas)) {}
 
 double SvddModel::ReconstructCell(std::size_t row, std::size_t col) const {
   const double base = svd_.ReconstructCell(row, col);
-  const std::uint64_t key = DeltaTable::CellKey(row, col, cols());
-  if (bloom_.has_value() && !bloom_->MightContain(key)) return base;
-  const std::optional<double> delta = deltas_.Get(key);
-  if (!delta.has_value()) {
-    if (bloom_.has_value()) CountBloomFalsePositive();
-    return base;
-  }
-  return base + *delta;
+  const std::optional<double> delta = deltas()->Find(row, col);
+  return delta.has_value() ? base + *delta : base;
 }
 
 void SvddModel::ReconstructRow(std::size_t row, std::span<double> out) const {
   svd_.ReconstructRow(row, out);
-  for (std::size_t j = 0; j < cols(); ++j) {
-    const std::uint64_t key = DeltaTable::CellKey(row, j, cols());
-    if (bloom_.has_value() && !bloom_->MightContain(key)) continue;
-    const std::optional<double> delta = deltas_.Get(key);
-    if (delta.has_value()) {
-      out[j] += *delta;
-    } else if (bloom_.has_value()) {
-      CountBloomFalsePositive();
-    }
-  }
+  deltas()->AddToRow(row, out);
 }
 
 void SvddModel::ReconstructCells(std::span<const CellRef> cells,
                                  std::span<double> out) const {
   svd_.ReconstructCells(cells, out);
-  if (deltas_.empty()) return;
-  // Large batches fold the delta table in by iterating it once instead of
-  // probing per cell: O(B + D) beats B bloom probes + hash lookups once
-  // the batch is a reasonable fraction of the table.
-  if (cells.size() >= deltas_.size() / 4) {
-    // Multimap, not map: a batch may name the same cell twice, and every
-    // occurrence must see its delta (the per-cell probe path below does).
-    std::unordered_multimap<std::uint64_t, std::size_t> index;
-    index.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      index.emplace(DeltaTable::CellKey(cells[i].row, cells[i].col, cols()),
-                    i);
-    }
-    deltas_.ForEach([&](std::uint64_t key, double delta) {
-      const auto [begin, end] = index.equal_range(key);
-      for (auto it = begin; it != end; ++it) out[it->second] += delta;
-    });
-    return;
-  }
+  const std::shared_ptr<const DeltaIndex> index = deltas();
+  if (index->empty()) return;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const std::uint64_t key =
-        DeltaTable::CellKey(cells[i].row, cells[i].col, cols());
-    if (bloom_.has_value() && !bloom_->MightContain(key)) continue;
-    const std::optional<double> delta = deltas_.Get(key);
-    if (delta.has_value()) {
-      out[i] += *delta;
-    } else if (bloom_.has_value()) {
-      CountBloomFalsePositive();
-    }
+    const std::optional<double> delta =
+        index->Find(cells[i].row, cells[i].col);
+    if (delta.has_value()) out[i] += *delta;
   }
 }
 
@@ -314,65 +264,17 @@ void SvddModel::ReconstructRegion(std::span<const std::size_t> row_ids,
                                   std::span<const std::size_t> col_ids,
                                   Matrix* out) const {
   svd_.ReconstructRegion(row_ids, col_ids, out);
-  if (deltas_.empty() || row_ids.empty() || col_ids.empty()) return;
-  const std::uint64_t region_cells =
-      static_cast<std::uint64_t>(row_ids.size()) * col_ids.size();
-  if (region_cells >= deltas_.size() / 4) {
-    // One sweep of the table with row/col membership maps; every region
-    // cell's delta is found without a single bloom probe. Multimaps so a
-    // region listing the same row or column twice patches every copy,
-    // matching the per-cell probe path below.
-    std::unordered_multimap<std::size_t, std::size_t> row_index;
-    row_index.reserve(row_ids.size());
-    for (std::size_t r = 0; r < row_ids.size(); ++r) {
-      row_index.emplace(row_ids[r], r);
-    }
-    std::unordered_multimap<std::size_t, std::size_t> col_index;
-    col_index.reserve(col_ids.size());
-    for (std::size_t c = 0; c < col_ids.size(); ++c) {
-      col_index.emplace(col_ids[c], c);
-    }
-    const std::size_t m = cols();
-    deltas_.ForEach([&](std::uint64_t key, double delta) {
-      const auto [rbegin, rend] =
-          row_index.equal_range(static_cast<std::size_t>(key / m));
-      if (rbegin == rend) return;
-      const auto [cbegin, cend] =
-          col_index.equal_range(static_cast<std::size_t>(key % m));
-      for (auto rit = rbegin; rit != rend; ++rit) {
-        for (auto cit = cbegin; cit != cend; ++cit) {
-          (*out)(rit->second, cit->second) += delta;
-        }
-      }
-    });
-    return;
-  }
-  for (std::size_t r = 0; r < row_ids.size(); ++r) {
-    const std::span<double> dst = out->Row(r);
-    for (std::size_t c = 0; c < col_ids.size(); ++c) {
-      const std::uint64_t key =
-          DeltaTable::CellKey(row_ids[r], col_ids[c], cols());
-      if (bloom_.has_value() && !bloom_->MightContain(key)) continue;
-      const std::optional<double> delta = deltas_.Get(key);
-      if (delta.has_value()) {
-        dst[c] += *delta;
-      } else if (bloom_.has_value()) {
-        CountBloomFalsePositive();
-      }
-    }
-  }
+  deltas()->AddToRegion(row_ids, col_ids, out);
 }
 
 std::uint64_t SvddModel::CompressedBytes() const {
-  return svd_.CompressedBytes() + deltas_.PackedBytes();
+  return svd_.CompressedBytes() + deltas()->PackedBytes();
 }
 
 SvdModel::FoldInStats SvddModel::FoldInRows(const Matrix& new_rows) {
   SvdModel::FoldInStats stats = svd_.FoldInRows(new_rows);
-  // After the U matrix has grown: listeners sized to the old row span
-  // (the aggregate hierarchy) mark themselves stale and rebuild on
-  // their next read.
-  delta_listeners_.NotifyRowsAppended(svd_.rows());
+  deltas_.Update(
+      [this](const DeltaIndex& current) { return current.WithRows(rows()); });
   return stats;
 }
 
@@ -381,38 +283,29 @@ Status SvddModel::PatchCell(std::size_t row, std::size_t col,
   if (row >= rows() || col >= cols()) {
     return Status::OutOfRange("cell out of range");
   }
-  const std::uint64_t key = DeltaTable::CellKey(row, col, cols());
-  const std::optional<double> old_delta = deltas_.Get(key);
-  const double new_delta = exact_value - svd_.ReconstructCell(row, col);
-  deltas_.Put(key, new_delta);
-  // The Bloom filter must admit the new key or lookups would skip it.
-  if (bloom_.has_value()) bloom_->Add(key);
-  delta_listeners_.Notify(row, col, old_delta.value_or(0.0),
-                          old_delta.has_value(), new_delta);
+  const double delta = exact_value - svd_.ReconstructCell(row, col);
+  if (!std::isfinite(delta)) {
+    return Status::InvalidArgument("patch value is not finite");
+  }
+  deltas_.Update([&](const DeltaIndex& current) {
+    return current.WithPatch(row, col, delta);
+  });
   return Status::Ok();
 }
 
 Status SvddModel::Serialize(BinaryWriter* writer) const {
   TSC_RETURN_IF_ERROR(writer->WriteU32(kSvddModelMagic));
   TSC_RETURN_IF_ERROR(svd_.Serialize(writer));
-  TSC_RETURN_IF_ERROR(deltas_.Serialize(writer));
-  TSC_RETURN_IF_ERROR(writer->WriteU32(bloom_.has_value() ? 1 : 0));
-  if (bloom_.has_value()) TSC_RETURN_IF_ERROR(bloom_->Serialize(writer));
-  return Status::Ok();
+  return deltas()->Serialize(writer);
 }
 
 StatusOr<SvddModel> SvddModel::Deserialize(BinaryReader* reader) {
   TSC_ASSIGN_OR_RETURN(const std::uint32_t magic, reader->ReadU32());
   if (magic != kSvddModelMagic) return Status::IoError("not an SVDD model");
   TSC_ASSIGN_OR_RETURN(SvdModel svd, SvdModel::Deserialize(reader));
-  TSC_ASSIGN_OR_RETURN(DeltaTable deltas, DeltaTable::Deserialize(reader));
-  TSC_ASSIGN_OR_RETURN(const std::uint32_t has_bloom, reader->ReadU32());
-  std::optional<BloomFilter> bloom;
-  if (has_bloom != 0) {
-    TSC_ASSIGN_OR_RETURN(BloomFilter filter, BloomFilter::Deserialize(reader));
-    bloom = std::move(filter);
-  }
-  return SvddModel(std::move(svd), std::move(deltas), std::move(bloom));
+  TSC_ASSIGN_OR_RETURN(DeltaIndex deltas,
+                       DeltaIndex::Deserialize(reader, svd.rows(), svd.cols()));
+  return SvddModel(std::move(svd), std::move(deltas));
 }
 
 Status SvddModel::SaveToFile(const std::string& path) const {
@@ -467,7 +360,7 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   // the randomized path streams a Gaussian sketch (O(M*(k+p)) resident,
   // independent of N) and Rayleigh-Ritz-solves the small problem.
   // Everything downstream — k_opt search, pass-2 error histograms, pass-3
-  // U emission, quantization, deltas, Bloom — is engine-agnostic.
+  // U emission, quantization, deltas — is engine-agnostic.
   // ---------------------------------------------------------------------
   const std::size_t passes_before = source->passes_started();
   std::vector<double> eigenvalues;
@@ -734,7 +627,7 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
               for (std::size_t j = 0; j < m; ++j) {
                 if (err2[j] < cutoff) continue;
                 c.found[si].push_back(
-                    Outlier{CellErr{err2[j], DeltaTable::CellKey(i, j, m)},
+                    Outlier{CellErr{err2[j], DeltaIndex::CellKey(i, j, m)},
                             requantize ? row[j] : row[j] - recon[j]});
                 ++c.offered[si];
               }
@@ -801,8 +694,6 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   SvdModel svd(std::move(u), std::move(sv_opt), std::move(v_opt));
   svd.set_bytes_per_value(options.bytes_per_value);
 
-  DeltaTable deltas(entries.size());
-  deltas.set_entry_bytes(options.delta_bytes);
   if (requantize) {
     // Quantize the factors first, then derive each stored delta from the
     // kept x_ij against the QUANTIZED reconstruction, so outlier cells
@@ -815,16 +706,23 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
       entry.value -= svd.ReconstructCell(i, j);
     }
   }
-  for (const auto& entry : entries) {
-    deltas.Put(entry.key.cell, entry.value);
+  // The index wants its pairs in key order; the b=4 storage mode keeps
+  // each delta at single precision.
+  std::vector<DeltaEntry> packed(entries.size());
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    const double value = options.bytes_per_value == 4
+                             ? static_cast<float>(entries[e].value)
+                             : entries[e].value;
+    packed[e] = {entries[e].key.cell, value};
   }
-  if (options.bytes_per_value == 4) deltas.QuantizeValuesToFloat();
-  std::optional<BloomFilter> bloom;
-  if (options.build_bloom_filter && !entries.empty()) {
-    BloomFilter filter(entries.size(), options.bloom_bits_per_entry);
-    for (const auto& entry : entries) filter.Add(entry.key.cell);
-    bloom = std::move(filter);
-  }
+  entries = {};
+  std::sort(packed.begin(), packed.end(),
+            [](const DeltaEntry& a, const DeltaEntry& b) {
+              return a.key < b.key;
+            });
+  TSC_ASSIGN_OR_RETURN(DeltaIndex deltas,
+                       DeltaIndex::Build(n, m, packed, options.delta_bytes));
+  packed = {};
 
   phase.reset();
   end_pass(2);
@@ -872,7 +770,7 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
     diagnostics->pass_end_rss_mb = pass_end_rss_mb;
     diagnostics->peak_rss_mb = PeakRssMiB();
   }
-  return SvddModel(std::move(svd), std::move(deltas), std::move(bloom));
+  return SvddModel(std::move(svd), std::move(deltas));
 }
 
 }  // namespace tsc

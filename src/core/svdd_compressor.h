@@ -3,16 +3,15 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/compressed_store.h"
-#include "core/delta_listener.h"
 #include "core/space_budget.h"
 #include "core/svd_compressor.h"
-#include "storage/bloom_filter.h"
-#include "storage/delta_table.h"
+#include "storage/delta_index.h"
 #include "storage/row_source.h"
 #include "util/status.h"
 
@@ -30,19 +29,23 @@ enum class SvddBuildEngine {
 };
 
 /// The SVDD ("SVD with Deltas") representation of Section 4.2: a truncated
-/// SVD plus a hash table of (cell, delta) pairs for the worst-reconstructed
-/// cells, optionally fronted by a main-memory Bloom filter that short-cuts
-/// the non-outlier majority.
+/// SVD plus the (cell, delta) pairs of the worst-reconstructed cells,
+/// held in one DeltaIndex (storage/delta_index.h) that every fold reads:
+/// cell, row, cell batch, region, and the aggregates' range sums.
+///
+/// Thread safety: reads may run concurrently with PatchCell. A patch
+/// publishes a new index snapshot by atomic swap; each read loads one
+/// snapshot and answers from it alone. FoldInRows is an offline batch
+/// operation and must not race anything.
 class SvddModel : public CompressedStore {
  public:
   SvddModel() = default;
-  SvddModel(SvdModel svd, DeltaTable deltas,
-            std::optional<BloomFilter> bloom);
+  SvddModel(SvdModel svd, DeltaIndex deltas);
 
   std::size_t rows() const override { return svd_.rows(); }
   std::size_t cols() const override { return svd_.cols(); }
   std::size_t k() const { return svd_.k(); }
-  std::size_t delta_count() const { return deltas_.size(); }
+  std::size_t delta_count() const { return deltas()->size(); }
 
   double ReconstructCell(std::size_t row, std::size_t col) const override;
   void ReconstructRow(std::size_t row, std::span<double> out) const override;
@@ -52,45 +55,29 @@ class SvddModel : public CompressedStore {
                          std::span<const std::size_t> col_ids,
                          Matrix* out) const override;
 
-  /// SVD footprint plus packed delta triplets. The Bloom filter is a
-  /// main-memory acceleration structure ("optionally, we could use a
-  /// main-memory Bloom filter", Sec. 4.2) and is reported separately by
-  /// BloomBytes(), not charged to the compressed size.
+  /// SVD footprint plus packed delta pairs. The index's two orientations
+  /// are main-memory acceleration structures, reported by
+  /// DeltaIndex::RowIndexBytes/ColumnIndexBytes and not charged here.
   std::uint64_t CompressedBytes() const override;
   std::string MethodName() const override { return "svdd"; }
 
-  std::uint64_t BloomBytes() const {
-    return bloom_.has_value() ? bloom_->SizeBytes() : 0;
-  }
-  bool has_bloom_filter() const { return bloom_.has_value(); }
-  /// Precondition: has_bloom_filter().
-  const BloomFilter& bloom_filter() const { return *bloom_; }
-
   const SvdModel& svd() const { return svd_; }
-  const DeltaTable& deltas() const { return deltas_; }
-  DeltaTable& mutable_deltas() { return deltas_; }
+  /// The current delta snapshot; it stays valid (and unchanged) for as
+  /// long as the caller holds it.
+  std::shared_ptr<const DeltaIndex> deltas() const { return deltas_.Load(); }
 
   /// Batched off-line appends: folds new sequences in via the frozen
   /// subspace (see SvdModel::FoldInRows). New rows get no deltas; patch
-  /// their worst cells with PatchCell if needed. Attached delta
-  /// listeners are told the new row count, so derived rollup structures
-  /// mark themselves stale instead of silently serving the old span.
+  /// their worst cells with PatchCell if needed. Aggregate hierarchies
+  /// over this model see the row count grow and rebuild on their next
+  /// read.
   SvdModel::FoldInStats FoldInRows(const Matrix& new_rows);
 
   /// Point update: makes cell (row, col) reconstruct exactly
   /// `exact_value` by storing (or replacing) its delta. This is how rare
   /// off-line corrections are applied without rebuilding; each patch
-  /// costs one delta-table entry of space.
+  /// costs one delta entry of space.
   Status PatchCell(std::size_t row, std::size_t col, double exact_value);
-
-  /// Registers a delta-update observer (weakly held): every PatchCell
-  /// then reports the (row, col, old, new) change so derived rollup
-  /// structures stay fresh in O(log) instead of rebuilding. Const for
-  /// the same reason the probe counter is mutable — registration is an
-  /// acceleration concern, not logical model state.
-  void AttachDeltaListener(std::weak_ptr<DeltaUpdateListener> listener) const {
-    delta_listeners_.Attach(std::move(listener));
-  }
 
   Status Serialize(BinaryWriter* writer) const;
   static StatusOr<SvddModel> Deserialize(BinaryReader* reader);
@@ -101,11 +88,7 @@ class SvddModel : public CompressedStore {
 
  private:
   SvdModel svd_;
-  DeltaTable deltas_;
-  std::optional<BloomFilter> bloom_;
-  /// Weakly-held observers of PatchCell; reset on copy/move (see
-  /// DeltaListenerRegistry).
-  DeltaListenerRegistry delta_listeners_;
+  PublishedDeltaIndex deltas_;
 };
 
 /// Options for the 3-pass SVDD build.
@@ -132,9 +115,6 @@ struct SvddBuildOptions {
   /// (0).
   std::size_t max_candidates = 0;
   EigenSolverKind solver = EigenSolverKind::kHouseholderQl;
-  /// Build the Bloom filter in front of the delta table.
-  bool build_bloom_filter = true;
-  double bloom_bits_per_entry = 10.0;
   /// Worker threads for the three build passes (1 = serial). Work is
   /// sharded by a fixed shard count with ordered reductions and a
   /// total-order outlier selection, so any thread count produces a
@@ -207,7 +187,7 @@ struct SvddBuildDiagnostics {
 ///   pass 3  stream rows once more to emit U and, for the candidates
 ///           whose bracket overlaps the best one, collect the gamma_k
 ///           largest errors exactly; pick k_opt among them.
-/// The delta table is filled from k_opt's collected cells.
+/// The delta index is built from k_opt's collected cells.
 StatusOr<SvddModel> BuildSvddModel(RowSource* source,
                                    const SvddBuildOptions& options,
                                    SvddBuildDiagnostics* diagnostics = nullptr);

@@ -20,8 +20,7 @@ namespace tsc {
 ///
 /// The flag structure is an exact bitmap (N bits). The paper suggests a
 /// Bloom filter; a bitmap at 1 bit/row is both smaller than a useful
-/// filter and exact, so we charge the bitmap to the compressed size and
-/// keep the Bloom option to the delta table where it belongs.
+/// filter and exact, so we charge the bitmap to the compressed size.
 class ZeroRowFilteredStore : public CompressedStore {
  public:
   ZeroRowFilteredStore() = default;

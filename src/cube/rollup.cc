@@ -15,64 +15,27 @@ std::size_t LeafBase(std::size_t n) {
   return std::bit_ceil(std::max<std::size_t>(n, 1));
 }
 
-/// Membership test against sorted disjoint runs.
-bool InRanges(std::span<const IdRange> ranges, std::size_t id) {
-  auto it = std::upper_bound(
-      ranges.begin(), ranges.end(), id,
-      [](std::size_t v, const IdRange& r) { return v < r.lo; });
-  if (it == ranges.begin()) return false;
-  return id <= std::prev(it)->hi;
-}
-
-/// True when the runs tile [0, n) completely — the full-width fast path
-/// where deltas resolve from tree nodes alone.
-bool CoversAll(std::span<const IdRange> ranges, std::size_t n) {
-  std::size_t next = 0;
-  for (const IdRange& r : ranges) {
-    if (r.lo > next) return false;
-    next = std::max(next, r.hi + 1);
-    if (next >= n) return true;
-  }
-  return next >= n;
-}
-
 }  // namespace
-
-std::vector<IdRange> CoalesceIds(std::span<const std::size_t> ids) {
-  std::vector<IdRange> runs;
-  for (const std::size_t id : ids) {
-    if (!runs.empty() && id <= runs.back().hi) continue;
-    if (!runs.empty() && id == runs.back().hi + 1) {
-      runs.back().hi = id;
-    } else {
-      runs.push_back({id, id});
-    }
-  }
-  return runs;
-}
 
 std::shared_ptr<AggregateHierarchy> AggregateHierarchy::Build(
     const SvddModel& model) {
   std::shared_ptr<AggregateHierarchy> h(new AggregateHierarchy());
   h->model_ = &model;
   h->Populate(model);
-  model.AttachDeltaListener(h);
   return h;
 }
 
 void AggregateHierarchy::Populate(const SvddModel& model) {
-  rows_ = model.rows();
+  const std::size_t rows = model.rows();
   cols_ = model.cols();
   k_ = model.k();
-  row_leaf_base_ = LeafBase(rows_);
+  row_leaf_base_ = LeafBase(rows);
   col_leaf_base_ = LeafBase(cols_);
   row_tree_ = Tensor({2 * row_leaf_base_, k_});
   col_tree_ = Tensor({2 * col_leaf_base_, k_});
-  delta_tree_ = Tensor({2 * row_leaf_base_, 2});
-  row_deltas_.assign(rows_, {});
 
-  // Factor sides: leaves are the (possibly quantization-snapped) U rows
-  // and the Lambda-weighted V rows; internal nodes sum their children.
+  // Leaves are the (possibly quantization-snapped) U rows and the
+  // Lambda-weighted V rows; internal nodes sum their children.
   const Matrix& u = model.svd().u();
   const Matrix& wv = model.svd().weighted_v();
   const auto fill = [k = k_](Tensor& tree, std::size_t leaf_base,
@@ -88,60 +51,25 @@ void AggregateHierarchy::Populate(const SvddModel& model) {
       kernels::Axpy(1.0, tree.Slice(2 * node + 1).data(), out.data(), k);
     }
   };
-  fill(row_tree_, row_leaf_base_, u, rows_);
+  fill(row_tree_, row_leaf_base_, u, rows);
   fill(col_tree_, col_leaf_base_, wv, cols_);
-
-  // Delta side: bucket every stored delta by row, sort each row's list
-  // by column, then one upward pass for the (sum, count) tree.
-  if (cols_ > 0) {
-    model.deltas().ForEach([&](std::uint64_t key, double delta) {
-      const std::size_t row = static_cast<std::size_t>(key / cols_);
-      const std::size_t col = static_cast<std::size_t>(key % cols_);
-      if (row < rows_) row_deltas_[row].push_back({col, delta});
-    });
-  }
-  for (std::size_t row = 0; row < rows_; ++row) {
-    auto& list = row_deltas_[row];
-    std::sort(list.begin(), list.end());
-    std::span<double> leaf = delta_tree_.Slice(row_leaf_base_ + row);
-    for (const auto& [col, delta] : list) leaf[0] += delta;
-    leaf[1] = static_cast<double>(list.size());
-  }
-  for (std::size_t node = row_leaf_base_; node-- > 1;) {
-    std::span<double> out = delta_tree_.Slice(node);
-    std::span<const double> lhs = delta_tree_.Slice(2 * node);
-    std::span<const double> rhs = delta_tree_.Slice(2 * node + 1);
-    out[0] = lhs[0] + rhs[0];
-    out[1] = lhs[1] + rhs[1];
-  }
-}
-
-void AggregateHierarchy::OnRowsAppended(std::size_t new_row_count) {
-  (void)new_row_count;
-  stale_.store(true, std::memory_order_release);
+  rows_.store(rows, std::memory_order_release);
 }
 
 void AggregateHierarchy::EnsureFresh() const {
-  if (!stale_.load(std::memory_order_acquire)) return;
+  if (!stale()) return;
   // A fold-in outran the tree span: the first reader re-derives the
   // trees from the grown model under the writer lock; racing readers
   // queue on the lock and then see the fresh state.
   auto* self = const_cast<AggregateHierarchy*>(this);
-  const std::unique_lock<std::shared_mutex> lock(delta_mutex_);
-  if (!stale_.load(std::memory_order_relaxed)) return;
+  const std::unique_lock<std::shared_mutex> lock(mutex_);
+  if (!stale()) return;
   self->Populate(*model_);
-  stale_.store(false, std::memory_order_release);
 }
 
 std::uint64_t AggregateHierarchy::MemoryBytes() const {
-  const std::shared_lock<std::shared_mutex> lock(delta_mutex_);
-  std::uint64_t bytes =
-      (row_tree_.size() + col_tree_.size() + delta_tree_.size()) *
-      sizeof(double);
-  for (const auto& list : row_deltas_) {
-    bytes += list.capacity() * sizeof(std::pair<std::size_t, double>);
-  }
-  return bytes;
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
+  return (row_tree_.size() + col_tree_.size()) * sizeof(double);
 }
 
 void AggregateHierarchy::AccumulateMass(const Tensor& tree,
@@ -171,10 +99,7 @@ void AggregateHierarchy::AccumulateRowMass(std::span<const IdRange> row_ranges,
                                            std::span<double> out,
                                            RollupStats* stats) const {
   EnsureFresh();
-  // The factor trees were lock-free before lazy rebuilds existed; now a
-  // rebuild can replace them, so reads share the same reader lock as
-  // the delta side.
-  const std::shared_lock<std::shared_mutex> lock(delta_mutex_);
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
   AccumulateMass(row_tree_, row_leaf_base_, row_ranges, out, stats);
 }
 
@@ -182,144 +107,32 @@ void AggregateHierarchy::AccumulateColMass(std::span<const IdRange> col_ranges,
                                            std::span<double> out,
                                            RollupStats* stats) const {
   EnsureFresh();
-  const std::shared_lock<std::shared_mutex> lock(delta_mutex_);
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
   AccumulateMass(col_tree_, col_leaf_base_, col_ranges, out, stats);
 }
 
 double AggregateHierarchy::DeltaSum(std::span<const IdRange> row_ranges,
-                                    std::span<const IdRange> col_ranges,
-                                    RollupStats* stats) const {
-  EnsureFresh();
-  const std::shared_lock<std::shared_mutex> lock(delta_mutex_);
-  return DeltaSumLocked(row_ranges, col_ranges, stats);
-}
-
-double AggregateHierarchy::DeltaSumLocked(std::span<const IdRange> row_ranges,
-                                          std::span<const IdRange> col_ranges,
-                                          RollupStats* stats) const {
-  if (CoversAll(col_ranges, cols_)) {
-    // Full-width: the canonical decomposition over the (sum, count) tree
-    // answers without touching a single per-row list.
-    double sum = 0.0;
-    for (const IdRange& r : row_ranges) {
-      std::size_t lo = row_leaf_base_ + r.lo;
-      std::size_t hi = row_leaf_base_ + r.hi + 1;
-      while (lo < hi) {
-        if (lo & 1) {
-          sum += delta_tree_.Slice(lo++)[0];
-          if (stats != nullptr) ++stats->nodes_read;
-        }
-        if (hi & 1) {
-          sum += delta_tree_.Slice(--hi)[0];
-          if (stats != nullptr) ++stats->nodes_read;
-        }
-        lo >>= 1;
-        hi >>= 1;
-      }
-    }
-    return sum;
-  }
-  double sum = 0.0;
-  VisitRegionDeltasLocked(row_ranges, col_ranges, stats,
-                          [&](std::size_t, std::size_t, double delta) {
-                            sum += delta;
-                          });
-  return sum;
-}
-
-void AggregateHierarchy::VisitRegionDeltas(
-    std::span<const IdRange> row_ranges, std::span<const IdRange> col_ranges,
-    RollupStats* stats,
-    const std::function<void(std::size_t, std::size_t, double)>& fn) const {
-  EnsureFresh();
-  const std::shared_lock<std::shared_mutex> lock(delta_mutex_);
-  VisitRegionDeltasLocked(row_ranges, col_ranges, stats, fn);
-}
-
-void AggregateHierarchy::VisitRegionDeltasLocked(
-    std::span<const IdRange> row_ranges, std::span<const IdRange> col_ranges,
-    RollupStats* stats,
-    const std::function<void(std::size_t, std::size_t, double)>& fn) const {
-  for (const IdRange& rr : row_ranges) {
-    // Count-pruned descent: a node whose subtree holds zero deltas is
-    // skipped whole, so sparse regions cost O(log N), not O(rows).
-    const auto descend = [&](const auto& self, std::size_t node,
-                             std::size_t lo, std::size_t hi) -> void {
-      if (hi < rr.lo || lo > rr.hi) return;
-      if (stats != nullptr) ++stats->nodes_read;
-      if (delta_tree_.Slice(node)[1] == 0.0) return;
-      if (node >= row_leaf_base_) {
-        const std::size_t row = node - row_leaf_base_;
-        for (const auto& [col, delta] : row_deltas_[row]) {
-          if (InRanges(col_ranges, col)) {
-            if (stats != nullptr) ++stats->deltas_folded;
-            fn(row, col, delta);
-          }
-        }
-        return;
-      }
-      const std::size_t mid = lo + (hi - lo) / 2;
-      self(self, 2 * node, lo, mid);
-      self(self, 2 * node + 1, mid + 1, hi);
-    };
-    descend(descend, 1, 0, row_leaf_base_ - 1);
-  }
+                                    std::span<const IdRange> col_ranges) const {
+  return model_->deltas()->RegionSum(row_ranges, col_ranges);
 }
 
 double AggregateHierarchy::RegionSum(std::span<const IdRange> row_ranges,
                                      std::span<const IdRange> col_ranges,
                                      RollupStats* stats) const {
   EnsureFresh();
-  // One reader-lock hold for all three tree reads (shared_mutex must
-  // not be re-acquired on the same thread, and k_/the trees may be
-  // replaced by a concurrent rebuild).
-  const std::shared_lock<std::shared_mutex> lock(delta_mutex_);
-  std::vector<double> row_mass(k_, 0.0);
-  std::vector<double> col_mass(k_, 0.0);
-  AccumulateMass(row_tree_, row_leaf_base_, row_ranges, row_mass, stats);
-  AccumulateMass(col_tree_, col_leaf_base_, col_ranges, col_mass, stats);
-  return kernels::Dot(row_mass.data(), col_mass.data(), k_) +
-         DeltaSumLocked(row_ranges, col_ranges, stats);
-}
-
-void AggregateHierarchy::OnDeltaUpdate(std::size_t row, std::size_t col,
-                                       double old_delta, bool had_old,
-                                       double new_delta) {
-  // A patch beyond the tree's leaf span means rows were folded in since
-  // the last (re)build: the delta already sits in the model's table, so
-  // marking stale makes the next read's rebuild pick it up.
-  if (row >= rows_) {
-    stale_.store(true, std::memory_order_release);
-    return;
+  std::vector<double> row_mass;
+  std::vector<double> col_mass;
+  {
+    // One reader-lock hold for both tree reads (k_ and the trees may be
+    // replaced by a concurrent rebuild).
+    const std::shared_lock<std::shared_mutex> lock(mutex_);
+    row_mass.assign(k_, 0.0);
+    col_mass.assign(k_, 0.0);
+    AccumulateMass(row_tree_, row_leaf_base_, row_ranges, row_mass, stats);
+    AccumulateMass(col_tree_, col_leaf_base_, col_ranges, col_mass, stats);
   }
-  (void)old_delta;
-  (void)had_old;
-  const std::unique_lock<std::shared_mutex> lock(delta_mutex_);
-  auto& list = row_deltas_[row];
-  const auto it = std::lower_bound(
-      list.begin(), list.end(), col,
-      [](const std::pair<std::size_t, double>& p, std::size_t c) {
-        return p.first < c;
-      });
-  // Trust our own list for the previous value: it is exactly what the
-  // tree currently has folded in, even if a notification was ever missed.
-  double applied_old = 0.0;
-  bool existed = false;
-  if (it != list.end() && it->first == col) {
-    applied_old = it->second;
-    existed = true;
-    it->second = new_delta;
-  } else {
-    list.insert(it, {col, new_delta});
-  }
-  const double sum_diff = new_delta - applied_old;
-  const double count_diff = existed ? 0.0 : 1.0;
-  for (std::size_t node = row_leaf_base_ + row;; node >>= 1) {
-    std::span<double> payload = delta_tree_.Slice(node);
-    payload[0] += sum_diff;
-    payload[1] += count_diff;
-    if (node == 1) break;
-  }
+  return kernels::Dot(row_mass.data(), col_mass.data(), row_mass.size()) +
+         DeltaSum(row_ranges, col_ranges);
 }
 
 }  // namespace tsc

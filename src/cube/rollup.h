@@ -1,73 +1,59 @@
 #ifndef TSC_CUBE_ROLLUP_H_
 #define TSC_CUBE_ROLLUP_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <span>
-#include <utility>
 #include <vector>
 
-#include "core/delta_listener.h"
 #include "core/svdd_compressor.h"
 #include "cube/tensor.h"
+#include "util/id_range.h"
 
 namespace tsc {
-
-/// One inclusive id run. Selections arrive as sorted, disjoint runs
-/// (the planner's id lists coalesced, or the data API's ranges after
-/// normalization); every hierarchy query is phrased over them.
-struct IdRange {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-
-  friend bool operator==(const IdRange&, const IdRange&) = default;
-};
-
-/// Coalesces a sorted ascending id list into maximal contiguous runs.
-std::vector<IdRange> CoalesceIds(std::span<const std::size_t> ids);
 
 /// Per-query hierarchy work accounting, surfaced as `agg.nodes_read`
 /// and the X-Query-Cost `agg_nodes_read` field.
 struct RollupStats {
-  std::uint64_t nodes_read = 0;     ///< segment-tree nodes consumed
-  std::uint64_t deltas_folded = 0;  ///< delta entries folded into sums
+  std::uint64_t nodes_read = 0;  ///< segment-tree nodes consumed
 };
 
 /// The multi-resolution aggregate hierarchy over the compressed domain:
-/// three power-of-two segment trees whose node payloads live in cube
-/// Tensors, answering linear aggregates (sum/avg/count) over any
-/// (row-range x time-range) from O(k log N + k log M) node reads with
-/// no row reconstruction and no delta-table sweep.
+/// two power-of-two segment trees whose node payloads live in cube
+/// Tensors, plus the model's DeltaIndex for the delta side. It answers
+/// linear aggregates (sum/avg/count) over any (row ranges x column
+/// ranges) from O(k log N + k log M) node reads and O(|C| log gamma)
+/// delta-index searches, with no row reconstruction.
 ///
 ///   row tree   node = sum of its rows' U coefficients (a k-vector)
 ///   col tree   node = sum of its columns' Lambda-weighted V rows
-///   delta tree node = (sum, count) of stored deltas in its row span,
-///              plus per-row (col, delta) lists for partial col ranges
+///   deltas     the model's current DeltaIndex snapshot, read per query
+///              (its column-major running sums)
 ///
-/// The factor sides are immutable once built (U and Lambda·V are frozen
-/// at model build). The delta side registers as a DeltaUpdateListener
-/// on the model, so each PatchCell updates the O(log N) nodes on its
-/// leaf-to-root path under a writer lock; queries take the reader side,
-/// which is what the tsan hammer exercises.
+/// The factor trees are immutable between fold-ins. The delta side
+/// needs no maintenance: a PatchCell publishes a new index snapshot and
+/// the next query reads it. FoldInRows grows the model past the trees;
+/// the next read sees the row count change and rebuilds them under the
+/// writer lock, while queries take the reader side.
 ///
 /// Region sum identity (exact up to fp reassociation):
 ///   sum_{i in R, j in C} X-hat(i,j)
 ///     = dot(sum_{i in R} u_i, sum_{j in C} lambda.v_j)
 ///       + sum_{(i,j) in R x C} delta(i,j)
-class AggregateHierarchy : public DeltaUpdateListener {
+class AggregateHierarchy {
  public:
-  /// Builds the three trees from the model's factors and delta table
-  /// and registers the result as the model's delta listener. The model
-  /// must outlive the hierarchy and not move (the same contract the
+  /// Builds the two trees from the model's factors. The model must
+  /// outlive the hierarchy and not move (the same contract the
   /// QueryExecutor already imposes).
   static std::shared_ptr<AggregateHierarchy> Build(const SvddModel& model);
 
-  std::size_t rows() const { return rows_; }
+  std::size_t rows() const { return rows_.load(std::memory_order_acquire); }
   std::size_t cols() const { return cols_; }
   std::size_t k() const { return k_; }
+  /// Bytes of the factor trees (the delta index is the model's).
   std::uint64_t MemoryBytes() const;
 
   /// Accumulates sum_{i in ranges} u_i into out[0..k) (+=, caller
@@ -78,54 +64,32 @@ class AggregateHierarchy : public DeltaUpdateListener {
   void AccumulateColMass(std::span<const IdRange> col_ranges,
                          std::span<double> out, RollupStats* stats) const;
 
-  /// Sum of stored deltas inside the region. Full-width column ranges
-  /// resolve purely from delta-tree nodes; partial ranges descend the
-  /// tree pruning empty subtrees and filter the per-row lists.
+  /// Sum of stored deltas inside the region, from the delta index's
+  /// column running sums.
   double DeltaSum(std::span<const IdRange> row_ranges,
-                  std::span<const IdRange> col_ranges,
-                  RollupStats* stats) const;
-
-  /// Visits every stored delta inside the region (used by grouped
-  /// aggregates and the compressed-domain fallback's range-indexed
-  /// fold). Ordered by row, then column.
-  void VisitRegionDeltas(
-      std::span<const IdRange> row_ranges,
-      std::span<const IdRange> col_ranges, RollupStats* stats,
-      const std::function<void(std::size_t row, std::size_t col,
-                               double delta)>& fn) const;
+                  std::span<const IdRange> col_ranges) const;
 
   /// The headline query: sum over the region, deltas folded.
   double RegionSum(std::span<const IdRange> row_ranges,
                    std::span<const IdRange> col_ranges,
                    RollupStats* stats) const;
 
-  /// DeltaUpdateListener: O(log N) node updates per PatchCell.
-  void OnDeltaUpdate(std::size_t row, std::size_t col, double old_delta,
-                     bool had_old, double new_delta) override;
-
-  /// DeltaUpdateListener: FoldInRows grew the model past the tree span.
-  /// Marks the hierarchy stale; the next aggregate rebuilds it from the
-  /// model (lazily, under the writer lock) before answering, so rollup
-  /// answers never silently exclude appended rows.
-  void OnRowsAppended(std::size_t new_row_count) override;
-
   /// Whether a fold-in is pending a rebuild (test/diagnostic hook).
-  bool stale() const { return stale_.load(std::memory_order_acquire); }
+  bool stale() const {
+    return model_->rows() != rows();
+  }
 
  private:
   AggregateHierarchy() = default;
 
-  /// (Re)derives every tree from the model's current factors and delta
-  /// table. Called at Build, and from EnsureFresh under the writer lock
-  /// after a fold-in. The caller synchronizes.
+  /// (Re)derives both trees from the model's current factors. Called at
+  /// Build, and from EnsureFresh under the writer lock after a fold-in.
+  /// The caller synchronizes.
   void Populate(const SvddModel& model);
 
   /// Lazy rebuild gate, called at the top of every read: cheap acquire
   /// load when fresh; after a fold-in, the first reader re-Populates
   /// under the writer lock while later readers queue on it.
-  /// Concurrent PatchCell against the SAME model during the rebuild is
-  /// outside the contract (fold-ins are offline batch operations), but
-  /// rebuild-vs-reader is fully synchronized.
   void EnsureFresh() const;
 
   /// Shared canonical-decomposition walk over a {2P, k} factor tree.
@@ -133,38 +97,22 @@ class AggregateHierarchy : public DeltaUpdateListener {
                       std::span<const IdRange> ranges, std::span<double> out,
                       RollupStats* stats) const;
 
-  /// DeltaSum's body; caller holds delta_mutex_ (either side).
-  double DeltaSumLocked(std::span<const IdRange> row_ranges,
-                        std::span<const IdRange> col_ranges,
-                        RollupStats* stats) const;
-
-  /// Count-pruned descent; caller holds delta_mutex_ (either side).
-  void VisitRegionDeltasLocked(
-      std::span<const IdRange> row_ranges,
-      std::span<const IdRange> col_ranges, RollupStats* stats,
-      const std::function<void(std::size_t, std::size_t, double)>& fn) const;
-
   /// The indexed model; outlives the hierarchy (Build's contract).
   /// Read again on stale rebuilds.
   const SvddModel* model_ = nullptr;
-  mutable std::atomic<bool> stale_{false};
-
-  std::size_t rows_ = 0;
+  /// The model row count the trees were built for.
+  std::atomic<std::size_t> rows_{0};
   std::size_t cols_ = 0;
   std::size_t k_ = 0;
 
-  std::size_t row_leaf_base_ = 1;    ///< P for the row/delta trees
-  std::size_t col_leaf_base_ = 1;    ///< P for the col tree
-  Tensor row_tree_;                  ///< {2P_rows, k} sums of U rows
-  Tensor col_tree_;                  ///< {2P_cols, k} sums of Lambda·V rows
-  Tensor delta_tree_;                ///< {2P_rows, 2} = (sum, count)
+  std::size_t row_leaf_base_ = 1;  ///< P for the row tree
+  std::size_t col_leaf_base_ = 1;  ///< P for the col tree
+  Tensor row_tree_;                ///< {2P_rows, k} sums of U rows
+  Tensor col_tree_;                ///< {2P_cols, k} sums of Lambda·V rows
 
-  /// Per-row (col, delta) lists sorted by column, for partial-width
-  /// delta folds. Guarded, with delta_tree_, by delta_mutex_. Since
-  /// lazy rebuilds can replace the factor trees too, every tree read —
-  /// factor or delta side — now takes the reader lock.
-  std::vector<std::vector<std::pair<std::size_t, double>>> row_deltas_;
-  mutable std::shared_mutex delta_mutex_;
+  /// Lazy rebuilds replace the trees, so every tree read takes the
+  /// reader side and a rebuild the writer side.
+  mutable std::shared_mutex mutex_;
 };
 
 }  // namespace tsc

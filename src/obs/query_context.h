@@ -156,8 +156,8 @@ inline void ChargeIoBytes(std::uint64_t bytes) {
 inline void ChargeRowsScanned(std::uint64_t rows) {
   detail::Charge(&QueryContext::rows_scanned, rows);
 }
-inline void ChargeDeltaProbe() {
-  detail::Charge(&QueryContext::delta_probes, 1);
+inline void ChargeDeltaProbes(std::uint64_t probes) {
+  detail::Charge(&QueryContext::delta_probes, probes);
 }
 inline void ChargeAdmissionWaitUs(std::uint64_t wait_us) {
   detail::Charge(&QueryContext::admission_wait_us, wait_us);

@@ -11,7 +11,6 @@
 #include "obs/query_context.h"
 #include "obs/trace.h"
 #include "query/parser.h"
-#include "storage/delta_table.h"
 #include "util/logging.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -94,100 +93,60 @@ bool IsLinearAggregate(AggregateFn fn) {
 
 /// Per-group sums of the selected region, straight from the factors:
 /// no grouping -> one total; by row -> dot(u_i, w) per row; by col ->
-/// s_j = sum_m (sum_{i in R} u_im) * lambda_m * v_jm per column.
-/// Deltas inside the region are folded into their group: through the
-/// hierarchy's range index when one exists (only in-region deltas are
-/// ever touched), by a full delta-table sweep only in the degenerate
-/// no-hierarchy mode.
+/// s_j = sum_m (sum_{i in R} u_im) * lambda_m * v_jm per column. The
+/// deltas inside the region come from the model's delta index: per-row
+/// sums over its row CSR, per-column and total sums over its column
+/// running sums. Ids are sorted and unique (the planner's).
 std::vector<double> CompressedDomainSums(
     const SvddModel& model, const std::vector<std::size_t>& row_ids,
     const std::vector<std::size_t>& col_ids, GroupBy group_by,
     const AggregateHierarchy* hierarchy, RollupStats* stats) {
   const SvdModel& svd = model.svd();
   const std::size_t k = svd.k();
+  const std::shared_ptr<const DeltaIndex> deltas = model.deltas();
+  const std::vector<IdRange> row_runs =
+      CoalesceIds(std::span<const std::size_t>(row_ids));
+  const std::vector<IdRange> col_runs =
+      CoalesceIds(std::span<const std::size_t>(col_ids));
 
   std::vector<double> sums;
   if (group_by == GroupBy::kCol) {
-    // Column direction: accumulate the selected rows' U mass once, then
-    // one vectorized dot against each Lambda-weighted V row.
+    // Column direction: the selected rows' U mass once (from the row
+    // tree when there is one), then one dot per Lambda-weighted V row.
     std::vector<double> u_mass(k, 0.0);
-    for (const std::size_t i : row_ids) {
-      kernels::Axpy(1.0, svd.u().Row(i).data(), u_mass.data(), k);
+    if (hierarchy != nullptr) {
+      hierarchy->AccumulateRowMass(row_runs, u_mass, stats);
+    } else {
+      for (const std::size_t i : row_ids) {
+        kernels::Axpy(1.0, svd.u().Row(i).data(), u_mass.data(), k);
+      }
     }
     sums.assign(col_ids.size(), 0.0);
     for (std::size_t g = 0; g < col_ids.size(); ++g) {
       sums[g] = kernels::Dot(u_mass.data(),
                              svd.weighted_v().Row(col_ids[g]).data(), k);
     }
-  } else {
-    // Row direction (and the ungrouped total): weights = sum of the
-    // selected Lambda-weighted V rows, then one dot per selected U row.
-    std::vector<double> weights(k, 0.0);
-    for (const std::size_t j : col_ids) {
-      kernels::Axpy(1.0, svd.weighted_v().Row(j).data(), weights.data(), k);
-    }
-    const std::size_t groups =
-        group_by == GroupBy::kRow ? row_ids.size() : 1;
-    sums.assign(groups, 0.0);
-    for (std::size_t g = 0; g < row_ids.size(); ++g) {
-      const double dot =
-          kernels::Dot(svd.u().Row(row_ids[g]).data(), weights.data(), k);
-      sums[group_by == GroupBy::kRow ? g : 0] += dot;
-    }
-  }
-
-  // Fold in the deltas that fall inside the region. With a hierarchy the
-  // range-indexed visit enumerates exactly the in-region deltas (count-
-  // pruned descent), so the per-query cost tracks the region, not the
-  // table; ids are sorted, so the group index is a binary search away.
-  if (hierarchy != nullptr) {
-    const std::vector<IdRange> row_runs =
-        CoalesceIds(std::span<const std::size_t>(row_ids));
-    const std::vector<IdRange> col_runs =
-        CoalesceIds(std::span<const std::size_t>(col_ids));
-    hierarchy->VisitRegionDeltas(
-        row_runs, col_runs, stats,
-        [&](std::size_t i, std::size_t j, double delta) {
-          switch (group_by) {
-            case GroupBy::kRow: {
-              const auto it =
-                  std::lower_bound(row_ids.begin(), row_ids.end(), i);
-              sums[static_cast<std::size_t>(it - row_ids.begin())] += delta;
-              break;
-            }
-            case GroupBy::kCol: {
-              const auto it =
-                  std::lower_bound(col_ids.begin(), col_ids.end(), j);
-              sums[static_cast<std::size_t>(it - col_ids.begin())] += delta;
-              break;
-            }
-            case GroupBy::kNone:
-              sums[0] += delta;
-              break;
-          }
-        });
+    deltas->AddColumnSums(row_runs, col_ids, sums);
     return sums;
   }
-  std::vector<std::size_t> row_group(model.rows(), SIZE_MAX);
-  for (std::size_t g = 0; g < row_ids.size(); ++g) row_group[row_ids[g]] = g;
-  std::vector<std::size_t> col_group(model.cols(), SIZE_MAX);
-  for (std::size_t g = 0; g < col_ids.size(); ++g) col_group[col_ids[g]] = g;
-  model.deltas().ForEach([&](std::uint64_t key, double delta) {
-    const std::size_t i = static_cast<std::size_t>(key / model.cols());
-    const std::size_t j = static_cast<std::size_t>(key % model.cols());
-    if (row_group[i] == SIZE_MAX || col_group[j] == SIZE_MAX) return;
-    switch (group_by) {
-      case GroupBy::kRow:
-        sums[row_group[i]] += delta;
-        break;
-      case GroupBy::kCol:
-        sums[col_group[j]] += delta;
-        break;
-      case GroupBy::kNone:
-        sums[0] += delta;
-        break;
-    }
-  });
+  // Row direction (and the ungrouped total): weights = sum of the
+  // selected Lambda-weighted V rows, then one dot per selected U row.
+  std::vector<double> weights(k, 0.0);
+  for (const std::size_t j : col_ids) {
+    kernels::Axpy(1.0, svd.weighted_v().Row(j).data(), weights.data(), k);
+  }
+  const std::size_t groups = group_by == GroupBy::kRow ? row_ids.size() : 1;
+  sums.assign(groups, 0.0);
+  for (std::size_t g = 0; g < row_ids.size(); ++g) {
+    const double dot =
+        kernels::Dot(svd.u().Row(row_ids[g]).data(), weights.data(), k);
+    sums[group_by == GroupBy::kRow ? g : 0] += dot;
+  }
+  if (group_by == GroupBy::kRow) {
+    deltas->AddRowSums(row_ids, col_runs, sums);
+  } else {
+    sums[0] += deltas->RegionSum(row_runs, col_runs);
+  }
   return sums;
 }
 
@@ -245,9 +204,9 @@ class ResultBuilder {
         }
         ++result.compressed_domain_aggregates;
         if (sums.empty() && fn != AggregateFn::kCount) {
-          // Ungrouped totals resolve purely from hierarchy nodes; grouped
-          // sums need the per-group factor math either way and use the
-          // hierarchy only for the range-indexed delta fold.
+          // Ungrouped totals resolve purely from hierarchy nodes and the
+          // delta index; grouped sums need the per-group factor math and
+          // use the hierarchy for the row side's U mass.
           if (rollup_ != nullptr && plan_.group_by == GroupBy::kNone) {
             const std::vector<IdRange> row_runs =
                 CoalesceIds(std::span<const std::size_t>(plan_.row_ids));

@@ -103,8 +103,9 @@ class QueryExecutor {
   const CompressedStore* store_;
   const SvddModel* svdd_ = nullptr;  ///< non-null enables the fast path
   std::shared_ptr<ThreadPool> pool_;  ///< null = scan on the calling thread
-  /// Owned rollup hierarchy; registered (weakly) as the model's delta
-  /// listener so PatchCell keeps it fresh. Null when disabled.
+  /// Owned rollup hierarchy; it reads the model's current delta
+  /// snapshot per query, so patches need no notification. Null when
+  /// disabled.
   std::shared_ptr<AggregateHierarchy> rollup_;
 };
 

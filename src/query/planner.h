@@ -17,7 +17,7 @@ enum class ExecutionStrategy {
   /// cells — O(selected_rows * (k*M + |cols|)). Works for every fn.
   kRowReconstruction,
   /// Compute entirely in the compressed domain from U, Lambda, V (and
-  /// the delta table): O(|cols|*k) setup + O(k) per selected row.
+  /// the delta index): O(|cols|*k) setup + O(k) per selected row.
   /// Available for sum/avg/count, which are linear in the cells.
   kCompressedDomain,
   /// Answer from the multi-resolution aggregate hierarchy (cube/rollup.h):

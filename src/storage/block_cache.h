@@ -16,7 +16,7 @@ namespace tsc {
 
 /// Fixed-capacity LRU cache of disk blocks — the buffer pool in front of
 /// the row store. A query-serving deployment keeps V, the eigenvalues
-/// and the delta table pinned; the U rows stream through this cache, so
+/// and the delta index pinned; the U rows stream through this cache, so
 /// repeated access to hot sequences (skewed, Zipf-like workloads are the
 /// norm per Appendix A) costs no disk reads.
 ///

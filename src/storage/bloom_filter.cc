@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace tsc {
@@ -43,20 +42,12 @@ void BloomFilter::Add(std::uint64_t key) {
 }
 
 bool BloomFilter::MightContain(std::uint64_t key) const {
-  static obs::Counter& probes =
-      obs::MetricRegistry::Default().GetCounter("bloom.probes");
-  static obs::Counter& negatives =
-      obs::MetricRegistry::Default().GetCounter("bloom.negatives");
-  probes.Increment();
   std::uint64_t h1 = 0;
   std::uint64_t h2 = 0;
   TwoHashes(key, &h1, &h2);
   for (std::size_t i = 0; i < hash_count_; ++i) {
     const std::size_t bit = static_cast<std::size_t>((h1 + i * h2) % bit_count_);
-    if ((bits_[bit >> 6] & (1ULL << (bit & 63))) == 0) {
-      negatives.Increment();
-      return false;
-    }
+    if ((bits_[bit >> 6] & (1ULL << (bit & 63))) == 0) return false;
   }
   return true;
 }

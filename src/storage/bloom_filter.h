@@ -12,7 +12,8 @@ namespace tsc {
 /// Standard Bloom filter over 64-bit keys. The paper suggests it twice:
 /// in front of the SVDD delta hash table ("predict the majority of
 /// non-outliers, and thus save several probes", Section 4.2) and to flag
-/// all-zero customers (Section 6.2).
+/// all-zero customers (Section 6.2). Only bench/ablation_svdd uses it,
+/// to reproduce the paper's hash table + filter layout beside DeltaIndex.
 class BloomFilter {
  public:
   /// Sizes the filter for `expected_entries` at `bits_per_entry` (10 bits

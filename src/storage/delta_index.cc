@@ -1,0 +1,450 @@
+#include "storage/delta_index.h"
+
+#include <cmath>
+#include <limits>
+#include <string>
+
+#include "obs/metrics.h"
+#include "obs/query_context.h"
+#include "util/logging.h"
+
+namespace tsc {
+namespace {
+
+constexpr std::uint64_t kMaxDimension =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// Adds one fold's searches to the process counters, beside the charge
+/// to the request in flight (query_context.h).
+void CountLookups(std::uint64_t lookups, std::uint64_t hits) {
+  static obs::Counter& lookup_counter =
+      obs::MetricRegistry::Default().GetCounter("delta.lookups");
+  static obs::Counter& hit_counter =
+      obs::MetricRegistry::Default().GetCounter("delta.hits");
+  lookup_counter.Add(lookups);
+  obs::ChargeDeltaProbes(lookups);
+  hit_counter.Add(hits);
+}
+
+/// Reads and drops the Bloom-filter section that older files carry
+/// after the delta entries, in bounded chunks so a hostile word count
+/// cannot force a large allocation.
+Status SkipBloomSection(BinaryReader* reader) {
+  TSC_ASSIGN_OR_RETURN(const std::uint64_t bit_count, reader->ReadU64());
+  TSC_ASSIGN_OR_RETURN(const std::uint64_t hash_count, reader->ReadU64());
+  TSC_ASSIGN_OR_RETURN(const std::uint64_t entry_count, reader->ReadU64());
+  TSC_ASSIGN_OR_RETURN(const std::uint64_t word_count, reader->ReadU64());
+  (void)entry_count;
+  if (word_count > (1ULL << 32) || hash_count == 0 || hash_count > 64 ||
+      bit_count == 0 || (bit_count + 63) / 64 != word_count) {
+    return Status::IoError("corrupt bloom filter header");
+  }
+  std::vector<std::uint64_t> chunk(
+      static_cast<std::size_t>(std::min<std::uint64_t>(word_count, 8192)));
+  for (std::uint64_t left = word_count; left > 0;) {
+    const std::uint64_t words = std::min<std::uint64_t>(left, chunk.size());
+    TSC_RETURN_IF_ERROR(reader->ReadBytes(
+        chunk.data(), static_cast<std::size_t>(words) * sizeof(std::uint64_t)));
+    left -= words;
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+DeltaIndex::DeltaIndex() : base_(std::make_shared<const Base>()) {}
+
+StatusOr<DeltaIndex> DeltaIndex::Build(std::size_t rows, std::size_t cols,
+                                       std::span<const DeltaEntry> entries,
+                                       std::uint64_t entry_bytes) {
+  std::size_t next = 0;
+  return Assemble(rows, cols, entries.size(), entry_bytes,
+                  [&]() -> StatusOr<DeltaEntry> { return entries[next++]; });
+}
+
+StatusOr<DeltaIndex> DeltaIndex::Assemble(
+    std::size_t rows, std::size_t cols, std::uint64_t count,
+    std::uint64_t entry_bytes,
+    const std::function<StatusOr<DeltaEntry>()>& next) {
+  if (rows > kMaxDimension || cols > kMaxDimension) {
+    return Status::InvalidArgument("delta index dimensions exceed u32");
+  }
+  if (entry_bytes == 0 || entry_bytes > 64) {
+    return Status::InvalidArgument("bad delta entry size");
+  }
+  const std::uint64_t cells = static_cast<std::uint64_t>(rows) * cols;
+  if (count > cells) return Status::InvalidArgument("more deltas than cells");
+
+  auto base = std::make_shared<Base>();
+  base->rows = rows;
+  base->row_offsets.assign(rows + 1, 0);
+  // Reserve a bounded prefix only: the count of a corrupt file must not
+  // size an allocation before its entries have been read.
+  const std::size_t reserve =
+      static_cast<std::size_t>(std::min<std::uint64_t>(count, 1u << 20));
+  base->row_cols.reserve(reserve);
+  base->row_deltas.reserve(reserve);
+  std::uint64_t previous = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    TSC_ASSIGN_OR_RETURN(const DeltaEntry entry, next());
+    if (entry.key >= cells) {
+      return Status::InvalidArgument("delta key out of range");
+    }
+    if (i > 0 && entry.key <= previous) {
+      return Status::InvalidArgument("delta keys not strictly ascending");
+    }
+    if (!std::isfinite(entry.delta)) {
+      return Status::InvalidArgument("non-finite delta");
+    }
+    previous = entry.key;
+    base->row_cols.push_back(static_cast<std::uint32_t>(entry.key % cols));
+    base->row_deltas.push_back(entry.delta);
+    ++base->row_offsets[static_cast<std::size_t>(entry.key / cols) + 1];
+  }
+  for (std::size_t row = 0; row < rows; ++row) {
+    base->row_offsets[row + 1] += base->row_offsets[row];
+  }
+
+  // Column orientation: a counting sort of the row CSR by column. Rows
+  // are visited in order, so each column's rows come out ascending.
+  const std::size_t total = base->row_cols.size();
+  base->col_offsets.assign(cols + 1, 0);
+  for (const std::uint32_t col : base->row_cols) ++base->col_offsets[col + 1];
+  for (std::size_t col = 0; col < cols; ++col) {
+    base->col_offsets[col + 1] += base->col_offsets[col];
+  }
+  base->col_rows.resize(total);
+  base->col_running.resize(total);
+  std::vector<std::uint64_t> cursor(base->col_offsets.begin(),
+                                    base->col_offsets.end() - 1);
+  for (std::size_t row = 0; row < rows; ++row) {
+    for (std::uint64_t p = base->row_offsets[row];
+         p < base->row_offsets[row + 1]; ++p) {
+      const std::uint64_t slot = cursor[base->row_cols[p]]++;
+      base->col_rows[slot] = static_cast<std::uint32_t>(row);
+      base->col_running[slot] = base->row_deltas[p];
+    }
+  }
+  for (std::size_t col = 0; col < cols; ++col) {
+    for (std::uint64_t p = base->col_offsets[col] + 1;
+         p < base->col_offsets[col + 1]; ++p) {
+      base->col_running[p] += base->col_running[p - 1];
+    }
+  }
+
+  DeltaIndex index;
+  index.base_ = std::move(base);
+  index.rows_ = rows;
+  index.cols_ = cols;
+  index.size_ = total;
+  index.entry_bytes_ = entry_bytes;
+  return index;
+}
+
+Status DeltaIndex::Serialize(BinaryWriter* writer) const {
+  TSC_RETURN_IF_ERROR(writer->WriteU64(entry_bytes_));
+  TSC_RETURN_IF_ERROR(writer->WriteU64(size_));
+  Status status = Status::Ok();
+  ForEach([&](std::size_t row, std::size_t col, double delta) {
+    if (!status.ok()) return;
+    status = writer->WriteU64(CellKey(row, col, cols_));
+    if (status.ok()) status = writer->WriteDouble(delta);
+  });
+  TSC_RETURN_IF_ERROR(status);
+  return writer->WriteU32(0);  // no Bloom filter follows
+}
+
+StatusOr<DeltaIndex> DeltaIndex::Deserialize(BinaryReader* reader,
+                                             std::size_t rows,
+                                             std::size_t cols) {
+  TSC_ASSIGN_OR_RETURN(const std::uint64_t entry_bytes, reader->ReadU64());
+  TSC_ASSIGN_OR_RETURN(const std::uint64_t count, reader->ReadU64());
+  StatusOr<DeltaIndex> index = Assemble(
+      rows, cols, count, entry_bytes, [reader]() -> StatusOr<DeltaEntry> {
+        DeltaEntry entry;
+        TSC_ASSIGN_OR_RETURN(entry.key, reader->ReadU64());
+        TSC_ASSIGN_OR_RETURN(entry.delta, reader->ReadDouble());
+        return entry;
+      });
+  if (!index.ok()) {
+    return Status::IoError("corrupt delta section: " +
+                           index.status().message());
+  }
+  TSC_ASSIGN_OR_RETURN(const std::uint32_t has_bloom, reader->ReadU32());
+  if (has_bloom > 1) return Status::IoError("corrupt bloom filter flag");
+  if (has_bloom == 1) TSC_RETURN_IF_ERROR(SkipBloomSection(reader));
+  return index;
+}
+
+std::uint64_t DeltaIndex::RowIndexBytes() const {
+  return base_->row_offsets.size() * sizeof(std::uint64_t) +
+         base_->row_cols.size() * sizeof(std::uint32_t) +
+         base_->row_deltas.size() * sizeof(double) +
+         overlay_.size() * sizeof(Patch);
+}
+
+std::uint64_t DeltaIndex::ColumnIndexBytes() const {
+  return base_->col_offsets.size() * sizeof(std::uint64_t) +
+         base_->col_rows.size() * sizeof(std::uint32_t) +
+         base_->col_running.size() * sizeof(double);
+}
+
+std::span<const std::uint32_t> DeltaIndex::BaseCols(std::size_t row) const {
+  if (row >= base_->rows) return {};
+  const std::uint64_t begin = base_->row_offsets[row];
+  const std::uint64_t end = base_->row_offsets[row + 1];
+  return {base_->row_cols.data() + begin,
+          static_cast<std::size_t>(end - begin)};
+}
+
+std::span<const double> DeltaIndex::BaseDeltas(std::size_t row) const {
+  if (row >= base_->rows) return {};
+  const std::uint64_t begin = base_->row_offsets[row];
+  const std::uint64_t end = base_->row_offsets[row + 1];
+  return {base_->row_deltas.data() + begin,
+          static_cast<std::size_t>(end - begin)};
+}
+
+std::span<const DeltaIndex::Patch> DeltaIndex::RowPatches(
+    std::size_t row) const {
+  if (overlay_.empty()) return {};
+  const auto by_key = [](const Patch& patch, std::uint64_t key) {
+    return patch.key < key;
+  };
+  const auto first = std::lower_bound(overlay_.begin(), overlay_.end(),
+                                      CellKey(row, 0, cols_), by_key);
+  const auto last = std::lower_bound(first, overlay_.end(),
+                                     CellKey(row + 1, 0, cols_), by_key);
+  return {overlay_.data() + (first - overlay_.begin()),
+          static_cast<std::size_t>(last - first)};
+}
+
+double DeltaIndex::BaseColumnSum(std::size_t col, std::size_t lo,
+                                 std::size_t hi, bool* hit) const {
+  const std::uint32_t* all = base_->col_rows.data();
+  const std::uint32_t* first = all + base_->col_offsets[col];
+  const std::uint32_t* last = all + base_->col_offsets[col + 1];
+  if (first == last || lo >= base_->rows) return 0.0;
+  const auto top = static_cast<std::uint32_t>(std::min(hi, base_->rows - 1));
+  const std::uint32_t* a =
+      std::lower_bound(first, last, static_cast<std::uint32_t>(lo));
+  const std::uint32_t* b = std::upper_bound(a, last, top);
+  if (a == b) return 0.0;
+  *hit = true;
+  const double upper = base_->col_running[b - all - 1];
+  return a == first ? upper : upper - base_->col_running[a - all - 1];
+}
+
+bool DeltaIndex::RowWalkIsCheaper(std::size_t selected_rows,
+                                  std::size_t searches) const {
+  // A row visit reads an offset pair and its ~D/N entries; a column
+  // search is two binary searches over its ~D/M rows.
+  const double per_row =
+      1.0 + static_cast<double>(size_) /
+                static_cast<double>(std::max<std::size_t>(rows_, 1));
+  const double per_search =
+      2.0 * std::log2(2.0 + static_cast<double>(size_) /
+                                static_cast<double>(
+                                    std::max<std::size_t>(cols_, 1)));
+  return static_cast<double>(selected_rows) * per_row <
+         static_cast<double>(searches) * per_search;
+}
+
+std::optional<double> DeltaIndex::Find(std::size_t row,
+                                       std::size_t col) const {
+  std::optional<double> found;
+  const std::uint64_t key = CellKey(row, col, cols_);
+  const std::span<const Patch> patches = RowPatches(row);
+  const auto patch = std::lower_bound(
+      patches.begin(), patches.end(), key,
+      [](const Patch& p, std::uint64_t k) { return p.key < k; });
+  if (patch != patches.end() && patch->key == key) {
+    found = patch->delta;
+  } else {
+    const std::span<const std::uint32_t> cols = BaseCols(row);
+    const auto it = std::lower_bound(cols.begin(), cols.end(), col);
+    if (it != cols.end() && *it == col) {
+      found = BaseDeltas(row)[static_cast<std::size_t>(it - cols.begin())];
+    }
+  }
+  CountLookups(1, found.has_value() ? 1 : 0);
+  return found;
+}
+
+void DeltaIndex::AddToRow(std::size_t row, std::span<double> out) const {
+  bool hit = false;
+  ForEachInRow(row, [&](std::size_t col, double delta) {
+    out[col] += delta;
+    hit = true;
+  });
+  CountLookups(1, hit ? 1 : 0);
+}
+
+void DeltaIndex::AddToRegion(std::span<const std::size_t> row_ids,
+                             std::span<const std::size_t> col_ids,
+                             Matrix* out) const {
+  if (row_ids.empty() || col_ids.empty()) return;
+  // Each delta finds every copy of its column by one equal_range over
+  // the selected columns in id order; `order` maps back to positions.
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> sorted;
+  std::span<const std::size_t> by_id = col_ids;
+  if (!std::is_sorted(col_ids.begin(), col_ids.end())) {
+    order.resize(col_ids.size());
+    for (std::size_t c = 0; c < order.size(); ++c) order[c] = c;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return col_ids[a] < col_ids[b];
+                     });
+    sorted.resize(col_ids.size());
+    for (std::size_t c = 0; c < order.size(); ++c) {
+      sorted[c] = col_ids[order[c]];
+    }
+    by_id = sorted;
+  }
+  std::uint64_t hits = 0;
+  for (std::size_t r = 0; r < row_ids.size(); ++r) {
+    const std::span<double> dst = out->Row(r);
+    bool hit = false;
+    ForEachInRow(row_ids[r], [&](std::size_t col, double delta) {
+      const auto [first, last] =
+          std::equal_range(by_id.begin(), by_id.end(), col);
+      for (auto it = first; it != last; ++it) {
+        const std::size_t c = static_cast<std::size_t>(it - by_id.begin());
+        dst[order.empty() ? c : order[c]] += delta;
+        hit = true;
+      }
+    });
+    hits += hit ? 1 : 0;
+  }
+  CountLookups(row_ids.size(), hits);
+}
+
+double DeltaIndex::RegionSum(std::span<const IdRange> row_ranges,
+                             std::span<const IdRange> col_ranges) const {
+  if (size_ == 0 || row_ranges.empty() || col_ranges.empty()) return 0.0;
+  std::vector<std::size_t> col_ids;
+  col_ids.reserve(RangesSize(col_ranges));
+  for (const IdRange& r : col_ranges) {
+    for (std::size_t col = r.lo; col <= r.hi; ++col) col_ids.push_back(col);
+  }
+  std::vector<double> sums(col_ids.size(), 0.0);
+  AddColumnSums(row_ranges, col_ids, sums);
+  double sum = 0.0;
+  for (const double s : sums) sum += s;
+  return sum;
+}
+
+void DeltaIndex::AddColumnSums(std::span<const IdRange> row_ranges,
+                               std::span<const std::size_t> col_ids,
+                               std::span<double> out) const {
+  if (size_ == 0 || row_ranges.empty() || col_ids.empty()) return;
+  std::uint64_t lookups = 0;
+  std::uint64_t hits = 0;
+  // Adds `value` to every copy of `col`; false when it is not selected.
+  const auto add = [&](std::size_t col, double value) {
+    const auto [first, last] =
+        std::equal_range(col_ids.begin(), col_ids.end(), col);
+    for (auto it = first; it != last; ++it) {
+      out[static_cast<std::size_t>(it - col_ids.begin())] += value;
+    }
+    return first != last;
+  };
+  const std::size_t searches = col_ids.size() * row_ranges.size();
+  if (RowWalkIsCheaper(RangesSize(row_ranges), searches)) {
+    for (const IdRange& rr : row_ranges) {
+      for (std::size_t row = rr.lo; row <= rr.hi; ++row) {
+        bool hit = false;
+        ForEachInRow(row, [&](std::size_t col, double delta) {
+          hit = add(col, delta) || hit;
+        });
+        ++lookups;
+        hits += hit ? 1 : 0;
+      }
+    }
+  } else {
+    for (std::size_t g = 0; g < col_ids.size(); ++g) {
+      for (const IdRange& rr : row_ranges) {
+        bool hit = false;
+        out[g] += BaseColumnSum(col_ids[g], rr.lo, rr.hi, &hit);
+        ++lookups;
+        hits += hit ? 1 : 0;
+      }
+    }
+    for (const Patch& patch : overlay_) {
+      const std::size_t row = static_cast<std::size_t>(patch.key / cols_);
+      if (InRanges(row_ranges, row)) {
+        add(static_cast<std::size_t>(patch.key % cols_),
+            patch.delta - patch.shadowed);
+      }
+    }
+  }
+  CountLookups(lookups, hits);
+}
+
+void DeltaIndex::AddRowSums(std::span<const std::size_t> row_ids,
+                            std::span<const IdRange> col_ranges,
+                            std::span<double> out) const {
+  if (size_ == 0 || row_ids.empty() || col_ranges.empty()) return;
+  const bool all_cols = RangesSize(col_ranges) == cols_;
+  std::uint64_t hits = 0;
+  for (std::size_t g = 0; g < row_ids.size(); ++g) {
+    bool hit = false;
+    ForEachInRow(row_ids[g], [&](std::size_t col, double delta) {
+      if (all_cols || InRanges(col_ranges, col)) {
+        out[g] += delta;
+        hit = true;
+      }
+    });
+    hits += hit ? 1 : 0;
+  }
+  CountLookups(row_ids.size(), hits);
+}
+
+DeltaIndex DeltaIndex::WithPatch(std::size_t row, std::size_t col,
+                                 double delta) const {
+  TSC_CHECK(row < rows_ && col < cols_) << "patch outside the index";
+  DeltaIndex next = *this;
+  const std::uint64_t key = CellKey(row, col, cols_);
+  const auto it = std::lower_bound(
+      next.overlay_.begin(), next.overlay_.end(), key,
+      [](const Patch& p, std::uint64_t k) { return p.key < k; });
+  if (it != next.overlay_.end() && it->key == key) {
+    it->delta = delta;
+    return next;
+  }
+  Patch patch;
+  patch.key = key;
+  patch.delta = delta;
+  const std::span<const std::uint32_t> cols = BaseCols(row);
+  const auto at = std::lower_bound(cols.begin(), cols.end(), col);
+  if (at != cols.end() && *at == col) {
+    patch.shadowed =
+        BaseDeltas(row)[static_cast<std::size_t>(at - cols.begin())];
+  } else {
+    ++next.size_;
+  }
+  next.overlay_.insert(it, patch);
+  if (next.overlay_.size() > kMaxOverlay) return next.Merged();
+  return next;
+}
+
+DeltaIndex DeltaIndex::WithRows(std::size_t rows) const {
+  TSC_CHECK(rows >= rows_ && rows <= kMaxDimension) << "bad row count";
+  DeltaIndex next = *this;
+  next.rows_ = rows;
+  return next;
+}
+
+DeltaIndex DeltaIndex::Merged() const {
+  std::vector<DeltaEntry> entries;
+  entries.reserve(size_);
+  ForEach([&](std::size_t row, std::size_t col, double delta) {
+    entries.push_back({CellKey(row, col, cols_), delta});
+  });
+  StatusOr<DeltaIndex> merged = Build(rows_, cols_, entries, entry_bytes_);
+  TSC_CHECK_OK(merged.status());
+  return std::move(*merged);
+}
+
+}  // namespace tsc

@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "obs/query_context.h"
 #include "util/logging.h"
 
 namespace tsc {
@@ -93,12 +91,6 @@ void DeltaTable::Put(std::uint64_t key, double delta) {
 }
 
 std::optional<double> DeltaTable::Get(std::uint64_t key) const {
-  static obs::Counter& lookups =
-      obs::MetricRegistry::Default().GetCounter("delta.lookups");
-  static obs::Counter& hits =
-      obs::MetricRegistry::Default().GetCounter("delta.hits");
-  static obs::Histogram& probe_length =
-      obs::MetricRegistry::Default().GetHistogram("delta.probe_length");
   std::size_t slot = HashKey(key) & Mask();
   std::uint64_t probes = 0;
   std::optional<double> result;
@@ -113,10 +105,6 @@ std::optional<double> DeltaTable::Get(std::uint64_t key) const {
     slot = (slot + 1) & Mask();
   }
   probe_count_.fetch_add(probes, std::memory_order_relaxed);
-  lookups.Increment();
-  obs::ChargeDeltaProbe();
-  if (result.has_value()) hits.Increment();
-  probe_length.Record(static_cast<double>(probes));
   return result;
 }
 

@@ -18,7 +18,9 @@ namespace tsc {
 ///
 /// Open addressing with linear probing over a power-of-two table; probe
 /// counts are tracked so the Bloom-filter ablation can report the probes
-/// a front filter saves.
+/// a front filter saves. Models and serving fold their deltas through
+/// DeltaIndex (storage/delta_index.h); this table and BloomFilter remain
+/// as bench/ablation_svdd's reproduction of the paper's layout.
 class DeltaTable {
  public:
   /// `expected_entries` pre-sizes the table (load factor <= 0.7).

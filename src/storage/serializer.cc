@@ -189,12 +189,18 @@ StatusOr<Matrix> BinaryReader::ReadMatrix() {
 
 Status WriteFileAtomically(const std::string& path,
                            const std::function<Status(BinaryWriter*)>& write) {
-  const std::string temp = path + ".tmp." + std::to_string(::getpid());
-  Status status = [&]() -> Status {
+  return ReplaceFileAtomically(path, [&](const std::string& temp) -> Status {
     TSC_ASSIGN_OR_RETURN(BinaryWriter writer, BinaryWriter::Open(temp));
     TSC_RETURN_IF_ERROR(write(&writer));
     return writer.FinishWithChecksum();
-  }();
+  });
+}
+
+Status ReplaceFileAtomically(
+    const std::string& path,
+    const std::function<Status(const std::string& temp_path)>& write) {
+  const std::string temp = path + ".tmp." + std::to_string(::getpid());
+  Status status = write(temp);
   if (status.ok()) {
     const int fd = ::open(temp.c_str(), O_RDONLY);
     if (fd < 0 || ::fsync(fd) != 0) {

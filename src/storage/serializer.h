@@ -90,6 +90,12 @@ class BinaryReader {
 Status WriteFileAtomically(const std::string& path,
                            const std::function<Status(BinaryWriter*)>& write);
 
+/// The same temp, fsync and rename steps for a file written by other
+/// means: `write` creates and fills the temp path it is given.
+Status ReplaceFileAtomically(
+    const std::string& path,
+    const std::function<Status(const std::string& temp_path)>& write);
+
 }  // namespace tsc
 
 #endif  // TSC_STORAGE_SERIALIZER_H_

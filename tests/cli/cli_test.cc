@@ -106,6 +106,12 @@ TEST_F(CliPipelineTest, InfoShowsModel) {
   EXPECT_NE(result.out.find("kind:        svdd"), std::string::npos);
   EXPECT_NE(result.out.find("sequences:   200"), std::string::npos);
   EXPECT_NE(result.out.find("length:      40"), std::string::npos);
+  // perfbench reads the components line; the delta index reports both
+  // orientations and there is no Bloom filter left to report.
+  EXPECT_NE(result.out.find("components:  "), std::string::npos);
+  EXPECT_NE(result.out.find("row index:   "), std::string::npos);
+  EXPECT_NE(result.out.find("col index:   "), std::string::npos);
+  EXPECT_EQ(result.out.find("bloom"), std::string::npos);
 }
 
 TEST_F(CliPipelineTest, CellQueryMatchesAggregate) {
@@ -259,10 +265,12 @@ TEST_F(CliPipelineTest, StatsServesWorkloadAndPrintsDerivedLines) {
   EXPECT_NE(result.out.find("cell queries"), std::string::npos);
   EXPECT_NE(result.out.find("disk accesses"), std::string::npos);
   EXPECT_NE(result.out.find("cache hit rate"), std::string::npos);
+  EXPECT_NE(result.out.find("delta index:"), std::string::npos);
+  EXPECT_EQ(result.out.find("bloom"), std::string::npos);
 #ifndef TSC_OBS_DISABLED
   // The registry table follows with the raw instruments.
-  EXPECT_NE(result.out.find("bloom.probes"), std::string::npos);
-  EXPECT_NE(result.out.find("delta.probe_length"), std::string::npos);
+  EXPECT_NE(result.out.find("delta.lookups"), std::string::npos);
+  EXPECT_NE(result.out.find("delta.hits"), std::string::npos);
   EXPECT_NE(result.out.find("query.exec_us"), std::string::npos);
 #endif
 }
@@ -329,7 +337,7 @@ TEST(CliTest, UnknownFlagsAreRejectedPerCommand) {
   const std::string model = TempPath("flags.model");
   for (const std::string flag :
        {"--shards=4", "--prefetch-depth=8", "--batch-window-us=50",
-        "--cache-blocks=8", "--spcae=5"}) {
+        "--no-bloom", "--cache-blocks=8", "--spcae=5"}) {
     SCOPED_TRACE(flag);
     const CliResult result = RunTool(
         {"compress", "--input=" + data, "--out=" + model, "--space=20", flag});

@@ -1,5 +1,8 @@
 #include "core/disk_backed.h"
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -126,19 +129,16 @@ TEST_F(DiskBackedTest, BatchedCellsMatchPerCellPath) {
 
 TEST_F(DiskBackedTest, DuplicateCellsSeeDeltasInSweepPath) {
   // A batch naming the same cell twice must apply the cell's delta to
-  // every occurrence, in both the large-batch table-sweep path and the
-  // in-memory model it mirrors (the sweep used to keep only the first).
+  // every occurrence, on disk and in the in-memory model it mirrors (an
+  // earlier table-sweep path kept only the first).
   auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
   ASSERT_TRUE(store.ok());
   ASSERT_GT(store->deltas().size(), 0u);
   std::vector<CellRef> cells;
-  store->deltas().ForEach([&](std::uint64_t key, double) {
-    const std::size_t row = static_cast<std::size_t>(key / data_.cols());
-    const std::size_t col = static_cast<std::size_t>(key % data_.cols());
+  store->deltas().ForEach([&](std::size_t row, std::size_t col, double) {
     cells.push_back({row, col});
     cells.push_back({row, col});  // duplicate occurrence
   });
-  // 2x the table size, comfortably on the sweep path (>= deltas/4).
   std::vector<double> batched(cells.size());
   ASSERT_TRUE(store->ReconstructCells(cells, batched).ok());
   std::vector<double> model_batched(cells.size());
@@ -153,7 +153,7 @@ TEST_F(DiskBackedTest, DuplicateCellsSeeDeltasInSweepPath) {
 
 TEST_F(DiskBackedTest, DuplicateRegionIdsSeeDeltasInSweepPath) {
   // Same property for regions: every occurrence of a duplicated row id
-  // must get the row's deltas (the old sweep patched only the first).
+  // must get the row's deltas (an earlier sweep patched only the first).
   // Inject a delta of +100 at a known cell so a missed duplicate is off
   // by 100, far outside GEMM rounding noise.
   const std::size_t delta_row = 3;
@@ -163,8 +163,7 @@ TEST_F(DiskBackedTest, DuplicateRegionIdsSeeDeltasInSweepPath) {
   ASSERT_TRUE(ExportSvddToDisk(model_, u_path_, sidecar_path_).ok());
   auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
   ASSERT_TRUE(store.ok());
-  // Full region plus one duplicated row: 151 x 40 cells, comfortably on
-  // the table-sweep path (>= deltas/4).
+  // Full region plus one duplicated row.
   std::vector<std::size_t> rows(data_.rows());
   std::iota(rows.begin(), rows.end(), std::size_t{0});
   rows.push_back(delta_row);
@@ -183,6 +182,37 @@ TEST_F(DiskBackedTest, DuplicateRegionIdsSeeDeltasInSweepPath) {
     EXPECT_NEAR(model_region(dup, c), *want, 1e-9) << "model dup col " << c;
   }
   EXPECT_NEAR(region(dup, delta_col), exact, 1e-9);
+}
+
+TEST_F(DiskBackedTest, FailedExportKeepsThePreviousFiles) {
+  const auto read_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+  };
+  const std::vector<char> u_before = read_bytes(u_path_);
+  const std::vector<char> sidecar_before = read_bytes(sidecar_path_);
+  // After this patch a complete export would change both files.
+  ASSERT_TRUE(model_.PatchCell(0, 0, 1234.5).ok());
+  const std::string pid = std::to_string(::getpid());
+  for (const std::string& blocked : {u_path_, sidecar_path_}) {
+    SCOPED_TRACE(blocked);
+    // A directory squatting on one temp name fails that write.
+    const std::string temp = blocked + ".tmp." + pid;
+    ASSERT_TRUE(std::filesystem::create_directory(temp));
+    EXPECT_FALSE(ExportSvddToDisk(model_, u_path_, sidecar_path_).ok());
+    EXPECT_EQ(read_bytes(u_path_), u_before);
+    EXPECT_EQ(read_bytes(sidecar_path_), sidecar_before);
+    std::filesystem::remove(temp);
+    EXPECT_FALSE(std::filesystem::exists(u_path_ + ".tmp." + pid));
+    EXPECT_FALSE(std::filesystem::exists(sidecar_path_ + ".tmp." + pid));
+  }
+  ASSERT_TRUE(ExportSvddToDisk(model_, u_path_, sidecar_path_).ok());
+  auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
+  ASSERT_TRUE(store.ok());
+  const auto cell = store->ReconstructCell(0, 0);
+  ASSERT_TRUE(cell.ok());
+  EXPECT_NEAR(*cell, 1234.5, 1e-9);
 }
 
 TEST_F(DiskBackedTest, BatchedRegionMatchesModel) {

@@ -109,9 +109,10 @@ TEST(PatchCellTest, MakesCellExact) {
   EXPECT_FALSE(model->PatchCell(0, 16, 0.0).ok());
 }
 
-TEST(PatchCellTest, WorksThroughBloomFilter) {
-  // The patched key must be admitted to the Bloom filter, or lookups
-  // would skip the delta.
+TEST(PatchCellTest, InsertsNewDeltaCells) {
+  // Patching a cell that holds no delta adds one: the patched value
+  // reads back, the delta count and packed bytes grow by one entry, and
+  // the patch survives a save and load.
   PhoneDatasetConfig config;
   config.num_customers = 120;
   config.num_days = 24;
@@ -120,19 +121,28 @@ TEST(PatchCellTest, WorksThroughBloomFilter) {
   MatrixRowSource source(&x);
   SvddBuildOptions options;
   options.space_percent = 10.0;
-  options.build_bloom_filter = true;
   auto model = BuildSvddModel(&source, options);
   ASSERT_TRUE(model.ok());
-  ASSERT_TRUE(model->has_bloom_filter());
   // Pick a cell that is NOT already an outlier.
   std::size_t i = 0;
   std::size_t j = 0;
-  while (model->deltas().Contains(DeltaTable::CellKey(i, j, 24))) {
+  while (model->deltas()->Find(i, j).has_value()) {
     j = (j + 1) % 24;
     if (j == 0) ++i;
   }
+  const std::size_t before = model->delta_count();
+  const std::uint64_t bytes_before = model->CompressedBytes();
   ASSERT_TRUE(model->PatchCell(i, j, 999.0).ok());
   EXPECT_NEAR(model->ReconstructCell(i, j), 999.0, 1e-9);
+  EXPECT_EQ(model->delta_count(), before + 1);
+  EXPECT_EQ(model->CompressedBytes(),
+            bytes_before + model->deltas()->entry_bytes());
+  const std::string path = ::testing::TempDir() + "/patched.model";
+  ASSERT_TRUE(model->SaveToFile(path).ok());
+  const auto loaded = SvddModel::LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->ReconstructCell(i, j), model->ReconstructCell(i, j));
+  EXPECT_EQ(loaded->delta_count(), before + 1);
 }
 
 TEST(QuantizedStorageTest, SvdFloatModeHalvesBytes) {
@@ -166,12 +176,10 @@ TEST(QuantizedStorageTest, SvddFloatModeKeepsOutliersNearExact) {
   auto model = BuildSvddModel(&source, options);
   ASSERT_TRUE(model.ok());
   ASSERT_GT(model->delta_count(), 0u);
-  EXPECT_EQ(model->deltas().entry_bytes(), 12u);
+  EXPECT_EQ(model->deltas()->entry_bytes(), 12u);
   // Outlier cells reconstruct to float accuracy against the quantized
   // factors (the deltas were re-derived post-quantization).
-  model->deltas().ForEach([&](std::uint64_t key, double) {
-    const std::size_t i = static_cast<std::size_t>(key / x.cols());
-    const std::size_t j = static_cast<std::size_t>(key % x.cols());
+  model->deltas()->ForEach([&](std::size_t i, std::size_t j, double) {
     const double rel =
         std::abs(model->ReconstructCell(i, j) - x(i, j)) /
         std::max(1.0, std::abs(x(i, j)));

@@ -3,7 +3,7 @@
 // must make --threads=1 and --threads=N produce bitwise-identical
 // serialized models. These tests enforce that, plus the Kahan-summation
 // invariant (non-negative candidate residuals) and SVDD round-trips
-// with and without the Bloom filter.
+// in the current file layout and in the older one with a Bloom filter.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bloom_section_files.h"
 #include "core/svd_compressor.h"
 #include "core/svdd_compressor.h"
 #include "data/generators.h"
@@ -124,21 +125,26 @@ TEST(ParallelDeterminismTest, CandidateResidualsNonNegative) {
   }
 }
 
+/// Round-trips a threaded build through a file: the current layout, or
+/// with `with_bloom` the older one that carries a Bloom filter after
+/// the deltas (bloom_section_files.h).
 void RoundTripSvdd(bool with_bloom) {
   const Matrix x = MakePhoneMatrix(150);
   MatrixRowSource source(&x);
   SvddBuildOptions options;
   options.space_percent = 10.0;
-  options.build_bloom_filter = with_bloom;
   options.num_threads = 8;
   const auto model = BuildSvddModel(&source, options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
-  EXPECT_EQ(model->has_bloom_filter(), with_bloom);
 
   const std::string path = ::testing::TempDir() +
                            (with_bloom ? "/svdd_bloom.model"
                                        : "/svdd_nobloom.model");
-  ASSERT_TRUE(model->SaveToFile(path).ok());
+  if (with_bloom) {
+    ASSERT_TRUE(WriteModelWithBloomSection(*model, path).ok());
+  } else {
+    ASSERT_TRUE(model->SaveToFile(path).ok());
+  }
   const auto loaded = SvddModel::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
@@ -146,17 +152,17 @@ void RoundTripSvdd(bool with_bloom) {
   EXPECT_EQ(loaded->cols(), model->cols());
   EXPECT_EQ(loaded->k(), model->k());
   EXPECT_EQ(loaded->delta_count(), model->delta_count());
-  EXPECT_EQ(loaded->has_bloom_filter(), with_bloom);
   for (std::size_t i = 0; i < loaded->rows(); i += 17) {
     for (std::size_t j = 0; j < loaded->cols(); j += 7) {
       EXPECT_EQ(loaded->ReconstructCell(i, j), model->ReconstructCell(i, j));
     }
   }
   // Every stored delta must survive the round trip.
-  loaded->deltas().ForEach([&](std::uint64_t key, double delta) {
-    const auto original = model->deltas().Get(key);
-    ASSERT_TRUE(original.has_value()) << "key " << key;
-    EXPECT_EQ(*original, delta);
+  const auto original = model->deltas();
+  loaded->deltas()->ForEach([&](std::size_t i, std::size_t j, double delta) {
+    const auto stored = original->Find(i, j);
+    ASSERT_TRUE(stored.has_value()) << "cell " << i << "," << j;
+    EXPECT_EQ(*stored, delta);
   });
 }
 

@@ -75,7 +75,7 @@ TEST(TopRowsBySumTest, SvddDeltasFoldedIn) {
   auto model = BuildSvddModel(&source, options);
   ASSERT_TRUE(model.ok());
   ASSERT_TRUE(model->PatchCell(7, 3, 1e6).ok());
-  ASSERT_TRUE(model->deltas().Contains(DeltaTable::CellKey(7, 3, 30)));
+  ASSERT_TRUE(model->deltas()->Find(7, 3).has_value());
 
   std::vector<std::size_t> all_cols(30);
   for (std::size_t j = 0; j < 30; ++j) all_cols[j] = j;

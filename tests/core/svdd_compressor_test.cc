@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bloom_section_files.h"
 #include "core/metrics.h"
 #include "core/parallel_build.h"
 #include "data/generators.h"
@@ -88,9 +89,7 @@ TEST(SvddCompressorTest, OutlierCellsReconstructExactly) {
   ASSERT_GT(model->delta_count(), 0u);
   // Every cell with a stored delta reconstructs with zero error
   // ("error-free reconstruction", Section 4.2).
-  model->deltas().ForEach([&](std::uint64_t key, double) {
-    const std::size_t i = static_cast<std::size_t>(key / x.cols());
-    const std::size_t j = static_cast<std::size_t>(key % x.cols());
+  model->deltas()->ForEach([&](std::size_t i, std::size_t j, double) {
     EXPECT_NEAR(model->ReconstructCell(i, j), x(i, j),
                 1e-9 * std::max(1.0, std::abs(x(i, j))));
   });
@@ -101,21 +100,19 @@ TEST(SvddCompressorTest, DeltasTargetWorstCells) {
   MatrixRowSource source(&x);
   SvddBuildOptions options;
   options.space_percent = 10.0;
-  options.build_bloom_filter = false;
   const auto model = BuildSvddModel(&source, options);
   ASSERT_TRUE(model.ok());
   ASSERT_GT(model->delta_count(), 0u);
   // The smallest stored |delta| must be >= the largest plain-SVD error
   // among non-outlier cells (the bounded heaps keep the global top-gamma).
   double min_stored = 1e300;
-  model->deltas().ForEach([&](std::uint64_t, double delta) {
+  model->deltas()->ForEach([&](std::size_t, std::size_t, double delta) {
     min_stored = std::min(min_stored, std::abs(delta));
   });
   double max_unstored = 0.0;
   for (std::size_t i = 0; i < x.rows(); ++i) {
     for (std::size_t j = 0; j < x.cols(); ++j) {
-      const std::uint64_t key = DeltaTable::CellKey(i, j, x.cols());
-      if (model->deltas().Contains(key)) continue;
+      if (model->deltas()->Find(i, j).has_value()) continue;
       const double err = std::abs(model->svd().ReconstructCell(i, j) - x(i, j));
       max_unstored = std::max(max_unstored, err);
     }
@@ -150,10 +147,8 @@ TEST(SvddCompressorTest, QuantizedBuildsKeepTheErrorContract) {
     };
     double min_delta = std::numeric_limits<double>::infinity();
     std::size_t inexact_deltas = 0;
-    model->deltas().ForEach([&](std::uint64_t key, double delta) {
+    model->deltas()->ForEach([&](std::size_t i, std::size_t j, double delta) {
       min_delta = std::min(min_delta, std::abs(delta));
-      const std::size_t i = static_cast<std::size_t>(key / x.cols());
-      const std::size_t j = static_cast<std::size_t>(key % x.cols());
       if (std::abs(model->ReconstructCell(i, j) - x(i, j)) > tolerance(x(i, j))) {
         ++inexact_deltas;
       }
@@ -163,7 +158,7 @@ TEST(SvddCompressorTest, QuantizedBuildsKeepTheErrorContract) {
     double worst = 0.0;
     for (std::size_t i = 0; i < x.rows(); ++i) {
       for (std::size_t j = 0; j < x.cols(); ++j) {
-        if (model->deltas().Contains(DeltaTable::CellKey(i, j, x.cols()))) {
+        if (model->deltas()->Find(i, j).has_value()) {
           continue;
         }
         const double err = std::abs(model->ReconstructCell(i, j) - x(i, j));
@@ -306,22 +301,38 @@ TEST(SvddCompressorTest, DiagnosticsReportPassesAndResolution) {
 }
 
 TEST(SvddCompressorTest, BloomFilterNeverChangesResults) {
+  // Files written before the delta index carry a Bloom filter after the
+  // deltas. Such a file loads, answers bit-identically to the current
+  // layout, and re-saves to the current bytes.
   const Matrix x = SpikyMatrix();
-  SvddBuildOptions with_bloom;
-  with_bloom.space_percent = 10.0;
-  with_bloom.build_bloom_filter = true;
-  SvddBuildOptions without_bloom = with_bloom;
-  without_bloom.build_bloom_filter = false;
+  MatrixRowSource source(&x);
+  SvddBuildOptions options;
+  options.space_percent = 10.0;
+  const auto model = BuildSvddModel(&source, options);
+  ASSERT_TRUE(model.ok());
+  ASSERT_GT(model->delta_count(), 0u);
+  const std::string current = ::testing::TempDir() + "/svdd_current.model";
+  const std::string older = ::testing::TempDir() + "/svdd_bloom.model";
+  ASSERT_TRUE(model->SaveToFile(current).ok());
+  ASSERT_TRUE(WriteModelWithBloomSection(*model, older).ok());
+  const auto a = SvddModel::LoadFromFile(current);
+  const auto b = SvddModel::LoadFromFile(older);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(b->delta_count(), a->delta_count());
+  const Matrix all_a = a->ReconstructAll();
+  const Matrix all_b = b->ReconstructAll();
+  EXPECT_EQ(all_a.data(), all_b.data());
 
-  MatrixRowSource s1(&x);
-  MatrixRowSource s2(&x);
-  const auto a = BuildSvddModel(&s1, with_bloom);
-  const auto b = BuildSvddModel(&s2, without_bloom);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(a->has_bloom_filter());
-  EXPECT_FALSE(b->has_bloom_filter());
-  EXPECT_LT(MaxAbsDifference(a->ReconstructAll(), b->ReconstructAll()), 1e-12);
+  const std::string resaved = ::testing::TempDir() + "/svdd_resaved.model";
+  ASSERT_TRUE(b->SaveToFile(resaved).ok());
+  const auto read_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+  };
+  EXPECT_EQ(read_bytes(resaved), read_bytes(current));
+  EXPECT_LT(read_bytes(current).size(), read_bytes(older).size());
 }
 
 TEST(SvddCompressorTest, TinyBudgetFails) {
@@ -395,7 +406,6 @@ TEST(SvddCompressorTest, SerializeRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->k(), model->k());
   EXPECT_EQ(loaded->delta_count(), model->delta_count());
-  EXPECT_EQ(loaded->has_bloom_filter(), model->has_bloom_filter());
   EXPECT_LT(
       MaxAbsDifference(loaded->ReconstructAll(), model->ReconstructAll()),
       1e-12);
@@ -536,7 +546,7 @@ OracleResult RunOracle(const Matrix& x, const SvddBuildOptions& options) {
         const double err = row[j] - recon[j];
         const double e2 = err * err;
         lanes[ci][i % kBuildShards][j % 4].Add(e2);
-        cells[ci].push_back({e2, DeltaTable::CellKey(i, j, m), err, row[j]});
+        cells[ci].push_back({e2, DeltaIndex::CellKey(i, j, m), err, row[j]});
       }
     }
   }
@@ -635,7 +645,8 @@ std::size_t ExpectMatchesOracle(const Matrix& x, SvddBuildOptions options) {
     }
     EXPECT_EQ(model->delta_count(), oracle.deltas.size());
     for (const auto& [key, delta] : oracle.deltas) {
-      const std::optional<double> stored = model->deltas().Get(key);
+      const std::optional<double> stored =
+          model->deltas()->Find(key / model->cols(), key % model->cols());
       EXPECT_TRUE(stored.has_value()) << "cell " << key;
       if (!stored.has_value()) continue;
       EXPECT_EQ(std::bit_cast<std::uint64_t>(*stored),

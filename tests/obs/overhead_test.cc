@@ -2,7 +2,7 @@
 // the executor must not get more than 5% slower with instruments enabled
 // than with them runtime-disabled, inside the same binary. This covers
 // the full instrumented path — executor stage histograms and counters,
-// plus the delta/bloom instruments reached during reconstruction.
+// plus the delta-index instruments reached during reconstruction.
 //
 // Methodology: many short measurement segments, strictly alternating
 // configurations so both sample the same machine conditions, scored by

@@ -22,7 +22,7 @@ TEST(QueryContextTest, ChargesGoToTheInstalledContext) {
   ChargeBlocksFetched(4);
   ChargeIoBytes(1024);
   ChargeRowsScanned(30);
-  ChargeDeltaProbe();
+  ChargeDeltaProbes(1);
   ChargeAdmissionWaitUs(250);
 
   const QueryCostVector costs = CurrentQueryContext() == nullptr

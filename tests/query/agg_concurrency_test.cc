@@ -1,13 +1,16 @@
-// ThreadSanitizer hammer for the aggregate hierarchy's locking story:
-// one writer patching cells through SvddModel::PatchCell (the delta
-// listener updates O(log N) tree nodes under the unique lock) while
-// reader threads answer rollup queries under the shared lock. The
-// delta table itself is single-writer, so the readers here stay on
-// hierarchy-only paths (sum/avg/count — never row reconstruction).
+// ThreadSanitizer hammers for patches racing reads. SvddModel::PatchCell
+// publishes a new DeltaIndex snapshot by atomic swap and never mutates
+// one a reader holds, so readers take every path: cell, row and region
+// reconstruction, hierarchy region sums and grouped aggregates. Each
+// answer must equal the answer of one published snapshot.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -66,9 +69,8 @@ TEST(AggConcurrencyTest, ConcurrentPatchesVersusRollupReads) {
     readers.emplace_back([&, r] {
       while (!go.load(std::memory_order_acquire)) {
       }
-      // Rotate through the hierarchy's three query shapes: ungrouped
-      // RegionSum, grouped with full-width delta tree reads, grouped
-      // with partial-width per-row list filtering.
+      // Rotate through the three aggregate shapes: ungrouped RegionSum,
+      // per-row sums over the row CSR, per-column range sums.
       const char* kQueries[] = {
           "select sum(value), avg(value), count(*)",
           "select sum(value) where row in 5:90 group by row",
@@ -88,8 +90,8 @@ TEST(AggConcurrencyTest, ConcurrentPatchesVersusRollupReads) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // Quiesced consistency: the incrementally-maintained hierarchy must
-  // now agree with one rebuilt from the final delta table.
+  // Quiesced consistency: the live hierarchy must now agree with one
+  // built after the last patch.
   QueryExecutor rebuilt(&model);
   const auto live = executor.Execute("select sum(value), count(*)");
   const auto fresh = rebuilt.Execute("select sum(value), count(*)");
@@ -131,17 +133,13 @@ TEST(AggConcurrencyTest, DirectHierarchyHammer) {
   stop.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
 
-  // Exact agreement on the delta side once writes quiesce: count is an
-  // integer and the rebuilt tree folds the same set of deltas.
+  // Once writes quiesce both hierarchies read the same delta snapshot.
   const auto fresh = AggregateHierarchy::Build(model);
   const IdRange all_rows{0, model.rows() - 1};
   const IdRange all_cols{0, model.cols() - 1};
-  RollupStats a, b;
-  const double live_sum =
-      hierarchy->DeltaSum({&all_rows, 1}, {&all_cols, 1}, &a);
-  const double fresh_sum =
-      fresh->DeltaSum({&all_rows, 1}, {&all_cols, 1}, &b);
-  EXPECT_NEAR(live_sum, fresh_sum, 1e-7 * std::abs(fresh_sum) + 1e-8);
+  const double live_sum = hierarchy->DeltaSum({&all_rows, 1}, {&all_cols, 1});
+  const double fresh_sum = fresh->DeltaSum({&all_rows, 1}, {&all_cols, 1});
+  EXPECT_EQ(live_sum, fresh_sum);
 }
 
 TEST(AggConcurrencyTest, FoldInStalenessConvergesUnderConcurrentReaders) {
@@ -195,6 +193,152 @@ TEST(AggConcurrencyTest, FoldInStalenessConvergesUnderConcurrentReaders) {
   auto after = executor.Execute(query);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->values[0], sums[0]);
+}
+
+/// Answers of the snapshot-hammer queries, as raw doubles.
+std::vector<double> SnapshotAnswer(const SvddModel& model,
+                                   const QueryExecutor& executor, int query) {
+  std::vector<double> out;
+  switch (query) {
+    case 0: {  // a cell batch, including cells the writer patches
+      std::vector<CellRef> cells;
+      for (std::size_t i = 0; i < model.rows(); i += 7) {
+        cells.push_back({i, (i * 5) % model.cols()});
+      }
+      out.resize(cells.size());
+      model.ReconstructCells(cells, out);
+      break;
+    }
+    case 1: {  // one full row
+      out.resize(model.cols());
+      model.ReconstructRow(17, out);
+      break;
+    }
+    case 2: {  // a region with a repeated row and unsorted columns
+      const std::vector<std::size_t> rows = {3, 40, 3, 95, 0};
+      const std::vector<std::size_t> cols = {9, 2, 31, 2, 0};
+      Matrix region;
+      model.ReconstructRegion(rows, cols, &region);
+      out = region.data();
+      break;
+    }
+    case 3: {  // hierarchy region sum
+      const IdRange rows{5, 90};
+      const IdRange cols{4, 20};
+      out.push_back(executor.rollup()->RegionSum({&rows, 1}, {&cols, 1},
+                                                 nullptr));
+      break;
+    }
+    default: {  // grouped aggregates
+      const char* sql =
+          query == 4
+              ? "select sum(value) where row in 5:90 group by row"
+              : "select sum(value) where row in 0:95 and col in 4:20 group by col";
+      const auto result = executor.Execute(sql);
+      TSC_CHECK_OK(result.status());
+      out = result->values;
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(AggConcurrencyTest, ReadersSeeOnePublishedSnapshot) {
+  constexpr int kQueries = 6;
+  SvddModel model = BuildModel();
+  // The writer's patches: overwrites of stored deltas, fresh cells, and
+  // cells patched twice, with more fresh cells than the overlay holds so
+  // at least one merge into a new base happens mid-hammer.
+  std::vector<std::pair<std::size_t, std::size_t>> stored;
+  model.deltas()->ForEach([&](std::size_t i, std::size_t j, double) {
+    stored.emplace_back(i, j);
+  });
+  ASSERT_FALSE(stored.empty());
+  struct Patch {
+    std::size_t row, col;
+    double value;
+  };
+  std::vector<Patch> patches;
+  Rng rng(11);
+  for (int p = 0; p < 1400; ++p) {
+    const std::uint64_t kind = rng.UniformUint64(4);
+    std::size_t row = rng.UniformUint64(model.rows());
+    std::size_t col = rng.UniformUint64(model.cols());
+    if (kind == 0) {
+      std::tie(row, col) = stored[rng.UniformUint64(stored.size())];
+    } else if (kind == 1 && !patches.empty()) {
+      row = patches.back().row;
+      col = patches.back().col;
+    } else if (kind == 2) {  // the row and cells the readers sample
+      row = rng.UniformUint64(2) == 0
+                ? 17
+                : 7 * rng.UniformUint64((model.rows() + 6) / 7);
+      if (row != 17) col = (row * 5) % model.cols();
+    }
+    patches.push_back({row, col, rng.UniformDouble() * 100.0 - 50.0});
+  }
+  std::set<std::pair<std::size_t, std::size_t>> fresh_cells;
+  for (const Patch& patch : patches) {
+    if (!model.deltas()->Find(patch.row, patch.col).has_value()) {
+      fresh_cells.insert({patch.row, patch.col});
+    }
+  }
+  ASSERT_GT(fresh_cells.size(), DeltaIndex::kMaxOverlay);
+
+  // Every published snapshot's answers, replayed on a copy.
+  std::vector<std::vector<std::vector<double>>> allowed(kQueries);
+  {
+    SvddModel replay = model;
+    const QueryExecutor replay_executor(&replay);
+    for (std::size_t step = 0; step <= patches.size(); ++step) {
+      for (int q = 0; q < kQueries; ++q) {
+        allowed[q].push_back(SnapshotAnswer(replay, replay_executor, q));
+      }
+      if (step < patches.size()) {
+        const Patch& patch = patches[step];
+        TSC_CHECK_OK(replay.PatchCell(patch.row, patch.col, patch.value));
+      }
+    }
+  }
+
+  const QueryExecutor executor(&model);
+  ASSERT_NE(executor.rollup(), nullptr);
+  constexpr int kReaders = 4;
+  std::atomic<bool> go{false};
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> answers{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (int q = r; !done.load(std::memory_order_acquire) || q < r + 12;
+           ++q) {
+        const int query = q % kQueries;
+        const std::vector<double> got =
+            SnapshotAnswer(model, executor, query);
+        const auto& options = allowed[query];
+        if (std::find(options.begin(), options.end(), got) == options.end()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        answers.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (const Patch& patch : patches) {
+    ASSERT_TRUE(model.PatchCell(patch.row, patch.col, patch.value).ok());
+    std::this_thread::yield();  // let readers land between snapshots
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0) << "of " << answers.load() << " answers";
+  // After the writer, every query answers as the last snapshot.
+  for (int q = 0; q < kQueries; ++q) {
+    EXPECT_EQ(SnapshotAnswer(model, executor, q), allowed[q].back())
+        << "query " << q;
+  }
 }
 
 }  // namespace

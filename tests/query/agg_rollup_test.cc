@@ -128,25 +128,22 @@ TEST(AggregateHierarchyTest, PartialColumnRangesFoldOnlyInRegionDeltas) {
   const SvddModel model = BuildModel(data, QuantScheme::kF64);
   ASSERT_GT(model.delta_count(), 0u);
   const auto hierarchy = AggregateHierarchy::Build(model);
-  // Visit everything, then a partial column window: the partial visit
-  // must return exactly the subset whose column falls in the window.
-  const IdRange all_rows{0, model.rows() - 1};
-  const IdRange all_cols{0, model.cols() - 1};
+  // A partial column window must sum exactly the deltas whose column
+  // falls inside it, over the whole height and over a row window.
   const IdRange half_cols{0, model.cols() / 2};
-  std::size_t in_window = 0;
-  hierarchy->VisitRegionDeltas(
-      {&all_rows, 1}, {&all_cols, 1}, nullptr,
-      [&](std::size_t, std::size_t col, double) {
-        if (col <= half_cols.hi) ++in_window;
-      });
-  std::size_t visited = 0;
-  hierarchy->VisitRegionDeltas(
-      {&all_rows, 1}, {&half_cols, 1}, nullptr,
-      [&](std::size_t, std::size_t col, double) {
-        EXPECT_LE(col, half_cols.hi);
-        ++visited;
-      });
-  EXPECT_EQ(visited, in_window);
+  for (const IdRange rows : {IdRange{0, model.rows() - 1},
+                             IdRange{7, model.rows() / 3}}) {
+    double want = 0.0;
+    double magnitude = 0.0;
+    model.deltas()->ForEach([&](std::size_t i, std::size_t j, double delta) {
+      if (i >= rows.lo && i <= rows.hi && j <= half_cols.hi) {
+        want += delta;
+        magnitude += std::abs(delta);
+      }
+    });
+    EXPECT_NEAR(hierarchy->DeltaSum({&rows, 1}, {&half_cols, 1}), want,
+                1e-12 * (magnitude + 1.0));
+  }
 }
 
 class AggRollupPropertyTest : public ::testing::TestWithParam<QuantScheme> {};
@@ -195,8 +192,8 @@ INSTANTIATE_TEST_SUITE_P(AllQuantSchemes, AggRollupPropertyTest,
 TEST(AggRollupDeltaTest, IncrementalPatchesKeepHierarchyFresh) {
   const Matrix data = TestData();
   SvddModel model = BuildModel(data, QuantScheme::kF64);
-  // Hierarchy built BEFORE the patches: the delta listener must keep it
-  // identical to a hierarchy rebuilt from scratch afterwards.
+  // Hierarchy built BEFORE the patches: it reads the model's current
+  // delta snapshot, so it must agree with one built afterwards.
   QueryExecutor live(&model);
   ASSERT_NE(live.rollup(), nullptr);
   Rng rng(99);
@@ -225,8 +222,7 @@ TEST(AggRollupDeltaTest, IncrementalPatchesKeepHierarchyFresh) {
     const auto c = scan.Execute(query);
     ASSERT_TRUE(a.ok() && b.ok() && c.ok()) << query;
     for (std::size_t v = 0; v < a->values.size(); ++v) {
-      // Incremental vs rebuilt: same tree, values differ only by the
-      // incremental +=diff arithmetic.
+      // Live vs rebuilt: same trees, same delta snapshot.
       EXPECT_NEAR(a->values[v], b->values[v],
                   kRelTol * std::abs(b->values[v]) + kAbsTol)
           << query;
@@ -242,8 +238,8 @@ TEST(AggRollupDeltaTest, ListenerOutlivedByModelIsSafe) {
     QueryExecutor ephemeral(&model);
     ASSERT_NE(ephemeral.rollup(), nullptr);
   }
-  // The executor (and its hierarchy) are gone; the weakly-held listener
-  // must not dangle when the model keeps patching.
+  // The executor (and its hierarchy) are gone; the model keeps patching
+  // without any reference back to them.
   EXPECT_TRUE(model.PatchCell(0, 0, 123.0).ok());
   EXPECT_NEAR(model.ReconstructCell(0, 0), 123.0, 1e-12);
 }

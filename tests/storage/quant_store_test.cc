@@ -485,7 +485,7 @@ TEST(QuantSvddTest, QuantizedBuildServesFromDiskWithinBudgetedError) {
     EXPECT_EQ(view.CompressedBytes(),
               static_cast<std::uint64_t>(n) * QuantRowStride(scheme, model->k()) +
                   (model->k() + model->k() * m) * sizeof(double) +
-                  model->deltas().PackedBytes());
+                  model->deltas()->PackedBytes());
   }
 }
 
