@@ -3,6 +3,7 @@
 //   - single-cell reconstruction is O(k), independent of N and M;
 //   - row reconstruction is O(k * M);
 //   - a delta-index probe is a binary search inside one row's run;
+//   - planning a point query costs O(#ranges), independent of N;
 //   - a disk-backed cell read is one block access plus O(k) arithmetic.
 
 #include <benchmark/benchmark.h>
@@ -17,6 +18,8 @@
 #include "common/json_reporter.h"
 #include "core/disk_backed.h"
 #include "data/generators.h"
+#include "query/parser.h"
+#include "query/planner.h"
 #include "storage/cached_row_reader.h"
 #include "storage/row_source.h"
 #include "util/logging.h"
@@ -128,6 +131,19 @@ void BM_DeltaIndexProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaIndexProbe);
+
+void BM_PlanPointQuery(benchmark::State& state) {
+  // Resolving "row IN 1234" against N rows: the plan is one run whatever
+  // N is, so the time should stay flat across the arguments.
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  auto ast = ParseQuery("SELECT max(value) WHERE row IN 1234");
+  TSC_CHECK_OK(ast.status());
+  for (auto _ : state) {
+    auto plan = PlanQuery(*ast, rows, 366, 20);
+    benchmark::DoNotOptimize(plan);
+  }
+}
+BENCHMARK(BM_PlanPointQuery)->RangeMultiplier(10)->Range(1000, 10000000);
 
 void BM_DiskBackedCellRead(benchmark::State& state) {
   const Built built = BuildFor(2000, 128, 12);

@@ -271,8 +271,8 @@ int main(int argc, char** argv) {
       tsc::Timer timer;
       for (const tsc::RegionQuery& query : workload.aggregates) {
         tsc::QueryPlan plan;
-        plan.row_ids = query.row_ids;
-        plan.col_ids = query.col_ids;
+        plan.row_runs = tsc::CoalesceIds(query.row_ids);
+        plan.col_runs = tsc::CoalesceIds(query.col_ids);
         plan.aggregates = {tsc::AggregateFn::kAvg};
         plan.strategies = {tsc::ExecutionStrategy::kRowReconstruction};
         const auto result = exec.ExecutePlan(plan);
@@ -333,8 +333,8 @@ int main(int argc, char** argv) {
       for (int rep = 0; rep < reps; ++rep) {
         for (const tsc::RegionQuery& query : workload.aggregates) {
           tsc::QueryPlan plan;
-          plan.row_ids = query.row_ids;
-          plan.col_ids = query.col_ids;
+          plan.row_runs = tsc::CoalesceIds(query.row_ids);
+          plan.col_runs = tsc::CoalesceIds(query.col_ids);
           plan.aggregates = {tsc::AggregateFn::kAvg};
           plan.strategies = {strategy};
           const auto result = exec.ExecutePlan(plan);

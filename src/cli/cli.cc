@@ -385,13 +385,14 @@ int CmdQuery(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   }
   // Run through the executor's batched (optionally multi-threaded) scan;
   // the fixed-shard reduction makes the result identical for any
-  // --threads value.
+  // --threads value. Like a SQL selection, the ids form a set: the plan
+  // holds them as sorted runs, so a repeated id counts once.
   const std::size_t threads =
       static_cast<std::size_t>(flags.GetInt("threads", 1));
   const QueryExecutor executor(&store, threads);
   QueryPlan plan;
-  plan.row_ids = query->row_ids;
-  plan.col_ids = query->col_ids;
+  plan.row_runs = CoalesceIds(query->row_ids);
+  plan.col_runs = CoalesceIds(query->col_ids);
   plan.aggregates = {query->fn};
   plan.strategies = {ExecutionStrategy::kRowReconstruction};
   plan.group_by = GroupBy::kNone;

@@ -29,6 +29,9 @@ constexpr std::size_t kQueryShards = 16;
 /// per-shard scratch block in cache.
 constexpr std::size_t kScanBlockRows = 32;
 
+/// Selected rows per scan window: one block for each shard.
+constexpr std::size_t kScanWindowRows = kQueryShards * kScanBlockRows;
+
 double MicrosSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - start)
@@ -77,9 +80,9 @@ bool NeedsValueBuffer(const QueryPlan& plan) {
 std::vector<std::size_t> GroupKeysFor(const QueryPlan& plan) {
   switch (plan.group_by) {
     case GroupBy::kRow:
-      return plan.row_ids;
+      return ExpandRanges(plan.row_runs);
     case GroupBy::kCol:
-      return plan.col_ids;
+      return ExpandRanges(plan.col_runs);
     case GroupBy::kNone:
       return {};
   }
@@ -96,18 +99,14 @@ bool IsLinearAggregate(AggregateFn fn) {
 /// s_j = sum_m (sum_{i in R} u_im) * lambda_m * v_jm per column. The
 /// deltas inside the region come from the model's delta index: per-row
 /// sums over its row CSR, per-column and total sums over its column
-/// running sums. Ids are sorted and unique (the planner's).
+/// running sums. The runs are the plan's (sorted, disjoint).
 std::vector<double> CompressedDomainSums(
-    const SvddModel& model, const std::vector<std::size_t>& row_ids,
-    const std::vector<std::size_t>& col_ids, GroupBy group_by,
+    const SvddModel& model, std::span<const IdRange> row_runs,
+    std::span<const IdRange> col_runs, GroupBy group_by,
     const AggregateHierarchy* hierarchy, RollupStats* stats) {
   const SvdModel& svd = model.svd();
   const std::size_t k = svd.k();
   const std::shared_ptr<const DeltaIndex> deltas = model.deltas();
-  const std::vector<IdRange> row_runs =
-      CoalesceIds(std::span<const std::size_t>(row_ids));
-  const std::vector<IdRange> col_runs =
-      CoalesceIds(std::span<const std::size_t>(col_ids));
 
   std::vector<double> sums;
   if (group_by == GroupBy::kCol) {
@@ -117,33 +116,33 @@ std::vector<double> CompressedDomainSums(
     if (hierarchy != nullptr) {
       hierarchy->AccumulateRowMass(row_runs, u_mass, stats);
     } else {
-      for (const std::size_t i : row_ids) {
+      ForEachId(row_runs, [&](std::size_t i) {
         kernels::Axpy(1.0, svd.u().Row(i).data(), u_mass.data(), k);
-      }
+      });
     }
-    sums.assign(col_ids.size(), 0.0);
-    for (std::size_t g = 0; g < col_ids.size(); ++g) {
-      sums[g] = kernels::Dot(u_mass.data(),
-                             svd.weighted_v().Row(col_ids[g]).data(), k);
-    }
-    deltas->AddColumnSums(row_runs, col_ids, sums);
+    sums.reserve(RangesSize(col_runs));
+    ForEachId(col_runs, [&](std::size_t j) {
+      sums.push_back(
+          kernels::Dot(u_mass.data(), svd.weighted_v().Row(j).data(), k));
+    });
+    deltas->AddColumnSums(row_runs, col_runs, sums);
     return sums;
   }
   // Row direction (and the ungrouped total): weights = sum of the
   // selected Lambda-weighted V rows, then one dot per selected U row.
   std::vector<double> weights(k, 0.0);
-  for (const std::size_t j : col_ids) {
+  ForEachId(col_runs, [&](std::size_t j) {
     kernels::Axpy(1.0, svd.weighted_v().Row(j).data(), weights.data(), k);
-  }
-  const std::size_t groups = group_by == GroupBy::kRow ? row_ids.size() : 1;
-  sums.assign(groups, 0.0);
-  for (std::size_t g = 0; g < row_ids.size(); ++g) {
-    const double dot =
-        kernels::Dot(svd.u().Row(row_ids[g]).data(), weights.data(), k);
-    sums[group_by == GroupBy::kRow ? g : 0] += dot;
-  }
-  if (group_by == GroupBy::kRow) {
-    deltas->AddRowSums(row_ids, col_runs, sums);
+  });
+  const bool by_row = group_by == GroupBy::kRow;
+  sums.assign(by_row ? RangesSize(row_runs) : 1, 0.0);
+  std::size_t g = 0;
+  ForEachId(row_runs, [&](std::size_t i) {
+    sums[by_row ? g++ : 0] +=
+        kernels::Dot(svd.u().Row(i).data(), weights.data(), k);
+  });
+  if (by_row) {
+    deltas->AddRowSums(row_runs, col_runs, sums);
   } else {
     sums[0] += deltas->RegionSum(row_runs, col_runs);
   }
@@ -163,9 +162,9 @@ class ResultBuilder {
   std::size_t GroupCells() const {
     switch (plan_.group_by) {
       case GroupBy::kRow:
-        return plan_.col_ids.size();
+        return plan_.ColCount();
       case GroupBy::kCol:
-        return plan_.row_ids.size();
+        return plan_.RowCount();
       case GroupBy::kNone:
         return plan_.CellCount();
     }
@@ -208,14 +207,12 @@ class ResultBuilder {
           // delta index; grouped sums need the per-group factor math and
           // use the hierarchy for the row side's U mass.
           if (rollup_ != nullptr && plan_.group_by == GroupBy::kNone) {
-            const std::vector<IdRange> row_runs =
-                CoalesceIds(std::span<const std::size_t>(plan_.row_ids));
-            const std::vector<IdRange> col_runs =
-                CoalesceIds(std::span<const std::size_t>(plan_.col_ids));
-            sums = {rollup_->RegionSum(row_runs, col_runs, stats_)};
+            sums = {rollup_->RegionSum(plan_.row_runs, plan_.col_runs,
+                                       stats_)};
           } else {
-            sums = CompressedDomainSums(*svdd_, plan_.row_ids, plan_.col_ids,
-                                        plan_.group_by, rollup_, stats_);
+            sums = CompressedDomainSums(*svdd_, plan_.row_runs,
+                                        plan_.col_runs, plan_.group_by,
+                                        rollup_, stats_);
           }
         }
         for (std::size_t g = 0; g < groups; ++g) {
@@ -253,13 +250,36 @@ class ResultBuilder {
   RollupStats* stats_;
 };
 
-/// Batched, sharded scan for the row-reconstruction strategy. Selected
-/// rows are dealt to kQueryShards shards (index % kQueryShards); each
-/// shard reconstructs its rows in blocks of kScanBlockRows via
-/// ReconstructRegion — only the selected columns are materialized — and
-/// accumulates into its own per-group statistics. Shard partials are
-/// merged in shard order, so the result is independent of the thread
-/// count (including the inline pool == nullptr path).
+/// Calls fn(first, ids) for each window of up to kScanWindowRows
+/// consecutive selected ids, where `first` is the position of ids[0] in
+/// the selection. Holds one window of ids at a time.
+template <typename Fn>
+void ForEachWindow(std::span<const IdRange> runs, Fn&& fn) {
+  std::vector<std::size_t> ids;
+  ids.reserve(kScanWindowRows);
+  std::size_t first = 0;
+  ForEachId(runs, [&](std::size_t id) {
+    ids.push_back(id);
+    if (ids.size() < kScanWindowRows) return;
+    fn(first, std::span<const std::size_t>(ids));
+    first += ids.size();
+    ids.clear();
+  });
+  if (!ids.empty()) fn(first, std::span<const std::size_t>(ids));
+}
+
+/// Batched, sharded scan for the row-reconstruction strategy. The
+/// selection is walked in windows of kScanWindowRows selected rows; the
+/// window's rows at positions s, s + kQueryShards, ... form shard s's
+/// block, which is reconstructed in one ReconstructRegion call (only the
+/// selected columns are materialized) and accumulated into the shard's
+/// own per-group statistics. Shard partials are merged in shard order.
+///
+/// Each shard sees the same blocks in the same order whether the shards
+/// run on a pool (each walking every window) or inline, where one pass
+/// flushes every shard's block of a window before moving on, so each U
+/// block is fetched once however small the block cache. The result is
+/// therefore bit-identical for every thread count.
 std::vector<GroupAcc> ScanGroupsBatched(const QueryPlan& plan,
                                         const CompressedStore& store,
                                         ThreadPool* pool,
@@ -269,54 +289,69 @@ std::vector<GroupAcc> ScanGroupsBatched(const QueryPlan& plan,
   obs::TraceSpan span("query.scan");
   const bool keep_values = NeedsValueBuffer(plan);
   const std::size_t groups = plan.GroupCount();
-  std::vector<std::vector<GroupAcc>> shard_accs(kQueryShards);
-  // Shards may run on pool threads: re-install the requesting thread's
-  // QueryContext so cache/disk/delta work stays attributed per request.
-  obs::QueryContext* request_context = obs::CurrentQueryContext();
-  ParallelFor(pool, kQueryShards, [&](std::size_t shard) {
-    obs::ScopedQueryContext context_scope(request_context);
-    obs::TraceSpan shard_span("query.scan.shard", shard);
-    std::vector<GroupAcc>& accs = shard_accs[shard];
-    accs.resize(groups);
-    Matrix block;
-    std::vector<std::size_t> block_rows;    // selected row ids
-    std::vector<std::size_t> block_index;   // their index r into row_ids
-    block_rows.reserve(kScanBlockRows);
-    block_index.reserve(kScanBlockRows);
-    const auto flush = [&] {
-      if (block_rows.empty()) return;
-      store.ReconstructRegion(block_rows, plan.col_ids, &block);
-      batch_cells.Add(block_rows.size() * plan.col_ids.size());
-      for (std::size_t b = 0; b < block_rows.size(); ++b) {
-        const std::span<const double> vals = block.Row(b);
-        for (std::size_t c = 0; c < plan.col_ids.size(); ++c) {
-          std::size_t g = 0;
-          switch (plan.group_by) {
-            case GroupBy::kRow:
-              g = block_index[b];
-              break;
-            case GroupBy::kCol:
-              g = c;
-              break;
-            case GroupBy::kNone:
-              g = 0;
-              break;
-          }
-          accs[g].stats.Add(vals[c]);
-          if (keep_values) accs[g].values.push_back(vals[c]);
-        }
-      }
-      block_rows.clear();
-      block_index.clear();
-    };
-    for (std::size_t r = shard; r < plan.row_ids.size(); r += kQueryShards) {
-      block_rows.push_back(plan.row_ids[r]);
-      block_index.push_back(r);
-      if (block_rows.size() == kScanBlockRows) flush();
+  const std::vector<std::size_t> col_ids = ExpandRanges(plan.col_runs);
+  std::vector<std::vector<GroupAcc>> shard_accs(
+      kQueryShards, std::vector<GroupAcc>(groups));
+
+  // Reconstructs and accumulates shard `shard`'s block of the window
+  // `ids`, whose first row is the `first`-th of the selection. `block`
+  // and `rows` are the calling thread's scratch.
+  const auto scan_block = [&](std::size_t shard, std::size_t first,
+                              std::span<const std::size_t> ids, Matrix* block,
+                              std::vector<std::size_t>* rows) {
+    rows->clear();
+    for (std::size_t b = shard; b < ids.size(); b += kQueryShards) {
+      rows->push_back(ids[b]);
     }
-    flush();
-  });
-  *rows_scanned += plan.row_ids.size();
+    if (rows->empty()) return;
+    store.ReconstructRegion(*rows, col_ids, block);
+    batch_cells.Add(rows->size() * col_ids.size());
+    std::vector<GroupAcc>& accs = shard_accs[shard];
+    for (std::size_t b = 0; b < rows->size(); ++b) {
+      const std::span<const double> vals = block->Row(b);
+      for (std::size_t c = 0; c < col_ids.size(); ++c) {
+        std::size_t g = 0;
+        switch (plan.group_by) {
+          case GroupBy::kRow:
+            g = first + shard + b * kQueryShards;
+            break;
+          case GroupBy::kCol:
+            g = c;
+            break;
+          case GroupBy::kNone:
+            g = 0;
+            break;
+        }
+        accs[g].stats.Add(vals[c]);
+        if (keep_values) accs[g].values.push_back(vals[c]);
+      }
+    }
+  };
+  if (pool == nullptr) {
+    Matrix block;
+    std::vector<std::size_t> rows;
+    ForEachWindow(plan.row_runs, [&](std::size_t first,
+                                     std::span<const std::size_t> ids) {
+      for (std::size_t shard = 0; shard < kQueryShards; ++shard) {
+        scan_block(shard, first, ids, &block, &rows);
+      }
+    });
+  } else {
+    // Shards run on pool threads: re-install the requesting thread's
+    // QueryContext so cache/disk/delta work stays attributed per request.
+    obs::QueryContext* request_context = obs::CurrentQueryContext();
+    ParallelFor(pool, kQueryShards, [&](std::size_t shard) {
+      obs::ScopedQueryContext context_scope(request_context);
+      obs::TraceSpan shard_span("query.scan.shard", shard);
+      Matrix block;
+      std::vector<std::size_t> rows;
+      ForEachWindow(plan.row_runs, [&](std::size_t first,
+                                       std::span<const std::size_t> ids) {
+        scan_block(shard, first, ids, &block, &rows);
+      });
+    });
+  }
+  *rows_scanned += plan.RowCount();
   // Ordered reduction: shard 0, shard 1, ... — the merge order is part of
   // the determinism contract.
   std::vector<GroupAcc> accs(groups);
@@ -333,22 +368,19 @@ std::vector<GroupAcc> ScanGroupsBatched(const QueryPlan& plan,
   return accs;
 }
 
-/// Accumulates per-group statistics by scanning reconstructed (or raw)
-/// rows; `row_provider` fills a buffer for a given row id. Retained for
-/// the exact (raw matrix) executor; the compressed path scans through
-/// ScanGroupsBatched.
-template <typename RowProvider>
-std::vector<GroupAcc> ScanGroups(const QueryPlan& plan, std::size_t num_cols,
-                                 RowProvider&& row_provider,
+/// Accumulates per-group statistics by scanning the raw matrix's rows;
+/// the exact executor's counterpart of ScanGroupsBatched.
+std::vector<GroupAcc> ScanGroups(const QueryPlan& plan, const Matrix& data,
                                  std::uint64_t* rows_scanned) {
   std::vector<GroupAcc> accs(plan.GroupCount());
   const bool keep_values = NeedsValueBuffer(plan);
-  std::vector<double> row(num_cols);
-  for (std::size_t r = 0; r < plan.row_ids.size(); ++r) {
-    row_provider(plan.row_ids[r], std::span<double>(row));
+  const std::vector<std::size_t> col_ids = ExpandRanges(plan.col_runs);
+  std::size_t r = 0;
+  ForEachId(plan.row_runs, [&](std::size_t i) {
+    const std::span<const double> row = data.Row(i);
     ++*rows_scanned;
-    for (std::size_t c = 0; c < plan.col_ids.size(); ++c) {
-      const double value = row[plan.col_ids[c]];
+    for (std::size_t c = 0; c < col_ids.size(); ++c) {
+      const double value = row[col_ids[c]];
       std::size_t g = 0;
       switch (plan.group_by) {
         case GroupBy::kRow:
@@ -364,7 +396,8 @@ std::vector<GroupAcc> ScanGroups(const QueryPlan& plan, std::size_t num_cols,
       accs[g].stats.Add(value);
       if (keep_values) accs[g].values.push_back(value);
     }
-  }
+    ++r;
+  });
   return accs;
 }
 
@@ -421,15 +454,15 @@ QueryExecutor::QueryExecutor(const SvddModel* model, std::size_t num_threads,
   }
 }
 
-StatusOr<QueryPlan> QueryExecutor::Plan(const std::string& query_text) const {
-  TSC_ASSIGN_OR_RETURN(const QueryAst ast, ParseQuery(query_text));
+StatusOr<QueryPlan> QueryExecutor::Plan(const QueryAst& ast) const {
   const std::size_t model_k = svdd_ != nullptr ? svdd_->k() : 0;
   return PlanQuery(ast, rows(), cols(), model_k, rollup_ != nullptr);
 }
 
 StatusOr<std::string> QueryExecutor::Explain(
     const std::string& query_text) const {
-  TSC_ASSIGN_OR_RETURN(const QueryPlan plan, Plan(query_text));
+  TSC_ASSIGN_OR_RETURN(const QueryAst ast, ParseQuery(query_text));
+  TSC_ASSIGN_OR_RETURN(const QueryPlan plan, Plan(ast));
   return plan.ToString();
 }
 
@@ -445,10 +478,7 @@ StatusOr<QueryResult> QueryExecutor::Execute(
   const double parse_us = MicrosSince(parse_start);
 
   const auto plan_start = std::chrono::steady_clock::now();
-  const std::size_t model_k = svdd_ != nullptr ? svdd_->k() : 0;
-  TSC_ASSIGN_OR_RETURN(const QueryPlan plan,
-                       PlanQuery(ast, rows(), cols(), model_k,
-                                 rollup_ != nullptr));
+  TSC_ASSIGN_OR_RETURN(const QueryPlan plan, Plan(ast));
   const double plan_us = MicrosSince(plan_start);
 
   TSC_ASSIGN_OR_RETURN(QueryResult result, ExecutePlan(plan));
@@ -519,13 +549,8 @@ StatusOr<QueryResult> ExecuteExact(const Matrix& data,
   TSC_ASSIGN_OR_RETURN(const QueryPlan plan,
                        PlanQuery(ast, data.rows(), data.cols(), 0));
   std::uint64_t rows_scanned = 0;
-  const std::vector<GroupAcc> group_stats = ScanGroups(
-      plan, data.cols(),
-      [&](std::size_t i, std::span<double> out) {
-        const std::span<const double> row = data.Row(i);
-        std::copy(row.begin(), row.end(), out.begin());
-      },
-      &rows_scanned);
+  const std::vector<GroupAcc> group_stats =
+      ScanGroups(plan, data, &rows_scanned);
   const ResultBuilder builder(plan, nullptr);
   return builder.Build(group_stats, rows_scanned);
 }

@@ -91,6 +91,10 @@ class QueryExecutor {
   /// Parse + plan + execute in one call.
   StatusOr<QueryResult> Execute(const std::string& query_text) const;
 
+  /// Plans a parsed (or directly built) query against this executor's
+  /// matrix, model rank and rollup.
+  StatusOr<QueryPlan> Plan(const QueryAst& ast) const;
+
   /// Execute a pre-built plan.
   StatusOr<QueryResult> ExecutePlan(const QueryPlan& plan) const;
 
@@ -98,8 +102,6 @@ class QueryExecutor {
   StatusOr<std::string> Explain(const std::string& query_text) const;
 
  private:
-  StatusOr<QueryPlan> Plan(const std::string& query_text) const;
-
   const CompressedStore* store_;
   const SvddModel* svdd_ = nullptr;  ///< non-null enables the fast path
   std::shared_ptr<ThreadPool> pool_;  ///< null = scan on the calling thread

@@ -116,7 +116,7 @@ class Parser {
       Advance();
       for (;;) {
         TSC_ASSIGN_OR_RETURN(const std::size_t lo, ExpectIndex());
-        IndexRange range{lo, lo};
+        IdRange range{lo, lo};
         if (Peek().kind == TokenKind::kColon) {
           Advance();
           TSC_ASSIGN_OR_RETURN(range.hi, ExpectIndex());
@@ -130,7 +130,7 @@ class Parser {
       }
     } else if (Peek().kind == TokenKind::kBetween) {
       Advance();
-      IndexRange range;
+      IdRange range;
       TSC_ASSIGN_OR_RETURN(range.lo, ExpectIndex());
       TSC_RETURN_IF_ERROR(Expect(TokenKind::kAnd));
       TSC_ASSIGN_OR_RETURN(range.hi, ExpectIndex());

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/query.h"
+#include "util/id_range.h"
 #include "util/status.h"
 
 namespace tsc {
@@ -31,18 +32,10 @@ namespace tsc {
 /// Constraints on the same dimension intersect; an unconstrained
 /// dimension selects everything.
 
-/// One inclusive index range.
-struct IndexRange {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-
-  friend bool operator==(const IndexRange&, const IndexRange&) = default;
-};
-
-/// A dimension constraint: union of ranges.
+/// A dimension constraint: union of inclusive ranges, as written.
 struct DimensionConstraint {
   bool is_row = true;
-  std::vector<IndexRange> ranges;
+  std::vector<IdRange> ranges;
 };
 
 /// Grouping dimension of a GROUP BY clause.

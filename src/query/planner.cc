@@ -7,40 +7,32 @@
 namespace tsc {
 namespace {
 
-/// Materializes the intersection of all constraints on one dimension as
-/// a sorted id list; no constraint selects everything.
-StatusOr<std::vector<std::size_t>> ResolveDimension(
-    const QueryAst& ast, bool is_row, std::size_t extent) {
-  std::vector<bool> selected(extent, true);
+/// The intersection of all constraints on one dimension as normalized
+/// runs; no constraint selects everything.
+StatusOr<std::vector<IdRange>> ResolveDimension(const QueryAst& ast,
+                                                bool is_row,
+                                                std::size_t extent) {
+  std::vector<IdRange> selected = {{0, extent - 1}};
   bool constrained = false;
   for (const DimensionConstraint& constraint : ast.constraints) {
     if (constraint.is_row != is_row) continue;
-    std::vector<bool> in_constraint(extent, false);
-    for (const IndexRange& range : constraint.ranges) {
+    for (const IdRange& range : constraint.ranges) {
       if (range.hi >= extent) {
         return Status::OutOfRange(
             std::string(is_row ? "row" : "col") + " index " +
             std::to_string(range.hi) + " out of range (extent " +
             std::to_string(extent) + ")");
       }
-      for (std::size_t i = range.lo; i <= range.hi; ++i) {
-        in_constraint[i] = true;
-      }
     }
-    for (std::size_t i = 0; i < extent; ++i) {
-      selected[i] = selected[i] && in_constraint[i];
-    }
+    selected =
+        IntersectRanges(selected, NormalizeRanges(constraint.ranges));
     constrained = true;
   }
-  std::vector<std::size_t> ids;
-  for (std::size_t i = 0; i < extent; ++i) {
-    if (selected[i]) ids.push_back(i);
-  }
-  if (constrained && ids.empty()) {
+  if (constrained && selected.empty()) {
     return Status::InvalidArgument("predicate selects no " +
                                    std::string(is_row ? "rows" : "columns"));
   }
-  return ids;
+  return selected;
 }
 
 bool IsLinearAggregate(AggregateFn fn) {
@@ -64,7 +56,7 @@ const char* ExecutionStrategyName(ExecutionStrategy strategy) {
 
 std::string QueryPlan::ToString() const {
   std::ostringstream out;
-  out << "plan: " << row_ids.size() << " rows x " << col_ids.size()
+  out << "plan: " << RowCount() << " rows x " << ColCount()
       << " cols (" << CellCount() << " cells)";
   if (group_by == GroupBy::kRow) out << ", grouped by row";
   if (group_by == GroupBy::kCol) out << ", grouped by col";
@@ -83,9 +75,9 @@ StatusOr<QueryPlan> PlanQuery(const QueryAst& ast, std::size_t num_rows,
     return Status::InvalidArgument("empty relation");
   }
   QueryPlan plan;
-  TSC_ASSIGN_OR_RETURN(plan.row_ids,
+  TSC_ASSIGN_OR_RETURN(plan.row_runs,
                        ResolveDimension(ast, /*is_row=*/true, num_rows));
-  TSC_ASSIGN_OR_RETURN(plan.col_ids,
+  TSC_ASSIGN_OR_RETURN(plan.col_runs,
                        ResolveDimension(ast, /*is_row=*/false, num_cols));
   plan.aggregates = ast.aggregates;
   plan.group_by = ast.group_by;
@@ -103,7 +95,7 @@ StatusOr<QueryPlan> PlanQuery(const QueryAst& ast, std::size_t num_rows,
       continue;
     }
     const bool compressed_ok = IsLinearAggregate(fn) && model_k > 0 &&
-                               plan.row_ids.size() > 1;
+                               plan.RowCount() > 1;
     plan.strategies.push_back(compressed_ok
                                   ? ExecutionStrategy::kCompressedDomain
                                   : ExecutionStrategy::kRowReconstruction);

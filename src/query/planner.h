@@ -7,6 +7,7 @@
 
 #include "core/query.h"
 #include "query/parser.h"
+#include "util/id_range.h"
 #include "util/status.h"
 
 namespace tsc {
@@ -29,23 +30,27 @@ enum class ExecutionStrategy {
 
 const char* ExecutionStrategyName(ExecutionStrategy strategy);
 
-/// A planned query: concrete index sets plus a strategy per aggregate.
+/// A planned query: the selection as sorted, disjoint runs per
+/// dimension, plus a strategy per aggregate. A plan holds nothing per
+/// selected id; executors expand ids only where they need them.
 struct QueryPlan {
-  std::vector<std::size_t> row_ids;
-  std::vector<std::size_t> col_ids;
+  std::vector<IdRange> row_runs;
+  std::vector<IdRange> col_runs;
   std::vector<AggregateFn> aggregates;
   std::vector<ExecutionStrategy> strategies;  ///< parallel to aggregates
   GroupBy group_by = GroupBy::kNone;
 
-  std::size_t CellCount() const { return row_ids.size() * col_ids.size(); }
+  std::size_t RowCount() const { return RangesSize(row_runs); }
+  std::size_t ColCount() const { return RangesSize(col_runs); }
+  std::size_t CellCount() const { return RowCount() * ColCount(); }
   /// Group keys the result will be reported for (row or col ids), or a
   /// single pseudo-group when there is no GROUP BY.
   std::size_t GroupCount() const {
     switch (group_by) {
       case GroupBy::kRow:
-        return row_ids.size();
+        return RowCount();
       case GroupBy::kCol:
-        return col_ids.size();
+        return ColCount();
       case GroupBy::kNone:
         return 1;
     }
@@ -56,8 +61,12 @@ struct QueryPlan {
 };
 
 /// Resolves the AST's constraints against a concrete num_rows x num_cols
-/// matrix (intersecting repeated constraints, clipping is an error) and
-/// picks a strategy per aggregate.
+/// matrix and picks a strategy per aggregate. Each constraint's ranges
+/// are normalized (sorted, overlaps and neighbours merged) and repeated
+/// constraints on a dimension intersect run by run, so planning costs
+/// O(R log R) in the R ranges of the query, whatever the matrix size. A
+/// range past the extent is OutOfRange; an empty intersection is
+/// InvalidArgument.
 ///
 /// Strategy choice: linear aggregates resolve from the aggregate rollup
 /// hierarchy when the executor has one (`rollup_available`) — O(k log)

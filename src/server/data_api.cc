@@ -36,27 +36,6 @@ StatusOr<std::size_t> ParseIndex(const std::string& text) {
   return static_cast<std::size_t>(value);
 }
 
-/// Number of distinct rows covered by a union of (possibly overlapping)
-/// ranges.
-std::size_t UnionCount(std::vector<IndexRange> ranges) {
-  std::sort(ranges.begin(), ranges.end(),
-            [](const IndexRange& a, const IndexRange& b) {
-              return a.lo < b.lo;
-            });
-  std::size_t count = 0;
-  std::size_t next_free = 0;
-  bool any = false;
-  for (const IndexRange& range : ranges) {
-    const std::size_t lo = any ? std::max(range.lo, next_free) : range.lo;
-    if (!any || range.hi >= next_free) {
-      if (range.hi >= lo) count += range.hi - lo + 1;
-      next_free = std::max(any ? next_free : 0, range.hi + 1);
-      any = true;
-    }
-  }
-  return count;
-}
-
 /// The bucket reduction over per-column aggregates. Exact for all four
 /// group methods (see ExecuteDataRequest's doc).
 double ReduceBucket(AggregateFn fn, const double* values, std::size_t n) {
@@ -81,28 +60,13 @@ double ReduceBucket(AggregateFn fn, const double* values, std::size_t n) {
   return acc;
 }
 
-/// Union of (possibly overlapping) request ranges as sorted disjoint
-/// hierarchy runs. Overlaps merge so every row counts once — the same
-/// dedup the per-column SQL pass gets from the planner's bitmap.
-std::vector<IdRange> NormalizeRowRuns(std::vector<IndexRange> ranges,
-                                      std::size_t num_rows) {
-  std::vector<IdRange> runs;
-  if (ranges.empty()) {
-    runs.push_back({0, num_rows - 1});
-    return runs;
-  }
-  std::sort(ranges.begin(), ranges.end(),
-            [](const IndexRange& a, const IndexRange& b) {
-              return a.lo < b.lo;
-            });
-  for (const IndexRange& range : ranges) {
-    if (!runs.empty() && range.lo <= runs.back().hi + 1) {
-      runs.back().hi = std::max(runs.back().hi, range.hi);
-    } else {
-      runs.push_back({range.lo, range.hi});
-    }
-  }
-  return runs;
+/// The request's row selection as normalized runs: overlapping and
+/// adjacent ranges merge, so every row counts once, exactly as in a SQL
+/// plan.
+std::vector<IdRange> RowRuns(const DataRequest& request,
+                             std::size_t num_rows) {
+  if (request.rows.empty()) return {{0, num_rows - 1}};
+  return NormalizeRanges(request.rows);
 }
 
 /// Rollup fast path for the linear bucket reductions: one RegionSum per
@@ -110,18 +74,16 @@ std::vector<IdRange> NormalizeRowRuns(std::vector<IndexRange> ranges,
 /// avg divides the region sum by its exact cell count (rows * width),
 /// which is algebraically what ReduceBucket over per-column averages
 /// computes on the scan path.
-StatusOr<DataResult> ExecuteBucketsViaRollup(const QueryExecutor& executor,
-                                             const DataRequest& request) {
+StatusOr<DataResult> ExecuteBucketsViaRollup(
+    const QueryExecutor& executor, const DataRequest& request,
+    std::span<const IdRange> row_runs) {
   static obs::Counter& rollup_hits_counter =
       obs::MetricRegistry::Default().GetCounter("agg.rollup_hits");
   static obs::Counter& agg_nodes_counter =
       obs::MetricRegistry::Default().GetCounter("agg.nodes_read");
   const auto start = std::chrono::steady_clock::now();
 
-  const std::vector<IdRange> row_runs =
-      NormalizeRowRuns(request.rows, executor.rows());
-  std::size_t rows_selected = 0;
-  for (const IdRange& run : row_runs) rows_selected += run.hi - run.lo + 1;
+  const std::size_t rows_selected = RangesSize(row_runs);
 
   DataResult result;
   result.request = request;
@@ -155,17 +117,17 @@ StatusOr<DataResult> ExecuteBucketsViaRollup(const QueryExecutor& executor,
 
 }  // namespace
 
-StatusOr<std::vector<IndexRange>> ParseRowsParam(const std::string& text,
-                                                 std::size_t num_rows,
-                                                 std::size_t max_ranges) {
-  std::vector<IndexRange> ranges;
+StatusOr<std::vector<IdRange>> ParseRowsParam(const std::string& text,
+                                              std::size_t num_rows,
+                                              std::size_t max_ranges) {
+  std::vector<IdRange> ranges;
   std::stringstream stream(text);
   std::string piece;
   while (std::getline(stream, piece, ',')) {
     if (ranges.size() >= max_ranges) {
       return Status::InvalidArgument("too many row ranges");
     }
-    IndexRange range;
+    IdRange range;
     const std::size_t colon = piece.find(':');
     if (colon == std::string::npos) {
       TSC_ASSIGN_OR_RETURN(range.lo, ParseIndex(piece));
@@ -273,7 +235,7 @@ StatusOr<DataRequest> ResolveDataRequest(
   return request;
 }
 
-StatusOr<std::vector<IndexRange>> ResolveRowsPattern(
+StatusOr<std::vector<IdRange>> ResolveRowsPattern(
     const std::string& pattern, const std::vector<std::string>& row_keys,
     std::size_t num_rows) {
   constexpr std::size_t kMaxPatternBytes = 256;
@@ -297,7 +259,7 @@ StatusOr<std::vector<IndexRange>> ResolveRowsPattern(
   // Only the first num_rows keys name real rows; surplus keys in an
   // oversized map must not mint out-of-range indices.
   const std::size_t limit = std::min(row_keys.size(), num_rows);
-  std::vector<IndexRange> ranges;
+  std::vector<IdRange> ranges;
   std::uint64_t matched = 0;
   for (std::size_t i = 0; i < limit; ++i) {
     if (!regex.Search(row_keys[i])) continue;
@@ -305,7 +267,7 @@ StatusOr<std::vector<IndexRange>> ResolveRowsPattern(
     if (!ranges.empty() && ranges.back().hi + 1 == i) {
       ranges.back().hi = i;  // extend the run
     } else {
-      ranges.push_back(IndexRange{i, i});
+      ranges.push_back(IdRange{i, i});
     }
   }
   rows_matched.Add(matched);
@@ -317,29 +279,25 @@ StatusOr<std::vector<IndexRange>> ResolveRowsPattern(
 
 StatusOr<DataResult> ExecuteDataRequest(const QueryExecutor& executor,
                                         const DataRequest& request) {
+  const std::vector<IdRange> row_runs = RowRuns(request, executor.rows());
   // Linear bucket reductions resolve straight from the aggregate
   // hierarchy when the executor has one; min/max are not linear in the
-  // cells and stay on the scan path, byte-identical to before.
+  // cells and stay on the scan path.
   if (executor.rollup() != nullptr && (request.group == AggregateFn::kSum ||
                                        request.group == AggregateFn::kAvg)) {
-    return ExecuteBucketsViaRollup(executor, request);
+    return ExecuteBucketsViaRollup(executor, request, row_runs);
   }
-  // One per-column aggregate pass phrased in the query language, so the
-  // planner can route sum/avg through the compressed domain.
-  std::ostringstream sql;
-  sql << "SELECT " << AggregateFnName(request.group) << "(value) WHERE ";
-  if (!request.rows.empty()) {
-    sql << "row IN ";
-    for (std::size_t i = 0; i < request.rows.size(); ++i) {
-      if (i > 0) sql << ",";
-      sql << request.rows[i].lo << ":" << request.rows[i].hi;
-    }
-    sql << " AND ";
-  }
-  sql << "col IN " << request.after << ":" << request.before
-      << " GROUP BY col";
-  TSC_ASSIGN_OR_RETURN(const QueryResult per_col,
-                       executor.Execute(sql.str()));
+  // One per-column aggregate pass, planned like the SQL query
+  // "SELECT <group>(value) WHERE row IN <rows> AND col IN <after>:<before>
+  // GROUP BY col", so the planner can route sum/avg through the
+  // compressed domain.
+  QueryAst ast;
+  ast.aggregates = {request.group};
+  ast.constraints = {{/*is_row=*/true, row_runs},
+                     {/*is_row=*/false, {{request.after, request.before}}}};
+  ast.group_by = GroupBy::kCol;
+  TSC_ASSIGN_OR_RETURN(const QueryPlan plan, executor.Plan(ast));
+  TSC_ASSIGN_OR_RETURN(const QueryResult per_col, executor.ExecutePlan(plan));
   const std::size_t window = request.before - request.after + 1;
   if (per_col.values.size() != window) {
     return Status::Internal("per-column pass returned wrong group count");
@@ -347,8 +305,7 @@ StatusOr<DataResult> ExecuteDataRequest(const QueryExecutor& executor,
 
   DataResult result;
   result.request = request;
-  result.rows_selected =
-      request.rows.empty() ? executor.rows() : UnionCount(request.rows);
+  result.rows_selected = RangesSize(row_runs);
   result.exec_us = per_col.exec_us;
   result.compressed_domain_aggregates = per_col.compressed_domain_aggregates;
   result.data.reserve(request.points);

@@ -39,7 +39,7 @@ struct DataRequest {
   std::size_t before = 0;
   std::size_t points = 0;  ///< resolved bucket count (>= 1)
   AggregateFn group = AggregateFn::kAvg;
-  std::vector<IndexRange> rows;  ///< empty = all rows
+  std::vector<IdRange> rows;  ///< empty = all rows
 };
 
 /// One output bucket: `t` is the first column of the bucket, `value`
@@ -60,9 +60,9 @@ struct DataResult {
 /// Parses a rows= selection ("0:99,150") into ranges under the caps:
 /// at most `max_ranges` ranges, indices < `num_rows`, lo <= hi, no
 /// trailing garbage. Everything else is an InvalidArgument.
-StatusOr<std::vector<IndexRange>> ParseRowsParam(const std::string& text,
-                                                 std::size_t num_rows,
-                                                 std::size_t max_ranges);
+StatusOr<std::vector<IdRange>> ParseRowsParam(const std::string& text,
+                                              std::size_t num_rows,
+                                              std::size_t max_ranges);
 
 /// Resolves a `rows=~pattern` key regex against the row-key map:
 /// `pattern` (LiteRegex — a linear-time ECMAScript subset, searched
@@ -72,7 +72,7 @@ StatusOr<std::vector<IndexRange>> ParseRowsParam(const std::string& text,
 /// produce out-of-range indices. Matches count into the
 /// `query.rows_matched` counter. Zero matches and invalid patterns are
 /// InvalidArgument.
-StatusOr<std::vector<IndexRange>> ResolveRowsPattern(
+StatusOr<std::vector<IdRange>> ResolveRowsPattern(
     const std::string& pattern, const std::vector<std::string>& row_keys,
     std::size_t num_rows);
 

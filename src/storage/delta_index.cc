@@ -323,34 +323,38 @@ void DeltaIndex::AddToRegion(std::span<const std::size_t> row_ids,
 double DeltaIndex::RegionSum(std::span<const IdRange> row_ranges,
                              std::span<const IdRange> col_ranges) const {
   if (size_ == 0 || row_ranges.empty() || col_ranges.empty()) return 0.0;
-  std::vector<std::size_t> col_ids;
-  col_ids.reserve(RangesSize(col_ranges));
-  for (const IdRange& r : col_ranges) {
-    for (std::size_t col = r.lo; col <= r.hi; ++col) col_ids.push_back(col);
-  }
-  std::vector<double> sums(col_ids.size(), 0.0);
-  AddColumnSums(row_ranges, col_ids, sums);
+  std::vector<double> sums(RangesSize(col_ranges), 0.0);
+  AddColumnSums(row_ranges, col_ranges, sums);
   double sum = 0.0;
   for (const double s : sums) sum += s;
   return sum;
 }
 
 void DeltaIndex::AddColumnSums(std::span<const IdRange> row_ranges,
-                               std::span<const std::size_t> col_ids,
+                               std::span<const IdRange> col_ranges,
                                std::span<double> out) const {
-  if (size_ == 0 || row_ranges.empty() || col_ids.empty()) return;
+  if (size_ == 0 || row_ranges.empty() || col_ranges.empty()) return;
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
-  // Adds `value` to every copy of `col`; false when it is not selected.
+  // first[r]: the output slot of column run r's first column.
+  std::vector<std::size_t> first(col_ranges.size());
+  std::size_t selected_cols = 0;
+  for (std::size_t r = 0; r < col_ranges.size(); ++r) {
+    first[r] = selected_cols;
+    selected_cols += col_ranges[r].hi - col_ranges[r].lo + 1;
+  }
+  // Adds `value` to `col`'s slot; false when it is not selected.
   const auto add = [&](std::size_t col, double value) {
-    const auto [first, last] =
-        std::equal_range(col_ids.begin(), col_ids.end(), col);
-    for (auto it = first; it != last; ++it) {
-      out[static_cast<std::size_t>(it - col_ids.begin())] += value;
-    }
-    return first != last;
+    const auto it = std::upper_bound(
+        col_ranges.begin(), col_ranges.end(), col,
+        [](std::size_t v, const IdRange& r) { return v < r.lo; });
+    if (it == col_ranges.begin() || col > std::prev(it)->hi) return false;
+    const std::size_t run =
+        static_cast<std::size_t>(it - col_ranges.begin()) - 1;
+    out[first[run] + (col - col_ranges[run].lo)] += value;
+    return true;
   };
-  const std::size_t searches = col_ids.size() * row_ranges.size();
+  const std::size_t searches = selected_cols * row_ranges.size();
   if (RowWalkIsCheaper(RangesSize(row_ranges), searches)) {
     for (const IdRange& rr : row_ranges) {
       for (std::size_t row = rr.lo; row <= rr.hi; ++row) {
@@ -363,14 +367,16 @@ void DeltaIndex::AddColumnSums(std::span<const IdRange> row_ranges,
       }
     }
   } else {
-    for (std::size_t g = 0; g < col_ids.size(); ++g) {
+    std::size_t g = 0;
+    ForEachId(col_ranges, [&](std::size_t col) {
       for (const IdRange& rr : row_ranges) {
         bool hit = false;
-        out[g] += BaseColumnSum(col_ids[g], rr.lo, rr.hi, &hit);
+        out[g] += BaseColumnSum(col, rr.lo, rr.hi, &hit);
         ++lookups;
         hits += hit ? 1 : 0;
       }
-    }
+      ++g;
+    });
     for (const Patch& patch : overlay_) {
       const std::size_t row = static_cast<std::size_t>(patch.key / cols_);
       if (InRanges(row_ranges, row)) {
@@ -382,23 +388,25 @@ void DeltaIndex::AddColumnSums(std::span<const IdRange> row_ranges,
   CountLookups(lookups, hits);
 }
 
-void DeltaIndex::AddRowSums(std::span<const std::size_t> row_ids,
+void DeltaIndex::AddRowSums(std::span<const IdRange> row_ranges,
                             std::span<const IdRange> col_ranges,
                             std::span<double> out) const {
-  if (size_ == 0 || row_ids.empty() || col_ranges.empty()) return;
+  if (size_ == 0 || row_ranges.empty() || col_ranges.empty()) return;
   const bool all_cols = RangesSize(col_ranges) == cols_;
   std::uint64_t hits = 0;
-  for (std::size_t g = 0; g < row_ids.size(); ++g) {
+  std::size_t g = 0;
+  ForEachId(row_ranges, [&](std::size_t row) {
     bool hit = false;
-    ForEachInRow(row_ids[g], [&](std::size_t col, double delta) {
+    ForEachInRow(row, [&](std::size_t col, double delta) {
       if (all_cols || InRanges(col_ranges, col)) {
         out[g] += delta;
         hit = true;
       }
     });
     hits += hit ? 1 : 0;
-  }
-  CountLookups(row_ids.size(), hits);
+    ++g;
+  });
+  CountLookups(g, hits);
 }
 
 DeltaIndex DeltaIndex::WithPatch(std::size_t row, std::size_t col,

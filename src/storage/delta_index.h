@@ -110,14 +110,15 @@ class DeltaIndex {
   double RegionSum(std::span<const IdRange> row_ranges,
                    std::span<const IdRange> col_ranges) const;
 
-  /// out[g] += sum of column col_ids[g]'s deltas inside the row runs.
-  /// `col_ids` is sorted ascending.
+  /// out[g] += the deltas of the g-th selected column (counting through
+  /// the column runs in order) inside the row runs.
   void AddColumnSums(std::span<const IdRange> row_ranges,
-                     std::span<const std::size_t> col_ids,
+                     std::span<const IdRange> col_ranges,
                      std::span<double> out) const;
 
-  /// out[g] += sum of row row_ids[g]'s deltas inside the column runs.
-  void AddRowSums(std::span<const std::size_t> row_ids,
+  /// out[g] += the deltas of the g-th selected row (counting through the
+  /// row runs in order) inside the column runs.
+  void AddRowSums(std::span<const IdRange> row_ranges,
                   std::span<const IdRange> col_ranges,
                   std::span<double> out) const;
 

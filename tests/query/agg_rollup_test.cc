@@ -91,6 +91,9 @@ TEST(CoalesceIdsTest, ProducesMaximalRuns) {
   EXPECT_EQ(runs[2], (IdRange{7, 8}));
   EXPECT_EQ(runs[3], (IdRange{20, 20}));
   EXPECT_TRUE(CoalesceIds(std::vector<std::size_t>{}).empty());
+  // Any order, repeats allowed: the same runs.
+  const std::vector<std::size_t> shuffled = {20, 8, 1, 5, 0, 2, 7, 1, 20};
+  EXPECT_EQ(CoalesceIds(shuffled), runs);
 }
 
 TEST(AggregateHierarchyTest, RegionSumMatchesBruteForceReconstruction) {

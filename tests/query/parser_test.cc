@@ -28,10 +28,10 @@ TEST(ParserTest, WhereWithInRanges) {
   ASSERT_EQ(ast->constraints.size(), 2u);
   EXPECT_TRUE(ast->constraints[0].is_row);
   EXPECT_EQ(ast->constraints[0].ranges,
-            (std::vector<IndexRange>{{0, 99}, {150, 150}}));
+            (std::vector<IdRange>{{0, 99}, {150, 150}}));
   EXPECT_FALSE(ast->constraints[1].is_row);
   EXPECT_EQ(ast->constraints[1].ranges,
-            (std::vector<IndexRange>{{3, 3}, {5, 9}}));
+            (std::vector<IdRange>{{3, 3}, {5, 9}}));
 }
 
 TEST(ParserTest, BetweenConstraint) {
@@ -40,7 +40,7 @@ TEST(ParserTest, BetweenConstraint) {
   ASSERT_TRUE(ast.ok());
   ASSERT_EQ(ast->constraints.size(), 1u);
   EXPECT_EQ(ast->constraints[0].ranges,
-            (std::vector<IndexRange>{{10, 20}}));
+            (std::vector<IdRange>{{10, 20}}));
 }
 
 TEST(ParserTest, BetweenThenAndConstraintDisambiguated) {

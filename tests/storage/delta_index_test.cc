@@ -173,7 +173,7 @@ void ExpectMatchesOracle(const DeltaIndex& index, const Oracle& oracle,
       for (std::size_t c = r.lo; c <= r.hi; ++c) col_ids.push_back(c);
     }
     std::vector<double> by_col(col_ids.size(), 0.0);
-    index.AddColumnSums(row_runs, col_ids, by_col);
+    index.AddColumnSums(row_runs, col_runs, by_col);
     for (std::size_t g = 0; g < col_ids.size(); ++g) {
       double mag = 0.0;
       const IdRange one{col_ids[g], col_ids[g]};
@@ -187,7 +187,7 @@ void ExpectMatchesOracle(const DeltaIndex& index, const Oracle& oracle,
       for (std::size_t i = r.lo; i <= r.hi; ++i) row_ids.push_back(i);
     }
     std::vector<double> by_row(row_ids.size(), 0.0);
-    index.AddRowSums(row_ids, col_runs, by_row);
+    index.AddRowSums(row_runs, col_runs, by_row);
     for (std::size_t g = 0; g < row_ids.size(); ++g) {
       double mag = 0.0;
       const IdRange one{row_ids[g], row_ids[g]};
