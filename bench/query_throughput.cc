@@ -18,7 +18,7 @@
 // per-cell API, and the batched ReconstructCells API (cell QPS each),
 // plus the aggregate workload through QueryExecutor at 1 and N threads,
 // and the same aggregates served by row scan vs the compressed-domain
-// identity vs the multi-resolution rollup hierarchy (PR 8).
+// identity, whose row mass comes from the model's block sums.
 //
 // Flags: --rows=5000 --space=5 --cells=500 --aggregates=25
 //        --probe_iters=50 --threads=4
@@ -304,20 +304,20 @@ int main(int argc, char** argv) {
     report.AddScalar("agg_parallel_ms", parallel_ms);
   }
 
-  // --- rollup hierarchy vs scan aggregate serving ---------------------------
-  // The PR 8 axis: the same avg-aggregate workload answered three ways
-  // through one executor — full row reconstruction (the scan baseline),
-  // the flat compressed-domain identity (one U/V column sweep per
-  // query), and the O(k log N + k log M) rollup hierarchy. Work is
-  // metered by the process counters the modes charge: rows scanned for
-  // the scan path, tree nodes read for the hierarchy. Answers must
-  // agree to fp-reassociation tolerance; the rollup charges ZERO row
-  // scans, so the >= 5x rows_scanned gate holds with room to spare.
+  // --- compressed-domain vs scan aggregate serving --------------------------
+  // The same avg-aggregate workload answered two ways through one
+  // executor: full row reconstruction (the scan baseline) and the
+  // compressed-domain identity, which takes the selected rows' U mass
+  // from the model's block sums. Work is metered by the process counters
+  // the modes charge: rows scanned for the scan path, k-vectors read for
+  // the block sums. Answers must agree to fp-reassociation tolerance; the
+  // compressed domain charges ZERO row scans, so the >= 5x rows_scanned
+  // gate holds with room to spare.
   {
     tsc::obs::MetricRegistry& registry = tsc::obs::MetricRegistry::Default();
     tsc::obs::Counter& rows_counter = registry.GetCounter("query.rows_scanned");
     tsc::obs::Counter& nodes_counter = registry.GetCounter("agg.nodes_read");
-    tsc::QueryExecutor exec(&*model);  // hierarchy built once, up front
+    tsc::QueryExecutor exec(&*model);
 
     struct ModeResult {
       double qps = 0.0;
@@ -357,22 +357,21 @@ int main(int argc, char** argv) {
     const ModeResult scan = run_mode(
         tsc::ExecutionStrategy::kRowReconstruction,
         std::max(1, probe_iters / 10));
-    const ModeResult flat =
+    const ModeResult compressed =
         run_mode(tsc::ExecutionStrategy::kCompressedDomain, probe_iters);
-    const ModeResult rollup =
-        run_mode(tsc::ExecutionStrategy::kRollup, probe_iters);
 
     double max_rel_diff = 0.0;
     for (std::size_t q = 0; q < scan.answers.size(); ++q) {
       const double denom = std::max(std::abs(scan.answers[q]), 1e-12);
-      max_rel_diff = std::max(
-          max_rel_diff, std::abs(rollup.answers[q] - scan.answers[q]) / denom);
+      max_rel_diff =
+          std::max(max_rel_diff,
+                   std::abs(compressed.answers[q] - scan.answers[q]) / denom);
     }
 
-    tsc::TablePrinter rollup_table({"aggregate mode", "queries/s",
-                                    "rows scanned", "tree nodes", "vs scan"});
+    tsc::TablePrinter mode_table({"aggregate mode", "queries/s",
+                                  "rows scanned", "k-vectors", "vs scan"});
     const auto add_mode = [&](const char* name, const ModeResult& mode) {
-      rollup_table.AddRow(
+      mode_table.AddRow(
           {name, tsc::TablePrinter::Num(mode.qps, 4),
            std::to_string(mode.rows_scanned), std::to_string(mode.nodes_read),
            tsc::TablePrinter::Num(scan.qps > 0 ? mode.qps / scan.qps : 0.0,
@@ -380,35 +379,33 @@ int main(int argc, char** argv) {
                "x"});
     };
     add_mode("row scan", scan);
-    add_mode("compressed-domain", flat);
-    add_mode("rollup hierarchy", rollup);
-    std::printf("%s\n", rollup_table.ToString().c_str());
-    std::printf("rollup vs scan: %.2fx QPS, %llu -> %llu rows scanned per "
-                "pass, max rel answer diff %.3g\n\n",
-                scan.qps > 0 ? rollup.qps / scan.qps : 0.0,
+    add_mode("compressed-domain", compressed);
+    std::printf("%s\n", mode_table.ToString().c_str());
+    std::printf("compressed-domain vs scan: %.2fx QPS, %llu -> %llu rows "
+                "scanned per pass, max rel answer diff %.3g\n\n",
+                scan.qps > 0 ? compressed.qps / scan.qps : 0.0,
                 static_cast<unsigned long long>(scan.rows_scanned),
-                static_cast<unsigned long long>(rollup.rows_scanned),
+                static_cast<unsigned long long>(compressed.rows_scanned),
                 max_rel_diff);
 
     report.AddScalar("agg_scan_qps", scan.qps);
-    report.AddScalar("agg_compressed_qps", flat.qps);
-    report.AddScalar("agg_rollup_qps", rollup.qps);
+    report.AddScalar("agg_compressed_qps", compressed.qps);
     report.AddScalar("agg_scan_rows_scanned",
                      static_cast<double>(scan.rows_scanned));
-    report.AddScalar("agg_rollup_rows_scanned",
-                     static_cast<double>(rollup.rows_scanned));
-    report.AddScalar("agg_rollup_nodes_read",
-                     static_cast<double>(rollup.nodes_read));
-    report.AddScalar("agg_rollup_speedup_vs_scan",
-                     scan.qps > 0 ? rollup.qps / scan.qps : 0.0);
-    report.AddScalar("agg_rollup_max_rel_diff", max_rel_diff);
+    report.AddScalar("agg_compressed_rows_scanned",
+                     static_cast<double>(compressed.rows_scanned));
+    report.AddScalar("agg_compressed_nodes_read",
+                     static_cast<double>(compressed.nodes_read));
+    report.AddScalar("agg_compressed_speedup_vs_scan",
+                     scan.qps > 0 ? compressed.qps / scan.qps : 0.0);
+    report.AddScalar("agg_compressed_max_rel_diff", max_rel_diff);
 
     // Acceptance gates. Counters compile out under TSC_OBS_DISABLED, so
     // the rows_scanned gate only fires when the scan pass was metered.
     TSC_CHECK(max_rel_diff < 1e-6);
     if (scan.rows_scanned > 0) {
       TSC_CHECK(scan.rows_scanned >= 5 * std::max<std::uint64_t>(
-                                             rollup.rows_scanned, 1));
+                                             compressed.rows_scanned, 1));
     }
   }
   // --- quantized U row store serving ----------------------------------------

@@ -31,6 +31,8 @@ done
 mkdir -p "${OUT_DIR}"
 
 echo "== query_throughput =="
+# Its aggregate section reports agg_scan_* (row scan) beside
+# agg_compressed_* (the compressed domain, row mass from block sums).
 "${BENCH_DIR}/query_throughput" --rows=2000 --cells=200 --aggregates=10 \
   --json="${OUT_DIR}/BENCH_query_throughput.json"
 

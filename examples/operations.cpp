@@ -2,8 +2,7 @@
 // of the paper's "no updates, or so rare they are batched off-line"
 // assumption (Section 1):
 //
-//   1. compress to an ERROR budget, not a space budget (the analyst says
-//      "2% error is fine", CompressToErrorTarget finds the space);
+//   1. compress to a space budget and report the error it bought;
 //   2. a nightly batch appends new customers by folding them into the
 //      frozen subspace (no rebuild), watching the capture ratio;
 //   3. individual corrections land as exact cell patches;
@@ -14,8 +13,8 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/error_target.h"
 #include "core/metrics.h"
+#include "core/svdd_compressor.h"
 #include "data/generators.h"
 #include "storage/row_source.h"
 #include "util/logging.h"
@@ -30,16 +29,16 @@ int main() {
   config.spike_probability = 0.0;
   const tsc::Dataset history = tsc::GeneratePhoneDataset(config);
 
-  // 1. Compress to a 2% error budget.
-  tsc::ErrorTargetOptions target;
-  target.target_rmspe = 0.02;
-  auto compressed = tsc::CompressToErrorTarget(history.values, target);
+  // 1. Compress to 10% of the original space.
+  tsc::SvddBuildOptions options;
+  options.space_percent = 10.0;
+  tsc::MatrixRowSource history_source(&history.values);
+  auto compressed = tsc::BuildSvddModel(&history_source, options);
   TSC_CHECK_OK(compressed.status());
-  std::printf("error-targeted build: %.3f%% RMSPE at %.2f%% space "
-              "(%zu trial builds)\n",
-              100.0 * compressed->achieved_rmspe,
-              compressed->space_percent, compressed->builds_performed);
-  tsc::SvddModel& model = compressed->model;
+  tsc::SvddModel& model = *compressed;
+  std::printf("build: %.3f%% RMSPE at %.2f%% space\n",
+              100.0 * tsc::Rmspe(history.values, model),
+              options.space_percent);
 
   // 2. Nightly batch: 100 new customers drawn from the same behaviour.
   tsc::PhoneDatasetConfig new_config = config;
@@ -82,14 +81,15 @@ int main() {
               drift.CaptureRatio() > 0.9 ? "(subspace still fits)"
                                          : "(rebuild recommended!)");
 
-  // Rebuild over everything at the same error target.
+  // Rebuild over everything at the same space budget.
   tsc::Matrix all = history.values;
   all.AppendRows(new_customers.values);
   all.AppendRows(novel.values);
-  auto rebuilt = tsc::CompressToErrorTarget(all, target);
+  tsc::MatrixRowSource all_source(&all);
+  auto rebuilt = tsc::BuildSvddModel(&all_source, options);
   TSC_CHECK_OK(rebuilt.status());
   std::printf("rebuild over %zu customers: %.3f%% RMSPE at %.2f%% space\n",
-              all.rows(), 100.0 * rebuilt->achieved_rmspe,
-              rebuilt->space_percent);
+              all.rows(), 100.0 * tsc::Rmspe(all, *rebuilt),
+              options.space_percent);
   return 0;
 }

@@ -59,10 +59,7 @@ commands:
   query      --model=MODEL (--q="avg rows=0:9 cols=1,3:5" | --cell=i,j)
              [--threads=N]
   sql        --model=MODEL --query="SELECT sum(value) WHERE row IN 0:99"
-             [--explain] [--analyze] [--threads=N] [--no-rollup]
-                          (--no-rollup disables the aggregate hierarchy;
-                           sum/avg/count fall back to the flat
-                           compressed-domain identity)
+             [--explain] [--analyze] [--threads=N]
   topk       --model=MODEL --count=10 [--cols=a:b] (largest column-range sums)
   similar    --model=MODEL --row=I --count=5 (nearest sequences in SVD space)
   evaluate   --model=MODEL --input=FILE
@@ -79,7 +76,7 @@ commands:
               UNAUTHENTICATED api — see docs/server.md)
              [--cache-blocks=N] [--io-backend=...]
              [--keys=FILE] [--slowlog=K] [--slo-budget-ms=MS]
-             [--slo-window-s=S] [--no-rollup]
+             [--slo-window-s=S]
                           (HTTP query server on 127.0.0.1; endpoints
                            /api/v1/data, /api/v1/query, /api/v1/cell,
                            /api/v1/debug/slow, /metrics, /healthz —
@@ -410,14 +407,11 @@ int CmdSql(const FlagParser& flags, std::ostream& out, std::ostream& err) {
 
   const std::size_t threads =
       static_cast<std::size_t>(flags.GetInt("threads", 1));
-  // --no-rollup falls back to the flat compressed-domain identity (the
-  // pre-hierarchy strategy); TSC_NO_ROLLUP=1 does the same per-process.
-  const bool enable_rollup = !flags.GetBool("no-rollup", false);
   // SVDD models get the compressed-domain fast path.
   std::optional<QueryExecutor> executor_storage;
   if (loaded->kind == "svdd") {
     const auto* svdd = static_cast<const SvddModel*>(loaded->store.get());
-    executor_storage.emplace(svdd, threads, enable_rollup);
+    executor_storage.emplace(svdd, threads);
   } else {
     executor_storage.emplace(loaded->store.get(), threads);
   }
@@ -646,6 +640,13 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     if (!value.ok()) return Fail(err, value.status());
   }
   const double cell_seconds = timer.ElapsedSeconds();
+  // The per-cell-query lines count the cell loop alone, not the SQL
+  // scans below. They come from component-level counters, so they hold
+  // even in a TSC_OBS_DISABLED build; the registry table needs the
+  // instruments compiled in.
+  const std::uint64_t hits = store->cache_hits();
+  const std::uint64_t misses_blocks = store->disk_accesses();
+  const std::uint64_t total_reads = hits + misses_blocks;
 
   // A few SQL aggregates served straight from the two-file disk layout:
   // the executor sees the store through DiskBackedStoreView, so its
@@ -664,12 +665,6 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     if (!result.ok()) return Fail(err, result.status());
   }
 
-  // Derived lines come from component-level counters, so they hold even
-  // in a TSC_OBS_DISABLED build; the registry table below needs the
-  // instruments compiled in.
-  const std::uint64_t hits = store->cache_hits();
-  const std::uint64_t misses_blocks = store->disk_accesses();
-  const std::uint64_t total_reads = hits + misses_blocks;
   out << "serving workload: " << queries << " cell queries ("
       << "zipf s=" << TablePrinter::Num(zipf_s) << "), " << sql.size()
       << " sql queries, cache=" << cache_blocks << " blocks\n";
@@ -828,9 +823,7 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     out << "serving from disk layout (" << disk_store->io_backend_name()
         << " backend, " << cache_blocks << "-block cache)\n";
   } else if (svdd != nullptr) {
-    // --no-rollup serves sum/avg via the flat compressed-domain path
-    // instead of the aggregate hierarchy (see docs/server.md).
-    executor.emplace(svdd, 1, !flags.GetBool("no-rollup", false));
+    executor.emplace(svdd, 1);
   } else {
     executor.emplace(store, 1);
   }
@@ -910,7 +903,7 @@ const std::vector<Command> kCommands = {
     {"query", CmdQuery, {"model", "q", "cell", "threads"}},
     {"sql",
      CmdSql,
-     {"model", "query", "explain", "analyze", "threads", "no-rollup"}},
+     {"model", "query", "explain", "analyze", "threads"}},
     {"topk", CmdTopK, {"model", "count", "cols"}},
     {"similar", CmdSimilar, {"model", "row", "count"}},
     {"evaluate", CmdEvaluate, {"model", "input"}},
@@ -923,7 +916,7 @@ const std::vector<Command> kCommands = {
      CmdServe,
      {"model", "port", "bind", "max-concurrent", "queue", "timeout-ms",
       "duration-s", "cache-blocks", "io-backend", "keys", "slowlog",
-      "slo-budget-ms", "slo-window-s", "no-rollup"}},
+      "slo-budget-ms", "slo-window-s"}},
     {"slowlog", CmdSlowlog, {"port", "host", "format"}},
 };
 

@@ -26,6 +26,7 @@ SvdModel::SvdModel(Matrix u, std::vector<double> singular_values, Matrix v)
   TSC_CHECK_EQ(u_.cols(), singular_values_.size());
   TSC_CHECK_EQ(v_.cols(), singular_values_.size());
   RebuildWeightedV();
+  RebuildBlockSums();
 }
 
 void SvdModel::RebuildWeightedV() {
@@ -35,6 +36,59 @@ void SvdModel::RebuildWeightedV() {
       weighted_v_(j, m) = singular_values_[m] * v_(j, m);
     }
   }
+}
+
+void SvdModel::RebuildBlockSums() {
+  const std::size_t n = u_.rows();
+  const std::size_t kk = k();
+  block_sums_ = Matrix((n + kRowBlock - 1) / kRowBlock, kk);
+  superblock_sums_ = Matrix((n + kRowSuperblock - 1) / kRowSuperblock, kk);
+  for (std::size_t i = 0; i < n; ++i) {
+    kernels::Axpy(1.0, u_.Row(i).data(), block_sums_.Row(i / kRowBlock).data(),
+                  kk);
+  }
+  constexpr std::size_t kBlocksPerSuperblock = kRowSuperblock / kRowBlock;
+  for (std::size_t b = 0; b < block_sums_.rows(); ++b) {
+    kernels::Axpy(1.0, block_sums_.Row(b).data(),
+                  superblock_sums_.Row(b / kBlocksPerSuperblock).data(), kk);
+  }
+}
+
+std::uint64_t SvdModel::AccumulateRowMass(std::span<const IdRange> runs,
+                                          std::span<double> out) const {
+  TSC_DCHECK(out.size() >= k());
+  const std::size_t n = u_.rows();
+  const std::size_t kk = k();
+  std::uint64_t reads = 0;
+  const auto add = [&](const Matrix& sums, std::size_t index) {
+    kernels::Axpy(1.0, sums.Row(index).data(), out.data(), kk);
+    ++reads;
+  };
+  // Whether the (possibly short) unit of `size` rows starting at the
+  // aligned row i ends within the run's exclusive end.
+  const auto fits = [n](std::size_t i, std::size_t size, std::size_t end) {
+    return std::min(i + size, n) <= end;
+  };
+  for (const IdRange& run : runs) {
+    TSC_DCHECK(run.lo <= run.hi && run.hi < n);
+    std::size_t i = run.lo;
+    const std::size_t end = run.hi + 1;
+    // Climb: rows to a block edge, blocks to a superblock edge; then
+    // superblocks; then descend through the blocks and rows left over.
+    for (; i < end && i % kRowBlock != 0; ++i) add(u_, i);
+    for (; i < end && i % kRowSuperblock != 0 && fits(i, kRowBlock, end);
+         i += kRowBlock) {
+      add(block_sums_, i / kRowBlock);
+    }
+    for (; i < end && fits(i, kRowSuperblock, end); i += kRowSuperblock) {
+      add(superblock_sums_, i / kRowSuperblock);
+    }
+    for (; i < end && fits(i, kRowBlock, end); i += kRowBlock) {
+      add(block_sums_, i / kRowBlock);
+    }
+    for (; i < end; ++i) add(u_, i);
+  }
+  return reads;
 }
 
 double SvdModel::ReconstructCell(std::size_t row, std::size_t col) const {
@@ -116,9 +170,10 @@ void SvdModel::QuantizeToFloat() {
   for (double& v : v_.data()) v = static_cast<float>(v);
   for (double& v : singular_values_) v = static_cast<float>(v);
   bytes_per_value_ = 4;
-  // The derived cache must reflect the quantized factors (the products
+  // The derived caches must reflect the quantized factors (the products
   // themselves stay double precision).
   RebuildWeightedV();
+  RebuildBlockSums();
 }
 
 void SvdModel::ApplyQuantization(QuantScheme scheme) {
@@ -130,6 +185,7 @@ void SvdModel::ApplyQuantization(QuantScheme scheme) {
   for (std::size_t i = 0; i < u_.rows(); ++i) {
     SnapQuantRow(scheme, u_.Row(i));
   }
+  RebuildBlockSums();
 }
 
 SvdModel::FoldInStats SvdModel::FoldInRows(const Matrix& new_rows) {
@@ -156,6 +212,7 @@ SvdModel::FoldInStats SvdModel::FoldInRows(const Matrix& new_rows) {
     }
   }
   u_.AppendRows(new_u);
+  RebuildBlockSums();
   return stats;
 }
 

@@ -2,6 +2,7 @@
 #define TSC_CORE_SVD_COMPRESSOR_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "storage/quant.h"
 #include "storage/row_source.h"
 #include "storage/serializer.h"
+#include "util/id_range.h"
 #include "util/status.h"
 
 namespace tsc {
@@ -51,6 +53,19 @@ class SvdModel : public CompressedStore {
   /// two. Precomputed once per model (rebuilt on quantization); every
   /// reconstruction path reads it, it is never serialized.
   const Matrix& weighted_v() const { return weighted_v_; }
+
+  /// Rows per U block and per superblock of the block sums.
+  static constexpr std::size_t kRowBlock = 64;
+  static constexpr std::size_t kRowSuperblock = 64 * kRowBlock;
+
+  /// Adds sum_{i in runs} u_i to out[0..k) (+=, caller zeroes) from the
+  /// block sums: k-wide sums of U over aligned 64-row blocks and
+  /// 4096-row superblocks (the last of each may be short). A run costs
+  /// at most 126 row reads, 126 block reads and one read per superblock
+  /// it covers. `runs` must be sorted, disjoint and within rows().
+  /// Returns the number of k-vectors read.
+  std::uint64_t AccumulateRowMass(std::span<const IdRange> runs,
+                                  std::span<double> out) const;
 
   /// Coordinates of sequence `row` in SVD space (Observation 3.4:
   /// the row of U x Lambda); the first 2-3 entries drive the Appendix A
@@ -111,11 +126,17 @@ class SvdModel : public CompressedStore {
   /// Recomputes weighted_v_ from v_ and singular_values_; call after any
   /// mutation of the right factor (construction, quantization).
   void RebuildWeightedV();
+  /// Recomputes the block sums from u_; call after any mutation of U
+  /// (construction, quantization, fold-in).
+  void RebuildBlockSums();
 
   Matrix u_;
   std::vector<double> singular_values_;
   Matrix v_;
-  Matrix weighted_v_;  ///< derived cache, never serialized
+  /// Derived caches, never serialized nor charged in CompressedBytes.
+  Matrix weighted_v_;
+  Matrix block_sums_;       ///< {ceil(N / kRowBlock), k}
+  Matrix superblock_sums_;  ///< {ceil(N / kRowSuperblock), k}
   std::size_t bytes_per_value_ = 8;
   QuantScheme quant_scheme_ = QuantScheme::kF64;
 };

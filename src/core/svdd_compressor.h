@@ -68,9 +68,8 @@ class SvddModel : public CompressedStore {
 
   /// Batched off-line appends: folds new sequences in via the frozen
   /// subspace (see SvdModel::FoldInRows). New rows get no deltas; patch
-  /// their worst cells with PatchCell if needed. Aggregate hierarchies
-  /// over this model see the row count grow and rebuild on their next
-  /// read.
+  /// their worst cells with PatchCell if needed. The U block sums are
+  /// rebuilt before it returns.
   SvdModel::FoldInStats FoldInRows(const Matrix& new_rows);
 
   /// Point update: makes cell (row, col) reconstruct exactly

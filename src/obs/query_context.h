@@ -162,10 +162,10 @@ inline void ChargeDeltaProbes(std::uint64_t probes) {
 inline void ChargeAdmissionWaitUs(std::uint64_t wait_us) {
   detail::Charge(&QueryContext::admission_wait_us, wait_us);
 }
-/// Aggregate-hierarchy accounting: one rollup hit per aggregate the
-/// planner resolved from the hierarchy, one scan fallback per linear
-/// aggregate that had to scan or sweep instead, and the segment-tree
-/// nodes consumed answering this request.
+/// Aggregate accounting: one rollup hit per aggregate answered in the
+/// compressed domain, one scan fallback per linear aggregate that had
+/// to scan instead, and the k-vectors of U (rows, block and superblock
+/// sums) read for the row mass while answering this request.
 inline void ChargeRollupHit() { detail::Charge(&QueryContext::rollup_hits, 1); }
 inline void ChargeScanFallback() {
   detail::Charge(&QueryContext::scan_fallbacks, 1);

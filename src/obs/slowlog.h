@@ -38,6 +38,22 @@ class SlowQueryLog {
   /// Keeps `entry` iff it ranks among the K slowest; assigns seq.
   void Record(SlowQueryEntry entry);
 
+  /// Record() for a caller whose entry is costly to build: `build()`
+  /// runs, outside the lock, only when `latency_us` is above the current
+  /// floor. The request counts toward recorded() either way.
+  template <typename Build>
+  void RecordIfSlow(double latency_us, Build&& build) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (heap_.size() == capacity_ &&
+          latency_us <= heap_.front().latency_us) {
+        ++next_seq_;
+        return;
+      }
+    }
+    Record(build());
+  }
+
   /// Entries sorted slowest-first.
   std::vector<SlowQueryEntry> Snapshot() const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "cube/rollup.h"
 #include "linalg/kernels.h"
@@ -95,31 +94,27 @@ bool IsLinearAggregate(AggregateFn fn) {
 }
 
 /// Per-group sums of the selected region, straight from the factors:
-/// no grouping -> one total; by row -> dot(u_i, w) per row; by col ->
-/// s_j = sum_m (sum_{i in R} u_im) * lambda_m * v_jm per column. The
-/// deltas inside the region come from the model's delta index: per-row
-/// sums over its row CSR, per-column and total sums over its column
-/// running sums. The runs are the plan's (sorted, disjoint).
+/// no grouping -> the view's region sum; by row -> dot(u_i, w) per row,
+/// w the selected Lambda-weighted V rows' sum; by col -> dot(u_mass,
+/// lambda.v_j) per column, u_mass the selected rows' U mass from the
+/// block sums. The deltas inside the region come from the model's delta
+/// index: per-row sums over its row CSR, per-column and total sums over
+/// its column running sums. The runs are the plan's (sorted, disjoint).
 std::vector<double> CompressedDomainSums(
-    const SvddModel& model, std::span<const IdRange> row_runs,
-    std::span<const IdRange> col_runs, GroupBy group_by,
-    const AggregateHierarchy* hierarchy, RollupStats* stats) {
+    const SvddModel& model, const AggregateHierarchy& view,
+    std::span<const IdRange> row_runs, std::span<const IdRange> col_runs,
+    GroupBy group_by, RollupStats* stats) {
+  if (group_by == GroupBy::kNone) {
+    return {view.RegionSum(row_runs, col_runs, stats)};
+  }
   const SvdModel& svd = model.svd();
   const std::size_t k = svd.k();
   const std::shared_ptr<const DeltaIndex> deltas = model.deltas();
-
   std::vector<double> sums;
   if (group_by == GroupBy::kCol) {
-    // Column direction: the selected rows' U mass once (from the row
-    // tree when there is one), then one dot per Lambda-weighted V row.
     std::vector<double> u_mass(k, 0.0);
-    if (hierarchy != nullptr) {
-      hierarchy->AccumulateRowMass(row_runs, u_mass, stats);
-    } else {
-      ForEachId(row_runs, [&](std::size_t i) {
-        kernels::Axpy(1.0, svd.u().Row(i).data(), u_mass.data(), k);
-      });
-    }
+    const std::uint64_t reads = svd.AccumulateRowMass(row_runs, u_mass);
+    if (stats != nullptr) stats->nodes_read += reads;
     sums.reserve(RangesSize(col_runs));
     ForEachId(col_runs, [&](std::size_t j) {
       sums.push_back(
@@ -128,24 +123,15 @@ std::vector<double> CompressedDomainSums(
     deltas->AddColumnSums(row_runs, col_runs, sums);
     return sums;
   }
-  // Row direction (and the ungrouped total): weights = sum of the
-  // selected Lambda-weighted V rows, then one dot per selected U row.
   std::vector<double> weights(k, 0.0);
   ForEachId(col_runs, [&](std::size_t j) {
     kernels::Axpy(1.0, svd.weighted_v().Row(j).data(), weights.data(), k);
   });
-  const bool by_row = group_by == GroupBy::kRow;
-  sums.assign(by_row ? RangesSize(row_runs) : 1, 0.0);
-  std::size_t g = 0;
+  sums.reserve(RangesSize(row_runs));
   ForEachId(row_runs, [&](std::size_t i) {
-    sums[by_row ? g++ : 0] +=
-        kernels::Dot(svd.u().Row(i).data(), weights.data(), k);
+    sums.push_back(kernels::Dot(svd.u().Row(i).data(), weights.data(), k));
   });
-  if (by_row) {
-    deltas->AddRowSums(row_runs, col_runs, sums);
-  } else {
-    sums[0] += deltas->RegionSum(row_runs, col_runs);
-  }
+  deltas->AddRowSums(row_runs, col_runs, sums);
   return sums;
 }
 
@@ -154,9 +140,9 @@ std::vector<double> CompressedDomainSums(
 class ResultBuilder {
  public:
   ResultBuilder(const QueryPlan& plan, const SvddModel* svdd,
-                const AggregateHierarchy* rollup = nullptr,
+                const AggregateHierarchy* view = nullptr,
                 RollupStats* stats = nullptr)
-      : plan_(plan), svdd_(svdd), rollup_(rollup), stats_(stats) {}
+      : plan_(plan), svdd_(svdd), view_(view), stats_(stats) {}
 
   /// Per-group cell count (for count/avg in the compressed domain).
   std::size_t GroupCells() const {
@@ -189,31 +175,15 @@ class ResultBuilder {
       result.strategy_summary += AggregateFnName(fn);
       result.strategy_summary += "=";
       result.strategy_summary += ExecutionStrategyName(strategy);
-      if (strategy == ExecutionStrategy::kCompressedDomain ||
-          strategy == ExecutionStrategy::kRollup) {
-        if (svdd_ == nullptr) {
+      if (strategy == ExecutionStrategy::kCompressedDomain) {
+        if (svdd_ == nullptr || view_ == nullptr) {
           return Status::Internal(
               "compressed-domain plan without SVDD model");
         }
-        if (strategy == ExecutionStrategy::kRollup) {
-          if (rollup_ == nullptr) {
-            return Status::Internal("rollup plan without hierarchy");
-          }
-          ++result.rollup_aggregates;
-        }
         ++result.compressed_domain_aggregates;
         if (sums.empty() && fn != AggregateFn::kCount) {
-          // Ungrouped totals resolve purely from hierarchy nodes and the
-          // delta index; grouped sums need the per-group factor math and
-          // use the hierarchy for the row side's U mass.
-          if (rollup_ != nullptr && plan_.group_by == GroupBy::kNone) {
-            sums = {rollup_->RegionSum(plan_.row_runs, plan_.col_runs,
-                                       stats_)};
-          } else {
-            sums = CompressedDomainSums(*svdd_, plan_.row_runs,
-                                        plan_.col_runs, plan_.group_by,
-                                        rollup_, stats_);
-          }
+          sums = CompressedDomainSums(*svdd_, *view_, plan_.row_runs,
+                                      plan_.col_runs, plan_.group_by, stats_);
         }
         for (std::size_t g = 0; g < groups; ++g) {
           double value = 0.0;
@@ -246,7 +216,7 @@ class ResultBuilder {
  private:
   const QueryPlan& plan_;
   const SvddModel* svdd_;
-  const AggregateHierarchy* rollup_;
+  const AggregateHierarchy* view_;
   RollupStats* stats_;
 };
 
@@ -416,11 +386,9 @@ std::string QueryResult::AnalyzeFooter() const {
                   strategy_summary.c_str());
     out += line;
   }
-  if (rollup_aggregates > 0) {
-    std::snprintf(line, sizeof(line),
-                  "-- rollup: %llu aggregates, %llu nodes read\n",
-                  static_cast<unsigned long long>(rollup_aggregates),
-                  static_cast<unsigned long long>(rollup_nodes_read));
+  if (agg_nodes_read > 0) {
+    std::snprintf(line, sizeof(line), "-- block sums: %llu k-vectors read\n",
+                  static_cast<unsigned long long>(agg_nodes_read));
     out += line;
   }
   std::snprintf(line, sizeof(line), "-- rows reconstructed: %llu\n",
@@ -441,22 +409,16 @@ QueryExecutor::QueryExecutor(const CompressedStore* store,
 }
 
 QueryExecutor::QueryExecutor(const SvddModel* model, std::size_t num_threads,
-                             bool enable_rollup)
+                             bool)
     : store_(model), svdd_(model) {
   TSC_CHECK(model != nullptr);
   if (num_threads > 1) pool_ = std::make_shared<ThreadPool>(num_threads);
-  // TSC_NO_ROLLUP is the operational kill switch (same spirit as the
-  // --no-rollup CLI flag): drop back to the pre-hierarchy strategies
-  // without a rebuild or redeploy.
-  if (enable_rollup && model->k() > 0 &&
-      std::getenv("TSC_NO_ROLLUP") == nullptr) {
-    rollup_ = AggregateHierarchy::Build(*model);
-  }
+  rollup_ = AggregateHierarchy::Build(*model);
 }
 
 StatusOr<QueryPlan> QueryExecutor::Plan(const QueryAst& ast) const {
   const std::size_t model_k = svdd_ != nullptr ? svdd_->k() : 0;
-  return PlanQuery(ast, rows(), cols(), model_k, rollup_ != nullptr);
+  return PlanQuery(ast, rows(), cols(), model_k);
 }
 
 StatusOr<std::string> QueryExecutor::Explain(
@@ -516,21 +478,21 @@ StatusOr<QueryResult> QueryExecutor::ExecutePlan(const QueryPlan& plan) const {
     group_stats =
         ScanGroupsBatched(plan, *store_, pool_.get(), &rows_scanned);
   }
-  RollupStats rollup_stats;
-  const ResultBuilder builder(plan, svdd_, rollup_.get(), &rollup_stats);
+  RollupStats agg_stats;
+  const ResultBuilder builder(plan, svdd_, rollup_.get(), &agg_stats);
   TSC_ASSIGN_OR_RETURN(QueryResult result,
                        builder.Build(group_stats, rows_scanned));
-  result.rollup_nodes_read = rollup_stats.nodes_read;
+  result.agg_nodes_read = agg_stats.nodes_read;
   result.exec_us = MicrosSince(exec_start);
   exec_hist.Record(result.exec_us);
   query_count.Increment();
   scanned_counter.Add(rows_scanned);
   obs::ChargeRowsScanned(rows_scanned);
-  // Per-aggregate strategy accounting: a linear aggregate either hit the
-  // hierarchy or fell back to a scanning strategy; non-linear aggregates
+  // Per-aggregate strategy accounting: a linear aggregate either ran in
+  // the compressed domain or fell back to a scan; non-linear aggregates
   // are out of scope for either counter.
   for (std::size_t a = 0; a < plan.strategies.size(); ++a) {
-    if (plan.strategies[a] == ExecutionStrategy::kRollup) {
+    if (plan.strategies[a] == ExecutionStrategy::kCompressedDomain) {
       rollup_hits_counter.Increment();
       obs::ChargeRollupHit();
     } else if (IsLinearAggregate(plan.aggregates[a])) {
@@ -538,8 +500,8 @@ StatusOr<QueryResult> QueryExecutor::ExecutePlan(const QueryPlan& plan) const {
       obs::ChargeScanFallback();
     }
   }
-  agg_nodes_counter.Add(rollup_stats.nodes_read);
-  obs::ChargeAggNodesRead(rollup_stats.nodes_read);
+  agg_nodes_counter.Add(agg_stats.nodes_read);
+  obs::ChargeAggNodesRead(agg_stats.nodes_read);
   return result;
 }
 

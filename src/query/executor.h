@@ -28,15 +28,12 @@ struct QueryResult {
   std::vector<std::size_t> group_keys;
   std::size_t aggregate_count = 0;
   std::uint64_t rows_reconstructed = 0;
-  /// Aggregates answered without row reconstruction (the rollup ones
-  /// included — the hierarchy IS compressed-domain evaluation).
+  /// Aggregates answered without row reconstruction, and the k-vectors
+  /// of U (rows, block and superblock sums) read for their row mass.
   std::uint64_t compressed_domain_aggregates = 0;
-  /// Of those, aggregates answered from the rollup hierarchy, and the
-  /// segment-tree nodes consumed doing so.
-  std::uint64_t rollup_aggregates = 0;
-  std::uint64_t rollup_nodes_read = 0;
+  std::uint64_t agg_nodes_read = 0;
   std::string plan_text;
-  /// Per-aggregate strategy actually used, e.g. "sum=rollup
+  /// Per-aggregate strategy actually used, e.g. "sum=compressed-domain
   /// max=row-reconstruction" (the --analyze footer's strategy line).
   std::string strategy_summary;
 
@@ -73,26 +70,24 @@ class QueryExecutor {
   /// `num_threads` > 1 scans with an internal thread pool.
   explicit QueryExecutor(const CompressedStore* store,
                          std::size_t num_threads = 1);
-  /// SVDD model: linear aggregates can run in the compressed domain.
-  /// By default an aggregate rollup hierarchy (cube/rollup.h) is built
-  /// over the model and becomes the planner's preferred strategy for
-  /// sum/avg/count; `enable_rollup = false` (or the TSC_NO_ROLLUP
-  /// environment kill switch) restores the pre-hierarchy behavior.
+  /// SVDD model: linear aggregates run in the compressed domain, their
+  /// row mass from the model's block sums. The bool selects nothing and
+  /// is kept for source compatibility.
   explicit QueryExecutor(const SvddModel* model, std::size_t num_threads = 1,
-                         bool enable_rollup = true);
+                         bool /*unused*/ = true);
 
   std::size_t rows() const { return store_->rows(); }
   std::size_t cols() const { return store_->cols(); }
 
-  /// The aggregate hierarchy, or nullptr (generic store / disabled).
-  /// Shared with the server data API's bucket reductions.
+  /// The compressed-domain aggregate view over the SVDD model, or
+  /// nullptr for a generic store.
   const AggregateHierarchy* rollup() const { return rollup_.get(); }
 
   /// Parse + plan + execute in one call.
   StatusOr<QueryResult> Execute(const std::string& query_text) const;
 
   /// Plans a parsed (or directly built) query against this executor's
-  /// matrix, model rank and rollup.
+  /// matrix and model rank.
   StatusOr<QueryPlan> Plan(const QueryAst& ast) const;
 
   /// Execute a pre-built plan.
@@ -105,9 +100,8 @@ class QueryExecutor {
   const CompressedStore* store_;
   const SvddModel* svdd_ = nullptr;  ///< non-null enables the fast path
   std::shared_ptr<ThreadPool> pool_;  ///< null = scan on the calling thread
-  /// Owned rollup hierarchy; it reads the model's current delta
-  /// snapshot per query, so patches need no notification. Null when
-  /// disabled.
+  /// View over svdd_ (null for a generic store); it reads the model's
+  /// current state per query, so patches need no notification.
   std::shared_ptr<AggregateHierarchy> rollup_;
 };
 

@@ -48,8 +48,6 @@ const char* ExecutionStrategyName(ExecutionStrategy strategy) {
       return "row-reconstruction";
     case ExecutionStrategy::kCompressedDomain:
       return "compressed-domain";
-    case ExecutionStrategy::kRollup:
-      return "rollup";
   }
   return "?";
 }
@@ -69,8 +67,7 @@ std::string QueryPlan::ToString() const {
 }
 
 StatusOr<QueryPlan> PlanQuery(const QueryAst& ast, std::size_t num_rows,
-                              std::size_t num_cols, std::size_t model_k,
-                              bool rollup_available) {
+                              std::size_t num_cols, std::size_t model_k) {
   if (num_rows == 0 || num_cols == 0) {
     return Status::InvalidArgument("empty relation");
   }
@@ -82,20 +79,12 @@ StatusOr<QueryPlan> PlanQuery(const QueryAst& ast, std::size_t num_rows,
   plan.aggregates = ast.aggregates;
   plan.group_by = ast.group_by;
 
-  // Cost model: the rollup hierarchy answers linear aggregates from
-  // O(k log) node reads independent of the selection size, so it wins
-  // outright whenever the executor has one built. Without it, row
-  // reconstruction pays ~k * M + |cols| per selected row; the compressed
-  // domain pays |cols| * k once plus ~k per selected row. The latter wins
-  // whenever it is available unless the selection is a single row (setup
-  // cost dominates).
+  // Cost model: row reconstruction pays ~k * M + |cols| per selected
+  // row; the compressed domain pays ~k per selected column plus ~k per
+  // block of selected rows, so it wins for every selection it can
+  // answer.
   for (const AggregateFn fn : plan.aggregates) {
-    if (IsLinearAggregate(fn) && rollup_available && model_k > 0) {
-      plan.strategies.push_back(ExecutionStrategy::kRollup);
-      continue;
-    }
-    const bool compressed_ok = IsLinearAggregate(fn) && model_k > 0 &&
-                               plan.RowCount() > 1;
+    const bool compressed_ok = IsLinearAggregate(fn) && model_k > 0;
     plan.strategies.push_back(compressed_ok
                                   ? ExecutionStrategy::kCompressedDomain
                                   : ExecutionStrategy::kRowReconstruction);

@@ -18,14 +18,11 @@ enum class ExecutionStrategy {
   /// cells — O(selected_rows * (k*M + |cols|)). Works for every fn.
   kRowReconstruction,
   /// Compute entirely in the compressed domain from U, Lambda, V (and
-  /// the delta index): O(|cols|*k) setup + O(k) per selected row.
-  /// Available for sum/avg/count, which are linear in the cells.
+  /// the delta index), with the selected rows' U mass taken from the
+  /// model's block sums: O(k) per selected column plus O(k) per 64-row
+  /// block or 4096-row superblock, and O(k) per row only when grouping
+  /// by row. Available for sum/avg/count, which are linear in the cells.
   kCompressedDomain,
-  /// Answer from the multi-resolution aggregate hierarchy (cube/rollup.h):
-  /// O(k log N + k log M) segment-tree node reads, no per-row work at
-  /// all. Preferred for linear aggregates whenever the executor has a
-  /// hierarchy built; kCompressedDomain remains the fallback.
-  kRollup,
 };
 
 const char* ExecutionStrategyName(ExecutionStrategy strategy);
@@ -68,15 +65,11 @@ struct QueryPlan {
 /// range past the extent is OutOfRange; an empty intersection is
 /// InvalidArgument.
 ///
-/// Strategy choice: linear aggregates resolve from the aggregate rollup
-/// hierarchy when the executor has one (`rollup_available`) — O(k log)
-/// node reads regardless of selection size; otherwise linear aggregates
-/// over wide selections (many columns per selected row) run in the
-/// compressed domain, where the per-row cost is O(k) instead of O(k*M);
-/// narrow or non-linear aggregates use row reconstruction.
+/// Strategy choice: with a model (`model_k` > 0), linear aggregates run
+/// in the compressed domain; non-linear ones, and every aggregate
+/// without a model, use row reconstruction.
 StatusOr<QueryPlan> PlanQuery(const QueryAst& ast, std::size_t num_rows,
-                              std::size_t num_cols, std::size_t model_k,
-                              bool rollup_available = false);
+                              std::size_t num_cols, std::size_t model_k);
 
 }  // namespace tsc
 

@@ -1,15 +1,12 @@
 #include "server/data_api.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
 
 #include "core/query.h"
-#include "cube/rollup.h"
 #include "obs/metrics.h"
-#include "obs/query_context.h"
 #include "util/json_writer.h"
 #include "util/lite_regex.h"
 
@@ -67,52 +64,6 @@ std::vector<IdRange> RowRuns(const DataRequest& request,
                              std::size_t num_rows) {
   if (request.rows.empty()) return {{0, num_rows - 1}};
   return NormalizeRanges(request.rows);
-}
-
-/// Rollup fast path for the linear bucket reductions: one RegionSum per
-/// output bucket — O(points * k log) total, no per-column pass at all.
-/// avg divides the region sum by its exact cell count (rows * width),
-/// which is algebraically what ReduceBucket over per-column averages
-/// computes on the scan path.
-StatusOr<DataResult> ExecuteBucketsViaRollup(
-    const QueryExecutor& executor, const DataRequest& request,
-    std::span<const IdRange> row_runs) {
-  static obs::Counter& rollup_hits_counter =
-      obs::MetricRegistry::Default().GetCounter("agg.rollup_hits");
-  static obs::Counter& agg_nodes_counter =
-      obs::MetricRegistry::Default().GetCounter("agg.nodes_read");
-  const auto start = std::chrono::steady_clock::now();
-
-  const std::size_t rows_selected = RangesSize(row_runs);
-
-  DataResult result;
-  result.request = request;
-  result.rows_selected = rows_selected;
-  result.compressed_domain_aggregates = 1;
-  result.data.reserve(request.points);
-  const std::size_t window = request.before - request.after + 1;
-  RollupStats stats;
-  const AggregateHierarchy* rollup = executor.rollup();
-  for (std::size_t b = 0; b < request.points; ++b) {
-    const std::size_t lo = b * window / request.points;
-    const std::size_t hi = (b + 1) * window / request.points;  // exclusive
-    const IdRange col_run{request.after + lo, request.after + hi - 1};
-    DataPoint point;
-    point.t = request.after + lo;
-    point.value = rollup->RegionSum(row_runs, {&col_run, 1}, &stats);
-    if (request.group == AggregateFn::kAvg) {
-      point.value /= static_cast<double>(rows_selected * (hi - lo));
-    }
-    result.data.push_back(point);
-  }
-  result.exec_us = std::chrono::duration<double, std::micro>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  rollup_hits_counter.Increment();
-  obs::ChargeRollupHit();
-  agg_nodes_counter.Add(stats.nodes_read);
-  obs::ChargeAggNodesRead(stats.nodes_read);
-  return result;
 }
 
 }  // namespace
@@ -280,17 +231,10 @@ StatusOr<std::vector<IdRange>> ResolveRowsPattern(
 StatusOr<DataResult> ExecuteDataRequest(const QueryExecutor& executor,
                                         const DataRequest& request) {
   const std::vector<IdRange> row_runs = RowRuns(request, executor.rows());
-  // Linear bucket reductions resolve straight from the aggregate
-  // hierarchy when the executor has one; min/max are not linear in the
-  // cells and stay on the scan path.
-  if (executor.rollup() != nullptr && (request.group == AggregateFn::kSum ||
-                                       request.group == AggregateFn::kAvg)) {
-    return ExecuteBucketsViaRollup(executor, request, row_runs);
-  }
   // One per-column aggregate pass, planned like the SQL query
   // "SELECT <group>(value) WHERE row IN <rows> AND col IN <after>:<before>
-  // GROUP BY col", so the planner can route sum/avg through the
-  // compressed domain.
+  // GROUP BY col", so the planner routes sum/avg through the compressed
+  // domain: the selected rows' U mass once, then one dot per column.
   QueryAst ast;
   ast.aggregates = {request.group};
   ast.constraints = {{/*is_row=*/true, row_runs},

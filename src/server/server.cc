@@ -419,14 +419,16 @@ std::string QueryServer::HandleRequest(const HttpRequest& request) {
     const double latency_us = MicrosSince(started);
     const std::string endpoint = EndpointTag(request.path);
     slo_->Record(endpoint, latency_us, status);
-    obs::SlowQueryEntry entry;
-    entry.trace_id = trace_id;
-    entry.endpoint = endpoint;
-    entry.request_line = RequestLine(request);
-    entry.http_status = status;
-    entry.latency_us = latency_us;
-    entry.costs = context.Costs();
-    slowlog_->Record(std::move(entry));
+    slowlog_->RecordIfSlow(latency_us, [&] {
+      obs::SlowQueryEntry entry;
+      entry.trace_id = trace_id;
+      entry.endpoint = endpoint;
+      entry.request_line = RequestLine(request);
+      entry.http_status = status;
+      entry.latency_us = latency_us;
+      entry.costs = context.Costs();
+      return entry;
+    });
     if (request.Param("debug", "") == "1" ||
         request.headers.find("x-tsc-debug") != request.headers.end()) {
       extra.emplace_back("X-Query-Cost", CostHeaderValue(context.Costs()));

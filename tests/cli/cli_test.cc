@@ -1,5 +1,6 @@
 #include "cli/cli.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -165,22 +166,19 @@ TEST_F(CliPipelineTest, SqlQueryAndExplain) {
       RunTool({"sql", "--model=" + *model_path_, "--explain",
                "--query=SELECT sum(value) WHERE row IN 0:9"});
   ASSERT_EQ(explain.exit_code, 0) << explain.err;
-  EXPECT_NE(explain.out.find("rollup"), std::string::npos);
+  EXPECT_NE(explain.out.find("compressed-domain"), std::string::npos);
 
-  // --no-rollup: the planner falls back to the flat compressed-domain
-  // strategy, and the answer itself is unchanged.
-  const CliResult no_rollup_explain =
-      RunTool({"sql", "--model=" + *model_path_, "--explain", "--no-rollup",
-               "--query=SELECT sum(value) WHERE row IN 0:9"});
-  ASSERT_EQ(no_rollup_explain.exit_code, 0) << no_rollup_explain.err;
-  EXPECT_EQ(no_rollup_explain.out.find("rollup"), std::string::npos);
-  EXPECT_NE(no_rollup_explain.out.find("compressed-domain"),
-            std::string::npos);
-  const CliResult no_rollup_count =
-      RunTool({"sql", "--model=" + *model_path_, "--no-rollup",
-               "--query=SELECT count(*) WHERE row IN 0:9 AND col IN 0:3"});
-  ASSERT_EQ(no_rollup_count.exit_code, 0) << no_rollup_count.err;
-  EXPECT_NEAR(std::stod(no_rollup_count.out), 40.0, 1e-9);
+  // The compressed-domain sum agrees with the same region summed by the
+  // row-reconstruction scan of `tsctool query` (both print 6 digits).
+  const CliResult sum =
+      RunTool({"sql", "--model=" + *model_path_,
+               "--query=SELECT sum(value) WHERE row IN 0:9 AND col IN 0:3"});
+  ASSERT_EQ(sum.exit_code, 0) << sum.err;
+  const CliResult scanned = RunTool(
+      {"query", "--model=" + *model_path_, "--q=sum rows=0:9 cols=0:3"});
+  ASSERT_EQ(scanned.exit_code, 0) << scanned.err;
+  EXPECT_NEAR(std::stod(sum.out), std::stod(scanned.out),
+              1e-5 * std::abs(std::stod(scanned.out)) + 1e-9);
 
   EXPECT_EQ(RunTool({"sql", "--model=" + *model_path_,
                      "--query=SELEKT sum(value)"})
@@ -273,6 +271,20 @@ TEST_F(CliPipelineTest, StatsServesWorkloadAndPrintsDerivedLines) {
   EXPECT_NE(result.out.find("delta.hits"), std::string::npos);
   EXPECT_NE(result.out.find("query.exec_us"), std::string::npos);
 #endif
+}
+
+TEST_F(CliPipelineTest, StatsCountsDiskAccessesOfTheCellQueriesOnly) {
+  // One cell query reads at most one U block; the SQL aggregates that
+  // follow it scan the disk layout but must not land in the per-cell
+  // line.
+  const CliResult result = RunTool({"stats", "--model=" + *model_path_,
+                                    "--queries=1", "--cache-blocks=32"});
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  const std::string label = "disk accesses:";
+  const std::size_t at = result.out.find(label);
+  ASSERT_NE(at, std::string::npos) << result.out;
+  EXPECT_LE(std::stoull(result.out.substr(at + label.size())), 1u)
+      << result.out;
 }
 
 TEST_F(CliPipelineTest, StatsRequiresSvddModel) {

@@ -39,6 +39,29 @@ TEST(SlowQueryLogTest, KeepsTheKSlowestInOrder) {
   EXPECT_EQ(log.recorded(), 6u);  // offered, retained or not
 }
 
+TEST(SlowQueryLogTest, RecordIfSlowBuildsOnlyEntriesThatRank) {
+  SlowQueryLog log(2);
+  int built = 0;
+  const auto offer = [&](double latency_us, const std::string& id) {
+    log.RecordIfSlow(latency_us, [&] {
+      ++built;
+      return Entry(latency_us, id);
+    });
+  };
+  offer(100, "a");  // the log has room: built and kept
+  offer(200, "b");
+  offer(50, "c");   // at or below the floor of a full log: never built
+  offer(100, "d");
+  EXPECT_EQ(built, 2);
+  offer(300, "e");  // displaces a (100)
+  EXPECT_EQ(built, 3);
+  const std::vector<SlowQueryEntry> entries = log.Snapshot();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].trace_id, "e");
+  EXPECT_EQ(entries[1].trace_id, "b");
+  EXPECT_EQ(log.recorded(), 5u);  // skipped offers count too
+}
+
 TEST(SlowQueryLogTest, TiesBreakBySequence) {
   SlowQueryLog log(4);
   log.Record(Entry(100, "first"));

@@ -1,7 +1,7 @@
 // ThreadSanitizer hammers for patches racing reads. SvddModel::PatchCell
 // publishes a new DeltaIndex snapshot by atomic swap and never mutates
 // one a reader holds, so readers take every path: cell, row and region
-// reconstruction, hierarchy region sums and grouped aggregates. Each
+// reconstruction, block-sum region sums and grouped aggregates. Each
 // answer must equal the answer of one published snapshot.
 #include <algorithm>
 #include <atomic>
@@ -90,7 +90,7 @@ TEST(AggConcurrencyTest, ConcurrentPatchesVersusRollupReads) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // Quiesced consistency: the live hierarchy must now agree with one
+  // Quiesced consistency: the live executor must now agree with one
   // built after the last patch.
   QueryExecutor rebuilt(&model);
   const auto live = executor.Execute("select sum(value), count(*)");
@@ -133,12 +133,14 @@ TEST(AggConcurrencyTest, DirectHierarchyHammer) {
   stop.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
 
-  // Once writes quiesce both hierarchies read the same delta snapshot.
+  // Once writes quiesce both views read the same delta snapshot.
   const auto fresh = AggregateHierarchy::Build(model);
   const IdRange all_rows{0, model.rows() - 1};
   const IdRange all_cols{0, model.cols() - 1};
-  const double live_sum = hierarchy->DeltaSum({&all_rows, 1}, {&all_cols, 1});
-  const double fresh_sum = fresh->DeltaSum({&all_rows, 1}, {&all_cols, 1});
+  const double live_sum =
+      hierarchy->RegionSum({&all_rows, 1}, {&all_cols, 1}, nullptr);
+  const double fresh_sum =
+      fresh->RegionSum({&all_rows, 1}, {&all_cols, 1}, nullptr);
   EXPECT_EQ(live_sum, fresh_sum);
 }
 
@@ -147,8 +149,9 @@ TEST(AggConcurrencyTest, FoldInStalenessConvergesUnderConcurrentReaders) {
   const QueryExecutor executor(&model);
   ASSERT_NE(executor.rollup(), nullptr);
 
-  // Fold rows in BEFORE the hammer: the hierarchy goes stale, then N
-  // concurrent readers race to trigger its lazy rebuild.
+  // Fold rows in BEFORE the hammer (a fold-in must not race reads): the
+  // model rebuilds its block sums, then N concurrent readers answer
+  // from them.
   Matrix appended(8, model.cols());
   Rng rng(9);
   for (std::size_t r = 0; r < appended.rows(); ++r) {
@@ -222,7 +225,7 @@ std::vector<double> SnapshotAnswer(const SvddModel& model,
       out = region.data();
       break;
     }
-    case 3: {  // hierarchy region sum
+    case 3: {  // block-sum region sum
       const IdRange rows{5, 90};
       const IdRange cols{4, 20};
       out.push_back(executor.rollup()->RegionSum({&rows, 1}, {&cols, 1},

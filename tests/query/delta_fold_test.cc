@@ -160,11 +160,11 @@ void ExpectFoldsMatch(const Folds& with, const Folds& bare,
   }
 }
 
-/// Grouped and ungrouped sums from the compressed domain (rollup and
-/// not) against the same queries answered by reconstruction.
+/// Grouped and ungrouped sums from the compressed domain, at 1 and 3
+/// threads, against the same queries answered by the scan executor.
 void ExpectAggregatesMatch(const SvddModel& model) {
-  const QueryExecutor rollup(&model);
-  const QueryExecutor compressed(&model, 1, /*enable_rollup=*/false);
+  const QueryExecutor serial(&model);
+  const QueryExecutor threaded(&model, 3);
   const QueryExecutor scan(static_cast<const CompressedStore*>(&model));
   const std::string last_row = std::to_string(model.rows() - 1);
   const std::string last_col = std::to_string(model.cols() - 1);
@@ -177,13 +177,10 @@ void ExpectAggregatesMatch(const SvddModel& model) {
         "select sum(value) where row in " + last_row + " and col in 0"}) {
     const auto want = scan.Execute(query);
     ASSERT_TRUE(want.ok()) << query;
-    for (const QueryExecutor* executor : {&rollup, &compressed}) {
+    for (const QueryExecutor* executor : {&serial, &threaded}) {
       const auto got = executor->Execute(query);
       ASSERT_TRUE(got.ok()) << query;
-      // Without the rollup a single-row selection plans as a scan.
-      if (executor == &rollup) {
-        EXPECT_EQ(got->rows_reconstructed, 0u) << query;
-      }
+      EXPECT_EQ(got->rows_reconstructed, 0u) << query;
       ASSERT_EQ(got->values.size(), want->values.size()) << query;
       for (std::size_t v = 0; v < want->values.size(); ++v) {
         EXPECT_NEAR(got->values[v], want->values[v],

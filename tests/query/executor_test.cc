@@ -143,8 +143,8 @@ TEST_F(ExecutorTest, ExplainShowsPlanWithoutExecuting) {
   const auto plan = executor.Explain("select sum(value) where row in 0:9");
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->find("10 rows"), std::string::npos);
-  // The hierarchy is on by default, so linear aggregates plan as rollup.
-  EXPECT_NE(plan->find("rollup"), std::string::npos);
+  // Linear aggregates over an SVDD model plan in the compressed domain.
+  EXPECT_NE(plan->find("compressed-domain"), std::string::npos);
 }
 
 TEST_F(ExecutorTest, GroupByColMatchesPerColumnQueries) {

@@ -77,10 +77,10 @@ TEST(PlannerTest, NoModelMeansRowReconstruction) {
   EXPECT_EQ(plan.strategies[0], ExecutionStrategy::kRowReconstruction);
 }
 
-TEST(PlannerTest, SingleRowSelectionStaysRowReconstruction) {
+TEST(PlannerTest, SingleRowSelectionGoesCompressedWithModel) {
   const QueryPlan plan =
       MustPlan("select sum(value) where row in 7", 100, 20, 5);
-  EXPECT_EQ(plan.strategies[0], ExecutionStrategy::kRowReconstruction);
+  EXPECT_EQ(plan.strategies[0], ExecutionStrategy::kCompressedDomain);
 }
 
 TEST(PlannerTest, ToStringMentionsStrategies) {

@@ -257,6 +257,54 @@ TEST_F(DataApiTest, SumAndAvgRunInTheCompressedDomain) {
   EXPECT_GT(result->compressed_domain_aggregates, 0u);
 }
 
+/// Compressed-domain sum/avg buckets (row mass from the block sums) at 1
+/// and 3 threads against the scan executor over the same model, for
+/// every U encoding.
+TEST(DataApiScanParityTest, SumAndAvgMatchTheScanExecutorForEveryScheme) {
+  PhoneDatasetConfig config;
+  config.num_customers = 150;
+  config.num_days = 48;
+  config.spike_probability = 0.04;
+  const Matrix data = GeneratePhoneDataset(config).values;
+  for (const QuantScheme scheme : {QuantScheme::kF64, QuantScheme::kF32,
+                                   QuantScheme::kI16, QuantScheme::kI8}) {
+    MatrixRowSource source(&data);
+    SvddBuildOptions options;
+    options.space_percent = 25.0;
+    options.quant = scheme;
+    auto model = BuildSvddModel(&source, options);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    const QueryExecutor serial(&*model);
+    const QueryExecutor threaded(&*model, 3);
+    const QueryExecutor scan(static_cast<const CompressedStore*>(&*model));
+    for (const char* group : {"sum", "avg"}) {
+      for (const char* rows : {"0:149", "17", "0:9,40:99,110", "63:129"}) {
+        const Params params{{"group", group}, {"rows", rows},
+                            {"points", "7"}};
+        auto resolved = ResolveDataRequest(params, scan.rows(), scan.cols(),
+                                           DataApiLimits{});
+        ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+        auto want = ExecuteDataRequest(scan, *resolved);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        EXPECT_EQ(want->compressed_domain_aggregates, 0u);
+        for (const QueryExecutor* executor : {&serial, &threaded}) {
+          auto got = ExecuteDataRequest(*executor, *resolved);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(got->compressed_domain_aggregates, 1u);
+          ASSERT_EQ(got->data.size(), want->data.size());
+          for (std::size_t b = 0; b < want->data.size(); ++b) {
+            EXPECT_EQ(got->data[b].t, want->data[b].t);
+            EXPECT_NEAR(got->data[b].value, want->data[b].value,
+                        1e-7 * std::abs(want->data[b].value) + 1e-8)
+                << QuantSchemeName(scheme) << " " << group << " rows "
+                << rows << " bucket " << b;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(DataApiTest, SerializationsCarryEveryPoint) {
   auto resolved = ResolveDataRequest(
       Params{{"points", "5"}, {"rows", "0:9"}}, executor_->rows(),
