@@ -18,7 +18,8 @@
 // per-cell API, and the batched ReconstructCells API (cell QPS each),
 // plus the aggregate workload through QueryExecutor at 1 and N threads,
 // and the same aggregates served by row scan vs the compressed-domain
-// identity, whose row mass comes from the model's block sums.
+// identity, whose row mass comes from U's block sums, both in memory and
+// from the disk layout.
 //
 // Flags: --rows=5000 --space=5 --cells=500 --aggregates=25
 //        --probe_iters=50 --threads=4
@@ -308,16 +309,17 @@ int main(int argc, char** argv) {
   // The same avg-aggregate workload answered two ways through one
   // executor: full row reconstruction (the scan baseline) and the
   // compressed-domain identity, which takes the selected rows' U mass
-  // from the model's block sums. Work is metered by the process counters
-  // the modes charge: rows scanned for the scan path, k-vectors read for
-  // the block sums. Answers must agree to fp-reassociation tolerance; the
-  // compressed domain charges ZERO row scans, so the >= 5x rows_scanned
-  // gate holds with room to spare.
+  // from U's block sums. Run against the in-memory model ("agg_*") and
+  // the disk layout ("agg_disk_*": block sums built at Open, a run's
+  // ragged end rows read from the U file). Work is metered by the process
+  // counters the modes charge: rows scanned for the scan path, k-vectors
+  // read for the block sums. Answers must agree to fp-reassociation
+  // tolerance; the compressed domain charges ZERO row scans, so the
+  // >= 5x rows_scanned gate holds with room to spare.
   {
     tsc::obs::MetricRegistry& registry = tsc::obs::MetricRegistry::Default();
     tsc::obs::Counter& rows_counter = registry.GetCounter("query.rows_scanned");
     tsc::obs::Counter& nodes_counter = registry.GetCounter("agg.nodes_read");
-    tsc::QueryExecutor exec(&*model);
 
     struct ModeResult {
       double qps = 0.0;
@@ -325,7 +327,8 @@ int main(int argc, char** argv) {
       std::uint64_t nodes_read = 0;    // per workload pass
       std::vector<double> answers;
     };
-    const auto run_mode = [&](tsc::ExecutionStrategy strategy, int reps) {
+    const auto run_mode = [&](const tsc::QueryExecutor& exec,
+                              tsc::ExecutionStrategy strategy, int reps) {
       ModeResult mode;
       const std::uint64_t rows_before = rows_counter.Value();
       const std::uint64_t nodes_before = nodes_counter.Value();
@@ -353,60 +356,72 @@ int main(int argc, char** argv) {
       return mode;
     };
 
-    // The scan pass reads every selected row, so it gets fewer reps.
-    const ModeResult scan = run_mode(
-        tsc::ExecutionStrategy::kRowReconstruction,
-        std::max(1, probe_iters / 10));
-    const ModeResult compressed =
-        run_mode(tsc::ExecutionStrategy::kCompressedDomain, probe_iters);
+    const auto compare_modes = [&](const tsc::QueryExecutor& exec,
+                                   const std::string& prefix,
+                                   const char* layout) {
+      // The scan pass reads every selected row, so it gets fewer reps.
+      const ModeResult scan =
+          run_mode(exec, tsc::ExecutionStrategy::kRowReconstruction,
+                   std::max(1, probe_iters / 10));
+      const ModeResult compressed = run_mode(
+          exec, tsc::ExecutionStrategy::kCompressedDomain, probe_iters);
 
-    double max_rel_diff = 0.0;
-    for (std::size_t q = 0; q < scan.answers.size(); ++q) {
-      const double denom = std::max(std::abs(scan.answers[q]), 1e-12);
-      max_rel_diff =
-          std::max(max_rel_diff,
-                   std::abs(compressed.answers[q] - scan.answers[q]) / denom);
-    }
+      double max_rel_diff = 0.0;
+      for (std::size_t q = 0; q < scan.answers.size(); ++q) {
+        const double denom = std::max(std::abs(scan.answers[q]), 1e-12);
+        max_rel_diff = std::max(
+            max_rel_diff,
+            std::abs(compressed.answers[q] - scan.answers[q]) / denom);
+      }
 
-    tsc::TablePrinter mode_table({"aggregate mode", "queries/s",
-                                  "rows scanned", "k-vectors", "vs scan"});
-    const auto add_mode = [&](const char* name, const ModeResult& mode) {
-      mode_table.AddRow(
-          {name, tsc::TablePrinter::Num(mode.qps, 4),
-           std::to_string(mode.rows_scanned), std::to_string(mode.nodes_read),
-           tsc::TablePrinter::Num(scan.qps > 0 ? mode.qps / scan.qps : 0.0,
-                                  2) +
-               "x"});
+      tsc::TablePrinter mode_table({std::string("aggregate mode, ") + layout,
+                                    "queries/s", "rows scanned", "k-vectors",
+                                    "vs scan"});
+      const auto add_mode = [&](const char* name, const ModeResult& mode) {
+        mode_table.AddRow(
+            {name, tsc::TablePrinter::Num(mode.qps, 4),
+             std::to_string(mode.rows_scanned),
+             std::to_string(mode.nodes_read),
+             tsc::TablePrinter::Num(scan.qps > 0 ? mode.qps / scan.qps : 0.0,
+                                    2) +
+                 "x"});
+      };
+      add_mode("row scan", scan);
+      add_mode("compressed-domain", compressed);
+      std::printf("%s\n", mode_table.ToString().c_str());
+      std::printf("compressed-domain vs scan (%s): %.2fx QPS, %llu -> %llu "
+                  "rows scanned per pass, max rel answer diff %.3g\n\n",
+                  layout, scan.qps > 0 ? compressed.qps / scan.qps : 0.0,
+                  static_cast<unsigned long long>(scan.rows_scanned),
+                  static_cast<unsigned long long>(compressed.rows_scanned),
+                  max_rel_diff);
+
+      report.AddScalar(prefix + "_scan_qps", scan.qps);
+      report.AddScalar(prefix + "_compressed_qps", compressed.qps);
+      report.AddScalar(prefix + "_scan_rows_scanned",
+                       static_cast<double>(scan.rows_scanned));
+      report.AddScalar(prefix + "_compressed_rows_scanned",
+                       static_cast<double>(compressed.rows_scanned));
+      report.AddScalar(prefix + "_compressed_nodes_read",
+                       static_cast<double>(compressed.nodes_read));
+      report.AddScalar(prefix + "_compressed_speedup_vs_scan",
+                       scan.qps > 0 ? compressed.qps / scan.qps : 0.0);
+      report.AddScalar(prefix + "_compressed_max_rel_diff", max_rel_diff);
+
+      // Acceptance gates. Counters compile out under TSC_OBS_DISABLED, so
+      // the rows_scanned gate only fires when the scan pass was metered.
+      TSC_CHECK(max_rel_diff < 1e-6);
+      if (scan.rows_scanned > 0) {
+        TSC_CHECK(scan.rows_scanned >= 5 * std::max<std::uint64_t>(
+                                               compressed.rows_scanned, 1));
+      }
     };
-    add_mode("row scan", scan);
-    add_mode("compressed-domain", compressed);
-    std::printf("%s\n", mode_table.ToString().c_str());
-    std::printf("compressed-domain vs scan: %.2fx QPS, %llu -> %llu rows "
-                "scanned per pass, max rel answer diff %.3g\n\n",
-                scan.qps > 0 ? compressed.qps / scan.qps : 0.0,
-                static_cast<unsigned long long>(scan.rows_scanned),
-                static_cast<unsigned long long>(compressed.rows_scanned),
-                max_rel_diff);
 
-    report.AddScalar("agg_scan_qps", scan.qps);
-    report.AddScalar("agg_compressed_qps", compressed.qps);
-    report.AddScalar("agg_scan_rows_scanned",
-                     static_cast<double>(scan.rows_scanned));
-    report.AddScalar("agg_compressed_rows_scanned",
-                     static_cast<double>(compressed.rows_scanned));
-    report.AddScalar("agg_compressed_nodes_read",
-                     static_cast<double>(compressed.nodes_read));
-    report.AddScalar("agg_compressed_speedup_vs_scan",
-                     scan.qps > 0 ? compressed.qps / scan.qps : 0.0);
-    report.AddScalar("agg_compressed_max_rel_diff", max_rel_diff);
-
-    // Acceptance gates. Counters compile out under TSC_OBS_DISABLED, so
-    // the rows_scanned gate only fires when the scan pass was metered.
-    TSC_CHECK(max_rel_diff < 1e-6);
-    if (scan.rows_scanned > 0) {
-      TSC_CHECK(scan.rows_scanned >= 5 * std::max<std::uint64_t>(
-                                             compressed.rows_scanned, 1));
-    }
+    const tsc::QueryExecutor memory_exec(&*model);
+    compare_modes(memory_exec, "agg", "in memory");
+    const tsc::DiskBackedStoreView disk_view(&disk_store.store());
+    const tsc::QueryExecutor disk_exec(&disk_view);
+    compare_modes(disk_exec, "agg_disk", "U on disk");
   }
   // --- quantized U row store serving ----------------------------------------
   // The PR 5 axis: the same disk-backed batched workload served from a U

@@ -32,7 +32,10 @@ mkdir -p "${OUT_DIR}"
 
 echo "== query_throughput =="
 # Its aggregate section reports agg_scan_* (row scan) beside
-# agg_compressed_* (the compressed domain, row mass from block sums).
+# agg_compressed_* (the compressed domain, row mass from block sums) for
+# the in-memory model, and agg_disk_scan_* beside agg_disk_compressed_*
+# (qps, speedup, max rel diff) for the disk layout, whose block sums are
+# built at Open and whose ragged end rows are read from the U file.
 "${BENCH_DIR}/query_throughput" --rows=2000 --cells=200 --aggregates=10 \
   --json="${OUT_DIR}/BENCH_query_throughput.json"
 

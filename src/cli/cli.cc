@@ -408,14 +408,7 @@ int CmdSql(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   const std::size_t threads =
       static_cast<std::size_t>(flags.GetInt("threads", 1));
   // SVDD models get the compressed-domain fast path.
-  std::optional<QueryExecutor> executor_storage;
-  if (loaded->kind == "svdd") {
-    const auto* svdd = static_cast<const SvddModel*>(loaded->store.get());
-    executor_storage.emplace(svdd, threads);
-  } else {
-    executor_storage.emplace(loaded->store.get(), threads);
-  }
-  const QueryExecutor& executor = *executor_storage;
+  const QueryExecutor executor(loaded->store.get(), threads);
   if (flags.GetBool("explain", false)) {
     auto plan = executor.Explain(text);
     if (!plan.ok()) return Fail(err, plan.status());
@@ -648,9 +641,10 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   const std::uint64_t misses_blocks = store->disk_accesses();
   const std::uint64_t total_reads = hits + misses_blocks;
 
-  // A few SQL aggregates served straight from the two-file disk layout:
-  // the executor sees the store through DiskBackedStoreView, so its
-  // batched scans hit the I/O engine under test.
+  // A few SQL aggregates served straight from the two-file disk layout
+  // through DiskBackedStoreView: sum and avg in the compressed domain
+  // (their runs' ragged end rows read through the cache), max by a
+  // batched scan over the I/O engine under test.
   const DiskBackedStoreView disk_view(&*store);
   const QueryExecutor executor(&disk_view);
   const std::size_t last_row = model.rows() - 1;
@@ -723,9 +717,10 @@ void ServeSignalHandler(int) { g_serve_interrupted.store(true); }
 
 /// Runs the concurrent query server over a model file until SIGINT /
 /// SIGTERM (or --duration-s elapses). With --cache-blocks > 0 an SVDD
-/// model is exported to the two-file disk layout and served through one
-/// shared BlockCache; otherwise the in-memory model
-/// serves directly (SVDD still gets the compressed-domain fast path).
+/// model is exported to the two-file disk layout, the loaded model is
+/// freed, and the layout serves through one shared BlockCache; otherwise
+/// the in-memory model serves directly. Either way SVDD linear
+/// aggregates run in the compressed domain.
 int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   auto loaded = LoadModel(flags.GetString("model", ""));
   if (!loaded.ok()) return Fail(err, loaded.status());
@@ -778,23 +773,15 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     }
   }
 
-  // The executor is shared by every connection, so it must not carry an
-  // internal scan pool (concurrency comes from concurrent requests).
-  const SvddModel* svdd =
-      loaded->kind == "svdd"
-          ? static_cast<const SvddModel*>(loaded->store.get())
-          : nullptr;
   const std::size_t cache_blocks =
       static_cast<std::size_t>(flags.GetInt("cache-blocks", 0));
-
   std::optional<DiskBackedStore> disk_store;
   std::optional<DiskBackedStoreView> disk_view;
-  std::optional<QueryExecutor> executor;
   const CompressedStore* store = loaded->store.get();
   std::string u_path;
   std::string sidecar_path;
   if (cache_blocks > 0) {
-    if (svdd == nullptr) {
+    if (loaded->kind != "svdd") {
       return Fail(err, Status::InvalidArgument(
                            "--cache-blocks needs an svdd model"));
     }
@@ -808,8 +795,14 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     }
     u_path = flags.GetString("model", "") + ".serve_u";
     sidecar_path = flags.GetString("model", "") + ".serve_sidecar";
-    Status status = ExportSvddToDisk(*svdd, u_path, sidecar_path);
+    Status status = ExportSvddToDisk(
+        *static_cast<const SvddModel*>(loaded->store.get()), u_path,
+        sidecar_path);
     if (!status.ok()) return Fail(err, status);
+    // The disk layout holds its own V, eigenvalues and deltas: free the
+    // loaded model first, so the store's allocations reuse its pages and
+    // the server holds one copy of each.
+    loaded->store.reset();
     auto opened = DiskBackedStore::Open(u_path, sidecar_path, disk_options);
     if (!opened.ok()) {
       std::remove(u_path.c_str());
@@ -819,16 +812,14 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     disk_store.emplace(std::move(*opened));
     disk_view.emplace(&*disk_store);
     store = &*disk_view;
-    executor.emplace(store, 1);
     out << "serving from disk layout (" << disk_store->io_backend_name()
         << " backend, " << cache_blocks << "-block cache)\n";
-  } else if (svdd != nullptr) {
-    executor.emplace(svdd, 1);
-  } else {
-    executor.emplace(store, 1);
   }
+  // The executor is shared by every connection, so it must not carry an
+  // internal scan pool (concurrency comes from concurrent requests).
+  const QueryExecutor executor(store, 1);
 
-  server::QueryServer query_server(&*executor, store, options);
+  server::QueryServer query_server(&executor, store, options);
   Status status = query_server.Start();
   if (status.ok()) {
     out << "listening on " << options.bind_address << ":"

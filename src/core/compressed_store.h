@@ -9,6 +9,8 @@
 
 namespace tsc {
 
+class CompressedDomain;
+
 /// One cell address for the batched reconstruction API.
 struct CellRef {
   std::size_t row = 0;
@@ -58,6 +60,13 @@ class CompressedStore {
 
   /// Short method label used in benchmark tables, e.g. "svdd".
   virtual std::string MethodName() const = 0;
+
+  /// The factored form linear aggregates are answered from without
+  /// reconstructing cells, or nullptr when the store has none. The SVDD
+  /// model and the disk layout's view return theirs.
+  virtual const CompressedDomain* compressed_domain() const {
+    return nullptr;
+  }
 
   /// Materializes the full reconstruction X-hat (tests and small data).
   Matrix ReconstructAll() const;

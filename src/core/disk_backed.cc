@@ -88,7 +88,44 @@ StatusOr<DiskBackedStore> DiskBackedStore::Open(
       store.weighted_v_(j, m) = store.singular_values_[m] * store.v_(j, m);
     }
   }
+  // U's block sums from the decoded rows, added in row order: the
+  // in-memory model's arithmetic over the rows this store serves.
+  store.u_sums_ = RowBlockSums(store.rows(), store.k());
+  const RowStoreReader& u_file =
+      store.cached_ ? store.cached_->reader() : *store.u_reader_;
+  TSC_RETURN_IF_ERROR(u_file.ForEachRowUncounted(
+      [&](std::size_t i, std::span<const double> row) {
+        store.u_sums_.AddRow(i, row.data());
+      }));
+  store.u_sums_.Finish();
   return store;
+}
+
+StatusOr<std::uint64_t> DiskBackedStore::AccumulateRowMass(
+    std::span<const IdRange> runs, std::span<double> out) {
+  const std::size_t kk = k();
+  std::vector<double> row(kk);
+  return u_sums_.Accumulate(runs, out, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      TSC_RETURN_IF_ERROR(ReadURow(i, row));
+      kernels::Axpy(1.0, row.data(), out.data(), kk);
+    }
+    return Status::Ok();
+  });
+}
+
+Status DiskBackedStore::AppendRowDots(std::span<const IdRange> runs,
+                                      std::span<const double> weights,
+                                      std::vector<double>* out) {
+  const std::size_t kk = k();
+  std::vector<double> row(kk);
+  for (const IdRange& run : runs) {
+    for (std::size_t i = run.lo; i <= run.hi; ++i) {
+      TSC_RETURN_IF_ERROR(ReadURow(i, row));
+      out->push_back(kernels::Dot(row.data(), weights.data(), kk));
+    }
+  }
+  return Status::Ok();
 }
 
 Status DiskBackedStore::ReadURow(std::size_t row, std::span<double> out) {

@@ -6,7 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "core/compressed_domain.h"
 #include "core/compressed_store.h"
+#include "core/row_block_sums.h"
 #include "core/svdd_compressor.h"
 #include "storage/cached_row_reader.h"
 #include "storage/delta_index.h"
@@ -35,10 +37,17 @@ struct DiskBackedOptions {
 /// Build with ExportSvddToDisk() + Open(); the exported U file is the
 /// "TSCROWS1" row store, so a row that fits in one block is one access.
 ///
-/// Thread safety: concurrent Reconstruct* calls on one store are safe
-/// under every I/O backend — the pread/mmap engines are positional (no
-/// shared cursor), the stream engine serializes internally, the block
-/// cache is sharded, and the access counters are atomic.
+/// Open also builds U's block sums (RowBlockSums) in one sequential pass
+/// over the U file, outside the serving counters, so linear aggregates
+/// read a run's U mass from memory plus at most 126 ragged end rows
+/// through the cache: the same compressed domain the in-memory model
+/// serves.
+///
+/// Thread safety: concurrent Reconstruct* and aggregate calls on one
+/// store are safe under every I/O backend — the pread/mmap engines are
+/// positional (no shared cursor), the stream engine serializes
+/// internally, the block cache is sharded, and the access counters are
+/// atomic.
 class DiskBackedStore {
  public:
   /// Opens the pair of files produced by ExportSvddToDisk. The
@@ -115,6 +124,19 @@ class DiskBackedStore {
   }
 
   const DeltaIndex& deltas() const { return deltas_; }
+  /// Row j is lambda (.) v_j.
+  const Matrix& weighted_v() const { return weighted_v_; }
+
+  /// Adds sum_{i in runs} u_i to out[0..k) (+=, caller zeroes): block
+  /// sums from memory, the runs' ragged end rows read through the cache.
+  /// Returns the k-vectors read, or the failed read's Status.
+  StatusOr<std::uint64_t> AccumulateRowMass(std::span<const IdRange> runs,
+                                            std::span<double> out);
+  /// Appends dot(u_i, weights) for every i in `runs`, one U-row read
+  /// each.
+  Status AppendRowDots(std::span<const IdRange> runs,
+                       std::span<const double> weights,
+                       std::vector<double>* out);
 
  private:
   DiskBackedStore() = default;
@@ -139,6 +161,7 @@ class DiskBackedStore {
   std::vector<double> singular_values_;
   Matrix v_;
   Matrix weighted_v_;  ///< row j = lambda (.) v_j, derived at Open
+  RowBlockSums u_sums_;  ///< built at Open from the U file
   DeltaIndex deltas_;
   QuantScheme u_scheme_ = QuantScheme::kF64;
   std::size_t u_row_stride_ = 0;
@@ -147,10 +170,12 @@ class DiskBackedStore {
 
 /// CompressedStore adapter over a DiskBackedStore, so the query executor
 /// (and anything else programmed against the interface) can serve
-/// straight from the two-file disk layout. Reads that fail surface as
-/// NaN (the interface has no error channel); `store` must outlive the
-/// view.
-class DiskBackedStoreView final : public CompressedStore {
+/// straight from the two-file disk layout. It is also the store's
+/// compressed domain, whose failed reads come back as a Status. Failed
+/// reconstruction reads surface as NaN (that interface has no error
+/// channel). `store` must outlive the view.
+class DiskBackedStoreView final : public CompressedStore,
+                                  public CompressedDomain {
  public:
   explicit DiskBackedStoreView(DiskBackedStore* store) : store_(store) {}
 
@@ -166,6 +191,24 @@ class DiskBackedStoreView final : public CompressedStore {
                          Matrix* out) const override;
   std::uint64_t CompressedBytes() const override;
   std::string MethodName() const override { return "svdd-disk"; }
+  const CompressedDomain* compressed_domain() const override { return this; }
+
+  std::size_t k() const override { return store_->k(); }
+  const Matrix& weighted_v() const override { return store_->weighted_v(); }
+  StatusOr<std::uint64_t> AccumulateRowMass(
+      std::span<const IdRange> runs, std::span<double> out) const override {
+    return store_->AccumulateRowMass(runs, out);
+  }
+  Status AppendRowDots(std::span<const IdRange> runs,
+                       std::span<const double> weights,
+                       std::vector<double>* out) const override {
+    return store_->AppendRowDots(runs, weights, out);
+  }
+  /// The store's index never changes after Open: a non-owning handle.
+  std::shared_ptr<const DeltaIndex> deltas() const override {
+    return std::shared_ptr<const DeltaIndex>(std::shared_ptr<void>(),
+                                             &store_->deltas());
+  }
 
  private:
   DiskBackedStore* store_;

@@ -1,0 +1,103 @@
+#ifndef TSC_CORE_ROW_BLOCK_SUMS_H_
+#define TSC_CORE_ROW_BLOCK_SUMS_H_
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
+
+#include "linalg/kernels.h"
+#include "linalg/matrix.h"
+#include "util/id_range.h"
+#include "util/logging.h"
+#include "util/status.h"
+
+namespace tsc {
+
+/// k-wide sums of U over aligned 64-row blocks and 4096-row superblocks
+/// (the last of each may be short), and the walk that forms a run of
+/// rows' U mass from them. The in-memory SvdModel and the disk layout's
+/// DiskBackedStore each own one; they differ only in how the walk
+/// fetches a run's ragged end rows.
+class RowBlockSums {
+ public:
+  static constexpr std::size_t kRowBlock = 64;
+  static constexpr std::size_t kRowSuperblock = 64 * kRowBlock;
+
+  RowBlockSums() = default;
+  /// Zeroed sums over `rows` rows of width `k`. Feed every row once with
+  /// AddRow, in increasing row order, then call Finish.
+  RowBlockSums(std::size_t rows, std::size_t k);
+
+  /// Adds row `i` of U into its block sum. The row order fixes the
+  /// sums' low-order bits, so every owner builds them identically.
+  void AddRow(std::size_t i, const double* u_row) {
+    kernels::Axpy(1.0, u_row, blocks_.Row(i / kRowBlock).data(), k_);
+  }
+  /// Forms the superblock sums from the finished block sums.
+  void Finish();
+
+  std::size_t rows() const { return rows_; }
+  std::size_t k() const { return k_; }
+
+  /// Adds sum_{i in runs} u_i to out[0..k) (+=, caller zeroes).
+  /// `add_rows(lo, hi)` must add rows lo..hi-1 of U to `out` in row
+  /// order and return a Status. A run costs at most 126 row reads, 126
+  /// block reads and one read per superblock it covers. `runs` must be
+  /// sorted, disjoint and within rows(). Returns the number of k-vectors
+  /// read, or the first error of `add_rows`.
+  template <typename AddRows>
+  StatusOr<std::uint64_t> Accumulate(std::span<const IdRange> runs,
+                                     std::span<double> out,
+                                     AddRows&& add_rows) const {
+    std::uint64_t reads = 0;
+    const auto add = [&](const Matrix& sums, std::size_t index) {
+      kernels::Axpy(1.0, sums.Row(index).data(), out.data(), k_);
+      ++reads;
+    };
+    // Whether the (possibly short) unit of `size` rows starting at the
+    // aligned row i ends within the run's exclusive end.
+    const auto fits = [this](std::size_t i, std::size_t size,
+                             std::size_t end) {
+      return std::min(i + size, rows_) <= end;
+    };
+    for (const IdRange& run : runs) {
+      TSC_DCHECK(run.lo <= run.hi && run.hi < rows_);
+      std::size_t i = run.lo;
+      const std::size_t end = run.hi + 1;
+      // Climb: rows to a block edge, blocks to a superblock edge; then
+      // superblocks; then descend through the blocks and rows left over.
+      const std::size_t head_end =
+          std::min(end, (i + kRowBlock - 1) / kRowBlock * kRowBlock);
+      if (i < head_end) {
+        TSC_RETURN_IF_ERROR(add_rows(i, head_end));
+        reads += head_end - i;
+        i = head_end;
+      }
+      for (; i < end && i % kRowSuperblock != 0 && fits(i, kRowBlock, end);
+           i += kRowBlock) {
+        add(blocks_, i / kRowBlock);
+      }
+      for (; i < end && fits(i, kRowSuperblock, end); i += kRowSuperblock) {
+        add(superblocks_, i / kRowSuperblock);
+      }
+      for (; i < end && fits(i, kRowBlock, end); i += kRowBlock) {
+        add(blocks_, i / kRowBlock);
+      }
+      if (i < end) {
+        TSC_RETURN_IF_ERROR(add_rows(i, end));
+        reads += end - i;
+      }
+    }
+    return reads;
+  }
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t k_ = 0;
+  Matrix blocks_;       ///< {ceil(rows / kRowBlock), k}
+  Matrix superblocks_;  ///< {ceil(rows / kRowSuperblock), k}
+};
+
+}  // namespace tsc
+
+#endif  // TSC_CORE_ROW_BLOCK_SUMS_H_

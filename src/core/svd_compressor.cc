@@ -39,56 +39,26 @@ void SvdModel::RebuildWeightedV() {
 }
 
 void SvdModel::RebuildBlockSums() {
-  const std::size_t n = u_.rows();
-  const std::size_t kk = k();
-  block_sums_ = Matrix((n + kRowBlock - 1) / kRowBlock, kk);
-  superblock_sums_ = Matrix((n + kRowSuperblock - 1) / kRowSuperblock, kk);
-  for (std::size_t i = 0; i < n; ++i) {
-    kernels::Axpy(1.0, u_.Row(i).data(), block_sums_.Row(i / kRowBlock).data(),
-                  kk);
+  block_sums_ = RowBlockSums(u_.rows(), k());
+  for (std::size_t i = 0; i < u_.rows(); ++i) {
+    block_sums_.AddRow(i, u_.Row(i).data());
   }
-  constexpr std::size_t kBlocksPerSuperblock = kRowSuperblock / kRowBlock;
-  for (std::size_t b = 0; b < block_sums_.rows(); ++b) {
-    kernels::Axpy(1.0, block_sums_.Row(b).data(),
-                  superblock_sums_.Row(b / kBlocksPerSuperblock).data(), kk);
-  }
+  block_sums_.Finish();
 }
 
 std::uint64_t SvdModel::AccumulateRowMass(std::span<const IdRange> runs,
                                           std::span<double> out) const {
   TSC_DCHECK(out.size() >= k());
-  const std::size_t n = u_.rows();
   const std::size_t kk = k();
-  std::uint64_t reads = 0;
-  const auto add = [&](const Matrix& sums, std::size_t index) {
-    kernels::Axpy(1.0, sums.Row(index).data(), out.data(), kk);
-    ++reads;
-  };
-  // Whether the (possibly short) unit of `size` rows starting at the
-  // aligned row i ends within the run's exclusive end.
-  const auto fits = [n](std::size_t i, std::size_t size, std::size_t end) {
-    return std::min(i + size, n) <= end;
-  };
-  for (const IdRange& run : runs) {
-    TSC_DCHECK(run.lo <= run.hi && run.hi < n);
-    std::size_t i = run.lo;
-    const std::size_t end = run.hi + 1;
-    // Climb: rows to a block edge, blocks to a superblock edge; then
-    // superblocks; then descend through the blocks and rows left over.
-    for (; i < end && i % kRowBlock != 0; ++i) add(u_, i);
-    for (; i < end && i % kRowSuperblock != 0 && fits(i, kRowBlock, end);
-         i += kRowBlock) {
-      add(block_sums_, i / kRowBlock);
-    }
-    for (; i < end && fits(i, kRowSuperblock, end); i += kRowSuperblock) {
-      add(superblock_sums_, i / kRowSuperblock);
-    }
-    for (; i < end && fits(i, kRowBlock, end); i += kRowBlock) {
-      add(block_sums_, i / kRowBlock);
-    }
-    for (; i < end; ++i) add(u_, i);
-  }
-  return reads;
+  return block_sums_
+      .Accumulate(runs, out,
+                  [&](std::size_t lo, std::size_t hi) {
+                    for (std::size_t i = lo; i < hi; ++i) {
+                      kernels::Axpy(1.0, u_.Row(i).data(), out.data(), kk);
+                    }
+                    return Status::Ok();
+                  })
+      .value();
 }
 
 double SvdModel::ReconstructCell(std::size_t row, std::size_t col) const {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/compressed_store.h"
+#include "core/row_block_sums.h"
 #include "linalg/matrix.h"
 #include "linalg/symmetric_eigen.h"
 #include "storage/quant.h"
@@ -55,15 +56,13 @@ class SvdModel : public CompressedStore {
   const Matrix& weighted_v() const { return weighted_v_; }
 
   /// Rows per U block and per superblock of the block sums.
-  static constexpr std::size_t kRowBlock = 64;
-  static constexpr std::size_t kRowSuperblock = 64 * kRowBlock;
+  static constexpr std::size_t kRowBlock = RowBlockSums::kRowBlock;
+  static constexpr std::size_t kRowSuperblock = RowBlockSums::kRowSuperblock;
 
-  /// Adds sum_{i in runs} u_i to out[0..k) (+=, caller zeroes) from the
-  /// block sums: k-wide sums of U over aligned 64-row blocks and
-  /// 4096-row superblocks (the last of each may be short). A run costs
-  /// at most 126 row reads, 126 block reads and one read per superblock
-  /// it covers. `runs` must be sorted, disjoint and within rows().
-  /// Returns the number of k-vectors read.
+  /// Adds sum_{i in runs} u_i to out[0..k) (+=, caller zeroes) from U's
+  /// block sums (RowBlockSums::Accumulate; the ragged end rows come
+  /// straight from U). `runs` must be sorted, disjoint and within
+  /// rows(). Returns the number of k-vectors read.
   std::uint64_t AccumulateRowMass(std::span<const IdRange> runs,
                                   std::span<double> out) const;
 
@@ -135,8 +134,7 @@ class SvdModel : public CompressedStore {
   Matrix v_;
   /// Derived caches, never serialized nor charged in CompressedBytes.
   Matrix weighted_v_;
-  Matrix block_sums_;       ///< {ceil(N / kRowBlock), k}
-  Matrix superblock_sums_;  ///< {ceil(N / kRowSuperblock), k}
+  RowBlockSums block_sums_;
   std::size_t bytes_per_value_ = 8;
   QuantScheme quant_scheme_ = QuantScheme::kF64;
 };

@@ -237,6 +237,17 @@ std::vector<std::size_t> ChooseCandidates(std::size_t k_max,
 SvddModel::SvddModel(SvdModel svd, DeltaIndex deltas)
     : svd_(std::move(svd)), deltas_(std::move(deltas)) {}
 
+Status SvddModel::AppendRowDots(std::span<const IdRange> runs,
+                               std::span<const double> weights,
+                               std::vector<double>* out) const {
+  const Matrix& u = svd_.u();
+  const std::size_t kk = k();
+  ForEachId(runs, [&](std::size_t i) {
+    out->push_back(kernels::Dot(u.Row(i).data(), weights.data(), kk));
+  });
+  return Status::Ok();
+}
+
 double SvddModel::ReconstructCell(std::size_t row, std::size_t col) const {
   const double base = svd_.ReconstructCell(row, col);
   const std::optional<double> delta = deltas()->Find(row, col);

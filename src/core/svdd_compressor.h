@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/compressed_domain.h"
 #include "core/compressed_store.h"
 #include "core/space_budget.h"
 #include "core/svd_compressor.h"
@@ -37,14 +38,17 @@ enum class SvddBuildEngine {
 /// publishes a new index snapshot by atomic swap; each read loads one
 /// snapshot and answers from it alone. FoldInRows is an offline batch
 /// operation and must not race anything.
-class SvddModel : public CompressedStore {
+///
+/// The model is its own compressed domain: linear aggregates read U's
+/// block sums and rows from memory.
+class SvddModel final : public CompressedStore, public CompressedDomain {
  public:
   SvddModel() = default;
   SvddModel(SvdModel svd, DeltaIndex deltas);
 
   std::size_t rows() const override { return svd_.rows(); }
   std::size_t cols() const override { return svd_.cols(); }
-  std::size_t k() const { return svd_.k(); }
+  std::size_t k() const override { return svd_.k(); }
   std::size_t delta_count() const { return deltas()->size(); }
 
   double ReconstructCell(std::size_t row, std::size_t col) const override;
@@ -60,11 +64,23 @@ class SvddModel : public CompressedStore {
   /// DeltaIndex::RowIndexBytes/ColumnIndexBytes and not charged here.
   std::uint64_t CompressedBytes() const override;
   std::string MethodName() const override { return "svdd"; }
+  const CompressedDomain* compressed_domain() const override { return this; }
 
   const SvdModel& svd() const { return svd_; }
   /// The current delta snapshot; it stays valid (and unchanged) for as
   /// long as the caller holds it.
-  std::shared_ptr<const DeltaIndex> deltas() const { return deltas_.Load(); }
+  std::shared_ptr<const DeltaIndex> deltas() const override {
+    return deltas_.Load();
+  }
+
+  const Matrix& weighted_v() const override { return svd_.weighted_v(); }
+  StatusOr<std::uint64_t> AccumulateRowMass(
+      std::span<const IdRange> runs, std::span<double> out) const override {
+    return svd_.AccumulateRowMass(runs, out);
+  }
+  Status AppendRowDots(std::span<const IdRange> runs,
+                       std::span<const double> weights,
+                       std::vector<double>* out) const override;
 
   /// Batched off-line appends: folds new sequences in via the frozen
   /// subspace (see SvdModel::FoldInRows). New rows get no deltas; patch

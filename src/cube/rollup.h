@@ -5,8 +5,9 @@
 #include <memory>
 #include <span>
 
-#include "core/svdd_compressor.h"
+#include "core/compressed_domain.h"
 #include "util/id_range.h"
+#include "util/status.h"
 
 namespace tsc {
 
@@ -19,11 +20,12 @@ struct RollupStats {
 };
 
 /// Linear aggregates over the compressed domain, as a stateless view of
-/// an SVDD model: the selected rows' U mass comes from the model's block
-/// sums (SvdModel::AccumulateRowMass), the columns' mass is a direct sum
-/// of Lambda-weighted V rows, and the deltas come from the model's
-/// current DeltaIndex snapshot. The view holds nothing of its own, so
-/// patches and fold-ins need no notification.
+/// an SVDD model in memory or on disk: the selected rows' U mass comes
+/// from U's block sums (CompressedDomain::AccumulateRowMass), the
+/// columns' mass is a direct sum of Lambda-weighted V rows, and the
+/// deltas come from the domain's current DeltaIndex snapshot. The view
+/// holds nothing of its own, so patches and fold-ins need no
+/// notification.
 ///
 /// Region sum identity (exact up to fp reassociation):
 ///   sum_{i in R, j in C} X-hat(i,j)
@@ -31,19 +33,22 @@ struct RollupStats {
 ///       + sum_{(i,j) in R x C} delta(i,j)
 class AggregateHierarchy {
  public:
-  /// The model must outlive the view and not move (the same contract
-  /// the QueryExecutor already imposes).
-  static std::shared_ptr<AggregateHierarchy> Build(const SvddModel& model);
+  /// The domain must outlive the view and not move (the same contract
+  /// the QueryExecutor already imposes on its store).
+  static std::shared_ptr<AggregateHierarchy> Build(
+      const CompressedDomain& domain);
 
-  /// The headline query: sum over the region, deltas folded.
-  double RegionSum(std::span<const IdRange> row_ranges,
-                   std::span<const IdRange> col_ranges,
-                   RollupStats* stats) const;
+  /// The headline query: sum over the region, deltas folded. A failed
+  /// U-row read (disk layout) is the error.
+  StatusOr<double> RegionSum(std::span<const IdRange> row_ranges,
+                             std::span<const IdRange> col_ranges,
+                             RollupStats* stats) const;
 
  private:
-  explicit AggregateHierarchy(const SvddModel& model) : model_(&model) {}
+  explicit AggregateHierarchy(const CompressedDomain& domain)
+      : domain_(&domain) {}
 
-  const SvddModel* model_;
+  const CompressedDomain* domain_;
 };
 
 }  // namespace tsc

@@ -97,40 +97,41 @@ bool IsLinearAggregate(AggregateFn fn) {
 /// no grouping -> the view's region sum; by row -> dot(u_i, w) per row,
 /// w the selected Lambda-weighted V rows' sum; by col -> dot(u_mass,
 /// lambda.v_j) per column, u_mass the selected rows' U mass from the
-/// block sums. The deltas inside the region come from the model's delta
+/// block sums. The deltas inside the region come from the domain's delta
 /// index: per-row sums over its row CSR, per-column and total sums over
 /// its column running sums. The runs are the plan's (sorted, disjoint).
-std::vector<double> CompressedDomainSums(
-    const SvddModel& model, const AggregateHierarchy& view,
+/// On the disk layout a failed U-row read is the error.
+StatusOr<std::vector<double>> CompressedDomainSums(
+    const CompressedDomain& domain, const AggregateHierarchy& view,
     std::span<const IdRange> row_runs, std::span<const IdRange> col_runs,
     GroupBy group_by, RollupStats* stats) {
   if (group_by == GroupBy::kNone) {
-    return {view.RegionSum(row_runs, col_runs, stats)};
+    TSC_ASSIGN_OR_RETURN(const double sum,
+                         view.RegionSum(row_runs, col_runs, stats));
+    return std::vector<double>{sum};
   }
-  const SvdModel& svd = model.svd();
-  const std::size_t k = svd.k();
-  const std::shared_ptr<const DeltaIndex> deltas = model.deltas();
+  const std::size_t k = domain.k();
+  const Matrix& weighted_v = domain.weighted_v();
+  const std::shared_ptr<const DeltaIndex> deltas = domain.deltas();
   std::vector<double> sums;
   if (group_by == GroupBy::kCol) {
     std::vector<double> u_mass(k, 0.0);
-    const std::uint64_t reads = svd.AccumulateRowMass(row_runs, u_mass);
+    TSC_ASSIGN_OR_RETURN(const std::uint64_t reads,
+                         domain.AccumulateRowMass(row_runs, u_mass));
     if (stats != nullptr) stats->nodes_read += reads;
     sums.reserve(RangesSize(col_runs));
     ForEachId(col_runs, [&](std::size_t j) {
-      sums.push_back(
-          kernels::Dot(u_mass.data(), svd.weighted_v().Row(j).data(), k));
+      sums.push_back(kernels::Dot(u_mass.data(), weighted_v.Row(j).data(), k));
     });
     deltas->AddColumnSums(row_runs, col_runs, sums);
     return sums;
   }
   std::vector<double> weights(k, 0.0);
   ForEachId(col_runs, [&](std::size_t j) {
-    kernels::Axpy(1.0, svd.weighted_v().Row(j).data(), weights.data(), k);
+    kernels::Axpy(1.0, weighted_v.Row(j).data(), weights.data(), k);
   });
   sums.reserve(RangesSize(row_runs));
-  ForEachId(row_runs, [&](std::size_t i) {
-    sums.push_back(kernels::Dot(svd.u().Row(i).data(), weights.data(), k));
-  });
+  TSC_RETURN_IF_ERROR(domain.AppendRowDots(row_runs, weights, &sums));
   deltas->AddRowSums(row_runs, col_runs, sums);
   return sums;
 }
@@ -139,10 +140,10 @@ std::vector<double> CompressedDomainSums(
 /// the row-reconstruction strategy, compressed-domain sums for the rest.
 class ResultBuilder {
  public:
-  ResultBuilder(const QueryPlan& plan, const SvddModel* svdd,
+  ResultBuilder(const QueryPlan& plan, const CompressedDomain* domain,
                 const AggregateHierarchy* view = nullptr,
                 RollupStats* stats = nullptr)
-      : plan_(plan), svdd_(svdd), view_(view), stats_(stats) {}
+      : plan_(plan), domain_(domain), view_(view), stats_(stats) {}
 
   /// Per-group cell count (for count/avg in the compressed domain).
   std::size_t GroupCells() const {
@@ -176,14 +177,16 @@ class ResultBuilder {
       result.strategy_summary += "=";
       result.strategy_summary += ExecutionStrategyName(strategy);
       if (strategy == ExecutionStrategy::kCompressedDomain) {
-        if (svdd_ == nullptr || view_ == nullptr) {
+        if (domain_ == nullptr || view_ == nullptr) {
           return Status::Internal(
-              "compressed-domain plan without SVDD model");
+              "compressed-domain plan without a compressed domain");
         }
         ++result.compressed_domain_aggregates;
         if (sums.empty() && fn != AggregateFn::kCount) {
-          sums = CompressedDomainSums(*svdd_, *view_, plan_.row_runs,
-                                      plan_.col_runs, plan_.group_by, stats_);
+          TSC_ASSIGN_OR_RETURN(
+              sums, CompressedDomainSums(*domain_, *view_, plan_.row_runs,
+                                         plan_.col_runs, plan_.group_by,
+                                         stats_));
         }
         for (std::size_t g = 0; g < groups; ++g) {
           double value = 0.0;
@@ -215,7 +218,7 @@ class ResultBuilder {
 
  private:
   const QueryPlan& plan_;
-  const SvddModel* svdd_;
+  const CompressedDomain* domain_;
   const AggregateHierarchy* view_;
   RollupStats* stats_;
 };
@@ -406,18 +409,17 @@ QueryExecutor::QueryExecutor(const CompressedStore* store,
     : store_(store) {
   TSC_CHECK(store != nullptr);
   if (num_threads > 1) pool_ = std::make_shared<ThreadPool>(num_threads);
+  domain_ = store->compressed_domain();
+  if (domain_ != nullptr) rollup_ = AggregateHierarchy::Build(*domain_);
 }
 
 QueryExecutor::QueryExecutor(const SvddModel* model, std::size_t num_threads,
                              bool)
-    : store_(model), svdd_(model) {
-  TSC_CHECK(model != nullptr);
-  if (num_threads > 1) pool_ = std::make_shared<ThreadPool>(num_threads);
-  rollup_ = AggregateHierarchy::Build(*model);
+    : QueryExecutor(static_cast<const CompressedStore*>(model), num_threads) {
 }
 
 StatusOr<QueryPlan> QueryExecutor::Plan(const QueryAst& ast) const {
-  const std::size_t model_k = svdd_ != nullptr ? svdd_->k() : 0;
+  const std::size_t model_k = domain_ != nullptr ? domain_->k() : 0;
   return PlanQuery(ast, rows(), cols(), model_k);
 }
 
@@ -479,7 +481,7 @@ StatusOr<QueryResult> QueryExecutor::ExecutePlan(const QueryPlan& plan) const {
         ScanGroupsBatched(plan, *store_, pool_.get(), &rows_scanned);
   }
   RollupStats agg_stats;
-  const ResultBuilder builder(plan, svdd_, rollup_.get(), &agg_stats);
+  const ResultBuilder builder(plan, domain_, rollup_.get(), &agg_stats);
   TSC_ASSIGN_OR_RETURN(QueryResult result,
                        builder.Build(group_stats, rows_scanned));
   result.agg_nodes_read = agg_stats.nodes_read;

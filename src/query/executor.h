@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/compressed_store.h"
-#include "core/svd_compressor.h"
 #include "core/svdd_compressor.h"
 #include "linalg/matrix.h"
 #include "query/planner.h"
@@ -55,10 +54,12 @@ struct QueryResult {
   std::string AnalyzeFooter() const;
 };
 
-/// Runs ad hoc SQL-ish queries against a compressed model. The executor
-/// prefers the SVDD fast path (compressed-domain evaluation with delta
-/// folding) when the planner selects it; everything else goes through
-/// batched region reconstruction on the CompressedStore interface.
+/// Runs ad hoc SQL-ish queries against a compressed model. Linear
+/// aggregates run in the compressed domain whenever the store has one
+/// (CompressedStore::compressed_domain: the SVDD model in memory, or
+/// the disk layout's view), with delta folding; everything else goes
+/// through batched region reconstruction on the CompressedStore
+/// interface.
 ///
 /// Row-reconstruction scans are dealt to a fixed number of shards and
 /// reduced in shard order, so for a given model the result is bitwise
@@ -66,12 +67,10 @@ struct QueryResult {
 /// parallel build).
 class QueryExecutor {
  public:
-  /// Generic store: every aggregate runs by row reconstruction.
   /// `num_threads` > 1 scans with an internal thread pool.
   explicit QueryExecutor(const CompressedStore* store,
                          std::size_t num_threads = 1);
-  /// SVDD model: linear aggregates run in the compressed domain, their
-  /// row mass from the model's block sums. The bool selects nothing and
+  /// The same executor over an SVDD model; the bool selects nothing and
   /// is kept for source compatibility.
   explicit QueryExecutor(const SvddModel* model, std::size_t num_threads = 1,
                          bool /*unused*/ = true);
@@ -79,8 +78,8 @@ class QueryExecutor {
   std::size_t rows() const { return store_->rows(); }
   std::size_t cols() const { return store_->cols(); }
 
-  /// The compressed-domain aggregate view over the SVDD model, or
-  /// nullptr for a generic store.
+  /// The aggregate view over the store's compressed domain, or nullptr
+  /// for a store without one.
   const AggregateHierarchy* rollup() const { return rollup_.get(); }
 
   /// Parse + plan + execute in one call.
@@ -98,10 +97,11 @@ class QueryExecutor {
 
  private:
   const CompressedStore* store_;
-  const SvddModel* svdd_ = nullptr;  ///< non-null enables the fast path
+  /// The store's compressed domain; non-null enables the fast path.
+  const CompressedDomain* domain_ = nullptr;
   std::shared_ptr<ThreadPool> pool_;  ///< null = scan on the calling thread
-  /// View over svdd_ (null for a generic store); it reads the model's
-  /// current state per query, so patches need no notification.
+  /// View over domain_ (null without one); it reads the model's current
+  /// state per query, so patches need no notification.
   std::shared_ptr<AggregateHierarchy> rollup_;
 };
 

@@ -1,5 +1,6 @@
 #include "storage/row_store.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -124,6 +125,7 @@ StatusOr<RowStoreReader> RowStoreReader::Open(const std::string& path,
                                               IoBackendKind backend) {
   RowStoreReader reader;
   TSC_ASSIGN_OR_RETURN(reader.io_, IoBackend::Open(path, backend));
+  reader.path_ = path;
   if (reader.io_->size() < kHeaderBytes) {
     return Status::IoError("truncated header in " + path);
   }
@@ -306,6 +308,40 @@ StatusOr<double> RowStoreReader::ReadCell(std::size_t row, std::size_t col) {
   const std::uint64_t block = elem_offset / counter_.block_size();
   counter_.RecordRead(block * counter_.block_size(), counter_.block_size());
   return value;
+}
+
+Status RowStoreReader::ForEachRowUncounted(
+    const std::function<void(std::size_t, std::span<const double>)>& fn)
+    const {
+  if (rows_ == 0) return Status::Ok();
+  std::ifstream in(path_, std::ios::binary);
+  if (!in) return Status::IoError("cannot open: " + path_);
+  in.seekg(static_cast<std::streamoff>(header_bytes_));
+  // About 1 MiB per read. The stride is a multiple of 8, so a chunk of
+  // rows fits a buffer of doubles exactly, aligned for f64 rows and
+  // for the quantized rows' meta.
+  const std::size_t chunk_rows =
+      std::max<std::size_t>(1, (std::size_t{1} << 20) / row_stride_);
+  std::vector<double> chunk(chunk_rows * row_stride_ / sizeof(double));
+  std::vector<double> row(cols_);
+  for (std::size_t first = 0; first < rows_; first += chunk_rows) {
+    const std::size_t count = std::min(chunk_rows, rows_ - first);
+    in.read(reinterpret_cast<char*>(chunk.data()),
+            static_cast<std::streamsize>(count * row_stride_));
+    if (!in) return Status::IoError("short read in " + path_);
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(chunk.data());
+    for (std::size_t r = 0; r < count; ++r) {
+      const std::uint8_t* row_bytes = bytes + r * row_stride_;
+      if (scheme_ == QuantScheme::kF64) {
+        fn(first + r, std::span<const double>(
+                          reinterpret_cast<const double*>(row_bytes), cols_));
+      } else {
+        DecodeQuantRow(ViewOverRowBytes(row_bytes), row);
+        fn(first + r, row);
+      }
+    }
+  }
+  return Status::Ok();
 }
 
 Status RowStoreReader::ReadBlock(std::uint64_t block_id,

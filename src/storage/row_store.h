@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -183,6 +184,14 @@ class RowStoreReader {
   /// one access per row.
   StatusOr<Matrix> ReadAll();
 
+  /// Calls fn(i, row) for every row in order, decoded to doubles. The
+  /// payload is read front to back in bounded chunks through a private
+  /// file handle, so this open-time pass (e.g. building summaries over
+  /// the rows) is charged to neither counter() nor the io.* metrics.
+  Status ForEachRowUncounted(
+      const std::function<void(std::size_t, std::span<const double>)>& fn)
+      const;
+
   /// Reads one whole `counter().block_size()`-byte block by id (block 0
   /// starts at byte 0 of the file, header included). Short reads at the
   /// file tail are zero-padded. One disk access. This is the fetch path
@@ -200,6 +209,7 @@ class RowStoreReader {
   QuantRowView ViewOverRowBytes(const std::uint8_t* row_bytes) const;
 
   std::unique_ptr<IoBackend> io_;
+  std::string path_;
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   QuantScheme scheme_ = QuantScheme::kF64;

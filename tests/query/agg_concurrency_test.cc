@@ -117,9 +117,10 @@ TEST(AggConcurrencyTest, DirectHierarchyHammer) {
       while (!stop.load(std::memory_order_acquire)) {
         RollupStats stats;
         const double full =
-            hierarchy->RegionSum({&rows, 1}, {&full_cols, 1}, &stats);
+            hierarchy->RegionSum({&rows, 1}, {&full_cols, 1}, &stats).value();
         const double part =
-            hierarchy->RegionSum({&rows, 1}, {&partial_cols, 1}, &stats);
+            hierarchy->RegionSum({&rows, 1}, {&partial_cols, 1}, &stats)
+                .value();
         if (!std::isfinite(full) || !std::isfinite(part)) break;
       }
     });
@@ -138,9 +139,9 @@ TEST(AggConcurrencyTest, DirectHierarchyHammer) {
   const IdRange all_rows{0, model.rows() - 1};
   const IdRange all_cols{0, model.cols() - 1};
   const double live_sum =
-      hierarchy->RegionSum({&all_rows, 1}, {&all_cols, 1}, nullptr);
+      hierarchy->RegionSum({&all_rows, 1}, {&all_cols, 1}, nullptr).value();
   const double fresh_sum =
-      fresh->RegionSum({&all_rows, 1}, {&all_cols, 1}, nullptr);
+      fresh->RegionSum({&all_rows, 1}, {&all_cols, 1}, nullptr).value();
   EXPECT_EQ(live_sum, fresh_sum);
 }
 
@@ -228,8 +229,9 @@ std::vector<double> SnapshotAnswer(const SvddModel& model,
     case 3: {  // block-sum region sum
       const IdRange rows{5, 90};
       const IdRange cols{4, 20};
-      out.push_back(executor.rollup()->RegionSum({&rows, 1}, {&cols, 1},
-                                                 nullptr));
+      out.push_back(executor.rollup()
+                        ->RegionSum({&rows, 1}, {&cols, 1}, nullptr)
+                        .value());
       break;
     }
     default: {  // grouped aggregates

@@ -18,6 +18,7 @@
 #include "cube/rollup.h"
 #include "data/generators.h"
 #include "query/executor.h"
+#include "scan_only_store.h"
 #include "storage/row_source.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -246,7 +247,7 @@ TEST(AggregateHierarchyTest, RegionSumMatchesBruteForceReconstruction) {
     const IdRange col_run{c_lo, c_hi};
     RollupStats stats;
     const double got =
-        hierarchy->RegionSum({&row_run, 1}, {&col_run, 1}, &stats);
+        hierarchy->RegionSum({&row_run, 1}, {&col_run, 1}, &stats).value();
     EXPECT_NEAR(got, expected, kRelTol * std::abs(expected) + kAbsTol)
         << "region rows " << r_lo << ":" << r_hi << " cols " << c_lo << ":"
         << c_hi;
@@ -281,7 +282,7 @@ TEST(AggregateHierarchyTest, PartialColumnRangesFoldOnlyInRegionDeltas) {
       }
     }
     const double got =
-        hierarchy->RegionSum({&rows, 1}, {&half_cols, 1}, nullptr);
+        hierarchy->RegionSum({&rows, 1}, {&half_cols, 1}, nullptr).value();
     EXPECT_NEAR(got - factor_part, want,
                 kRelTol * (std::abs(factor_part) + magnitude) + kAbsTol);
   }
@@ -295,7 +296,8 @@ TEST_P(AggRollupPropertyTest, RollupMatchesScanAcrossRandomRegions) {
   QueryExecutor compressed_exec(&model);
   ASSERT_NE(compressed_exec.rollup(), nullptr);
   QueryExecutor threaded_exec(&model, 3);
-  QueryExecutor scan_exec(static_cast<const CompressedStore*>(&model));
+  const ScanOnlyStore scan_store(&model);
+  QueryExecutor scan_exec(&scan_store);
   Rng rng(42 + static_cast<std::uint64_t>(GetParam()));
   const char* kGroupBys[] = {"", " group by row", " group by col"};
   for (int trial = 0; trial < 25; ++trial) {
@@ -355,7 +357,8 @@ TEST(AggRollupDeltaTest, IncrementalPatchesKeepHierarchyFresh) {
     }
   }
   QueryExecutor rebuilt(&model);
-  QueryExecutor scan(static_cast<const CompressedStore*>(&model));
+  const ScanOnlyStore scan_store(&model);
+  QueryExecutor scan(&scan_store);
   const char* kQueries[] = {
       "select sum(value), avg(value), count(*)",
       "select sum(value) where row in 10:80 and col in 5:30",
@@ -420,7 +423,8 @@ TEST(AggRollupStrategyTest, LinearAggregatesPlanOnlyCompressedDomain) {
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->find("row-reconstruction"), std::string::npos) << *plan;
   EXPECT_NE(plan->find("compressed-domain"), std::string::npos) << *plan;
-  QueryExecutor scan(static_cast<const CompressedStore*>(&model));
+  const ScanOnlyStore scan_store(&model);
+  QueryExecutor scan(&scan_store);
   const char* query = "select sum(value) where row in 0:99 and col in 0:19";
   const auto a = executor.Execute(query);
   const auto b = scan.Execute(query);
@@ -436,7 +440,8 @@ TEST(AggRollupStrategyTest, SingleRowSelectionsUseTheRollupToo) {
   const Matrix data = TestData();
   const SvddModel model = BuildModel(data, QuantScheme::kF64);
   QueryExecutor executor(&model);
-  QueryExecutor scan(static_cast<const CompressedStore*>(&model));
+  const ScanOnlyStore scan_store(&model);
+  QueryExecutor scan(&scan_store);
   const char* query = "select sum(value) where row in 17";
   const auto fast = executor.Execute(query);
   const auto slow = scan.Execute(query);
@@ -465,7 +470,8 @@ TEST(AggRollupStrategyTest, FoldInRowsRebuildsTheBlockSums) {
   model.FoldInRows(appended);
 
   // The same executor covers the appended rows.
-  QueryExecutor scan(static_cast<const CompressedStore*>(&model));
+  const ScanOnlyStore scan_store(&model);
+  QueryExecutor scan(&scan_store);
   const char* query = "select sum(value), count(value)";
   const auto fast = executor.Execute(query);
   const auto slow = scan.Execute(query);

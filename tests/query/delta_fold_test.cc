@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include "../core/bloom_section_files.h"
+#include "scan_only_store.h"
 #include "core/disk_backed.h"
 #include "core/svdd_compressor.h"
 #include "data/generators.h"
@@ -165,7 +166,8 @@ void ExpectFoldsMatch(const Folds& with, const Folds& bare,
 void ExpectAggregatesMatch(const SvddModel& model) {
   const QueryExecutor serial(&model);
   const QueryExecutor threaded(&model, 3);
-  const QueryExecutor scan(static_cast<const CompressedStore*>(&model));
+  const ScanOnlyStore scan_store(&model);
+  const QueryExecutor scan(&scan_store);
   const std::string last_row = std::to_string(model.rows() - 1);
   const std::string last_col = std::to_string(model.cols() - 1);
   for (const std::string& query : std::vector<std::string>{

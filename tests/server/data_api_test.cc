@@ -11,6 +11,7 @@
 #include "data/generators.h"
 #include "storage/row_source.h"
 #include "util/logging.h"
+#include "../query/scan_only_store.h"
 
 namespace tsc::server {
 namespace {
@@ -276,7 +277,8 @@ TEST(DataApiScanParityTest, SumAndAvgMatchTheScanExecutorForEveryScheme) {
     ASSERT_TRUE(model.ok()) << model.status().ToString();
     const QueryExecutor serial(&*model);
     const QueryExecutor threaded(&*model, 3);
-    const QueryExecutor scan(static_cast<const CompressedStore*>(&*model));
+    const ScanOnlyStore scan_store(&*model);
+    const QueryExecutor scan(&scan_store);
     for (const char* group : {"sum", "avg"}) {
       for (const char* rows : {"0:149", "17", "0:9,40:99,110", "63:129"}) {
         const Params params{{"group", group}, {"rows", rows},

@@ -1,6 +1,7 @@
 #include "server/server.h"
 
 #include <atomic>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/disk_backed.h"
 #include "data/generators.h"
 #include "server/admission.h"
 #include "storage/row_source.h"
@@ -288,6 +290,48 @@ TEST(AdmissionControllerTest, AdmitsQueuesRejectsAndTimesOut) {
   EXPECT_EQ(admission.Acquire(std::chrono::steady_clock::now(),
                               &after_shutdown),
             AdmissionController::Outcome::kShutdown);
+}
+
+// A U file cut short under a running disk-layout server: the aggregates
+// whose ragged end rows can no longer be read answer HTTP 500 with the
+// read error, never a 200 carrying NaN.
+TEST_F(ServerTest, DiskReadErrorsOnTheCompressedPathAreHttp500) {
+  for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{4}}) {
+    const std::string prefix = ::testing::TempDir() + "/server_read_error_" +
+                               std::to_string(cache_blocks);
+    const std::string u_path = prefix + "_u";
+    const std::string sidecar = prefix + "_sidecar";
+    ASSERT_TRUE(ExportSvddToDisk(*model_, u_path, sidecar).ok());
+    DiskBackedOptions disk_options;
+    disk_options.io_backend = IoBackendKind::kPread;
+    disk_options.cache_blocks = cache_blocks;
+    auto store = DiskBackedStore::Open(u_path, sidecar, disk_options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    const DiskBackedStoreView view(&*store);
+    const QueryExecutor executor(&view);
+    QueryServer server(&executor, &view);
+    ASSERT_TRUE(server.Start().ok());
+    std::filesystem::resize_file(u_path, 16);
+    {
+      TestClient client(server.port());
+      ASSERT_TRUE(client.connected());
+      for (const char* target :
+           {"/api/v1/query?q=SELECT+sum(value)+WHERE+row+IN+3:70+GROUP+BY+col"
+            "&format=json",
+            "/api/v1/query?q=SELECT+sum(value)+WHERE+row+IN+3:70+GROUP+BY+row"
+            "&format=json",
+            "/api/v1/data?group=avg&rows=3:70&points=4"}) {
+        const ClientResponse response = client.Get(target);
+        ASSERT_TRUE(response.ok) << target;
+        EXPECT_EQ(response.status, 500) << target << ": " << response.body;
+        EXPECT_EQ(response.body.find("nan"), std::string::npos)
+            << target << ": " << response.body;
+      }
+    }
+    server.Stop();
+    std::filesystem::remove(u_path);
+    std::filesystem::remove(sidecar);
+  }
 }
 
 }  // namespace
