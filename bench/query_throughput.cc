@@ -14,8 +14,8 @@
 // aggregate accuracy sacrificed for the speed.
 //
 // A second section times the serving-path itself against the in-memory
-// model: the seed's per-cell reconstruction formula, the dispatched
-// per-cell API, and the batched ReconstructCells API (cell QPS each),
+// model: the seed's per-cell reconstruction formula and the dispatched
+// per-cell API (cell QPS each),
 // plus the aggregate workload through QueryExecutor at 1 and N threads,
 // and the same aggregates served by row scan vs the compressed-domain
 // identity, whose row mass comes from U's block sums, both in memory and
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
       const tsc::RegionQuery& query = workload.aggregates[q];
       tsc::RunningStats agg;
       for (const std::size_t i : query.row_ids) {
-        TSC_CHECK_OK(store.ReconstructRow(i, row));
+        TSC_CHECK_OK(store.model().TryReconstructRow(i, row));
         for (const std::size_t j : query.col_ids) agg.Add(row[j]);
       }
       err.Add(tsc::QueryError(workload.exact_answers[q], agg.mean()));
@@ -194,18 +194,14 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.ToString().c_str());
 
   // --- serving-path micro-modes ---------------------------------------------
-  // The same cell probes against the in-memory model, three ways. The
+  // The same cell probes against the in-memory model, two ways. The
   // "seed per-cell" row reproduces the original per-cell formula (a
   // scalar loop over u(i,m)*sigma_m*v(j,m) plus a delta probe) so the
-  // dispatched and batched paths are measured against a fixed baseline.
-  // Acceptance gate for the vectorized path: batched >= 2x seed QPS.
+  // dispatched path is measured against a fixed baseline.
   double sink = 0.0;
   {
     const tsc::SvdModel& svd = model->svd();
     const std::size_t k = svd.k();
-    std::vector<tsc::CellRef> refs;
-    refs.reserve(workload.cells.size());
-    for (const auto& [i, j] : workload.cells) refs.push_back({i, j});
 
     const auto time_mode = [&](const auto& body) {
       body();  // warm-up pass
@@ -231,15 +227,9 @@ int main(int argc, char** argv) {
         sink += model->ReconstructCell(i, j);
       }
     });
-    std::vector<double> out(refs.size());
-    const double batched_ms = time_mode([&] {
-      model->ReconstructCells(refs, out);
-      sink += out[0];
-    });
 
     const double seed_qps = probes / (seed_ms / 1000.0);
     const double percell_qps = probes / (percell_ms / 1000.0);
-    const double batched_qps = probes / (batched_ms / 1000.0);
     tsc::TablePrinter probe_table(
         {"cell-probe mode", "wall ms", "Mcells/s", "vs seed"});
     probe_table.AddRow({"seed per-cell formula",
@@ -250,16 +240,9 @@ int main(int argc, char** argv) {
                         tsc::TablePrinter::Num(percell_qps / 1e6, 3),
                         tsc::TablePrinter::Num(percell_qps / seed_qps, 2) +
                             "x"});
-    probe_table.AddRow({"batched ReconstructCells",
-                        tsc::TablePrinter::Num(batched_ms, 3),
-                        tsc::TablePrinter::Num(batched_qps / 1e6, 3),
-                        tsc::TablePrinter::Num(batched_qps / seed_qps, 2) +
-                            "x"});
     std::printf("%s\n", probe_table.ToString().c_str());
     report.AddScalar("cell_qps_seed", seed_qps);
     report.AddScalar("cell_qps_percell", percell_qps);
-    report.AddScalar("cell_qps_batched", batched_qps);
-    report.AddScalar("batched_speedup_vs_seed", batched_qps / seed_qps);
   }
 
   // --- threaded aggregate execution -----------------------------------------
@@ -419,17 +402,16 @@ int main(int argc, char** argv) {
 
     const tsc::QueryExecutor memory_exec(&*model);
     compare_modes(memory_exec, "agg", "in memory");
-    const tsc::DiskBackedStoreView disk_view(&disk_store.store());
-    const tsc::QueryExecutor disk_exec(&disk_view);
+    const tsc::QueryExecutor disk_exec(&disk_store.store().model());
     compare_modes(disk_exec, "agg_disk", "U on disk");
   }
   // --- quantized U row store serving ----------------------------------------
-  // The PR 5 axis: the same disk-backed batched workload served from a U
-  // store at each QuantScheme, every configuration given the SAME
+  // The same disk-backed cell workload served from a U store at each
+  // QuantScheme, every configuration given the SAME
   // block-cache byte budget (sized to ~1/4 of the f64 U file, so f64
   // thrashes while the narrow encodings mostly fit). The stream backend
   // makes each cache miss a real positional read, i.e. the disk access
-  // the paper counts. Gate: int8 batched QPS >= 1.5x f64, and the
+  // the paper counts. Gate: int8 cell QPS >= 1.5x f64, and the
   // normalized max reconstruction error (SVDD deltas enabled, which were
   // selected against the QUANTIZED reconstruction) stays within
   // --quant_err_budget.
@@ -438,10 +420,13 @@ int main(int argc, char** argv) {
     double absmax = 0.0;
     for (const double v : x.data()) absmax = std::max(absmax, std::abs(v));
 
-    std::vector<tsc::CellRef> refs;
-    refs.reserve(workload.cells.size());
-    for (const auto& [i, j] : workload.cells) refs.push_back({i, j});
-    std::vector<double> out(refs.size());
+    const auto probe_cells = [&](const tsc::DiskBackedStore& store) {
+      for (const auto& [i, j] : workload.cells) {
+        const auto value = store.ReconstructCell(i, j);
+        TSC_CHECK_OK(value.status());
+        sink += *value;
+      }
+    };
 
     tsc::TablePrinter quant_table({"u encoding", "u file KB", "bytes/row",
                                    "cache hit%", "Mcells/s", "vs f64",
@@ -490,17 +475,13 @@ int main(int argc, char** argv) {
       qtemp.Reopen(opts);
       tsc::DiskBackedStore& qstore = qtemp.store();
 
-      TSC_CHECK_OK(qstore.ReconstructCells(refs, out));  // warm-up
-      sink += out[0];
+      probe_cells(qstore);  // warm-up
       qstore.ResetCounters();
       tsc::Timer timer;
-      for (int it = 0; it < probe_iters; ++it) {
-        TSC_CHECK_OK(qstore.ReconstructCells(refs, out));
-        sink += out[out.size() - 1];
-      }
+      for (int it = 0; it < probe_iters; ++it) probe_cells(qstore);
       const double wall_s = timer.ElapsedMillis() / 1000.0;
       const double qps =
-          static_cast<double>(refs.size()) * probe_iters / wall_s;
+          static_cast<double>(workload.cells.size()) * probe_iters / wall_s;
       const double hits = static_cast<double>(qstore.cache_hits());
       const double misses = static_cast<double>(qstore.disk_accesses());
       const double hit_pct =
@@ -511,7 +492,7 @@ int main(int argc, char** argv) {
       double max_err = 0.0;
       std::vector<double> recon(x.cols());
       for (std::size_t i = 0; i < x.rows(); ++i) {
-        TSC_CHECK_OK(qstore.ReconstructRow(i, recon));
+        TSC_CHECK_OK(qstore.model().TryReconstructRow(i, recon));
         for (std::size_t j = 0; j < x.cols(); ++j) {
           max_err = std::max(max_err, std::abs(recon[j] - x(i, j)));
         }
@@ -529,7 +510,7 @@ int main(int argc, char** argv) {
            tsc::TablePrinter::Num(qps / (f64_qps > 0 ? f64_qps : qps), 2) +
                "x",
            tsc::TablePrinter::Num(norm_err, 4)});
-      report.AddScalar(std::string("quant_batched_qps_") + name, qps);
+      report.AddScalar(std::string("quant_cell_qps_") + name, qps);
       report.AddScalar(std::string("quant_max_err_") + name, norm_err);
       report.AddScalar(std::string("quant_u_file_bytes_") + name,
                        static_cast<double>(qstore.u_file_bytes()));
@@ -544,7 +525,7 @@ int main(int argc, char** argv) {
     report.AddScalar("quant_cache_blocks", static_cast<double>(cache_blocks));
     report.AddScalar("quant_speedup_int8_vs_f64", speedup);
     report.AddScalar("quant_err_budget", quant_err_budget);
-    std::printf("int8 vs f64 batched QPS: %.2fx (gate >= 1.5x); worst "
+    std::printf("int8 vs f64 cell QPS: %.2fx (gate >= 1.5x); worst "
                 "normalized max err %.4f (budget %.2f)\n\n",
                 speedup, worst_err, quant_err_budget);
     TSC_CHECK(worst_err <= quant_err_budget);

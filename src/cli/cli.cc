@@ -543,7 +543,8 @@ int CmdReconstruct(const FlagParser& flags, std::ostream& out,
     const std::size_t count = std::min(kBlockRows, rows - i);
     block_rows.resize(count);
     for (std::size_t r = 0; r < count; ++r) block_rows[r] = i + r;
-    store.ReconstructRegion(block_rows, all_cols, &block);
+    const Status region = store.ReconstructRegion(block_rows, all_cols, &block);
+    if (!region.ok()) return Fail(err, region);
     for (std::size_t r = 0; r < count; ++r) {
       const std::span<const double> src = block.Row(r);
       std::copy(src.begin(), src.end(), dataset.values.Row(i + r).begin());
@@ -622,14 +623,15 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
 
   // Skewed cell workload: hot rows repeat, so the buffer pool shows its
   // effect, exactly the Appendix A access pattern.
+  const SvddModel& disk_model = store->model();
   Rng rng(seed);
-  const ZipfSampler rows(store->rows(), zipf_s);
+  const ZipfSampler rows(disk_model.rows(), zipf_s);
   Timer timer;
   for (std::size_t q = 0; q < queries; ++q) {
     const std::size_t i = rows.Sample(&rng) - 1;
     const std::size_t j =
-        static_cast<std::size_t>(rng.UniformUint64(store->cols()));
-    auto value = store->ReconstructCell(i, j);
+        static_cast<std::size_t>(rng.UniformUint64(disk_model.cols()));
+    auto value = disk_model.TryReconstructCell(i, j);
     if (!value.ok()) return Fail(err, value.status());
   }
   const double cell_seconds = timer.ElapsedSeconds();
@@ -642,11 +644,10 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   const std::uint64_t total_reads = hits + misses_blocks;
 
   // A few SQL aggregates served straight from the two-file disk layout
-  // through DiskBackedStoreView: sum and avg in the compressed domain
-  // (their runs' ragged end rows read through the cache), max by a
-  // batched scan over the I/O engine under test.
-  const DiskBackedStoreView disk_view(&*store);
-  const QueryExecutor executor(&disk_view);
+  // by the model over it: sum and avg in the compressed domain (their
+  // runs' ragged end rows read through the cache), max by a batched scan
+  // over the I/O engine under test.
+  const QueryExecutor executor(&disk_model);
   const std::size_t last_row = model.rows() - 1;
   const std::vector<std::string> sql = {
       "SELECT sum(value)",
@@ -667,14 +668,16 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   // (at its true, possibly quantized stride), the packed deltas, and the
   // in-memory V + eigenvalues. The delta index's two orientations are
   // resident acceleration structures, listed after the charged parts.
+  const std::shared_ptr<const DeltaIndex> deltas = disk_model.deltas();
   const std::uint64_t u_bytes = store->u_file_bytes();
-  const std::uint64_t delta_bytes = store->deltas().PackedBytes();
+  const std::uint64_t delta_bytes = deltas->PackedBytes();
   const std::uint64_t v_bytes =
-      (static_cast<std::uint64_t>(store->k()) * store->cols() + store->k()) *
+      (static_cast<std::uint64_t>(disk_model.k()) * disk_model.cols() +
+       disk_model.k()) *
       sizeof(double);
   const std::uint64_t footprint = u_bytes + delta_bytes + v_bytes;
-  const double total_cells =
-      static_cast<double>(store->rows()) * static_cast<double>(store->cols());
+  const double total_cells = static_cast<double>(disk_model.rows()) *
+                             static_cast<double>(disk_model.cols());
   out << "footprint:        " << footprint << " bytes total ("
       << TablePrinter::Num(total_cells == 0.0
                                ? 0.0
@@ -684,10 +687,10 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       << QuantSchemeName(store->u_scheme()) << ", "
       << store->u_row_stride_bytes() << " bytes/row)\n";
   out << "  deltas:         " << delta_bytes << " bytes ("
-      << store->deltas().size() << " entries)\n";
+      << deltas->size() << " entries)\n";
   out << "  v + eigenvalues: " << v_bytes << " bytes\n";
-  out << "delta index:      " << store->deltas().RowIndexBytes()
-      << " bytes row CSR, " << store->deltas().ColumnIndexBytes()
+  out << "delta index:      " << deltas->RowIndexBytes()
+      << " bytes row CSR, " << deltas->ColumnIndexBytes()
       << " bytes column sums (resident, not charged)\n";
   out << "cell latency:     "
       << TablePrinter::Num(1e6 * cell_seconds /
@@ -776,7 +779,6 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   const std::size_t cache_blocks =
       static_cast<std::size_t>(flags.GetInt("cache-blocks", 0));
   std::optional<DiskBackedStore> disk_store;
-  std::optional<DiskBackedStoreView> disk_view;
   const CompressedStore* store = loaded->store.get();
   std::string u_path;
   std::string sidecar_path;
@@ -799,9 +801,9 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
         *static_cast<const SvddModel*>(loaded->store.get()), u_path,
         sidecar_path);
     if (!status.ok()) return Fail(err, status);
-    // The disk layout holds its own V, eigenvalues and deltas: free the
-    // loaded model first, so the store's allocations reuse its pages and
-    // the server holds one copy of each.
+    // The model over the disk layout holds its own V, eigenvalues and
+    // deltas: free the loaded model first, so its allocations reuse the
+    // loaded model's pages and the server holds one copy of each.
     loaded->store.reset();
     auto opened = DiskBackedStore::Open(u_path, sidecar_path, disk_options);
     if (!opened.ok()) {
@@ -810,8 +812,7 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       return Fail(err, opened.status());
     }
     disk_store.emplace(std::move(*opened));
-    disk_view.emplace(&*disk_store);
-    store = &*disk_view;
+    store = &disk_store->model();
     out << "serving from disk layout (" << disk_store->io_backend_name()
         << " backend, " << cache_blocks << "-block cache)\n";
   }

@@ -12,17 +12,9 @@ void CompressedStore::ReconstructRow(std::size_t row,
   for (std::size_t j = 0; j < cols(); ++j) out[j] = ReconstructCell(row, j);
 }
 
-void CompressedStore::ReconstructCells(std::span<const CellRef> cells,
-                                       std::span<double> out) const {
-  TSC_CHECK_EQ(out.size(), cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    out[i] = ReconstructCell(cells[i].row, cells[i].col);
-  }
-}
-
-void CompressedStore::ReconstructRegion(std::span<const std::size_t> row_ids,
-                                        std::span<const std::size_t> col_ids,
-                                        Matrix* out) const {
+Status CompressedStore::ReconstructRegion(
+    std::span<const std::size_t> row_ids, std::span<const std::size_t> col_ids,
+    Matrix* out) const {
   if (out->rows() != row_ids.size() || out->cols() != col_ids.size()) {
     *out = Matrix(row_ids.size(), col_ids.size());
   }
@@ -36,6 +28,7 @@ void CompressedStore::ReconstructRegion(std::span<const std::size_t> row_ids,
       dst[c] = scratch[col_ids[c]];
     }
   }
+  return Status::Ok();
 }
 
 Matrix CompressedStore::ReconstructAll() const {

@@ -6,16 +6,11 @@
 #include <string>
 
 #include "linalg/matrix.h"
+#include "util/status.h"
 
 namespace tsc {
 
-class CompressedDomain;
-
-/// One cell address for the batched reconstruction API.
-struct CellRef {
-  std::size_t row = 0;
-  std::size_t col = 0;
-};
+class SvddModel;
 
 /// A compressed representation of an N x M time-sequence matrix that
 /// supports "random access": reconstructing any cell in time independent
@@ -38,21 +33,15 @@ class CompressedStore {
   /// when a row can be formed more efficiently.
   virtual void ReconstructRow(std::size_t row, std::span<double> out) const;
 
-  /// Batched point reconstruction: out[i] = cell cells[i]. `out` must
-  /// have cells.size() entries. The default loops over ReconstructCell;
-  /// the SVD/SVDD models override it with vectorized dots against a
-  /// precomputed Lambda-weighted V and amortized side-structure lookups.
-  virtual void ReconstructCells(std::span<const CellRef> cells,
-                                std::span<double> out) const;
-
   /// Batched region reconstruction: fills `out` (resized to
   /// row_ids.size() x col_ids.size()) with the cross product of the
   /// selected rows and columns. The default reconstructs each selected
   /// row once and gathers the selected columns; the SVD/SVDD models
-  /// override it with a blocked U * (Lambda V^T) product.
-  virtual void ReconstructRegion(std::span<const std::size_t> row_ids,
-                                 std::span<const std::size_t> col_ids,
-                                 Matrix* out) const;
+  /// override it with a blocked U * (Lambda V^T) product, and return the
+  /// Status of a failed U-row read when U stays on disk.
+  virtual Status ReconstructRegion(std::span<const std::size_t> row_ids,
+                                   std::span<const std::size_t> col_ids,
+                                   Matrix* out) const;
 
   /// Bytes the compressed representation occupies on disk under the
   /// space-accounting rules of Section 5.1.
@@ -61,12 +50,11 @@ class CompressedStore {
   /// Short method label used in benchmark tables, e.g. "svdd".
   virtual std::string MethodName() const = 0;
 
-  /// The factored form linear aggregates are answered from without
-  /// reconstructing cells, or nullptr when the store has none. The SVDD
-  /// model and the disk layout's view return theirs.
-  virtual const CompressedDomain* compressed_domain() const {
-    return nullptr;
-  }
+  /// The SVDD model linear aggregates are answered from without
+  /// reconstructing cells (DESIGN.md §14), or nullptr when the store is
+  /// not one. The model returns itself, in memory or over the disk
+  /// layout.
+  virtual const SvddModel* compressed_domain() const { return nullptr; }
 
   /// Materializes the full reconstruction X-hat (tests and small data).
   Matrix ReconstructAll() const;

@@ -3,17 +3,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
-#include "core/compressed_domain.h"
 #include "core/compressed_store.h"
-#include "core/row_block_sums.h"
+#include "core/svd_compressor.h"
 #include "core/svdd_compressor.h"
-#include "storage/cached_row_reader.h"
-#include "storage/delta_index.h"
 #include "storage/io_backend.h"
-#include "storage/row_store.h"
 #include "util/status.h"
 
 namespace tsc {
@@ -35,183 +31,108 @@ struct DiskBackedOptions {
 /// DiskAccessCounter proves.
 ///
 /// Build with ExportSvddToDisk() + Open(); the exported U file is the
-/// "TSCROWS1" row store, so a row that fits in one block is one access.
+/// "TSCROWS1"/"TSCROWQ1" row store, so a row that fits in one block is
+/// one access. Open loads the sidecar into an SvddModel over the U file
+/// (SvdModel::OverRowStore), which serves every reconstruction and
+/// aggregate with the in-memory model's code; its U block sums come from
+/// one sequential pass over the file, outside the serving counters. The
+/// store itself only adds the storage counters.
 ///
-/// Open also builds U's block sums (RowBlockSums) in one sequential pass
-/// over the U file, outside the serving counters, so linear aggregates
-/// read a run's U mass from memory plus at most 126 ragged end rows
-/// through the cache: the same compressed domain the in-memory model
-/// serves.
-///
-/// Thread safety: concurrent Reconstruct* and aggregate calls on one
-/// store are safe under every I/O backend — the pread/mmap engines are
-/// positional (no shared cursor), the stream engine serializes
-/// internally, the block cache is sharded, and the access counters are
-/// atomic.
+/// Thread safety: concurrent reads of one store are safe under every
+/// I/O backend — the pread/mmap engines are positional (no shared
+/// cursor), the stream engine serializes internally, the block cache is
+/// sharded, and the access counters are atomic.
 class DiskBackedStore {
  public:
-  /// Opens the pair of files produced by ExportSvddToDisk. The
-  /// `cache_blocks` overload keeps the original signature; the options
-  /// overload adds I/O backend selection.
+  /// Opens the pair of files produced by ExportSvddToDisk.
   static StatusOr<DiskBackedStore> Open(const std::string& u_path,
                                         const std::string& sidecar_path,
-                                        std::size_t cache_blocks = 0);
-  static StatusOr<DiskBackedStore> Open(const std::string& u_path,
-                                        const std::string& sidecar_path,
-                                        const DiskBackedOptions& options);
+                                        const DiskBackedOptions& options = {});
 
   DiskBackedStore(DiskBackedStore&&) = default;
   DiskBackedStore& operator=(DiskBackedStore&&) = default;
 
-  std::size_t rows() const {
-    return cached_ ? cached_->rows() : u_reader_->rows();
+  /// The model over the U file. Pointers to it (executors, servers) stay
+  /// valid while the store is neither moved nor destroyed.
+  const SvddModel& model() const { return model_; }
+
+  /// One cell, one U-row read: the model's TryReconstructCell.
+  StatusOr<double> ReconstructCell(std::size_t row, std::size_t col) const {
+    return model_.TryReconstructCell(row, col);
   }
-  std::size_t cols() const { return v_.rows(); }
-  std::size_t k() const { return singular_values_.size(); }
 
   /// The I/O engine serving the U file.
   const char* io_backend_name() const {
-    return cached_ ? cached_->reader().backend_name()
-                   : u_reader_->backend_name();
+    return u_rows_.file().backend_name();
   }
-
   /// Coefficient encoding of the U file (kF64 for the plain layout).
   /// Quantized rows are consumed in place by the fused kernels — cached
   /// blocks stay encoded, so the same block budget covers 2-8x more rows.
-  QuantScheme u_scheme() const { return u_scheme_; }
+  QuantScheme u_scheme() const { return u_rows_.file().scheme(); }
   /// On-disk bytes of one U row (meta + padded codes when quantized).
-  std::size_t u_row_stride_bytes() const { return u_row_stride_; }
+  std::size_t u_row_stride_bytes() const {
+    return u_rows_.file().row_stride_bytes();
+  }
   /// Total bytes of the U file (header + rows * stride) — the actual
   /// serving footprint of the on-disk factor.
-  std::uint64_t u_file_bytes() const { return u_file_bytes_; }
-
-  /// Reconstructs one cell; performs one U-row disk read plus O(k) work
-  /// and one delta-index lookup.
-  StatusOr<double> ReconstructCell(std::size_t row, std::size_t col);
-
-  /// Reconstructs a whole row with the same single U-row read.
-  Status ReconstructRow(std::size_t row, std::span<double> out);
-
-  /// Batched point reconstruction: out[i] = cell cells[i]. Cells are
-  /// grouped by row so each distinct U row is read once.
-  Status ReconstructCells(std::span<const CellRef> cells,
-                          std::span<double> out);
-
-  /// Batched region reconstruction mirroring the in-memory models:
-  /// reads the selected U rows once, then runs the blocked
-  /// U * (Lambda V^T) product and folds the selected rows' deltas.
-  Status ReconstructRegion(std::span<const std::size_t> row_ids,
-                           std::span<const std::size_t> col_ids, Matrix* out);
+  std::uint64_t u_file_bytes() const { return u_rows_.file().file_bytes(); }
 
   /// Disk accesses performed so far against the U file (cache misses
   /// when a buffer pool is configured).
   std::uint64_t disk_accesses() const {
-    return cached_ ? cached_->disk_accesses()
-                   : u_reader_->counter().accesses();
+    return u_rows_.cached ? u_rows_.cached->disk_accesses()
+                          : u_rows_.reader->counter().accesses();
   }
   /// U-row block reads served from the buffer pool (0 when uncached);
   /// together with disk_accesses() this yields the serving hit rate.
   std::uint64_t cache_hits() const {
-    return cached_ ? cached_->cache_hits() : 0;
+    return u_rows_.cached ? u_rows_.cached->cache_hits() : 0;
   }
-  bool has_cache() const { return cached_ != nullptr; }
   void ResetCounters() {
-    if (cached_) {
-      cached_->ResetStats();
+    if (u_rows_.cached) {
+      u_rows_.cached->ResetStats();
     } else {
-      u_reader_->counter().Reset();
+      u_rows_.reader->counter().Reset();
     }
   }
 
-  const DeltaIndex& deltas() const { return deltas_; }
-  /// Row j is lambda (.) v_j.
-  const Matrix& weighted_v() const { return weighted_v_; }
-
-  /// Adds sum_{i in runs} u_i to out[0..k) (+=, caller zeroes): block
-  /// sums from memory, the runs' ragged end rows read through the cache.
-  /// Returns the k-vectors read, or the failed read's Status.
-  StatusOr<std::uint64_t> AccumulateRowMass(std::span<const IdRange> runs,
-                                            std::span<double> out);
-  /// Appends dot(u_i, weights) for every i in `runs`, one U-row read
-  /// each.
-  Status AppendRowDots(std::span<const IdRange> runs,
-                       std::span<const double> weights,
-                       std::vector<double>* out);
-
  private:
-  DiskBackedStore() = default;
+  DiskBackedStore(URowStore u_rows, SvddModel model)
+      : u_rows_(std::move(u_rows)), model_(std::move(model)) {}
 
-  /// Fetches row `row` of U through the cache when configured, decoding
-  /// quantized rows into doubles.
-  Status ReadURow(std::size_t row, std::span<double> out);
-  /// Fetches row `row` of U still encoded: zero-copy under mmap, into
-  /// `scratch` (size >= u_row_stride_bytes()) otherwise. The fused
-  /// dequantize kernels consume the view directly.
-  StatusOr<QuantRowView> ReadUQuantRow(std::size_t row,
-                                       std::span<std::uint8_t> scratch);
-  /// fused-dot(u_row, weighted_v_col) + delta — Eq. 12 against a fetched
-  /// (possibly still-quantized) row.
-  double CellFromURow(const QuantRowView& urow, std::size_t row,
-                      std::size_t col);
-
-  // unique_ptr keeps the reader stable across moves. Exactly one of
-  // u_reader_ / cached_ is set.
-  std::unique_ptr<RowStoreReader> u_reader_;
-  std::unique_ptr<CachedRowReader> cached_;
-  std::vector<double> singular_values_;
-  Matrix v_;
-  Matrix weighted_v_;  ///< row j = lambda (.) v_j, derived at Open
-  RowBlockSums u_sums_;  ///< built at Open from the U file
-  DeltaIndex deltas_;
-  QuantScheme u_scheme_ = QuantScheme::kF64;
-  std::size_t u_row_stride_ = 0;
-  std::uint64_t u_file_bytes_ = 0;
+  URowStore u_rows_;  ///< shared with model_, for the counters
+  SvddModel model_;
 };
 
-/// CompressedStore adapter over a DiskBackedStore, so the query executor
-/// (and anything else programmed against the interface) can serve
-/// straight from the two-file disk layout. It is also the store's
-/// compressed domain, whose failed reads come back as a Status. Failed
-/// reconstruction reads surface as NaN (that interface has no error
-/// channel). `store` must outlive the view.
-class DiskBackedStoreView final : public CompressedStore,
-                                  public CompressedDomain {
+/// A CompressedStore over a DiskBackedStore's model that forwards every
+/// call, kept until a benchmark PR stops perfbench naming it; serve
+/// DiskBackedStore::model() instead. `store` must outlive the view.
+class DiskBackedStoreView final : public CompressedStore {
  public:
-  explicit DiskBackedStoreView(DiskBackedStore* store) : store_(store) {}
+  explicit DiskBackedStoreView(DiskBackedStore* store)
+      : model_(&store->model()) {}
 
-  std::size_t rows() const override { return store_->rows(); }
-  std::size_t cols() const override { return store_->cols(); }
-
-  double ReconstructCell(std::size_t row, std::size_t col) const override;
-  void ReconstructRow(std::size_t row, std::span<double> out) const override;
-  void ReconstructCells(std::span<const CellRef> cells,
-                        std::span<double> out) const override;
-  void ReconstructRegion(std::span<const std::size_t> row_ids,
-                         std::span<const std::size_t> col_ids,
-                         Matrix* out) const override;
-  std::uint64_t CompressedBytes() const override;
+  std::size_t rows() const override { return model_->rows(); }
+  std::size_t cols() const override { return model_->cols(); }
+  double ReconstructCell(std::size_t row, std::size_t col) const override {
+    return model_->ReconstructCell(row, col);
+  }
+  void ReconstructRow(std::size_t row, std::span<double> out) const override {
+    model_->ReconstructRow(row, out);
+  }
+  Status ReconstructRegion(std::span<const std::size_t> row_ids,
+                           std::span<const std::size_t> col_ids,
+                           Matrix* out) const override {
+    return model_->ReconstructRegion(row_ids, col_ids, out);
+  }
+  std::uint64_t CompressedBytes() const override {
+    return model_->CompressedBytes();
+  }
   std::string MethodName() const override { return "svdd-disk"; }
-  const CompressedDomain* compressed_domain() const override { return this; }
-
-  std::size_t k() const override { return store_->k(); }
-  const Matrix& weighted_v() const override { return store_->weighted_v(); }
-  StatusOr<std::uint64_t> AccumulateRowMass(
-      std::span<const IdRange> runs, std::span<double> out) const override {
-    return store_->AccumulateRowMass(runs, out);
-  }
-  Status AppendRowDots(std::span<const IdRange> runs,
-                       std::span<const double> weights,
-                       std::vector<double>* out) const override {
-    return store_->AppendRowDots(runs, weights, out);
-  }
-  /// The store's index never changes after Open: a non-owning handle.
-  std::shared_ptr<const DeltaIndex> deltas() const override {
-    return std::shared_ptr<const DeltaIndex>(std::shared_ptr<void>(),
-                                             &store_->deltas());
-  }
+  const SvddModel* compressed_domain() const override { return model_; }
 
  private:
-  DiskBackedStore* store_;
+  const SvddModel* model_;
 };
 
 /// Writes `model` into the two-file disk layout: `u_path` holds U as a

@@ -15,9 +15,8 @@ namespace tsc {
 
 /// k-wide sums of U over aligned 64-row blocks and 4096-row superblocks
 /// (the last of each may be short), and the walk that forms a run of
-/// rows' U mass from them. The in-memory SvdModel and the disk layout's
-/// DiskBackedStore each own one; they differ only in how the walk
-/// fetches a run's ragged end rows.
+/// rows' U mass from them. SvdModel owns one, whether U's rows are in
+/// memory or on disk; its U-row accessor fetches a run's ragged end rows.
 class RowBlockSums {
  public:
   static constexpr std::size_t kRowBlock = 64;

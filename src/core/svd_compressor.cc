@@ -17,6 +17,27 @@ namespace {
 
 constexpr std::uint32_t kSvdModelMagic = 0x53564431;  // "SVD1"
 
+/// The row of `view` as doubles: in place for f64, else decoded into
+/// `decoded` (view.n long).
+const double* AsDoubles(const QuantRowView& view, std::span<double> decoded) {
+  if (view.scheme == QuantScheme::kF64) {
+    return static_cast<const double*>(view.data);
+  }
+  DecodeQuantRow(view, decoded);
+  return decoded.data();
+}
+
+/// Eq. 12 with lambda folded into V: dot(u_i, lambda (.) v_j), O(k). An
+/// f64 row calls kernels::Dot directly (QuantDot's own f64 case); a
+/// stored quantized row dequantizes in registers as it accumulates.
+double CellDot(const QuantRowView& urow, const double* weighted_v_col) {
+  if (urow.scheme == QuantScheme::kF64) {
+    return kernels::Dot(static_cast<const double*>(urow.data), weighted_v_col,
+                        urow.n);
+  }
+  return QuantDot(urow, weighted_v_col);
+}
+
 }  // namespace
 
 SvdModel::SvdModel(Matrix u, std::vector<double> singular_values, Matrix v)
@@ -38,6 +59,29 @@ void SvdModel::RebuildWeightedV() {
   }
 }
 
+StatusOr<SvdModel> SvdModel::OverRowStore(
+    URowStore u_rows, std::vector<double> singular_values, Matrix v) {
+  TSC_CHECK(u_rows.reader || u_rows.cached);
+  const RowStoreReader& file = u_rows.file();
+  TSC_CHECK_EQ(file.cols(), singular_values.size());
+  TSC_CHECK_EQ(v.cols(), singular_values.size());
+  SvdModel model;
+  model.singular_values_ = std::move(singular_values);
+  model.v_ = std::move(v);
+  model.quant_scheme_ = file.scheme();
+  model.RebuildWeightedV();
+  // U's block sums from the decoded rows, added in row order: the
+  // in-memory arithmetic over the rows the file serves.
+  model.block_sums_ = RowBlockSums(file.rows(), model.k());
+  TSC_RETURN_IF_ERROR(file.ForEachRowUncounted(
+      [&](std::size_t i, std::span<const double> row) {
+        model.block_sums_.AddRow(i, row.data());
+      }));
+  model.block_sums_.Finish();
+  model.u_rows_ = std::move(u_rows);
+  return model;
+}
+
 void SvdModel::RebuildBlockSums() {
   block_sums_ = RowBlockSums(u_.rows(), k());
   for (std::size_t i = 0; i < u_.rows(); ++i) {
@@ -46,60 +90,110 @@ void SvdModel::RebuildBlockSums() {
   block_sums_.Finish();
 }
 
-std::uint64_t SvdModel::AccumulateRowMass(std::span<const IdRange> runs,
-                                          std::span<double> out) const {
+std::vector<std::uint8_t> SvdModel::URowScratch() const {
+  return std::vector<std::uint8_t>(
+      u_on_disk() ? u_rows_.file().row_stride_bytes() : 0);
+}
+
+template <typename Fn>
+Status SvdModel::ForEachDecodedURow(std::size_t lo, std::size_t hi,
+                                    Fn&& fn) const {
+  std::vector<std::uint8_t> scratch = URowScratch();
+  std::vector<double> decoded(u_on_disk() ? k() : 0);
+  QuantRowView urow;
+  for (std::size_t i = lo; i < hi; ++i) {
+    TSC_RETURN_IF_ERROR(URow(i, scratch, &urow));
+    fn(AsDoubles(urow, decoded));
+  }
+  return Status::Ok();
+}
+
+StatusOr<std::uint64_t> SvdModel::AccumulateRowMass(
+    std::span<const IdRange> runs, std::span<double> out) const {
   TSC_DCHECK(out.size() >= k());
   const std::size_t kk = k();
-  return block_sums_
-      .Accumulate(runs, out,
-                  [&](std::size_t lo, std::size_t hi) {
-                    for (std::size_t i = lo; i < hi; ++i) {
-                      kernels::Axpy(1.0, u_.Row(i).data(), out.data(), kk);
-                    }
-                    return Status::Ok();
-                  })
-      .value();
+  return block_sums_.Accumulate(
+      runs, out, [&](std::size_t lo, std::size_t hi) {
+        return ForEachDecodedURow(lo, hi, [&](const double* u) {
+          kernels::Axpy(1.0, u, out.data(), kk);
+        });
+      });
+}
+
+Status SvdModel::AppendRowDots(std::span<const IdRange> runs,
+                               std::span<const double> weights,
+                               std::vector<double>* out) const {
+  const std::size_t kk = k();
+  for (const IdRange& run : runs) {
+    TSC_RETURN_IF_ERROR(ForEachDecodedURow(
+        run.lo, run.hi + 1, [&](const double* u) {
+          out->push_back(kernels::Dot(u, weights.data(), kk));
+        }));
+  }
+  return Status::Ok();
+}
+
+StatusOr<double> SvdModel::TryReconstructCell(std::size_t row,
+                                              std::size_t col) const {
+  if (row >= rows() || col >= cols()) {
+    return Status::OutOfRange("cell out of range");
+  }
+  if (!u_on_disk()) return ReconstructCell(row, col);
+  std::vector<std::uint8_t> scratch = URowScratch();
+  QuantRowView urow;
+  TSC_RETURN_IF_ERROR(URow(row, scratch, &urow));
+  return CellDot(urow, weighted_v_.Row(col).data());
 }
 
 double SvdModel::ReconstructCell(std::size_t row, std::size_t col) const {
   TSC_DCHECK(row < rows() && col < cols());
-  // Eq. 12 with lambda folded into V: dot(u_i, lambda (.) v_j), O(k).
-  return kernels::Dot(u_.Row(row).data(), weighted_v_.Row(col).data(), k());
+  // In memory a cell can neither fail nor need scratch: the hot path
+  // carries no Status.
+  if (u_on_disk()) return TryReconstructCell(row, col).value();
+  return CellDot(MemoryURow(row), weighted_v_.Row(col).data());
+}
+
+Status SvdModel::TryReconstructRow(std::size_t row,
+                                   std::span<double> out) const {
+  if (row >= rows()) return Status::OutOfRange("row out of range");
+  if (out.size() != cols()) return Status::InvalidArgument("buffer size");
+  std::vector<std::uint8_t> scratch = URowScratch();
+  QuantRowView urow;
+  TSC_RETURN_IF_ERROR(URow(row, scratch, &urow));
+  // out_j = dot(u_i, weighted_v_j): one fused dot-batch over the
+  // contiguous weighted-V rows.
+  QuantDotBatch(urow, weighted_v_.Row(0).data(), k(), cols(), out.data());
+  return Status::Ok();
 }
 
 void SvdModel::ReconstructRow(std::size_t row, std::span<double> out) const {
-  TSC_CHECK_EQ(out.size(), cols());
-  // out_j = dot(u_i, weighted_v_j): one fused dot-batch over the
-  // contiguous weighted-V rows.
-  kernels::DotBatch(weighted_v_.Row(0).data(), k(), cols(),
-                    u_.Row(row).data(), k(), out.data());
+  TSC_CHECK_OK(TryReconstructRow(row, out));
 }
 
-void SvdModel::ReconstructCells(std::span<const CellRef> cells,
-                                std::span<double> out) const {
-  TSC_CHECK_EQ(out.size(), cells.size());
-  const std::size_t kk = k();
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    out[i] = kernels::Dot(u_.Row(cells[i].row).data(),
-                          weighted_v_.Row(cells[i].col).data(), kk);
-  }
-}
-
-void SvdModel::ReconstructRegion(std::span<const std::size_t> row_ids,
-                                 std::span<const std::size_t> col_ids,
-                                 Matrix* out) const {
+Status SvdModel::ReconstructRegion(std::span<const std::size_t> row_ids,
+                                   std::span<const std::size_t> col_ids,
+                                   Matrix* out) const {
   if (out->rows() != row_ids.size() || out->cols() != col_ids.size()) {
     *out = Matrix(row_ids.size(), col_ids.size());
   }
-  if (row_ids.empty() || col_ids.empty()) return;
+  if (row_ids.empty() || col_ids.empty()) return Status::Ok();
+  TSC_DCHECK(std::all_of(row_ids.begin(), row_ids.end(),
+                         [&](std::size_t r) { return r < rows(); }));
+  TSC_DCHECK(std::all_of(col_ids.begin(), col_ids.end(),
+                         [&](std::size_t c) { return c < cols(); }));
   const std::size_t kk = k();
   // Gather the selected factor rows into dense blocks (O((R + C) * k),
-  // noise next to the O(R * C * k) product), then run the blocked
-  // U * (Lambda V^T) micro-kernel on contiguous memory.
+  // noise next to the O(R * C * k) product; a stored quantized row
+  // decodes once here, amortized over the whole column block), then run
+  // the blocked U * (Lambda V^T) micro-kernel on contiguous memory.
   Matrix a(row_ids.size(), kk);
+  std::vector<std::uint8_t> scratch = URowScratch();
+  std::vector<double> decoded(u_on_disk() ? kk : 0);
+  QuantRowView urow;
   for (std::size_t r = 0; r < row_ids.size(); ++r) {
-    const std::span<const double> src = u_.Row(row_ids[r]);
-    std::copy(src.begin(), src.end(), a.Row(r).begin());
+    TSC_RETURN_IF_ERROR(URow(row_ids[r], scratch, &urow));
+    const double* u = AsDoubles(urow, decoded);
+    std::copy(u, u + kk, a.Row(r).begin());
   }
   Matrix b(col_ids.size(), kk);
   for (std::size_t c = 0; c < col_ids.size(); ++c) {
@@ -109,6 +203,7 @@ void SvdModel::ReconstructRegion(std::span<const std::size_t> row_ids,
   kernels::GemmNT(a.Row(0).data(), row_ids.size(), kk, b.Row(0).data(),
                   col_ids.size(), kk, kk, out->Row(0).data(),
                   col_ids.size());
+  return Status::Ok();
 }
 
 std::uint64_t SvdModel::CompressedBytes() const {
@@ -117,8 +212,8 @@ std::uint64_t SvdModel::CompressedBytes() const {
   // (16-byte meta + padded codes), matching what the row store writes.
   const std::uint64_t u_bytes =
       quant_scheme_ == QuantScheme::kF64
-          ? static_cast<std::uint64_t>(u_.rows()) * k() * bytes_per_value_
-          : static_cast<std::uint64_t>(u_.rows()) *
+          ? static_cast<std::uint64_t>(rows()) * k() * bytes_per_value_
+          : static_cast<std::uint64_t>(rows()) *
                 QuantRowStride(quant_scheme_, k());
   const std::uint64_t resident =
       k() + static_cast<std::uint64_t>(k()) * v_.rows();
@@ -128,7 +223,7 @@ std::uint64_t SvdModel::CompressedBytes() const {
 std::vector<double> SvdModel::ProjectRow(std::size_t row) const {
   TSC_CHECK_LT(row, rows());
   std::vector<double> coords(k());
-  const std::span<const double> urow = u_.Row(row);
+  const std::span<const double> urow = u().Row(row);
   for (std::size_t m = 0; m < k(); ++m) {
     coords[m] = urow[m] * singular_values_[m];
   }
@@ -136,6 +231,7 @@ std::vector<double> SvdModel::ProjectRow(std::size_t row) const {
 }
 
 void SvdModel::QuantizeToFloat() {
+  TSC_CHECK(!u_on_disk()) << "QuantizeToFloat needs U in memory";
   for (double& v : u_.data()) v = static_cast<float>(v);
   for (double& v : v_.data()) v = static_cast<float>(v);
   for (double& v : singular_values_) v = static_cast<float>(v);
@@ -147,6 +243,7 @@ void SvdModel::QuantizeToFloat() {
 }
 
 void SvdModel::ApplyQuantization(QuantScheme scheme) {
+  TSC_CHECK(!u_on_disk()) << "ApplyQuantization needs U in memory";
   quant_scheme_ = scheme;
   if (scheme == QuantScheme::kF64) return;
   // Snap each U row to its decode(encode) image so every in-memory
@@ -159,6 +256,7 @@ void SvdModel::ApplyQuantization(QuantScheme scheme) {
 }
 
 SvdModel::FoldInStats SvdModel::FoldInRows(const Matrix& new_rows) {
+  TSC_CHECK(!u_on_disk()) << "FoldInRows needs U in memory";
   TSC_CHECK_EQ(new_rows.cols(), cols());
   FoldInStats stats;
   stats.rows_added = new_rows.rows();
@@ -187,6 +285,10 @@ SvdModel::FoldInStats SvdModel::FoldInRows(const Matrix& new_rows) {
 }
 
 Status SvdModel::Serialize(BinaryWriter* writer) const {
+  if (u_on_disk()) {
+    return Status::FailedPrecondition(
+        "a model over the U row store cannot be serialized");
+  }
   TSC_RETURN_IF_ERROR(writer->WriteU32(kSvdModelMagic));
   TSC_RETURN_IF_ERROR(writer->WriteU64(bytes_per_value_));
   TSC_RETURN_IF_ERROR(

@@ -2,6 +2,7 @@
 #define TSC_CORE_SVD_COMPRESSOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -10,40 +11,85 @@
 #include "core/row_block_sums.h"
 #include "linalg/matrix.h"
 #include "linalg/symmetric_eigen.h"
+#include "storage/cached_row_reader.h"
 #include "storage/quant.h"
 #include "storage/row_source.h"
 #include "storage/serializer.h"
 #include "util/id_range.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace tsc {
 
 class ThreadPool;
 
+/// The exported U row store a model reads U from when U stays on disk
+/// (DiskBackedStore): straight through `reader`, or through `cached`
+/// when a buffer pool is configured. Exactly one is set; they are shared
+/// so the disk layout can report their counters.
+struct URowStore {
+  std::shared_ptr<RowStoreReader> reader;
+  std::shared_ptr<CachedRowReader> cached;
+
+  const RowStoreReader& file() const {
+    return cached ? cached->reader() : *reader;
+  }
+};
+
 /// The "plain SVD" compressed representation of Section 3.4: the top-k
 /// principal components. Holds U (N x k), the k singular values, and
 /// V (M x k); a cell is reconstructed with Eq. 12 in O(k).
-class SvdModel : public CompressedStore {
+///
+/// U's rows live in memory or, for a model over the exported row store
+/// (OverRowStore), on disk. Every reconstruction and aggregate reads
+/// them through one accessor, so the arithmetic is written once: an
+/// in-memory row is a zero-copy f64 view, a stored row is consumed in
+/// its stored encoding (fused dequantizing kernels for cells and rows,
+/// decoded doubles for regions and row sums).
+class SvdModel final : public CompressedStore {
  public:
   SvdModel() = default;
   SvdModel(Matrix u, std::vector<double> singular_values, Matrix v);
 
-  std::size_t rows() const override { return u_.rows(); }
+  /// A model whose U stays in `u_rows`: every U-row read goes through
+  /// the row store (one read per row), so reconstructions and aggregates
+  /// can fail with the read's Status. The block sums come from one
+  /// sequential pass over the file, charged to no serving counter. The
+  /// operations that need U in memory (u(), ProjectRow, FoldInRows,
+  /// QuantizeToFloat, ApplyQuantization, Serialize) refuse such a model.
+  static StatusOr<SvdModel> OverRowStore(URowStore u_rows,
+                                         std::vector<double> singular_values,
+                                         Matrix v);
+
+  std::size_t rows() const override {
+    return u_on_disk() ? u_rows_.file().rows() : u_.rows();
+  }
   std::size_t cols() const override { return v_.rows(); }
   std::size_t k() const { return singular_values_.size(); }
+  /// Whether U's rows are read from the row store rather than memory.
+  bool u_on_disk() const { return u_rows_.reader || u_rows_.cached; }
 
+  /// The plain forms abort on a failed U-row read; serving paths use the
+  /// Status forms (TryReconstructCell, TryReconstructRow,
+  /// ReconstructRegion). The Try forms return OUT_OF_RANGE for a bad id;
+  /// the plain cell and ReconstructRegion require ids in range (checked
+  /// in debug builds only; the planner's runs are in range), and on disk
+  /// an out-of-range region row is still the reader's OUT_OF_RANGE.
   double ReconstructCell(std::size_t row, std::size_t col) const override;
   void ReconstructRow(std::size_t row, std::span<double> out) const override;
-  void ReconstructCells(std::span<const CellRef> cells,
-                        std::span<double> out) const override;
-  void ReconstructRegion(std::span<const std::size_t> row_ids,
-                         std::span<const std::size_t> col_ids,
-                         Matrix* out) const override;
+  StatusOr<double> TryReconstructCell(std::size_t row, std::size_t col) const;
+  Status TryReconstructRow(std::size_t row, std::span<double> out) const;
+  Status ReconstructRegion(std::span<const std::size_t> row_ids,
+                           std::span<const std::size_t> col_ids,
+                           Matrix* out) const override;
 
   std::uint64_t CompressedBytes() const override;
   std::string MethodName() const override { return "svd"; }
 
-  const Matrix& u() const { return u_; }
+  const Matrix& u() const {
+    TSC_CHECK(!u_on_disk()) << "U of a model over the row store";
+    return u_;
+  }
   const std::vector<double>& singular_values() const {
     return singular_values_;
   }
@@ -60,11 +106,16 @@ class SvdModel : public CompressedStore {
   static constexpr std::size_t kRowSuperblock = RowBlockSums::kRowSuperblock;
 
   /// Adds sum_{i in runs} u_i to out[0..k) (+=, caller zeroes) from U's
-  /// block sums (RowBlockSums::Accumulate; the ragged end rows come
-  /// straight from U). `runs` must be sorted, disjoint and within
-  /// rows(). Returns the number of k-vectors read.
-  std::uint64_t AccumulateRowMass(std::span<const IdRange> runs,
-                                  std::span<double> out) const;
+  /// block sums (RowBlockSums::Accumulate; the ragged end rows are read
+  /// through the U-row accessor). `runs` must be sorted, disjoint and
+  /// within rows(). Returns the number of k-vectors read.
+  StatusOr<std::uint64_t> AccumulateRowMass(std::span<const IdRange> runs,
+                                            std::span<double> out) const;
+  /// Appends dot(u_i, weights) to `out` for every i in `runs`, in order,
+  /// one U-row read each.
+  Status AppendRowDots(std::span<const IdRange> runs,
+                       std::span<const double> weights,
+                       std::vector<double>* out) const;
 
   /// Coordinates of sequence `row` in SVD space (Observation 3.4:
   /// the row of U x Lambda); the first 2-3 entries drive the Appendix A
@@ -121,7 +172,7 @@ class SvdModel : public CompressedStore {
   Status SaveToFile(const std::string& path) const;
   static StatusOr<SvdModel> LoadFromFile(const std::string& path);
 
- protected:
+ private:
   /// Recomputes weighted_v_ from v_ and singular_values_; call after any
   /// mutation of the right factor (construction, quantization).
   void RebuildWeightedV();
@@ -129,7 +180,37 @@ class SvdModel : public CompressedStore {
   /// (construction, quantization, fold-in).
   void RebuildBlockSums();
 
-  Matrix u_;
+  /// Row i of U into `*row`: a zero-copy f64 view of u_ in memory; from
+  /// the row store otherwise, in its stored encoding (in place under
+  /// mmap, else in `scratch`, sized by URowScratch()). Inline, so the
+  /// in-memory view costs no call.
+  Status URow(std::size_t i, std::span<std::uint8_t> scratch,
+              QuantRowView* row) const {
+    if (!u_on_disk()) {
+      *row = MemoryURow(i);
+      return Status::Ok();
+    }
+    StatusOr<QuantRowView> read =
+        u_rows_.cached ? u_rows_.cached->ReadQuantRow(i, scratch)
+                       : u_rows_.reader->ReadQuantRow(i, scratch);
+    if (!read.ok()) return read.status();
+    *row = *read;
+    return Status::Ok();
+  }
+  /// Row i of the in-memory U as an f64 view (requires !u_on_disk()).
+  QuantRowView MemoryURow(std::size_t i) const {
+    return QuantRowView{QuantScheme::kF64, u_.Row(i).data(), 1.0, 0.0,
+                        u_.cols()};
+  }
+  /// Scratch for URow: one stored row on disk, empty in memory.
+  std::vector<std::uint8_t> URowScratch() const;
+  /// Calls fn(u_i) for i in [lo, hi), u_i as k doubles (in place for f64
+  /// rows, decoded otherwise). Stops at the first failed read.
+  template <typename Fn>
+  Status ForEachDecodedURow(std::size_t lo, std::size_t hi, Fn&& fn) const;
+
+  Matrix u_;  ///< empty when u_on_disk()
+  URowStore u_rows_;
   std::vector<double> singular_values_;
   Matrix v_;
   /// Derived caches, never serialized nor charged in CompressedBytes.

@@ -237,15 +237,11 @@ std::vector<std::size_t> ChooseCandidates(std::size_t k_max,
 SvddModel::SvddModel(SvdModel svd, DeltaIndex deltas)
     : svd_(std::move(svd)), deltas_(std::move(deltas)) {}
 
-Status SvddModel::AppendRowDots(std::span<const IdRange> runs,
-                               std::span<const double> weights,
-                               std::vector<double>* out) const {
-  const Matrix& u = svd_.u();
-  const std::size_t kk = k();
-  ForEachId(runs, [&](std::size_t i) {
-    out->push_back(kernels::Dot(u.Row(i).data(), weights.data(), kk));
-  });
-  return Status::Ok();
+StatusOr<double> SvddModel::TryReconstructCell(std::size_t row,
+                                               std::size_t col) const {
+  TSC_ASSIGN_OR_RETURN(const double base, svd_.TryReconstructCell(row, col));
+  const std::optional<double> delta = deltas()->Find(row, col);
+  return delta.has_value() ? base + *delta : base;
 }
 
 double SvddModel::ReconstructCell(std::size_t row, std::size_t col) const {
@@ -254,28 +250,23 @@ double SvddModel::ReconstructCell(std::size_t row, std::size_t col) const {
   return delta.has_value() ? base + *delta : base;
 }
 
-void SvddModel::ReconstructRow(std::size_t row, std::span<double> out) const {
-  svd_.ReconstructRow(row, out);
+Status SvddModel::TryReconstructRow(std::size_t row,
+                                    std::span<double> out) const {
+  TSC_RETURN_IF_ERROR(svd_.TryReconstructRow(row, out));
   deltas()->AddToRow(row, out);
+  return Status::Ok();
 }
 
-void SvddModel::ReconstructCells(std::span<const CellRef> cells,
-                                 std::span<double> out) const {
-  svd_.ReconstructCells(cells, out);
-  const std::shared_ptr<const DeltaIndex> index = deltas();
-  if (index->empty()) return;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const std::optional<double> delta =
-        index->Find(cells[i].row, cells[i].col);
-    if (delta.has_value()) out[i] += *delta;
-  }
+void SvddModel::ReconstructRow(std::size_t row, std::span<double> out) const {
+  TSC_CHECK_OK(TryReconstructRow(row, out));
 }
 
-void SvddModel::ReconstructRegion(std::span<const std::size_t> row_ids,
-                                  std::span<const std::size_t> col_ids,
-                                  Matrix* out) const {
-  svd_.ReconstructRegion(row_ids, col_ids, out);
+Status SvddModel::ReconstructRegion(std::span<const std::size_t> row_ids,
+                                    std::span<const std::size_t> col_ids,
+                                    Matrix* out) const {
+  TSC_RETURN_IF_ERROR(svd_.ReconstructRegion(row_ids, col_ids, out));
   deltas()->AddToRegion(row_ids, col_ids, out);
+  return Status::Ok();
 }
 
 std::uint64_t SvddModel::CompressedBytes() const {
@@ -291,10 +282,8 @@ SvdModel::FoldInStats SvddModel::FoldInRows(const Matrix& new_rows) {
 
 Status SvddModel::PatchCell(std::size_t row, std::size_t col,
                             double exact_value) {
-  if (row >= rows() || col >= cols()) {
-    return Status::OutOfRange("cell out of range");
-  }
-  const double delta = exact_value - svd_.ReconstructCell(row, col);
+  TSC_ASSIGN_OR_RETURN(const double base, svd_.TryReconstructCell(row, col));
+  const double delta = exact_value - base;
   if (!std::isfinite(delta)) {
     return Status::InvalidArgument("patch value is not finite");
   }

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/compressed_domain.h"
 #include "core/compressed_store.h"
 #include "core/space_budget.h"
 #include "core/svd_compressor.h"
@@ -39,48 +38,52 @@ enum class SvddBuildEngine {
 /// snapshot and answers from it alone. FoldInRows is an offline batch
 /// operation and must not race anything.
 ///
-/// The model is its own compressed domain: linear aggregates read U's
-/// block sums and rows from memory.
-class SvddModel final : public CompressedStore, public CompressedDomain {
+/// The model is the compressed domain linear aggregates read (DESIGN.md
+/// §14), whether U's rows are in memory or in the exported row store
+/// (SvdModel::OverRowStore, opened by DiskBackedStore): its k,
+/// weighted_v, AccumulateRowMass, AppendRowDots and delta snapshot.
+class SvddModel final : public CompressedStore {
  public:
   SvddModel() = default;
   SvddModel(SvdModel svd, DeltaIndex deltas);
 
   std::size_t rows() const override { return svd_.rows(); }
   std::size_t cols() const override { return svd_.cols(); }
-  std::size_t k() const override { return svd_.k(); }
+  std::size_t k() const { return svd_.k(); }
   std::size_t delta_count() const { return deltas()->size(); }
 
+  /// As in SvdModel: the plain forms abort on a failed U-row read, the
+  /// Status forms (and ReconstructRegion) return it.
   double ReconstructCell(std::size_t row, std::size_t col) const override;
   void ReconstructRow(std::size_t row, std::span<double> out) const override;
-  void ReconstructCells(std::span<const CellRef> cells,
-                        std::span<double> out) const override;
-  void ReconstructRegion(std::span<const std::size_t> row_ids,
-                         std::span<const std::size_t> col_ids,
-                         Matrix* out) const override;
+  StatusOr<double> TryReconstructCell(std::size_t row, std::size_t col) const;
+  Status TryReconstructRow(std::size_t row, std::span<double> out) const;
+  Status ReconstructRegion(std::span<const std::size_t> row_ids,
+                           std::span<const std::size_t> col_ids,
+                           Matrix* out) const override;
 
   /// SVD footprint plus packed delta pairs. The index's two orientations
   /// are main-memory acceleration structures, reported by
   /// DeltaIndex::RowIndexBytes/ColumnIndexBytes and not charged here.
   std::uint64_t CompressedBytes() const override;
   std::string MethodName() const override { return "svdd"; }
-  const CompressedDomain* compressed_domain() const override { return this; }
+  const SvddModel* compressed_domain() const override { return this; }
 
   const SvdModel& svd() const { return svd_; }
   /// The current delta snapshot; it stays valid (and unchanged) for as
   /// long as the caller holds it.
-  std::shared_ptr<const DeltaIndex> deltas() const override {
-    return deltas_.Load();
-  }
+  std::shared_ptr<const DeltaIndex> deltas() const { return deltas_.Load(); }
 
-  const Matrix& weighted_v() const override { return svd_.weighted_v(); }
-  StatusOr<std::uint64_t> AccumulateRowMass(
-      std::span<const IdRange> runs, std::span<double> out) const override {
+  const Matrix& weighted_v() const { return svd_.weighted_v(); }
+  StatusOr<std::uint64_t> AccumulateRowMass(std::span<const IdRange> runs,
+                                            std::span<double> out) const {
     return svd_.AccumulateRowMass(runs, out);
   }
   Status AppendRowDots(std::span<const IdRange> runs,
                        std::span<const double> weights,
-                       std::vector<double>* out) const override;
+                       std::vector<double>* out) const {
+    return svd_.AppendRowDots(runs, weights, out);
+  }
 
   /// Batched off-line appends: folds new sequences in via the frozen
   /// subspace (see SvdModel::FoldInRows). New rows get no deltas; patch

@@ -5,7 +5,7 @@
 #include <memory>
 #include <span>
 
-#include "core/compressed_domain.h"
+#include "core/svdd_compressor.h"
 #include "util/id_range.h"
 #include "util/status.h"
 
@@ -20,8 +20,8 @@ struct RollupStats {
 };
 
 /// Linear aggregates over the compressed domain, as a stateless view of
-/// an SVDD model in memory or on disk: the selected rows' U mass comes
-/// from U's block sums (CompressedDomain::AccumulateRowMass), the
+/// an SVDD model whose U is in memory or on disk: the selected rows' U
+/// mass comes from U's block sums (SvddModel::AccumulateRowMass), the
 /// columns' mass is a direct sum of Lambda-weighted V rows, and the
 /// deltas come from the domain's current DeltaIndex snapshot. The view
 /// holds nothing of its own, so patches and fold-ins need no
@@ -33,10 +33,9 @@ struct RollupStats {
 ///       + sum_{(i,j) in R x C} delta(i,j)
 class AggregateHierarchy {
  public:
-  /// The domain must outlive the view and not move (the same contract
+  /// The model must outlive the view and not move (the same contract
   /// the QueryExecutor already imposes on its store).
-  static std::shared_ptr<AggregateHierarchy> Build(
-      const CompressedDomain& domain);
+  static std::shared_ptr<AggregateHierarchy> Build(const SvddModel& model);
 
   /// The headline query: sum over the region, deltas folded. A failed
   /// U-row read (disk layout) is the error.
@@ -45,10 +44,9 @@ class AggregateHierarchy {
                              RollupStats* stats) const;
 
  private:
-  explicit AggregateHierarchy(const CompressedDomain& domain)
-      : domain_(&domain) {}
+  explicit AggregateHierarchy(const SvddModel& model) : model_(&model) {}
 
-  const CompressedDomain* domain_;
+  const SvddModel* model_;
 };
 
 }  // namespace tsc

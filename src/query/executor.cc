@@ -102,7 +102,7 @@ bool IsLinearAggregate(AggregateFn fn) {
 /// its column running sums. The runs are the plan's (sorted, disjoint).
 /// On the disk layout a failed U-row read is the error.
 StatusOr<std::vector<double>> CompressedDomainSums(
-    const CompressedDomain& domain, const AggregateHierarchy& view,
+    const SvddModel& domain, const AggregateHierarchy& view,
     std::span<const IdRange> row_runs, std::span<const IdRange> col_runs,
     GroupBy group_by, RollupStats* stats) {
   if (group_by == GroupBy::kNone) {
@@ -140,7 +140,7 @@ StatusOr<std::vector<double>> CompressedDomainSums(
 /// the row-reconstruction strategy, compressed-domain sums for the rest.
 class ResultBuilder {
  public:
-  ResultBuilder(const QueryPlan& plan, const CompressedDomain* domain,
+  ResultBuilder(const QueryPlan& plan, const SvddModel* domain,
                 const AggregateHierarchy* view = nullptr,
                 RollupStats* stats = nullptr)
       : plan_(plan), domain_(domain), view_(view), stats_(stats) {}
@@ -218,7 +218,7 @@ class ResultBuilder {
 
  private:
   const QueryPlan& plan_;
-  const CompressedDomain* domain_;
+  const SvddModel* domain_;
   const AggregateHierarchy* view_;
   RollupStats* stats_;
 };
@@ -252,11 +252,13 @@ void ForEachWindow(std::span<const IdRange> runs, Fn&& fn) {
 /// run on a pool (each walking every window) or inline, where one pass
 /// flushes every shard's block of a window before moving on, so each U
 /// block is fetched once however small the block cache. The result is
-/// therefore bit-identical for every thread count.
-std::vector<GroupAcc> ScanGroupsBatched(const QueryPlan& plan,
-                                        const CompressedStore& store,
-                                        ThreadPool* pool,
-                                        std::uint64_t* rows_scanned) {
+/// therefore bit-identical for every thread count. A failed
+/// reconstruction (a U-row read on disk) stops its shard and is the
+/// error; with several, the lowest shard's.
+StatusOr<std::vector<GroupAcc>> ScanGroupsBatched(const QueryPlan& plan,
+                                                  const CompressedStore& store,
+                                                  ThreadPool* pool,
+                                                  std::uint64_t* rows_scanned) {
   static obs::Counter& batch_cells =
       obs::MetricRegistry::Default().GetCounter("query.batch_cells");
   obs::TraceSpan span("query.scan");
@@ -276,8 +278,8 @@ std::vector<GroupAcc> ScanGroupsBatched(const QueryPlan& plan,
     for (std::size_t b = shard; b < ids.size(); b += kQueryShards) {
       rows->push_back(ids[b]);
     }
-    if (rows->empty()) return;
-    store.ReconstructRegion(*rows, col_ids, block);
+    if (rows->empty()) return Status::Ok();
+    TSC_RETURN_IF_ERROR(store.ReconstructRegion(*rows, col_ids, block));
     batch_cells.Add(rows->size() * col_ids.size());
     std::vector<GroupAcc>& accs = shard_accs[shard];
     for (std::size_t b = 0; b < rows->size(); ++b) {
@@ -299,6 +301,16 @@ std::vector<GroupAcc> ScanGroupsBatched(const QueryPlan& plan,
         if (keep_values) accs[g].values.push_back(vals[c]);
       }
     }
+    return Status::Ok();
+  };
+  // Per shard, its first failure; a failed shard skips its later blocks.
+  std::vector<Status> shard_status(kQueryShards);
+  const auto run_block = [&](std::size_t shard, std::size_t first,
+                             std::span<const std::size_t> ids, Matrix* block,
+                             std::vector<std::size_t>* rows) {
+    if (shard_status[shard].ok()) {
+      shard_status[shard] = scan_block(shard, first, ids, block, rows);
+    }
   };
   if (pool == nullptr) {
     Matrix block;
@@ -306,7 +318,7 @@ std::vector<GroupAcc> ScanGroupsBatched(const QueryPlan& plan,
     ForEachWindow(plan.row_runs, [&](std::size_t first,
                                      std::span<const std::size_t> ids) {
       for (std::size_t shard = 0; shard < kQueryShards; ++shard) {
-        scan_block(shard, first, ids, &block, &rows);
+        run_block(shard, first, ids, &block, &rows);
       }
     });
   } else {
@@ -320,10 +332,11 @@ std::vector<GroupAcc> ScanGroupsBatched(const QueryPlan& plan,
       std::vector<std::size_t> rows;
       ForEachWindow(plan.row_runs, [&](std::size_t first,
                                        std::span<const std::size_t> ids) {
-        scan_block(shard, first, ids, &block, &rows);
+        run_block(shard, first, ids, &block, &rows);
       });
     });
   }
+  for (const Status& status : shard_status) TSC_RETURN_IF_ERROR(status);
   *rows_scanned += plan.RowCount();
   // Ordered reduction: shard 0, shard 1, ... — the merge order is part of
   // the determinism contract.
@@ -477,8 +490,9 @@ StatusOr<QueryResult> QueryExecutor::ExecutePlan(const QueryPlan& plan) const {
   std::uint64_t rows_scanned = 0;
   std::vector<GroupAcc> group_stats(plan.GroupCount());
   if (any_reconstruction) {
-    group_stats =
-        ScanGroupsBatched(plan, *store_, pool_.get(), &rows_scanned);
+    TSC_ASSIGN_OR_RETURN(
+        group_stats,
+        ScanGroupsBatched(plan, *store_, pool_.get(), &rows_scanned));
   }
   RollupStats agg_stats;
   const ResultBuilder builder(plan, domain_, rollup_.get(), &agg_stats);

@@ -55,11 +55,11 @@ struct QueryResult {
 };
 
 /// Runs ad hoc SQL-ish queries against a compressed model. Linear
-/// aggregates run in the compressed domain whenever the store has one
-/// (CompressedStore::compressed_domain: the SVDD model in memory, or
-/// the disk layout's view), with delta folding; everything else goes
-/// through batched region reconstruction on the CompressedStore
-/// interface.
+/// aggregates run in the compressed domain whenever the store is an SVDD
+/// model (CompressedStore::compressed_domain, whether U is in memory or
+/// on disk), with delta folding; everything else goes through batched
+/// region reconstruction on the CompressedStore interface, whose failed
+/// U-row reads come back as the query's Status.
 ///
 /// Row-reconstruction scans are dealt to a fixed number of shards and
 /// reduced in shard order, so for a given model the result is bitwise
@@ -98,7 +98,7 @@ class QueryExecutor {
  private:
   const CompressedStore* store_;
   /// The store's compressed domain; non-null enables the fast path.
-  const CompressedDomain* domain_ = nullptr;
+  const SvddModel* domain_ = nullptr;
   std::shared_ptr<ThreadPool> pool_;  ///< null = scan on the calling thread
   /// View over domain_ (null without one); it reads the model's current
   /// state per query, so patches need no notification.

@@ -602,13 +602,24 @@ std::string QueryServer::RouteApi(const HttpRequest& request,
   // ParseRowsParam has range-checked both coordinates against the store.
   const std::size_t r = (*row)[0].lo;
   const std::size_t c = (*col)[0].lo;
-  JsonWriter json;
-  json.BeginObject();
-  json.KV("row", static_cast<std::uint64_t>(r));
-  json.KV("col", static_cast<std::uint64_t>(c));
-  json.KV("value", store_->ReconstructCell(r, c));
-  json.EndObject();
-  body = json.str();
+  // An SVDD model reads the cell through its Status form: with U on disk
+  // a failed read is an error status, never a number.
+  const SvddModel* model = store_->compressed_domain();
+  const StatusOr<double> value = model != nullptr
+                                     ? model->TryReconstructCell(r, c)
+                                     : store_->ReconstructCell(r, c);
+  if (!value.ok()) {
+    *status_out = StatusToHttp(value.status());
+    body = JsonError(value.status().message());
+  } else {
+    JsonWriter json;
+    json.BeginObject();
+    json.KV("row", static_cast<std::uint64_t>(r));
+    json.KV("col", static_cast<std::uint64_t>(c));
+    json.KV("value", *value);
+    json.EndObject();
+    body = json.str();
+  }
   EndpointLatency("cell").Record(
       std::chrono::duration<double, std::micro>(Clock::now() - started)
           .count());

@@ -3,8 +3,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,9 +53,10 @@ class DiskBackedTest : public ::testing::Test {
 TEST_F(DiskBackedTest, OpenValidatesDims) {
   auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
   ASSERT_TRUE(store.ok());
-  EXPECT_EQ(store->rows(), model_.rows());
-  EXPECT_EQ(store->cols(), model_.cols());
-  EXPECT_EQ(store->k(), model_.k());
+  EXPECT_EQ(store->model().rows(), model_.rows());
+  EXPECT_EQ(store->model().cols(), model_.cols());
+  EXPECT_EQ(store->model().k(), model_.k());
+  EXPECT_TRUE(store->model().svd().u_on_disk());
 }
 
 TEST_F(DiskBackedTest, CellsMatchInMemoryModel) {
@@ -84,11 +87,11 @@ TEST_F(DiskBackedTest, OneDiskAccessPerCell) {
 TEST_F(DiskBackedTest, RowReconstructionSingleAccess) {
   auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
   ASSERT_TRUE(store.ok());
-  std::vector<double> row(store->cols());
+  std::vector<double> row(model_.cols());
   store->ResetCounters();
-  ASSERT_TRUE(store->ReconstructRow(42, row).ok());
+  ASSERT_TRUE(store->model().TryReconstructRow(42, row).ok());
   EXPECT_EQ(store->disk_accesses(), 1u);
-  for (std::size_t j = 0; j < store->cols(); ++j) {
+  for (std::size_t j = 0; j < model_.cols(); ++j) {
     EXPECT_NEAR(row[j], model_.ReconstructCell(42, j), 1e-12);
   }
 }
@@ -101,28 +104,44 @@ TEST_F(DiskBackedTest, OutOfRangeRejected) {
   EXPECT_EQ(store->ReconstructCell(0, 40).status().code(),
             StatusCode::kOutOfRange);
   std::vector<double> row(40);
-  EXPECT_EQ(store->ReconstructRow(150, row).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(store->model().TryReconstructRow(150, row).code(),
+            StatusCode::kOutOfRange);
+  // A region requires in-range ids and checks them only in debug builds.
+  // In release builds a bad row still fails, but with the row reader's
+  // OUT_OF_RANGE: the region code itself does not check.
+  Matrix region;
+  const std::vector<std::size_t> ids = {0, 150};
+#ifdef NDEBUG
+  EXPECT_EQ(store->model().ReconstructRegion(ids, {ids.data(), 1}, &region)
+                .code(),
+            StatusCode::kOutOfRange);
+#else
+  EXPECT_DEATH((void)store->model().ReconstructRegion(ids, {ids.data(), 1},
+                                                      &region),
+               "");
+#endif
 }
 
 TEST_F(DiskBackedTest, BatchedCellsMatchPerCellPath) {
+  // The cell path and the region path over the same cells agree, with
+  // and without a buffer pool.
   for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{64}}) {
     DiskBackedOptions options;
     options.cache_blocks = cache_blocks;
     auto store = DiskBackedStore::Open(u_path_, sidecar_path_, options);
     ASSERT_TRUE(store.ok()) << "cache_blocks=" << cache_blocks;
-    std::vector<CellRef> cells;
-    for (std::size_t i = 0; i < 150; i += 7) {
-      for (std::size_t j = 0; j < 40; j += 11) cells.push_back({i, j});
-    }
-    std::vector<double> batched(cells.size());
-    ASSERT_TRUE(store->ReconstructCells(cells, batched).ok());
-    for (std::size_t n = 0; n < cells.size(); ++n) {
-      const auto single =
-          store->ReconstructCell(cells[n].row, cells[n].col);
-      ASSERT_TRUE(single.ok());
-      EXPECT_EQ(batched[n], *single);
-      EXPECT_NEAR(batched[n],
-                  model_.ReconstructCell(cells[n].row, cells[n].col), 1e-12);
+    std::vector<std::size_t> rows;
+    for (std::size_t i = 0; i < 150; i += 7) rows.push_back(i);
+    const std::vector<std::size_t> cols = {0, 11, 22, 33};
+    Matrix region;
+    ASSERT_TRUE(store->model().ReconstructRegion(rows, cols, &region).ok());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (std::size_t c = 0; c < cols.size(); ++c) {
+        const auto single = store->ReconstructCell(rows[r], cols[c]);
+        ASSERT_TRUE(single.ok());
+        EXPECT_NEAR(region(r, c), *single, 1e-12);
+        EXPECT_EQ(*single, model_.ReconstructCell(rows[r], cols[c]));
+      }
     }
   }
 }
@@ -133,21 +152,21 @@ TEST_F(DiskBackedTest, DuplicateCellsSeeDeltasInSweepPath) {
   // earlier table-sweep path kept only the first).
   auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
   ASSERT_TRUE(store.ok());
-  ASSERT_GT(store->deltas().size(), 0u);
-  std::vector<CellRef> cells;
-  store->deltas().ForEach([&](std::size_t row, std::size_t col, double) {
-    cells.push_back({row, col});
-    cells.push_back({row, col});  // duplicate occurrence
+  const std::shared_ptr<const DeltaIndex> deltas = store->model().deltas();
+  ASSERT_GT(deltas->size(), 0u);
+  std::vector<std::pair<std::size_t, std::size_t>> cells;
+  deltas->ForEach([&](std::size_t row, std::size_t col, double) {
+    cells.emplace_back(row, col);
+    cells.emplace_back(row, col);  // duplicate occurrence
   });
-  std::vector<double> batched(cells.size());
-  ASSERT_TRUE(store->ReconstructCells(cells, batched).ok());
-  std::vector<double> model_batched(cells.size());
-  model_.ReconstructCells(cells, model_batched);
   for (std::size_t n = 0; n < cells.size(); ++n) {
-    const auto single = store->ReconstructCell(cells[n].row, cells[n].col);
+    const auto [row, col] = cells[n];
+    const auto single = store->ReconstructCell(row, col);
     ASSERT_TRUE(single.ok());
-    EXPECT_EQ(batched[n], *single) << "cell " << n;
-    EXPECT_NEAR(model_batched[n], *single, 1e-12) << "cell " << n;
+    EXPECT_EQ(*single, model_.ReconstructCell(row, col)) << "cell " << n;
+    std::vector<double> full_row(model_.cols());
+    ASSERT_TRUE(store->model().TryReconstructRow(row, full_row).ok());
+    EXPECT_NEAR(full_row[col], *single, 1e-12) << "cell " << n;
   }
 }
 
@@ -170,9 +189,9 @@ TEST_F(DiskBackedTest, DuplicateRegionIdsSeeDeltasInSweepPath) {
   std::vector<std::size_t> cols(data_.cols());
   std::iota(cols.begin(), cols.end(), std::size_t{0});
   Matrix region;
-  ASSERT_TRUE(store->ReconstructRegion(rows, cols, &region).ok());
+  ASSERT_TRUE(store->model().ReconstructRegion(rows, cols, &region).ok());
   Matrix model_region;
-  model_.ReconstructRegion(rows, cols, &model_region);
+  ASSERT_TRUE(model_.ReconstructRegion(rows, cols, &model_region).ok());
   const std::size_t dup = rows.size() - 1;
   for (std::size_t c = 0; c < cols.size(); ++c) {
     const auto want = store->ReconstructCell(delta_row, c);
@@ -223,9 +242,9 @@ TEST_F(DiskBackedTest, BatchedRegionMatchesModel) {
   const std::vector<std::size_t> rows = {0, 3, 9, 77, 149};
   const std::vector<std::size_t> cols = {1, 5, 39};
   Matrix region;
-  ASSERT_TRUE(store->ReconstructRegion(rows, cols, &region).ok());
+  ASSERT_TRUE(store->model().ReconstructRegion(rows, cols, &region).ok());
   Matrix want;
-  model_.ReconstructRegion(rows, cols, &want);
+  ASSERT_TRUE(model_.ReconstructRegion(rows, cols, &want).ok());
   ASSERT_EQ(region.rows(), want.rows());
   ASSERT_EQ(region.cols(), want.cols());
   for (std::size_t r = 0; r < want.rows(); ++r) {
@@ -257,8 +276,9 @@ TEST_F(DiskBackedTest, ViewDelegatesWithPrefetchHook) {
   auto store = DiskBackedStore::Open(u_path_, sidecar_path_, options);
   ASSERT_TRUE(store.ok());
   const DiskBackedStoreView view(&*store);
-  EXPECT_EQ(view.rows(), store->rows());
-  EXPECT_EQ(view.cols(), store->cols());
+  EXPECT_EQ(view.rows(), model_.rows());
+  EXPECT_EQ(view.cols(), model_.cols());
+  EXPECT_EQ(view.compressed_domain(), &store->model());
   EXPECT_EQ(view.MethodName(), "svdd-disk");
   EXPECT_NEAR(view.ReconstructCell(10, 10),
               model_.ReconstructCell(10, 10), 1e-12);

@@ -4,11 +4,13 @@
 // the full instrumented path — executor stage histograms and counters,
 // plus the delta-index instruments reached during reconstruction.
 //
-// Methodology: many short measurement segments, strictly alternating
-// configurations so both sample the same machine conditions, scored by
-// the per-configuration minimum (the minimum filters scheduler noise far
-// better than the mean). Skips rather than flakes when the machine is
-// too noisy for the comparison to mean anything.
+// Methodology: many adjacent pairs of short measurement segments, one
+// segment per configuration with the order alternating pair by pair,
+// scored by the median of the pairs' enabled/disabled ratios: a pair
+// shares the machine's state of the moment, so drift and load from
+// parallel tests cancel within it, and the median over many pairs
+// ignores the pairs a burst of noise hit. Skips rather than flakes when
+// the pair ratios spread too widely to support the comparison.
 
 #include <algorithm>
 #include <cstdio>
@@ -29,7 +31,7 @@
 namespace tsc {
 namespace {
 
-constexpr int kSegmentsPerConfig = 24;
+constexpr int kPairs = 48;
 
 double MeasureSegmentMicros(const QueryExecutor& executor,
                             const std::vector<std::string>& queries) {
@@ -78,35 +80,33 @@ TEST(ObsOverheadTest, InstrumentsCostUnderFivePercentOnCellQueries) {
     return micros;
   };
 
-  std::vector<double> disabled_segments;
-  double min_enabled = 1e300;
-  for (int segment = 0; segment < kSegmentsPerConfig; ++segment) {
-    // Alternate which configuration goes first so slow drift (thermal,
-    // background load) cancels instead of biasing one side.
-    if (segment % 2 == 0) {
-      disabled_segments.push_back(measure(false));
-      min_enabled = std::min(min_enabled, measure(true));
+  std::vector<double> pair_ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double disabled = 0.0;
+    double enabled = 0.0;
+    if (pair % 2 == 0) {
+      disabled = measure(false);
+      enabled = measure(true);
     } else {
-      min_enabled = std::min(min_enabled, measure(true));
-      disabled_segments.push_back(measure(false));
+      enabled = measure(true);
+      disabled = measure(false);
     }
+    pair_ratios.push_back(enabled / disabled);
   }
-  std::sort(disabled_segments.begin(), disabled_segments.end());
-  const double min_disabled = disabled_segments.front();
-  const double med_disabled = disabled_segments[disabled_segments.size() / 2];
-
-  // A baseline that won't sit still can't anchor a 5% comparison: if even
-  // the median disabled segment is 20% above the best one, scheduler noise
-  // dwarfs the effect being measured.
-  if (med_disabled > 1.2 * min_disabled) {
-    GTEST_SKIP() << "machine too noisy: disabled segments min "
-                 << min_disabled << " us, median " << med_disabled << " us";
+  // Noise check on the statistic itself: when the middle half of the
+  // pair ratios spans more than 10%, their median cannot resolve a 5%
+  // budget.
+  std::sort(pair_ratios.begin(), pair_ratios.end());
+  const std::size_t pairs = pair_ratios.size();
+  const double ratio = pair_ratios[pairs / 2];
+  const double spread = pair_ratios[pairs * 3 / 4] - pair_ratios[pairs / 4];
+  if (spread > 0.1) {
+    GTEST_SKIP() << "machine too noisy: pair ratios' interquartile range "
+                 << spread << ", median " << ratio;
   }
-
-  const double ratio = min_enabled / min_disabled;
-  std::printf("single-cell query overhead: disabled %.1f us, enabled "
-              "%.1f us, ratio %.4f\n",
-              min_disabled, min_enabled, ratio);
+  std::printf("single-cell query overhead: median pair ratio %.4f "
+              "(interquartile range %.4f)\n",
+              ratio, spread);
   EXPECT_LT(ratio, 1.05)
       << "instruments cost " << (ratio - 1.0) * 100.0
       << "% on the single-cell query path (budget: 5%)";

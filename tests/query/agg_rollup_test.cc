@@ -169,7 +169,7 @@ void ExpectRowMassMatchesNaive(const SvdModel& model,
       bound += 4 * 63 + (run.hi - run.lo + 1) / SvdModel::kRowSuperblock;
     }
     std::vector<double> mass(k, 0.0);
-    const std::uint64_t reads = model.AccumulateRowMass(runs, mass);
+    const std::uint64_t reads = model.AccumulateRowMass(runs, mass).value();
     std::ostringstream where;
     where << context << " n=" << n << " runs:";
     for (const IdRange& run : runs) where << " " << run.lo << ":" << run.hi;
@@ -183,7 +183,7 @@ void ExpectRowMassMatchesNaive(const SvdModel& model,
   // The full range reads nothing but superblocks, the last one short.
   std::vector<double> mass(k, 0.0);
   const IdRange all{0, n - 1};
-  EXPECT_EQ(model.AccumulateRowMass({&all, 1}, mass),
+  EXPECT_EQ(model.AccumulateRowMass({&all, 1}, mass).value(),
             (n + SvdModel::kRowSuperblock - 1) / SvdModel::kRowSuperblock)
       << context << " n=" << n;
 }

@@ -6,7 +6,6 @@
 // bit for bit.
 
 #include <cmath>
-#include <functional>
 #include <iterator>
 #include <map>
 #include <string>
@@ -67,80 +66,39 @@ std::vector<std::size_t> ShuffledIds(Rng& rng, std::size_t n,
   return ids;
 }
 
-/// Reconstructions of one store, with no error channel (in memory) or
-/// with one (on disk), behind the same four calls.
-struct Folds {
-  std::function<double(std::size_t, std::size_t)> cell;
-  std::function<void(std::size_t, std::span<double>)> row;
-  std::function<void(std::span<const CellRef>, std::span<double>)> cells;
-  std::function<void(std::span<const std::size_t>,
-                     std::span<const std::size_t>, Matrix*)>
-      region;
-};
-
-Folds InMemory(const SvddModel& model) {
-  return {[&](std::size_t i, std::size_t j) {
-            return model.ReconstructCell(i, j);
-          },
-          [&](std::size_t i, std::span<double> out) {
-            model.ReconstructRow(i, out);
-          },
-          [&](std::span<const CellRef> c, std::span<double> out) {
-            model.ReconstructCells(c, out);
-          },
-          [&](std::span<const std::size_t> r, std::span<const std::size_t> c,
-              Matrix* out) { model.ReconstructRegion(r, c, out); }};
-}
-
-Folds OnDisk(DiskBackedStore& store) {
-  return {[&](std::size_t i, std::size_t j) {
-            const StatusOr<double> value = store.ReconstructCell(i, j);
-            TSC_CHECK_OK(value.status());
-            return *value;
-          },
-          [&](std::size_t i, std::span<double> out) {
-            TSC_CHECK_OK(store.ReconstructRow(i, out));
-          },
-          [&](std::span<const CellRef> c, std::span<double> out) {
-            TSC_CHECK_OK(store.ReconstructCells(c, out));
-          },
-          [&](std::span<const std::size_t> r, std::span<const std::size_t> c,
-              Matrix* out) {
-            TSC_CHECK_OK(store.ReconstructRegion(r, c, out));
-          }};
-}
-
 /// `with` must be `bare` plus the oracle's delta, bit for bit, on every
-/// cell, row, cell batch and region.
-void ExpectFoldsMatch(const Folds& with, const Folds& bare,
+/// cell, row, repeated cell and region. Either model may read U from
+/// memory or from the disk layout: the same code serves both.
+void ExpectFoldsMatch(const SvddModel& with, const SvddModel& bare,
                       const Oracle& oracle, std::size_t rows,
                       std::size_t cols, Rng& rng) {
+  const auto cell = [](const SvddModel& model, std::size_t i, std::size_t j) {
+    const StatusOr<double> value = model.TryReconstructCell(i, j);
+    TSC_CHECK_OK(value.status());
+    return *value;
+  };
   std::vector<double> got(cols);
   std::vector<double> base(cols);
   for (std::size_t i = 0; i < rows; ++i) {
-    with.row(i, got);
-    bare.row(i, base);
+    ASSERT_TRUE(with.TryReconstructRow(i, got).ok());
+    ASSERT_TRUE(bare.TryReconstructRow(i, base).ok());
     for (std::size_t j = 0; j < cols; ++j) {
       ASSERT_EQ(got[j], Plus(base[j], oracle, i, j)) << "row " << i << "," << j;
-      ASSERT_EQ(with.cell(i, j), Plus(bare.cell(i, j), oracle, i, j))
+      ASSERT_EQ(cell(with, i, j), Plus(cell(bare, i, j), oracle, i, j))
           << "cell " << i << "," << j;
     }
   }
-  // Batches with unsorted and repeated cells, every stored cell twice.
-  std::vector<CellRef> cells;
-  for (const auto& [cell, delta] : oracle) {
-    cells.push_back({cell.first, cell.second});
-    cells.push_back({rng.UniformUint64(rows), rng.UniformUint64(cols)});
-    cells.push_back({cell.first, cell.second});
+  // Every stored cell twice, with random cells between.
+  std::vector<std::pair<std::size_t, std::size_t>> cells;
+  for (const auto& [stored, delta] : oracle) {
+    cells.push_back(stored);
+    cells.emplace_back(rng.UniformUint64(rows), rng.UniformUint64(cols));
+    cells.push_back(stored);
   }
-  std::vector<double> got_cells(cells.size());
-  std::vector<double> base_cells(cells.size());
-  with.cells(cells, got_cells);
-  bare.cells(cells, base_cells);
   for (std::size_t n = 0; n < cells.size(); ++n) {
-    ASSERT_EQ(got_cells[n],
-              Plus(base_cells[n], oracle, cells[n].row, cells[n].col))
-        << "batch cell " << n;
+    const auto [i, j] = cells[n];
+    ASSERT_EQ(cell(with, i, j), Plus(cell(bare, i, j), oracle, i, j))
+        << "repeated cell " << n;
   }
   for (int trial = 0; trial < 6; ++trial) {
     const std::vector<std::size_t> row_ids =
@@ -149,8 +107,8 @@ void ExpectFoldsMatch(const Folds& with, const Folds& bare,
         ShuffledIds(rng, cols, 3 + rng.UniformUint64(20));
     Matrix got_region;
     Matrix base_region;
-    with.region(row_ids, col_ids, &got_region);
-    bare.region(row_ids, col_ids, &base_region);
+    ASSERT_TRUE(with.ReconstructRegion(row_ids, col_ids, &got_region).ok());
+    ASSERT_TRUE(bare.ReconstructRegion(row_ids, col_ids, &base_region).ok());
     for (std::size_t r = 0; r < row_ids.size(); ++r) {
       for (std::size_t c = 0; c < col_ids.size(); ++c) {
         ASSERT_EQ(got_region(r, c),
@@ -223,8 +181,8 @@ class DeltaFoldTest : public ::testing::TestWithParam<FoldCase> {
 
   void ExpectInMemory(Rng& rng) {
     const SvddModel bare = Bare();
-    ExpectFoldsMatch(InMemory(model_), InMemory(bare), OracleOf(model_),
-                     model_.rows(), model_.cols(), rng);
+    ExpectFoldsMatch(model_, bare, OracleOf(model_), model_.rows(),
+                     model_.cols(), rng);
   }
 
   void ExpectOnDisk(Rng& rng) {
@@ -240,8 +198,8 @@ class DeltaFoldTest : public ::testing::TestWithParam<FoldCase> {
     auto bare_store = DiskBackedStore::Open(bare_u, bare_side);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE(bare_store.ok()) << bare_store.status().ToString();
-    EXPECT_EQ(store->deltas().size(), model_.delta_count());
-    ExpectFoldsMatch(OnDisk(*store), OnDisk(*bare_store), OracleOf(model_),
+    EXPECT_EQ(store->model().delta_count(), model_.delta_count());
+    ExpectFoldsMatch(store->model(), bare_store->model(), OracleOf(model_),
                      model_.rows(), model_.cols(), rng);
   }
 
@@ -393,12 +351,12 @@ TEST(DeltaLoaderTest, SidecarWithBloomSectionAnswersIdentically) {
   auto older = DiskBackedStore::Open(u_path, older_side);
   ASSERT_TRUE(current.ok()) << current.status().ToString();
   ASSERT_TRUE(older.ok()) << older.status().ToString();
-  EXPECT_EQ(older->deltas().size(), current->deltas().size());
+  EXPECT_EQ(older->model().delta_count(), current->model().delta_count());
   std::vector<double> a(x.cols());
   std::vector<double> b(x.cols());
   for (std::size_t i = 0; i < x.rows(); ++i) {
-    ASSERT_TRUE(current->ReconstructRow(i, a).ok());
-    ASSERT_TRUE(older->ReconstructRow(i, b).ok());
+    ASSERT_TRUE(current->model().TryReconstructRow(i, a).ok());
+    ASSERT_TRUE(older->model().TryReconstructRow(i, b).ok());
     EXPECT_EQ(a, b) << "row " << i;
   }
 }

@@ -267,21 +267,32 @@ TEST(DiskReadErrorTest, TruncatedUFileFailsTheCompressedPathWithAStatus) {
     auto store = DiskBackedStore::Open(u_path, sidecar, options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     std::filesystem::resize_file(u_path, 16);
-    const DiskBackedStoreView view(&*store);
-    const QueryExecutor executor(&view);
-    for (const char* query :
-         {"select sum(value) where row in 3:70 group by col",
-          "select sum(value) where row in 3:70 group by row",
-          "select sum(value), avg(value) where row in 3:70"}) {
-      const auto result = executor.Execute(query);
-      EXPECT_FALSE(result.ok()) << query << " cache=" << cache_blocks;
+    const SvddModel& served = store->model();
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      const QueryExecutor executor(&served, threads);
+      for (const char* query :
+           {"select sum(value) where row in 3:70 group by col",
+            "select sum(value) where row in 3:70 group by row",
+            "select sum(value), avg(value) where row in 3:70",
+            "select max(value) where row in 3:70",
+            "select max(value) where row in 5"}) {
+        const auto result = executor.Execute(query);
+        EXPECT_FALSE(result.ok())
+            << query << " cache=" << cache_blocks << " threads=" << threads;
+      }
+      for (const Params& params :
+           {Params{{"group", "avg"}, {"rows", "3:70"}, {"points", "4"}},
+            Params{{"group", "max"}, {"rows", "3:70"}}}) {
+        auto resolved = ResolveDataRequest(params, executor.rows(),
+                                           executor.cols(), DataApiLimits{});
+        ASSERT_TRUE(resolved.ok());
+        EXPECT_FALSE(ExecuteDataRequest(executor, *resolved).ok())
+            << params.at("group") << " cache=" << cache_blocks;
+      }
     }
-    auto resolved = ResolveDataRequest(
-        Params{{"group", "avg"}, {"rows", "3:70"}, {"points", "4"}},
-        executor.rows(), executor.cols(), DataApiLimits{});
-    ASSERT_TRUE(resolved.ok());
-    EXPECT_FALSE(ExecuteDataRequest(executor, *resolved).ok())
-        << "cache=" << cache_blocks;
+    EXPECT_FALSE(served.TryReconstructCell(5, 0).ok());
+    std::vector<double> row(served.cols());
+    EXPECT_FALSE(served.TryReconstructRow(5, row).ok());
     std::filesystem::remove(u_path);
     std::filesystem::remove(sidecar);
   }

@@ -25,14 +25,10 @@ class ScanOnlyStore final : public CompressedStore {
   void ReconstructRow(std::size_t row, std::span<double> out) const override {
     model_->ReconstructRow(row, out);
   }
-  void ReconstructCells(std::span<const CellRef> cells,
-                        std::span<double> out) const override {
-    model_->ReconstructCells(cells, out);
-  }
-  void ReconstructRegion(std::span<const std::size_t> row_ids,
-                         std::span<const std::size_t> col_ids,
-                         Matrix* out) const override {
-    model_->ReconstructRegion(row_ids, col_ids, out);
+  Status ReconstructRegion(std::span<const std::size_t> row_ids,
+                           std::span<const std::size_t> col_ids,
+                           Matrix* out) const override {
+    return model_->ReconstructRegion(row_ids, col_ids, out);
   }
   std::uint64_t CompressedBytes() const override {
     return model_->CompressedBytes();

@@ -114,20 +114,21 @@ TEST(DiskBackedStoreCacheTest, CachedModelRereadReportsZeroNewAccesses) {
   const std::string u_path = TempPath("cached_store_u.mat");
   const std::string side_path = TempPath("cached_store_side.bin");
   ASSERT_TRUE(ExportSvddToDisk(*model, u_path, side_path).ok());
-  auto store = DiskBackedStore::Open(u_path, side_path,
-                                     /*cache_blocks=*/512);
+  DiskBackedOptions disk_options;
+  disk_options.cache_blocks = 512;
+  auto store = DiskBackedStore::Open(u_path, side_path, disk_options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_TRUE(store->has_cache());
+  const SvddModel& served = store->model();
 
-  std::vector<double> row(store->cols());
-  for (std::size_t i = 0; i < store->rows(); ++i) {
-    ASSERT_TRUE(store->ReconstructRow(i, row).ok());
+  std::vector<double> row(served.cols());
+  for (std::size_t i = 0; i < served.rows(); ++i) {
+    ASSERT_TRUE(served.TryReconstructRow(i, row).ok());
   }
   const std::uint64_t cold_accesses = store->disk_accesses();
   EXPECT_GT(cold_accesses, 0u);
 
-  for (std::size_t i = 0; i < store->rows(); ++i) {
-    ASSERT_TRUE(store->ReconstructRow(i, row).ok());
+  for (std::size_t i = 0; i < served.rows(); ++i) {
+    ASSERT_TRUE(served.TryReconstructRow(i, row).ok());
     ASSERT_TRUE(store->ReconstructCell(i, 0).ok());
   }
   EXPECT_EQ(store->disk_accesses(), cold_accesses);

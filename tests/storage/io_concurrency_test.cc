@@ -107,23 +107,23 @@ TEST(IoConcurrencyTest, DiskBackedStoreParallelCells) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(300 + t);
-      std::vector<CellRef> cells(8);
-      std::vector<double> out(8);
+      const SvddModel& served = store->model();
+      std::vector<std::size_t> rows(8);
+      std::vector<std::size_t> cols(3);
+      Matrix region;
       for (int iter = 0; iter < 100; ++iter) {
         const std::size_t i =
-            static_cast<std::size_t>(rng.UniformUint64(store->rows()));
+            static_cast<std::size_t>(rng.UniformUint64(served.rows()));
         const std::size_t j =
-            static_cast<std::size_t>(rng.UniformUint64(store->cols()));
+            static_cast<std::size_t>(rng.UniformUint64(served.cols()));
         const auto value = store->ReconstructCell(i, j);
         if (!value.ok() ||
             std::abs(*value - model->ReconstructCell(i, j)) > 1e-9) {
           ++failures;
         }
-        for (auto& cell : cells) {
-          cell.row = static_cast<std::size_t>(rng.UniformUint64(store->rows()));
-          cell.col = static_cast<std::size_t>(rng.UniformUint64(store->cols()));
-        }
-        if (!store->ReconstructCells(cells, out).ok()) ++failures;
+        for (auto& row : rows) row = rng.UniformUint64(served.rows());
+        for (auto& col : cols) col = rng.UniformUint64(served.cols());
+        if (!served.ReconstructRegion(rows, cols, &region).ok()) ++failures;
       }
     });
   }

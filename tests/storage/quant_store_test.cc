@@ -430,28 +430,21 @@ TEST(QuantSvddTest, QuantizedBuildServesFromDiskWithinBudgetedError) {
       }
       std::vector<double> disk_row(m);
       std::vector<double> mem_row(m);
-      ASSERT_TRUE(store->ReconstructRow(17, disk_row).ok());
+      ASSERT_TRUE(store->model().TryReconstructRow(17, disk_row).ok());
       model->ReconstructRow(17, mem_row);
       for (std::size_t j = 0; j < m; ++j) {
         EXPECT_NEAR(disk_row[j], mem_row[j], 1e-9 * (1.0 + std::abs(mem_row[j])));
-      }
-      const std::vector<CellRef> cells = {{3, 3}, {3, 9}, {41, 0}, {3, 3}};
-      std::vector<double> batched(cells.size());
-      std::vector<double> mem_batched(cells.size());
-      ASSERT_TRUE(store->ReconstructCells(cells, batched).ok());
-      model->ReconstructCells(cells, mem_batched);
-      for (std::size_t q = 0; q < cells.size(); ++q) {
-        EXPECT_NEAR(batched[q], mem_batched[q],
-                    1e-9 * (1.0 + std::abs(mem_batched[q])));
       }
       const std::vector<std::size_t> region_rows = {2, 11, 47};
       const std::vector<std::size_t> region_cols = {0, 5, 6, 20};
       Matrix disk_region;
       Matrix mem_region;
+      ASSERT_TRUE(store->model()
+                      .ReconstructRegion(region_rows, region_cols, &disk_region)
+                      .ok());
       ASSERT_TRUE(
-          store->ReconstructRegion(region_rows, region_cols, &disk_region)
+          model->ReconstructRegion(region_rows, region_cols, &mem_region)
               .ok());
-      model->ReconstructRegion(region_rows, region_cols, &mem_region);
       for (std::size_t r = 0; r < region_rows.size(); ++r) {
         for (std::size_t c = 0; c < region_cols.size(); ++c) {
           EXPECT_NEAR(disk_region(r, c), mem_region(r, c),
@@ -470,7 +463,7 @@ TEST(QuantSvddTest, QuantizedBuildServesFromDiskWithinBudgetedError) {
     double max_err = 0.0;
     std::vector<double> row(m);
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(store->ReconstructRow(i, row).ok());
+      ASSERT_TRUE(store->model().TryReconstructRow(i, row).ok());
       for (std::size_t j = 0; j < m; ++j) {
         max_err = std::max(max_err, std::abs(row[j] - data(i, j)));
       }
@@ -480,9 +473,8 @@ TEST(QuantSvddTest, QuantizedBuildServesFromDiskWithinBudgetedError) {
       data_absmax = std::max(data_absmax, std::abs(v));
     }
     EXPECT_LE(max_err, 0.05 * data_absmax) << QuantSchemeName(scheme);
-    // The view's accounting charges the true quantized payload.
-    DiskBackedStoreView view(&*store);
-    EXPECT_EQ(view.CompressedBytes(),
+    // The served model's accounting charges the true quantized payload.
+    EXPECT_EQ(store->model().CompressedBytes(),
               static_cast<std::uint64_t>(n) * QuantRowStride(scheme, model->k()) +
                   (model->k() + model->k() * m) * sizeof(double) +
                   model->deltas()->PackedBytes());
