@@ -1,7 +1,7 @@
 // Answer dump: the reconstruction answers of one SVDD model, as raw
-// doubles, served from memory and from the two-file disk layout, so two
-// builds (or the two serving modes of one build) can be compared with
-// `cmp`.
+// doubles, served from memory and from the model file's disk layout, so
+// two builds (or the two serving modes of one build) can be compared
+// with `cmp`.
 //
 // Every dump holds, in order: every row; a cell batch (random cells, and
 // each delta cell twice); regions with unsorted, repeated ids; the
@@ -9,11 +9,11 @@
 // column) over runs that straddle the 64-row block and 4096-row
 // superblock edges; and max/min over ragged runs. It writes
 //   <out>/memory.bin                 the loaded model
-//   <out>/disk_c<N>_<backend>.bin    ExportSvddToDisk + DiskBackedStore,
+//   <out>/disk_c<N>_<backend>.bin    DiskBackedStore over the model file,
 //                                    cache 0 and 61 blocks, mmap and pread
 // With --compare it exits 1 unless every disk dump equals memory.bin byte
-// for byte (expected for f64, f32 and b=4 models; int16/int8 exports
-// re-derive each row's quant meta, so they differ in the last bits).
+// for byte (expected for every U encoding: the file stores the rows the
+// in-memory model decodes to).
 //
 // Flags: --model=FILE (required) --out=DIR (default .) --compare
 //
@@ -161,9 +161,6 @@ int main(int argc, char** argv) {
   TSC_CHECK_OK(WriteDoubles(out_dir + "/memory.bin", memory));
   std::printf("memory: %zu doubles\n", memory.size());
 
-  const std::string u_path = out_dir + "/answer_dump.u";
-  const std::string sidecar_path = out_dir + "/answer_dump.sidecar";
-  TSC_CHECK_OK(tsc::ExportSvddToDisk(*model, u_path, sidecar_path));
   std::vector<tsc::IoBackendKind> backends;
   if (tsc::MmapAvailable()) backends.push_back(tsc::IoBackendKind::kMmap);
   backends.push_back(tsc::IoBackendKind::kPread);
@@ -173,7 +170,7 @@ int main(int argc, char** argv) {
       tsc::DiskBackedOptions options;
       options.io_backend = backend;
       options.cache_blocks = cache_blocks;
-      auto store = tsc::DiskBackedStore::Open(u_path, sidecar_path, options);
+      auto store = tsc::DiskBackedStore::Open(model_path, options);
       TSC_CHECK_OK(store.status());
       std::vector<double> disk;
       TSC_CHECK_OK(Dump(store->model(), &disk));
@@ -191,7 +188,5 @@ int main(int argc, char** argv) {
       if (!identical) ++differing;
     }
   }
-  std::remove(u_path.c_str());
-  std::remove(sidecar_path.c_str());
   return flags.GetBool("compare", false) && differing > 0 ? 1 : 0;
 }

@@ -51,47 +51,43 @@ class TempMatrixFile {
   std::string path_;
 };
 
-/// An SVDD model exported to the paper's two-file disk layout (U row
-/// store + sidecar) and opened as a DiskBackedStore. Reopen() drops the
-/// current store and opens the same files with different serving knobs
-/// (cache size, I/O backend, prefetch) — the probe-then-cached pattern
-/// the quantized-serving sections use. Files are removed on
-/// destruction.
+/// An SVDD model saved to a temporary model file and opened as a
+/// DiskBackedStore (the paper's disk layout: U read from the file).
+/// Reopen() drops the current store and opens the same file with
+/// different serving knobs (cache size, I/O backend) — the
+/// probe-then-cached pattern the quantized-serving sections use. The
+/// file is removed on destruction.
 class TempSvddStore {
  public:
   TempSvddStore(const SvddModel& model, const std::string& tag,
                 const DiskBackedOptions& options = {})
-      : u_path_(TempPath(tag + "_u", ".mat")),
-        side_path_(TempPath(tag + "_side", ".bin")) {
-    TSC_CHECK_OK(ExportSvddToDisk(model, u_path_, side_path_));
+      : path_(TempPath(tag, ".model")) {
+    TSC_CHECK_OK(model.SaveToFile(path_));
     Reopen(options);
   }
   ~TempSvddStore() {
     store_.reset();
-    std::remove(u_path_.c_str());
-    std::remove(side_path_.c_str());
+    std::remove(path_.c_str());
   }
 
   TempSvddStore(const TempSvddStore&) = delete;
   TempSvddStore& operator=(const TempSvddStore&) = delete;
 
-  /// Re-opens the exported files with new serving options (the old
-  /// store, and with it any block cache, is discarded first).
+  /// Re-opens the model file with new serving options (the old store,
+  /// and with it any block cache, is discarded first).
   void Reopen(const DiskBackedOptions& options) {
     store_.reset();
-    auto store = DiskBackedStore::Open(u_path_, side_path_, options);
+    auto store = DiskBackedStore::Open(path_, options);
     TSC_CHECK_OK(store.status());
     store_ = std::make_unique<DiskBackedStore>(std::move(*store));
   }
 
   DiskBackedStore& store() { return *store_; }
   const DiskBackedStore& store() const { return *store_; }
-  const std::string& u_path() const { return u_path_; }
-  const std::string& side_path() const { return side_path_; }
+  const std::string& path() const { return path_; }
 
  private:
-  std::string u_path_;
-  std::string side_path_;
+  std::string path_;
   std::unique_ptr<DiskBackedStore> store_;
 };
 

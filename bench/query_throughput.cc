@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
       }
       err.Add(tsc::QueryError(workload.exact_answers[q], agg.mean()));
     }
-    const double footprint = store.u_file_bytes() / 1e6;
+    const double footprint = store.u_bytes() / 1e6;
     const double wall_ms = timer.ElapsedMillis();
     table.AddRow({"svdd, U on disk", tsc::TablePrinter::Num(footprint),
                   std::to_string(store.disk_accesses()),
@@ -503,7 +503,7 @@ int main(int argc, char** argv) {
       if (scheme == tsc::QuantScheme::kI8) int8_qps = qps;
       worst_err = std::max(worst_err, norm_err);
       quant_table.AddRow(
-          {name, tsc::TablePrinter::Num(qstore.u_file_bytes() / 1024.0, 1),
+          {name, tsc::TablePrinter::Num(qstore.u_bytes() / 1024.0, 1),
            std::to_string(qstore.u_row_stride_bytes()),
            tsc::TablePrinter::Num(hit_pct, 1),
            tsc::TablePrinter::Num(qps / 1e6, 3),
@@ -513,7 +513,7 @@ int main(int argc, char** argv) {
       report.AddScalar(std::string("quant_cell_qps_") + name, qps);
       report.AddScalar(std::string("quant_max_err_") + name, norm_err);
       report.AddScalar(std::string("quant_u_file_bytes_") + name,
-                       static_cast<double>(qstore.u_file_bytes()));
+                       static_cast<double>(qstore.u_bytes()));
     }
     std::printf("quantized U serving, stream I/O, shared %zu-block cache "
                 "(%.0f KB, sized to the int8 U store):\n%s\n",

@@ -57,11 +57,10 @@ int main(int argc, char** argv) {
               build_timer.ElapsedSeconds(), source.passes_started(),
               model->k(), model->delta_count(), model->SpacePercent());
 
-  // --- 3. Export to the query-serving layout. --------------------------
-  const std::string u_path = "/tmp/calling_patterns_u.mat";
-  const std::string sidecar_path = "/tmp/calling_patterns_side.bin";
-  TSC_CHECK_OK(tsc::ExportSvddToDisk(*model, u_path, sidecar_path));
-  auto store = tsc::DiskBackedStore::Open(u_path, sidecar_path);
+  // --- 3. Save the model; the file is also the query-serving layout. ---
+  const std::string model_path = "/tmp/calling_patterns.model";
+  TSC_CHECK_OK(model->SaveToFile(model_path));
+  auto store = tsc::DiskBackedStore::Open(model_path);
   TSC_CHECK_OK(store.status());
 
   // --- 4. Analyst session. ---------------------------------------------

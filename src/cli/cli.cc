@@ -557,9 +557,22 @@ int CmdReconstruct(const FlagParser& flags, std::ostream& out,
   return 0;
 }
 
+/// Opens an SVDD model file as the disk layout (only such a file opens),
+/// with --io-backend when given.
+StatusOr<DiskBackedStore> OpenDiskLayout(const FlagParser& flags,
+                                         std::size_t cache_blocks) {
+  DiskBackedOptions options;
+  options.cache_blocks = cache_blocks;
+  if (const std::string backend = flags.GetString("io-backend", "");
+      !backend.empty()) {
+    TSC_ASSIGN_OR_RETURN(options.io_backend, ParseIoBackendName(backend));
+  }
+  return DiskBackedStore::Open(flags.GetString("model", ""), options);
+}
+
 /// Runs the paper's serving scenario end to end against a model file and
-/// prints what the instruments saw: exports the model to the two-file
-/// disk layout, opens it behind a BlockCache buffer pool, replays a
+/// prints what the instruments saw: opens the model file as the disk
+/// layout behind a BlockCache buffer pool, replays a
 /// Zipf-skewed cell workload plus a few SQL aggregates, then reports the
 /// derived rates and the full registry snapshot.
 int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
@@ -581,12 +594,6 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     return 0;
   }
 
-  auto loaded = LoadModel(flags.GetString("model", ""));
-  if (!loaded.ok()) return Fail(err, loaded.status());
-  if (loaded->kind != "svdd") {
-    return Fail(err, Status::InvalidArgument(
-                         "stats needs an svdd model (disk layout)"));
-  }
   const std::size_t queries =
       static_cast<std::size_t>(flags.GetInt("queries", 2000));
   const std::size_t cache_blocks =
@@ -594,32 +601,11 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   const double zipf_s = flags.GetDouble("zipf", 1.1);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  DiskBackedOptions disk_options;
-  disk_options.cache_blocks = cache_blocks;
-  if (const std::string backend = flags.GetString("io-backend", "");
-      !backend.empty()) {
-    auto kind = ParseIoBackendName(backend);
-    if (!kind.ok()) return Fail(err, kind.status());
-    disk_options.io_backend = *kind;
-  }
-
-  const SvddModel& model =
-      *static_cast<const SvddModel*>(loaded->store.get());
 
   // Fresh run: counts below reflect this workload only.
   obs::MetricRegistry::Default().ResetAll();
-
-  const std::string u_path = flags.GetString("model", "") + ".stats_u";
-  const std::string sidecar_path =
-      flags.GetString("model", "") + ".stats_sidecar";
-  Status status = ExportSvddToDisk(model, u_path, sidecar_path);
-  if (!status.ok()) return Fail(err, status);
-  auto store = DiskBackedStore::Open(u_path, sidecar_path, disk_options);
-  if (!store.ok()) {
-    std::remove(u_path.c_str());
-    std::remove(sidecar_path.c_str());
-    return Fail(err, store.status());
-  }
+  auto store = OpenDiskLayout(flags, cache_blocks);
+  if (!store.ok()) return Fail(err, store.status());
 
   // Skewed cell workload: hot rows repeat, so the buffer pool shows its
   // effect, exactly the Appendix A access pattern.
@@ -643,12 +629,12 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   const std::uint64_t misses_blocks = store->disk_accesses();
   const std::uint64_t total_reads = hits + misses_blocks;
 
-  // A few SQL aggregates served straight from the two-file disk layout
-  // by the model over it: sum and avg in the compressed domain (their
+  // A few SQL aggregates served straight from the disk layout by the
+  // model over it: sum and avg in the compressed domain (their
   // runs' ragged end rows read through the cache), max by a batched scan
   // over the I/O engine under test.
   const QueryExecutor executor(&disk_model);
-  const std::size_t last_row = model.rows() - 1;
+  const std::size_t last_row = disk_model.rows() - 1;
   const std::vector<std::string> sql = {
       "SELECT sum(value)",
       "SELECT avg(value) WHERE row IN 0:" + std::to_string(last_row / 2),
@@ -664,12 +650,12 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       << "zipf s=" << TablePrinter::Num(zipf_s) << "), " << sql.size()
       << " sql queries, cache=" << cache_blocks << " blocks\n";
   out << "io backend:       " << store->io_backend_name() << "\n";
-  // Serving footprint, broken down by component: the on-disk U row store
-  // (at its true, possibly quantized stride), the packed deltas, and the
+  // Serving footprint, broken down by component: U's rows in the file
+  // (at their true, possibly quantized stride), the packed deltas, and the
   // in-memory V + eigenvalues. The delta index's two orientations are
   // resident acceleration structures, listed after the charged parts.
   const std::shared_ptr<const DeltaIndex> deltas = disk_model.deltas();
-  const std::uint64_t u_bytes = store->u_file_bytes();
+  const std::uint64_t u_bytes = store->u_bytes();
   const std::uint64_t delta_bytes = deltas->PackedBytes();
   const std::uint64_t v_bytes =
       (static_cast<std::uint64_t>(disk_model.k()) * disk_model.cols() +
@@ -708,9 +694,6 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       << "\n";
   const obs::StatsSnapshot snapshot = obs::TakeSnapshot();
   if (!snapshot.empty()) out << "\n" << snapshot.ToTable();
-
-  std::remove(u_path.c_str());
-  std::remove(sidecar_path.c_str());
   return 0;
 }
 
@@ -720,13 +703,29 @@ void ServeSignalHandler(int) { g_serve_interrupted.store(true); }
 
 /// Runs the concurrent query server over a model file until SIGINT /
 /// SIGTERM (or --duration-s elapses). With --cache-blocks > 0 an SVDD
-/// model is exported to the two-file disk layout, the loaded model is
-/// freed, and the layout serves through one shared BlockCache; otherwise
-/// the in-memory model serves directly. Either way SVDD linear
-/// aggregates run in the compressed domain.
+/// model file is opened as the disk layout and serves U's rows from the
+/// file through one shared BlockCache; otherwise the model is loaded and
+/// serves from memory. Either way SVDD linear aggregates run in the
+/// compressed domain, and nothing is written.
 int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
-  auto loaded = LoadModel(flags.GetString("model", ""));
-  if (!loaded.ok()) return Fail(err, loaded.status());
+  const std::size_t cache_blocks =
+      static_cast<std::size_t>(flags.GetInt("cache-blocks", 0));
+  std::unique_ptr<CompressedStore> memory_store;
+  std::optional<DiskBackedStore> disk_store;
+  const CompressedStore* store = nullptr;
+  if (cache_blocks > 0) {
+    auto opened = OpenDiskLayout(flags, cache_blocks);
+    if (!opened.ok()) return Fail(err, opened.status());
+    disk_store.emplace(std::move(*opened));
+    store = &disk_store->model();
+    out << "serving from disk layout (" << disk_store->io_backend_name()
+        << " backend, " << cache_blocks << "-block cache)\n";
+  } else {
+    auto loaded = LoadModel(flags.GetString("model", ""));
+    if (!loaded.ok()) return Fail(err, loaded.status());
+    memory_store = std::move(loaded->store);
+    store = memory_store.get();
+  }
 
   server::ServerOptions options;
   options.port = flags.GetInt("port", 7496);
@@ -765,57 +764,17 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       if (!line.empty() && line.back() == '\r') line.pop_back();
       options.row_keys.push_back(line);
     }
-    if (options.row_keys.size() < loaded->store->rows()) {
+    if (options.row_keys.size() < store->rows()) {
       return Fail(err, Status::InvalidArgument(
                            "--keys file names fewer keys than rows"));
     }
   } else {
-    options.row_keys.reserve(loaded->store->rows());
-    for (std::size_t i = 0; i < loaded->store->rows(); ++i) {
+    options.row_keys.reserve(store->rows());
+    for (std::size_t i = 0; i < store->rows(); ++i) {
       options.row_keys.push_back("row" + std::to_string(i));
     }
   }
 
-  const std::size_t cache_blocks =
-      static_cast<std::size_t>(flags.GetInt("cache-blocks", 0));
-  std::optional<DiskBackedStore> disk_store;
-  const CompressedStore* store = loaded->store.get();
-  std::string u_path;
-  std::string sidecar_path;
-  if (cache_blocks > 0) {
-    if (loaded->kind != "svdd") {
-      return Fail(err, Status::InvalidArgument(
-                           "--cache-blocks needs an svdd model"));
-    }
-    DiskBackedOptions disk_options;
-    disk_options.cache_blocks = cache_blocks;
-    if (const std::string backend = flags.GetString("io-backend", "");
-        !backend.empty()) {
-      auto kind = ParseIoBackendName(backend);
-      if (!kind.ok()) return Fail(err, kind.status());
-      disk_options.io_backend = *kind;
-    }
-    u_path = flags.GetString("model", "") + ".serve_u";
-    sidecar_path = flags.GetString("model", "") + ".serve_sidecar";
-    Status status = ExportSvddToDisk(
-        *static_cast<const SvddModel*>(loaded->store.get()), u_path,
-        sidecar_path);
-    if (!status.ok()) return Fail(err, status);
-    // The model over the disk layout holds its own V, eigenvalues and
-    // deltas: free the loaded model first, so its allocations reuse the
-    // loaded model's pages and the server holds one copy of each.
-    loaded->store.reset();
-    auto opened = DiskBackedStore::Open(u_path, sidecar_path, disk_options);
-    if (!opened.ok()) {
-      std::remove(u_path.c_str());
-      std::remove(sidecar_path.c_str());
-      return Fail(err, opened.status());
-    }
-    disk_store.emplace(std::move(*opened));
-    store = &disk_store->model();
-    out << "serving from disk layout (" << disk_store->io_backend_name()
-        << " backend, " << cache_blocks << "-block cache)\n";
-  }
   // The executor is shared by every connection, so it must not carry an
   // internal scan pool (concurrency comes from concurrent requests).
   const QueryExecutor executor(store, 1);
@@ -846,10 +805,6 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     query_server.Stop();
     out << "served " << query_server.connections_accepted()
         << " connections\n";
-  }
-  if (!u_path.empty()) {
-    std::remove(u_path.c_str());
-    std::remove(sidecar_path.c_str());
   }
   return status.ok() ? 0 : Fail(err, status);
 }

@@ -19,24 +19,25 @@ struct DiskBackedOptions {
   /// > 0 routes U-row reads through a BlockCache buffer pool of that
   /// many blocks (the Appendix A skewed-workload serving mode).
   std::size_t cache_blocks = 0;
-  /// I/O engine for the U file; defaults to the TSC_IO-resolved backend
+  /// I/O engine for U's rows; defaults to the TSC_IO-resolved backend
   /// (mmap where available).
   std::optional<IoBackendKind> io_backend;
 };
 
 /// The paper's deployment layout made concrete: V and the eigenvalues
-/// pinned in memory, U stored row-wise on disk, the deltas in memory in
-/// a DeltaIndex. Reconstructing cell (i, j) then costs exactly one disk
-/// access — the read of row i of U — which the embedded
+/// pinned in memory, U read row-wise from the model file, the deltas in
+/// memory in a DeltaIndex. Reconstructing cell (i, j) then costs exactly
+/// one disk access — the read of row i of U — which the embedded
 /// DiskAccessCounter proves.
 ///
-/// Build with ExportSvddToDisk() + Open(); the exported U file is the
-/// "TSCROWS1"/"TSCROWQ1" row store, so a row that fits in one block is
-/// one access. Open loads the sidecar into an SvddModel over the U file
-/// (SvdModel::OverRowStore), which serves every reconstruction and
-/// aggregate with the in-memory model's code; its U block sums come from
-/// one sequential pass over the file, outside the serving counters. The
-/// store itself only adds the storage counters.
+/// The model file is the serving file: its U section holds TSCROWS1 rows
+/// (f64) or TSCROWQ1 rows (quantized), so a row that fits in one block is
+/// one access. Open reads everything but U into an SvddModel over the
+/// file (SvddModel::Deserialize with a URowOpener), which serves every
+/// reconstruction and aggregate with the in-memory model's code; its U
+/// block sums come from the same sequential pass that verifies the
+/// file's checksum, outside the serving counters. The store itself only
+/// adds the storage counters.
 ///
 /// Thread safety: concurrent reads of one store are safe under every
 /// I/O backend — the pread/mmap engines are positional (no shared
@@ -44,15 +45,22 @@ struct DiskBackedOptions {
 /// sharded, and the access counters are atomic.
 class DiskBackedStore {
  public:
-  /// Opens the pair of files produced by ExportSvddToDisk.
-  static StatusOr<DiskBackedStore> Open(const std::string& u_path,
-                                        const std::string& sidecar_path,
+  /// Opens an SVDD model file in either layout (docs/file_formats.md).
+  /// Writes nothing.
+  static StatusOr<DiskBackedStore> Open(const std::string& model_path,
                                         const DiskBackedOptions& options = {});
+  /// perfbench shim, kept until a benchmark PR stops naming it: the
+  /// second path is ignored and the one-file Open serves `model_path`.
+  static StatusOr<DiskBackedStore> Open(const std::string& model_path,
+                                        const std::string& /*unused*/,
+                                        const DiskBackedOptions& options) {
+    return Open(model_path, options);
+  }
 
   DiskBackedStore(DiskBackedStore&&) = default;
   DiskBackedStore& operator=(DiskBackedStore&&) = default;
 
-  /// The model over the U file. Pointers to it (executors, servers) stay
+  /// The model over the file. Pointers to it (executors, servers) stay
   /// valid while the store is neither moved nor destroyed.
   const SvddModel& model() const { return model_; }
 
@@ -61,46 +69,48 @@ class DiskBackedStore {
     return model_.TryReconstructCell(row, col);
   }
 
-  /// The I/O engine serving the U file.
-  const char* io_backend_name() const {
-    return u_rows_.file().backend_name();
-  }
-  /// Coefficient encoding of the U file (kF64 for the plain layout).
-  /// Quantized rows are consumed in place by the fused kernels — cached
-  /// blocks stay encoded, so the same block budget covers 2-8x more rows.
-  QuantScheme u_scheme() const { return u_rows_.file().scheme(); }
+  /// The I/O engine serving U's rows.
+  const char* io_backend_name() const { return u_file().backend_name(); }
+  /// Coefficient encoding of U's rows in the file (kF64 for the f64
+  /// layout). Quantized rows are consumed in place by the fused kernels —
+  /// cached blocks stay encoded, so the same block budget covers 2-8x
+  /// more rows.
+  QuantScheme u_scheme() const { return u_file().scheme(); }
   /// On-disk bytes of one U row (meta + padded codes when quantized).
   std::size_t u_row_stride_bytes() const {
-    return u_rows_.file().row_stride_bytes();
+    return u_file().row_stride_bytes();
   }
-  /// Total bytes of the U file (header + rows * stride) — the actual
-  /// serving footprint of the on-disk factor.
-  std::uint64_t u_file_bytes() const { return u_rows_.file().file_bytes(); }
+  /// Bytes of U's rows in the file (rows * stride) — the serving
+  /// footprint of the on-disk factor.
+  std::uint64_t u_bytes() const {
+    return u_file().file_bytes() - u_file().header_bytes();
+  }
 
-  /// Disk accesses performed so far against the U file (cache misses
-  /// when a buffer pool is configured).
+  /// Disk accesses performed so far against U's rows (cache misses when
+  /// a buffer pool is configured).
   std::uint64_t disk_accesses() const {
-    return u_rows_.cached ? u_rows_.cached->disk_accesses()
-                          : u_rows_.reader->counter().accesses();
+    return u_rows().cached ? u_rows().cached->disk_accesses()
+                           : u_rows().reader->counter().accesses();
   }
   /// U-row block reads served from the buffer pool (0 when uncached);
   /// together with disk_accesses() this yields the serving hit rate.
   std::uint64_t cache_hits() const {
-    return u_rows_.cached ? u_rows_.cached->cache_hits() : 0;
+    return u_rows().cached ? u_rows().cached->cache_hits() : 0;
   }
   void ResetCounters() {
-    if (u_rows_.cached) {
-      u_rows_.cached->ResetStats();
+    if (u_rows().cached) {
+      u_rows().cached->ResetStats();
     } else {
-      u_rows_.reader->counter().Reset();
+      u_rows().reader->counter().Reset();
     }
   }
 
  private:
-  DiskBackedStore(URowStore u_rows, SvddModel model)
-      : u_rows_(std::move(u_rows)), model_(std::move(model)) {}
+  explicit DiskBackedStore(SvddModel model) : model_(std::move(model)) {}
 
-  URowStore u_rows_;  ///< shared with model_, for the counters
+  const URowStore& u_rows() const { return model_.svd().u_rows(); }
+  const RowStoreReader& u_file() const { return u_rows().file(); }
+
   SvddModel model_;
 };
 
@@ -135,13 +145,13 @@ class DiskBackedStoreView final : public CompressedStore {
   const SvddModel* model_;
 };
 
-/// Writes `model` into the two-file disk layout: `u_path` holds U as a
-/// row store (one row per sequence), `sidecar_path` holds the memory-
-/// resident parts (eigenvalues, V, deltas). Both files are written to
-/// temp files, fsync'ed and renamed into place (the sidecar first), so a
-/// failed export leaves any previous pair as it was.
-Status ExportSvddToDisk(const SvddModel& model, const std::string& u_path,
-                        const std::string& sidecar_path);
+/// perfbench shim, kept until a benchmark PR stops naming it: the model
+/// file is the disk layout, so this saves `model` to `path` and writes
+/// nothing at the second path.
+inline Status ExportSvddToDisk(const SvddModel& model, const std::string& path,
+                               const std::string& /*unused*/) {
+  return model.SaveToFile(path);
+}
 
 }  // namespace tsc
 

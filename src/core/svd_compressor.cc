@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <optional>
 
@@ -15,27 +16,86 @@
 namespace tsc {
 namespace {
 
-constexpr std::uint32_t kSvdModelMagic = 0x53564431;  // "SVD1"
+// "SVD1" stores U as a matrix of f64 rows, "SVD2" as TSCROWQ1 rows
+// (docs/file_formats.md).
+constexpr std::uint32_t kSvdModelMagic = 0x53564431;      // "SVD1"
+constexpr std::uint32_t kSvdModelMagicCodes = 0x53564432;  // "SVD2"
 
-/// The row of `view` as doubles: in place for f64, else decoded into
-/// `decoded` (view.n long).
-const double* AsDoubles(const QuantRowView& view, std::span<double> decoded) {
-  if (view.scheme == QuantScheme::kF64) {
-    return static_cast<const double*>(view.data);
-  }
-  DecodeQuantRow(view, decoded);
-  return decoded.data();
+/// A serialized model up to U's rows: the in-memory parts, and where
+/// and how U's rows are stored in the file.
+struct StoredModelHead {
+  std::size_t bytes_per_value = 8;
+  QuantScheme scheme = QuantScheme::kF64;
+  std::vector<double> singular_values;
+  Matrix v;
+  RowImage u;
+};
+
+/// Zero bytes that take an SVD2 file to an 8-byte offset before U's rows.
+std::uint64_t PaddingBefore(std::uint64_t offset) {
+  return (8 - offset % 8) % 8;
 }
 
-/// Eq. 12 with lambda folded into V: dot(u_i, lambda (.) v_j), O(k). An
-/// f64 row calls kernels::Dot directly (QuantDot's own f64 case); a
-/// stored quantized row dequantizes in registers as it accumulates.
-double CellDot(const QuantRowView& urow, const double* weighted_v_col) {
-  if (urow.scheme == QuantScheme::kF64) {
-    return kernels::Dot(static_cast<const double*>(urow.data), weighted_v_col,
-                        urow.n);
+/// Reads the head of either layout and checks U's rows against it and
+/// against the bytes left in the file, before anything is sized from
+/// them. Every hostile header is an IoError.
+StatusOr<StoredModelHead> ReadModelHead(BinaryReader* reader) {
+  TSC_ASSIGN_OR_RETURN(const std::uint32_t magic, reader->ReadU32());
+  if (magic != kSvdModelMagic && magic != kSvdModelMagicCodes) {
+    return Status::IoError("not an SVD model");
   }
-  return QuantDot(urow, weighted_v_col);
+  StoredModelHead head;
+  TSC_ASSIGN_OR_RETURN(const std::uint64_t bytes_per_value, reader->ReadU64());
+  head.bytes_per_value = static_cast<std::size_t>(bytes_per_value);
+  TSC_ASSIGN_OR_RETURN(const std::uint32_t scheme_raw, reader->ReadU32());
+  if (scheme_raw > static_cast<std::uint32_t>(QuantScheme::kI8) ||
+      (magic == kSvdModelMagicCodes && scheme_raw == 0)) {
+    return Status::IoError("unknown quant scheme in SVD model");
+  }
+  head.scheme = static_cast<QuantScheme>(scheme_raw);
+  TSC_ASSIGN_OR_RETURN(head.singular_values, reader->ReadDoubleVector());
+  TSC_ASSIGN_OR_RETURN(head.v, reader->ReadMatrix());
+  TSC_ASSIGN_OR_RETURN(head.u.rows, reader->ReadU64());
+  TSC_ASSIGN_OR_RETURN(head.u.cols, reader->ReadU64());
+  const std::size_t k = head.singular_values.size();
+  if (head.u.cols != k || head.v.cols() != k) {
+    return Status::IoError("inconsistent SVD model dims");
+  }
+  if (magic == kSvdModelMagicCodes) {
+    head.u.scheme = head.scheme;
+    std::uint8_t pad[8] = {};
+    TSC_RETURN_IF_ERROR(reader->ReadBytes(
+        pad, static_cast<std::size_t>(PaddingBefore(reader->position()))));
+    if (std::any_of(pad, pad + 8, [](std::uint8_t b) { return b != 0; })) {
+      return Status::IoError("corrupt U section padding");
+    }
+  }
+  head.u.offset = reader->position();
+  if (head.u.rows > 0 && k == 0) {
+    return Status::IoError("SVD model has rows but no components");
+  }
+  // k <= remaining / 8 (the vector above), so the stride cannot overflow.
+  if (head.u.rows > reader->remaining() / QuantRowStride(head.u.scheme, k)) {
+    return Status::IoError("U section runs past the end of the file");
+  }
+  return head;
+}
+
+/// Streams U's rows through `reader` (a buffered stream), calling
+/// fn(i, row) with each row as stored.
+template <typename Fn>
+Status ForEachStoredURow(BinaryReader* reader, const RowImage& u, Fn&& fn) {
+  const std::size_t stride = QuantRowStride(u.scheme, u.cols);
+  // Doubles, so the row (stride is a multiple of 8) is aligned for its
+  // meta and f64 coefficients.
+  std::vector<double> row(stride / sizeof(double));
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(row.data());
+  for (std::uint64_t i = 0; i < u.rows; ++i) {
+    TSC_RETURN_IF_ERROR(reader->ReadBytes(row.data(), stride));
+    fn(static_cast<std::size_t>(i),
+       StoredRowView(u.scheme, bytes, static_cast<std::size_t>(u.cols)));
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -59,29 +119,6 @@ void SvdModel::RebuildWeightedV() {
   }
 }
 
-StatusOr<SvdModel> SvdModel::OverRowStore(
-    URowStore u_rows, std::vector<double> singular_values, Matrix v) {
-  TSC_CHECK(u_rows.reader || u_rows.cached);
-  const RowStoreReader& file = u_rows.file();
-  TSC_CHECK_EQ(file.cols(), singular_values.size());
-  TSC_CHECK_EQ(v.cols(), singular_values.size());
-  SvdModel model;
-  model.singular_values_ = std::move(singular_values);
-  model.v_ = std::move(v);
-  model.quant_scheme_ = file.scheme();
-  model.RebuildWeightedV();
-  // U's block sums from the decoded rows, added in row order: the
-  // in-memory arithmetic over the rows the file serves.
-  model.block_sums_ = RowBlockSums(file.rows(), model.k());
-  TSC_RETURN_IF_ERROR(file.ForEachRowUncounted(
-      [&](std::size_t i, std::span<const double> row) {
-        model.block_sums_.AddRow(i, row.data());
-      }));
-  model.block_sums_.Finish();
-  model.u_rows_ = std::move(u_rows);
-  return model;
-}
-
 void SvdModel::RebuildBlockSums() {
   block_sums_ = RowBlockSums(u_.rows(), k());
   for (std::size_t i = 0; i < u_.rows(); ++i) {
@@ -90,20 +127,34 @@ void SvdModel::RebuildBlockSums() {
   block_sums_.Finish();
 }
 
-std::vector<std::uint8_t> SvdModel::URowScratch() const {
-  return std::vector<std::uint8_t>(
-      u_on_disk() ? u_rows_.file().row_stride_bytes() : 0);
+SvdModel::URowScratch SvdModel::NewURowScratch() const {
+  if (!u_on_disk()) return {};
+  return {std::vector<std::uint8_t>(u_rows_.file().row_stride_bytes()),
+          std::vector<double>(k())};
+}
+
+Status SvdModel::ReadStoredURow(std::size_t i, URowScratch* scratch,
+                                const double** row) const {
+  TSC_ASSIGN_OR_RETURN(
+      const QuantRowView view,
+      u_rows_.cached ? u_rows_.cached->ReadQuantRow(i, scratch->stored)
+                     : u_rows_.reader->ReadQuantRow(i, scratch->stored));
+  if (view.scheme == QuantScheme::kF64) {
+    *row = static_cast<const double*>(view.data);
+    return Status::Ok();
+  }
+  DecodeQuantRow(view, scratch->decoded);
+  *row = scratch->decoded.data();
+  return Status::Ok();
 }
 
 template <typename Fn>
-Status SvdModel::ForEachDecodedURow(std::size_t lo, std::size_t hi,
-                                    Fn&& fn) const {
-  std::vector<std::uint8_t> scratch = URowScratch();
-  std::vector<double> decoded(u_on_disk() ? k() : 0);
-  QuantRowView urow;
+Status SvdModel::ForEachURow(std::size_t lo, std::size_t hi, Fn&& fn) const {
+  URowScratch scratch = NewURowScratch();
+  const double* u = nullptr;
   for (std::size_t i = lo; i < hi; ++i) {
-    TSC_RETURN_IF_ERROR(URow(i, scratch, &urow));
-    fn(AsDoubles(urow, decoded));
+    TSC_RETURN_IF_ERROR(URow(i, &scratch, &u));
+    fn(u);
   }
   return Status::Ok();
 }
@@ -114,7 +165,7 @@ StatusOr<std::uint64_t> SvdModel::AccumulateRowMass(
   const std::size_t kk = k();
   return block_sums_.Accumulate(
       runs, out, [&](std::size_t lo, std::size_t hi) {
-        return ForEachDecodedURow(lo, hi, [&](const double* u) {
+        return ForEachURow(lo, hi, [&](const double* u) {
           kernels::Axpy(1.0, u, out.data(), kk);
         });
       });
@@ -125,7 +176,7 @@ Status SvdModel::AppendRowDots(std::span<const IdRange> runs,
                                std::vector<double>* out) const {
   const std::size_t kk = k();
   for (const IdRange& run : runs) {
-    TSC_RETURN_IF_ERROR(ForEachDecodedURow(
+    TSC_RETURN_IF_ERROR(ForEachURow(
         run.lo, run.hi + 1, [&](const double* u) {
           out->push_back(kernels::Dot(u, weights.data(), kk));
         }));
@@ -139,30 +190,32 @@ StatusOr<double> SvdModel::TryReconstructCell(std::size_t row,
     return Status::OutOfRange("cell out of range");
   }
   if (!u_on_disk()) return ReconstructCell(row, col);
-  std::vector<std::uint8_t> scratch = URowScratch();
-  QuantRowView urow;
-  TSC_RETURN_IF_ERROR(URow(row, scratch, &urow));
-  return CellDot(urow, weighted_v_.Row(col).data());
+  URowScratch scratch = NewURowScratch();
+  const double* u = nullptr;
+  TSC_RETURN_IF_ERROR(URow(row, &scratch, &u));
+  return kernels::Dot(u, weighted_v_.Row(col).data(), k());
 }
 
 double SvdModel::ReconstructCell(std::size_t row, std::size_t col) const {
   TSC_DCHECK(row < rows() && col < cols());
-  // In memory a cell can neither fail nor need scratch: the hot path
+  // Eq. 12 with lambda folded into V: dot(u_i, lambda (.) v_j), O(k). In
+  // memory a cell can neither fail nor need scratch: the hot path
   // carries no Status.
   if (u_on_disk()) return TryReconstructCell(row, col).value();
-  return CellDot(MemoryURow(row), weighted_v_.Row(col).data());
+  return kernels::Dot(u_.Row(row).data(), weighted_v_.Row(col).data(), k());
 }
 
 Status SvdModel::TryReconstructRow(std::size_t row,
                                    std::span<double> out) const {
   if (row >= rows()) return Status::OutOfRange("row out of range");
   if (out.size() != cols()) return Status::InvalidArgument("buffer size");
-  std::vector<std::uint8_t> scratch = URowScratch();
-  QuantRowView urow;
-  TSC_RETURN_IF_ERROR(URow(row, scratch, &urow));
-  // out_j = dot(u_i, weighted_v_j): one fused dot-batch over the
-  // contiguous weighted-V rows.
-  QuantDotBatch(urow, weighted_v_.Row(0).data(), k(), cols(), out.data());
+  URowScratch scratch = NewURowScratch();
+  const double* u = nullptr;
+  TSC_RETURN_IF_ERROR(URow(row, &scratch, &u));
+  // out_j = dot(u_i, weighted_v_j): one dot-batch over the contiguous
+  // weighted-V rows.
+  kernels::DotBatch(weighted_v_.Row(0).data(), k(), cols(), u, k(),
+                    out.data());
   return Status::Ok();
 }
 
@@ -187,12 +240,10 @@ Status SvdModel::ReconstructRegion(std::span<const std::size_t> row_ids,
   // decodes once here, amortized over the whole column block), then run
   // the blocked U * (Lambda V^T) micro-kernel on contiguous memory.
   Matrix a(row_ids.size(), kk);
-  std::vector<std::uint8_t> scratch = URowScratch();
-  std::vector<double> decoded(u_on_disk() ? kk : 0);
-  QuantRowView urow;
+  URowScratch scratch = NewURowScratch();
+  const double* u = nullptr;
   for (std::size_t r = 0; r < row_ids.size(); ++r) {
-    TSC_RETURN_IF_ERROR(URow(row_ids[r], scratch, &urow));
-    const double* u = AsDoubles(urow, decoded);
+    TSC_RETURN_IF_ERROR(URow(row_ids[r], &scratch, &u));
     std::copy(u, u + kk, a.Row(r).begin());
   }
   Matrix b(col_ids.size(), kk);
@@ -245,12 +296,17 @@ void SvdModel::QuantizeToFloat() {
 void SvdModel::ApplyQuantization(QuantScheme scheme) {
   TSC_CHECK(!u_on_disk()) << "ApplyQuantization needs U in memory";
   quant_scheme_ = scheme;
+  u_row_scheme_ = scheme;
+  u_meta_.clear();
   if (scheme == QuantScheme::kF64) return;
   // Snap each U row to its decode(encode) image so every in-memory
-  // reconstruction sees exactly what the quantized row store serves.
+  // reconstruction sees exactly what the stored row serves, and keep the
+  // meta the snap used: Serialize encodes the row under it again.
   // weighted_v_ is untouched — only the left factor changes.
+  if (QuantMaxCode(scheme) != 0) u_meta_.resize(u_.rows());
   for (std::size_t i = 0; i < u_.rows(); ++i) {
-    SnapQuantRow(scheme, u_.Row(i));
+    const QuantRowMeta meta = SnapQuantRow(scheme, u_.Row(i));
+    if (!u_meta_.empty()) u_meta_[i] = meta;
   }
   RebuildBlockSums();
 }
@@ -279,6 +335,14 @@ SvdModel::FoldInStats SvdModel::FoldInRows(const Matrix& new_rows) {
       stats.energy_captured += proj[p] * proj[p];
     }
   }
+  // Rows stored as codes get snapped and keep their meta, like the
+  // rows ApplyQuantization snapped.
+  if (u_row_scheme_ != QuantScheme::kF64) {
+    for (std::size_t i = 0; i < new_u.rows(); ++i) {
+      const QuantRowMeta meta = SnapQuantRow(u_row_scheme_, new_u.Row(i));
+      if (!u_meta_.empty()) u_meta_.push_back(meta);
+    }
+  }
   u_.AppendRows(new_u);
   RebuildBlockSums();
   return stats;
@@ -289,34 +353,72 @@ Status SvdModel::Serialize(BinaryWriter* writer) const {
     return Status::FailedPrecondition(
         "a model over the U row store cannot be serialized");
   }
-  TSC_RETURN_IF_ERROR(writer->WriteU32(kSvdModelMagic));
+  const bool codes = u_row_scheme_ != QuantScheme::kF64;
+  TSC_RETURN_IF_ERROR(
+      writer->WriteU32(codes ? kSvdModelMagicCodes : kSvdModelMagic));
   TSC_RETURN_IF_ERROR(writer->WriteU64(bytes_per_value_));
   TSC_RETURN_IF_ERROR(
       writer->WriteU32(static_cast<std::uint32_t>(quant_scheme_)));
   TSC_RETURN_IF_ERROR(writer->WriteDoubleVector(singular_values_));
   TSC_RETURN_IF_ERROR(writer->WriteMatrix(v_));
-  return writer->WriteMatrix(u_);
+  if (!codes) return writer->WriteMatrix(u_);
+  TSC_RETURN_IF_ERROR(writer->WriteU64(u_.rows()));
+  TSC_RETURN_IF_ERROR(writer->WriteU64(u_.cols()));
+  const std::uint8_t pad[8] = {};
+  TSC_RETURN_IF_ERROR(writer->WriteBytes(
+      pad, static_cast<std::size_t>(PaddingBefore(writer->bytes_written()))));
+  // Each row is encoded under the meta its snap used, which gives back
+  // the snap's codes; a row that would not decode to the in-memory U bit
+  // for bit is an error rather than a silent drift.
+  std::vector<std::uint8_t> row(QuantRowStride(u_row_scheme_, k()), 0);
+  std::vector<double> decoded(k());
+  for (std::size_t i = 0; i < u_.rows(); ++i) {
+    const QuantRowMeta meta = u_meta_.empty() ? QuantRowMeta{} : u_meta_[i];
+    std::memcpy(row.data(), &meta.scale, 8);
+    std::memcpy(row.data() + 8, &meta.offset, 8);
+    EncodeQuantRow(u_row_scheme_, u_.Row(i), meta,
+                   row.data() + kQuantRowMetaBytes);
+    DecodeQuantRow(StoredRowView(u_row_scheme_, row.data(), k()), decoded);
+    if (std::memcmp(decoded.data(), u_.Row(i).data(),
+                    k() * sizeof(double)) != 0) {
+      return Status::Internal("a U row does not re-encode to its values");
+    }
+    TSC_RETURN_IF_ERROR(writer->WriteBytes(row.data(), row.size()));
+  }
+  return Status::Ok();
 }
 
-StatusOr<SvdModel> SvdModel::Deserialize(BinaryReader* reader) {
-  TSC_ASSIGN_OR_RETURN(const std::uint32_t magic, reader->ReadU32());
-  if (magic != kSvdModelMagic) return Status::IoError("not an SVD model");
-  TSC_ASSIGN_OR_RETURN(const std::uint64_t bytes_per_value, reader->ReadU64());
-  TSC_ASSIGN_OR_RETURN(const std::uint32_t scheme_raw, reader->ReadU32());
-  if (scheme_raw > static_cast<std::uint32_t>(QuantScheme::kI8)) {
-    return Status::IoError("unknown quant scheme in SVD model");
+StatusOr<SvdModel> SvdModel::Deserialize(BinaryReader* reader,
+                                         const URowOpener& open_u_rows) {
+  TSC_ASSIGN_OR_RETURN(StoredModelHead head, ReadModelHead(reader));
+  const auto rows = static_cast<std::size_t>(head.u.rows);
+  SvdModel model;
+  model.singular_values_ = std::move(head.singular_values);
+  model.v_ = std::move(head.v);
+  model.bytes_per_value_ = head.bytes_per_value;
+  model.quant_scheme_ = head.scheme;
+  model.u_row_scheme_ = head.u.scheme;
+  model.RebuildWeightedV();
+  if (open_u_rows) {
+    TSC_ASSIGN_OR_RETURN(model.u_rows_, open_u_rows(head.u));
+  } else {
+    model.u_ = Matrix(rows, model.k());
+    if (QuantMaxCode(head.u.scheme) != 0) model.u_meta_.resize(rows);
   }
-  TSC_ASSIGN_OR_RETURN(std::vector<double> sv, reader->ReadDoubleVector());
-  TSC_ASSIGN_OR_RETURN(Matrix v, reader->ReadMatrix());
-  TSC_ASSIGN_OR_RETURN(Matrix u, reader->ReadMatrix());
-  if (u.cols() != sv.size() || v.cols() != sv.size()) {
-    return Status::IoError("inconsistent SVD model dims");
-  }
-  SvdModel model(std::move(u), std::move(sv), std::move(v));
-  model.set_bytes_per_value(static_cast<std::size_t>(bytes_per_value));
-  // The rows of U were snapped at build time; recording the scheme is
-  // enough for the loaded model to export the same quantized store.
-  model.quant_scheme_ = static_cast<QuantScheme>(scheme_raw);
+  // One pass over U's rows, in row order, decodes them (into u_ in
+  // memory) and adds them into the block sums: the arithmetic of
+  // RebuildBlockSums over the rows either mode serves.
+  model.block_sums_ = RowBlockSums(rows, model.k());
+  std::vector<double> decoded(open_u_rows ? model.k() : 0);
+  TSC_RETURN_IF_ERROR(ForEachStoredURow(
+      reader, head.u, [&](std::size_t i, const QuantRowView& row) {
+        const std::span<double> u =
+            open_u_rows ? std::span<double>(decoded) : model.u_.Row(i);
+        DecodeQuantRow(row, u);
+        if (!model.u_meta_.empty()) model.u_meta_[i] = {row.scale, row.offset};
+        model.block_sums_.AddRow(i, u.data());
+      }));
+  model.block_sums_.Finish();
   return model;
 }
 

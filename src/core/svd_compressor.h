@@ -2,6 +2,7 @@
 #define TSC_CORE_SVD_COMPRESSOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -23,7 +24,7 @@ namespace tsc {
 
 class ThreadPool;
 
-/// The exported U row store a model reads U from when U stays on disk
+/// U's rows in the model file, for a model that reads U from there
 /// (DiskBackedStore): straight through `reader`, or through `cached`
 /// when a buffer pool is configured. Exactly one is set; they are shared
 /// so the disk layout can report their counters.
@@ -36,38 +37,33 @@ struct URowStore {
   }
 };
 
+/// Opens the row store over U's rows once their place in the model file
+/// (a RowImage) is known.
+using URowOpener = std::function<StatusOr<URowStore>(const RowImage&)>;
+
 /// The "plain SVD" compressed representation of Section 3.4: the top-k
 /// principal components. Holds U (N x k), the k singular values, and
 /// V (M x k); a cell is reconstructed with Eq. 12 in O(k).
 ///
-/// U's rows live in memory or, for a model over the exported row store
-/// (OverRowStore), on disk. Every reconstruction and aggregate reads
-/// them through one accessor, so the arithmetic is written once: an
-/// in-memory row is a zero-copy f64 view, a stored row is consumed in
-/// its stored encoding (fused dequantizing kernels for cells and rows,
-/// decoded doubles for regions and row sums).
+/// U's rows live in memory or, for a model over its file (Deserialize
+/// with a URowOpener), on disk. Every reconstruction and aggregate reads
+/// them through one accessor, so the arithmetic is written once over rows
+/// of doubles: an in-memory row in place, a stored row as read (f64) or
+/// decoded (quantized) to the in-memory model's bits.
 class SvdModel final : public CompressedStore {
  public:
   SvdModel() = default;
   SvdModel(Matrix u, std::vector<double> singular_values, Matrix v);
-
-  /// A model whose U stays in `u_rows`: every U-row read goes through
-  /// the row store (one read per row), so reconstructions and aggregates
-  /// can fail with the read's Status. The block sums come from one
-  /// sequential pass over the file, charged to no serving counter. The
-  /// operations that need U in memory (u(), ProjectRow, FoldInRows,
-  /// QuantizeToFloat, ApplyQuantization, Serialize) refuse such a model.
-  static StatusOr<SvdModel> OverRowStore(URowStore u_rows,
-                                         std::vector<double> singular_values,
-                                         Matrix v);
 
   std::size_t rows() const override {
     return u_on_disk() ? u_rows_.file().rows() : u_.rows();
   }
   std::size_t cols() const override { return v_.rows(); }
   std::size_t k() const { return singular_values_.size(); }
-  /// Whether U's rows are read from the row store rather than memory.
+  /// Whether U's rows are read from the model file rather than memory.
   bool u_on_disk() const { return u_rows_.reader || u_rows_.cached; }
+  /// The row store U is read from (both pointers null in memory).
+  const URowStore& u_rows() const { return u_rows_; }
 
   /// The plain forms abort on a failed U-row read; serving paths use the
   /// Status forms (TryReconstructCell, TryReconstructRow,
@@ -154,19 +150,31 @@ class SvdModel final : public CompressedStore {
   void QuantizeToFloat();
 
   /// Row-store quantization of the U factor: snaps every row of U to the
-  /// values the quantized "TSCROWQ1" store will serve (decode of encode,
-  /// per-row affine meta) and records the scheme, so the in-memory
-  /// model, the delta selection and the exported file all agree.
-  /// CompressedBytes() then charges U at its true quantized stride.
-  /// kF64 is a no-op; V and the eigenvalues stay untouched (they are
-  /// memory-resident and tiny next to U).
+  /// values its quantized "TSCROWQ1" row will serve (decode of encode,
+  /// per-row affine meta, which the model keeps) and records the scheme,
+  /// so the in-memory model, the delta selection and the model file all
+  /// agree. CompressedBytes() then charges U at its true quantized
+  /// stride. kF64 is a no-op; V and the eigenvalues stay untouched (they
+  /// are memory-resident and tiny next to U).
   void ApplyQuantization(QuantScheme scheme);
 
-  /// The U coefficient encoding ExportSvddToDisk will write.
+  /// The U coefficient encoding of the build (what CompressedBytes
+  /// charges).
   QuantScheme quant_scheme() const { return quant_scheme_; }
-
+  /// The file layout (docs/file_formats.md): "SVD2" with U as TSCROWQ1
+  /// rows once ApplyQuantization ran, else "SVD1" with U as f64 rows.
   Status Serialize(BinaryWriter* writer) const;
-  static StatusOr<SvdModel> Deserialize(BinaryReader* reader);
+  /// Reads either layout. Without `open_u_rows` U is read into memory.
+  /// With it, U stays in the file: `open_u_rows` opens the row store over
+  /// U's rows, which are streamed once through `reader` (so its checksum
+  /// covers them) to build the block sums, outside every serving counter.
+  /// Every later U-row read of such a model goes through the row store
+  /// (one read per row), so reconstructions and aggregates can fail with
+  /// the read's Status; the operations that need U in memory (u(),
+  /// ProjectRow, FoldInRows, QuantizeToFloat, ApplyQuantization,
+  /// Serialize) refuse it.
+  static StatusOr<SvdModel> Deserialize(BinaryReader* reader,
+                                        const URowOpener& open_u_rows = {});
   /// Atomic: a failed save leaves any previous file at `path` as it was
   /// (WriteFileAtomically).
   Status SaveToFile(const std::string& path) const;
@@ -180,34 +188,32 @@ class SvdModel final : public CompressedStore {
   /// (construction, quantization, fold-in).
   void RebuildBlockSums();
 
-  /// Row i of U into `*row`: a zero-copy f64 view of u_ in memory; from
-  /// the row store otherwise, in its stored encoding (in place under
-  /// mmap, else in `scratch`, sized by URowScratch()). Inline, so the
-  /// in-memory view costs no call.
-  Status URow(std::size_t i, std::span<std::uint8_t> scratch,
-              QuantRowView* row) const {
+  /// Buffers for URow: one stored row and its decoded doubles on disk,
+  /// empty in memory.
+  struct URowScratch {
+    std::vector<std::uint8_t> stored;
+    std::vector<double> decoded;
+  };
+  URowScratch NewURowScratch() const;
+  /// Row i of U as k doubles into `*row`: u_'s own row in memory;
+  /// otherwise read from the row store (in place for an f64 row under
+  /// mmap, else into `scratch`) and, if quantized, decoded to the very
+  /// doubles an in-memory model holds, so both modes run the same f64
+  /// kernels and agree bit for bit. Inline, so the in-memory row costs no
+  /// call.
+  Status URow(std::size_t i, URowScratch* scratch, const double** row) const {
     if (!u_on_disk()) {
-      *row = MemoryURow(i);
+      *row = u_.Row(i).data();
       return Status::Ok();
     }
-    StatusOr<QuantRowView> read =
-        u_rows_.cached ? u_rows_.cached->ReadQuantRow(i, scratch)
-                       : u_rows_.reader->ReadQuantRow(i, scratch);
-    if (!read.ok()) return read.status();
-    *row = *read;
-    return Status::Ok();
+    return ReadStoredURow(i, scratch, row);
   }
-  /// Row i of the in-memory U as an f64 view (requires !u_on_disk()).
-  QuantRowView MemoryURow(std::size_t i) const {
-    return QuantRowView{QuantScheme::kF64, u_.Row(i).data(), 1.0, 0.0,
-                        u_.cols()};
-  }
-  /// Scratch for URow: one stored row on disk, empty in memory.
-  std::vector<std::uint8_t> URowScratch() const;
-  /// Calls fn(u_i) for i in [lo, hi), u_i as k doubles (in place for f64
-  /// rows, decoded otherwise). Stops at the first failed read.
+  Status ReadStoredURow(std::size_t i, URowScratch* scratch,
+                        const double** row) const;
+  /// Calls fn(u_i) for i in [lo, hi), u_i as k doubles (URow). Stops at
+  /// the first failed read.
   template <typename Fn>
-  Status ForEachDecodedURow(std::size_t lo, std::size_t hi, Fn&& fn) const;
+  Status ForEachURow(std::size_t lo, std::size_t hi, Fn&& fn) const;
 
   Matrix u_;  ///< empty when u_on_disk()
   URowStore u_rows_;
@@ -218,6 +224,14 @@ class SvdModel final : public CompressedStore {
   RowBlockSums block_sums_;
   std::size_t bytes_per_value_ = 8;
   QuantScheme quant_scheme_ = QuantScheme::kF64;
+  /// The encoding of U's rows in the model file: quant_scheme_ once
+  /// ApplyQuantization ran, kF64 for f64 models and for quantized files
+  /// written before U was stored as codes (their snapped doubles).
+  QuantScheme u_row_scheme_ = QuantScheme::kF64;
+  /// The affine meta of each U row under an integer u_row_scheme_ (the
+  /// one its snap used, so the file's codes decode to u_ bit for bit);
+  /// empty otherwise.
+  std::vector<QuantRowMeta> u_meta_;
 };
 
 /// Options for the streaming SVD build.

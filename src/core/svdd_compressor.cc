@@ -299,10 +299,12 @@ Status SvddModel::Serialize(BinaryWriter* writer) const {
   return deltas()->Serialize(writer);
 }
 
-StatusOr<SvddModel> SvddModel::Deserialize(BinaryReader* reader) {
+StatusOr<SvddModel> SvddModel::Deserialize(BinaryReader* reader,
+                                           const URowOpener& open_u_rows) {
   TSC_ASSIGN_OR_RETURN(const std::uint32_t magic, reader->ReadU32());
   if (magic != kSvddModelMagic) return Status::IoError("not an SVDD model");
-  TSC_ASSIGN_OR_RETURN(SvdModel svd, SvdModel::Deserialize(reader));
+  TSC_ASSIGN_OR_RETURN(SvdModel svd,
+                       SvdModel::Deserialize(reader, open_u_rows));
   TSC_ASSIGN_OR_RETURN(DeltaIndex deltas,
                        DeltaIndex::Deserialize(reader, svd.rows(), svd.cols()));
   return SvddModel(std::move(svd), std::move(deltas));

@@ -39,8 +39,8 @@ enum class SvddBuildEngine {
 /// operation and must not race anything.
 ///
 /// The model is the compressed domain linear aggregates read (DESIGN.md
-/// §14), whether U's rows are in memory or in the exported row store
-/// (SvdModel::OverRowStore, opened by DiskBackedStore): its k,
+/// §14), whether U's rows are in memory or read from the model file
+/// (DiskBackedStore): its k,
 /// weighted_v, AccumulateRowMass, AppendRowDots and delta snapshot.
 class SvddModel final : public CompressedStore {
  public:
@@ -98,7 +98,10 @@ class SvddModel final : public CompressedStore {
   Status PatchCell(std::size_t row, std::size_t col, double exact_value);
 
   Status Serialize(BinaryWriter* writer) const;
-  static StatusOr<SvddModel> Deserialize(BinaryReader* reader);
+  /// U in memory, or left in the file with `open_u_rows`
+  /// (SvdModel::Deserialize).
+  static StatusOr<SvddModel> Deserialize(BinaryReader* reader,
+                                         const URowOpener& open_u_rows = {});
   /// Atomic: a failed save leaves any previous file at `path` as it was
   /// (WriteFileAtomically).
   Status SaveToFile(const std::string& path) const;

@@ -41,8 +41,7 @@ Status CachedRowReader::ReadRow(std::size_t index, std::span<double> out) {
   if (index >= rows()) return Status::OutOfRange("row index out of range");
   if (out.size() != cols()) return Status::InvalidArgument("buffer size");
   const std::uint64_t stride = reader_->row_stride_bytes();
-  const std::uint64_t offset =
-      reader_->header_bytes() + static_cast<std::uint64_t>(index) * stride;
+  const std::uint64_t offset = RowOffset(index);
   if (reader_->scheme() == QuantScheme::kF64) {
     return ReadBytes(offset, std::span<std::uint8_t>(
                                  reinterpret_cast<std::uint8_t*>(out.data()),
@@ -61,20 +60,9 @@ StatusOr<QuantRowView> CachedRowReader::ReadQuantRow(
   if (scratch.size() < stride) {
     return Status::InvalidArgument("scratch smaller than row stride");
   }
-  const std::uint64_t offset =
-      reader_->header_bytes() + static_cast<std::uint64_t>(index) * stride;
+  const std::uint64_t offset = RowOffset(index);
   TSC_RETURN_IF_ERROR(ReadBytes(offset, scratch.subspan(0, stride)));
-  QuantRowView view;
-  view.scheme = reader_->scheme();
-  view.n = cols();
-  if (view.scheme == QuantScheme::kF64) {
-    view.data = scratch.data();
-    return view;
-  }
-  std::memcpy(&view.scale, scratch.data(), 8);
-  std::memcpy(&view.offset, scratch.data() + 8, 8);
-  view.data = scratch.data() + kQuantRowMetaBytes;
-  return view;
+  return StoredRowView(reader_->scheme(), scratch.data(), cols());
 }
 
 StatusOr<double> CachedRowReader::ReadCell(std::size_t row, std::size_t col) {
@@ -85,9 +73,7 @@ StatusOr<double> CachedRowReader::ReadCell(std::size_t row, std::size_t col) {
       obs::MetricRegistry::Default().GetCounter("io.cell_reads");
   cell_reads.Increment();
   const QuantScheme scheme = reader_->scheme();
-  const std::uint64_t row_offset =
-      reader_->header_bytes() +
-      static_cast<std::uint64_t>(row) * reader_->row_stride_bytes();
+  const std::uint64_t row_offset = RowOffset(row);
   if (scheme == QuantScheme::kF64) {
     double value = 0.0;
     TSC_RETURN_IF_ERROR(ReadBytes(
@@ -96,20 +82,15 @@ StatusOr<double> CachedRowReader::ReadCell(std::size_t row, std::size_t col) {
                                 sizeof(value))));
     return value;
   }
+  // Meta + the one code, from cached blocks, into a one-code stored row.
   const std::size_t elem_bytes = QuantElemBytes(scheme);
-  std::uint8_t meta[kQuantRowMetaBytes] = {};
-  TSC_RETURN_IF_ERROR(ReadBytes(row_offset, meta));
-  std::uint8_t code[sizeof(double)] = {};
-  TSC_RETURN_IF_ERROR(
-      ReadBytes(row_offset + kQuantRowMetaBytes + col * elem_bytes,
-                std::span<std::uint8_t>(code, elem_bytes)));
-  QuantRowView view;
-  view.scheme = scheme;
-  view.n = 1;
-  view.data = code;
-  std::memcpy(&view.scale, meta, 8);
-  std::memcpy(&view.offset, meta + 8, 8);
-  return DecodeQuantValue(view, 0);
+  alignas(8) std::uint8_t cell[kQuantRowMetaBytes + sizeof(double)] = {};
+  TSC_RETURN_IF_ERROR(ReadBytes(
+      row_offset, std::span<std::uint8_t>(cell, kQuantRowMetaBytes)));
+  TSC_RETURN_IF_ERROR(ReadBytes(
+      row_offset + kQuantRowMetaBytes + col * elem_bytes,
+      std::span<std::uint8_t>(cell + kQuantRowMetaBytes, elem_bytes)));
+  return DecodeQuantValue(StoredRowView(scheme, cell, 1), 0);
 }
 
 }  // namespace tsc

@@ -59,9 +59,15 @@ class CachedRowReader {
   }
 
  private:
-  /// Assembles `out.size()` file bytes starting at `offset` from cached
-  /// blocks (the common path of the row/cell reads above).
+  /// Assembles `out.size()` bytes starting at `offset` on the reader's
+  /// block grid (RowStoreReader::block_origin) from cached blocks (the
+  /// common path of the row/cell reads above).
   Status ReadBytes(std::uint64_t offset, std::span<std::uint8_t> out);
+  /// Where row `index` starts on the block grid.
+  std::uint64_t RowOffset(std::size_t index) const {
+    return reader_->header_bytes() - reader_->block_origin() +
+           static_cast<std::uint64_t>(index) * reader_->row_stride_bytes();
+  }
 
   std::unique_ptr<RowStoreReader> reader_;
   BlockCache cache_;

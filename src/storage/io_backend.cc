@@ -1,8 +1,10 @@
 #include "storage/io_backend.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <mutex>
 
 #include "obs/metrics.h"
@@ -133,14 +135,16 @@ class PreadIoBackend final : public IoBackend {
 };
 
 // ---------------------------------------------------------------------------
-// mmap: the whole file mapped read-only. ReadAt is a memcpy out of the
-// mapping; Mapped() exposes the pages for zero-copy row views. The page
-// cache does the real caching, madvise steers its readahead.
+// mmap: the readable range mapped read-only. ReadAt is a memcpy out of
+// the mapping; Mapped() exposes the pages for zero-copy row views. The
+// page cache does the real caching, madvise steers its readahead.
 // ---------------------------------------------------------------------------
 
 class MmapIoBackend final : public IoBackend {
  public:
-  static StatusOr<std::unique_ptr<IoBackend>> Open(const std::string& path) {
+  static StatusOr<std::unique_ptr<IoBackend>> Open(const std::string& path,
+                                                   std::uint64_t offset,
+                                                   std::uint64_t length) {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) return Status::IoError("cannot open: " + path);
     struct stat st = {};
@@ -150,14 +154,22 @@ class MmapIoBackend final : public IoBackend {
     }
     auto backend = std::unique_ptr<MmapIoBackend>(new MmapIoBackend());
     backend->size_ = static_cast<std::uint64_t>(st.st_size);
-    if (backend->size_ > 0) {
-      void* map = ::mmap(nullptr, static_cast<std::size_t>(backend->size_),
-                         PROT_READ, MAP_SHARED, fd, 0);
+    backend->SetRange(offset, length);
+    // The mapping starts at the page holding the range's first byte.
+    const std::uint64_t page =
+        static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+    const std::uint64_t map_from = backend->begin_ / page * page;
+    backend->map_bytes_ = backend->end_ - map_from;
+    if (backend->map_bytes_ > 0) {
+      void* map =
+          ::mmap(nullptr, static_cast<std::size_t>(backend->map_bytes_),
+                 PROT_READ, MAP_SHARED, fd, static_cast<::off_t>(map_from));
       if (map == MAP_FAILED) {
         ::close(fd);
         return Status::IoError("mmap failed: " + path);
       }
       backend->map_ = static_cast<const std::uint8_t*>(map);
+      backend->data_ = backend->map_ + (backend->begin_ - map_from);
     }
     // The mapping pins the inode; the descriptor is no longer needed.
     ::close(fd);
@@ -167,7 +179,7 @@ class MmapIoBackend final : public IoBackend {
   ~MmapIoBackend() override {
     if (map_ != nullptr) {
       ::munmap(const_cast<std::uint8_t*>(map_),
-               static_cast<std::size_t>(size_));
+               static_cast<std::size_t>(map_bytes_));
     }
   }
 
@@ -176,26 +188,30 @@ class MmapIoBackend final : public IoBackend {
   Status ReadAt(std::uint64_t offset,
                 std::span<std::uint8_t> out) const override {
     TSC_RETURN_IF_ERROR(CheckRange(offset, out.size()));
-    if (!out.empty()) std::memcpy(out.data(), map_ + offset, out.size());
+    if (!out.empty()) {
+      std::memcpy(out.data(), data_ + (offset - begin_), out.size());
+    }
     CountRead(out.size());
     return Status::Ok();
   }
 
   std::span<const std::uint8_t> Mapped() const override {
-    return {map_, static_cast<std::size_t>(size_)};
+    return {data_, static_cast<std::size_t>(end_ - begin_)};
   }
 
   void AdviseSequential() const override {
     if (map_ != nullptr) {
       ::madvise(const_cast<std::uint8_t*>(map_),
-                static_cast<std::size_t>(size_), MADV_SEQUENTIAL);
+                static_cast<std::size_t>(map_bytes_), MADV_SEQUENTIAL);
     }
   }
 
  private:
   MmapIoBackend() = default;
 
-  const std::uint8_t* map_ = nullptr;
+  const std::uint8_t* map_ = nullptr;   ///< page-aligned mapping start
+  std::uint64_t map_bytes_ = 0;
+  const std::uint8_t* data_ = nullptr;  ///< file byte begin_
 };
 
 #endif  // TSC_HAS_MMAP
@@ -242,9 +258,14 @@ IoBackendKind DefaultIoBackendKind() {
   return kind;
 }
 
+void IoBackend::SetRange(std::uint64_t offset, std::uint64_t length) {
+  begin_ = std::min(offset, size_);
+  end_ = begin_ + std::min(length, size_ - begin_);
+}
+
 Status IoBackend::CheckRange(std::uint64_t offset,
                              std::uint64_t length) const {
-  if (offset > size_ || length > size_ - offset) {
+  if (offset < begin_ || offset > end_ || length > end_ - offset) {
     return Status::IoError("read past end of file");
   }
   return Status::Ok();
@@ -260,8 +281,9 @@ void IoBackend::CountRead(std::uint64_t bytes) {
   obs::ChargeIoBytes(bytes);
 }
 
-StatusOr<std::unique_ptr<IoBackend>> IoBackend::Open(const std::string& path,
-                                                     IoBackendKind kind) {
+StatusOr<std::unique_ptr<IoBackend>> IoBackend::OpenRange(
+    const std::string& path, IoBackendKind kind, std::uint64_t offset,
+    std::uint64_t length) {
 #if !TSC_HAS_MMAP
   // Without POSIX I/O both fast engines degrade to the stream engine.
   kind = IoBackendKind::kStream;
@@ -277,7 +299,7 @@ StatusOr<std::unique_ptr<IoBackend>> IoBackend::Open(const std::string& path,
       backend = PreadIoBackend::Open(path);
       break;
     case IoBackendKind::kMmap:
-      backend = MmapIoBackend::Open(path);
+      backend = MmapIoBackend::Open(path, offset, length);
       break;
 #else
     default:
@@ -285,8 +307,15 @@ StatusOr<std::unique_ptr<IoBackend>> IoBackend::Open(const std::string& path,
       break;
 #endif
   }
-  if (backend.ok()) CountBackendOpen((*backend)->kind());
+  if (!backend.ok()) return backend;
+  (*backend)->SetRange(offset, length);
+  CountBackendOpen((*backend)->kind());
   return backend;
+}
+
+StatusOr<std::unique_ptr<IoBackend>> IoBackend::Open(const std::string& path,
+                                                     IoBackendKind kind) {
+  return OpenRange(path, kind, 0, std::numeric_limits<std::uint64_t>::max());
 }
 
 StatusOr<std::unique_ptr<IoBackend>> IoBackend::Open(const std::string& path) {

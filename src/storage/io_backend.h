@@ -65,6 +65,13 @@ class IoBackend {
   static StatusOr<std::unique_ptr<IoBackend>> Open(const std::string& path,
                                                    IoBackendKind kind);
   static StatusOr<std::unique_ptr<IoBackend>> Open(const std::string& path);
+  /// Opens only bytes [offset, offset + length) of `path` (clamped to the
+  /// file): reads outside them fail, and the mmap engine maps just their
+  /// pages, so no neighbouring part of the file is mapped into the
+  /// process.
+  static StatusOr<std::unique_ptr<IoBackend>> OpenRange(
+      const std::string& path, IoBackendKind kind, std::uint64_t offset,
+      std::uint64_t length);
 
   virtual IoBackendKind kind() const = 0;
   const char* name() const { return IoBackendName(kind()); }
@@ -73,14 +80,17 @@ class IoBackend {
   std::uint64_t size() const { return size_; }
 
   /// Reads exactly out.size() bytes starting at `offset`. A range that
-  /// does not fit inside the file is an IoError (callers clamp tail
-  /// reads themselves). Thread-safe.
+  /// does not fit inside the file (or the range it was opened with) is
+  /// an IoError (callers clamp tail reads themselves). Thread-safe.
   virtual Status ReadAt(std::uint64_t offset,
                         std::span<std::uint8_t> out) const = 0;
 
-  /// Zero-copy view of the whole file for the mmap backend; empty span
-  /// for the others. The view lives as long as the backend.
+  /// Zero-copy view of the readable bytes for the mmap backend, starting
+  /// at file offset range_offset(); empty span for the others. The view
+  /// lives as long as the backend.
   virtual std::span<const std::uint8_t> Mapped() const { return {}; }
+  /// The first readable file offset: 0 unless opened with OpenRange.
+  std::uint64_t range_offset() const { return begin_; }
 
   /// Sequential-scan hint (madvise under mmap, a no-op elsewhere).
   virtual void AdviseSequential() const {}
@@ -88,12 +98,17 @@ class IoBackend {
  protected:
   IoBackend() = default;
 
+  /// Sets the readable range to [offset, offset + length), clamped to
+  /// size_.
+  void SetRange(std::uint64_t offset, std::uint64_t length);
   /// Guards ReadAt ranges; shared by every implementation.
   Status CheckRange(std::uint64_t offset, std::uint64_t length) const;
   /// Bumps io.reads / io.bytes_read.
   static void CountRead(std::uint64_t bytes);
 
   std::uint64_t size_ = 0;
+  std::uint64_t begin_ = 0;  ///< readable file bytes [begin_, end_)
+  std::uint64_t end_ = 0;
 };
 
 }  // namespace tsc

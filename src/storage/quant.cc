@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "linalg/kernels.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
 
@@ -22,12 +21,6 @@ void CountRowsDequantized() {
   static obs::Counter& rows =
       obs::MetricRegistry::Default().GetCounter("quant.rows_dequantized");
   rows.Increment();
-}
-
-void CountFusedDots(std::uint64_t n) {
-  static obs::Counter& dots =
-      obs::MetricRegistry::Default().GetCounter("quant.fused_dots");
-  dots.Add(n);
 }
 
 }  // namespace
@@ -94,6 +87,17 @@ std::int32_t QuantMaxCode(QuantScheme scheme) {
     default:
       return 0;
   }
+}
+
+QuantRowView StoredRowView(QuantScheme scheme, const std::uint8_t* row,
+                           std::size_t n) {
+  QuantRowView view{scheme, row, 1.0, 0.0, n};
+  if (scheme != QuantScheme::kF64) {
+    std::memcpy(&view.scale, row, 8);
+    std::memcpy(&view.offset, row + 8, 8);
+    view.data = row + kQuantRowMetaBytes;
+  }
+  return view;
 }
 
 QuantRowMeta ComputeQuantRowMeta(QuantScheme scheme,
@@ -240,77 +244,6 @@ double SnapQuantValue(QuantScheme scheme, const QuantRowMeta& meta,
 
 double QuantStepAbsError(QuantScheme scheme, const QuantRowMeta& meta) {
   return QuantMaxCode(scheme) == 0 ? 0.0 : meta.scale / 2.0;
-}
-
-double QuantDot(const QuantRowView& q, const double* b) {
-  switch (q.scheme) {
-    case QuantScheme::kF64:
-      return kernels::Dot(static_cast<const double*>(q.data), b, q.n);
-    case QuantScheme::kF32:
-      CountFusedDots(1);
-      return kernels::DotF32(static_cast<const float*>(q.data), 1.0, 0.0, b,
-                             q.n);
-    case QuantScheme::kI16:
-      CountFusedDots(1);
-      return kernels::DotI16(static_cast<const std::int16_t*>(q.data),
-                             q.scale, q.offset, b, q.n);
-    case QuantScheme::kI8:
-      CountFusedDots(1);
-      return kernels::DotI8(static_cast<const std::int8_t*>(q.data), q.scale,
-                            q.offset, b, q.n);
-  }
-  return 0.0;
-}
-
-void QuantDotBatch(const QuantRowView& q, const double* rows,
-                   std::size_t stride, std::size_t count, double* out) {
-  switch (q.scheme) {
-    case QuantScheme::kF64:
-      kernels::DotBatch(rows, stride, count, static_cast<const double*>(q.data),
-                        q.n, out);
-      return;
-    case QuantScheme::kF32:
-      kernels::DotBatchF32(rows, stride, count,
-                           static_cast<const float*>(q.data), 1.0, 0.0, q.n,
-                           out);
-      break;
-    case QuantScheme::kI16:
-      kernels::DotBatchI16(rows, stride, count,
-                           static_cast<const std::int16_t*>(q.data), q.scale,
-                           q.offset, q.n, out);
-      break;
-    case QuantScheme::kI8:
-      kernels::DotBatchI8(rows, stride, count,
-                          static_cast<const std::int8_t*>(q.data), q.scale,
-                          q.offset, q.n, out);
-      break;
-  }
-  CountFusedDots(count);
-}
-
-void QuantGemv(const QuantRowView& q, const double* a, std::size_t rows,
-               std::size_t stride, double* y) {
-  switch (q.scheme) {
-    case QuantScheme::kF64:
-      kernels::Gemv(a, rows, q.n, stride, static_cast<const double*>(q.data),
-                    y);
-      return;
-    case QuantScheme::kF32:
-      kernels::GemvF32(a, rows, q.n, stride,
-                       static_cast<const float*>(q.data), 1.0, 0.0, y);
-      break;
-    case QuantScheme::kI16:
-      kernels::GemvI16(a, rows, q.n, stride,
-                       static_cast<const std::int16_t*>(q.data), q.scale,
-                       q.offset, y);
-      break;
-    case QuantScheme::kI8:
-      kernels::GemvI8(a, rows, q.n, stride,
-                      static_cast<const std::int8_t*>(q.data), q.scale,
-                      q.offset, y);
-      break;
-  }
-  CountFusedDots(rows);
 }
 
 }  // namespace tsc

@@ -74,6 +74,12 @@ struct QuantRowView {
   std::size_t n = 0;
 };
 
+/// The view over one stored row (a TSCROWQ1 row: the 16-byte meta, then
+/// `n` codes; for kF64 the `n` doubles themselves). `row` must be 8-byte
+/// aligned.
+QuantRowView StoredRowView(QuantScheme scheme, const std::uint8_t* row,
+                           std::size_t n);
+
 /// Decode parameters for `row`: the integer schemes center the affine
 /// map on the row's midrange (offset = (min+max)/2, scale spanning the
 /// half-range over the code range), so a constant row has scale 0 and
@@ -110,23 +116,6 @@ double SnapQuantValue(QuantScheme scheme, const QuantRowMeta& meta,
 /// (2^-24), so callers bound it with the row's largest magnitude:
 /// |v| * 2^-24.
 double QuantStepAbsError(QuantScheme scheme, const QuantRowMeta& meta);
-
-// ---------------------------------------------------------------------------
-// Fused math over quantized rows. These dispatch straight into the
-// linalg kernels (scalar or AVX2 per TSC_SIMD) so a row served from the
-// zero-copy mmap view is consumed in place, codes and all.
-// ---------------------------------------------------------------------------
-
-/// dot(decode(q), b[0..q.n)).
-double QuantDot(const QuantRowView& q, const double* b);
-
-/// out[r] = dot(decode(q), rows + r*stride) for r in [0, count).
-void QuantDotBatch(const QuantRowView& q, const double* rows,
-                   std::size_t stride, std::size_t count, double* out);
-
-/// y[r] += dot(decode(q), a + r*stride) for r in [0, rows).
-void QuantGemv(const QuantRowView& q, const double* a, std::size_t rows,
-               std::size_t stride, double* y);
 
 }  // namespace tsc
 

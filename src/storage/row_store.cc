@@ -20,6 +20,23 @@ constexpr std::uint64_t kHeaderBytes = 8 + 8 + 8;  // magic + rows + cols
 constexpr char kMagicQ[8] = {'T', 'S', 'C', 'R', 'O', 'W', 'Q', '1'};
 constexpr std::uint64_t kHeaderBytesQ = 8 + 8 + 8 + 4 + 4;
 
+/// Checks `image`'s dimensions and returns its row stride. Guards
+/// offset + rows * stride against uint64 overflow before trusting it: a
+/// corrupt header must not wrap into a small "valid" size.
+StatusOr<std::uint64_t> ImageStride(const std::string& path,
+                                    const RowImage& image) {
+  if (image.cols == 0) return Status::IoError("bad header in " + path);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  if (image.cols > (kMax - kQuantRowMetaBytes) / sizeof(double)) {
+    return Status::InvalidArgument("row store dimensions overflow: " + path);
+  }
+  const std::uint64_t stride = QuantRowStride(image.scheme, image.cols);
+  if (image.rows != 0 && image.rows > (kMax - image.offset) / stride) {
+    return Status::InvalidArgument("row store dimensions overflow: " + path);
+  }
+  return stride;
+}
+
 void CountCellRead() {
   static obs::Counter& cell_reads =
       obs::MetricRegistry::Default().GetCounter("io.cell_reads");
@@ -123,34 +140,27 @@ StatusOr<RowStoreReader> RowStoreReader::Open(const std::string& path) {
 
 StatusOr<RowStoreReader> RowStoreReader::Open(const std::string& path,
                                               IoBackendKind backend) {
-  RowStoreReader reader;
-  TSC_ASSIGN_OR_RETURN(reader.io_, IoBackend::Open(path, backend));
-  reader.path_ = path;
-  if (reader.io_->size() < kHeaderBytes) {
+  TSC_ASSIGN_OR_RETURN(std::unique_ptr<IoBackend> io,
+                       IoBackend::Open(path, backend));
+  if (io->size() < kHeaderBytes) {
     return Status::IoError("truncated header in " + path);
   }
   std::uint8_t header[kHeaderBytesQ] = {};
-  const bool quantized =
-      [&] {
-        std::uint8_t magic[8] = {};
-        return reader.io_->ReadAt(0, magic).ok() &&
-               std::memcmp(magic, kMagicQ, sizeof(kMagicQ)) == 0;
-      }();
-  const std::uint64_t header_bytes = quantized ? kHeaderBytesQ : kHeaderBytes;
-  if (reader.io_->size() < header_bytes) {
-    return Status::IoError("truncated header in " + path);
-  }
-  TSC_RETURN_IF_ERROR(reader.io_->ReadAt(
-      0, std::span<std::uint8_t>(header, header_bytes)));
+  TSC_RETURN_IF_ERROR(io->ReadAt(0, std::span<std::uint8_t>(header, 8)));
+  const bool quantized = std::memcmp(header, kMagicQ, sizeof(kMagicQ)) == 0;
   if (!quantized && std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
     return Status::IoError("bad magic in " + path);
   }
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  std::memcpy(&rows, header + 8, 8);
-  std::memcpy(&cols, header + 16, 8);
-  if (cols == 0) return Status::IoError("bad header in " + path);
-  QuantScheme scheme = QuantScheme::kF64;
+  const std::uint64_t header_bytes = quantized ? kHeaderBytesQ : kHeaderBytes;
+  if (io->size() < header_bytes) {
+    return Status::IoError("truncated header in " + path);
+  }
+  TSC_RETURN_IF_ERROR(
+      io->ReadAt(0, std::span<std::uint8_t>(header, header_bytes)));
+  RowImage image;
+  image.offset = header_bytes;
+  std::memcpy(&image.rows, header + 8, 8);
+  std::memcpy(&image.cols, header + 16, 8);
   if (quantized) {
     std::uint32_t scheme32 = 0;
     std::memcpy(&scheme32, header + 24, 4);
@@ -158,51 +168,45 @@ StatusOr<RowStoreReader> RowStoreReader::Open(const std::string& path,
                                         QuantScheme::kI8)) {
       return Status::IoError("bad quant scheme in " + path);
     }
-    scheme = static_cast<QuantScheme>(scheme32);
+    image.scheme = static_cast<QuantScheme>(scheme32);
   }
-  // Guard rows * stride against uint64 overflow before trusting it: a
-  // corrupt header must not wrap into a small "valid" payload size.
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  if (cols > (kMax - kQuantRowMetaBytes) / sizeof(double)) {
-    return Status::InvalidArgument("row store dimensions overflow: " + path);
-  }
-  const std::uint64_t stride = QuantRowStride(scheme, cols);
-  if (rows != 0 && rows > (kMax - header_bytes) / stride) {
-    return Status::InvalidArgument("row store dimensions overflow: " + path);
-  }
-  const std::uint64_t payload = rows * stride;
-  // A truncated (or padded) U file fails here, at open, instead of with a
+  TSC_ASSIGN_OR_RETURN(const std::uint64_t stride, ImageStride(path, image));
+  // A truncated (or padded) file fails here, at open, instead of with a
   // confusing "short row read" on some later query.
-  if (reader.io_->size() != header_bytes + payload) {
+  const std::uint64_t promised = header_bytes + image.rows * stride;
+  if (io->size() != promised) {
     return Status::IoError("row store size mismatch in " + path +
-                           ": header promises " +
-                           std::to_string(header_bytes + payload) +
-                           " bytes, file has " +
-                           std::to_string(reader.io_->size()));
+                           ": header promises " + std::to_string(promised) +
+                           " bytes, file has " + std::to_string(io->size()));
   }
-  reader.rows_ = rows;
-  reader.cols_ = cols;
-  reader.scheme_ = scheme;
-  reader.row_stride_ = static_cast<std::size_t>(stride);
-  reader.header_bytes_ = header_bytes;
-  reader.payload_bytes_ = payload;
+  return RowStoreReader(std::move(io), image, stride);
+}
+
+StatusOr<RowStoreReader> RowStoreReader::OpenImage(const std::string& path,
+                                                   const RowImage& image,
+                                                   IoBackendKind backend) {
+  TSC_ASSIGN_OR_RETURN(const std::uint64_t stride, ImageStride(path, image));
+  const std::uint64_t payload = image.rows * stride;
+  TSC_ASSIGN_OR_RETURN(
+      std::unique_ptr<IoBackend> io,
+      IoBackend::OpenRange(path, backend, image.offset, payload));
+  if (io->size() < image.offset + payload) {
+    return Status::IoError("row image runs past the end of " + path);
+  }
+  RowStoreReader reader(std::move(io), image, stride);
+  reader.block_origin_ = image.offset;
   return reader;
 }
 
-QuantRowView RowStoreReader::ViewOverRowBytes(
-    const std::uint8_t* row_bytes) const {
-  QuantRowView view;
-  view.scheme = scheme_;
-  view.n = cols_;
-  if (scheme_ == QuantScheme::kF64) {
-    view.data = row_bytes;
-    return view;
-  }
-  std::memcpy(&view.scale, row_bytes, 8);
-  std::memcpy(&view.offset, row_bytes + 8, 8);
-  view.data = row_bytes + kQuantRowMetaBytes;
-  return view;
-}
+RowStoreReader::RowStoreReader(std::unique_ptr<IoBackend> io,
+                               const RowImage& image, std::uint64_t stride)
+    : io_(std::move(io)),
+      rows_(static_cast<std::size_t>(image.rows)),
+      cols_(static_cast<std::size_t>(image.cols)),
+      scheme_(image.scheme),
+      row_stride_(static_cast<std::size_t>(stride)),
+      header_bytes_(image.offset),
+      payload_bytes_(image.rows * stride) {}
 
 Status RowStoreReader::ReadRow(std::size_t index, std::span<double> out) {
   if (index >= rows_) return Status::OutOfRange("row index out of range");
@@ -215,11 +219,11 @@ Status RowStoreReader::ReadRow(std::size_t index, std::span<double> out) {
     TSC_RETURN_IF_ERROR(io_->ReadAt(
         offset, std::span<std::uint8_t>(
                     reinterpret_cast<std::uint8_t*>(out.data()), length)));
-    counter_.RecordRead(offset, length);
+    CountRead(offset, length);
     return Status::Ok();
   }
   // Quantized: fetch the raw row (zero-copy under mmap) and decode.
-  std::vector<std::uint8_t> buf(io_->Mapped().empty() ? row_stride_ : 0);
+  std::vector<std::uint8_t> buf(InPlace(header_bytes_) ? 0 : row_stride_);
   TSC_ASSIGN_OR_RETURN(const QuantRowView view, ReadQuantRow(index, buf));
   DecodeQuantRow(view, out);
   return Status::Ok();
@@ -229,16 +233,15 @@ StatusOr<std::span<const double>> RowStoreReader::ReadRowView(
     std::size_t index, std::span<double> scratch) {
   if (index >= rows_) return Status::OutOfRange("row index out of range");
   if (scratch.size() != cols_) return Status::InvalidArgument("buffer size");
-  const std::span<const std::uint8_t> mapped = io_->Mapped();
-  if (scheme_ == QuantScheme::kF64 && !mapped.empty()) {
-    const std::uint64_t offset =
-        header_bytes_ +
-        static_cast<std::uint64_t>(index) * cols_ * sizeof(double);
-    counter_.RecordRead(offset, cols_ * sizeof(double));
-    // The payload starts at byte 24, so every row is 8-byte aligned in
-    // the mapping and safe to view as doubles.
-    return std::span<const double>(
-        reinterpret_cast<const double*>(mapped.data() + offset), cols_);
+  const std::uint64_t offset =
+      header_bytes_ + static_cast<std::uint64_t>(index) * row_stride_;
+  if (const std::uint8_t* row = InPlace(offset);
+      row != nullptr && scheme_ == QuantScheme::kF64) {
+    CountRead(offset, row_stride_);
+    // InPlace only maps an 8-byte aligned payload, so the row is safe to
+    // view as doubles.
+    return std::span<const double>(reinterpret_cast<const double*>(row),
+                                   cols_);
   }
   TSC_RETURN_IF_ERROR(ReadRow(index, scratch));
   return std::span<const double>(scratch.data(), scratch.size());
@@ -249,19 +252,18 @@ StatusOr<QuantRowView> RowStoreReader::ReadQuantRow(
   if (index >= rows_) return Status::OutOfRange("row index out of range");
   const std::uint64_t offset =
       header_bytes_ + static_cast<std::uint64_t>(index) * row_stride_;
-  const std::span<const std::uint8_t> mapped = io_->Mapped();
-  if (!mapped.empty()) {
-    counter_.RecordRead(offset, row_stride_);
-    // Header and stride are both 8-byte multiples, so the meta doubles
-    // (and f64 coefficients) are aligned in the mapping.
-    return ViewOverRowBytes(mapped.data() + offset);
+  if (const std::uint8_t* row = InPlace(offset)) {
+    CountRead(offset, row_stride_);
+    // The payload offset (InPlace) and the stride are both 8-byte
+    // multiples, so the meta doubles (and f64 coefficients) are aligned.
+    return StoredRowView(scheme_, row, cols_);
   }
   if (scratch.size() < row_stride_) {
     return Status::InvalidArgument("scratch smaller than row stride");
   }
   TSC_RETURN_IF_ERROR(io_->ReadAt(offset, scratch.subspan(0, row_stride_)));
-  counter_.RecordRead(offset, row_stride_);
-  return ViewOverRowBytes(scratch.data());
+  CountRead(offset, row_stride_);
+  return StoredRowView(scheme_, scratch.data(), cols_);
 }
 
 StatusOr<double> RowStoreReader::ReadCell(std::size_t row, std::size_t col) {
@@ -277,12 +279,10 @@ StatusOr<double> RowStoreReader::ReadCell(std::size_t row, std::size_t col) {
           ? row_offset + col * sizeof(double)
           : row_offset + kQuantRowMetaBytes + col * elem_bytes;
   double value = 0.0;
-  const std::span<const std::uint8_t> mapped = io_->Mapped();
-  if (!mapped.empty()) {
+  if (const std::uint8_t* mapped_row = InPlace(row_offset)) {
     // The backend's cached path: the page cache already holds (or will
     // fault in) the block; no read syscall is issued.
-    value = DecodeQuantValue(ViewOverRowBytes(mapped.data() + row_offset),
-                             col);
+    value = DecodeQuantValue(StoredRowView(scheme_, mapped_row, cols_), col);
   } else if (scheme_ == QuantScheme::kF64) {
     TSC_RETURN_IF_ERROR(io_->ReadAt(
         elem_offset,
@@ -290,58 +290,20 @@ StatusOr<double> RowStoreReader::ReadCell(std::size_t row, std::size_t col) {
                                 sizeof(value))));
   } else {
     // Meta + the one code: two tiny positional reads of only the bytes
-    // the cell needs.
-    std::uint8_t meta[kQuantRowMetaBytes] = {};
-    TSC_RETURN_IF_ERROR(io_->ReadAt(row_offset, meta));
-    std::uint8_t code[sizeof(double)] = {};
+    // the cell needs, into a one-code stored row.
+    alignas(8) std::uint8_t cell[kQuantRowMetaBytes + sizeof(double)] = {};
     TSC_RETURN_IF_ERROR(io_->ReadAt(
-        elem_offset, std::span<std::uint8_t>(code, elem_bytes)));
-    QuantRowView view;
-    view.scheme = scheme_;
-    view.n = 1;
-    view.data = code;
-    std::memcpy(&view.scale, meta, 8);
-    std::memcpy(&view.offset, meta + 8, 8);
-    value = DecodeQuantValue(view, 0);
+        row_offset, std::span<std::uint8_t>(cell, kQuantRowMetaBytes)));
+    TSC_RETURN_IF_ERROR(io_->ReadAt(
+        elem_offset,
+        std::span<std::uint8_t>(cell + kQuantRowMetaBytes, elem_bytes)));
+    value = DecodeQuantValue(StoredRowView(scheme_, cell, 1), 0);
   }
   // A real disk still fetches the whole block containing the cell.
-  const std::uint64_t block = elem_offset / counter_.block_size();
-  counter_.RecordRead(block * counter_.block_size(), counter_.block_size());
+  const std::uint64_t block_size = counter_.block_size();
+  const std::uint64_t block = (elem_offset - block_origin_) / block_size;
+  CountRead(block_origin_ + block * block_size, block_size);
   return value;
-}
-
-Status RowStoreReader::ForEachRowUncounted(
-    const std::function<void(std::size_t, std::span<const double>)>& fn)
-    const {
-  if (rows_ == 0) return Status::Ok();
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return Status::IoError("cannot open: " + path_);
-  in.seekg(static_cast<std::streamoff>(header_bytes_));
-  // About 1 MiB per read. The stride is a multiple of 8, so a chunk of
-  // rows fits a buffer of doubles exactly, aligned for f64 rows and
-  // for the quantized rows' meta.
-  const std::size_t chunk_rows =
-      std::max<std::size_t>(1, (std::size_t{1} << 20) / row_stride_);
-  std::vector<double> chunk(chunk_rows * row_stride_ / sizeof(double));
-  std::vector<double> row(cols_);
-  for (std::size_t first = 0; first < rows_; first += chunk_rows) {
-    const std::size_t count = std::min(chunk_rows, rows_ - first);
-    in.read(reinterpret_cast<char*>(chunk.data()),
-            static_cast<std::streamsize>(count * row_stride_));
-    if (!in) return Status::IoError("short read in " + path_);
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(chunk.data());
-    for (std::size_t r = 0; r < count; ++r) {
-      const std::uint8_t* row_bytes = bytes + r * row_stride_;
-      if (scheme_ == QuantScheme::kF64) {
-        fn(first + r, std::span<const double>(
-                          reinterpret_cast<const double*>(row_bytes), cols_));
-      } else {
-        DecodeQuantRow(ViewOverRowBytes(row_bytes), row);
-        fn(first + r, row);
-      }
-    }
-  }
-  return Status::Ok();
 }
 
 Status RowStoreReader::ReadBlock(std::uint64_t block_id,
@@ -350,14 +312,14 @@ Status RowStoreReader::ReadBlock(std::uint64_t block_id,
   if (out.size() != block_size) {
     return Status::InvalidArgument("block buffer size mismatch");
   }
-  const std::uint64_t offset = block_id * block_size;
+  const std::uint64_t offset = block_origin_ + block_id * block_size;
   const std::uint64_t file_size = file_bytes();
   if (offset >= file_size) return Status::OutOfRange("block beyond file");
   const std::uint64_t want = std::min<std::uint64_t>(block_size,
                                                      file_size - offset);
   TSC_RETURN_IF_ERROR(io_->ReadAt(offset, out.subspan(0, want)));
   std::fill(out.begin() + static_cast<std::ptrdiff_t>(want), out.end(), 0);
-  counter_.RecordRead(offset, want);
+  CountRead(offset, want);
   return Status::Ok();
 }
 
@@ -374,15 +336,16 @@ StatusOr<Matrix> RowStoreReader::ReadAll() {
         std::span<std::uint8_t>(
             reinterpret_cast<std::uint8_t*>(m.data().data()),
             payload_bytes_)));
-    counter_.RecordRead(header_bytes_, payload_bytes_);
+    CountRead(header_bytes_, payload_bytes_);
     return m;
   }
   // Quantized: same single payload-sized read, decoded row by row.
   std::vector<std::uint8_t> payload(payload_bytes_);
   TSC_RETURN_IF_ERROR(io_->ReadAt(header_bytes_, payload));
-  counter_.RecordRead(header_bytes_, payload_bytes_);
+  CountRead(header_bytes_, payload_bytes_);
   for (std::size_t i = 0; i < rows_; ++i) {
-    DecodeQuantRow(ViewOverRowBytes(payload.data() + i * row_stride_),
+    DecodeQuantRow(
+        StoredRowView(scheme_, payload.data() + i * row_stride_, cols_),
                    m.Row(i));
   }
   return m;

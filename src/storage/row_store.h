@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -112,8 +111,20 @@ class RowStoreWriter {
   bool closed_ = true;
 };
 
+/// Where a run of stored rows lies inside a larger file (a model file's
+/// U section): `rows` rows of `cols` coefficients under `scheme`, each
+/// QuantRowStride(scheme, cols) bytes (TSCROWS1 rows for kF64, TSCROWQ1
+/// rows otherwise), the first one at byte `offset`.
+struct RowImage {
+  std::uint64_t offset = 0;
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  QuantScheme scheme = QuantScheme::kF64;
+};
+
 /// Random and sequential access to a "TSCROWS1" / "TSCROWQ1" matrix
-/// file, with every read accounted against a DiskAccessCounter.
+/// file, or to a row image inside a larger file, with every read
+/// accounted against a DiskAccessCounter.
 ///
 /// All reads go through a pluggable IoBackend (storage/io_backend.h).
 /// Under the pread and mmap backends concurrent ReadRow/ReadCell/
@@ -129,14 +140,27 @@ class RowStoreReader {
   /// Same, with an explicit I/O backend.
   static StatusOr<RowStoreReader> Open(const std::string& path,
                                        IoBackendKind backend);
+  /// Opens the rows of `image` inside `path`; the rest of the file is
+  /// never read. The image must fit inside the file. Rows are viewed in
+  /// place under mmap only when image.offset is 8-byte aligned; an
+  /// unaligned image is copied row by row into the caller's scratch.
+  static StatusOr<RowStoreReader> OpenImage(const std::string& path,
+                                            const RowImage& image,
+                                            IoBackendKind backend);
 
   RowStoreReader(RowStoreReader&&) = default;
   RowStoreReader& operator=(RowStoreReader&&) = default;
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
+  /// End of the rows: the file size of a standalone file.
   std::uint64_t file_bytes() const { return header_bytes_ + payload_bytes_; }
+  /// Bytes ahead of row 0: the header, or everything in front of an image.
   std::uint64_t header_bytes() const { return header_bytes_; }
+  /// Where the block grid of counter() and ReadBlock starts: byte 0 of a
+  /// standalone file (header included), the first row of an image, so
+  /// an image is counted as if it were a file of its own.
+  std::uint64_t block_origin() const { return block_origin_; }
 
   /// Coefficient encoding of the file (kF64 for "TSCROWS1").
   QuantScheme scheme() const { return scheme_; }
@@ -184,38 +208,41 @@ class RowStoreReader {
   /// one access per row.
   StatusOr<Matrix> ReadAll();
 
-  /// Calls fn(i, row) for every row in order, decoded to doubles. The
-  /// payload is read front to back in bounded chunks through a private
-  /// file handle, so this open-time pass (e.g. building summaries over
-  /// the rows) is charged to neither counter() nor the io.* metrics.
-  Status ForEachRowUncounted(
-      const std::function<void(std::size_t, std::span<const double>)>& fn)
-      const;
 
   /// Reads one whole `counter().block_size()`-byte block by id (block 0
-  /// starts at byte 0 of the file, header included). Short reads at the
-  /// file tail are zero-padded. One disk access. This is the fetch path
-  /// of the BlockCache buffer pool.
+  /// starts at block_origin()). Short reads at the end of the rows are
+  /// zero-padded. One disk access. This is the fetch path of the
+  /// BlockCache buffer pool.
   Status ReadBlock(std::uint64_t block_id, std::span<std::uint8_t> out);
 
   DiskAccessCounter& counter() { return counter_; }
   const DiskAccessCounter& counter() const { return counter_; }
 
  private:
-  RowStoreReader() = default;
+  RowStoreReader(std::unique_ptr<IoBackend> io, const RowImage& image,
+                 std::uint64_t stride);
 
-  /// Builds the QuantRowView over one raw row image (meta + codes for
-  /// the quantized schemes, plain doubles for f64).
-  QuantRowView ViewOverRowBytes(const std::uint8_t* row_bytes) const;
+  /// Records a read of file bytes [offset, offset + length) on the block
+  /// grid.
+  void CountRead(std::uint64_t offset, std::uint64_t length) {
+    counter_.RecordRead(offset - block_origin_, length);
+  }
+  /// Where file byte `offset` of a row is mapped, when rows are read in
+  /// place: under mmap, with an 8-byte aligned payload. Null otherwise.
+  const std::uint8_t* InPlace(std::uint64_t offset) const {
+    const std::span<const std::uint8_t> mapped = io_->Mapped();
+    if (mapped.empty() || header_bytes_ % alignof(double) != 0) return nullptr;
+    return mapped.data() + (offset - io_->range_offset());
+  }
 
   std::unique_ptr<IoBackend> io_;
-  std::string path_;
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   QuantScheme scheme_ = QuantScheme::kF64;
   std::size_t row_stride_ = 0;
   std::uint64_t header_bytes_ = 0;
   std::uint64_t payload_bytes_ = 0;
+  std::uint64_t block_origin_ = 0;
   DiskAccessCounter counter_;
 };
 

@@ -100,18 +100,26 @@ StatusOr<BinaryReader> BinaryReader::Open(const std::string& path) {
     return Status::Unimplemented("big-endian hosts are not supported");
   }
   BinaryReader reader;
-  reader.in_.open(path, std::ios::binary);
+  reader.in_.open(path, std::ios::binary | std::ios::ate);
   if (!reader.in_) {
     return Status::IoError("cannot open for reading: " + path);
   }
+  const std::streamoff size = reader.in_.tellg();
+  reader.in_.seekg(0);
+  if (size < 0 || !reader.in_) {
+    return Status::IoError("cannot size " + path);
+  }
+  reader.size_ = static_cast<std::uint64_t>(size);
   return reader;
 }
 
 Status BinaryReader::ReadBytes(void* data, std::size_t size) {
+  if (size > remaining()) return Status::IoError("unexpected end of file");
   in_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
   if (in_.gcount() != static_cast<std::streamsize>(size)) {
     return Status::IoError("unexpected end of file");
   }
+  position_ += size;
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   for (std::size_t i = 0; i < size; ++i) {
     checksum_ = (checksum_ ^ bytes[i]) * BinaryWriter::kFnvPrime;
@@ -152,7 +160,7 @@ StatusOr<double> BinaryReader::ReadDouble() {
 
 StatusOr<std::string> BinaryReader::ReadString() {
   TSC_ASSIGN_OR_RETURN(const std::uint64_t size, ReadU64());
-  if (size > (1ULL << 32)) return Status::IoError("corrupt string length");
+  if (size > remaining()) return Status::IoError("corrupt string length");
   std::string value(size, '\0');
   if (size > 0) TSC_RETURN_IF_ERROR(ReadBytes(value.data(), size));
   return value;
@@ -160,7 +168,7 @@ StatusOr<std::string> BinaryReader::ReadString() {
 
 StatusOr<std::vector<double>> BinaryReader::ReadDoubleVector() {
   TSC_ASSIGN_OR_RETURN(const std::uint64_t size, ReadU64());
-  if (size > (1ULL << 40) / sizeof(double)) {
+  if (size > remaining() / sizeof(double)) {
     return Status::IoError("corrupt vector length");
   }
   std::vector<double> values(size);
@@ -177,8 +185,8 @@ StatusOr<Matrix> BinaryReader::ReadMatrix() {
     return Status::IoError("corrupt matrix dims");
   }
   const std::uint64_t count = rows * cols;
-  if (count > (1ULL << 40) / sizeof(double)) {
-    return Status::IoError("matrix too large");
+  if (count > remaining() / sizeof(double)) {
+    return Status::IoError("matrix runs past the end of the file");
   }
   Matrix m(rows, cols);
   if (count > 0) {
@@ -189,18 +197,12 @@ StatusOr<Matrix> BinaryReader::ReadMatrix() {
 
 Status WriteFileAtomically(const std::string& path,
                            const std::function<Status(BinaryWriter*)>& write) {
-  return ReplaceFileAtomically(path, [&](const std::string& temp) -> Status {
+  const std::string temp = path + ".tmp." + std::to_string(::getpid());
+  Status status = [&]() -> Status {
     TSC_ASSIGN_OR_RETURN(BinaryWriter writer, BinaryWriter::Open(temp));
     TSC_RETURN_IF_ERROR(write(&writer));
     return writer.FinishWithChecksum();
-  });
-}
-
-Status ReplaceFileAtomically(
-    const std::string& path,
-    const std::function<Status(const std::string& temp_path)>& write) {
-  const std::string temp = path + ".tmp." + std::to_string(::getpid());
-  Status status = write(temp);
+  }();
   if (status.ok()) {
     const int fd = ::open(temp.c_str(), O_RDONLY);
     if (fd < 0 || ::fsync(fd) != 0) {

@@ -71,6 +71,11 @@ class BinaryReader {
 
   /// Running FNV-1a hash of every byte read so far.
   std::uint64_t checksum() const { return checksum_; }
+  /// Byte offset of the next read in the file.
+  std::uint64_t position() const { return position_; }
+  /// Bytes left after position(); the vector and matrix readers refuse a
+  /// header that promises more before they allocate.
+  std::uint64_t remaining() const { return size_ - position_; }
   /// Reads the trailer written by FinishWithChecksum and compares it to
   /// the running hash; kIoError on mismatch (corruption or truncation).
   Status VerifyChecksum();
@@ -79,6 +84,8 @@ class BinaryReader {
   BinaryReader() = default;
 
   std::ifstream in_;
+  std::uint64_t size_ = 0;
+  std::uint64_t position_ = 0;
   std::uint64_t checksum_ = BinaryWriter::kFnvOffsetBasis;
 };
 
@@ -89,12 +96,6 @@ class BinaryReader {
 /// untouched.
 Status WriteFileAtomically(const std::string& path,
                            const std::function<Status(BinaryWriter*)>& write);
-
-/// The same temp, fsync and rename steps for a file written by other
-/// means: `write` creates and fills the temp path it is given.
-Status ReplaceFileAtomically(
-    const std::string& path,
-    const std::function<Status(const std::string& temp_path)>& write);
 
 }  // namespace tsc
 

@@ -1,8 +1,11 @@
 #include "cli/cli.h"
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -294,6 +297,55 @@ TEST_F(CliPipelineTest, StatsRequiresSvddModel) {
                 .exit_code,
             0);
   EXPECT_EQ(RunTool({"stats", "--model=" + model}).exit_code, 1);
+}
+
+TEST_F(CliPipelineTest, DiskServingWritesNoFile) {
+  // The model file is the disk layout: serving and stats open it in
+  // place and leave nothing beside it.
+  const std::string dir = TempPath("disk_serving_dir");
+  std::filesystem::create_directory(dir);
+  const std::string model = dir + "/m.model";
+  std::filesystem::copy_file(*model_path_, model,
+                             std::filesystem::copy_options::overwrite_existing);
+  const CliResult served =
+      RunTool({"serve", "--model=" + model, "--port=0", "--duration-s=1",
+               "--cache-blocks=8"});
+  ASSERT_EQ(served.exit_code, 0) << served.err;
+  EXPECT_NE(served.out.find("serving from disk layout"), std::string::npos);
+  const CliResult stats =
+      RunTool({"stats", "--model=" + model, "--queries=50"});
+  ASSERT_EQ(stats.exit_code, 0) << stats.err;
+  std::vector<std::string> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    entries.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"m.model"});
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(CliPipelineTest, DiskServingRejectsACorruptModelFile) {
+  // A byte flipped inside the model file (in U's rows) is caught by the
+  // checksum at open: serve and stats fail instead of serving it.
+  const std::string model = TempPath("corrupt.model");
+  std::filesystem::copy_file(*model_path_, model,
+                             std::filesystem::copy_options::overwrite_existing);
+  const auto size = std::filesystem::file_size(model);
+  {
+    std::fstream file(model, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekg(static_cast<std::streamoff>(size / 2));
+    char byte = 0;
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x20);
+    file.seekp(static_cast<std::streamoff>(size / 2));
+    file.write(&byte, 1);
+  }
+  const CliResult served =
+      RunTool({"serve", "--model=" + model, "--port=0", "--duration-s=1",
+               "--cache-blocks=8"});
+  EXPECT_EQ(served.exit_code, 1);
+  EXPECT_NE(served.err.find("checksum"), std::string::npos) << served.err;
+  EXPECT_EQ(RunTool({"stats", "--model=" + model}).exit_code, 1);
+  std::filesystem::remove(model);
 }
 
 TEST_F(CliPipelineTest, MetricsOutWritesRegistryJson) {

@@ -1,10 +1,11 @@
 #ifndef TSC_TESTS_CORE_BLOOM_SECTION_FILES_H_
 #define TSC_TESTS_CORE_BLOOM_SECTION_FILES_H_
 
-// Writers for the older model and sidecar layout, whose delta section is
-// followed by a Bloom filter over the delta keys. Current writers emit
-// the same bytes with the filter flag 0 and no filter; the loaders must
-// still read the older files and answer identically.
+// Writers for older model file layouts, which the loaders must still
+// read and answer from identically: a delta section followed by a Bloom
+// filter over the delta keys (current writers emit the flag 0 and no
+// filter), and a quantized model whose U is stored as its snapped f64
+// rows (current writers store a quantized U as its row codes).
 
 #include <string>
 
@@ -33,7 +34,7 @@ inline Status WriteDeltasWithBloomSection(const DeltaIndex& deltas,
   return filter.Serialize(writer);
 }
 
-/// An SVDD model file in the older layout.
+/// An SVDD model file whose delta section carries a Bloom filter.
 inline Status WriteModelWithBloomSection(const SvddModel& model,
                                          const std::string& path) {
   TSC_ASSIGN_OR_RETURN(BinaryWriter writer, BinaryWriter::Open(path));
@@ -43,15 +44,22 @@ inline Status WriteModelWithBloomSection(const SvddModel& model,
   return writer.FinishWithChecksum();
 }
 
-/// A disk-layout sidecar in the older layout (pairs with the U file of
-/// ExportSvddToDisk).
-inline Status WriteSidecarWithBloomSection(const SvddModel& model,
-                                           const std::string& path) {
+/// An SVDD model file with U as f64 rows ("SVD1") whatever the model's
+/// quant scheme: the layout quantized models were saved in before U was
+/// stored as codes.
+inline Status WriteModelWithSnappedU(const SvddModel& model,
+                                     const std::string& path) {
+  const SvdModel& svd = model.svd();
   TSC_ASSIGN_OR_RETURN(BinaryWriter writer, BinaryWriter::Open(path));
-  TSC_RETURN_IF_ERROR(writer.WriteU32(0x53494443));  // "SIDC"
-  TSC_RETURN_IF_ERROR(writer.WriteDoubleVector(model.svd().singular_values()));
-  TSC_RETURN_IF_ERROR(writer.WriteMatrix(model.svd().v()));
-  TSC_RETURN_IF_ERROR(WriteDeltasWithBloomSection(*model.deltas(), &writer));
+  TSC_RETURN_IF_ERROR(writer.WriteU32(0x53564444));  // "SVDD"
+  TSC_RETURN_IF_ERROR(writer.WriteU32(0x53564431));  // "SVD1"
+  TSC_RETURN_IF_ERROR(writer.WriteU64(svd.bytes_per_value()));
+  TSC_RETURN_IF_ERROR(
+      writer.WriteU32(static_cast<std::uint32_t>(svd.quant_scheme())));
+  TSC_RETURN_IF_ERROR(writer.WriteDoubleVector(svd.singular_values()));
+  TSC_RETURN_IF_ERROR(writer.WriteMatrix(svd.v()));
+  TSC_RETURN_IF_ERROR(writer.WriteMatrix(svd.u()));
+  TSC_RETURN_IF_ERROR(model.deltas()->Serialize(&writer));
   return writer.FinishWithChecksum();
 }
 

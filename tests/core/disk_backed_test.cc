@@ -1,8 +1,6 @@
 #include "core/disk_backed.h"
 
-#include <filesystem>
-#include <fstream>
-#include <iterator>
+#include <cstdio>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -14,6 +12,7 @@
 
 #include "data/generators.h"
 #include "storage/row_source.h"
+#include "storage/row_store.h"
 
 namespace tsc {
 namespace {
@@ -39,19 +38,17 @@ class DiskBackedTest : public ::testing::Test {
     // Per-process suffix: ctest runs each test in its own process, and
     // every process re-runs SetUp — fixed names would race.
     const std::string pid = std::to_string(::getpid());
-    u_path_ = ::testing::TempDir() + "/u_store_" + pid + ".mat";
-    sidecar_path_ = ::testing::TempDir() + "/sidecar_" + pid + ".bin";
-    ASSERT_TRUE(ExportSvddToDisk(model_, u_path_, sidecar_path_).ok());
+    model_path_ = ::testing::TempDir() + "/disk_model_" + pid + ".model";
+    ASSERT_TRUE(model_.SaveToFile(model_path_).ok());
   }
 
   Matrix data_;
   SvddModel model_;
-  std::string u_path_;
-  std::string sidecar_path_;
+  std::string model_path_;
 };
 
 TEST_F(DiskBackedTest, OpenValidatesDims) {
-  auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
+  auto store = DiskBackedStore::Open(model_path_);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(store->model().rows(), model_.rows());
   EXPECT_EQ(store->model().cols(), model_.cols());
@@ -60,7 +57,7 @@ TEST_F(DiskBackedTest, OpenValidatesDims) {
 }
 
 TEST_F(DiskBackedTest, CellsMatchInMemoryModel) {
-  auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
+  auto store = DiskBackedStore::Open(model_path_);
   ASSERT_TRUE(store.ok());
   for (const std::size_t i : {0u, 7u, 99u, 149u}) {
     for (const std::size_t j : {0u, 13u, 39u}) {
@@ -74,7 +71,7 @@ TEST_F(DiskBackedTest, CellsMatchInMemoryModel) {
 TEST_F(DiskBackedTest, OneDiskAccessPerCell) {
   // The paper's headline: a single cell reconstruction costs one disk
   // access (the read of row i of U; V, eigenvalues and deltas are pinned).
-  auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
+  auto store = DiskBackedStore::Open(model_path_);
   ASSERT_TRUE(store.ok());
   store->ResetCounters();
   const int queries = 25;
@@ -85,7 +82,7 @@ TEST_F(DiskBackedTest, OneDiskAccessPerCell) {
 }
 
 TEST_F(DiskBackedTest, RowReconstructionSingleAccess) {
-  auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
+  auto store = DiskBackedStore::Open(model_path_);
   ASSERT_TRUE(store.ok());
   std::vector<double> row(model_.cols());
   store->ResetCounters();
@@ -97,7 +94,7 @@ TEST_F(DiskBackedTest, RowReconstructionSingleAccess) {
 }
 
 TEST_F(DiskBackedTest, OutOfRangeRejected) {
-  auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
+  auto store = DiskBackedStore::Open(model_path_);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(store->ReconstructCell(150, 0).status().code(),
             StatusCode::kOutOfRange);
@@ -128,7 +125,7 @@ TEST_F(DiskBackedTest, BatchedCellsMatchPerCellPath) {
   for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{64}}) {
     DiskBackedOptions options;
     options.cache_blocks = cache_blocks;
-    auto store = DiskBackedStore::Open(u_path_, sidecar_path_, options);
+    auto store = DiskBackedStore::Open(model_path_, options);
     ASSERT_TRUE(store.ok()) << "cache_blocks=" << cache_blocks;
     std::vector<std::size_t> rows;
     for (std::size_t i = 0; i < 150; i += 7) rows.push_back(i);
@@ -150,7 +147,7 @@ TEST_F(DiskBackedTest, DuplicateCellsSeeDeltasInSweepPath) {
   // A batch naming the same cell twice must apply the cell's delta to
   // every occurrence, on disk and in the in-memory model it mirrors (an
   // earlier table-sweep path kept only the first).
-  auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
+  auto store = DiskBackedStore::Open(model_path_);
   ASSERT_TRUE(store.ok());
   const std::shared_ptr<const DeltaIndex> deltas = store->model().deltas();
   ASSERT_GT(deltas->size(), 0u);
@@ -179,8 +176,8 @@ TEST_F(DiskBackedTest, DuplicateRegionIdsSeeDeltasInSweepPath) {
   const std::size_t delta_col = 5;
   const double exact = model_.ReconstructCell(delta_row, delta_col) + 100.0;
   ASSERT_TRUE(model_.PatchCell(delta_row, delta_col, exact).ok());
-  ASSERT_TRUE(ExportSvddToDisk(model_, u_path_, sidecar_path_).ok());
-  auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
+  ASSERT_TRUE(model_.SaveToFile(model_path_).ok());
+  auto store = DiskBackedStore::Open(model_path_);
   ASSERT_TRUE(store.ok());
   // Full region plus one duplicated row.
   std::vector<std::size_t> rows(data_.rows());
@@ -203,41 +200,10 @@ TEST_F(DiskBackedTest, DuplicateRegionIdsSeeDeltasInSweepPath) {
   EXPECT_NEAR(region(dup, delta_col), exact, 1e-9);
 }
 
-TEST_F(DiskBackedTest, FailedExportKeepsThePreviousFiles) {
-  const auto read_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<char>(std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>());
-  };
-  const std::vector<char> u_before = read_bytes(u_path_);
-  const std::vector<char> sidecar_before = read_bytes(sidecar_path_);
-  // After this patch a complete export would change both files.
-  ASSERT_TRUE(model_.PatchCell(0, 0, 1234.5).ok());
-  const std::string pid = std::to_string(::getpid());
-  for (const std::string& blocked : {u_path_, sidecar_path_}) {
-    SCOPED_TRACE(blocked);
-    // A directory squatting on one temp name fails that write.
-    const std::string temp = blocked + ".tmp." + pid;
-    ASSERT_TRUE(std::filesystem::create_directory(temp));
-    EXPECT_FALSE(ExportSvddToDisk(model_, u_path_, sidecar_path_).ok());
-    EXPECT_EQ(read_bytes(u_path_), u_before);
-    EXPECT_EQ(read_bytes(sidecar_path_), sidecar_before);
-    std::filesystem::remove(temp);
-    EXPECT_FALSE(std::filesystem::exists(u_path_ + ".tmp." + pid));
-    EXPECT_FALSE(std::filesystem::exists(sidecar_path_ + ".tmp." + pid));
-  }
-  ASSERT_TRUE(ExportSvddToDisk(model_, u_path_, sidecar_path_).ok());
-  auto store = DiskBackedStore::Open(u_path_, sidecar_path_);
-  ASSERT_TRUE(store.ok());
-  const auto cell = store->ReconstructCell(0, 0);
-  ASSERT_TRUE(cell.ok());
-  EXPECT_NEAR(*cell, 1234.5, 1e-9);
-}
-
 TEST_F(DiskBackedTest, BatchedRegionMatchesModel) {
   DiskBackedOptions options;
   options.cache_blocks = 64;
-  auto store = DiskBackedStore::Open(u_path_, sidecar_path_, options);
+  auto store = DiskBackedStore::Open(model_path_, options);
   ASSERT_TRUE(store.ok());
   const std::vector<std::size_t> rows = {0, 3, 9, 77, 149};
   const std::vector<std::size_t> cols = {1, 5, 39};
@@ -261,7 +227,7 @@ TEST_F(DiskBackedTest, ExplicitBackendsAgree) {
   for (const IoBackendKind kind : kinds) {
     DiskBackedOptions options;
     options.io_backend = kind;
-    auto store = DiskBackedStore::Open(u_path_, sidecar_path_, options);
+    auto store = DiskBackedStore::Open(model_path_, options);
     ASSERT_TRUE(store.ok()) << IoBackendName(kind);
     EXPECT_STREQ(store->io_backend_name(), IoBackendName(kind));
     const auto value = store->ReconstructCell(42, 7);
@@ -273,7 +239,7 @@ TEST_F(DiskBackedTest, ExplicitBackendsAgree) {
 TEST_F(DiskBackedTest, ViewDelegatesWithPrefetchHook) {
   DiskBackedOptions options;
   options.cache_blocks = 64;
-  auto store = DiskBackedStore::Open(u_path_, sidecar_path_, options);
+  auto store = DiskBackedStore::Open(model_path_, options);
   ASSERT_TRUE(store.ok());
   const DiskBackedStoreView view(&*store);
   EXPECT_EQ(view.rows(), model_.rows());
@@ -297,12 +263,13 @@ TEST_F(DiskBackedTest, ViewDelegatesWithPrefetchHook) {
 }
 
 TEST_F(DiskBackedTest, MissingFilesRejected) {
-  EXPECT_FALSE(DiskBackedStore::Open("/nonexistent/u", sidecar_path_).ok());
-  EXPECT_FALSE(DiskBackedStore::Open(u_path_, "/nonexistent/side").ok());
-}
-
-TEST_F(DiskBackedTest, SwappedFilesRejected) {
-  EXPECT_FALSE(DiskBackedStore::Open(sidecar_path_, u_path_).ok());
+  EXPECT_FALSE(DiskBackedStore::Open("/nonexistent/model").ok());
+  // A row store is not a model file: U's rows alone do not open.
+  const std::string rows_path = model_path_ + ".rows";
+  ASSERT_TRUE(WriteMatrixFile(rows_path, data_).ok());
+  EXPECT_EQ(DiskBackedStore::Open(rows_path).status().code(),
+            StatusCode::kIoError);
+  std::remove(rows_path.c_str());
 }
 
 }  // namespace

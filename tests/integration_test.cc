@@ -57,11 +57,8 @@ TEST_F(PipelineIntegrationTest, EndToEnd) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->k(), model->k());
 
-  // --- serving layout ---------------------------------------------------
-  const std::string u_path = ::testing::TempDir() + "/pipeline_u.mat";
-  const std::string side_path = ::testing::TempDir() + "/pipeline_side.bin";
-  ASSERT_TRUE(ExportSvddToDisk(*loaded, u_path, side_path).ok());
-  auto store = DiskBackedStore::Open(u_path, side_path);
+  // --- serving layout: the same file, U read row by row ----------------
+  auto store = DiskBackedStore::Open(model_path);
   ASSERT_TRUE(store.ok());
 
   // Disk-backed cells agree with the in-memory model, 1 access each.

@@ -188,14 +188,12 @@ class DeltaFoldTest : public ::testing::TestWithParam<FoldCase> {
   void ExpectOnDisk(Rng& rng) {
     const SvddModel bare = Bare();
     const std::string name = CaseName(GetParam());
-    const std::string u = TempPath(name + "_fold.u");
-    const std::string side = TempPath(name + "_fold.side");
-    const std::string bare_u = TempPath(name + "_bare.u");
-    const std::string bare_side = TempPath(name + "_bare.side");
-    ASSERT_TRUE(ExportSvddToDisk(model_, u, side).ok());
-    ASSERT_TRUE(ExportSvddToDisk(bare, bare_u, bare_side).ok());
-    auto store = DiskBackedStore::Open(u, side);
-    auto bare_store = DiskBackedStore::Open(bare_u, bare_side);
+    const std::string path = TempPath(name + "_fold.model");
+    const std::string bare_path = TempPath(name + "_bare.model");
+    ASSERT_TRUE(model_.SaveToFile(path).ok());
+    ASSERT_TRUE(bare.SaveToFile(bare_path).ok());
+    auto store = DiskBackedStore::Open(path);
+    auto bare_store = DiskBackedStore::Open(bare_path);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE(bare_store.ok()) << bare_store.status().ToString();
     EXPECT_EQ(store->model().delta_count(), model_.delta_count());
@@ -260,6 +258,75 @@ TEST_P(DeltaFoldTest, FoldsMatchOracleAfterFoldIn) {
   EXPECT_EQ(sum->values[1], static_cast<double>(model_.rows() * model_.cols()));
 }
 
+TEST_P(DeltaFoldTest, DeltaCellsAreExactOnDisk) {
+  // The paper's contract on the disk layout: every delta cell read from
+  // the model file, under every cache size and backend, is the in-memory
+  // cell bit for bit, and that is the raw cell up to the rounding of
+  // base + (x - base) (about one cell in ten is an ulp off, in memory as
+  // on disk; b=4 stores each delta at single precision).
+  const std::string path = TempPath(CaseName(GetParam()) + "_exact.model");
+  ASSERT_TRUE(model_.SaveToFile(path).ok());
+  std::vector<IoBackendKind> backends = {IoBackendKind::kPread};
+  if (MmapAvailable()) backends.push_back(IoBackendKind::kMmap);
+  for (const IoBackendKind backend : backends) {
+    for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{5}}) {
+      SCOPED_TRACE(std::string(IoBackendName(backend)) + " cache " +
+                   std::to_string(cache_blocks));
+      DiskBackedOptions options;
+      options.io_backend = backend;
+      options.cache_blocks = cache_blocks;
+      auto store = DiskBackedStore::Open(path, options);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      std::size_t cells = 0;
+      model_.deltas()->ForEach([&](std::size_t i, std::size_t j, double) {
+        const StatusOr<double> disk = store->ReconstructCell(i, j);
+        ASSERT_TRUE(disk.ok());
+        EXPECT_EQ(*disk, model_.ReconstructCell(i, j)) << i << "," << j;
+        const double tolerance =
+            GetParam().bytes_per_value == 8 ? 1e-13 : 1e-6;
+        EXPECT_NEAR(*disk, data_(i, j),
+                    tolerance * (1.0 + std::abs(data_(i, j))))
+            << i << "," << j;
+        ++cells;
+      });
+      EXPECT_EQ(cells, model_.delta_count());
+    }
+  }
+}
+
+TEST_P(DeltaFoldTest, OlderLayoutsLoadAndServeIdentically) {
+  // Files in the older layouts (a Bloom filter after the deltas; a
+  // quantized U stored as its snapped f64 rows) load with the original
+  // model's answers bit for bit, and serve from disk as they do from
+  // memory.
+  const std::string name = CaseName(GetParam());
+  const std::string bloom = TempPath(name + "_bloom.model");
+  const std::string snapped = TempPath(name + "_snapped.model");
+  ASSERT_TRUE(WriteModelWithBloomSection(model_, bloom).ok());
+  ASSERT_TRUE(WriteModelWithSnappedU(model_, snapped).ok());
+  std::vector<double> want(model_.cols());
+  std::vector<double> got(model_.cols());
+  for (const std::string& path : {bloom, snapped}) {
+    SCOPED_TRACE(path);
+    const auto loaded = SvddModel::LoadFromFile(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->svd().quant_scheme(), model_.svd().quant_scheme());
+    EXPECT_EQ(loaded->CompressedBytes(), model_.CompressedBytes());
+    DiskBackedOptions options;
+    options.cache_blocks = 5;
+    auto store = DiskBackedStore::Open(path, options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (std::size_t i = 0; i < model_.rows(); ++i) {
+      model_.ReconstructRow(i, want);
+      loaded->ReconstructRow(i, got);
+      ASSERT_EQ(got, want) << "memory row " << i;
+      ASSERT_TRUE(store->model().TryReconstructRow(i, got).ok());
+      ASSERT_EQ(got, want) << "disk row " << i;
+    }
+    ExpectAggregatesMatch(store->model());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     EveryEncoding, DeltaFoldTest,
     ::testing::Values(FoldCase{QuantScheme::kF64, 8},
@@ -269,20 +336,13 @@ INSTANTIATE_TEST_SUITE_P(
                       FoldCase{QuantScheme::kF64, 4}),
     [](const auto& info) { return CaseName(info.param); });
 
-/// Writes `model`'s factors followed by a hand-made delta section, as a
-/// model file or as a sidecar.
+/// Writes `model`'s factors followed by a hand-made delta section.
 void WriteWithSection(const SvddModel& model, const std::string& path,
-                      bool sidecar, const std::vector<DeltaEntry>& entries) {
+                      const std::vector<DeltaEntry>& entries) {
   auto writer = BinaryWriter::Open(path);
   ASSERT_TRUE(writer.ok());
-  if (sidecar) {
-    ASSERT_TRUE(writer->WriteU32(0x53494443).ok());
-    ASSERT_TRUE(writer->WriteDoubleVector(model.svd().singular_values()).ok());
-    ASSERT_TRUE(writer->WriteMatrix(model.svd().v()).ok());
-  } else {
-    ASSERT_TRUE(writer->WriteU32(0x53564444).ok());
-    ASSERT_TRUE(model.svd().Serialize(&*writer).ok());
-  }
+  ASSERT_TRUE(writer->WriteU32(0x53564444).ok());
+  ASSERT_TRUE(model.svd().Serialize(&*writer).ok());
   ASSERT_TRUE(writer->WriteU64(DeltaIndex::kPackedEntryBytes).ok());
   ASSERT_TRUE(writer->WriteU64(entries.size()).ok());
   for (const DeltaEntry& entry : entries) {
@@ -293,7 +353,7 @@ void WriteWithSection(const SvddModel& model, const std::string& path,
   ASSERT_TRUE(writer->FinishWithChecksum().ok());
 }
 
-TEST(DeltaLoaderTest, ModelAndSidecarLoadersRejectBadKeys) {
+TEST(DeltaLoaderTest, ModelLoadersRejectBadKeys) {
   PhoneDatasetConfig config;
   config.num_customers = 40;
   config.num_days = 12;
@@ -304,9 +364,6 @@ TEST(DeltaLoaderTest, ModelAndSidecarLoadersRejectBadKeys) {
   auto model = BuildSvddModel(&source, options);
   ASSERT_TRUE(model.ok());
   const std::string model_path = TempPath("hostile.model");
-  const std::string u_path = TempPath("hostile.u");
-  const std::string side_path = TempPath("hostile.side");
-  ASSERT_TRUE(ExportSvddToDisk(*model, u_path, side_path).ok());
   const std::uint64_t cells = 40 * 12;
   const std::vector<std::vector<DeltaEntry>> hostile = {
       {{9, 1.0}, {4, 1.0}},      // unsorted
@@ -315,50 +372,22 @@ TEST(DeltaLoaderTest, ModelAndSidecarLoadersRejectBadKeys) {
       {{3, 1.0}, {cells + 7, 1.0}},
   };
   for (const auto& entries : hostile) {
-    WriteWithSection(*model, model_path, /*sidecar=*/false, entries);
+    WriteWithSection(*model, model_path, entries);
     const auto loaded = SvddModel::LoadFromFile(model_path);
     EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
         << loaded.status().ToString();
-    WriteWithSection(*model, side_path, /*sidecar=*/true, entries);
-    const auto store = DiskBackedStore::Open(u_path, side_path);
+    const auto store = DiskBackedStore::Open(model_path);
     EXPECT_EQ(store.status().code(), StatusCode::kIoError)
         << store.status().ToString();
   }
   // The same writer with sorted, in-range keys loads.
-  WriteWithSection(*model, model_path, false, {{4, 1.0}, {cells - 1, 2.0}});
+  WriteWithSection(*model, model_path, {{4, 1.0}, {cells - 1, 2.0}});
   const auto loaded = SvddModel::LoadFromFile(model_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->delta_count(), 2u);
-}
-
-TEST(DeltaLoaderTest, SidecarWithBloomSectionAnswersIdentically) {
-  PhoneDatasetConfig config;
-  config.num_customers = 60;
-  config.num_days = 20;
-  config.spike_probability = 0.02;
-  const Matrix x = GeneratePhoneDataset(config).values;
-  MatrixRowSource source(&x);
-  SvddBuildOptions options;
-  options.space_percent = 20.0;
-  auto model = BuildSvddModel(&source, options);
-  ASSERT_TRUE(model.ok());
-  const std::string u_path = TempPath("bloom.u");
-  const std::string side_path = TempPath("bloom.side");
-  const std::string older_side = TempPath("bloom_older.side");
-  ASSERT_TRUE(ExportSvddToDisk(*model, u_path, side_path).ok());
-  ASSERT_TRUE(WriteSidecarWithBloomSection(*model, older_side).ok());
-  auto current = DiskBackedStore::Open(u_path, side_path);
-  auto older = DiskBackedStore::Open(u_path, older_side);
-  ASSERT_TRUE(current.ok()) << current.status().ToString();
-  ASSERT_TRUE(older.ok()) << older.status().ToString();
-  EXPECT_EQ(older->model().delta_count(), current->model().delta_count());
-  std::vector<double> a(x.cols());
-  std::vector<double> b(x.cols());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    ASSERT_TRUE(current->model().TryReconstructRow(i, a).ok());
-    ASSERT_TRUE(older->model().TryReconstructRow(i, b).ok());
-    EXPECT_EQ(a, b) << "row " << i;
-  }
+  const auto store = DiskBackedStore::Open(model_path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(store->model().delta_count(), 2u);
 }
 
 }  // namespace

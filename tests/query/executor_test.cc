@@ -76,16 +76,16 @@ TEST_F(ExecutorTest, CompressedDomainMatchesRowReconstruction) {
 }
 
 TEST_F(ExecutorTest, DiskBackedViewMatchesInMemoryModel) {
-  // Serving straight from the two-file disk layout: linear aggregates run
-  // in the view's compressed domain over the same U rows and block sums
-  // as the in-memory model's, so they match it bit for bit; max and
-  // stddev scan through DiskBackedStoreView's ReconstructRegion.
-  const std::string u_path = ::testing::TempDir() + "/exec_u.mat";
-  const std::string sidecar = ::testing::TempDir() + "/exec_sidecar.bin";
-  ASSERT_TRUE(ExportSvddToDisk(*model_, u_path, sidecar).ok());
+  // Serving straight from the model file's disk layout: linear
+  // aggregates run in the view's compressed domain over the same U rows
+  // and block sums as the in-memory model's, so they match it bit for
+  // bit; max and stddev scan through DiskBackedStoreView's
+  // ReconstructRegion.
+  const std::string path = ::testing::TempDir() + "/exec_disk.model";
+  ASSERT_TRUE(model_->SaveToFile(path).ok());
   DiskBackedOptions options;
   options.cache_blocks = 64;
-  auto store = DiskBackedStore::Open(u_path, sidecar, options);
+  auto store = DiskBackedStore::Open(path, options);
   ASSERT_TRUE(store.ok());
   const DiskBackedStoreView view(&*store);
   const QueryExecutor from_disk(&view);

@@ -31,10 +31,9 @@ namespace {
 using testing::ClientResponse;
 using testing::TestClient;
 
-/// Builds the hammer's 96 x 40 phone model and exports it to the
-/// two-file disk layout at `<TempDir>/<name>_u` / `<name>_sidecar`.
-void ExportHammerModel(const std::string& name, std::string* u_path,
-                       std::string* sidecar_path) {
+/// Builds the hammer's 96 x 40 phone model and saves it to
+/// `<TempDir>/<name>.model`, whose path it returns.
+std::string SaveHammerModel(const std::string& name) {
   PhoneDatasetConfig config;
   config.num_customers = 96;
   config.num_days = 40;
@@ -44,18 +43,16 @@ void ExportHammerModel(const std::string& name, std::string* u_path,
   build.space_percent = 25.0;
   auto model = BuildSvddModel(&source, build);
   TSC_CHECK_OK(model.status());
-  *u_path = ::testing::TempDir() + "/" + name + "_u";
-  *sidecar_path = ::testing::TempDir() + "/" + name + "_sidecar";
-  TSC_CHECK_OK(ExportSvddToDisk(*model, *u_path, *sidecar_path));
+  const std::string path = ::testing::TempDir() + "/" + name + ".model";
+  TSC_CHECK_OK(model->SaveToFile(path));
+  return path;
 }
 
 TEST(ServerConcurrencyTest, EightConnectionsShareOneDiskBackedStore) {
-  std::string u_path;
-  std::string sidecar_path;
-  ExportHammerModel("server_hammer", &u_path, &sidecar_path);
+  const std::string path = SaveHammerModel("server_hammer");
   DiskBackedOptions disk_options;
   disk_options.cache_blocks = 32;
-  auto store = DiskBackedStore::Open(u_path, sidecar_path, disk_options);
+  auto store = DiskBackedStore::Open(path, disk_options);
   TSC_CHECK_OK(store.status());
   const DiskBackedStoreView view(&*store);
   const QueryExecutor executor(&view);
@@ -154,8 +151,7 @@ TEST(ServerConcurrencyTest, EightConnectionsShareOneDiskBackedStore) {
 
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_GE(server.connections_accepted(), 8u);
-  std::remove(u_path.c_str());
-  std::remove(sidecar_path.c_str());
+  std::remove(path.c_str());
 }
 
 /// Extracts `key=<uint64>` from an X-Query-Cost header value.
@@ -171,12 +167,10 @@ std::uint64_t CostField(const std::string& costs, const std::string& key) {
 // process-counter deltas — across 8 connections, the executor's scan
 // pool and the shared block cache (including in-flight ride-alongs).
 TEST(ServerConcurrencyTest, CostVectorsSumToProcessCountersUnderHammer) {
-  std::string u_path;
-  std::string sidecar_path;
-  ExportHammerModel("server_costsum", &u_path, &sidecar_path);
+  const std::string path = SaveHammerModel("server_costsum");
   DiskBackedOptions disk_options;
   disk_options.cache_blocks = 16;  // small cache: misses and evictions
-  auto store = DiskBackedStore::Open(u_path, sidecar_path, disk_options);
+  auto store = DiskBackedStore::Open(path, disk_options);
   TSC_CHECK_OK(store.status());
   const DiskBackedStoreView view(&*store);
   const QueryExecutor executor(&view);
@@ -269,20 +263,17 @@ TEST(ServerConcurrencyTest, CostVectorsSumToProcessCountersUnderHammer) {
   // The hammer did real attributable work; the invariant is not 0 == 0.
   EXPECT_GT(sums[4].load(), 0u);  // rows_scanned
 #endif
-  std::remove(u_path.c_str());
-  std::remove(sidecar_path.c_str());
+  std::remove(path.c_str());
 }
 
 // Concurrent cell probes each pay for their own U-row read: every
 // response's cost vector shows at least one block-cache probe, so no
 // request's storage work is absorbed into another's.
 TEST(ServerConcurrencyTest, EveryCellProbeReportsItsOwnStorageWork) {
-  std::string u_path;
-  std::string sidecar_path;
-  ExportHammerModel("server_cellcost", &u_path, &sidecar_path);
+  const std::string path = SaveHammerModel("server_cellcost");
   DiskBackedOptions disk_options;
   disk_options.cache_blocks = 32;
-  auto store = DiskBackedStore::Open(u_path, sidecar_path, disk_options);
+  auto store = DiskBackedStore::Open(path, disk_options);
   TSC_CHECK_OK(store.status());
   const DiskBackedStoreView view(&*store);
   const QueryExecutor executor(&view);
@@ -340,8 +331,7 @@ TEST(ServerConcurrencyTest, EveryCellProbeReportsItsOwnStorageWork) {
   EXPECT_EQ(unattributed.load(), 0)
       << "cell responses whose cost vector shows no storage work";
 #endif
-  std::remove(u_path.c_str());
-  std::remove(sidecar_path.c_str());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include "server/server.h"
 
 #include <atomic>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -193,14 +196,63 @@ TEST_F(ServerTest, DataEndpointServesJsonAndCsv) {
   server.Stop();
 }
 
+/// The model behind a gate: region reads (a scan query's) wait until the
+/// test opens the gate, so one request holds the server's execution slot
+/// for exactly as long as the test wants.
+class GatedStore final : public CompressedStore {
+ public:
+  explicit GatedStore(const SvddModel* model) : model_(model) {}
+
+  std::size_t rows() const override { return model_->rows(); }
+  std::size_t cols() const override { return model_->cols(); }
+  double ReconstructCell(std::size_t row, std::size_t col) const override {
+    return model_->ReconstructCell(row, col);
+  }
+  Status ReconstructRegion(std::span<const std::size_t> row_ids,
+                           std::span<const std::size_t> col_ids,
+                           Matrix* out) const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++entered_;
+      changed_.notify_all();
+      changed_.wait(lock, [this] { return open_; });
+    }
+    return model_->ReconstructRegion(row_ids, col_ids, out);
+  }
+  std::uint64_t CompressedBytes() const override {
+    return model_->CompressedBytes();
+  }
+  std::string MethodName() const override { return "gated"; }
+
+  /// Blocks until a region read waits at the closed gate.
+  void WaitForHolder() {
+    std::unique_lock<std::mutex> lock(mu_);
+    changed_.wait(lock, [this] { return entered_ > 0; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    changed_.notify_all();
+  }
+
+ private:
+  const SvddModel* model_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable changed_;
+  mutable int entered_ = 0;
+  mutable bool open_ = false;
+};
+
 TEST_F(ServerTest, AdmissionShedsWith429UnderSaturation) {
+  GatedStore gated(model_);
+  const QueryExecutor executor(&gated);
   ServerOptions options;
   options.max_concurrent = 1;
   options.max_queue = 0;  // no queue: any overlap is shed
-  QueryServer server(executor_, model_, options);
+  QueryServer server(&executor, &gated, options);
   ASSERT_TRUE(server.Start().ok());
 
-  // A scan-heavy query so executions genuinely overlap.
+  // A scan query, so its execution reads regions through the gate.
   const std::string target = "/api/v1/query?q=SELECT+stddev(value)";
   const std::string expected = CliText("SELECT stddev(value)");
   constexpr int kThreads = 8;
@@ -208,35 +260,47 @@ TEST_F(ServerTest, AdmissionShedsWith429UnderSaturation) {
   std::atomic<int> ok_count{0};
   std::atomic<int> shed_count{0};
   std::atomic<int> wrong_count{0};
+  const auto tally = [&](const ClientResponse& response) {
+    if (!response.ok) {
+      ++wrong_count;
+    } else if (response.status == 200) {
+      if (response.body == expected) {
+        ++ok_count;
+      } else {
+        ++wrong_count;
+      }
+    } else if (response.status == 429) {
+      ++shed_count;
+    } else {
+      ++wrong_count;
+    }
+  };
+  // One request takes the single slot and holds it at the gate.
+  std::thread holder([&] {
+    TestClient client(server.port());
+    tally(client.Get(target));
+  });
+  gated.WaitForHolder();
+  // While it holds the slot, every other request is shed.
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       TestClient client(server.port());
-      for (int i = 0; i < kRequestsPerThread; ++i) {
-        const ClientResponse response = client.Get(target);
-        if (!response.ok) {
-          ++wrong_count;
-          continue;
-        }
-        if (response.status == 200) {
-          if (response.body == expected) {
-            ++ok_count;
-          } else {
-            ++wrong_count;
-          }
-        } else if (response.status == 429) {
-          ++shed_count;
-        } else {
-          ++wrong_count;
-        }
-      }
+      for (int i = 0; i < kRequestsPerThread; ++i) tally(client.Get(target));
     });
   }
   for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(shed_count.load(), kThreads * kRequestsPerThread);
+  // The held request completes once released, and the freed slot serves.
+  gated.Open();
+  holder.join();
+  {
+    TestClient client(server.port());
+    for (int i = 0; i < 3; ++i) tally(client.Get(target));
+  }
   server.Stop();
 
-  // Every response is either correct or an explicit shed; under an
-  // 8-way hammer of a 1-slot server some shedding must occur.
+  // Every response is either correct or an explicit shed.
   EXPECT_EQ(wrong_count.load(), 0);
   EXPECT_GT(ok_count.load(), 0);
   EXPECT_GT(shed_count.load(), 0);
@@ -292,26 +356,24 @@ TEST(AdmissionControllerTest, AdmitsQueuesRejectsAndTimesOut) {
             AdmissionController::Outcome::kShutdown);
 }
 
-// A U file cut short under a running disk-layout server: the aggregates
+// A model file cut short under a running disk-layout server: the aggregates
 // whose ragged end rows can no longer be read answer HTTP 500 with the
 // read error, never a 200 carrying NaN.
 TEST_F(ServerTest, DiskReadErrorsOnTheCompressedPathAreHttp500) {
   for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{4}}) {
-    const std::string prefix = ::testing::TempDir() + "/server_read_error_" +
-                               std::to_string(cache_blocks);
-    const std::string u_path = prefix + "_u";
-    const std::string sidecar = prefix + "_sidecar";
-    ASSERT_TRUE(ExportSvddToDisk(*model_, u_path, sidecar).ok());
+    const std::string path = ::testing::TempDir() + "/server_read_error_" +
+                             std::to_string(cache_blocks) + ".model";
+    ASSERT_TRUE(model_->SaveToFile(path).ok());
     DiskBackedOptions disk_options;
     disk_options.io_backend = IoBackendKind::kPread;
     disk_options.cache_blocks = cache_blocks;
-    auto store = DiskBackedStore::Open(u_path, sidecar, disk_options);
+    auto store = DiskBackedStore::Open(path, disk_options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     const SvddModel& served = store->model();
     const QueryExecutor executor(&served);
     QueryServer server(&executor, &served);
     ASSERT_TRUE(server.Start().ok());
-    std::filesystem::resize_file(u_path, 16);
+    std::filesystem::resize_file(path, 16);
     {
       TestClient client(server.port());
       ASSERT_TRUE(client.connected());
@@ -336,8 +398,7 @@ TEST_F(ServerTest, DiskReadErrorsOnTheCompressedPathAreHttp500) {
       }
     }
     server.Stop();
-    std::filesystem::remove(u_path);
-    std::filesystem::remove(sidecar);
+    std::filesystem::remove(path);
   }
 }
 

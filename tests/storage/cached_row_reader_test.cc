@@ -111,12 +111,11 @@ TEST(DiskBackedStoreCacheTest, CachedModelRereadReportsZeroNewAccesses) {
   auto model = BuildSvddModel(&source, options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
 
-  const std::string u_path = TempPath("cached_store_u.mat");
-  const std::string side_path = TempPath("cached_store_side.bin");
-  ASSERT_TRUE(ExportSvddToDisk(*model, u_path, side_path).ok());
+  const std::string path = TempPath("cached_store.model");
+  ASSERT_TRUE(model->SaveToFile(path).ok());
   DiskBackedOptions disk_options;
   disk_options.cache_blocks = 512;
-  auto store = DiskBackedStore::Open(u_path, side_path, disk_options);
+  auto store = DiskBackedStore::Open(path, disk_options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   const SvddModel& served = store->model();
 
@@ -133,8 +132,7 @@ TEST(DiskBackedStoreCacheTest, CachedModelRereadReportsZeroNewAccesses) {
   }
   EXPECT_EQ(store->disk_accesses(), cold_accesses);
   EXPECT_GT(store->cache_hits(), 0u);
-  std::remove(u_path.c_str());
-  std::remove(side_path.c_str());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -197,6 +197,40 @@ TEST(IoBackendParityTest, PaddedFileFailsAtOpen) {
   }
 }
 
+TEST(IoBackendParityTest, OpenRangeServesOnlyTheRange) {
+  // A section of a larger file: bytes [5000, 5300) of 12000, across a
+  // page edge. Every engine reads inside it and refuses reads outside;
+  // the mmap engine maps just that section.
+  const std::string path = TempPath("range.bin");
+  std::vector<std::uint8_t> bytes(12000);
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = i * 7 % 251;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  for (const IoBackendKind kind : AllBackends()) {
+    SCOPED_TRACE(IoBackendName(kind));
+    auto io = IoBackend::OpenRange(path, kind, 5000, 300);
+    ASSERT_TRUE(io.ok()) << io.status().ToString();
+    EXPECT_EQ((*io)->size(), bytes.size());
+    EXPECT_EQ((*io)->range_offset(), 5000u);
+    std::vector<std::uint8_t> got(300);
+    ASSERT_TRUE((*io)->ReadAt(5000, got).ok());
+    EXPECT_EQ(0, std::memcmp(got.data(), bytes.data() + 5000, got.size()));
+    std::uint8_t one = 0;
+    EXPECT_FALSE((*io)->ReadAt(4999, {&one, 1}).ok());
+    EXPECT_FALSE((*io)->ReadAt(5300, {&one, 1}).ok());
+    const std::span<const std::uint8_t> mapped = (*io)->Mapped();
+    if (kind == IoBackendKind::kMmap) {
+      ASSERT_EQ(mapped.size(), 300u);
+      EXPECT_EQ(0, std::memcmp(mapped.data(), bytes.data() + 5000, 300));
+    } else {
+      EXPECT_TRUE(mapped.empty());
+    }
+  }
+}
+
 TEST(IoBackendParityTest, OverflowingHeaderRejected) {
   // A header whose rows * cols * 8 wraps uint64 must not pass the size
   // check by accident; it must fail as InvalidArgument, on every

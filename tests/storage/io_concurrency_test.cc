@@ -93,13 +93,12 @@ TEST(IoConcurrencyTest, DiskBackedStoreParallelCells) {
   options.space_percent = 20.0;
   auto model = BuildSvddModel(&source, options);
   ASSERT_TRUE(model.ok());
-  const std::string u_path = TempPath("conc_u.mat");
-  const std::string sidecar = TempPath("conc_sidecar.bin");
-  ASSERT_TRUE(ExportSvddToDisk(*model, u_path, sidecar).ok());
+  const std::string path = TempPath("conc.model");
+  ASSERT_TRUE(model->SaveToFile(path).ok());
 
   DiskBackedOptions disk_options;
   disk_options.cache_blocks = 16;
-  auto store = DiskBackedStore::Open(u_path, sidecar, disk_options);
+  auto store = DiskBackedStore::Open(path, disk_options);
   ASSERT_TRUE(store.ok());
 
   std::atomic<int> failures{0};

@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "obs/metrics.h"
 #include "storage/cached_row_reader.h"
 #include "storage/io_backend.h"
+#include "storage/row_source.h"
 #include "storage/row_store.h"
 #include "util/rng.h"
 
@@ -150,8 +153,9 @@ TEST(QuantCodecTest, ConstantRowDecodesExactly) {
 }
 
 TEST(QuantCodecTest, SnappedRowsAreReencodeStable) {
-  // ExportSvddToDisk re-encodes the snapped U rows with freshly derived
-  // meta; the decode must come back to the snapped values.
+  // Snapping a snapped row again with freshly derived meta comes back to
+  // the snapped values, up to the re-derived meta's last bits (the model
+  // file keeps each row's own meta, so it is exact there).
   Rng rng(5);
   std::vector<double> row(48);
   for (double& v : row) v = 10.0 * rng.Gaussian();
@@ -402,22 +406,17 @@ TEST(QuantSvddTest, QuantizedBuildServesFromDiskWithinBudgetedError) {
     ASSERT_TRUE(model.ok()) << QuantSchemeName(scheme);
     EXPECT_EQ(model->svd().quant_scheme(), scheme);
 
-    const std::string u_path =
-        TempPath(std::string("quant_svdd_u_") + QuantSchemeName(scheme));
-    const std::string side_path =
-        TempPath(std::string("quant_svdd_side_") + QuantSchemeName(scheme));
-    ASSERT_TRUE(ExportSvddToDisk(*model, u_path, side_path).ok());
-    auto u_reader = RowStoreReader::Open(u_path);
-    ASSERT_TRUE(u_reader.ok());
-    EXPECT_EQ(u_reader->scheme(), scheme);
+    const std::string path =
+        TempPath(std::string("quant_svdd_") + QuantSchemeName(scheme));
+    ASSERT_TRUE(model->SaveToFile(path).ok());
 
     // Serve both uncached and through the buffer pool; each must agree
     // with the in-memory model, whose U rows were snapped to exactly the
-    // values the file stores (re-encode drift is ~1e-13 relative).
+    // values the file stores.
     for (const std::size_t cache_blocks : {0u, 16u}) {
       DiskBackedOptions disk_options;
       disk_options.cache_blocks = cache_blocks;
-      auto store = DiskBackedStore::Open(u_path, side_path, disk_options);
+      auto store = DiskBackedStore::Open(path, disk_options);
       ASSERT_TRUE(store.ok());
       EXPECT_EQ(store->u_scheme(), scheme);
       EXPECT_EQ(store->u_row_stride_bytes(), QuantRowStride(scheme, model->k()));
@@ -425,16 +424,13 @@ TEST(QuantSvddTest, QuantizedBuildServesFromDiskWithinBudgetedError) {
                {0, 0}, {17, 5}, {59, 23}, {31, 12}}) {
         const auto value = store->ReconstructCell(i, j);
         ASSERT_TRUE(value.ok());
-        EXPECT_NEAR(*value, model->ReconstructCell(i, j),
-                    1e-9 * (1.0 + std::abs(model->ReconstructCell(i, j))));
+        EXPECT_EQ(*value, model->ReconstructCell(i, j));
       }
       std::vector<double> disk_row(m);
       std::vector<double> mem_row(m);
       ASSERT_TRUE(store->model().TryReconstructRow(17, disk_row).ok());
       model->ReconstructRow(17, mem_row);
-      for (std::size_t j = 0; j < m; ++j) {
-        EXPECT_NEAR(disk_row[j], mem_row[j], 1e-9 * (1.0 + std::abs(mem_row[j])));
-      }
+      EXPECT_EQ(disk_row, mem_row);
       const std::vector<std::size_t> region_rows = {2, 11, 47};
       const std::vector<std::size_t> region_cols = {0, 5, 6, 20};
       Matrix disk_region;
@@ -445,12 +441,9 @@ TEST(QuantSvddTest, QuantizedBuildServesFromDiskWithinBudgetedError) {
       ASSERT_TRUE(
           model->ReconstructRegion(region_rows, region_cols, &mem_region)
               .ok());
-      for (std::size_t r = 0; r < region_rows.size(); ++r) {
-        for (std::size_t c = 0; c < region_cols.size(); ++c) {
-          EXPECT_NEAR(disk_region(r, c), mem_region(r, c),
-                      1e-9 * (1.0 + std::abs(mem_region(r, c))));
-        }
-      }
+      EXPECT_EQ(disk_region, mem_region);
+      // The file holds U's rows at their quantized stride.
+      EXPECT_EQ(store->u_bytes(), n * QuantRowStride(scheme, model->k()));
     }
 
     // The end-to-end error budget: truncation plus quantization, with
@@ -458,7 +451,7 @@ TEST(QuantSvddTest, QuantizedBuildServesFromDiskWithinBudgetedError) {
     // noise, so reconstruction error must stay well under the signal.
     DiskBackedOptions disk_options;
     disk_options.cache_blocks = 8;
-    auto store = DiskBackedStore::Open(u_path, side_path, disk_options);
+    auto store = DiskBackedStore::Open(path, disk_options);
     ASSERT_TRUE(store.ok());
     double max_err = 0.0;
     std::vector<double> row(m);
@@ -478,6 +471,107 @@ TEST(QuantSvddTest, QuantizedBuildServesFromDiskWithinBudgetedError) {
               static_cast<std::uint64_t>(n) * QuantRowStride(scheme, model->k()) +
                   (model->k() + model->k() * m) * sizeof(double) +
                   model->deltas()->PackedBytes());
+  }
+}
+
+/// A small SVDD model under `scheme`, saved to `path`.
+SvddModel SaveSmallModel(QuantScheme scheme, const std::string& path) {
+  const Matrix data = RandomMatrix(70, 20, 90);
+  MatrixRowSource source(&data);
+  SvddBuildOptions options;
+  options.space_percent = 30.0;
+  options.quant = scheme;
+  auto model = BuildSvddModel(&source, options);
+  TSC_CHECK_OK(model.status());
+  TSC_CHECK_OK(model->SaveToFile(path));
+  return std::move(*model);
+}
+
+std::vector<char> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+template <typename T>
+void Poke(std::vector<char>* bytes, std::size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(T), bytes->size());
+  std::memcpy(bytes->data() + offset, &value, sizeof(T));
+}
+
+TEST(QuantModelFileTest, HostileUSectionsAreIoErrors) {
+  // Every corruption of the U section, in either layout, ends as an
+  // IO_ERROR from both loaders, before any allocation is sized from it.
+  for (const QuantScheme scheme : kAllSchemes) {
+    SCOPED_TRACE(QuantSchemeName(scheme));
+    const std::string good = TempPath("hostile_u_good.model");
+    const SvddModel model = SaveSmallModel(scheme, good);
+    const std::vector<char> bytes = ReadFileBytes(good);
+    const std::size_t k = model.k();
+    const std::size_t m = model.cols();
+    // "SVDD", "SVD1"/"SVD2", b, scheme, the k eigenvalues, V; then U.
+    constexpr std::size_t kSchemeAt = 4 + 4 + 8;
+    const std::size_t rows_at = kSchemeAt + 4 + 8 + 8 * k + 16 + 8 * m * k;
+    const std::size_t cols_at = rows_at + 8;
+    const std::size_t stride = QuantRowStride(scheme, k);
+    const std::size_t payload_at = (cols_at + 8 + 7) / 8 * 8;
+    const std::size_t u_at = scheme == QuantScheme::kF64 ? cols_at + 8
+                                                         : payload_at;
+    std::uint64_t stored_rows = 0;
+    std::memcpy(&stored_rows, bytes.data() + rows_at, 8);
+    ASSERT_EQ(stored_rows, model.rows());
+
+    std::vector<std::pair<std::string, std::vector<char>>> hostile;
+    hostile.emplace_back(
+        "truncated section",
+        std::vector<char>(bytes.begin(),
+                          bytes.begin() + static_cast<std::ptrdiff_t>(
+                                              u_at + 10 * stride + 3)));
+    std::vector<char> copy = bytes;
+    Poke<std::uint64_t>(&copy, rows_at, std::uint64_t{1} << 61);
+    hostile.emplace_back("rows x stride overflow", copy);
+    copy = bytes;
+    Poke<std::uint64_t>(&copy, rows_at, bytes.size() / stride + 1);
+    hostile.emplace_back("rows past EOF", copy);
+    copy = bytes;
+    Poke<std::uint32_t>(&copy, kSchemeAt, 9);
+    hostile.emplace_back("unknown scheme", copy);
+    if (scheme != QuantScheme::kF64) {
+      copy = bytes;
+      Poke<std::uint32_t>(&copy, kSchemeAt, 0);
+      hostile.emplace_back("codes under the f64 scheme", copy);
+    }
+    copy = bytes;
+    Poke<std::uint64_t>(&copy, cols_at, k + 1);
+    hostile.emplace_back("cols != k", copy);
+    copy = bytes;
+    copy[u_at + (model.rows() / 2) * stride + kQuantRowMetaBytes] ^= 0x10;
+    hostile.emplace_back("flipped U byte", copy);
+
+    const std::string path = TempPath("hostile_u.model");
+    for (const auto& [what, file] : hostile) {
+      SCOPED_TRACE(what);
+      WriteFileBytes(path, file);
+      const auto loaded = SvddModel::LoadFromFile(path);
+      EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
+          << loaded.status().ToString();
+      for (const std::size_t cache_blocks : {0u, 8u}) {
+        DiskBackedOptions options;
+        options.cache_blocks = cache_blocks;
+        const auto store = DiskBackedStore::Open(path, options);
+        EXPECT_EQ(store.status().code(), StatusCode::kIoError)
+            << store.status().ToString();
+      }
+    }
+    // The untouched bytes still load both ways.
+    WriteFileBytes(path, bytes);
+    ASSERT_TRUE(SvddModel::LoadFromFile(path).ok());
+    ASSERT_TRUE(DiskBackedStore::Open(path).ok());
   }
 }
 
