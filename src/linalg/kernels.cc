@@ -50,38 +50,6 @@ void GemmNT(const double* a, std::size_t m, std::size_t lda, const double* b,
   }
 }
 
-// Fused dequantize kernels, one family per code type. The decode is
-// offset + scale * double(code) applied element-wise inside the loop
-// (the f32 family is called with scale = 1, offset = 0, which is exact).
-#define TSC_SCALAR_QUANT_KERNELS(SUFFIX, QTYPE)                           \
-  double Dot##SUFFIX(const QTYPE* q, double scale, double offset,         \
-                     const double* b, std::size_t n) {                    \
-    double total = 0.0;                                                   \
-    for (std::size_t i = 0; i < n; ++i) {                                 \
-      total += (offset + scale * static_cast<double>(q[i])) * b[i];       \
-    }                                                                     \
-    return total;                                                         \
-  }                                                                       \
-  void DotBatch##SUFFIX(const double* rows, std::size_t stride,           \
-                        std::size_t count, const QTYPE* q, double scale,  \
-                        double offset, std::size_t n, double* out) {      \
-    for (std::size_t r = 0; r < count; ++r) {                             \
-      out[r] = Dot##SUFFIX(q, scale, offset, rows + r * stride, n);       \
-    }                                                                     \
-  }                                                                       \
-  void Gemv##SUFFIX(const double* a, std::size_t rows, std::size_t n,     \
-                    std::size_t stride, const QTYPE* x, double scale,     \
-                    double offset, double* y) {                           \
-    for (std::size_t r = 0; r < rows; ++r) {                              \
-      y[r] += Dot##SUFFIX(x, scale, offset, a + r * stride, n);           \
-    }                                                                     \
-  }
-
-TSC_SCALAR_QUANT_KERNELS(F32, float)
-TSC_SCALAR_QUANT_KERNELS(I16, std::int16_t)
-TSC_SCALAR_QUANT_KERNELS(I8, std::int8_t)
-#undef TSC_SCALAR_QUANT_KERNELS
-
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -274,112 +242,6 @@ __attribute__((target("avx2,fma"))) void GemmNT(
   }
 }
 
-// Four-lane load-and-widen of each quantized code type into doubles; the
-// affine decode is then one FMA against the broadcast scale/offset. The
-// conversion lives entirely in registers — no dequantized buffer exists.
-__attribute__((target("avx2,fma"))) inline __m256d LoadQ4F32(const float* q) {
-  return _mm256_cvtps_pd(_mm_loadu_ps(q));
-}
-
-__attribute__((target("avx2,fma"))) inline __m256d LoadQ4I16(
-    const std::int16_t* q) {
-  return _mm256_cvtepi32_pd(_mm_cvtepi16_epi32(
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q))));
-}
-
-__attribute__((target("avx2,fma"))) inline __m256d LoadQ4I8(
-    const std::int8_t* q) {
-  std::int32_t bits;
-  std::memcpy(&bits, q, sizeof(bits));
-  return _mm256_cvtepi32_pd(_mm_cvtepi8_epi32(_mm_cvtsi32_si128(bits)));
-}
-
-// The fused family per code type. Dot2 converts each q chunk once and
-// feeds both rows' FMAs, so in the batch shapes the dequantize cost is
-// amortized across the pair on top of the halved load traffic.
-#define TSC_AVX2_QUANT_KERNELS(SUFFIX, QTYPE, LOADQ)                        \
-  __attribute__((target("avx2,fma"))) double Dot##SUFFIX(                   \
-      const QTYPE* q, double scale, double offset, const double* b,         \
-      std::size_t n) {                                                      \
-    const __m256d vs = _mm256_set1_pd(scale);                               \
-    const __m256d vo = _mm256_set1_pd(offset);                              \
-    __m256d acc0 = _mm256_setzero_pd();                                     \
-    __m256d acc1 = _mm256_setzero_pd();                                     \
-    std::size_t i = 0;                                                      \
-    for (; i + 8 <= n; i += 8) {                                            \
-      const __m256d v0 = _mm256_fmadd_pd(vs, LOADQ(q + i), vo);             \
-      const __m256d v1 = _mm256_fmadd_pd(vs, LOADQ(q + i + 4), vo);         \
-      acc0 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(b + i), acc0);             \
-      acc1 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(b + i + 4), acc1);         \
-    }                                                                       \
-    for (; i + 4 <= n; i += 4) {                                            \
-      const __m256d v = _mm256_fmadd_pd(vs, LOADQ(q + i), vo);              \
-      acc0 = _mm256_fmadd_pd(v, _mm256_loadu_pd(b + i), acc0);              \
-    }                                                                       \
-    double total = HorizontalSum(_mm256_add_pd(acc0, acc1));                \
-    for (; i < n; ++i) {                                                    \
-      total += (offset + scale * static_cast<double>(q[i])) * b[i];         \
-    }                                                                       \
-    return total;                                                           \
-  }                                                                         \
-  __attribute__((target("avx2,fma"))) inline void Dot2##SUFFIX(             \
-      const double* r0, const double* r1, const QTYPE* q, double scale,     \
-      double offset, std::size_t n, double* out0, double* out1) {           \
-    const __m256d vs = _mm256_set1_pd(scale);                               \
-    const __m256d vo = _mm256_set1_pd(offset);                              \
-    __m256d acc0 = _mm256_setzero_pd();                                     \
-    __m256d acc1 = _mm256_setzero_pd();                                     \
-    std::size_t i = 0;                                                      \
-    for (; i + 4 <= n; i += 4) {                                            \
-      const __m256d v = _mm256_fmadd_pd(vs, LOADQ(q + i), vo);              \
-      acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(r0 + i), v, acc0);             \
-      acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(r1 + i), v, acc1);             \
-    }                                                                       \
-    double t0 = HorizontalSum(acc0);                                        \
-    double t1 = HorizontalSum(acc1);                                        \
-    for (; i < n; ++i) {                                                    \
-      const double v = offset + scale * static_cast<double>(q[i]);          \
-      t0 += r0[i] * v;                                                      \
-      t1 += r1[i] * v;                                                      \
-    }                                                                       \
-    *out0 = t0;                                                             \
-    *out1 = t1;                                                             \
-  }                                                                         \
-  __attribute__((target("avx2,fma"))) void DotBatch##SUFFIX(                \
-      const double* rows, std::size_t stride, std::size_t count,            \
-      const QTYPE* q, double scale, double offset, std::size_t n,           \
-      double* out) {                                                        \
-    std::size_t r = 0;                                                      \
-    for (; r + 2 <= count; r += 2) {                                        \
-      Dot2##SUFFIX(rows + r * stride, rows + (r + 1) * stride, q, scale,    \
-                   offset, n, out + r, out + r + 1);                        \
-    }                                                                       \
-    if (r < count) {                                                        \
-      out[r] = Dot##SUFFIX(q, scale, offset, rows + r * stride, n);         \
-    }                                                                       \
-  }                                                                         \
-  __attribute__((target("avx2,fma"))) void Gemv##SUFFIX(                    \
-      const double* a, std::size_t rows, std::size_t n, std::size_t stride, \
-      const QTYPE* x, double scale, double offset, double* y) {             \
-    std::size_t r = 0;                                                      \
-    for (; r + 2 <= rows; r += 2) {                                         \
-      double t0;                                                            \
-      double t1;                                                            \
-      Dot2##SUFFIX(a + r * stride, a + (r + 1) * stride, x, scale, offset,  \
-                   n, &t0, &t1);                                            \
-      y[r] += t0;                                                           \
-      y[r + 1] += t1;                                                       \
-    }                                                                       \
-    if (r < rows) {                                                         \
-      y[r] += Dot##SUFFIX(x, scale, offset, a + r * stride, n);             \
-    }                                                                       \
-  }
-
-TSC_AVX2_QUANT_KERNELS(F32, float, LoadQ4F32)
-TSC_AVX2_QUANT_KERNELS(I16, std::int16_t, LoadQ4I16)
-TSC_AVX2_QUANT_KERNELS(I8, std::int8_t, LoadQ4I8)
-#undef TSC_AVX2_QUANT_KERNELS
-
 }  // namespace avx2
 #endif  // TSC_KERNELS_X86
 
@@ -469,38 +331,6 @@ void GemmNT(const double* a, std::size_t m, std::size_t lda, const double* b,
   }
 }
 
-#define TSC_DISPATCH_QUANT_KERNELS(SUFFIX, QTYPE)                           \
-  double Dot##SUFFIX(const QTYPE* q, double scale, double offset,           \
-                     const double* b, std::size_t n) {                      \
-    return UseAvx2() ? avx2::Dot##SUFFIX(q, scale, offset, b, n)            \
-                     : scalar::Dot##SUFFIX(q, scale, offset, b, n);         \
-  }                                                                         \
-  void DotBatch##SUFFIX(const double* rows, std::size_t stride,             \
-                        std::size_t count, const QTYPE* q, double scale,    \
-                        double offset, std::size_t n, double* out) {        \
-    if (UseAvx2()) {                                                        \
-      avx2::DotBatch##SUFFIX(rows, stride, count, q, scale, offset, n,      \
-                             out);                                          \
-    } else {                                                                \
-      scalar::DotBatch##SUFFIX(rows, stride, count, q, scale, offset, n,    \
-                               out);                                        \
-    }                                                                       \
-  }                                                                         \
-  void Gemv##SUFFIX(const double* a, std::size_t rows, std::size_t n,       \
-                    std::size_t stride, const QTYPE* x, double scale,       \
-                    double offset, double* y) {                             \
-    if (UseAvx2()) {                                                        \
-      avx2::Gemv##SUFFIX(a, rows, n, stride, x, scale, offset, y);          \
-    } else {                                                                \
-      scalar::Gemv##SUFFIX(a, rows, n, stride, x, scale, offset, y);        \
-    }                                                                       \
-  }
-
-TSC_DISPATCH_QUANT_KERNELS(F32, float)
-TSC_DISPATCH_QUANT_KERNELS(I16, std::int16_t)
-TSC_DISPATCH_QUANT_KERNELS(I8, std::int8_t)
-#undef TSC_DISPATCH_QUANT_KERNELS
-
 #else  // !TSC_KERNELS_X86
 
 double Dot(const double* a, const double* b, std::size_t n) {
@@ -522,28 +352,6 @@ void GemmNT(const double* a, std::size_t m, std::size_t lda, const double* b,
             std::size_t ldc) {
   scalar::GemmNT(a, m, lda, b, n, ldb, k, c, ldc);
 }
-
-#define TSC_DISPATCH_QUANT_KERNELS(SUFFIX, QTYPE)                           \
-  double Dot##SUFFIX(const QTYPE* q, double scale, double offset,           \
-                     const double* b, std::size_t n) {                      \
-    return scalar::Dot##SUFFIX(q, scale, offset, b, n);                     \
-  }                                                                         \
-  void DotBatch##SUFFIX(const double* rows, std::size_t stride,             \
-                        std::size_t count, const QTYPE* q, double scale,    \
-                        double offset, std::size_t n, double* out) {        \
-    scalar::DotBatch##SUFFIX(rows, stride, count, q, scale, offset, n,      \
-                             out);                                          \
-  }                                                                         \
-  void Gemv##SUFFIX(const double* a, std::size_t rows, std::size_t n,       \
-                    std::size_t stride, const QTYPE* x, double scale,       \
-                    double offset, double* y) {                             \
-    scalar::Gemv##SUFFIX(a, rows, n, stride, x, scale, offset, y);          \
-  }
-
-TSC_DISPATCH_QUANT_KERNELS(F32, float)
-TSC_DISPATCH_QUANT_KERNELS(I16, std::int16_t)
-TSC_DISPATCH_QUANT_KERNELS(I8, std::int8_t)
-#undef TSC_DISPATCH_QUANT_KERNELS
 
 #endif  // TSC_KERNELS_X86
 

@@ -2,7 +2,6 @@
 #define TSC_LINALG_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace tsc::kernels {
 
@@ -60,51 +59,6 @@ void GemmNT(const double* a, std::size_t m, std::size_t lda, const double* b,
             std::size_t n, std::size_t ldb, std::size_t k, double* c,
             std::size_t ldc);
 
-// ---------------------------------------------------------------------------
-// Fused dequantize kernels (the quantized U row store, storage/quant.h).
-// The quantized operand q holds n codes with the affine decode
-//   value[i] = offset + scale * double(q[i])
-// (for the f32 kernels pass scale = 1, offset = 0 and the decode is the
-// plain widening conversion). The kernels consume the codes directly —
-// conversion happens in registers inside the dot loop, never through a
-// materialized double buffer — so a quantized row served from the mmap
-// view is dotted in place. Same aliasing/n == 0 rules as above, and the
-// same caveat: the two tiers agree up to FP reassociation.
-// ---------------------------------------------------------------------------
-
-/// out = sum_i (offset + scale * q[i]) * b[i].
-double DotF32(const float* q, double scale, double offset, const double* b,
-              std::size_t n);
-double DotI16(const std::int16_t* q, double scale, double offset,
-              const double* b, std::size_t n);
-double DotI8(const std::int8_t* q, double scale, double offset,
-             const double* b, std::size_t n);
-
-/// out[r] = fused dot of (rows + r*stride) against the shared quantized
-/// vector q, r in [0, count). The AVX2 tier converts each q chunk once
-/// and reuses it across a pair of rows, so the dequantize cost amortizes
-/// over the batch.
-void DotBatchF32(const double* rows, std::size_t stride, std::size_t count,
-                 const float* q, double scale, double offset, std::size_t n,
-                 double* out);
-void DotBatchI16(const double* rows, std::size_t stride, std::size_t count,
-                 const std::int16_t* q, double scale, double offset,
-                 std::size_t n, double* out);
-void DotBatchI8(const double* rows, std::size_t stride, std::size_t count,
-                const std::int8_t* q, double scale, double offset,
-                std::size_t n, double* out);
-
-/// y[r] += fused dot of (a + r*stride) against the shared quantized x.
-void GemvF32(const double* a, std::size_t rows, std::size_t n,
-             std::size_t stride, const float* x, double scale, double offset,
-             double* y);
-void GemvI16(const double* a, std::size_t rows, std::size_t n,
-             std::size_t stride, const std::int16_t* x, double scale,
-             double offset, double* y);
-void GemvI8(const double* a, std::size_t rows, std::size_t n,
-            std::size_t stride, const std::int8_t* x, double scale,
-            double offset, double* y);
-
 /// Portable reference implementations (plain one-element loops, no FMA).
 /// The dispatched kernels above compare against these in the property
 /// tests; they are also what runs under TSC_SIMD=scalar.
@@ -118,30 +72,6 @@ void Gemv(const double* a, std::size_t rows, std::size_t n,
 void GemmNT(const double* a, std::size_t m, std::size_t lda, const double* b,
             std::size_t n, std::size_t ldb, std::size_t k, double* c,
             std::size_t ldc);
-double DotF32(const float* q, double scale, double offset, const double* b,
-              std::size_t n);
-double DotI16(const std::int16_t* q, double scale, double offset,
-              const double* b, std::size_t n);
-double DotI8(const std::int8_t* q, double scale, double offset,
-             const double* b, std::size_t n);
-void DotBatchF32(const double* rows, std::size_t stride, std::size_t count,
-                 const float* q, double scale, double offset, std::size_t n,
-                 double* out);
-void DotBatchI16(const double* rows, std::size_t stride, std::size_t count,
-                 const std::int16_t* q, double scale, double offset,
-                 std::size_t n, double* out);
-void DotBatchI8(const double* rows, std::size_t stride, std::size_t count,
-                const std::int8_t* q, double scale, double offset,
-                std::size_t n, double* out);
-void GemvF32(const double* a, std::size_t rows, std::size_t n,
-             std::size_t stride, const float* x, double scale, double offset,
-             double* y);
-void GemvI16(const double* a, std::size_t rows, std::size_t n,
-             std::size_t stride, const std::int16_t* x, double scale,
-             double offset, double* y);
-void GemvI8(const double* a, std::size_t rows, std::size_t n,
-            std::size_t stride, const std::int8_t* x, double scale,
-            double offset, double* y);
 }  // namespace scalar
 
 }  // namespace tsc::kernels

@@ -21,6 +21,7 @@ QueryCostVector QueryContext::Costs() const {
   costs.rollup_hits = rollup_hits.load(std::memory_order_relaxed);
   costs.scan_fallbacks = scan_fallbacks.load(std::memory_order_relaxed);
   costs.agg_nodes_read = agg_nodes_read.load(std::memory_order_relaxed);
+  costs.serialize_us = serialize_us.load(std::memory_order_relaxed);
   return costs;
 }
 
@@ -30,7 +31,7 @@ std::string QueryCostVector::ToKvString() const {
                 "admission_wait_us=%llu cache_hits=%llu cache_misses=%llu "
                 "blocks_fetched=%llu io_bytes=%llu rows_scanned=%llu "
                 "delta_probes=%llu rollup_hits=%llu "
-                "scan_fallbacks=%llu agg_nodes_read=%llu",
+                "scan_fallbacks=%llu agg_nodes_read=%llu serialize_us=%llu",
                 static_cast<unsigned long long>(admission_wait_us),
                 static_cast<unsigned long long>(cache_hits),
                 static_cast<unsigned long long>(cache_misses),
@@ -40,7 +41,8 @@ std::string QueryCostVector::ToKvString() const {
                 static_cast<unsigned long long>(delta_probes),
                 static_cast<unsigned long long>(rollup_hits),
                 static_cast<unsigned long long>(scan_fallbacks),
-                static_cast<unsigned long long>(agg_nodes_read));
+                static_cast<unsigned long long>(agg_nodes_read),
+                static_cast<unsigned long long>(serialize_us));
   return buffer;
 }
 

@@ -37,6 +37,7 @@ struct QueryCostVector {
   std::uint64_t rollup_hits = 0;        ///< agg.rollup_hits delta
   std::uint64_t scan_fallbacks = 0;     ///< agg.scan_fallbacks delta
   std::uint64_t agg_nodes_read = 0;     ///< agg.nodes_read delta
+  std::uint64_t serialize_us = 0;       ///< request.serialize_us sum delta
 
   /// Compact `k=v k=v` form for the X-Query-Cost response header and
   /// the slow-query log's text rendering.
@@ -68,6 +69,7 @@ class QueryContext {
   std::atomic<std::uint64_t> rollup_hits{0};
   std::atomic<std::uint64_t> scan_fallbacks{0};
   std::atomic<std::uint64_t> agg_nodes_read{0};
+  std::atomic<std::uint64_t> serialize_us{0};
 
   /// Consistent-enough copy of the costs (relaxed loads; exact once the
   /// request's work has quiesced, which is when responses are built).
@@ -172,6 +174,10 @@ inline void ChargeScanFallback() {
 }
 inline void ChargeAggNodesRead(std::uint64_t nodes) {
   detail::Charge(&QueryContext::agg_nodes_read, nodes);
+}
+/// Time spent writing the answer's response body (JSON, CSV or text).
+inline void ChargeSerializeUs(std::uint64_t serialize_us) {
+  detail::Charge(&QueryContext::serialize_us, serialize_us);
 }
 
 /// Process-unique 16-hex-digit trace id (SplitMix64 of a process-wide

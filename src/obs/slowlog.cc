@@ -98,7 +98,7 @@ std::string SlowQueryLog::ToJson(const std::vector<SlowQueryEntry>& entries,
   }
   json.EndArray();
   json.EndObject();
-  return json.str();
+  return json.Release();
 }
 
 std::string SlowQueryLog::ToTable(

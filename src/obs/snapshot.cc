@@ -48,7 +48,7 @@ std::string StatsSnapshot::ToJson() const {
   }
   json.EndObject();
   json.EndObject();
-  return json.str();
+  return json.Release();
 }
 
 Status StatsSnapshot::WriteJsonFile(const std::string& path) const {

@@ -92,7 +92,7 @@ std::string TraceRecorder::ToChromeTraceJson() const {
   json.KV("displayTimeUnit", "ms");
   json.KV("droppedEvents", dropped_events());
   json.EndObject();
-  return json.str();
+  return json.Release();
 }
 
 Status TraceRecorder::ExportChromeTrace(const std::string& path) const {

@@ -1,6 +1,7 @@
 #include "server/data_api.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
@@ -287,16 +288,48 @@ std::string DataResultToJson(const DataResult& result) {
   }
   json.EndArray();
   json.EndObject();
-  return json.str();
+  return json.Release();
 }
 
 std::string DataResultToCsv(const DataResult& result) {
-  std::ostringstream out;
-  out << "t,value\n";
+  std::string out = "t,value\n";
+  char digits[24];
   for (const DataPoint& point : result.data) {
-    out << point.t << "," << point.value << "\n";
+    out.append(digits,
+               std::to_chars(digits, digits + sizeof(digits), point.t).ptr);
+    out += ',';
+    AppendDefaultFormat(point.value, &out);
+    out += '\n';
   }
-  return out.str();
+  return out;
+}
+
+std::string QueryResultToJson(const QueryResult& result) {
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("values").BeginArray();
+  for (const double value : result.values) json.Value(value);
+  json.EndArray();
+  json.Key("group_keys").BeginArray();
+  for (const std::size_t key : result.group_keys) {
+    json.Value(static_cast<std::uint64_t>(key));
+  }
+  json.EndArray();
+  json.KV("aggregate_count",
+          static_cast<std::uint64_t>(result.aggregate_count));
+  json.KV("rows_reconstructed", result.rows_reconstructed);
+  json.KV("compressed_domain_aggregates",
+          result.compressed_domain_aggregates);
+  json.KV("exec_us", result.exec_us);
+  json.EndObject();
+  return json.Release();
+}
+
+void AppendDefaultFormat(double value, std::string* out) {
+  char buffer[32];
+  out->append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                    std::chars_format::general, 6)
+                          .ptr);
 }
 
 }  // namespace tsc::server

@@ -98,6 +98,16 @@ StatusOr<DataResult> ExecuteDataRequest(const QueryExecutor& executor,
 std::string DataResultToJson(const DataResult& result);
 std::string DataResultToCsv(const DataResult& result);
 
+/// The /api/v1/query format=json body: values, group keys, the
+/// executor's counters and exec_us.
+std::string QueryResultToJson(const QueryResult& result);
+
+/// Appends `value` as a default-formatted `std::ostream << value` writes
+/// it (printf "%g": six significant digits), through std::to_chars. The
+/// CSV and text query bodies use it, so they stay byte-identical to
+/// `tsctool sql`'s output.
+void AppendDefaultFormat(double value, std::string* out);
+
 }  // namespace tsc::server
 
 #endif  // TSC_SERVER_DATA_API_H_

@@ -7,9 +7,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 namespace tsc::server {
 namespace {
@@ -225,19 +225,44 @@ std::string SerializeResponse(int status, std::string_view content_type,
 std::string SerializeResponse(int status, std::string_view content_type,
                               std::string_view body, bool keep_alive,
                               const HeaderList& extra_headers) {
-  std::ostringstream out;
-  out << "HTTP/1.1 " << status << ' ' << HttpStatusText(status) << "\r\n";
-  if (!content_type.empty()) {
-    out << "Content-Type: " << content_type << "\r\n";
-  }
-  out << "Content-Length: " << body.size() << "\r\n";
-  out << "Connection: " << (keep_alive ? "keep-alive" : "close") << "\r\n";
+  const std::string_view reason = HttpStatusText(status);
+  const std::string_view connection = keep_alive ? "keep-alive" : "close";
+  // Fixed text of the head: status line, three headers, blank line.
+  constexpr std::size_t kFixedHead = 128;
+  std::size_t size = kFixedHead + reason.size() + content_type.size() +
+                     connection.size() + body.size();
   for (const auto& [name, value] : extra_headers) {
-    out << name << ": " << value << "\r\n";
+    size += name.size() + value.size() + 4;
   }
-  out << "\r\n";
-  out << body;
-  return out.str();
+  std::string out;
+  out.reserve(size);
+  char digits[24];
+  out += "HTTP/1.1 ";
+  out.append(digits,
+             std::to_chars(digits, digits + sizeof(digits), status).ptr);
+  out += ' ';
+  out += reason;
+  out += "\r\n";
+  if (!content_type.empty()) {
+    out += "Content-Type: ";
+    out += content_type;
+    out += "\r\n";
+  }
+  out += "Content-Length: ";
+  out.append(digits,
+             std::to_chars(digits, digits + sizeof(digits), body.size()).ptr);
+  out += "\r\nConnection: ";
+  out += connection;
+  out += "\r\n";
+  for (const auto& [name, value] : extra_headers) {
+    out += name;
+    out += ": ";
+    out += value;
+    out += "\r\n";
+  }
+  out += "\r\n";
+  out += body;
+  return out;
 }
 
 StatusOr<HttpGetResult> HttpGet(const std::string& host, int port,

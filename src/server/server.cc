@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include "linalg/kernels.h"
 #include "obs/metrics.h"
@@ -35,7 +34,7 @@ std::string JsonError(std::string_view message) {
   json.BeginObject();
   json.KV("error", message);
   json.EndObject();
-  return json.str();
+  return json.Release();
 }
 
 /// Maps a Status from parsing/planning to the HTTP layer: every bad
@@ -59,6 +58,17 @@ obs::Histogram& EndpointLatency(const std::string& endpoint) {
 double MicrosSince(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start)
       .count();
+}
+
+/// Records the whole µs spent writing one answer's body since `start` in
+/// the request.serialize_us histogram and, the same value, in the
+/// request's cost vector.
+void RecordSerializeUs(Clock::time_point start) {
+  static obs::Histogram& serialize_hist =
+      obs::MetricRegistry::Default().GetHistogram("request.serialize_us");
+  const auto serialize_us = static_cast<std::uint64_t>(MicrosSince(start));
+  serialize_hist.Record(static_cast<double>(serialize_us));
+  obs::ChargeSerializeUs(serialize_us);
 }
 
 /// The SLO/slowlog endpoint tag for a request path.
@@ -469,7 +479,7 @@ std::string QueryServer::HealthzVerboseJson() const {
   json.EndArray();
   json.EndObject();
   json.EndObject();
-  return json.str();
+  return json.Release();
 }
 
 std::string QueryServer::RouteApi(const HttpRequest& request,
@@ -536,10 +546,12 @@ std::string QueryServer::RouteApi(const HttpRequest& request,
                !result.ok()) {
       *status_out = StatusToHttp(result.status());
       body = JsonError(result.status().message());
-    } else if (request.Param("format", "json") == "csv") {
-      body = DataResultToCsv(*result);
     } else {
-      body = DataResultToJson(*result);
+      const auto serialize_started = Clock::now();
+      body = request.Param("format", "json") == "csv"
+                 ? DataResultToCsv(*result)
+                 : DataResultToJson(*result);
+      RecordSerializeUs(serialize_started);
     }
     EndpointLatency("data").Record(
         std::chrono::duration<double, std::micro>(Clock::now() - started)
@@ -559,31 +571,19 @@ std::string QueryServer::RouteApi(const HttpRequest& request,
       *status_out = StatusToHttp(result.status());
       body = JsonError(result.status().message());
     } else if (request.Param("format", "text") == "json") {
-      JsonWriter json;
-      json.BeginObject();
-      json.Key("values").BeginArray();
-      for (const double value : result->values) json.Value(value);
-      json.EndArray();
-      json.Key("group_keys").BeginArray();
-      for (const std::size_t key : result->group_keys) {
-        json.Value(static_cast<std::uint64_t>(key));
-      }
-      json.EndArray();
-      json.KV("aggregate_count",
-              static_cast<std::uint64_t>(result->aggregate_count));
-      json.KV("rows_reconstructed", result->rows_reconstructed);
-      json.KV("compressed_domain_aggregates",
-              result->compressed_domain_aggregates);
-      json.KV("exec_us", result->exec_us);
-      json.EndObject();
-      body = json.str();
+      const auto serialize_started = Clock::now();
+      body = QueryResultToJson(*result);
+      RecordSerializeUs(serialize_started);
     } else {
       // Byte-identical to `tsctool sql` writing to stdout: one value
       // per line under default ostream double formatting.
-      std::ostringstream out;
-      for (const double value : result->values) out << value << "\n";
-      if (request.Param("analyze", "") == "1") out << result->AnalyzeFooter();
-      body = out.str();
+      const auto serialize_started = Clock::now();
+      for (const double value : result->values) {
+        AppendDefaultFormat(value, &body);
+        body += '\n';
+      }
+      if (request.Param("analyze", "") == "1") body += result->AnalyzeFooter();
+      RecordSerializeUs(serialize_started);
     }
     EndpointLatency("query").Record(
         std::chrono::duration<double, std::micro>(Clock::now() - started)
@@ -612,13 +612,15 @@ std::string QueryServer::RouteApi(const HttpRequest& request,
     *status_out = StatusToHttp(value.status());
     body = JsonError(value.status().message());
   } else {
+    const auto serialize_started = Clock::now();
     JsonWriter json;
     json.BeginObject();
     json.KV("row", static_cast<std::uint64_t>(r));
     json.KV("col", static_cast<std::uint64_t>(c));
     json.KV("value", *value);
     json.EndObject();
-    body = json.str();
+    body = json.Release();
+    RecordSerializeUs(serialize_started);
   }
   EndpointLatency("cell").Record(
       std::chrono::duration<double, std::micro>(Clock::now() - started)

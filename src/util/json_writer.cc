@@ -1,9 +1,59 @@
 #include "util/json_writer.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace tsc {
+namespace {
+
+/// Appends `number` in decimal through std::to_chars.
+template <typename T>
+void AppendNumber(T number, std::string* out) {
+  // 24 chars hold the longest shortest-round-trip double
+  // ("-2.2250738585072014e-308") and any 64-bit integer.
+  char buffer[32];
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), number);
+  out->append(buffer, result.ptr);
+}
+
+/// Appends `text` JSON-escaped (quotes not included), copying the runs
+/// that need no escape in one append each.
+void AppendEscaped(std::string_view text, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending verbatim run
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(text.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xf]};
+        out->append(escape, sizeof(escape));
+      }
+    }
+  }
+  out->append(text.data() + run, text.size() - run);
+}
+
+}  // namespace
 
 void JsonWriter::MaybeComma() {
   if (pending_key_) {
@@ -45,7 +95,7 @@ JsonWriter& JsonWriter::EndArray() {
 JsonWriter& JsonWriter::Key(std::string_view name) {
   MaybeComma();
   out_ += '"';
-  out_ += Escape(name);
+  AppendEscaped(name, &out_);
   out_ += "\":";
   pending_key_ = true;
   return *this;
@@ -54,7 +104,7 @@ JsonWriter& JsonWriter::Key(std::string_view name) {
 JsonWriter& JsonWriter::Value(std::string_view text) {
   MaybeComma();
   out_ += '"';
-  out_ += Escape(text);
+  AppendEscaped(text, &out_);
   out_ += '"';
   return *this;
 }
@@ -66,21 +116,20 @@ JsonWriter& JsonWriter::Value(double number) {
     out_ += "null";
     return *this;
   }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", number);
-  out_ += buffer;
+  // The shortest text that parses back to the same double.
+  AppendNumber(number, &out_);
   return *this;
 }
 
 JsonWriter& JsonWriter::Value(std::uint64_t number) {
   MaybeComma();
-  out_ += std::to_string(number);
+  AppendNumber(number, &out_);
   return *this;
 }
 
 JsonWriter& JsonWriter::Value(std::int64_t number) {
   MaybeComma();
-  out_ += std::to_string(number);
+  AppendNumber(number, &out_);
   return *this;
 }
 
@@ -105,34 +154,7 @@ JsonWriter& JsonWriter::RawValue(std::string_view json) {
 std::string JsonWriter::Escape(std::string_view text) {
   std::string escaped;
   escaped.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        escaped += "\\\"";
-        break;
-      case '\\':
-        escaped += "\\\\";
-        break;
-      case '\n':
-        escaped += "\\n";
-        break;
-      case '\r':
-        escaped += "\\r";
-        break;
-      case '\t':
-        escaped += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          escaped += buffer;
-        } else {
-          escaped += c;
-        }
-    }
-  }
+  AppendEscaped(text, &escaped);
   return escaped;
 }
 

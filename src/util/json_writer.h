@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace tsc {
@@ -24,6 +25,8 @@ class JsonWriter {
 
   JsonWriter& Value(std::string_view text);
   JsonWriter& Value(const char* text) { return Value(std::string_view(text)); }
+  /// The shortest decimal that parses back to the same double
+  /// (std::to_chars); non-finite values become null.
   JsonWriter& Value(double number);
   JsonWriter& Value(std::uint64_t number);
   JsonWriter& Value(std::int64_t number);
@@ -43,6 +46,8 @@ class JsonWriter {
 
   /// The JSON text produced so far.
   const std::string& str() const { return out_; }
+  /// Moves the JSON text out without a copy; the writer is spent.
+  std::string Release() { return std::move(out_); }
 
   /// JSON string escaping (quotes not included).
   static std::string Escape(std::string_view text);

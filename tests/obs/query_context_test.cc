@@ -108,7 +108,13 @@ TEST(QueryContextTest, KvStringCarriesEveryField) {
   costs.rollup_hits = 8;
   costs.scan_fallbacks = 9;
   costs.agg_nodes_read = 10;
+  costs.serialize_us = 11;
   const std::string kv = costs.ToKvString();
+  EXPECT_EQ(kv,
+            "admission_wait_us=1 cache_hits=2 cache_misses=3 "
+            "blocks_fetched=4 io_bytes=5 rows_scanned=6 delta_probes=7 "
+            "rollup_hits=8 scan_fallbacks=9 agg_nodes_read=10 "
+            "serialize_us=11");
   EXPECT_NE(kv.find("admission_wait_us=1"), std::string::npos) << kv;
   EXPECT_NE(kv.find("cache_hits=2"), std::string::npos) << kv;
   EXPECT_NE(kv.find("cache_misses=3"), std::string::npos) << kv;
@@ -119,6 +125,7 @@ TEST(QueryContextTest, KvStringCarriesEveryField) {
   EXPECT_NE(kv.find("rollup_hits=8"), std::string::npos) << kv;
   EXPECT_NE(kv.find("scan_fallbacks=9"), std::string::npos) << kv;
   EXPECT_NE(kv.find("agg_nodes_read=10"), std::string::npos) << kv;
+  EXPECT_NE(kv.find("serialize_us=11"), std::string::npos) << kv;
 }
 
 TEST(QueryContextTest, TraceIdsAreUniqueAndWellFormed) {

@@ -1,6 +1,8 @@
 #include "server/data_api.h"
 
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -324,6 +326,37 @@ TEST_F(DataApiTest, SerializationsCarryEveryPoint) {
   std::size_t lines = 0;
   for (const char c : csv) lines += c == '\n' ? 1 : 0;
   EXPECT_EQ(lines, 6u);  // header + 5 points
+}
+
+// The CSV and text bodies format doubles with std::to_chars; they must
+// stay byte-identical to default `std::ostream << value` output, which
+// is what `tsctool sql` prints.
+TEST(DataApiFormatTest, CsvAndTextNumbersMatchDefaultOstream) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values = {
+      0.0,      -0.0,      1.0,      -1.5,     0.1,         1.0 / 3.0,
+      123456.0, 1234567.0, 123456.5, 999999.5, 1e-4,        1e-5,
+      1.5e-5,   -2.5e-7,   1e21,     6.02e23,  1e300,       -1e-300,
+      DBL_MAX,  DBL_MIN,   100.0,    1e6,      DBL_MIN / 7, inf,
+      -inf,     nan,       -nan,
+      std::numeric_limits<double>::denorm_min(),
+  };
+  DataResult result;
+  std::string text;
+  std::ostringstream csv_reference;
+  std::ostringstream text_reference;
+  csv_reference << "t,value\n";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const std::size_t t = i * 1000003;
+    result.data.push_back({t, values[i]});
+    csv_reference << t << "," << values[i] << "\n";
+    text_reference << values[i] << "\n";
+    AppendDefaultFormat(values[i], &text);
+    text += '\n';
+  }
+  EXPECT_EQ(DataResultToCsv(result), csv_reference.str());
+  EXPECT_EQ(text, text_reference.str());
 }
 
 }  // namespace

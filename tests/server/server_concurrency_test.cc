@@ -124,7 +124,7 @@ TEST(ServerConcurrencyTest, EightConnectionsShareOneDiskBackedStore) {
         if (!response.ok) {
           ++wrong;
         } else if (response.status == 200) {
-          // The %.17g value round-trips: parse it back and require the
+          // The JSON value round-trips: parse it back and require the
           // exact double the shared store reconstructs.
           const std::size_t value_pos = response.body.find("\"value\":");
           if (value_pos == std::string::npos ||
@@ -198,6 +198,12 @@ TEST(ServerConcurrencyTest, CostVectorsSumToProcessCountersUnderHammer) {
   for (const auto& [field, counter] : kMirrors) {
     before.push_back(registry.GetCounter(counter).Value());
   }
+  // serialize_us mirrors a histogram: its whole-µs records sum exactly.
+  obs::Histogram& serialize_hist =
+      registry.GetHistogram("request.serialize_us");
+  const obs::Histogram::Summary serialize_before = serialize_hist.Snapshot();
+  std::atomic<std::uint64_t> serialize_sum{0};
+  std::atomic<std::uint64_t> answers{0};  // 200s: each wrote one body
 
   constexpr int kConnections = 8;
   constexpr int kRounds = 6;
@@ -244,6 +250,12 @@ TEST(ServerConcurrencyTest, CostVectorsSumToProcessCountersUnderHammer) {
             sums[f].fetch_add(CostField(costs, kMirrors[f].first),
                               std::memory_order_relaxed);
           }
+          if (costs.find("serialize_us=") == std::string::npos) ++wrong;
+          serialize_sum.fetch_add(CostField(costs, "serialize_us"),
+                                  std::memory_order_relaxed);
+          if (response.status == 200) {
+            answers.fetch_add(1, std::memory_order_relaxed);
+          }
         }
       }
     });
@@ -259,9 +271,16 @@ TEST(ServerConcurrencyTest, CostVectorsSumToProcessCountersUnderHammer) {
         << kMirrors[f].first << " deltas do not sum to "
         << kMirrors[f].second;
   }
+  const obs::Histogram::Summary serialize_after = serialize_hist.Snapshot();
+  EXPECT_EQ(static_cast<double>(serialize_sum.load()),
+            serialize_after.sum - serialize_before.sum)
+      << "serialize_us deltas do not sum to request.serialize_us";
 #ifndef TSC_OBS_DISABLED
   // The hammer did real attributable work; the invariant is not 0 == 0.
   EXPECT_GT(sums[4].load(), 0u);  // rows_scanned
+  // One request.serialize_us record per answer body written.
+  EXPECT_EQ(serialize_after.count - serialize_before.count, answers.load());
+  EXPECT_GT(answers.load(), 0u);
 #endif
   std::remove(path.c_str());
 }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
+#include <map>
 #include <mutex>
 #include <span>
 #include <sstream>
@@ -193,6 +194,46 @@ TEST_F(ServerTest, DataEndpointServesJsonAndCsv) {
   ASSERT_TRUE(csv.ok);
   EXPECT_EQ(csv.status, 200);
   EXPECT_EQ(csv.body.substr(0, 8), "t,value\n");
+  server.Stop();
+}
+
+// Text and CSV bodies are written with std::to_chars; each must equal
+// what default `std::ostream << value` formatting makes of the same
+// executor values.
+TEST_F(ServerTest, TextAndCsvBodiesMatchOstreamFormatting) {
+  QueryServer server(executor_, model_);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  for (const std::string group : {"col", "row"}) {
+    const std::string query = "SELECT avg(value) GROUP BY " + group;
+    const ClientResponse text =
+        client.Get("/api/v1/query?q=SELECT+avg(value)+GROUP+BY+" + group);
+    ASSERT_TRUE(text.ok);
+    EXPECT_EQ(text.status, 200) << text.body;
+    EXPECT_EQ(text.body, CliText(query)) << query;
+  }
+
+  const std::map<std::string, std::string> params = {
+      {"after", "-40"}, {"before", "0"}, {"points", "41"},
+      {"rows", "3:90"}, {"group", "avg"}};
+  auto resolved = ResolveDataRequest(params, executor_->rows(),
+                                     executor_->cols(), DataApiLimits{});
+  TSC_CHECK_OK(resolved.status());
+  auto result = ExecuteDataRequest(*executor_, *resolved);
+  TSC_CHECK_OK(result.status());
+  std::ostringstream reference;
+  reference << "t,value\n";
+  for (const DataPoint& point : result->data) {
+    reference << point.t << "," << point.value << "\n";
+  }
+  const ClientResponse csv = client.Get(
+      "/api/v1/data?after=-40&before=0&points=41&rows=3:90&group=avg"
+      "&format=csv");
+  ASSERT_TRUE(csv.ok);
+  EXPECT_EQ(csv.status, 200) << csv.body;
+  EXPECT_EQ(csv.body, reference.str());
   server.Stop();
 }
 
