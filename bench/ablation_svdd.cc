@@ -14,7 +14,8 @@
 //      SVD vs SVDD on spiked data: robustness protects the subspace,
 //      deltas protect the worst case — they are complementary.
 //   7. Zero-row filter (Section 6.2) on data with dead customers.
-//   8. Quantized b=4 storage vs b=8.
+//   8. f64 vs f32 U at equal space, each model's file bytes beside the
+//      bytes it is charged.
 //   9. Cell deltas vs whole-row outlier storage — the Section 4.2 design
 //      argument ("it is more reasonable to store the deltas for those
 //      specific days, as opposed to treating the whole customer as an
@@ -23,11 +24,14 @@
 // Flags: --phone_rows=1000  --space=10  --threads=N
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "baselines/clustering.h"
+#include "bench_common.h"
 #include "common/bench_datasets.h"
 #include "core/metrics.h"
 #include "core/robust_svd.h"
@@ -304,27 +308,34 @@ void AblateZeroRowFilter(double space) {
   std::printf("%s\n", table.ToString().c_str());
 }
 
-void AblateQuantizedStorage(const Matrix& x, double space) {
-  std::printf("--- ablation 8: b=8 vs b=4 storage (s=%.3g%%) ---\n", space);
-  TablePrinter table({"b", "RMSPE%", "bytes", "k", "deltas"});
-  for (const std::size_t b : {8u, 4u}) {
+void AblateFloatEncoding(const Matrix& x, double space) {
+  std::printf("--- ablation 8: f64 vs f32 U at equal space (s=%.3g%%) ---\n",
+              space);
+  TablePrinter table(
+      {"U", "RMSPE%", "charged bytes", "file bytes", "k", "deltas"});
+  for (const QuantScheme quant : {QuantScheme::kF64, QuantScheme::kF32}) {
     MatrixRowSource source(&x);
     SvddBuildOptions options;
     options.space_percent = space;
     options.num_threads = g_threads;
-    options.bytes_per_value = b;
-    options.delta_bytes = b == 4 ? 12 : 16;
+    options.quant = quant;
     const auto model = BuildSvddModel(&source, options);
     if (!model.ok()) continue;
-    table.AddRow({std::to_string(b),
+    const std::string path =
+        TempPath(std::string("ablation8_") + QuantSchemeName(quant), ".model");
+    TSC_CHECK_OK(model->SaveToFile(path));
+    const std::uintmax_t file_bytes = std::filesystem::file_size(path);
+    std::remove(path.c_str());
+    table.AddRow({QuantSchemeName(quant),
                   TablePrinter::Percent(100.0 * Rmspe(x, *model)),
                   std::to_string(model->CompressedBytes()),
-                  std::to_string(model->k()),
+                  std::to_string(file_bytes), std::to_string(model->k()),
                   std::to_string(model->delta_count())});
   }
   std::printf("%s", table.ToString().c_str());
-  std::printf("same value count, half the bytes at b=4 (minus the fixed\n"
-              "8-byte delta keys); error picks up only float rounding.\n\n");
+  std::printf("f32 stores each U coefficient in 4 bytes plus a 16-byte meta\n"
+              "per row; the freed budget buys a larger k or more deltas. Each\n"
+              "file holds what it is charged plus a fixed header.\n\n");
 }
 
 void AblateCandidateCap(const Matrix& x, double space) {
@@ -407,7 +418,7 @@ int main(int argc, char** argv) {
   tsc::bench::AblateClusteringVariants(dataset.values, space);
   tsc::bench::AblateRobustSvd(dataset.values, space);
   tsc::bench::AblateZeroRowFilter(space);
-  tsc::bench::AblateQuantizedStorage(dataset.values, space);
+  tsc::bench::AblateFloatEncoding(dataset.values, space);
   tsc::bench::AblateRowOutliers(dataset.values, space);
   tsc::bench::AblateCandidateCap(dataset.values, space);
   return 0;

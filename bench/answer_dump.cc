@@ -161,11 +161,9 @@ int main(int argc, char** argv) {
   TSC_CHECK_OK(WriteDoubles(out_dir + "/memory.bin", memory));
   std::printf("memory: %zu doubles\n", memory.size());
 
-  std::vector<tsc::IoBackendKind> backends;
-  if (tsc::MmapAvailable()) backends.push_back(tsc::IoBackendKind::kMmap);
-  backends.push_back(tsc::IoBackendKind::kPread);
   int differing = 0;
-  for (const tsc::IoBackendKind backend : backends) {
+  for (const tsc::IoBackendKind backend :
+       {tsc::IoBackendKind::kMmap, tsc::IoBackendKind::kPread}) {
     for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{61}}) {
       tsc::DiskBackedOptions options;
       options.io_backend = backend;

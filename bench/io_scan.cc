@@ -140,9 +140,8 @@ int main(int argc, char** argv) {
   std::printf("dataset: %zux%zu (%.1f MB), cache %zu blocks\n\n", rows, cols,
               payload_bytes / (1024.0 * 1024.0), cache_blocks);
 
-  std::vector<IoBackendKind> backends = {IoBackendKind::kStream,
-                                         IoBackendKind::kPread};
-  if (tsc::MmapAvailable()) backends.push_back(IoBackendKind::kMmap);
+  const std::vector<IoBackendKind> backends = {
+      IoBackendKind::kStream, IoBackendKind::kPread, IoBackendKind::kMmap};
 
   tsc::TablePrinter table(
       {"section", "backend", "mode", "seconds", "MB/s", "cells/s", "x"});
@@ -213,7 +212,7 @@ int main(int argc, char** argv) {
   // Rows/s and the effective MB/s are both reported; `x` is rows/s over
   // the f64 scan.
   {
-    const IoBackendKind kind = backends.back();  // mmap when available
+    const IoBackendKind kind = IoBackendKind::kMmap;
     std::vector<double> probe_vec(cols);
     tsc::Rng probe_rng(seed + 2);
     for (double& v : probe_vec) v = probe_rng.Gaussian();

@@ -92,9 +92,7 @@ void ClusterModel::ReconstructRow(std::size_t row,
 
 std::uint64_t ClusterModel::CompressedBytes() const {
   // (b * k * M) centroids + (N * b) cluster references (Section 5.1).
-  return static_cast<std::uint64_t>(bytes_per_value_) * num_clusters() *
-             cols() +
-         static_cast<std::uint64_t>(rows()) * bytes_per_value_;
+  return kBytesPerValue * num_clusters() * cols() + rows() * kBytesPerValue;
 }
 
 StatusOr<ClusterModel> BuildHierarchicalClusterModel(const Matrix& data,
@@ -286,13 +284,10 @@ StatusOr<ClusterModel> BuildKMeansClusterModel(const Matrix& data,
 }
 
 std::size_t ClustersForBudget(std::size_t num_rows, std::size_t num_cols,
-                              std::uint64_t budget_bytes,
-                              std::size_t bytes_per_value) {
-  const std::uint64_t reference_cost =
-      static_cast<std::uint64_t>(num_rows) * bytes_per_value;
+                              std::uint64_t budget_bytes) {
+  const std::uint64_t reference_cost = num_rows * kBytesPerValue;
   if (budget_bytes <= reference_cost) return 0;
-  const std::uint64_t per_cluster =
-      static_cast<std::uint64_t>(num_cols) * bytes_per_value;
+  const std::uint64_t per_cluster = num_cols * kBytesPerValue;
   if (per_cluster == 0) return 0;
   const std::uint64_t k = (budget_bytes - reference_cost) / per_cluster;
   return static_cast<std::size_t>(std::min<std::uint64_t>(k, num_rows));

@@ -32,7 +32,6 @@ class ClusterModel : public CompressedStore {
   std::string MethodName() const override { return method_name_; }
 
   void set_method_name(std::string name) { method_name_ = std::move(name); }
-  void set_bytes_per_value(std::size_t b) { bytes_per_value_ = b; }
 
   const Matrix& centroids() const { return centroids_; }
   const std::vector<std::uint32_t>& assignment() const { return assignment_; }
@@ -40,7 +39,6 @@ class ClusterModel : public CompressedStore {
  private:
   Matrix centroids_;  ///< num_clusters x M
   std::vector<std::uint32_t> assignment_;
-  std::size_t bytes_per_value_ = 8;
   std::string method_name_ = "hc";
 };
 
@@ -75,8 +73,7 @@ StatusOr<ClusterModel> BuildKMeansClusterModel(const Matrix& data,
 /// Number of clusters that fits a given space budget (inverts the
 /// paper's (b*k*M) + (N*b) formula). Returns 0 when nothing fits.
 std::size_t ClustersForBudget(std::size_t num_rows, std::size_t num_cols,
-                              std::uint64_t budget_bytes,
-                              std::size_t bytes_per_value = 8);
+                              std::uint64_t budget_bytes);
 
 }  // namespace tsc
 

@@ -48,7 +48,7 @@ void DctModel::ReconstructRow(std::size_t row, std::span<double> out) const {
 }
 
 std::uint64_t DctModel::CompressedBytes() const {
-  return static_cast<std::uint64_t>(rows()) * k() * bytes_per_value_;
+  return kBytesPerValue * rows() * k();
 }
 
 std::vector<double> DctForward(std::span<const double> in) {

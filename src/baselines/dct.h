@@ -32,14 +32,11 @@ class DctModel : public CompressedStore {
   std::uint64_t CompressedBytes() const override;
   std::string MethodName() const override { return "dct"; }
 
-  void set_bytes_per_value(std::size_t b) { bytes_per_value_ = b; }
-
   const Matrix& coefficients() const { return coefficients_; }
 
  private:
   Matrix coefficients_;  ///< N x k, row i's first k DCT-II coefficients
   std::size_t num_cols_ = 0;
-  std::size_t bytes_per_value_ = 8;
 };
 
 /// Builds a DCT model keeping `k` coefficients per row; streams the

@@ -62,10 +62,8 @@ StatusOr<double> SamplingEstimator::EstimateAggregate(
   return Status::Internal("unhandled aggregate");
 }
 
-std::uint64_t SamplingEstimator::SampleBytes(
-    std::size_t bytes_per_value) const {
-  return static_cast<std::uint64_t>(sampled_rows_.size()) * data_->cols() *
-         bytes_per_value;
+std::uint64_t SamplingEstimator::SampleBytes() const {
+  return kBytesPerValue * sampled_rows_.size() * data_->cols();
 }
 
 }  // namespace tsc

@@ -34,7 +34,7 @@ class SamplingEstimator {
   StatusOr<double> EstimateAggregate(const RegionQuery& query) const;
 
   /// Bytes the sample occupies: rows * M * b.
-  std::uint64_t SampleBytes(std::size_t bytes_per_value = 8) const;
+  std::uint64_t SampleBytes() const;
 
   std::size_t sample_size() const { return sampled_rows_.size(); }
   double fraction() const { return fraction_; }

@@ -94,7 +94,7 @@ std::uint64_t HaarModel::CompressedBytes() const {
   // k coefficients per row, each a b-byte value plus a 4-byte index.
   std::uint64_t coeffs = 0;
   for (const auto& row : rows_) coeffs += row.size();
-  return coeffs * (bytes_per_value_ + 4);
+  return coeffs * (kBytesPerValue + 4);
 }
 
 StatusOr<HaarModel> BuildHaarModel(RowSource* source, std::size_t k) {

@@ -43,13 +43,10 @@ class HaarModel : public CompressedStore {
   std::uint64_t CompressedBytes() const override;
   std::string MethodName() const override { return "haar"; }
 
-  void set_bytes_per_value(std::size_t b) { bytes_per_value_ = b; }
-
  private:
   std::vector<std::vector<Coefficient>> rows_;
   std::size_t num_cols_ = 0;
   std::size_t padded_length_ = 0;
-  std::size_t bytes_per_value_ = 8;
 };
 
 /// Builds a Haar model keeping the `k` largest-magnitude coefficients per

@@ -45,13 +45,13 @@ commands:
   generate   --kind=phone|stocks|patients|lowrank --rows=N --cols=M --seed=S
              --out=FILE          (.csv for text, anything else binary)
   compress   --input=FILE --out=MODEL --space=PCT [--method=svdd|svd]
-             [--b=8|4] [--quant=f64|f32|int16|int8]
+             [--quant=f64|f32|int16|int8]
              [--max-candidates=K] [--threads=N]
              [--build=exact|randomized] [--seed=S] [--oversample=P]
              [--power-iters=Q]
              (--max-candidates evaluates K evenly spaced k instead of
               every k in 1..k_max, the k_opt search ablation; 0 = all.
-              --quant defaults to $TSC_QUANT; quantizes the U row store.
+              --quant quantizes the U row store; default f64.
               --build=randomized swaps pass 1 for the streaming sketch
               PCA — O(M*(k+p)) memory at any N, deterministic per --seed;
               binary inputs stream off disk without loading the matrix)
@@ -209,16 +209,10 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
   }
   const double space = flags.GetDouble("space", 10.0);
   const std::string method = flags.GetString("method", "svdd");
-  const std::size_t b = static_cast<std::size_t>(flags.GetInt("b", 8));
   const std::size_t threads =
       static_cast<std::size_t>(flags.GetInt("threads", 1));
-  // --quant wins; otherwise TSC_QUANT; otherwise the exact f64 store.
-  QuantScheme quant = QuantSchemeFromEnv();
-  if (flags.Has("quant")) {
-    auto parsed = ParseQuantScheme(flags.GetString("quant", "f64"));
-    if (!parsed.ok()) return Fail(err, parsed.status());
-    quant = *parsed;
-  }
+  const auto quant = ParseQuantScheme(flags.GetString("quant", "f64"));
+  if (!quant.ok()) return Fail(err, quant.status());
   const std::string build_name = flags.GetString("build", "exact");
   if (build_name != "exact" && build_name != "randomized") {
     return Fail(err, Status::InvalidArgument(
@@ -264,9 +258,7 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
   if (method == "svdd") {
     SvddBuildOptions options;
     options.space_percent = space;
-    options.bytes_per_value = b;
-    if (b == 4) options.delta_bytes = 12;
-    options.quant = quant;
+    options.quant = *quant;
     options.max_candidates =
         static_cast<std::size_t>(flags.GetInt("max-candidates", 0));
     options.num_threads = threads;
@@ -284,8 +276,8 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
         source->rows() > 0 ? diag.rows_streamed / source->rows() : 0;
     out << "svdd model (" << diag.engine << "): k_opt=" << diag.k_opt
         << " (k_max=" << diag.k_max << "), deltas=" << model->delta_count()
-        << ", quant=" << QuantSchemeName(quant) << ", "
-        << TablePrinter::Percent(model->SpacePercent(b)) << " of original, "
+        << ", quant=" << QuantSchemeName(*quant) << ", "
+        << TablePrinter::Percent(model->SpacePercent()) << " of original, "
         << TablePrinter::Num(timer.ElapsedSeconds(), 3) << "s, " << passes
         << " passes\n";
     out << "build:";
@@ -303,12 +295,11 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
                3)
         << "MiB\n";
   } else if (method == "svd") {
-    SpaceBudget budget = SpaceBudget::FromPercent(
-        dataset->rows(), dataset->cols(), space, b);
-    budget.u_quant = quant;
+    SpaceBudget budget =
+        SpaceBudget::FromPercent(dataset->rows(), dataset->cols(), space);
+    budget.u_quant = *quant;
     SvdBuildOptions options;
     options.k = budget.MaxK();
-    options.bytes_per_value = b;
     options.num_threads = threads;
     if (options.k == 0) {
       return Fail(err, Status::ResourceExhausted("budget below 1 component"));
@@ -317,11 +308,11 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
     if (!model.ok()) return Fail(err, model.status());
     // Plain SVD has no delta table to absorb the quantization error, but
     // the snapped model still reports it honestly through evaluate.
-    model->ApplyQuantization(quant);
+    model->ApplyQuantization(*quant);
     const Status save = model->SaveToFile(model_path);
     if (!save.ok()) return Fail(err, save);
     out << "svd model: k=" << model->k() << ", "
-        << TablePrinter::Percent(model->SpacePercent(b)) << " of original, "
+        << TablePrinter::Percent(model->SpacePercent()) << " of original, "
         << TablePrinter::Num(timer.ElapsedSeconds(), 3) << "s, 2 passes\n";
   } else {
     return Fail(err, Status::InvalidArgument("unknown --method: " + method));
@@ -844,8 +835,8 @@ const std::vector<Command> kCommands = {
     {"generate", CmdGenerate, {"kind", "out", "rows", "cols", "seed", "rank"}},
     {"compress",
      CmdCompress,
-     {"input", "out", "space", "method", "b", "quant", "max-candidates",
-      "threads", "build", "seed", "oversample", "power-iters"}},
+     {"input", "out", "space", "method", "quant", "max-candidates", "threads",
+      "build", "seed", "oversample", "power-iters"}},
     {"info", CmdInfo, {"model"}},
     {"query", CmdQuery, {"model", "q", "cell", "threads"}},
     {"sql",

@@ -37,10 +37,10 @@ Matrix CompressedStore::ReconstructAll() const {
   return m;
 }
 
-double CompressedStore::SpacePercent(std::size_t bytes_per_value) const {
+double CompressedStore::SpacePercent() const {
   const double original = static_cast<double>(rows()) *
                           static_cast<double>(cols()) *
-                          static_cast<double>(bytes_per_value);
+                          static_cast<double>(kBytesPerValue);
   if (original == 0.0) return 0.0;
   return 100.0 * static_cast<double>(CompressedBytes()) / original;
 }

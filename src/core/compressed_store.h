@@ -12,6 +12,11 @@ namespace tsc {
 
 class SvddModel;
 
+/// The paper's b, bytes per stored number: the original matrix and every
+/// number a model stores are 8-byte doubles (a quantized U row store is
+/// charged at its own row stride).
+constexpr std::uint64_t kBytesPerValue = 8;
+
 /// A compressed representation of an N x M time-sequence matrix that
 /// supports "random access": reconstructing any cell in time independent
 /// of N and M. Every compression method in this library (SVD, SVDD, DCT,
@@ -59,9 +64,8 @@ class CompressedStore {
   /// Materializes the full reconstruction X-hat (tests and small data).
   Matrix ReconstructAll() const;
 
-  /// Storage as a percent of the uncompressed matrix at `bytes_per_value`
-  /// bytes per cell (the paper's s%).
-  double SpacePercent(std::size_t bytes_per_value = 8) const;
+  /// Storage as a percent of the uncompressed matrix (the paper's s%).
+  double SpacePercent() const;
 };
 
 }  // namespace tsc

@@ -37,7 +37,7 @@ void RowOutlierModel::ReconstructRow(std::size_t row,
 
 std::uint64_t RowOutlierModel::CompressedBytes() const {
   const std::uint64_t per_row =
-      static_cast<std::uint64_t>(cols()) * svd_.bytes_per_value() + 8;
+      static_cast<std::uint64_t>(cols()) * kBytesPerValue + 8;
   return svd_.CompressedBytes() + stored_rows_.size() * per_row;
 }
 
@@ -46,10 +46,10 @@ StatusOr<RowOutlierModel> BuildRowOutlierModel(
   const std::size_t n = data.rows();
   const std::size_t m = data.cols();
   if (n == 0 || m == 0) return Status::InvalidArgument("empty matrix");
-  const SpaceBudget budget = SpaceBudget::FromPercent(
-      n, m, options.space_percent, options.bytes_per_value);
+  const SpaceBudget budget =
+      SpaceBudget::FromPercent(n, m, options.space_percent);
   const std::uint64_t row_bytes =
-      static_cast<std::uint64_t>(m) * options.bytes_per_value + 8;
+      static_cast<std::uint64_t>(m) * kBytesPerValue + 8;
 
   // Shared pass 1: eigensystem of C, exactly as the SVDD build.
   MatrixRowSource source(&data);
@@ -133,7 +133,6 @@ StatusOr<RowOutlierModel> BuildRowOutlierModel(
   SvdBuildOptions svd_options;
   svd_options.k = best_k;
   svd_options.solver = options.solver;
-  svd_options.bytes_per_value = options.bytes_per_value;
   TSC_ASSIGN_OR_RETURN(SvdModel svd, BuildSvdModel(&rebuild_source, svd_options));
 
   BoundedTopHeap<double, std::size_t> worst(static_cast<std::size_t>(best_rows));

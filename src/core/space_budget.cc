@@ -6,45 +6,35 @@ namespace tsc {
 
 SpaceBudget SpaceBudget::FromPercent(std::size_t num_rows,
                                      std::size_t num_cols,
-                                     double space_percent,
-                                     std::size_t bytes_per_value) {
+                                     double space_percent) {
   TSC_CHECK_GT(space_percent, 0.0);
   SpaceBudget budget;
   budget.num_rows = num_rows;
   budget.num_cols = num_cols;
-  budget.bytes_per_value = bytes_per_value;
   const double original = static_cast<double>(num_rows) *
                           static_cast<double>(num_cols) *
-                          static_cast<double>(bytes_per_value);
+                          static_cast<double>(kBytesPerValue);
   budget.total_bytes =
       static_cast<std::uint64_t>(original * space_percent / 100.0);
   return budget;
 }
 
 std::uint64_t SpaceBudget::SvdBytes(std::size_t k) const {
-  if (u_quant != QuantScheme::kF64) {
-    // U at its true quantized stride; eigenvalues and V stay at b.
-    const std::uint64_t u_bytes =
-        static_cast<std::uint64_t>(num_rows) * QuantRowStride(u_quant, k);
-    const std::uint64_t resident =
-        static_cast<std::uint64_t>(k) + static_cast<std::uint64_t>(k) * num_cols;
-    return u_bytes + resident * bytes_per_value;
-  }
-  const std::uint64_t values =
-      static_cast<std::uint64_t>(num_rows) * k + k +
-      static_cast<std::uint64_t>(k) * num_cols;
-  return values * bytes_per_value;
+  // U at its row stride (k * b for f64); eigenvalues and V at b.
+  const std::uint64_t u_bytes =
+      static_cast<std::uint64_t>(num_rows) * QuantRowStride(u_quant, k);
+  const std::uint64_t resident =
+      static_cast<std::uint64_t>(k) + static_cast<std::uint64_t>(k) * num_cols;
+  return u_bytes + resident * kBytesPerValue;
 }
 
 std::size_t SpaceBudget::MaxK() const {
   // SvdBytes is linear in k up to the quantized rows' 8-byte padding;
   // solve with the per-component estimate, then adjust both ways so the
   // result is exact under any scheme.
-  const std::uint64_t u_elem_bytes =
-      u_quant == QuantScheme::kF64 ? bytes_per_value : QuantElemBytes(u_quant);
   const std::uint64_t per_component =
-      static_cast<std::uint64_t>(num_rows) * u_elem_bytes +
-      (1 + static_cast<std::uint64_t>(num_cols)) * bytes_per_value;
+      static_cast<std::uint64_t>(num_rows) * QuantElemBytes(u_quant) +
+      (1 + static_cast<std::uint64_t>(num_cols)) * kBytesPerValue;
   if (per_component == 0) return 0;
   const std::uint64_t fixed =
       u_quant == QuantScheme::kF64

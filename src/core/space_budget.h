@@ -4,17 +4,17 @@
 #include <cstdint>
 #include <cstddef>
 
+#include "core/compressed_store.h"
 #include "storage/quant.h"
 
 namespace tsc {
 
 /// Space accounting for the SVD family (Section 3.4 and 4.2 of the paper).
-/// All sizes are in bytes; `bytes_per_value` is the paper's "b".
+/// All sizes are in bytes, at the paper's b = kBytesPerValue.
 struct SpaceBudget {
-  std::size_t num_rows = 0;        ///< N
-  std::size_t num_cols = 0;        ///< M
-  std::size_t bytes_per_value = 8; ///< b
-  std::uint64_t total_bytes = 0;   ///< the compressed-size allowance
+  std::size_t num_rows = 0;       ///< N
+  std::size_t num_cols = 0;       ///< M
+  std::uint64_t total_bytes = 0;  ///< the compressed-size allowance
   /// Coefficient encoding of the on-disk U factor. A quantized U is
   /// charged at its true row stride (16-byte meta + padded codes), which
   /// both raises the affordable k_max and frees budget for more deltas.
@@ -22,8 +22,7 @@ struct SpaceBudget {
 
   /// Budget equal to `space_percent`% of the uncompressed N*M*b matrix.
   static SpaceBudget FromPercent(std::size_t num_rows, std::size_t num_cols,
-                                 double space_percent,
-                                 std::size_t bytes_per_value = 8);
+                                 double space_percent);
 
   /// Bytes consumed by a rank-k truncated SVD: N rows of U at the
   /// u_quant row stride, plus (k + k*M) * b for the eigenvalues and V

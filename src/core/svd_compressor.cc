@@ -24,7 +24,6 @@ constexpr std::uint32_t kSvdModelMagicCodes = 0x53564432;  // "SVD2"
 /// A serialized model up to U's rows: the in-memory parts, and where
 /// and how U's rows are stored in the file.
 struct StoredModelHead {
-  std::size_t bytes_per_value = 8;
   QuantScheme scheme = QuantScheme::kF64;
   std::vector<double> singular_values;
   Matrix v;
@@ -45,8 +44,12 @@ StatusOr<StoredModelHead> ReadModelHead(BinaryReader* reader) {
     return Status::IoError("not an SVD model");
   }
   StoredModelHead head;
+  // The paper's b, always 8 now. Files written by the retired b=4 mode
+  // say 4, but they too store every number as an 8-byte double.
   TSC_ASSIGN_OR_RETURN(const std::uint64_t bytes_per_value, reader->ReadU64());
-  head.bytes_per_value = static_cast<std::size_t>(bytes_per_value);
+  if (bytes_per_value != 8 && bytes_per_value != 4) {
+    return Status::IoError("bad bytes per value in SVD model");
+  }
   TSC_ASSIGN_OR_RETURN(const std::uint32_t scheme_raw, reader->ReadU32());
   if (scheme_raw > static_cast<std::uint32_t>(QuantScheme::kI8) ||
       (magic == kSvdModelMagicCodes && scheme_raw == 0)) {
@@ -259,16 +262,13 @@ Status SvdModel::ReconstructRegion(std::span<const std::size_t> row_ids,
 
 std::uint64_t SvdModel::CompressedBytes() const {
   // Section 3.4: N*k for U, k eigenvalues, k*M for V, at b bytes each —
-  // except that a quantized U is charged at its true on-disk row stride
-  // (16-byte meta + padded codes), matching what the row store writes.
+  // except that U is charged at its row stride in the file, which for a
+  // quantized U is the 16-byte meta + padded codes.
   const std::uint64_t u_bytes =
-      quant_scheme_ == QuantScheme::kF64
-          ? static_cast<std::uint64_t>(rows()) * k() * bytes_per_value_
-          : static_cast<std::uint64_t>(rows()) *
-                QuantRowStride(quant_scheme_, k());
+      static_cast<std::uint64_t>(rows()) * QuantRowStride(quant_scheme_, k());
   const std::uint64_t resident =
       k() + static_cast<std::uint64_t>(k()) * v_.rows();
-  return u_bytes + resident * bytes_per_value_;
+  return u_bytes + resident * kBytesPerValue;
 }
 
 std::vector<double> SvdModel::ProjectRow(std::size_t row) const {
@@ -279,18 +279,6 @@ std::vector<double> SvdModel::ProjectRow(std::size_t row) const {
     coords[m] = urow[m] * singular_values_[m];
   }
   return coords;
-}
-
-void SvdModel::QuantizeToFloat() {
-  TSC_CHECK(!u_on_disk()) << "QuantizeToFloat needs U in memory";
-  for (double& v : u_.data()) v = static_cast<float>(v);
-  for (double& v : v_.data()) v = static_cast<float>(v);
-  for (double& v : singular_values_) v = static_cast<float>(v);
-  bytes_per_value_ = 4;
-  // The derived caches must reflect the quantized factors (the products
-  // themselves stay double precision).
-  RebuildWeightedV();
-  RebuildBlockSums();
 }
 
 void SvdModel::ApplyQuantization(QuantScheme scheme) {
@@ -356,7 +344,7 @@ Status SvdModel::Serialize(BinaryWriter* writer) const {
   const bool codes = u_row_scheme_ != QuantScheme::kF64;
   TSC_RETURN_IF_ERROR(
       writer->WriteU32(codes ? kSvdModelMagicCodes : kSvdModelMagic));
-  TSC_RETURN_IF_ERROR(writer->WriteU64(bytes_per_value_));
+  TSC_RETURN_IF_ERROR(writer->WriteU64(kBytesPerValue));
   TSC_RETURN_IF_ERROR(
       writer->WriteU32(static_cast<std::uint32_t>(quant_scheme_)));
   TSC_RETURN_IF_ERROR(writer->WriteDoubleVector(singular_values_));
@@ -395,7 +383,6 @@ StatusOr<SvdModel> SvdModel::Deserialize(BinaryReader* reader,
   SvdModel model;
   model.singular_values_ = std::move(head.singular_values);
   model.v_ = std::move(head.v);
-  model.bytes_per_value_ = head.bytes_per_value;
   model.quant_scheme_ = head.scheme;
   model.u_row_scheme_ = head.u.scheme;
   model.RebuildWeightedV();
@@ -585,13 +572,7 @@ StatusOr<SvdModel> BuildSvdModel(RowSource* source,
   TSC_ASSIGN_OR_RETURN(
       Matrix u, EmitUMatrix(source, v, singular_values, effective, pool.get()));
   phase.reset();
-  SvdModel model(std::move(u), std::move(singular_values), std::move(v));
-  if (options.bytes_per_value == 4) {
-    model.QuantizeToFloat();
-  } else {
-    model.set_bytes_per_value(options.bytes_per_value);
-  }
-  return model;
+  return SvdModel(std::move(u), std::move(singular_values), std::move(v));
 }
 
 }  // namespace tsc

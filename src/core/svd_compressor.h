@@ -93,8 +93,8 @@ class SvdModel final : public CompressedStore {
 
   /// The Lambda-weighted right factor: row j is lambda (.) v_j, so a cell
   /// is dot(u_i, weighted_v_j) — one multiply per component instead of
-  /// two. Precomputed once per model (rebuilt on quantization); every
-  /// reconstruction path reads it, it is never serialized.
+  /// two. Precomputed once per model; every reconstruction path reads
+  /// it, it is never serialized.
   const Matrix& weighted_v() const { return weighted_v_; }
 
   /// Rows per U block and per superblock of the block sums.
@@ -118,10 +118,6 @@ class SvdModel final : public CompressedStore {
   /// visualization.
   std::vector<double> ProjectRow(std::size_t row) const;
 
-  /// Per-value bytes used in CompressedBytes() accounting (the paper's b).
-  void set_bytes_per_value(std::size_t b) { bytes_per_value_ = b; }
-  std::size_t bytes_per_value() const { return bytes_per_value_; }
-
   /// Statistics returned by FoldInRows: how much of the appended rows'
   /// energy the frozen subspace captured. A ratio near 1 means the new
   /// sequences follow the existing patterns; a low ratio means the
@@ -142,12 +138,6 @@ class SvdModel final : public CompressedStore {
   /// repass over existing data. V/Lambda are NOT refit; monitor
   /// CaptureRatio() and rebuild when it degrades.
   FoldInStats FoldInRows(const Matrix& new_rows);
-
-  /// Makes the b=4 storage mode honest: rounds U, V and the eigenvalues
-  /// through single precision and sets bytes_per_value to 4, so
-  /// CompressedBytes() halves and the reported error includes the
-  /// quantization loss.
-  void QuantizeToFloat();
 
   /// Row-store quantization of the U factor: snaps every row of U to the
   /// values its quantized "TSCROWQ1" row will serve (decode of encode,
@@ -171,8 +161,8 @@ class SvdModel final : public CompressedStore {
   /// Every later U-row read of such a model goes through the row store
   /// (one read per row), so reconstructions and aggregates can fail with
   /// the read's Status; the operations that need U in memory (u(),
-  /// ProjectRow, FoldInRows, QuantizeToFloat, ApplyQuantization,
-  /// Serialize) refuse it.
+  /// ProjectRow, FoldInRows, ApplyQuantization, Serialize) refuse
+  /// it.
   static StatusOr<SvdModel> Deserialize(BinaryReader* reader,
                                         const URowOpener& open_u_rows = {});
   /// Atomic: a failed save leaves any previous file at `path` as it was
@@ -181,8 +171,8 @@ class SvdModel final : public CompressedStore {
   static StatusOr<SvdModel> LoadFromFile(const std::string& path);
 
  private:
-  /// Recomputes weighted_v_ from v_ and singular_values_; call after any
-  /// mutation of the right factor (construction, quantization).
+  /// Recomputes weighted_v_ from v_ and singular_values_; call once the
+  /// right factor is set (construction, load).
   void RebuildWeightedV();
   /// Recomputes the block sums from u_; call after any mutation of U
   /// (construction, quantization, fold-in).
@@ -222,7 +212,6 @@ class SvdModel final : public CompressedStore {
   /// Derived caches, never serialized nor charged in CompressedBytes.
   Matrix weighted_v_;
   RowBlockSums block_sums_;
-  std::size_t bytes_per_value_ = 8;
   QuantScheme quant_scheme_ = QuantScheme::kF64;
   /// The encoding of U's rows in the model file: quant_scheme_ once
   /// ApplyQuantization ran, kF64 for f64 models and for quantized files
@@ -239,9 +228,6 @@ struct SvdBuildOptions {
   /// Number of principal components to retain (clipped to numerical rank).
   std::size_t k = 10;
   EigenSolverKind solver = EigenSolverKind::kHouseholderQl;
-  /// The paper's b. 8 stores doubles; 4 quantizes the factors through
-  /// single precision (QuantizeToFloat) so the accounting stays honest.
-  std::size_t bytes_per_value = 8;
   /// Worker threads for the build passes (1 = serial). The passes shard
   /// their work by a fixed shard count and reduce in shard order, so any
   /// thread count produces a bitwise-identical model.

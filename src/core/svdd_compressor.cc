@@ -330,8 +330,7 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   }
   const std::size_t n = source->rows();
   const std::size_t m = source->cols();
-  SpaceBudget budget = SpaceBudget::FromPercent(
-      n, m, options.space_percent, options.bytes_per_value);
+  SpaceBudget budget = SpaceBudget::FromPercent(n, m, options.space_percent);
   // Charge U at its quantized stride: a smaller U raises k_max and frees
   // delta allowance, which is the whole point of quantizing the store.
   budget.u_quant = options.quant;
@@ -594,8 +593,7 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   // contender remains, and its cells are the only entries kept.
   // ---------------------------------------------------------------------
   phase.emplace("svdd.pass3");
-  const bool requantize =
-      options.bytes_per_value == 4 || options.quant != QuantScheme::kF64;
+  const bool quantized = options.quant != QuantScheme::kF64;
   std::size_t max_contender_k = 0;
   bool collect = false;
   for (Contender& c : contenders) {
@@ -630,7 +628,7 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
                 if (err2[j] < cutoff) continue;
                 c.found[si].push_back(
                     Outlier{CellErr{err2[j], DeltaIndex::CellKey(i, j, m)},
-                            requantize ? row[j] : row[j] - recon[j]});
+                            quantized ? row[j] : row[j] - recon[j]});
                 ++c.offered[si];
               }
             }
@@ -694,13 +692,10 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
     for (std::size_t p = 0; p < k_opt; ++p) v_opt(i, p) = v(i, p);
   }
   SvdModel svd(std::move(u), std::move(sv_opt), std::move(v_opt));
-  svd.set_bytes_per_value(options.bytes_per_value);
 
-  if (requantize) {
-    // Quantize the factors first, then derive each stored delta from the
-    // kept x_ij against the QUANTIZED reconstruction, so outlier cells
-    // round-trip (up to float rounding of the delta itself).
-    if (options.bytes_per_value == 4) svd.QuantizeToFloat();
+  if (quantized) {
+    // Quantize U first, then derive each stored delta from the kept x_ij
+    // against the QUANTIZED reconstruction, so outlier cells round-trip.
     svd.ApplyQuantization(options.quant);  // snaps U rows at k_opt
     for (auto& entry : entries) {
       const std::size_t i = static_cast<std::size_t>(entry.key.cell / m);
@@ -708,14 +703,10 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
       entry.value -= svd.ReconstructCell(i, j);
     }
   }
-  // The index wants its pairs in key order; the b=4 storage mode keeps
-  // each delta at single precision.
+  // The index wants its pairs in key order.
   std::vector<DeltaEntry> packed(entries.size());
   for (std::size_t e = 0; e < entries.size(); ++e) {
-    const double value = options.bytes_per_value == 4
-                             ? static_cast<float>(entries[e].value)
-                             : entries[e].value;
-    packed[e] = {entries[e].key.cell, value};
+    packed[e] = {entries[e].key.cell, entries[e].value};
   }
   entries = {};
   std::sort(packed.begin(), packed.end(),

@@ -117,8 +117,6 @@ struct SvddBuildOptions {
   /// Space allowance as a percent of the uncompressed matrix (the s% knob
   /// every experiment sweeps).
   double space_percent = 10.0;
-  /// The paper's b: bytes per stored number.
-  std::size_t bytes_per_value = 8;
   /// On-disk bytes per outlier triplet.
   std::uint64_t delta_bytes = kDefaultDeltaBytes;
   /// Coefficient encoding of the U row store (storage/quant.h). A

@@ -78,13 +78,11 @@ StatusOr<ZeroRowFilteredStore> BuildZeroRowFilteredSvdd(
 
   // Same byte allowance as a plain build at this percent of the FULL
   // matrix, re-expressed as a percent of the compacted one.
-  const double full_bytes = static_cast<double>(n) * data.cols() *
-                            options.bytes_per_value;
-  const double compact_bytes = static_cast<double>(active) * data.cols() *
-                               options.bytes_per_value;
+  const double full_cells = static_cast<double>(n) * data.cols();
+  const double compact_cells = static_cast<double>(active) * data.cols();
   SvddBuildOptions inner_options = options;
   inner_options.space_percent =
-      options.space_percent * full_bytes / compact_bytes;
+      options.space_percent * full_cells / compact_cells;
 
   MatrixRowSource source(&compact);
   TSC_ASSIGN_OR_RETURN(SvddModel inner,

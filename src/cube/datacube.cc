@@ -126,10 +126,10 @@ double TuckerModel::ReconstructCell(std::size_t i, std::size_t j,
   return value;
 }
 
-std::uint64_t TuckerModel::CompressedBytes(std::size_t bytes_per_value) const {
+std::uint64_t TuckerModel::CompressedBytes() const {
   std::uint64_t values = core_.size();
   for (const Matrix& f : factors_) values += f.size();
-  return values * bytes_per_value;
+  return values * kBytesPerValue;
 }
 
 StatusOr<TuckerModel> BuildTuckerModel(

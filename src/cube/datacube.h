@@ -94,7 +94,7 @@ class TuckerModel {
   double ReconstructCell(std::size_t i, std::size_t j, std::size_t k) const;
 
   /// Factor matrices plus core, at b bytes per value.
-  std::uint64_t CompressedBytes(std::size_t bytes_per_value = 8) const;
+  std::uint64_t CompressedBytes() const;
 
   const std::array<Matrix, 3>& factors() const { return factors_; }
   const DataCube& core() const { return core_; }

@@ -21,9 +21,9 @@ struct Dataset {
   std::size_t rows() const { return values.rows(); }
   std::size_t cols() const { return values.cols(); }
 
-  /// Uncompressed size at `bytes_per_value` (the paper's "b", default 8).
-  std::uint64_t UncompressedBytes(std::size_t bytes_per_value = 8) const {
-    return static_cast<std::uint64_t>(rows()) * cols() * bytes_per_value;
+  /// Uncompressed size: every value an 8-byte double (the paper's b).
+  std::uint64_t UncompressedBytes() const {
+    return static_cast<std::uint64_t>(rows()) * cols() * sizeof(double);
   }
 
   /// First `n` sequences, labels carried along — the paper's phone1000,

@@ -119,12 +119,6 @@ void DeltaTable::Grow() {
   }
 }
 
-void DeltaTable::QuantizeValuesToFloat() {
-  for (Bucket& b : buckets_) {
-    if (b.occupied) b.delta = static_cast<float>(b.delta);
-  }
-}
-
 Status DeltaTable::Serialize(BinaryWriter* writer) const {
   TSC_RETURN_IF_ERROR(writer->WriteU64(entry_bytes_));
   TSC_RETURN_IF_ERROR(writer->WriteU64(size_));

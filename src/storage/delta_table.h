@@ -66,16 +66,11 @@ class DeltaTable {
   /// (key, delta) pairs; this is the "O(b) bytes per delta" accounting the
   /// paper uses for the SVDD space budget. The per-entry cost defaults to
   /// an 8-byte key + 8-byte double and is configurable so alternative
-  /// encodings (e.g. float deltas at b=4, or naive 3x8 triplets) account
-  /// honestly.
+  /// encodings (e.g. naive 3x8 triplets) account honestly.
   std::uint64_t PackedBytes() const { return size_ * entry_bytes_; }
   static constexpr std::uint64_t kPackedEntryBytes = 8 + 8;
   void set_entry_bytes(std::uint64_t bytes) { entry_bytes_ = bytes; }
   std::uint64_t entry_bytes() const { return entry_bytes_; }
-
-  /// Rounds every stored delta through single precision (the b=4 storage
-  /// mode of the quantized models).
-  void QuantizeValuesToFloat();
 
   /// Visits every (key, delta) pair in unspecified order.
   template <typename Fn>

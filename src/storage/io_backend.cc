@@ -1,6 +1,12 @@
 #include "storage/io_backend.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -9,18 +15,6 @@
 
 #include "obs/metrics.h"
 #include "obs/query_context.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define TSC_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
-#else
-#define TSC_HAS_MMAP 0
-#endif
 
 namespace tsc {
 namespace {
@@ -75,8 +69,6 @@ class StreamIoBackend final : public IoBackend {
   mutable std::mutex mu_;
   mutable std::ifstream in_;
 };
-
-#if TSC_HAS_MMAP
 
 // ---------------------------------------------------------------------------
 // pread: positional reads on a raw descriptor. The kernel keeps no
@@ -214,8 +206,6 @@ class MmapIoBackend final : public IoBackend {
   const std::uint8_t* data_ = nullptr;  ///< file byte begin_
 };
 
-#endif  // TSC_HAS_MMAP
-
 }  // namespace
 
 const char* IoBackendName(IoBackendKind kind) {
@@ -237,24 +227,17 @@ StatusOr<IoBackendKind> ParseIoBackendName(const std::string& name) {
   return Status::InvalidArgument("unknown io backend: " + name);
 }
 
-bool MmapAvailable() { return TSC_HAS_MMAP != 0; }
-
-IoBackendKind ResolveIoBackend(const char* env_value, bool mmap_available) {
+IoBackendKind ResolveIoBackend(const char* env_value) {
   if (env_value != nullptr) {
-    const std::string value(env_value);
-    if (value == "stream") return IoBackendKind::kStream;
-    if (value == "pread") return IoBackendKind::kPread;
-    if (value == "mmap") {
-      return mmap_available ? IoBackendKind::kMmap : IoBackendKind::kPread;
-    }
-    // Unrecognized values fall through to the hardware default.
+    const StatusOr<IoBackendKind> parsed = ParseIoBackendName(env_value);
+    if (parsed.ok()) return *parsed;
+    // Unrecognized values fall through to the default.
   }
-  return mmap_available ? IoBackendKind::kMmap : IoBackendKind::kPread;
+  return IoBackendKind::kMmap;
 }
 
 IoBackendKind DefaultIoBackendKind() {
-  static const IoBackendKind kind =
-      ResolveIoBackend(std::getenv("TSC_IO"), MmapAvailable());
+  static const IoBackendKind kind = ResolveIoBackend(std::getenv("TSC_IO"));
   return kind;
 }
 
@@ -284,28 +267,18 @@ void IoBackend::CountRead(std::uint64_t bytes) {
 StatusOr<std::unique_ptr<IoBackend>> IoBackend::OpenRange(
     const std::string& path, IoBackendKind kind, std::uint64_t offset,
     std::uint64_t length) {
-#if !TSC_HAS_MMAP
-  // Without POSIX I/O both fast engines degrade to the stream engine.
-  kind = IoBackendKind::kStream;
-#endif
   StatusOr<std::unique_ptr<IoBackend>> backend =
       Status::Internal("unreachable");
   switch (kind) {
     case IoBackendKind::kStream:
       backend = StreamIoBackend::Open(path);
       break;
-#if TSC_HAS_MMAP
     case IoBackendKind::kPread:
       backend = PreadIoBackend::Open(path);
       break;
     case IoBackendKind::kMmap:
       backend = MmapIoBackend::Open(path, offset, length);
       break;
-#else
-    default:
-      backend = StreamIoBackend::Open(path);
-      break;
-#endif
   }
   if (!backend.ok()) return backend;
   (*backend)->SetRange(offset, length);

@@ -34,19 +34,14 @@ const char* IoBackendName(IoBackendKind kind);
 /// Parses a backend name; anything other than the three names fails.
 StatusOr<IoBackendKind> ParseIoBackendName(const std::string& name);
 
-/// Whether this build can mmap files (POSIX mmap available).
-bool MmapAvailable();
-
-/// The dispatch decision as a pure function of its inputs (unit-testable
-/// without touching the process environment): `env_value` is the raw
-/// TSC_IO setting (null when unset), `mmap_available` whether the
-/// platform supports mmap. Unset or unrecognized values pick mmap when
-/// available, pread otherwise; "mmap" without platform support falls
-/// back to pread.
-IoBackendKind ResolveIoBackend(const char* env_value, bool mmap_available);
+/// The dispatch decision as a pure function of the raw TSC_IO setting
+/// (null when unset), unit-testable without touching the process
+/// environment: a backend name selects that backend, and unset or
+/// unrecognized values pick mmap.
+IoBackendKind ResolveIoBackend(const char* env_value);
 
 /// The backend RowStoreReader::Open(path) uses, resolved once per
-/// process from TSC_IO and the platform (mirrors kernels::ActiveSimdLevel).
+/// process from TSC_IO (mirrors kernels::ActiveSimdLevel).
 IoBackendKind DefaultIoBackendKind();
 
 /// Read-only random access to one file. All implementations are safe for

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/metrics.h"
@@ -46,16 +45,6 @@ StatusOr<QuantScheme> ParseQuantScheme(const std::string& name) {
   if (name == "int8") return QuantScheme::kI8;
   return Status::InvalidArgument("unknown quant scheme: " + name +
                                  " (expected f64, f32, int16 or int8)");
-}
-
-QuantScheme ResolveQuantScheme(const char* env_value) {
-  if (env_value == nullptr) return QuantScheme::kF64;
-  const StatusOr<QuantScheme> parsed = ParseQuantScheme(env_value);
-  return parsed.ok() ? *parsed : QuantScheme::kF64;
-}
-
-QuantScheme QuantSchemeFromEnv() {
-  return ResolveQuantScheme(std::getenv("TSC_QUANT"));
 }
 
 std::size_t QuantElemBytes(QuantScheme scheme) {

@@ -28,16 +28,6 @@ const char* QuantSchemeName(QuantScheme scheme);
 /// Parses a scheme name; anything other than the four names fails.
 StatusOr<QuantScheme> ParseQuantScheme(const std::string& name);
 
-/// The default-scheme decision as a pure function of the raw TSC_QUANT
-/// value (null when unset): a valid name selects that scheme, anything
-/// else (including unset) means f64. Unit-testable without the process
-/// environment.
-QuantScheme ResolveQuantScheme(const char* env_value);
-
-/// The scheme `tsctool compress` uses when --quant is not given, read
-/// fresh from TSC_QUANT.
-QuantScheme QuantSchemeFromEnv();
-
 /// Bytes per stored coefficient (8, 4, 2, 1).
 std::size_t QuantElemBytes(QuantScheme scheme);
 

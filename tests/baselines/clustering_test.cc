@@ -138,11 +138,11 @@ TEST(KMeansTest, InvalidArgsRejected) {
 
 TEST(ClustersForBudgetTest, InvertsSpaceFormula) {
   // budget = b*k*M + N*b  ->  k = (budget - N*b) / (b*M)
-  EXPECT_EQ(ClustersForBudget(100, 10, 100 * 8 + 5 * 8 * 10, 8), 5u);
+  EXPECT_EQ(ClustersForBudget(100, 10, 100 * 8 + 5 * 8 * 10), 5u);
   // Budget below the reference cost: nothing fits.
-  EXPECT_EQ(ClustersForBudget(100, 10, 100, 8), 0u);
+  EXPECT_EQ(ClustersForBudget(100, 10, 100), 0u);
   // Clamped to N.
-  EXPECT_EQ(ClustersForBudget(4, 10, 1000000, 8), 4u);
+  EXPECT_EQ(ClustersForBudget(4, 10, 1000000), 4u);
 }
 
 /// Parameterized: reconstruction error decreases as the cluster count

@@ -238,13 +238,54 @@ TEST_F(CliPipelineTest, SvdMethodWorksToo) {
 }
 
 TEST_F(CliPipelineTest, QuantizedCompress) {
-  const std::string model = TempPath("pipe_b4.bin");
+  const std::string model = TempPath("pipe_f32.bin");
   ASSERT_EQ(RunTool({"compress", "--input=" + *data_path_, "--out=" + model,
-                 "--space=10", "--b=4"})
+                 "--space=10", "--quant=f32"})
                 .exit_code,
             0);
   const CliResult info = RunTool({"info", "--model=" + model});
   EXPECT_EQ(info.exit_code, 0) << info.err;
+}
+
+/// The word of `out` just before `marker`, e.g. "4.99" in
+/// "..., 4.99% of original".
+std::string FieldBefore(const std::string& out, const std::string& marker) {
+  const std::size_t end = out.find(marker);
+  if (end == std::string::npos) return "";
+  const std::size_t begin = out.rfind(' ', end) + 1;
+  return out.substr(begin, end - begin);
+}
+
+TEST_F(CliPipelineTest, EveryEncodingStoresWhatItCharges) {
+  // A model file holds what CompressedBytes() charges plus a fixed
+  // overhead: magics, the b and scheme fields, the lengths of the
+  // eigenvalue vector, V, U and the delta section, at most 7 bytes of
+  // padding before a quantized U, the delta flag and the checksum. None
+  // of it grows with N, k or the delta count.
+  constexpr std::uintmax_t kMaxOverheadBytes = 128;
+  for (const std::string quant : {"f64", "f32", "int16", "int8"}) {
+    for (const std::string space : {"10", "25"}) {
+      SCOPED_TRACE(quant + " at " + space + "%");
+      const std::string model = TempPath("charged_" + quant + ".model");
+      const CliResult compress =
+          RunTool({"compress", "--input=" + *data_path_, "--out=" + model,
+                   "--space=" + space, "--quant=" + quant});
+      ASSERT_EQ(compress.exit_code, 0) << compress.err;
+      const CliResult info = RunTool({"info", "--model=" + model});
+      ASSERT_EQ(info.exit_code, 0) << info.err;
+      const std::string printed = FieldBefore(compress.out, "% of original");
+      ASSERT_FALSE(printed.empty()) << compress.out;
+      EXPECT_EQ(printed, FieldBefore(info.out, "% of original")) << info.out;
+      const std::string bytes_line = "bytes:       ";
+      const std::size_t at = info.out.find(bytes_line);
+      ASSERT_NE(at, std::string::npos) << info.out;
+      const std::uintmax_t charged =
+          std::stoull(info.out.substr(at + bytes_line.size()));
+      const std::uintmax_t file = std::filesystem::file_size(model);
+      ASSERT_GT(file, charged);
+      EXPECT_LE(file - charged, kMaxOverheadBytes);
+    }
+  }
 }
 
 TEST_F(CliPipelineTest, SqlAnalyzeAppendsFooter) {
@@ -401,7 +442,7 @@ TEST(CliTest, UnknownFlagsAreRejectedPerCommand) {
   const std::string model = TempPath("flags.model");
   for (const std::string flag :
        {"--shards=4", "--prefetch-depth=8", "--batch-window-us=50",
-        "--no-bloom", "--cache-blocks=8", "--spcae=5"}) {
+        "--no-bloom", "--cache-blocks=8", "--spcae=5", "--b=4"}) {
     SCOPED_TRACE(flag);
     const CliResult result = RunTool(
         {"compress", "--input=" + data, "--out=" + model, "--space=20", flag});

@@ -4,14 +4,18 @@
 // Writers for older model file layouts, which the loaders must still
 // read and answer from identically: a delta section followed by a Bloom
 // filter over the delta keys (current writers emit the flag 0 and no
-// filter), and a quantized model whose U is stored as its snapped f64
-// rows (current writers store a quantized U as its row codes).
+// filter), a quantized model whose U is stored as its snapped f64 rows
+// (current writers store a quantized U as its row codes), and a model of
+// the retired b=4 mode (4 in the header's b field, every number an f64
+// rounded through single precision).
 
 #include <string>
+#include <vector>
 
 #include "core/svdd_compressor.h"
 #include "storage/bloom_filter.h"
 #include "storage/serializer.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace tsc {
@@ -46,14 +50,15 @@ inline Status WriteModelWithBloomSection(const SvddModel& model,
 
 /// An SVDD model file with U as f64 rows ("SVD1") whatever the model's
 /// quant scheme: the layout quantized models were saved in before U was
-/// stored as codes.
+/// stored as codes. `b_field` is the header's bytes-per-value field.
 inline Status WriteModelWithSnappedU(const SvddModel& model,
-                                     const std::string& path) {
+                                     const std::string& path,
+                                     std::uint64_t b_field = kBytesPerValue) {
   const SvdModel& svd = model.svd();
   TSC_ASSIGN_OR_RETURN(BinaryWriter writer, BinaryWriter::Open(path));
   TSC_RETURN_IF_ERROR(writer.WriteU32(0x53564444));  // "SVDD"
   TSC_RETURN_IF_ERROR(writer.WriteU32(0x53564431));  // "SVD1"
-  TSC_RETURN_IF_ERROR(writer.WriteU64(svd.bytes_per_value()));
+  TSC_RETURN_IF_ERROR(writer.WriteU64(b_field));
   TSC_RETURN_IF_ERROR(
       writer.WriteU32(static_cast<std::uint32_t>(svd.quant_scheme())));
   TSC_RETURN_IF_ERROR(writer.WriteDoubleVector(svd.singular_values()));
@@ -61,6 +66,29 @@ inline Status WriteModelWithSnappedU(const SvddModel& model,
   TSC_RETURN_IF_ERROR(writer.WriteMatrix(svd.u()));
   TSC_RETURN_IF_ERROR(model.deltas()->Serialize(&writer));
   return writer.FinishWithChecksum();
+}
+
+/// `model` as the retired b=4 mode held it: U, V, the singular values and
+/// the deltas rounded through single precision, each delta charged 12
+/// bytes (8-byte key + float). WriteModelWithSnappedU(..., 4) writes it
+/// as that mode wrote its files.
+inline SvddModel RoundedThroughFloat(const SvddModel& model) {
+  const auto round = [](double v) { return double{static_cast<float>(v)}; };
+  Matrix u = model.svd().u();
+  Matrix v = model.svd().v();
+  std::vector<double> singular_values = model.svd().singular_values();
+  for (double& x : u.data()) x = round(x);
+  for (double& x : v.data()) x = round(x);
+  for (double& x : singular_values) x = round(x);
+  std::vector<DeltaEntry> entries;
+  model.deltas()->ForEach([&](std::size_t row, std::size_t col, double d) {
+    entries.push_back({DeltaIndex::CellKey(row, col, model.cols()), round(d)});
+  });
+  auto deltas = DeltaIndex::Build(model.rows(), model.cols(), entries, 12);
+  TSC_CHECK_OK(deltas.status());
+  return SvddModel(SvdModel(std::move(u), std::move(singular_values),
+                            std::move(v)),
+                   std::move(*deltas));
 }
 
 }  // namespace tsc

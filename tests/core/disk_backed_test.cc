@@ -221,10 +221,8 @@ TEST_F(DiskBackedTest, BatchedRegionMatchesModel) {
 }
 
 TEST_F(DiskBackedTest, ExplicitBackendsAgree) {
-  std::vector<IoBackendKind> kinds = {IoBackendKind::kStream,
-                                      IoBackendKind::kPread};
-  if (MmapAvailable()) kinds.push_back(IoBackendKind::kMmap);
-  for (const IoBackendKind kind : kinds) {
+  for (const IoBackendKind kind :
+       {IoBackendKind::kStream, IoBackendKind::kPread, IoBackendKind::kMmap}) {
     DiskBackedOptions options;
     options.io_backend = kind;
     auto store = DiskBackedStore::Open(model_path_, options);

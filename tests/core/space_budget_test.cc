@@ -6,20 +6,20 @@ namespace tsc {
 namespace {
 
 TEST(SpaceBudgetTest, FromPercentComputesBytes) {
-  const SpaceBudget b = SpaceBudget::FromPercent(1000, 100, 10.0, 8);
+  const SpaceBudget b = SpaceBudget::FromPercent(1000, 100, 10.0);
   EXPECT_EQ(b.total_bytes, 1000u * 100u * 8u / 10u);
 }
 
 TEST(SpaceBudgetTest, SvdBytesMatchesEquationNine) {
   // Eq. 9 numerator: N*k + k + k*M values at b bytes.
-  const SpaceBudget b = SpaceBudget::FromPercent(2000, 366, 10.0, 8);
+  const SpaceBudget b = SpaceBudget::FromPercent(2000, 366, 10.0);
   for (const std::size_t k : {1u, 5u, 31u}) {
     EXPECT_EQ(b.SvdBytes(k), (2000u * k + k + k * 366u) * 8u);
   }
 }
 
 TEST(SpaceBudgetTest, MaxKFitsAndNextDoesNot) {
-  const SpaceBudget b = SpaceBudget::FromPercent(2000, 366, 10.0, 8);
+  const SpaceBudget b = SpaceBudget::FromPercent(2000, 366, 10.0);
   const std::size_t k_max = b.MaxK();
   EXPECT_GT(k_max, 0u);
   EXPECT_LE(b.SvdBytes(k_max), b.total_bytes);
@@ -28,7 +28,7 @@ TEST(SpaceBudgetTest, MaxKFitsAndNextDoesNot) {
 
 TEST(SpaceBudgetTest, MaxKApproximatesKOverM) {
   // The paper's s ~= k/M approximation: at 10% space, k_max ~= 0.1 * M.
-  const SpaceBudget b = SpaceBudget::FromPercent(100000, 366, 10.0, 8);
+  const SpaceBudget b = SpaceBudget::FromPercent(100000, 366, 10.0);
   const std::size_t k_max = b.MaxK();
   EXPECT_NEAR(static_cast<double>(k_max), 36.6, 2.0);
   EXPECT_NEAR(b.ApproximateSpaceFraction(k_max), 0.10, 0.01);
@@ -36,12 +36,12 @@ TEST(SpaceBudgetTest, MaxKApproximatesKOverM) {
 
 TEST(SpaceBudgetTest, MaxKClampedToM) {
   // Enormous budget: k cannot exceed the number of columns.
-  const SpaceBudget b = SpaceBudget::FromPercent(100, 10, 10000.0, 8);
+  const SpaceBudget b = SpaceBudget::FromPercent(100, 10, 10000.0);
   EXPECT_EQ(b.MaxK(), 10u);
 }
 
 TEST(SpaceBudgetTest, TinyBudgetGivesZeroK) {
-  const SpaceBudget b = SpaceBudget::FromPercent(1000000, 366, 0.001, 8);
+  const SpaceBudget b = SpaceBudget::FromPercent(1000000, 366, 0.001);
   EXPECT_EQ(b.MaxK(), 0u);
 }
 
@@ -49,7 +49,6 @@ TEST(SpaceBudgetTest, DeltaCountUsesLeftover) {
   SpaceBudget b;
   b.num_rows = 100;
   b.num_cols = 10;
-  b.bytes_per_value = 8;
   b.total_bytes = b.SvdBytes(2) + 10 * kDefaultDeltaBytes + 7;
   EXPECT_EQ(b.DeltaCount(2, kDefaultDeltaBytes), 10u);
   // All budget spent on the SVD: no deltas.
@@ -57,7 +56,7 @@ TEST(SpaceBudgetTest, DeltaCountUsesLeftover) {
 }
 
 TEST(SpaceBudgetTest, DeltaCountMonotoneDecreasingInK) {
-  const SpaceBudget b = SpaceBudget::FromPercent(2000, 366, 10.0, 8);
+  const SpaceBudget b = SpaceBudget::FromPercent(2000, 366, 10.0);
   std::uint64_t previous = b.DeltaCount(1, kDefaultDeltaBytes);
   for (std::size_t k = 2; k <= b.MaxK(); ++k) {
     const std::uint64_t count = b.DeltaCount(k, kDefaultDeltaBytes);
@@ -71,7 +70,7 @@ class BudgetSweepTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(BudgetSweepTest, SvdPlusDeltasNeverExceedsBudget) {
   const double s = GetParam();
-  const SpaceBudget b = SpaceBudget::FromPercent(5000, 200, s, 8);
+  const SpaceBudget b = SpaceBudget::FromPercent(5000, 200, s);
   const std::size_t k_max = b.MaxK();
   for (std::size_t k = 1; k <= k_max; ++k) {
     const std::uint64_t used =

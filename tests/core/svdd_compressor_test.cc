@@ -62,7 +62,7 @@ TEST(SvddCompressorTest, RespectsSpaceBudget) {
 
 TEST(SvddCompressorTest, BeatsPlainSvdAtEqualSpace) {
   const Matrix x = SpikyMatrix(300, 50);
-  const SpaceBudget budget = SpaceBudget::FromPercent(300, 50, 15.0, 8);
+  const SpaceBudget budget = SpaceBudget::FromPercent(300, 50, 15.0);
 
   MatrixRowSource svdd_source(&x);
   SvddBuildOptions options;
@@ -179,7 +179,7 @@ TEST(SvddCompressorTest, WorstCaseErrorFarBelowPlainSvd) {
   const auto svdd = BuildSvddModel(&source, options);
   ASSERT_TRUE(svdd.ok());
 
-  const SpaceBudget budget = SpaceBudget::FromPercent(400, 60, 10.0, 8);
+  const SpaceBudget budget = SpaceBudget::FromPercent(400, 60, 10.0);
   MatrixRowSource svd_source(&x);
   SvdBuildOptions svd_options;
   svd_options.k = budget.MaxK();
@@ -480,8 +480,7 @@ OracleResult RunOracle(const Matrix& x, const SvddBuildOptions& options) {
   const std::size_t n = x.rows();
   const std::size_t m = x.cols();
   OracleResult result;
-  SpaceBudget budget = SpaceBudget::FromPercent(n, m, options.space_percent,
-                                                options.bytes_per_value);
+  SpaceBudget budget = SpaceBudget::FromPercent(n, m, options.space_percent);
   budget.u_quant = options.quant;
   MatrixRowSource source(&x);
   const Matrix c = *AccumulateColumnSimilarity(&source);
@@ -573,7 +572,7 @@ OracleResult RunOracle(const Matrix& x, const SvddBuildOptions& options) {
   result.k_opt = result.ks[best];
 
   // The build's assembly: U at k_opt, deltas re-derived against the
-  // quantized reconstruction where the factors are quantized.
+  // quantized reconstruction where U is quantized.
   Matrix u = *EmitUMatrix(&source, v, sv, result.k_opt);
   Matrix v_opt(m, result.k_opt);
   for (std::size_t l = 0; l < m; ++l) {
@@ -582,20 +581,15 @@ OracleResult RunOracle(const Matrix& x, const SvddBuildOptions& options) {
   SvdModel svd(std::move(u),
                std::vector<double>(sv.begin(), sv.begin() + result.k_opt),
                std::move(v_opt));
-  svd.set_bytes_per_value(options.bytes_per_value);
   std::vector<OracleCell>& kept = cells[best];
-  if (options.bytes_per_value == 4 || options.quant != QuantScheme::kF64) {
-    if (options.bytes_per_value == 4) svd.QuantizeToFloat();
+  if (options.quant != QuantScheme::kF64) {
     svd.ApplyQuantization(options.quant);
     for (OracleCell& cell : kept) {
       cell.err = cell.x - svd.ReconstructCell(cell.key / m, cell.key % m);
     }
   }
   for (const OracleCell& cell : kept) {
-    const double delta = options.bytes_per_value == 4
-                             ? static_cast<double>(static_cast<float>(cell.err))
-                             : cell.err;
-    result.deltas.emplace_back(cell.key, delta);
+    result.deltas.emplace_back(cell.key, cell.err);
   }
   return result;
 }
@@ -674,8 +668,7 @@ TEST(SvddOracleTest, FloatValuesMatchOracle) {
   const Matrix x = SpikyMatrix(150, 30);
   SvddBuildOptions options;
   options.space_percent = 12.0;
-  options.bytes_per_value = 4;
-  options.delta_bytes = 12;
+  options.quant = QuantScheme::kF32;
   ExpectMatchesOracle(x, options);
 }
 
@@ -703,7 +696,7 @@ TEST(SvddOracleTest, ZeroAllowanceCandidate) {
   const Matrix x = SpikyMatrix(200, 40);
   double space = 0.0;
   for (double s = 3.0; s < 30.0 && space == 0.0; s += 0.01) {
-    const SpaceBudget budget = SpaceBudget::FromPercent(200, 40, s, 8);
+    const SpaceBudget budget = SpaceBudget::FromPercent(200, 40, s);
     const std::size_t k = budget.MaxK();
     if (k >= 3 && budget.DeltaCount(k, kDefaultDeltaBytes) == 0) space = s;
   }

@@ -19,7 +19,6 @@ Dataset SmallDataset() {
 TEST(DatasetTest, UncompressedBytes) {
   const Dataset d = SmallDataset();
   EXPECT_EQ(d.UncompressedBytes(), 2u * 3u * 8u);
-  EXPECT_EQ(d.UncompressedBytes(4), 2u * 3u * 4u);
 }
 
 TEST(DatasetTest, SubsetKeepsPrefix) {

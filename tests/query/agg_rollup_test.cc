@@ -203,8 +203,8 @@ TEST_P(BlockSumsTest, RowMassFollowsQuantization) {
     ExpectRowMassMatchesNaive(model, QuantSchemeName(scheme));
   }
   SvdModel model = RandomSvdModel(GetParam(), 7, 5, GetParam() + 2);
-  model.QuantizeToFloat();
-  ExpectRowMassMatchesNaive(model, "b=4");
+  model.ApplyQuantization(QuantScheme::kF32);
+  ExpectRowMassMatchesNaive(model, "f32, second model");
 }
 
 INSTANTIATE_TEST_SUITE_P(RowCounts, BlockSumsTest,

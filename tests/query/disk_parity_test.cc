@@ -4,7 +4,7 @@
 // The file stores U as the rows the model decodes to (f64 rows, or the
 // quantized rows' own codes and meta), so every linear aggregate, SQL or
 // data API, must be byte-identical to the in-memory executor's, for
-// every U encoding, b=4, cache size, I/O backend and thread count. A
+// every U encoding, cache size, I/O backend and thread count. A
 // failed U-row read on that path must come back as a Status, never a
 // number.
 #include <filesystem>
@@ -48,13 +48,11 @@ Matrix ParityData() {
   return GeneratePhoneDataset(config).values;
 }
 
-SvddModel BuildModel(const Matrix& data, QuantScheme quant,
-                     std::size_t bytes_per_value) {
+SvddModel BuildModel(const Matrix& data, QuantScheme quant) {
   MatrixRowSource source(&data);
   SvddBuildOptions options;
   options.space_percent = 20.0;
   options.quant = quant;
-  options.bytes_per_value = bytes_per_value;
   auto model = BuildSvddModel(&source, options);
   TSC_CHECK_OK(model.status());
   return std::move(*model);
@@ -122,7 +120,6 @@ std::string DataBody(const QueryExecutor& executor, const Params& params) {
 struct ModelVariant {
   const char* name;
   QuantScheme quant;
-  std::size_t bytes_per_value;
 };
 
 // Names the parameter in test listings (the default prints its bytes,
@@ -135,8 +132,7 @@ class DiskParityTest : public ::testing::TestWithParam<ModelVariant> {};
 
 TEST_P(DiskParityTest, LinearAggregatesMatchTheInMemoryModelByteForByte) {
   const Matrix data = ParityData();
-  const SvddModel model =
-      BuildModel(data, GetParam().quant, GetParam().bytes_per_value);
+  const SvddModel model = BuildModel(data, GetParam().quant);
   const std::string path = ::testing::TempDir() + "/disk_parity_" +
                            GetParam().name + ".model";
   ASSERT_TRUE(model.SaveToFile(path).ok());
@@ -199,11 +195,10 @@ TEST_P(DiskParityTest, LinearAggregatesMatchTheInMemoryModelByteForByte) {
 
 INSTANTIATE_TEST_SUITE_P(
     EveryEncoding, DiskParityTest,
-    ::testing::Values(ModelVariant{"f64", QuantScheme::kF64, 8},
-                      ModelVariant{"f32", QuantScheme::kF32, 8},
-                      ModelVariant{"i16", QuantScheme::kI16, 8},
-                      ModelVariant{"i8", QuantScheme::kI8, 8},
-                      ModelVariant{"b4", QuantScheme::kF64, 4}),
+    ::testing::Values(ModelVariant{"f64", QuantScheme::kF64},
+                      ModelVariant{"f32", QuantScheme::kF32},
+                      ModelVariant{"i16", QuantScheme::kI16},
+                      ModelVariant{"i8", QuantScheme::kI8}),
     [](const auto& info) { return std::string(info.param.name); });
 
 /// A model file cut short after Open: the compressed path's ragged end rows
@@ -214,7 +209,7 @@ TEST(DiskReadErrorTest, TruncatedUFileFailsTheCompressedPathWithAStatus) {
   config.num_customers = 300;
   config.num_days = 24;
   const Matrix data = GeneratePhoneDataset(config).values;
-  const SvddModel model = BuildModel(data, QuantScheme::kF64, 8);
+  const SvddModel model = BuildModel(data, QuantScheme::kF64);
   for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{4}}) {
     const std::string path = ::testing::TempDir() + "/disk_read_error_" +
                              std::to_string(cache_blocks) + ".model";

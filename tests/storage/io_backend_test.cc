@@ -32,31 +32,23 @@ Matrix RandomMatrix(std::size_t n, std::size_t m, std::uint64_t seed) {
 }
 
 std::vector<IoBackendKind> AllBackends() {
-  std::vector<IoBackendKind> kinds = {IoBackendKind::kStream,
-                                      IoBackendKind::kPread};
-  if (MmapAvailable()) kinds.push_back(IoBackendKind::kMmap);
-  return kinds;
+  return {IoBackendKind::kStream, IoBackendKind::kPread, IoBackendKind::kMmap};
 }
 
 TEST(IoBackendResolveTest, DefaultsToMmapWhenAvailable) {
-  EXPECT_EQ(ResolveIoBackend(nullptr, true), IoBackendKind::kMmap);
-  EXPECT_EQ(ResolveIoBackend(nullptr, false), IoBackendKind::kPread);
-  EXPECT_EQ(ResolveIoBackend("", true), IoBackendKind::kMmap);
+  EXPECT_EQ(ResolveIoBackend(nullptr), IoBackendKind::kMmap);
+  EXPECT_EQ(ResolveIoBackend(""), IoBackendKind::kMmap);
 }
 
 TEST(IoBackendResolveTest, EnvOverridesRespected) {
-  EXPECT_EQ(ResolveIoBackend("stream", true), IoBackendKind::kStream);
-  EXPECT_EQ(ResolveIoBackend("pread", true), IoBackendKind::kPread);
-  EXPECT_EQ(ResolveIoBackend("mmap", true), IoBackendKind::kMmap);
-}
-
-TEST(IoBackendResolveTest, MmapWithoutSupportFallsBackToPread) {
-  EXPECT_EQ(ResolveIoBackend("mmap", false), IoBackendKind::kPread);
+  EXPECT_EQ(ResolveIoBackend("stream"), IoBackendKind::kStream);
+  EXPECT_EQ(ResolveIoBackend("pread"), IoBackendKind::kPread);
+  EXPECT_EQ(ResolveIoBackend("mmap"), IoBackendKind::kMmap);
 }
 
 TEST(IoBackendResolveTest, UnknownValuesPickTheDefault) {
-  EXPECT_EQ(ResolveIoBackend("uring", true), IoBackendKind::kMmap);
-  EXPECT_EQ(ResolveIoBackend("MMAP", false), IoBackendKind::kPread);
+  EXPECT_EQ(ResolveIoBackend("uring"), IoBackendKind::kMmap);
+  EXPECT_EQ(ResolveIoBackend("MMAP"), IoBackendKind::kMmap);
 }
 
 TEST(IoBackendResolveTest, ParseNames) {
@@ -252,7 +244,6 @@ TEST(IoBackendParityTest, OverflowingHeaderRejected) {
 }
 
 TEST(IoBackendTest, ReadRowViewIsZeroCopyUnderMmap) {
-  if (!MmapAvailable()) GTEST_SKIP() << "no mmap on this platform";
   const Matrix x = RandomMatrix(9, 7, 23);
   const std::string path = TempPath("rowview.mat");
   ASSERT_TRUE(WriteMatrixFile(path, x).ok());

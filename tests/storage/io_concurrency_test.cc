@@ -35,10 +35,7 @@ Matrix RandomMatrix(std::size_t n, std::size_t m, std::uint64_t seed) {
 }
 
 std::vector<IoBackendKind> AllBackends() {
-  std::vector<IoBackendKind> kinds = {IoBackendKind::kStream,
-                                      IoBackendKind::kPread};
-  if (MmapAvailable()) kinds.push_back(IoBackendKind::kMmap);
-  return kinds;
+  return {IoBackendKind::kStream, IoBackendKind::kPread, IoBackendKind::kMmap};
 }
 
 // The tentpole thread-safety claim: 8 threads on ONE reader, every

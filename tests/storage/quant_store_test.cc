@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "../core/bloom_section_files.h"
 #include "core/disk_backed.h"
 #include "core/space_budget.h"
 #include "core/svd_compressor.h"
@@ -84,11 +85,9 @@ TEST(QuantSchemeTest, NamesParseAndResolve) {
     const auto parsed = ParseQuantScheme(QuantSchemeName(scheme));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, scheme);
-    EXPECT_EQ(ResolveQuantScheme(QuantSchemeName(scheme)), scheme);
   }
   EXPECT_FALSE(ParseQuantScheme("int4").ok());
-  EXPECT_EQ(ResolveQuantScheme(nullptr), QuantScheme::kF64);
-  EXPECT_EQ(ResolveQuantScheme("garbage"), QuantScheme::kF64);
+  EXPECT_FALSE(ParseQuantScheme("garbage").ok());
 }
 
 TEST(QuantSchemeTest, RowStrideIsPaddedAndAligned) {
@@ -550,6 +549,9 @@ TEST(QuantModelFileTest, HostileUSectionsAreIoErrors) {
     Poke<std::uint64_t>(&copy, cols_at, k + 1);
     hostile.emplace_back("cols != k", copy);
     copy = bytes;
+    Poke<std::uint64_t>(&copy, kSchemeAt - 8, 16);  // the b field
+    hostile.emplace_back("b field neither 8 nor 4", copy);
+    copy = bytes;
     copy[u_at + (model.rows() / 2) * stride + kQuantRowMetaBytes] ^= 0x10;
     hostile.emplace_back("flipped U byte", copy);
 
@@ -572,6 +574,37 @@ TEST(QuantModelFileTest, HostileUSectionsAreIoErrors) {
     WriteFileBytes(path, bytes);
     ASSERT_TRUE(SvddModel::LoadFromFile(path).ok());
     ASSERT_TRUE(DiskBackedStore::Open(path).ok());
+  }
+}
+
+TEST(QuantModelFileTest, LegacyB4FilesLoadAndAreChargedAtEightBytes) {
+  // The retired b=4 mode wrote f64 files with 4 in the header's b field.
+  // They load and serve their stored values, in memory and from disk, and
+  // are charged the 8 bytes per value they hold (a value other than 8 or
+  // 4 is one of the hostile headers above).
+  const SvddModel model =
+      SaveSmallModel(QuantScheme::kF64, TempPath("legacy_source.model"));
+  const SvddModel legacy = RoundedThroughFloat(model);
+  const std::string path = TempPath("legacy_b4.model");
+  ASSERT_TRUE(WriteModelWithSnappedU(legacy, path, 4).ok());
+  const auto loaded = SvddModel::LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::uint64_t k = legacy.k();
+  EXPECT_EQ(loaded->svd().CompressedBytes(),
+            (legacy.rows() * k + k + k * legacy.cols()) * 8);
+  EXPECT_EQ(loaded->CompressedBytes(), legacy.CompressedBytes());
+  DiskBackedOptions options;
+  options.cache_blocks = 8;
+  const auto store = DiskBackedStore::Open(path, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  std::vector<double> want(legacy.cols());
+  std::vector<double> got(legacy.cols());
+  for (std::size_t i = 0; i < legacy.rows(); ++i) {
+    legacy.ReconstructRow(i, want);
+    loaded->ReconstructRow(i, got);
+    ASSERT_EQ(got, want) << "memory row " << i;
+    ASSERT_TRUE(store->model().TryReconstructRow(i, got).ok());
+    ASSERT_EQ(got, want) << "disk row " << i;
   }
 }
 
