@@ -5,6 +5,8 @@
 //   - a delta-index probe is a binary search inside one row's run;
 //   - planning a point query costs O(#ranges), independent of N;
 //   - a disk-backed cell read is one block access plus O(k) arithmetic;
+//   - a dashboard max panel by block bound reconstructs a fraction of
+//     the cells the scan does (stddev over the same panel);
 // and for what the server adds on top of an answer:
 //   - writing a 366-group GROUP BY answer as its full HTTP response.
 
@@ -12,6 +14,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "common/json_reporter.h"
 #include "core/disk_backed.h"
 #include "data/generators.h"
+#include "query/executor.h"
 #include "query/parser.h"
 #include "query/planner.h"
 #include "server/data_api.h"
@@ -207,6 +212,61 @@ void BM_SvddBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size() * 8));
 }
 BENCHMARK(BM_SvddBuild)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
+
+/// The dashboard max panel: `max(value) ... GROUP BY col` over 1000 rows
+/// x 30 columns, one of 48 seeded panels per iteration, of a phone model
+/// with `range(0)` rows x 366 days at 5%. `range(1)` = 1 times stddev
+/// over the same panels instead, which only the scan answers: the cost
+/// the block bound saves. Reports the share of each panel's cells
+/// reconstructed.
+void BM_MaxPanel(benchmark::State& state) {
+  constexpr std::size_t kHeight = 1000;
+  constexpr std::size_t kWidth = 30;
+  constexpr std::size_t kPanels = 48;
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const bool scan = state.range(1) != 0;
+  static std::map<std::size_t, std::unique_ptr<SvddModel>> models;
+  std::unique_ptr<SvddModel>& model = models[rows];
+  if (model == nullptr) {
+    const Dataset phone = MakePhoneDataset(rows);
+    auto built = BuildSvddAtSpace(phone.values, 5.0, /*max_candidates=*/8);
+    TSC_CHECK_OK(built.status());
+    model = std::make_unique<SvddModel>(std::move(*built));
+  }
+  const QueryExecutor executor(model.get());
+  Rng rng(42);
+  std::vector<QueryPlan> plans;
+  for (std::size_t p = 0; p < kPanels; ++p) {
+    const std::size_t row0 = rng.UniformUint64(rows - kHeight + 1);
+    const std::size_t col0 = rng.UniformUint64(model->cols() - kWidth + 1);
+    QueryAst ast;
+    ast.aggregates = {scan ? AggregateFn::kStddev : AggregateFn::kMax};
+    ast.constraints = {{/*is_row=*/true, {{row0, row0 + kHeight - 1}}},
+                       {/*is_row=*/false, {{col0, col0 + kWidth - 1}}}};
+    ast.group_by = GroupBy::kCol;
+    auto plan = executor.Plan(ast);
+    TSC_CHECK_OK(plan.status());
+    plans.push_back(std::move(*plan));
+  }
+  std::uint64_t cells = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    auto result = executor.ExecutePlan(plans[next++ % kPanels]);
+    TSC_CHECK_OK(result.status());
+    cells += scan ? result->rows_reconstructed * kWidth : result->bound_cells;
+    benchmark::DoNotOptimize(result->values.data());
+  }
+  state.SetLabel(scan ? "stddev: the scan" : "max: block bound");
+  state.counters["cells_reconstructed_fraction"] =
+      static_cast<double>(cells) /
+      static_cast<double>(state.iterations() * kHeight * kWidth);
+}
+BENCHMARK(BM_MaxPanel)
+    ->Args({4000, 0})
+    ->Args({4000, 1})
+    ->Args({20000, 0})
+    ->Args({20000, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 /// A `GROUP BY col` answer over the phone data's 366 days, written the
 /// way /api/v1/query?format=json serves it: the JSON body (366 doubles

@@ -17,26 +17,63 @@ namespace tsc {
 /// (the last of each may be short), and the walk that forms a run of
 /// rows' U mass from them. SvdModel owns one, whether U's rows are in
 /// memory or on disk; its U-row accessor fetches a run's ragged end rows.
+///
+/// Beside each block sum it keeps the block's box: per component, the
+/// min and max of U over the block's rows, which bounds every value a
+/// block can reconstruct (the MIN/MAX search, DESIGN.md §14).
 class RowBlockSums {
  public:
   static constexpr std::size_t kRowBlock = 64;
   static constexpr std::size_t kRowSuperblock = 64 * kRowBlock;
 
   RowBlockSums() = default;
-  /// Zeroed sums over `rows` rows of width `k`. Feed every row once with
-  /// AddRow, in increasing row order, then call Finish.
+  /// Zeroed sums and empty boxes over `rows` rows of width `k`. Feed
+  /// every row once with AddRow, in increasing row order, then call
+  /// Finish.
   RowBlockSums(std::size_t rows, std::size_t k);
 
-  /// Adds row `i` of U into its block sum. The row order fixes the
-  /// sums' low-order bits, so every owner builds them identically.
+  /// Adds row `i` of U into its block sum and widens its block's box to
+  /// it. The row order fixes the sums' low-order bits, so every owner
+  /// builds them identically.
   void AddRow(std::size_t i, const double* u_row) {
-    kernels::Axpy(1.0, u_row, blocks_.Row(i / kRowBlock).data(), k_);
+    const std::size_t block = i / kRowBlock;
+    kernels::Axpy(1.0, u_row, blocks_.Row(block).data(), k_);
+    double* lo = boxes_.Row(block).data();
+    double* hi = lo + k_;
+    for (std::size_t p = 0; p < k_; ++p) {
+      lo[p] = std::min(lo[p], u_row[p]);
+      hi[p] = std::max(hi[p], u_row[p]);
+    }
   }
   /// Forms the superblock sums from the finished block sums.
   void Finish();
 
   std::size_t rows() const { return rows_; }
   std::size_t k() const { return k_; }
+  std::size_t block_count() const { return blocks_.rows(); }
+
+  /// The box of block `block`: lo[p] <= u_ip <= hi[p] for every row i
+  /// of the block and component p < k.
+  std::span<const double> BoxLo(std::size_t block) const {
+    return boxes_.Row(block).subspan(0, k_);
+  }
+  std::span<const double> BoxHi(std::size_t block) const {
+    return boxes_.Row(block).subspan(k_, k_);
+  }
+
+  /// out[c] >= dot(u_i, w_c) as kernels::GemmNT computes it, for every
+  /// row i of block `block` and every column c of `weights` ({k, out's
+  /// size}: w_c down column c). `magnitude` is scratch of out's size.
+  /// out[c] is the box's exact bound sum_p max(lo_p w_cp, hi_p w_cp) as
+  /// computed, plus an allowance for the rounding of both sums. Each is
+  /// at most a (k + 2)-term accumulation (GemmNT's four FMA lanes, their
+  /// horizontal sum and a scalar tail; the bound's own sum in p order),
+  /// so each errs by at most about (k + 2) u sum_p max(|lo_p|, |hi_p|)
+  /// |w_cp|, u = eps / 2. The allowance, 2 (k + 2) eps times that sum
+  /// plus a subnormal term for products that underflow, covers both with
+  /// room for its own rounding.
+  void BoxBounds(std::size_t block, const Matrix& weights,
+                 std::span<double> magnitude, std::span<double> out) const;
 
   /// Adds sum_{i in runs} u_i to out[0..k) (+=, caller zeroes).
   /// `add_rows(lo, hi)` must add rows lo..hi-1 of U to `out` in row
@@ -95,6 +132,7 @@ class RowBlockSums {
   std::size_t k_ = 0;
   Matrix blocks_;       ///< {ceil(rows / kRowBlock), k}
   Matrix superblocks_;  ///< {ceil(rows / kRowSuperblock), k}
+  Matrix boxes_;        ///< {ceil(rows / kRowBlock), 2k}: lo, then hi
 };
 
 }  // namespace tsc

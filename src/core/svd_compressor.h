@@ -107,6 +107,9 @@ class SvdModel final : public CompressedStore {
   /// within rows(). Returns the number of k-vectors read.
   StatusOr<std::uint64_t> AccumulateRowMass(std::span<const IdRange> runs,
                                             std::span<double> out) const;
+  /// U's block sums and per-block boxes (a derived cache, rebuilt with
+  /// U; never serialized).
+  const RowBlockSums& block_sums() const { return block_sums_; }
   /// Appends dot(u_i, weights) to `out` for every i in `runs`, in order,
   /// one U-row read each.
   Status AppendRowDots(std::span<const IdRange> runs,
@@ -174,8 +177,8 @@ class SvdModel final : public CompressedStore {
   /// Recomputes weighted_v_ from v_ and singular_values_; call once the
   /// right factor is set (construction, load).
   void RebuildWeightedV();
-  /// Recomputes the block sums from u_; call after any mutation of U
-  /// (construction, quantization, fold-in).
+  /// Recomputes the block sums and boxes from u_; call after any
+  /// mutation of U (construction, quantization, fold-in).
   void RebuildBlockSums();
 
   /// Buffers for URow: one stored row and its decoded doubles on disk,

@@ -714,7 +714,7 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
               return a.key < b.key;
             });
   TSC_ASSIGN_OR_RETURN(DeltaIndex deltas,
-                       DeltaIndex::Build(n, m, packed, options.delta_bytes));
+                       DeltaIndex::Build(n, m, packed));
   packed = {};
 
   phase.reset();

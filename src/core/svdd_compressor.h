@@ -117,7 +117,9 @@ struct SvddBuildOptions {
   /// Space allowance as a percent of the uncompressed matrix (the s% knob
   /// every experiment sweeps).
   double space_percent = 10.0;
-  /// On-disk bytes per outlier triplet.
+  /// Bytes per outlier the space budget reserves. The model stores, and
+  /// is charged, DeltaIndex::kPackedEntryBytes per delta; a larger value
+  /// (the naive-triplet ablation) only buys fewer deltas.
   std::uint64_t delta_bytes = kDefaultDeltaBytes;
   /// Coefficient encoding of the U row store (storage/quant.h). A
   /// quantized scheme shrinks the on-disk U 2-8x; the freed budget buys

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "cube/rollup.h"
 #include "linalg/kernels.h"
@@ -158,8 +160,12 @@ class ResultBuilder {
     return 0;
   }
 
-  StatusOr<QueryResult> Build(const std::vector<GroupAcc>& group_stats,
-                              std::uint64_t rows_reconstructed) const {
+  /// `extremes[a]` holds the per-group answers of aggregate a when it
+  /// ran by block bound (empty otherwise, or altogether).
+  StatusOr<QueryResult> Build(
+      const std::vector<GroupAcc>& group_stats,
+      std::uint64_t rows_reconstructed,
+      const std::vector<std::vector<double>>& extremes = {}) const {
     QueryResult result;
     result.plan_text = plan_.ToString();
     result.group_keys = GroupKeysFor(plan_);
@@ -204,6 +210,15 @@ class ResultBuilder {
               return Status::Internal("non-linear fn planned compressed");
           }
           result.values[g * result.aggregate_count + a] = value;
+        }
+        continue;
+      }
+      if (strategy == ExecutionStrategy::kBlockBound) {
+        if (a >= extremes.size() || extremes[a].size() != groups) {
+          return Status::Internal("block-bound plan without its answers");
+        }
+        for (std::size_t g = 0; g < groups; ++g) {
+          result.values[g * result.aggregate_count + a] = extremes[a][g];
         }
         continue;
       }
@@ -354,6 +369,195 @@ StatusOr<std::vector<GroupAcc>> ScanGroupsBatched(const QueryPlan& plan,
   return accs;
 }
 
+/// What the block-bound searches of one query reconstructed.
+struct BlockBoundWork {
+  std::uint64_t rows = 0;  ///< by the searches and their zero rescans
+  std::uint64_t cells = 0;  ///< by the searches
+  std::uint64_t blocks = 0;  ///< blocks the searches reconstructed
+  std::uint64_t blocks_total = 0;  ///< blocks their selections span
+};
+
+/// A 64-row block the selection reaches into, and the first row run
+/// that does.
+struct SelectedBlock {
+  std::size_t block = 0;
+  std::size_t first_run = 0;
+};
+
+std::vector<SelectedBlock> SelectedBlocks(std::span<const IdRange> runs) {
+  constexpr std::size_t kRowBlock = RowBlockSums::kRowBlock;
+  std::vector<SelectedBlock> blocks;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    for (std::size_t b = runs[r].lo / kRowBlock; b <= runs[r].hi / kRowBlock;
+         ++b) {
+      if (blocks.empty() || blocks.back().block != b) blocks.push_back({b, r});
+    }
+  }
+  return blocks;
+}
+
+/// The selected rows of `selected`'s block, ascending, into `*rows`.
+void SelectedBlockRows(std::span<const IdRange> runs,
+                       const SelectedBlock& selected,
+                       std::vector<std::size_t>* rows) {
+  constexpr std::size_t kRowBlock = RowBlockSums::kRowBlock;
+  const std::size_t lo = selected.block * kRowBlock;
+  const std::size_t hi = lo + kRowBlock - 1;
+  rows->clear();
+  for (std::size_t r = selected.first_run;
+       r < runs.size() && runs[r].lo <= hi; ++r) {
+    for (std::size_t i = std::max(runs[r].lo, lo);
+         i <= std::min(runs[r].hi, hi); ++i) {
+      rows->push_back(i);
+    }
+  }
+}
+
+/// Answers `fn` (min or max) per group of `plan` (grouped by column or
+/// not at all) by branch and bound over U's 64-row block boxes, on the
+/// calling thread. The search's sign turns min into a max of -x.
+///   1. One walk over the selected rows' deltas, from one snapshot, keeps
+///      for each (block, selected column) the largest signed delta, or 0:
+///      a cell whose delta is not above it stays under the SVD bound.
+///   2. Each (block, column) is bounded by the block box's bound
+///      (RowBlockSums::BoxBounds, with its rounding allowance) plus
+///      that delta.
+///      Round-to-nearest is monotone, so the computed sum bounds the
+///      cell's svd + delta as ReconstructRegion adds it; no allowance is
+///      needed for that addition.
+///   3. Blocks are visited in descending order of their largest bound;
+///      each reconstructs block x selection over the columns whose bound
+///      is not below their group's running best, through the same
+///      ReconstructRegion as the scan, so every candidate is the scan's
+///      double. A column is pruned only when its bound is strictly
+///      below the best, so the final best is the scan's extremum.
+/// Only +0 and -0 compare equal as different doubles. When a group's
+/// answer is a zero, every zero cell of the group was reconstructed (the
+/// others are bounded strictly below the answer), so the zeros' sign is
+/// known unless both occur; then the group is recomputed by the scan,
+/// whose order decides the sign. A PatchCell landing mid-search may or
+/// may not be seen, as with the scan: each pruned cell lies below a
+/// reconstructed value at the snapshot its bound came from.
+StatusOr<std::vector<double>> BlockBoundExtremes(
+    const QueryPlan& plan, AggregateFn fn, const CompressedStore& store,
+    const SvddModel& domain, ThreadPool* pool, BlockBoundWork* work) {
+  static obs::Counter& batch_cells =
+      obs::MetricRegistry::Default().GetCounter("query.batch_cells");
+  obs::TraceSpan span("query.block_bound");
+  if (plan.group_by == GroupBy::kRow) {
+    return Status::InvalidArgument("block-bound plan grouped by row");
+  }
+  const bool by_col = plan.group_by == GroupBy::kCol;
+  const double sign = fn == AggregateFn::kMin ? -1.0 : 1.0;
+  const std::size_t k = domain.k();
+  const std::vector<std::size_t> col_ids = ExpandRanges(plan.col_runs);
+  const std::size_t cols = col_ids.size();
+  const std::vector<SelectedBlock> blocks = SelectedBlocks(plan.row_runs);
+  work->blocks_total += blocks.size();
+
+  // 1. The largest signed delta per (block, column), 0 if none is
+  // positive; rows arrive ascending, so a cursor finds their block.
+  Matrix delta_bound(blocks.size(), cols);
+  std::size_t cursor = 0;
+  domain.deltas()->ForEachInRegion(
+      plan.row_runs, plan.col_runs,
+      [&](std::size_t row, std::size_t c, double delta) {
+        while (blocks[cursor].block != row / RowBlockSums::kRowBlock) ++cursor;
+        double& bound = delta_bound(cursor, c);
+        bound = std::max(bound, sign * delta);
+      });
+
+  // 2. The bound of each (block, column), and each block's largest.
+  Matrix weights(k, cols);
+  for (std::size_t c = 0; c < cols; ++c) {
+    const std::span<const double> w = domain.weighted_v().Row(col_ids[c]);
+    for (std::size_t p = 0; p < k; ++p) weights(p, c) = sign * w[p];
+  }
+  const RowBlockSums& boxes = domain.svd().block_sums();
+  Matrix bounds(blocks.size(), cols);
+  std::vector<double> magnitude(cols);
+  std::vector<double> block_max(blocks.size(),
+                                -std::numeric_limits<double>::infinity());
+  for (std::size_t s = 0; s < blocks.size(); ++s) {
+    const std::span<double> bound = bounds.Row(s);
+    boxes.BoxBounds(blocks[s].block, weights, magnitude, bound);
+    for (std::size_t c = 0; c < cols; ++c) {
+      bound[c] += delta_bound(s, c);
+      block_max[s] = std::max(block_max[s], bound[c]);
+    }
+  }
+  std::vector<std::size_t> order(blocks.size());
+  for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return block_max[a] > block_max[b];
+                   });
+
+  // 3. The search. best holds signed values: sign * cell.
+  const std::size_t groups = by_col ? cols : 1;
+  std::vector<double> best(groups, -std::numeric_limits<double>::infinity());
+  // Per group, the signs of the zeros reconstructed: bit 0 +0, bit 1 -0.
+  std::vector<unsigned> zero_signs(groups, 0);
+  const auto group_of = [by_col](std::size_t c) { return by_col ? c : 0; };
+  std::vector<std::size_t> rows;
+  std::vector<std::size_t> live;
+  std::vector<std::size_t> live_ids;
+  Matrix out;
+  for (const std::size_t s : order) {
+    // Blocks come in descending order of their largest bound, so once
+    // one cannot beat the weakest group's best, none after it can.
+    if (block_max[s] < *std::min_element(best.begin(), best.end())) break;
+    live.clear();
+    live_ids.clear();
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (bounds(s, c) >= best[group_of(c)]) {
+        live.push_back(c);
+        live_ids.push_back(col_ids[c]);
+      }
+    }
+    if (live.empty()) continue;
+    SelectedBlockRows(plan.row_runs, blocks[s], &rows);
+    TSC_RETURN_IF_ERROR(store.ReconstructRegion(rows, live_ids, &out));
+    ++work->blocks;
+    work->rows += rows.size();
+    work->cells += rows.size() * live.size();
+    batch_cells.Add(rows.size() * live.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const std::span<const double> values = out.Row(r);
+      for (std::size_t l = 0; l < live.size(); ++l) {
+        const std::size_t g = group_of(live[l]);
+        best[g] = std::max(best[g], sign * values[l]);
+        if (values[l] == 0.0) zero_signs[g] |= std::signbit(values[l]) ? 2 : 1;
+      }
+    }
+  }
+
+  std::vector<double> answers(groups);
+  std::vector<std::size_t> zeros;
+  for (std::size_t g = 0; g < groups; ++g) {
+    answers[g] = sign * best[g];
+    if (answers[g] == 0.0 && zero_signs[g] == 3) zeros.push_back(g);
+  }
+  if (zeros.empty()) return answers;
+  // Mixed zeros: the scan over those groups' columns (every column
+  // without grouping) accumulates each group exactly as the full scan
+  // would.
+  QueryPlan rescan = plan;
+  rescan.aggregates = {fn};
+  rescan.strategies = {ExecutionStrategy::kRowReconstruction};
+  if (by_col) {
+    std::vector<std::size_t> zero_ids;
+    for (const std::size_t g : zeros) zero_ids.push_back(col_ids[g]);
+    rescan.col_runs = CoalesceIds(zero_ids);
+  }
+  TSC_ASSIGN_OR_RETURN(const std::vector<GroupAcc> accs,
+                       ScanGroupsBatched(rescan, store, pool, &work->rows));
+  for (std::size_t z = 0; z < zeros.size(); ++z) {
+    answers[zeros[z]] = Finalize(fn, accs[z]);
+  }
+  return answers;
+}
+
 /// Accumulates per-group statistics by scanning the raw matrix's rows;
 /// the exact executor's counterpart of ScanGroupsBatched.
 std::vector<GroupAcc> ScanGroups(const QueryPlan& plan, const Matrix& data,
@@ -405,6 +609,15 @@ std::string QueryResult::AnalyzeFooter() const {
   if (agg_nodes_read > 0) {
     std::snprintf(line, sizeof(line), "-- block sums: %llu k-vectors read\n",
                   static_cast<unsigned long long>(agg_nodes_read));
+    out += line;
+  }
+  if (bound_blocks_total > 0) {
+    std::snprintf(line, sizeof(line),
+                  "-- block bound: blocks reconstructed %llu of %llu, "
+                  "cells %llu\n",
+                  static_cast<unsigned long long>(bound_blocks_reconstructed),
+                  static_cast<unsigned long long>(bound_blocks_total),
+                  static_cast<unsigned long long>(bound_cells));
     out += line;
   }
   std::snprintf(line, sizeof(line), "-- rows reconstructed: %llu\n",
@@ -494,11 +707,26 @@ StatusOr<QueryResult> QueryExecutor::ExecutePlan(const QueryPlan& plan) const {
         group_stats,
         ScanGroupsBatched(plan, *store_, pool_.get(), &rows_scanned));
   }
+  BlockBoundWork bound_work;
+  std::vector<std::vector<double>> extremes(plan.aggregates.size());
+  for (std::size_t a = 0; a < plan.aggregates.size(); ++a) {
+    if (plan.strategies[a] != ExecutionStrategy::kBlockBound) continue;
+    if (domain_ == nullptr) {
+      return Status::Internal("block-bound plan without a compressed domain");
+    }
+    TSC_ASSIGN_OR_RETURN(
+        extremes[a], BlockBoundExtremes(plan, plan.aggregates[a], *store_,
+                                        *domain_, pool_.get(), &bound_work));
+  }
+  rows_scanned += bound_work.rows;
   RollupStats agg_stats;
   const ResultBuilder builder(plan, domain_, rollup_.get(), &agg_stats);
   TSC_ASSIGN_OR_RETURN(QueryResult result,
-                       builder.Build(group_stats, rows_scanned));
+                       builder.Build(group_stats, rows_scanned, extremes));
   result.agg_nodes_read = agg_stats.nodes_read;
+  result.bound_blocks_reconstructed = bound_work.blocks;
+  result.bound_blocks_total = bound_work.blocks_total;
+  result.bound_cells = bound_work.cells;
   result.exec_us = MicrosSince(exec_start);
   exec_hist.Record(result.exec_us);
   query_count.Increment();

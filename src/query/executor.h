@@ -31,6 +31,12 @@ struct QueryResult {
   /// of U (rows, block and superblock sums) read for their row mass.
   std::uint64_t compressed_domain_aggregates = 0;
   std::uint64_t agg_nodes_read = 0;
+  /// The block-bound min/max searches, summed over the query's: the
+  /// 64-row blocks they reconstructed, the blocks their selection spans,
+  /// and the cells they reconstructed.
+  std::uint64_t bound_blocks_reconstructed = 0;
+  std::uint64_t bound_blocks_total = 0;
+  std::uint64_t bound_cells = 0;
   std::string plan_text;
   /// Per-aggregate strategy actually used, e.g. "sum=compressed-domain
   /// max=row-reconstruction" (the --analyze footer's strategy line).
@@ -57,9 +63,11 @@ struct QueryResult {
 /// Runs ad hoc SQL-ish queries against a compressed model. Linear
 /// aggregates run in the compressed domain whenever the store is an SVDD
 /// model (CompressedStore::compressed_domain, whether U is in memory or
-/// on disk), with delta folding; everything else goes through batched
-/// region reconstruction on the CompressedStore interface, whose failed
-/// U-row reads come back as the query's Status.
+/// on disk), with delta folding, and min/max over several row blocks by
+/// a branch-and-bound search over U's block boxes (on the calling
+/// thread); everything else goes through batched region reconstruction
+/// on the CompressedStore interface, whose failed U-row reads come back
+/// as the query's Status.
 ///
 /// Row-reconstruction scans are dealt to a fixed number of shards and
 /// reduced in shard order, so for a given model the result is bitwise

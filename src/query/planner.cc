@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "core/row_block_sums.h"
+
 namespace tsc {
 namespace {
 
@@ -40,6 +42,26 @@ bool IsLinearAggregate(AggregateFn fn) {
          fn == AggregateFn::kCount;
 }
 
+bool IsExtremum(AggregateFn fn) {
+  return fn == AggregateFn::kMin || fn == AggregateFn::kMax;
+}
+
+/// Whether the plan's min/max can run by block bound: grouped by column
+/// or not at all, over rows in at least two 64-row blocks (within one
+/// block there is nothing to order), and with no aggregate that needs
+/// the scan anyway.
+bool BlockBoundApplies(const QueryPlan& plan) {
+  if (plan.group_by == GroupBy::kRow) return false;
+  if (plan.row_runs.front().lo / RowBlockSums::kRowBlock ==
+      plan.row_runs.back().hi / RowBlockSums::kRowBlock) {
+    return false;
+  }
+  return std::all_of(plan.aggregates.begin(), plan.aggregates.end(),
+                     [](AggregateFn fn) {
+                       return IsLinearAggregate(fn) || IsExtremum(fn);
+                     });
+}
+
 }  // namespace
 
 const char* ExecutionStrategyName(ExecutionStrategy strategy) {
@@ -48,6 +70,8 @@ const char* ExecutionStrategyName(ExecutionStrategy strategy) {
       return "row-reconstruction";
     case ExecutionStrategy::kCompressedDomain:
       return "compressed-domain";
+    case ExecutionStrategy::kBlockBound:
+      return "block-bound";
   }
   return "?";
 }
@@ -82,12 +106,17 @@ StatusOr<QueryPlan> PlanQuery(const QueryAst& ast, std::size_t num_rows,
   // Cost model: row reconstruction pays ~k * M + |cols| per selected
   // row; the compressed domain pays ~k per selected column plus ~k per
   // block of selected rows, so it wins for every selection it can
-  // answer.
+  // answer. The block bound pays ~k per (block, column) for the bounds
+  // and reconstructs only the blocks that can still hold the answer.
+  const bool block_bound_ok = model_k > 0 && BlockBoundApplies(plan);
   for (const AggregateFn fn : plan.aggregates) {
-    const bool compressed_ok = IsLinearAggregate(fn) && model_k > 0;
-    plan.strategies.push_back(compressed_ok
-                                  ? ExecutionStrategy::kCompressedDomain
-                                  : ExecutionStrategy::kRowReconstruction);
+    ExecutionStrategy strategy = ExecutionStrategy::kRowReconstruction;
+    if (model_k > 0 && IsLinearAggregate(fn)) {
+      strategy = ExecutionStrategy::kCompressedDomain;
+    } else if (block_bound_ok && IsExtremum(fn)) {
+      strategy = ExecutionStrategy::kBlockBound;
+    }
+    plan.strategies.push_back(strategy);
   }
   return plan;
 }

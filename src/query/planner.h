@@ -23,6 +23,15 @@ enum class ExecutionStrategy {
   /// block or 4096-row superblock, and O(k) per row only when grouping
   /// by row. Available for sum/avg/count, which are linear in the cells.
   kCompressedDomain,
+  /// MIN/MAX by branch and bound over U's 64-row block boxes: bound
+  /// every (block, selected column) from the box and the block's
+  /// deltas, then reconstruct blocks in descending bound order, only the
+  /// columns whose bound can still beat the running answer. Every
+  /// candidate is reconstructed like the scan's cell, so the answer is
+  /// the scan's double. Used when grouping by column or not at all, the
+  /// selection spans at least two blocks and no other aggregate of the
+  /// query needs the scan.
+  kBlockBound,
 };
 
 const char* ExecutionStrategyName(ExecutionStrategy strategy);
@@ -66,7 +75,8 @@ struct QueryPlan {
 /// InvalidArgument.
 ///
 /// Strategy choice: with a model (`model_k` > 0), linear aggregates run
-/// in the compressed domain; non-linear ones, and every aggregate
+/// in the compressed domain and min/max by block bound where it applies
+/// (see kBlockBound); the other non-linear ones, and every aggregate
 /// without a model, use row reconstruction.
 StatusOr<QueryPlan> PlanQuery(const QueryAst& ast, std::size_t num_rows,
                               std::size_t num_cols, std::size_t model_k);

@@ -14,18 +14,6 @@ namespace {
 constexpr std::uint64_t kMaxDimension =
     std::numeric_limits<std::uint32_t>::max();
 
-/// Adds one fold's searches to the process counters, beside the charge
-/// to the request in flight (query_context.h).
-void CountLookups(std::uint64_t lookups, std::uint64_t hits) {
-  static obs::Counter& lookup_counter =
-      obs::MetricRegistry::Default().GetCounter("delta.lookups");
-  static obs::Counter& hit_counter =
-      obs::MetricRegistry::Default().GetCounter("delta.hits");
-  lookup_counter.Add(lookups);
-  obs::ChargeDeltaProbes(lookups);
-  hit_counter.Add(hits);
-}
-
 /// Reads and drops the Bloom-filter section that older files carry
 /// after the delta entries, in bounded chunks so a hostile word count
 /// cannot force a large allocation.
@@ -54,23 +42,28 @@ Status SkipBloomSection(BinaryReader* reader) {
 
 DeltaIndex::DeltaIndex() : base_(std::make_shared<const Base>()) {}
 
+void DeltaIndex::CountLookups(std::uint64_t lookups, std::uint64_t hits) {
+  static obs::Counter& lookup_counter =
+      obs::MetricRegistry::Default().GetCounter("delta.lookups");
+  static obs::Counter& hit_counter =
+      obs::MetricRegistry::Default().GetCounter("delta.hits");
+  lookup_counter.Add(lookups);
+  obs::ChargeDeltaProbes(lookups);
+  hit_counter.Add(hits);
+}
+
 StatusOr<DeltaIndex> DeltaIndex::Build(std::size_t rows, std::size_t cols,
-                                       std::span<const DeltaEntry> entries,
-                                       std::uint64_t entry_bytes) {
+                                       std::span<const DeltaEntry> entries) {
   std::size_t next = 0;
-  return Assemble(rows, cols, entries.size(), entry_bytes,
+  return Assemble(rows, cols, entries.size(),
                   [&]() -> StatusOr<DeltaEntry> { return entries[next++]; });
 }
 
 StatusOr<DeltaIndex> DeltaIndex::Assemble(
     std::size_t rows, std::size_t cols, std::uint64_t count,
-    std::uint64_t entry_bytes,
     const std::function<StatusOr<DeltaEntry>()>& next) {
   if (rows > kMaxDimension || cols > kMaxDimension) {
     return Status::InvalidArgument("delta index dimensions exceed u32");
-  }
-  if (entry_bytes == 0 || entry_bytes > 64) {
-    return Status::InvalidArgument("bad delta entry size");
   }
   const std::uint64_t cells = static_cast<std::uint64_t>(rows) * cols;
   if (count > cells) return Status::InvalidArgument("more deltas than cells");
@@ -137,12 +130,11 @@ StatusOr<DeltaIndex> DeltaIndex::Assemble(
   index.rows_ = rows;
   index.cols_ = cols;
   index.size_ = total;
-  index.entry_bytes_ = entry_bytes;
   return index;
 }
 
 Status DeltaIndex::Serialize(BinaryWriter* writer) const {
-  TSC_RETURN_IF_ERROR(writer->WriteU64(entry_bytes_));
+  TSC_RETURN_IF_ERROR(writer->WriteU64(kPackedEntryBytes));
   TSC_RETURN_IF_ERROR(writer->WriteU64(size_));
   Status status = Status::Ok();
   ForEach([&](std::size_t row, std::size_t col, double delta) {
@@ -157,10 +149,16 @@ Status DeltaIndex::Serialize(BinaryWriter* writer) const {
 StatusOr<DeltaIndex> DeltaIndex::Deserialize(BinaryReader* reader,
                                              std::size_t rows,
                                              std::size_t cols) {
+  // The b=4 mode wrote 12 here while storing 16-byte entries like every
+  // other file.
+  constexpr std::uint64_t kLegacyB4EntryBytes = 8 + 4;
   TSC_ASSIGN_OR_RETURN(const std::uint64_t entry_bytes, reader->ReadU64());
+  if (entry_bytes != kPackedEntryBytes && entry_bytes != kLegacyB4EntryBytes) {
+    return Status::IoError("corrupt delta section: bad entry size");
+  }
   TSC_ASSIGN_OR_RETURN(const std::uint64_t count, reader->ReadU64());
   StatusOr<DeltaIndex> index = Assemble(
-      rows, cols, count, entry_bytes, [reader]() -> StatusOr<DeltaEntry> {
+      rows, cols, count, [reader]() -> StatusOr<DeltaEntry> {
         DeltaEntry entry;
         TSC_ASSIGN_OR_RETURN(entry.key, reader->ReadU64());
         TSC_ASSIGN_OR_RETURN(entry.delta, reader->ReadDouble());
@@ -450,7 +448,7 @@ DeltaIndex DeltaIndex::Merged() const {
   ForEach([&](std::size_t row, std::size_t col, double delta) {
     entries.push_back({CellKey(row, col, cols_), delta});
   });
-  StatusOr<DeltaIndex> merged = Build(rows_, cols_, entries, entry_bytes_);
+  StatusOr<DeltaIndex> merged = Build(rows_, cols_, entries);
   TSC_CHECK_OK(merged.status());
   return std::move(*merged);
 }

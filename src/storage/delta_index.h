@@ -65,18 +65,18 @@ class DeltaIndex {
   /// Builds the index of a rows x cols matrix from entries sorted
   /// strictly ascending by key. Fails on an unsorted, duplicated or
   /// out-of-range key, a non-finite delta, or dimensions past u32.
-  /// `entry_bytes` is the packed size charged per entry (PackedBytes).
-  static StatusOr<DeltaIndex> Build(
-      std::size_t rows, std::size_t cols, std::span<const DeltaEntry> entries,
-      std::uint64_t entry_bytes = kPackedEntryBytes);
+  static StatusOr<DeltaIndex> Build(std::size_t rows, std::size_t cols,
+                                    std::span<const DeltaEntry> entries);
 
-  /// The delta section of the model and sidecar files: u64 entry_bytes,
-  /// u64 count, count x (u64 key, f64 delta) in key order, then a u32
-  /// Bloom-filter flag that is always written 0.
+  /// The delta section of the model file: u64 entry size (always
+  /// kPackedEntryBytes), u64 count, count x (u64 key, f64 delta) in key
+  /// order, then a u32 Bloom-filter flag that is always written 0.
   Status Serialize(BinaryWriter* writer) const;
   /// Reads a delta section for a rows x cols model, with Build's checks.
-  /// A Bloom-filter section that older files carry after the flag is
-  /// read and dropped.
+  /// The entry size must be 16, or 12 in files of the retired b=4 mode,
+  /// which stored 16-byte entries all the same; either way each entry is
+  /// charged kPackedEntryBytes. A Bloom-filter section that older files
+  /// carry after the flag is read and dropped.
   static StatusOr<DeltaIndex> Deserialize(BinaryReader* reader,
                                           std::size_t rows, std::size_t cols);
 
@@ -85,10 +85,9 @@ class DeltaIndex {
   /// Deltas held, base and overlay together.
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  std::uint64_t entry_bytes() const { return entry_bytes_; }
   /// Bytes of the packed (key, delta) pairs: the space the paper charges
   /// the deltas. The two orientations below are uncharged.
-  std::uint64_t PackedBytes() const { return size_ * entry_bytes_; }
+  std::uint64_t PackedBytes() const { return size_ * kPackedEntryBytes; }
   /// Resident bytes of the row CSR plus the overlay.
   std::uint64_t RowIndexBytes() const;
   /// Resident bytes of the column-major running sums.
@@ -126,6 +125,14 @@ class DeltaIndex {
   /// Not counted as a lookup.
   template <typename Fn>
   void ForEachInRow(std::size_t row, Fn&& fn) const;
+
+  /// Visits every delta inside (row runs) x (column runs) as fn(row, c,
+  /// delta), c the column's position in the selection (counting through
+  /// the column runs in order), ascending by row, then column. Each
+  /// selected row counts as one lookup.
+  template <typename Fn>
+  void ForEachInRegion(std::span<const IdRange> row_ranges,
+                       std::span<const IdRange> col_ranges, Fn&& fn) const;
 
   /// Visits every delta as fn(row, col, delta) in key order.
   template <typename Fn>
@@ -165,10 +172,12 @@ class DeltaIndex {
     double shadowed = 0.0;
   };
 
+  /// Adds one fold's searches to the process counters, beside the
+  /// charge to the request in flight (query_context.h).
+  static void CountLookups(std::uint64_t lookups, std::uint64_t hits);
   /// Build's body over a stream: `next` yields `count` entries.
   static StatusOr<DeltaIndex> Assemble(
       std::size_t rows, std::size_t cols, std::uint64_t count,
-      std::uint64_t entry_bytes,
       const std::function<StatusOr<DeltaEntry>()>& next);
   /// This index with the overlay merged into a new base.
   DeltaIndex Merged() const;
@@ -191,7 +200,6 @@ class DeltaIndex {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t size_ = 0;
-  std::uint64_t entry_bytes_ = kPackedEntryBytes;
 };
 
 template <typename Fn>
@@ -207,6 +215,58 @@ void DeltaIndex::ForEachInRow(std::size_t row, Fn&& fn) const {
     fn(col, patch.delta);
   }
   for (; i < cols.size(); ++i) fn(cols[i], deltas[i]);
+}
+
+template <typename Fn>
+void DeltaIndex::ForEachInRegion(std::span<const IdRange> row_ranges,
+                                 std::span<const IdRange> col_ranges,
+                                 Fn&& fn) const {
+  if (row_ranges.empty() || col_ranges.empty()) return;
+  // position[col - first_col]: the column's place in the selection, or
+  // kUnselected.
+  constexpr std::size_t kUnselected = ~std::size_t{0};
+  const std::size_t first_col = col_ranges.front().lo;
+  std::vector<std::size_t> position(col_ranges.back().hi - first_col + 1,
+                                    kUnselected);
+  std::size_t next = 0;
+  for (const IdRange& run : col_ranges) {
+    for (std::size_t col = run.lo; col <= run.hi; ++col) {
+      position[col - first_col] = next++;
+    }
+  }
+  std::uint64_t rows_walked = 0;
+  std::uint64_t hits = 0;
+  std::size_t last_hit = kUnselected;
+  // Visits one delta if its column is selected.
+  const auto visit = [&](std::size_t row, std::size_t col, double delta) {
+    const std::size_t offset = col - first_col;  // wraps below first_col
+    if (offset >= position.size() || position[offset] == kUnselected) return;
+    fn(row, position[offset], delta);
+    if (last_hit != row) ++hits;
+    last_hit = row;
+  };
+  for (const IdRange& run : row_ranges) {
+    rows_walked += run.hi - run.lo + 1;
+    if (!overlay_.empty()) {
+      for (std::size_t row = run.lo; row <= run.hi; ++row) {
+        ForEachInRow(row, [&](std::size_t col, double delta) {
+          visit(row, col, delta);
+        });
+      }
+      continue;
+    }
+    // The base alone: the run's rows hold one contiguous stretch of the
+    // row CSR, walked straight through.
+    if (run.lo >= base_->rows) continue;
+    const std::size_t hi = std::min(run.hi, base_->rows - 1);
+    const std::uint64_t* offsets = base_->row_offsets.data();
+    std::size_t row = run.lo;
+    for (std::uint64_t e = offsets[run.lo]; e < offsets[hi + 1]; ++e) {
+      while (offsets[row + 1] <= e) ++row;
+      visit(row, base_->row_cols[e], base_->row_deltas[e]);
+    }
+  }
+  CountLookups(rows_walked, hits);
 }
 
 /// The current DeltaIndex of a mutable model, published by an atomic

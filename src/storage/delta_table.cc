@@ -149,7 +149,7 @@ StatusOr<DeltaTable> DeltaTable::Deserialize(BinaryReader* reader) {
     return Status::IoError("corrupt delta entry size");
   }
   DeltaTable table(static_cast<std::size_t>(count));
-  table.set_entry_bytes(entry_bytes);
+  table.entry_bytes_ = entry_bytes;
   for (std::uint64_t i = 0; i < count; ++i) {
     TSC_ASSIGN_OR_RETURN(const std::uint64_t key, reader->ReadU64());
     TSC_ASSIGN_OR_RETURN(const double delta, reader->ReadDouble());

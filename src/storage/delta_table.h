@@ -64,12 +64,11 @@ class DeltaTable {
 
   /// Bytes this table would occupy on disk if stored as packed
   /// (key, delta) pairs; this is the "O(b) bytes per delta" accounting the
-  /// paper uses for the SVDD space budget. The per-entry cost defaults to
-  /// an 8-byte key + 8-byte double and is configurable so alternative
-  /// encodings (e.g. naive 3x8 triplets) account honestly.
+  /// paper uses for the SVDD space budget. The per-entry cost is an
+  /// 8-byte key + 8-byte double, or the entry size a deserialized table's
+  /// section states.
   std::uint64_t PackedBytes() const { return size_ * entry_bytes_; }
   static constexpr std::uint64_t kPackedEntryBytes = 8 + 8;
-  void set_entry_bytes(std::uint64_t bytes) { entry_bytes_ = bytes; }
   std::uint64_t entry_bytes() const { return entry_bytes_; }
 
   /// Visits every (key, delta) pair in unspecified order.

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "../core/bloom_section_files.h"
+#include "core/svdd_compressor.h"
 #include "data/dataset.h"
 
 namespace tsc::cli {
@@ -256,13 +258,23 @@ std::string FieldBefore(const std::string& out, const std::string& marker) {
   return out.substr(begin, end - begin);
 }
 
+// A model file holds what CompressedBytes() charges plus a fixed
+// overhead: magics, the b and scheme fields, the lengths of the
+// eigenvalue vector, V, U and the delta section, at most 7 bytes of
+// padding before a quantized U, the delta flag and the checksum. None
+// of it grows with N, k or the delta count.
+constexpr std::uintmax_t kMaxOverheadBytes = 128;
+
+/// The `bytes:` figure of `tsctool info`'s output.
+std::uintmax_t ChargedBytes(const std::string& info) {
+  const std::string bytes_line = "bytes:       ";
+  const std::size_t at = info.find(bytes_line);
+  EXPECT_NE(at, std::string::npos) << info;
+  if (at == std::string::npos) return 0;
+  return std::stoull(info.substr(at + bytes_line.size()));
+}
+
 TEST_F(CliPipelineTest, EveryEncodingStoresWhatItCharges) {
-  // A model file holds what CompressedBytes() charges plus a fixed
-  // overhead: magics, the b and scheme fields, the lengths of the
-  // eigenvalue vector, V, U and the delta section, at most 7 bytes of
-  // padding before a quantized U, the delta flag and the checksum. None
-  // of it grows with N, k or the delta count.
-  constexpr std::uintmax_t kMaxOverheadBytes = 128;
   for (const std::string quant : {"f64", "f32", "int16", "int8"}) {
     for (const std::string space : {"10", "25"}) {
       SCOPED_TRACE(quant + " at " + space + "%");
@@ -276,16 +288,29 @@ TEST_F(CliPipelineTest, EveryEncodingStoresWhatItCharges) {
       const std::string printed = FieldBefore(compress.out, "% of original");
       ASSERT_FALSE(printed.empty()) << compress.out;
       EXPECT_EQ(printed, FieldBefore(info.out, "% of original")) << info.out;
-      const std::string bytes_line = "bytes:       ";
-      const std::size_t at = info.out.find(bytes_line);
-      ASSERT_NE(at, std::string::npos) << info.out;
-      const std::uintmax_t charged =
-          std::stoull(info.out.substr(at + bytes_line.size()));
+      const std::uintmax_t charged = ChargedBytes(info.out);
       const std::uintmax_t file = std::filesystem::file_size(model);
       ASSERT_GT(file, charged);
       EXPECT_LE(file - charged, kMaxOverheadBytes);
     }
   }
+}
+
+TEST_F(CliPipelineTest, LegacyB4FilesAreChargedWhatTheyStore) {
+  // The retired b=4 mode wrote 12 as its delta entry size but stored
+  // 16-byte entries; the file is charged the 16 it holds.
+  const auto model = SvddModel::LoadFromFile(*model_path_);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  ASSERT_GT(model->delta_count(), 0u);
+  const std::string legacy = TempPath("legacy_b4.model");
+  ASSERT_TRUE(
+      WriteModelWithSnappedU(RoundedThroughFloat(*model), legacy, 4).ok());
+  const CliResult info = RunTool({"info", "--model=" + legacy});
+  ASSERT_EQ(info.exit_code, 0) << info.err;
+  const std::uintmax_t charged = ChargedBytes(info.out);
+  const std::uintmax_t file = std::filesystem::file_size(legacy);
+  ASSERT_GT(file, charged);
+  EXPECT_LE(file - charged, kMaxOverheadBytes);
 }
 
 TEST_F(CliPipelineTest, SqlAnalyzeAppendsFooter) {

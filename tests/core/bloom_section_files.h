@@ -20,20 +20,29 @@
 
 namespace tsc {
 
-/// The delta section plus a flagged Bloom filter, as older files had it.
-inline Status WriteDeltasWithBloomSection(const DeltaIndex& deltas,
-                                          BinaryWriter* writer) {
-  TSC_RETURN_IF_ERROR(writer->WriteU64(deltas.entry_bytes()));
+/// The delta entries under a stated entry size, which current writers
+/// always write as DeltaIndex::kPackedEntryBytes (the b=4 mode wrote 12).
+inline Status WriteDeltaEntries(const DeltaIndex& deltas,
+                                std::uint64_t entry_bytes,
+                                BinaryWriter* writer, BloomFilter* filter) {
+  TSC_RETURN_IF_ERROR(writer->WriteU64(entry_bytes));
   TSC_RETURN_IF_ERROR(writer->WriteU64(deltas.size()));
-  BloomFilter filter(deltas.size(), 10.0);
   Status status = Status::Ok();
   deltas.ForEach([&](std::size_t row, std::size_t col, double delta) {
     const std::uint64_t key = DeltaIndex::CellKey(row, col, deltas.cols());
-    filter.Add(key);
+    if (filter != nullptr) filter->Add(key);
     if (status.ok()) status = writer->WriteU64(key);
     if (status.ok()) status = writer->WriteDouble(delta);
   });
-  TSC_RETURN_IF_ERROR(status);
+  return status;
+}
+
+/// The delta section plus a flagged Bloom filter, as older files had it.
+inline Status WriteDeltasWithBloomSection(const DeltaIndex& deltas,
+                                          BinaryWriter* writer) {
+  BloomFilter filter(deltas.size(), 10.0);
+  TSC_RETURN_IF_ERROR(WriteDeltaEntries(
+      deltas, DeltaIndex::kPackedEntryBytes, writer, &filter));
   TSC_RETURN_IF_ERROR(writer->WriteU32(1));
   return filter.Serialize(writer);
 }
@@ -50,7 +59,9 @@ inline Status WriteModelWithBloomSection(const SvddModel& model,
 
 /// An SVDD model file with U as f64 rows ("SVD1") whatever the model's
 /// quant scheme: the layout quantized models were saved in before U was
-/// stored as codes. `b_field` is the header's bytes-per-value field.
+/// stored as codes. `b_field` is the header's bytes-per-value field; a
+/// b=4 file's delta section states 12-byte entries, as that mode wrote
+/// it, though each entry is 16 bytes.
 inline Status WriteModelWithSnappedU(const SvddModel& model,
                                      const std::string& path,
                                      std::uint64_t b_field = kBytesPerValue) {
@@ -64,14 +75,16 @@ inline Status WriteModelWithSnappedU(const SvddModel& model,
   TSC_RETURN_IF_ERROR(writer.WriteDoubleVector(svd.singular_values()));
   TSC_RETURN_IF_ERROR(writer.WriteMatrix(svd.v()));
   TSC_RETURN_IF_ERROR(writer.WriteMatrix(svd.u()));
-  TSC_RETURN_IF_ERROR(model.deltas()->Serialize(&writer));
+  TSC_RETURN_IF_ERROR(WriteDeltaEntries(
+      *model.deltas(), b_field == 4 ? 12 : DeltaIndex::kPackedEntryBytes,
+      &writer, nullptr));
+  TSC_RETURN_IF_ERROR(writer.WriteU32(0));  // no Bloom filter follows
   return writer.FinishWithChecksum();
 }
 
 /// `model` as the retired b=4 mode held it: U, V, the singular values and
-/// the deltas rounded through single precision, each delta charged 12
-/// bytes (8-byte key + float). WriteModelWithSnappedU(..., 4) writes it
-/// as that mode wrote its files.
+/// the deltas rounded through single precision.
+/// WriteModelWithSnappedU(..., 4) writes it as that mode wrote its files.
 inline SvddModel RoundedThroughFloat(const SvddModel& model) {
   const auto round = [](double v) { return double{static_cast<float>(v)}; };
   Matrix u = model.svd().u();
@@ -84,7 +97,7 @@ inline SvddModel RoundedThroughFloat(const SvddModel& model) {
   model.deltas()->ForEach([&](std::size_t row, std::size_t col, double d) {
     entries.push_back({DeltaIndex::CellKey(row, col, model.cols()), round(d)});
   });
-  auto deltas = DeltaIndex::Build(model.rows(), model.cols(), entries, 12);
+  auto deltas = DeltaIndex::Build(model.rows(), model.cols(), entries);
   TSC_CHECK_OK(deltas.status());
   return SvddModel(SvdModel(std::move(u), std::move(singular_values),
                             std::move(v)),

@@ -136,7 +136,7 @@ TEST(PatchCellTest, InsertsNewDeltaCells) {
   EXPECT_NEAR(model->ReconstructCell(i, j), 999.0, 1e-9);
   EXPECT_EQ(model->delta_count(), before + 1);
   EXPECT_EQ(model->CompressedBytes(),
-            bytes_before + model->deltas()->entry_bytes());
+            bytes_before + DeltaIndex::kPackedEntryBytes);
   const std::string path = ::testing::TempDir() + "/patched.model";
   ASSERT_TRUE(model->SaveToFile(path).ok());
   const auto loaded = SvddModel::LoadFromFile(path);

@@ -1,8 +1,9 @@
 // ThreadSanitizer hammers for patches racing reads. SvddModel::PatchCell
 // publishes a new DeltaIndex snapshot by atomic swap and never mutates
 // one a reader holds, so readers take every path: cell, row and region
-// reconstruction, block-sum region sums and grouped aggregates. Each
-// answer must equal the answer of one published snapshot.
+// reconstruction, block-sum region sums, grouped aggregates and the
+// block-bound max. Each answer must equal the answer of one published
+// snapshot.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -99,6 +100,71 @@ TEST(AggConcurrencyTest, ConcurrentPatchesVersusRollupReads) {
   EXPECT_NEAR(live->values[0], fresh->values[0],
               1e-7 * std::abs(fresh->values[0]) + 1e-8);
   EXPECT_DOUBLE_EQ(live->values[1], fresh->values[1]);
+}
+
+TEST(AggConcurrencyTest, PatchesRaceBlockBoundMaxQueries) {
+  // The model's 96 rows span two row blocks, so max runs the block-bound
+  // search: one delta snapshot for the bounds, and the reconstructions
+  // load their own. The writer lifts cells above every value held so
+  // far, so every snapshot's max lies between the first and the last.
+  SvddModel model = BuildModel();
+  QueryExecutor executor(&model);
+  const char* kMax = "select max(value)";
+  const auto first = executor.Execute(kMax);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->strategy_summary, "max=block-bound");
+  const double initial = first->values[0];
+
+  constexpr int kReaders = 3;
+  constexpr int kPatches = 200;
+  constexpr int kQueriesPerReader = 60;
+  std::atomic<bool> go{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    while (!go.load(std::memory_order_acquire)) {
+    }
+    Rng rng(3);
+    for (int i = 1; i <= kPatches; ++i) {
+      const std::size_t row = rng.UniformUint64(model.rows());
+      const std::size_t col = rng.UniformUint64(model.cols());
+      if (!model.PatchCell(row, col, initial + i).ok()) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (int q = 0; q < kQueriesPerReader; ++q) {
+        if ((r + q) % 2 == 0) {
+          const auto result = executor.Execute(kMax);
+          if (!result.ok() || result->values[0] < initial ||
+              result->values[0] > initial + kPatches + 1.0) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+        } else {
+          const auto result = executor.Execute(
+              "select max(value), min(value) where col in 2:20 group by col");
+          if (!result.ok() || result->values.size() != 2 * 19) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Quiesced: the search's answer is the scan's double.
+  const auto fast = executor.Execute(kMax);
+  const auto scan = executor.Execute("select max(value), median(value)");
+  ASSERT_TRUE(fast.ok() && scan.ok());
+  EXPECT_EQ(fast->values[0], scan->values[0]);
+  EXPECT_GE(fast->values[0], initial + kPatches - 1.0);
 }
 
 TEST(AggConcurrencyTest, DirectHierarchyHammer) {

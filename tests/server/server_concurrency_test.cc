@@ -222,11 +222,16 @@ TEST(ServerConcurrencyTest, CostVectorsSumToProcessCountersUnderHammer) {
             "c" + std::to_string(t) + "r" + std::to_string(round);
         const std::vector<std::string> headers = {"X-Trace-Id: " + trace};
         // stddev forces row reconstruction (sum/avg would legally run in
-        // the compressed domain and charge no storage work).
+        // the compressed domain and charge no storage work); a max over
+        // two row blocks runs the block-bound search, which charges only
+        // the rows it reconstructs.
         std::vector<std::string> targets = {
             "/api/v1/query?q=SELECT+stddev(value)+WHERE+row+IN+" +
                 std::to_string(t * 8) + ":" + std::to_string(t * 8 + 7) +
                 "&debug=1",
+            "/api/v1/query?q=SELECT+max(value)+WHERE+row+IN+" +
+                std::to_string(t * 4) + ":" + std::to_string(t * 4 + 64) +
+                "+GROUP+BY+col&debug=1",
             "/api/v1/data?after=-16&before=0&points=4&debug=1",
             "/api/v1/cell?row=" +
                 std::to_string((t * 13 + round * 5) % view.rows()) +

@@ -88,7 +88,8 @@ void ExpectMatchesOracle(const DeltaIndex& index, const Oracle& oracle,
   const std::size_t rows = index.rows();
   const std::size_t cols = index.cols();
   ASSERT_EQ(index.size(), oracle.size());
-  EXPECT_EQ(index.PackedBytes(), oracle.size() * index.entry_bytes());
+  EXPECT_EQ(index.PackedBytes(),
+            oracle.size() * DeltaIndex::kPackedEntryBytes);
 
   // ForEach: every delta once, in key order.
   std::vector<std::pair<Cell, double>> seen;
@@ -362,8 +363,6 @@ TEST(DeltaIndexTest, BuildRejectsHostileEntries) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(DeltaIndex::Build(5, too_many, {}).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(DeltaIndex::Build(4, 5, {}, 0).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(DeltaIndexTest, DeserializeRejectsHostileSections) {
@@ -384,9 +383,16 @@ TEST(DeltaIndexTest, DeserializeRejectsHostileSections) {
   EXPECT_EQ(read(4, 5).code(), StatusCode::kIoError);
   WriteSection(path, 16, std::uint64_t{1} << 40, {{1, 1.0}});
   EXPECT_FALSE(read(std::size_t{1} << 20, std::size_t{1} << 20).ok());
-  // Entry size and Bloom flag.
-  WriteSection(path, 0, 1, {{1, 1.0}});
-  EXPECT_EQ(read(4, 5).code(), StatusCode::kIoError);
+  // Entry size and Bloom flag. Only 16 and the b=4 mode's 12 are entry
+  // sizes; both store, and are charged, 16 bytes an entry.
+  for (const std::uint64_t entry_bytes : {0, 8, 11, 13, 24}) {
+    WriteSection(path, entry_bytes, 1, {{1, 1.0}});
+    EXPECT_EQ(read(4, 5).code(), StatusCode::kIoError) << entry_bytes;
+  }
+  WriteSection(path, 12, 2, {{1, 1.0}, {7, 2.0}});
+  auto legacy = ReadSection(path, 4, 5);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_EQ(legacy->PackedBytes(), 2 * DeltaIndex::kPackedEntryBytes);
   WriteSection(path, 16, 1, {{1, 1.0}}, /*bloom_flag=*/2);
   EXPECT_EQ(read(4, 5).code(), StatusCode::kIoError);
   // Rows past u32.
