@@ -9,8 +9,8 @@
 // column) over runs that straddle the 64-row block and 4096-row
 // superblock edges; and max/min over ragged runs. It writes
 //   <out>/memory.bin                 the loaded model
-//   <out>/disk_c<N>_<backend>.bin    DiskBackedStore over the model file,
-//                                    cache 0 and 61 blocks, mmap and pread
+//   <out>/disk_c<N>.bin              DiskBackedStore over the model file,
+//                                    cache 0 and 61 blocks
 // With --compare it exits 1 unless every disk dump equals memory.bin byte
 // for byte (expected for every U encoding: the file stores the rows the
 // in-memory model decodes to).
@@ -32,7 +32,6 @@
 #include "core/disk_backed.h"
 #include "core/svdd_compressor.h"
 #include "query/executor.h"
-#include "storage/io_backend.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -162,29 +161,24 @@ int main(int argc, char** argv) {
   std::printf("memory: %zu doubles\n", memory.size());
 
   int differing = 0;
-  for (const tsc::IoBackendKind backend :
-       {tsc::IoBackendKind::kMmap, tsc::IoBackendKind::kPread}) {
-    for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{61}}) {
-      tsc::DiskBackedOptions options;
-      options.io_backend = backend;
-      options.cache_blocks = cache_blocks;
-      auto store = tsc::DiskBackedStore::Open(model_path, options);
-      TSC_CHECK_OK(store.status());
-      std::vector<double> disk;
-      TSC_CHECK_OK(Dump(store->model(), &disk));
-      const std::string name = "disk_c" + std::to_string(cache_blocks) + "_" +
-                               tsc::IoBackendName(backend);
-      TSC_CHECK_OK(WriteDoubles(out_dir + "/" + name + ".bin", disk));
-      const bool identical =
-          disk.size() == memory.size() &&
-          std::equal(disk.begin(), disk.end(), memory.begin(),
-                     [](double a, double b) {
-                       return std::memcmp(&a, &b, sizeof(double)) == 0;
-                     });
-      std::printf("%s: %zu doubles, %s memory\n", name.c_str(), disk.size(),
-                  identical ? "identical to" : "differs from");
-      if (!identical) ++differing;
-    }
+  for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{61}}) {
+    tsc::DiskBackedOptions options;
+    options.cache_blocks = cache_blocks;
+    auto store = tsc::DiskBackedStore::Open(model_path, options);
+    TSC_CHECK_OK(store.status());
+    std::vector<double> disk;
+    TSC_CHECK_OK(Dump(store->model(), &disk));
+    const std::string name = "disk_c" + std::to_string(cache_blocks);
+    TSC_CHECK_OK(WriteDoubles(out_dir + "/" + name + ".bin", disk));
+    const bool identical =
+        disk.size() == memory.size() &&
+        std::equal(disk.begin(), disk.end(), memory.begin(),
+                   [](double a, double b) {
+                     return std::memcmp(&a, &b, sizeof(double)) == 0;
+                   });
+    std::printf("%s: %zu doubles, %s memory\n", name.c_str(), disk.size(),
+                identical ? "identical to" : "differs from");
+    if (!identical) ++differing;
   }
   return flags.GetBool("compare", false) && differing > 0 ? 1 : 0;
 }

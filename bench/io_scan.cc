@@ -1,15 +1,12 @@
-// I/O-engine throughput: cold sequential scans and cold batched cell
-// probes of the on-disk U row store, once per backend (stream / pread /
-// mmap). "Cold" means a fresh reader and an empty application-level
-// block cache per measurement; the OS page cache stays warm after the
-// first pass, so the numbers isolate the engine overhead (syscalls,
-// locking, copies) rather than spindle latency — which is exactly the
-// part the backend choice controls.
+// I/O-engine throughput of the on-disk U row store, through its one
+// engine (positional reads). "Cold" means a fresh reader and an empty
+// application-level block cache per measurement; the OS page cache stays
+// warm after the first pass, so the numbers isolate the engine overhead
+// (syscalls, copies) rather than spindle latency.
 //
-// Sequential section: rows/s and MB/s for (a) plain ReadRow streaming
-// and (b) zero-copy ReadRowView (only different under mmap). Batched
-// section: a cold CachedRowReader probing random cell batches with
-// demand reads.
+// Three sections: a sequential ReadRow scan (rows/s and MB/s); a cold
+// CachedRowReader probing random cell batches with demand reads; and a
+// ReadQuantRow + decode + dot scan of the same matrix at each encoding.
 //
 // Flags: --rows=10000 --cols=366 --seed=42 --cache_blocks=1024
 //        --batches=64 --batch_cells=256 --json=FILE
@@ -23,7 +20,6 @@
 #include "data/generators.h"
 #include "linalg/kernels.h"
 #include "storage/cached_row_reader.h"
-#include "storage/io_backend.h"
 #include "storage/row_store.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -33,15 +29,13 @@
 
 namespace {
 
-using tsc::IoBackendKind;
-
 struct ScanResult {
   double seconds = 0.0;
   double checksum = 0.0;  // consumed so the reads cannot be elided
 };
 
-ScanResult SequentialReadRow(const std::string& path, IoBackendKind kind) {
-  auto reader = tsc::RowStoreReader::Open(path, kind);
+ScanResult SequentialReadRow(const std::string& path) {
+  auto reader = tsc::RowStoreReader::Open(path);
   TSC_CHECK(reader.ok());
   std::vector<double> row(reader->cols());
   ScanResult result;
@@ -49,22 +43,6 @@ ScanResult SequentialReadRow(const std::string& path, IoBackendKind kind) {
   for (std::size_t i = 0; i < reader->rows(); ++i) {
     TSC_CHECK(reader->ReadRow(i, row).ok());
     result.checksum += row[0] + row[row.size() - 1];
-  }
-  result.seconds = timer.ElapsedSeconds();
-  return result;
-}
-
-ScanResult SequentialRowView(const std::string& path, IoBackendKind kind) {
-  auto reader = tsc::RowStoreReader::Open(path, kind);
-  TSC_CHECK(reader.ok());
-  reader->io().AdviseSequential();
-  std::vector<double> scratch(reader->cols());
-  ScanResult result;
-  tsc::Timer timer;
-  for (std::size_t i = 0; i < reader->rows(); ++i) {
-    auto view = reader->ReadRowView(i, scratch);
-    TSC_CHECK(view.ok());
-    result.checksum += (*view)[0] + (*view)[view->size() - 1];
   }
   result.seconds = timer.ElapsedSeconds();
   return result;
@@ -89,10 +67,10 @@ CellBatches MakeBatches(std::size_t rows, std::size_t batches,
   return work;
 }
 
-ScanResult ColdBatchedProbes(const std::string& path, IoBackendKind kind,
+ScanResult ColdBatchedProbes(const std::string& path,
                              std::size_t cache_blocks,
                              const CellBatches& work) {
-  auto reader = tsc::RowStoreReader::Open(path, kind);
+  auto reader = tsc::RowStoreReader::Open(path);
   TSC_CHECK(reader.ok());
   const std::size_t cols = reader->cols();
   tsc::CachedRowReader cached(std::move(*reader), cache_blocks);
@@ -140,15 +118,11 @@ int main(int argc, char** argv) {
   std::printf("dataset: %zux%zu (%.1f MB), cache %zu blocks\n\n", rows, cols,
               payload_bytes / (1024.0 * 1024.0), cache_blocks);
 
-  const std::vector<IoBackendKind> backends = {
-      IoBackendKind::kStream, IoBackendKind::kPread, IoBackendKind::kMmap};
-
   tsc::TablePrinter table(
-      {"section", "backend", "mode", "seconds", "MB/s", "cells/s", "x"});
+      {"section", "mode", "seconds", "MB/s", "cells/s", "x"});
   tsc::bench::JsonReporter report(
       "io_scan",
-      {"section", "backend", "mode", "seconds", "mb_per_s", "cells_per_s",
-       "speedup"});
+      {"section", "mode", "seconds", "mb_per_s", "cells_per_s", "speedup"});
   report.AddScalar("rows", static_cast<double>(rows));
   report.AddScalar("cols", static_cast<double>(cols));
   report.AddScalar("payload_mb", payload_bytes / (1024.0 * 1024.0));
@@ -156,63 +130,44 @@ int main(int argc, char** argv) {
   report.AddScalar("batches", static_cast<double>(batches));
   report.AddScalar("batch_cells", static_cast<double>(batch_cells));
 
-  const auto add = [&](const std::string& section, const char* backend,
-                       const std::string& mode, double seconds, double mbs,
-                       double cells_s, double speedup) {
+  const auto add = [&](const std::string& section, const std::string& mode,
+                       double seconds, double mbs, double cells_s,
+                       double speedup) {
     const std::string mb_cell =
         mbs > 0 ? tsc::TablePrinter::Num(mbs) : std::string("-");
     const std::string cells_cell =
         cells_s > 0 ? tsc::TablePrinter::Num(cells_s) : std::string("-");
-    table.AddRow({section, backend, mode, tsc::TablePrinter::Num(seconds, 3),
-                  mb_cell, cells_cell, tsc::TablePrinter::Num(speedup, 3)});
-    report.AddRow({section, backend, mode,
-                   tsc::TablePrinter::Num(seconds, 6), mb_cell, cells_cell,
-                   tsc::TablePrinter::Num(speedup, 4)});
+    const std::string x_cell =
+        speedup > 0 ? tsc::TablePrinter::Num(speedup, 4) : std::string("-");
+    table.AddRow({section, mode, tsc::TablePrinter::Num(seconds, 3), mb_cell,
+                  cells_cell, x_cell});
+    report.AddRow({section, mode, tsc::TablePrinter::Num(seconds, 6), mb_cell,
+                   cells_cell, x_cell});
   };
 
-  // Warm the OS page cache once so every backend measures engine
-  // overhead against the same kernel state (first toucher pays the real
-  // disk alone otherwise).
-  (void)SequentialReadRow(path, IoBackendKind::kPread);
+  // Warm the OS page cache once, so the timed scan measures engine
+  // overhead rather than the first toucher's disk reads.
+  (void)SequentialReadRow(path);
 
-  double baseline_seconds = 0.0;  // seed behavior: stream backend, ReadRow
-  for (const IoBackendKind kind : backends) {
-    const char* name = tsc::IoBackendName(kind);
-    const ScanResult plain = SequentialReadRow(path, kind);
-    if (kind == IoBackendKind::kStream) baseline_seconds = plain.seconds;
-    const double base = baseline_seconds > 0 ? baseline_seconds : 1e-9;
-    add("seq", name, "readrow", plain.seconds,
-        payload_bytes / (1024.0 * 1024.0) / plain.seconds, 0.0,
-        base / plain.seconds);
-
-    const ScanResult view = SequentialRowView(path, kind);
-    add("seq", name, "rowview", view.seconds,
-        payload_bytes / (1024.0 * 1024.0) / view.seconds, 0.0,
-        base / view.seconds);
-  }
+  const ScanResult plain = SequentialReadRow(path);
+  add("seq", "readrow", plain.seconds,
+      payload_bytes / (1024.0 * 1024.0) / plain.seconds, 0.0, 0.0);
 
   const CellBatches work = MakeBatches(rows, batches, batch_cells, seed + 1);
   const double total_cells =
       static_cast<double>(batches) * static_cast<double>(batch_cells);
-  double batch_baseline = 0.0;  // stream backend
-  for (const IoBackendKind kind : backends) {
-    const char* name = tsc::IoBackendName(kind);
-    const ScanResult demand = ColdBatchedProbes(path, kind, cache_blocks, work);
-    if (kind == IoBackendKind::kStream) batch_baseline = demand.seconds;
-    const double base = batch_baseline > 0 ? batch_baseline : 1e-9;
-    add("batch", name, "demand", demand.seconds, 0.0,
-        total_cells / demand.seconds, base / demand.seconds);
-  }
+  const ScanResult demand = ColdBatchedProbes(path, cache_blocks, work);
+  add("batch", "demand", demand.seconds, 0.0, total_cells / demand.seconds,
+      0.0);
 
   // --- quantized row scans --------------------------------------------------
   // The same matrix written at each QuantScheme and scanned the way the
-  // model reads U rows (ReadQuantRow, zero-copy under mmap, decoded, then
-  // a dot): fewer file bytes per row means proportionally fewer bytes
-  // moved, so the narrow encodings scan faster at identical logical work.
+  // model reads U rows (ReadQuantRow, decoded, then a dot): fewer file
+  // bytes per row means proportionally fewer bytes moved, so the narrow
+  // encodings scan faster at identical logical work.
   // Rows/s and the effective MB/s are both reported; `x` is rows/s over
   // the f64 scan.
   {
-    const IoBackendKind kind = IoBackendKind::kMmap;
     std::vector<double> probe_vec(cols);
     tsc::Rng probe_rng(seed + 2);
     for (double& v : probe_vec) v = probe_rng.Gaussian();
@@ -224,9 +179,8 @@ int main(int argc, char** argv) {
       const char* qname = tsc::QuantSchemeName(scheme);
       const tsc::bench::TempMatrixFile quant_file(
           dataset.values, std::string("io_scan_") + qname, scheme);
-      auto reader = tsc::RowStoreReader::Open(quant_file.path(), kind);
+      auto reader = tsc::RowStoreReader::Open(quant_file.path());
       TSC_CHECK(reader.ok());
-      reader->io().AdviseSequential();
       std::vector<std::uint8_t> scratch(reader->row_stride_bytes());
       std::vector<double> decoded(cols);
       double checksum = 0.0;
@@ -242,8 +196,7 @@ int main(int argc, char** argv) {
       if (scheme == tsc::QuantScheme::kF64) quant_baseline = seconds;
       const double file_mb =
           static_cast<double>(reader->file_bytes()) / (1024.0 * 1024.0);
-      add("quant", tsc::IoBackendName(kind), std::string("decoded-") + qname,
-          seconds, file_mb / seconds, 0.0,
+      add("quant", std::string("decoded-") + qname, seconds, file_mb / seconds, 0.0,
           (quant_baseline > 0 ? quant_baseline : 1e-9) / seconds);
       report.AddScalar(std::string("quant_scan_rows_per_s_") + qname,
                        static_cast<double>(rows) / seconds);
@@ -251,9 +204,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s\n", table.ToString().c_str());
-  std::printf("seq x = speedup over the stream/readrow scan; batch x = "
-              "speedup over stream/demand probes; quant x = speedup over "
-              "the fused f64 scan.\n");
+  std::printf("quant x = speedup over the f64 scan.\n");
 
   if (!json_path.empty()) {
     const tsc::Status status = report.WriteFile(json_path);

@@ -454,10 +454,9 @@ int main(int argc, char** argv) {
       build.forced_k = f64_k;
       const auto qmodel = tsc::BuildSvddModel(&source, build);
       TSC_CHECK_OK(qmodel.status());
-      // Probe open: stream backend, no cache — just to size the shared
-      // budget off the f64 file before the measured open.
+      // Probe open, no cache — just to size the shared budget off the
+      // f64 file before the measured open.
       tsc::DiskBackedOptions opts;
-      opts.io_backend = tsc::IoBackendKind::kStream;
       tsc::bench::TempSvddStore qtemp(
           *qmodel, std::string("throughput_") + name, opts);
       if (scheme == tsc::QuantScheme::kF64) {

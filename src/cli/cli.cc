@@ -25,7 +25,6 @@
 #include "obs/trace.h"
 #include "query/executor.h"
 #include "server/server.h"
-#include "storage/io_backend.h"
 #include "storage/quant.h"
 #include "storage/row_source.h"
 #include "storage/row_store.h"
@@ -65,7 +64,7 @@ commands:
   evaluate   --model=MODEL --input=FILE
   reconstruct --model=MODEL --out=FILE.csv [--rows=COUNT]
   stats      --model=MODEL [--queries=N] [--cache-blocks=N] [--zipf=S]
-             [--seed=S] [--io-backend=stream|pread|mmap]
+             [--seed=S]
                           (runs a serving workload, prints instrument values)
              --port=N [--host=IP]  (instead: fetch a running server's
                           /metrics table + SLO window, see docs/server.md)
@@ -74,9 +73,8 @@ commands:
              [--timeout-ms=MS] [--duration-s=S]
              (--bind defaults to loopback; anything else exposes an
               UNAUTHENTICATED api — see docs/server.md)
-             [--cache-blocks=N] [--io-backend=...]
-             [--keys=FILE] [--slowlog=K] [--slo-budget-ms=MS]
-             [--slo-window-s=S]
+             [--cache-blocks=N] [--keys=FILE] [--slowlog=K]
+             [--slo-budget-ms=MS] [--slo-window-s=S]
                           (HTTP query server on 127.0.0.1; endpoints
                            /api/v1/data, /api/v1/query, /api/v1/cell,
                            /api/v1/debug/slow, /metrics, /healthz —
@@ -548,16 +546,11 @@ int CmdReconstruct(const FlagParser& flags, std::ostream& out,
   return 0;
 }
 
-/// Opens an SVDD model file as the disk layout (only such a file opens),
-/// with --io-backend when given.
+/// Opens an SVDD model file as the disk layout (only such a file opens).
 StatusOr<DiskBackedStore> OpenDiskLayout(const FlagParser& flags,
                                          std::size_t cache_blocks) {
   DiskBackedOptions options;
   options.cache_blocks = cache_blocks;
-  if (const std::string backend = flags.GetString("io-backend", "");
-      !backend.empty()) {
-    TSC_ASSIGN_OR_RETURN(options.io_backend, ParseIoBackendName(backend));
-  }
   return DiskBackedStore::Open(flags.GetString("model", ""), options);
 }
 
@@ -623,7 +616,7 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   // A few SQL aggregates served straight from the disk layout by the
   // model over it: sum and avg in the compressed domain (their
   // runs' ragged end rows read through the cache), max by a batched scan
-  // over the I/O engine under test.
+  // over the U rows read from the file.
   const QueryExecutor executor(&disk_model);
   const std::size_t last_row = disk_model.rows() - 1;
   const std::vector<std::string> sql = {
@@ -640,7 +633,6 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   out << "serving workload: " << queries << " cell queries ("
       << "zipf s=" << TablePrinter::Num(zipf_s) << "), " << sql.size()
       << " sql queries, cache=" << cache_blocks << " blocks\n";
-  out << "io backend:       " << store->io_backend_name() << "\n";
   // Serving footprint, broken down by component: U's rows in the file
   // (at their true, possibly quantized stride), the packed deltas, and the
   // in-memory V + eigenvalues. The delta index's two orientations are
@@ -709,8 +701,7 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     if (!opened.ok()) return Fail(err, opened.status());
     disk_store.emplace(std::move(*opened));
     store = &disk_store->model();
-    out << "serving from disk layout (" << disk_store->io_backend_name()
-        << " backend, " << cache_blocks << "-block cache)\n";
+    out << "serving from disk layout (" << cache_blocks << "-block cache)\n";
   } else {
     auto loaded = LoadModel(flags.GetString("model", ""));
     if (!loaded.ok()) return Fail(err, loaded.status());
@@ -848,12 +839,11 @@ const std::vector<Command> kCommands = {
     {"reconstruct", CmdReconstruct, {"model", "out", "rows"}},
     {"stats",
      CmdStats,
-     {"model", "queries", "cache-blocks", "zipf", "seed", "io-backend", "port",
-      "host"}},
+     {"model", "queries", "cache-blocks", "zipf", "seed", "port", "host"}},
     {"serve",
      CmdServe,
      {"model", "port", "bind", "max-concurrent", "queue", "timeout-ms",
-      "duration-s", "cache-blocks", "io-backend", "keys", "slowlog",
+      "duration-s", "cache-blocks", "keys", "slowlog",
       "slo-budget-ms", "slo-window-s"}},
     {"slowlog", CmdSlowlog, {"port", "host", "format"}},
 };

@@ -12,9 +12,7 @@ StatusOr<DiskBackedStore> DiskBackedStore::Open(
   const auto open_u_rows = [&](const RowImage& image) -> StatusOr<URowStore> {
     TSC_ASSIGN_OR_RETURN(
         RowStoreReader rows,
-        RowStoreReader::OpenImage(
-            model_path, image,
-            options.io_backend.value_or(DefaultIoBackendKind())));
+        RowStoreReader::OpenImage(model_path, image));
     URowStore u_rows;
     if (options.cache_blocks > 0) {
       u_rows.cached = std::make_shared<CachedRowReader>(std::move(rows),

@@ -2,14 +2,12 @@
 #define TSC_CORE_DISK_BACKED_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 
 #include "core/compressed_store.h"
 #include "core/svd_compressor.h"
 #include "core/svdd_compressor.h"
-#include "storage/io_backend.h"
 #include "util/status.h"
 
 namespace tsc {
@@ -19,9 +17,6 @@ struct DiskBackedOptions {
   /// > 0 routes U-row reads through a BlockCache buffer pool of that
   /// many blocks (the Appendix A skewed-workload serving mode).
   std::size_t cache_blocks = 0;
-  /// I/O engine for U's rows; defaults to the TSC_IO-resolved backend
-  /// (mmap where available).
-  std::optional<IoBackendKind> io_backend;
 };
 
 /// The paper's deployment layout made concrete: V and the eigenvalues
@@ -39,10 +34,10 @@ struct DiskBackedOptions {
 /// file's checksum, outside the serving counters. The store itself only
 /// adds the storage counters.
 ///
-/// Thread safety: concurrent reads of one store are safe under every
-/// I/O backend — the pread/mmap engines are positional (no shared
-/// cursor), the stream engine serializes internally, the block cache is
-/// sharded, and the access counters are atomic.
+/// Thread safety: concurrent reads of one store are safe — every U-row
+/// read is positional (no shared cursor), the block cache is sharded,
+/// and the access counters are atomic. A read that fails (a file cut
+/// short under the store) comes back as an IoError.
 class DiskBackedStore {
  public:
   /// Opens an SVDD model file in either layout (docs/file_formats.md).
@@ -69,8 +64,6 @@ class DiskBackedStore {
     return model_.TryReconstructCell(row, col);
   }
 
-  /// The I/O engine serving U's rows.
-  const char* io_backend_name() const { return u_file().backend_name(); }
   /// Coefficient encoding of U's rows in the file (kF64 for the f64
   /// layout). Quantized rows are consumed in place by the fused kernels —
   /// cached blocks stay encoded, so the same block budget covers 2-8x

@@ -189,11 +189,10 @@ class SvdModel final : public CompressedStore {
   };
   URowScratch NewURowScratch() const;
   /// Row i of U as k doubles into `*row`: u_'s own row in memory;
-  /// otherwise read from the row store (in place for an f64 row under
-  /// mmap, else into `scratch`) and, if quantized, decoded to the very
-  /// doubles an in-memory model holds, so both modes run the same f64
-  /// kernels and agree bit for bit. Inline, so the in-memory row costs no
-  /// call.
+  /// otherwise read from the row store into `scratch` and, if quantized,
+  /// decoded to the very doubles an in-memory model holds, so both modes
+  /// run the same f64 kernels and agree bit for bit. Inline, so the
+  /// in-memory row costs no call.
   Status URow(std::size_t i, URowScratch* scratch, const double** row) const {
     if (!u_on_disk()) {
       *row = u_.Row(i).data();

@@ -87,25 +87,15 @@ std::string SanitizeMetricName(const std::string& name) {
 }
 
 FamilySplit SplitFamily(const std::string& name) {
-  struct Rule {
-    std::string_view prefix;
-    std::string_view label;
-  };
-  // Suffix-is-a-dimension families. slo.* is special-cased below because
-  // the stat name sits between the prefix and the endpoint.
-  static constexpr Rule kRules[] = {
-      {"server.latency_us.", "endpoint"},
-      {"io.backend.", "backend"},
-  };
+  // server.latency_us.<endpoint> -> family server.latency_us, endpoint
+  // label.
+  constexpr std::string_view kLatency = "server.latency_us.";
   FamilySplit split;
-  for (const Rule& rule : kRules) {
-    if (name.size() > rule.prefix.size() &&
-        std::string_view(name).substr(0, rule.prefix.size()) == rule.prefix) {
-      split.family = name.substr(0, rule.prefix.size() - 1);
-      split.label_name = rule.label;
-      split.label_value = name.substr(rule.prefix.size());
-      return split;
-    }
+  if (name.size() > kLatency.size() && name.starts_with(kLatency)) {
+    split.family = name.substr(0, kLatency.size() - 1);
+    split.label_name = "endpoint";
+    split.label_value = name.substr(kLatency.size());
+    return split;
   }
   if (name.rfind("slo.", 0) == 0) {
     // slo.<stat>.<endpoint> -> family slo.<stat>, endpoint label.

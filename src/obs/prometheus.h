@@ -13,9 +13,9 @@ namespace tsc::obs {
 /// and log2 histograms are exported natively as cumulative `le` bucket
 /// series plus `_sum`/`_count` (so PromQL `histogram_quantile` works on
 /// them). Dotted suffixes that name a dimension rather than a metric —
-/// `server.latency_us.<endpoint>`, `slo.<stat>.<endpoint>`,
-/// `io.backend.<backend>` — fold into one family with a label, which is
-/// what makes per-endpoint dashboards a one-selector query.
+/// `server.latency_us.<endpoint>` and `slo.<stat>.<endpoint>` — fold into
+/// one family with a label, which is what makes per-endpoint dashboards
+/// a one-selector query.
 ///
 /// Serve with `Content-Type: text/plain; version=0.0.4`.
 std::string ToPrometheusText(const StatsSnapshot& snapshot);

@@ -38,8 +38,8 @@ constexpr std::size_t kQuantRowMetaBytes = 16;
 /// On-disk bytes of one row of `cols` coefficients: cols * 8 for kF64
 /// (the unchanged TSCROWS1 row), otherwise kQuantRowMetaBytes plus the
 /// codes padded up to a multiple of 8 — so with the 32-byte TSCROWQ1
-/// header every row (and its meta doubles) stays 8-byte aligned in an
-/// mmap view.
+/// header every row (and its meta doubles) starts 8-byte aligned in a
+/// buffer holding a run of rows.
 std::size_t QuantRowStride(QuantScheme scheme, std::size_t cols);
 
 /// Largest code magnitude of the integer schemes (127 / 32767); 0 for
@@ -52,7 +52,7 @@ struct QuantRowMeta {
   double offset = 0.0;
 };
 
-/// A quantized row as served from disk (or straight from the mmap view):
+/// A quantized row as served from disk:
 /// `data` points at the codes — doubles for kF64, floats for kF32,
 /// int16/int8 codes otherwise — and decode(i) = offset + scale * code[i]
 /// for the integer schemes.

@@ -16,7 +16,7 @@ constexpr std::uint64_t kHeaderBytes = 8 + 8 + 8;  // magic + rows + cols
 
 // The quantized container: magic + rows + cols + scheme + reserved pad.
 // 32 bytes, so with the 8-byte-padded row stride every row (and its
-// leading scale/offset doubles) stays 8-byte aligned in an mmap view.
+// leading scale/offset doubles) starts at a multiple of 8.
 constexpr char kMagicQ[8] = {'T', 'S', 'C', 'R', 'O', 'W', 'Q', '1'};
 constexpr std::uint64_t kHeaderBytesQ = 8 + 8 + 8 + 4 + 4;
 
@@ -135,13 +135,7 @@ Status RowStoreWriter::Close() {
 }
 
 StatusOr<RowStoreReader> RowStoreReader::Open(const std::string& path) {
-  return Open(path, DefaultIoBackendKind());
-}
-
-StatusOr<RowStoreReader> RowStoreReader::Open(const std::string& path,
-                                              IoBackendKind backend) {
-  TSC_ASSIGN_OR_RETURN(std::unique_ptr<IoBackend> io,
-                       IoBackend::Open(path, backend));
+  TSC_ASSIGN_OR_RETURN(std::unique_ptr<IoBackend> io, IoBackend::Open(path));
   if (io->size() < kHeaderBytes) {
     return Status::IoError("truncated header in " + path);
   }
@@ -183,13 +177,11 @@ StatusOr<RowStoreReader> RowStoreReader::Open(const std::string& path,
 }
 
 StatusOr<RowStoreReader> RowStoreReader::OpenImage(const std::string& path,
-                                                   const RowImage& image,
-                                                   IoBackendKind backend) {
+                                                   const RowImage& image) {
   TSC_ASSIGN_OR_RETURN(const std::uint64_t stride, ImageStride(path, image));
   const std::uint64_t payload = image.rows * stride;
-  TSC_ASSIGN_OR_RETURN(
-      std::unique_ptr<IoBackend> io,
-      IoBackend::OpenRange(path, backend, image.offset, payload));
+  TSC_ASSIGN_OR_RETURN(std::unique_ptr<IoBackend> io,
+                       IoBackend::OpenRange(path, image.offset, payload));
   if (io->size() < image.offset + payload) {
     return Status::IoError("row image runs past the end of " + path);
   }
@@ -212,58 +204,43 @@ Status RowStoreReader::ReadRow(std::size_t index, std::span<double> out) {
   if (index >= rows_) return Status::OutOfRange("row index out of range");
   if (out.size() != cols_) return Status::InvalidArgument("buffer size");
   if (scheme_ == QuantScheme::kF64) {
-    const std::uint64_t offset =
-        header_bytes_ +
-        static_cast<std::uint64_t>(index) * cols_ * sizeof(double);
-    const std::uint64_t length = cols_ * sizeof(double);
-    TSC_RETURN_IF_ERROR(io_->ReadAt(
-        offset, std::span<std::uint8_t>(
-                    reinterpret_cast<std::uint8_t*>(out.data()), length)));
-    CountRead(offset, length);
-    return Status::Ok();
+    return ReadStoredRows(
+        index, 1,
+        std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(out.data()),
+                                row_stride_));
   }
-  // Quantized: fetch the raw row (zero-copy under mmap) and decode.
-  std::vector<std::uint8_t> buf(InPlace(header_bytes_) ? 0 : row_stride_);
+  // Quantized: fetch the raw row and decode.
+  std::vector<std::uint8_t> buf(row_stride_);
   TSC_ASSIGN_OR_RETURN(const QuantRowView view, ReadQuantRow(index, buf));
   DecodeQuantRow(view, out);
   return Status::Ok();
 }
 
-StatusOr<std::span<const double>> RowStoreReader::ReadRowView(
-    std::size_t index, std::span<double> scratch) {
-  if (index >= rows_) return Status::OutOfRange("row index out of range");
-  if (scratch.size() != cols_) return Status::InvalidArgument("buffer size");
-  const std::uint64_t offset =
-      header_bytes_ + static_cast<std::uint64_t>(index) * row_stride_;
-  if (const std::uint8_t* row = InPlace(offset);
-      row != nullptr && scheme_ == QuantScheme::kF64) {
-    CountRead(offset, row_stride_);
-    // InPlace only maps an 8-byte aligned payload, so the row is safe to
-    // view as doubles.
-    return std::span<const double>(reinterpret_cast<const double*>(row),
-                                   cols_);
-  }
-  TSC_RETURN_IF_ERROR(ReadRow(index, scratch));
-  return std::span<const double>(scratch.data(), scratch.size());
-}
-
 StatusOr<QuantRowView> RowStoreReader::ReadQuantRow(
     std::size_t index, std::span<std::uint8_t> scratch) {
   if (index >= rows_) return Status::OutOfRange("row index out of range");
-  const std::uint64_t offset =
-      header_bytes_ + static_cast<std::uint64_t>(index) * row_stride_;
-  if (const std::uint8_t* row = InPlace(offset)) {
-    CountRead(offset, row_stride_);
-    // The payload offset (InPlace) and the stride are both 8-byte
-    // multiples, so the meta doubles (and f64 coefficients) are aligned.
-    return StoredRowView(scheme_, row, cols_);
-  }
   if (scratch.size() < row_stride_) {
     return Status::InvalidArgument("scratch smaller than row stride");
   }
-  TSC_RETURN_IF_ERROR(io_->ReadAt(offset, scratch.subspan(0, row_stride_)));
-  CountRead(offset, row_stride_);
+  TSC_RETURN_IF_ERROR(
+      ReadStoredRows(index, 1, scratch.subspan(0, row_stride_)));
   return StoredRowView(scheme_, scratch.data(), cols_);
+}
+
+Status RowStoreReader::ReadStoredRows(std::size_t first, std::size_t count,
+                                      std::span<std::uint8_t> out) {
+  if (first > rows_ || count > rows_ - first) {
+    return Status::OutOfRange("row range out of range");
+  }
+  if (out.size() != count * row_stride_) {
+    return Status::InvalidArgument("buffer size");
+  }
+  if (count == 0) return Status::Ok();
+  const std::uint64_t offset =
+      header_bytes_ + static_cast<std::uint64_t>(first) * row_stride_;
+  TSC_RETURN_IF_ERROR(io_->ReadAt(offset, out));
+  CountRead(offset, out.size());
+  return Status::Ok();
 }
 
 StatusOr<double> RowStoreReader::ReadCell(std::size_t row, std::size_t col) {
@@ -279,11 +256,7 @@ StatusOr<double> RowStoreReader::ReadCell(std::size_t row, std::size_t col) {
           ? row_offset + col * sizeof(double)
           : row_offset + kQuantRowMetaBytes + col * elem_bytes;
   double value = 0.0;
-  if (const std::uint8_t* mapped_row = InPlace(row_offset)) {
-    // The backend's cached path: the page cache already holds (or will
-    // fault in) the block; no read syscall is issued.
-    value = DecodeQuantValue(StoredRowView(scheme_, mapped_row, cols_), col);
-  } else if (scheme_ == QuantScheme::kF64) {
+  if (scheme_ == QuantScheme::kF64) {
     TSC_RETURN_IF_ERROR(io_->ReadAt(
         elem_offset,
         std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(&value),
@@ -325,24 +298,21 @@ Status RowStoreReader::ReadBlock(std::uint64_t block_id,
 
 StatusOr<Matrix> RowStoreReader::ReadAll() {
   Matrix m(rows_, cols_);
-  if (payload_bytes_ == 0) return m;
   if (scheme_ == QuantScheme::kF64) {
     // One bulk read of the whole payload: rows*cols doubles are
     // contiguous on disk exactly as they are in the Matrix, and the
     // access counter sees one payload-sized sequential read instead of
     // `rows` seeks.
-    TSC_RETURN_IF_ERROR(io_->ReadAt(
-        header_bytes_,
+    TSC_RETURN_IF_ERROR(ReadStoredRows(
+        0, rows_,
         std::span<std::uint8_t>(
             reinterpret_cast<std::uint8_t*>(m.data().data()),
             payload_bytes_)));
-    CountRead(header_bytes_, payload_bytes_);
     return m;
   }
   // Quantized: same single payload-sized read, decoded row by row.
   std::vector<std::uint8_t> payload(payload_bytes_);
-  TSC_RETURN_IF_ERROR(io_->ReadAt(header_bytes_, payload));
-  CountRead(header_bytes_, payload_bytes_);
+  TSC_RETURN_IF_ERROR(ReadStoredRows(0, rows_, payload));
   for (std::size_t i = 0; i < rows_; ++i) {
     DecodeQuantRow(
         StoredRowView(scheme_, payload.data() + i * row_stride_, cols_),
@@ -361,7 +331,22 @@ Status WriteMatrixFile(const std::string& path, const Matrix& m,
 
 StatusOr<bool> FileRowSource::NextRow(std::span<double> out) {
   if (next_row_ >= reader_.rows()) return false;
-  TSC_RETURN_IF_ERROR(reader_.ReadRow(next_row_, out));
+  if (out.size() != reader_.cols()) {
+    return Status::InvalidArgument("buffer size");
+  }
+  const std::size_t stride = reader_.row_stride_bytes();
+  if (next_row_ == chunk_end_) {
+    const std::size_t count =
+        std::min(std::max<std::size_t>(1, kChunkBytes / stride),
+                 reader_.rows() - next_row_);
+    chunk_.resize(count * stride);
+    TSC_RETURN_IF_ERROR(reader_.ReadStoredRows(next_row_, count, chunk_));
+    chunk_begin_ = next_row_;
+    chunk_end_ = next_row_ + count;
+  }
+  const std::uint8_t* row =
+      chunk_.data() + (next_row_ - chunk_begin_) * stride;
+  DecodeQuantRow(StoredRowView(reader_.scheme(), row, reader_.cols()), out);
   ++next_row_;
   return true;
 }

@@ -22,11 +22,8 @@ namespace tsc {
 /// library demonstrates the paper's headline property that one cell
 /// reconstruction costs ~1 disk access.
 ///
-/// The counts are relaxed atomics so concurrent readers (the pread/mmap
-/// backends allow them) account without racing. Note that mmap serves
-/// rows without an explicit read syscall; the counter still records the
-/// blocks each access logically touches, which keeps the paper's
-/// 1-access-per-cell accounting meaningful across backends.
+/// The counts are relaxed atomics so concurrent readers account without
+/// racing.
 class DiskAccessCounter {
  public:
   explicit DiskAccessCounter(std::size_t block_size = kDefaultBlockSize)
@@ -126,27 +123,19 @@ struct RowImage {
 /// file, or to a row image inside a larger file, with every read
 /// accounted against a DiskAccessCounter.
 ///
-/// All reads go through a pluggable IoBackend (storage/io_backend.h).
-/// Under the pread and mmap backends concurrent ReadRow/ReadCell/
-/// ReadBlock calls on one reader are safe and do not serialize: there is
-/// no shared seek cursor. The stream backend stays correct under threads
-/// but serializes on an internal mutex.
+/// Every read is a positional read through an IoBackend
+/// (storage/io_backend.h), so concurrent ReadRow/ReadCell/ReadBlock calls
+/// on one reader are safe and do not serialize: there is no shared seek
+/// cursor.
 class RowStoreReader {
  public:
-  /// Opens `path` with the TSC_IO-resolved default backend and validates
-  /// the header, including that the physical file size matches
-  /// header + rows * row-stride exactly.
+  /// Opens `path` and validates the header, including that the physical
+  /// file size matches header + rows * row-stride exactly.
   static StatusOr<RowStoreReader> Open(const std::string& path);
-  /// Same, with an explicit I/O backend.
-  static StatusOr<RowStoreReader> Open(const std::string& path,
-                                       IoBackendKind backend);
   /// Opens the rows of `image` inside `path`; the rest of the file is
-  /// never read. The image must fit inside the file. Rows are viewed in
-  /// place under mmap only when image.offset is 8-byte aligned; an
-  /// unaligned image is copied row by row into the caller's scratch.
+  /// never read. The image must fit inside the file.
   static StatusOr<RowStoreReader> OpenImage(const std::string& path,
-                                            const RowImage& image,
-                                            IoBackendKind backend);
+                                            const RowImage& image);
 
   RowStoreReader(RowStoreReader&&) = default;
   RowStoreReader& operator=(RowStoreReader&&) = default;
@@ -168,39 +157,27 @@ class RowStoreReader {
   /// schemes, cols * 8 for f64).
   std::size_t row_stride_bytes() const { return row_stride_; }
 
-  /// The engine serving this reader.
-  IoBackendKind backend_kind() const { return io_->kind(); }
-  const char* backend_name() const { return io_->name(); }
-  const IoBackend& io() const { return *io_; }
-
   /// Reads row `index` into `out` (size cols()), decoding quantized
   /// rows; one random access.
   Status ReadRow(std::size_t index, std::span<double> out);
 
-  /// Zero-copy row access for f64 files: under the mmap backend the
-  /// returned span points straight into the mapping (nothing is copied;
-  /// `scratch` is untouched); otherwise the row lands in `scratch` (size
-  /// cols()) — quantized files always decode into `scratch`. The access
-  /// is accounted exactly like ReadRow. Quantized serving paths that
-  /// want the codes themselves use ReadQuantRow instead.
-  StatusOr<std::span<const double>> ReadRowView(std::size_t index,
-                                                std::span<double> scratch);
-
-  /// The quantized row as stored: under mmap `view.data` points straight
-  /// into the mapping (zero-copy, codes and all); otherwise the raw row
-  /// bytes are read into `scratch` (size >= row_stride_bytes()) and the
-  /// view points there. For f64 files the view's data is the row of
-  /// doubles with identity meta. One random access, accounted like
-  /// ReadRow; the fused kernels (storage/quant.h) consume the view in
-  /// place.
+  /// The quantized row as stored: the raw row bytes are read into
+  /// `scratch` (size >= row_stride_bytes(), 8-byte aligned) and the view
+  /// points there. For f64 files the view's data is the row of doubles
+  /// with identity meta. One random access, accounted like ReadRow.
   StatusOr<QuantRowView> ReadQuantRow(std::size_t index,
                                       std::span<std::uint8_t> scratch);
 
+  /// Reads rows [first, first + count) as stored, one row per
+  /// row_stride_bytes() of `out` (exactly that many bytes), with one
+  /// positional read accounted as one contiguous range.
+  Status ReadStoredRows(std::size_t first, std::size_t count,
+                        std::span<std::uint8_t> out);
+
   /// Reads the single cell (row, col) — still accounted as a whole-block
-  /// access, exactly like a real disk would behave. Served through the
-  /// backend's cached path: straight from the mapping under mmap, and by
-  /// a positional read of only the needed bytes (row meta + one code)
-  /// otherwise. Counted in io.cell_reads.
+  /// access, exactly like a real disk would behave — by a positional read
+  /// of only the needed bytes (row meta + one code). Counted in
+  /// io.cell_reads.
   StatusOr<double> ReadCell(std::size_t row, std::size_t col);
 
   /// Loads the full matrix with one bulk payload read (small files,
@@ -227,13 +204,6 @@ class RowStoreReader {
   void CountRead(std::uint64_t offset, std::uint64_t length) {
     counter_.RecordRead(offset - block_origin_, length);
   }
-  /// Where file byte `offset` of a row is mapped, when rows are read in
-  /// place: under mmap, with an 8-byte aligned payload. Null otherwise.
-  const std::uint8_t* InPlace(std::uint64_t offset) const {
-    const std::span<const std::uint8_t> mapped = io_->Mapped();
-    if (mapped.empty() || header_bytes_ % alignof(double) != 0) return nullptr;
-    return mapped.data() + (offset - io_->range_offset());
-  }
 
   std::unique_ptr<IoBackend> io_;
   std::size_t rows_ = 0;
@@ -250,15 +220,14 @@ class RowStoreReader {
 Status WriteMatrixFile(const std::string& path, const Matrix& m,
                        QuantScheme scheme = QuantScheme::kF64);
 
-/// RowSource streaming a "TSCROWS1" file front to back with a bounded
-/// buffer: the multi-pass build path for datasets that do not fit in
-/// memory. Reads are accounted in the shared reader's counter.
+/// RowSource streaming a "TSCROWS1" / "TSCROWQ1" file front to back
+/// through one 1 MiB buffer: the multi-pass build path for datasets
+/// that do not fit in memory. Each chunk is one positional read of whole
+/// rows (ReadStoredRows), accounted in the reader's counter.
 class FileRowSource final : public RowSource {
  public:
   explicit FileRowSource(RowStoreReader reader)
-      : reader_(std::move(reader)) {
-    reader_.io().AdviseSequential();
-  }
+      : reader_(std::move(reader)) {}
 
   std::size_t rows() const override { return reader_.rows(); }
   std::size_t cols() const override { return reader_.cols(); }
@@ -270,12 +239,19 @@ class FileRowSource final : public RowSource {
  protected:
   Status ResetImpl() override {
     next_row_ = 0;
+    chunk_begin_ = chunk_end_ = 0;
     return Status::Ok();
   }
 
  private:
+  /// Bytes per read; a row wider than this is read one row at a time.
+  static constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+
   RowStoreReader reader_;
   std::size_t next_row_ = 0;
+  std::vector<std::uint8_t> chunk_;  ///< rows [chunk_begin_, chunk_end_)
+  std::size_t chunk_begin_ = 0;
+  std::size_t chunk_end_ = 0;
 };
 
 }  // namespace tsc

@@ -492,6 +492,21 @@ TEST(CliTest, UnknownFlagsAreRejectedPerCommand) {
                                 "--quant=int8", "--max-candidates=4",
                                 "--metrics-out=" + TempPath("flags.json")});
   EXPECT_EQ(ok.exit_code, 0) << ok.err;
+
+  // The retired I/O engine choice, on a model that opens.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"serve", "--model=" + model, "--port=0",
+                                 "--duration-s=1", "--cache-blocks=8",
+                                 "--io-backend=mmap"},
+        std::vector<std::string>{"stats", "--model=" + model, "--queries=10",
+                                 "--io-backend=pread"}}) {
+    SCOPED_TRACE(args.back());
+    const CliResult result = RunTool(args);
+    EXPECT_EQ(result.exit_code, 1);
+    EXPECT_NE(result.err.find("unknown flag --io-backend for " + args[0]),
+              std::string::npos)
+        << result.err;
+  }
 }
 
 TEST(CliTest, InfoRejectsGarbageFile) {

@@ -220,20 +220,6 @@ TEST_F(DiskBackedTest, BatchedRegionMatchesModel) {
   }
 }
 
-TEST_F(DiskBackedTest, ExplicitBackendsAgree) {
-  for (const IoBackendKind kind :
-       {IoBackendKind::kStream, IoBackendKind::kPread, IoBackendKind::kMmap}) {
-    DiskBackedOptions options;
-    options.io_backend = kind;
-    auto store = DiskBackedStore::Open(model_path_, options);
-    ASSERT_TRUE(store.ok()) << IoBackendName(kind);
-    EXPECT_STREQ(store->io_backend_name(), IoBackendName(kind));
-    const auto value = store->ReconstructCell(42, 7);
-    ASSERT_TRUE(value.ok());
-    EXPECT_NEAR(*value, model_.ReconstructCell(42, 7), 1e-12);
-  }
-}
-
 TEST_F(DiskBackedTest, ViewDelegatesWithPrefetchHook) {
   DiskBackedOptions options;
   options.cache_blocks = 64;

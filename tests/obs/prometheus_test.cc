@@ -96,11 +96,6 @@ TEST(PrometheusTest, NameSanitizationAndFamilySplitting) {
   EXPECT_EQ(split.label_name, "endpoint");
   EXPECT_EQ(split.label_value, "query");
 
-  split = SplitFamily("io.backend.mmap");
-  EXPECT_EQ(split.family, "io.backend");
-  EXPECT_EQ(split.label_name, "backend");
-  EXPECT_EQ(split.label_value, "mmap");
-
   split = SplitFamily("slo.p99_us.data");
   EXPECT_EQ(split.family, "slo.p99_us");
   EXPECT_EQ(split.label_name, "endpoint");
@@ -191,9 +186,9 @@ TEST(PrometheusTest, HistogramsEmitCumulativeBuckets) {
 
 TEST(PrometheusTest, LabelValuesAreEscaped) {
   MetricRegistry registry;
-  registry.GetGauge("io.backend.we\"ird").Set(1.0);
+  registry.GetGauge("server.latency_us.we\"ird").Set(1.0);
   const std::string text = ToPrometheusText(TakeSnapshot(registry));
-  EXPECT_NE(text.find("backend=\"we\\\"ird\""), std::string::npos) << text;
+  EXPECT_NE(text.find("endpoint=\"we\\\"ird\""), std::string::npos) << text;
 }
 
 TEST(PrometheusTest, EmptySnapshotSerializesToEmptyText) {

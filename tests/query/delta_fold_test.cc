@@ -267,34 +267,28 @@ TEST_P(DeltaFoldTest, FoldsMatchOracleAfterFoldIn) {
 
 TEST_P(DeltaFoldTest, DeltaCellsAreExactOnDisk) {
   // The paper's contract on the disk layout: every delta cell read from
-  // the model file, under every cache size and backend, is the in-memory
+  // the model file, under every cache size, is the in-memory
   // cell bit for bit, and that is the raw cell up to the rounding of
   // base + (x - base) (about one cell in ten is an ulp off, in memory as
   // on disk).
   const std::string path = TempPath(CaseName(GetParam()) + "_exact.model");
   ASSERT_TRUE(model_.SaveToFile(path).ok());
-  for (const IoBackendKind backend :
-       {IoBackendKind::kPread, IoBackendKind::kMmap}) {
-    for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{5}}) {
-      SCOPED_TRACE(std::string(IoBackendName(backend)) + " cache " +
-                   std::to_string(cache_blocks));
-      DiskBackedOptions options;
-      options.io_backend = backend;
-      options.cache_blocks = cache_blocks;
-      auto store = DiskBackedStore::Open(path, options);
-      ASSERT_TRUE(store.ok()) << store.status().ToString();
-      std::size_t cells = 0;
-      model_.deltas()->ForEach([&](std::size_t i, std::size_t j, double) {
-        const StatusOr<double> disk = store->ReconstructCell(i, j);
-        ASSERT_TRUE(disk.ok());
-        EXPECT_EQ(*disk, model_.ReconstructCell(i, j)) << i << "," << j;
-        EXPECT_NEAR(*disk, data_(i, j),
-                    1e-13 * (1.0 + std::abs(data_(i, j))))
-            << i << "," << j;
-        ++cells;
-      });
-      EXPECT_EQ(cells, model_.delta_count());
-    }
+  for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{5}}) {
+    SCOPED_TRACE("cache " + std::to_string(cache_blocks));
+    DiskBackedOptions options;
+    options.cache_blocks = cache_blocks;
+    auto store = DiskBackedStore::Open(path, options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    std::size_t cells = 0;
+    model_.deltas()->ForEach([&](std::size_t i, std::size_t j, double) {
+      const StatusOr<double> disk = store->ReconstructCell(i, j);
+      ASSERT_TRUE(disk.ok());
+      EXPECT_EQ(*disk, model_.ReconstructCell(i, j)) << i << "," << j;
+      EXPECT_NEAR(*disk, data_(i, j), 1e-13 * (1.0 + std::abs(data_(i, j))))
+          << i << "," << j;
+      ++cells;
+    });
+    EXPECT_EQ(cells, model_.delta_count());
   }
 }
 

@@ -4,7 +4,7 @@
 // The file stores U as the rows the model decodes to (f64 rows, or the
 // quantized rows' own codes and meta), so every linear aggregate, SQL or
 // data API, must be byte-identical to the in-memory executor's, for
-// every U encoding, cache size, I/O backend and thread count. A
+// every U encoding, cache size and thread count. A
 // failed U-row read on that path must come back as a Status, never a
 // number.
 #include <filesystem>
@@ -152,41 +152,36 @@ TEST_P(DiskParityTest, LinearAggregatesMatchTheInMemoryModelByteForByte) {
     want_data.push_back(DataBody(memory, params));
   }
 
-  for (const IoBackendKind backend :
-       {IoBackendKind::kMmap, IoBackendKind::kPread}) {
-    for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{3}}) {
-      DiskBackedOptions options;
-      options.io_backend = backend;
-      options.cache_blocks = cache_blocks;
-      obs::Counter& io_bytes =
-          obs::MetricRegistry::Default().GetCounter("io.bytes_read");
-      const std::uint64_t io_bytes_before = io_bytes.Value();
-      auto store = DiskBackedStore::Open(path, options);
-      ASSERT_TRUE(store.ok()) << store.status().ToString();
-      // Open's pass over the model file is not a serving read: no disk
-      // access, cache traffic or io.* bytes.
-      EXPECT_EQ(store->disk_accesses(), 0u);
-      EXPECT_EQ(store->cache_hits(), 0u);
-      EXPECT_EQ(io_bytes.Value() - io_bytes_before, 0u);
-      const DiskBackedStoreView view(&*store);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        const QueryExecutor disk(&view, threads);
-        ASSERT_NE(disk.rollup(), nullptr);
-        const std::string where = std::string(IoBackendName(backend)) +
-                                  " cache=" + std::to_string(cache_blocks) +
-                                  " threads=" + std::to_string(threads);
-        for (std::size_t q = 0; q < sql.size(); ++q) {
-          auto result = disk.Execute(sql[q]);
-          ASSERT_TRUE(result.ok()) << sql[q] << ": "
-                                   << result.status().ToString();
-          EXPECT_EQ(result->rows_reconstructed, 0u) << sql[q];
-          EXPECT_EQ(SqlBody(*result), want_sql[q]) << where << " " << sql[q];
-        }
-        for (std::size_t d = 0; d < data_params.size(); ++d) {
-          EXPECT_EQ(DataBody(disk, data_params[d]), want_data[d])
-              << where << " data group=" << data_params[d].at("group")
-              << " rows=" << data_params[d].at("rows");
-        }
+  for (const std::size_t cache_blocks : {std::size_t{0}, std::size_t{3}}) {
+    DiskBackedOptions options;
+    options.cache_blocks = cache_blocks;
+    obs::Counter& io_bytes =
+        obs::MetricRegistry::Default().GetCounter("io.bytes_read");
+    const std::uint64_t io_bytes_before = io_bytes.Value();
+    auto store = DiskBackedStore::Open(path, options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    // Open's pass over the model file is not a serving read: no disk
+    // access, cache traffic or io.* bytes.
+    EXPECT_EQ(store->disk_accesses(), 0u);
+    EXPECT_EQ(store->cache_hits(), 0u);
+    EXPECT_EQ(io_bytes.Value() - io_bytes_before, 0u);
+    const DiskBackedStoreView view(&*store);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      const QueryExecutor disk(&view, threads);
+      ASSERT_NE(disk.rollup(), nullptr);
+      const std::string where = "cache=" + std::to_string(cache_blocks) +
+                                " threads=" + std::to_string(threads);
+      for (std::size_t q = 0; q < sql.size(); ++q) {
+        auto result = disk.Execute(sql[q]);
+        ASSERT_TRUE(result.ok()) << sql[q] << ": "
+                                 << result.status().ToString();
+        EXPECT_EQ(result->rows_reconstructed, 0u) << sql[q];
+        EXPECT_EQ(SqlBody(*result), want_sql[q]) << where << " " << sql[q];
+      }
+      for (std::size_t d = 0; d < data_params.size(); ++d) {
+        EXPECT_EQ(DataBody(disk, data_params[d]), want_data[d])
+            << where << " data group=" << data_params[d].at("group")
+            << " rows=" << data_params[d].at("rows");
       }
     }
   }
@@ -202,8 +197,8 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return std::string(info.param.name); });
 
 /// A model file cut short after Open: the compressed path's ragged end rows
-/// can no longer be read, and every linear aggregate that needs them must
-/// fail with a Status under both cache settings.
+/// can no longer be read, and every linear aggregate that needs them, and
+/// every cell and row, must fail with a Status under both cache settings.
 TEST(DiskReadErrorTest, TruncatedUFileFailsTheCompressedPathWithAStatus) {
   PhoneDatasetConfig config;
   config.num_customers = 300;
@@ -215,7 +210,6 @@ TEST(DiskReadErrorTest, TruncatedUFileFailsTheCompressedPathWithAStatus) {
                              std::to_string(cache_blocks) + ".model";
     ASSERT_TRUE(model.SaveToFile(path).ok());
     DiskBackedOptions options;
-    options.io_backend = IoBackendKind::kPread;
     options.cache_blocks = cache_blocks;
     auto store = DiskBackedStore::Open(path, options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -243,9 +237,14 @@ TEST(DiskReadErrorTest, TruncatedUFileFailsTheCompressedPathWithAStatus) {
             << params.at("group") << " cache=" << cache_blocks;
       }
     }
-    EXPECT_FALSE(served.TryReconstructCell(5, 0).ok());
-    std::vector<double> row(served.cols());
-    EXPECT_FALSE(served.TryReconstructRow(5, row).ok());
+    for (const std::size_t r : {std::size_t{5}, std::size_t{7}}) {
+      EXPECT_EQ(store->ReconstructCell(r, 1).status().code(),
+                StatusCode::kIoError)
+          << "cache=" << cache_blocks << " row " << r;
+      std::vector<double> row(served.cols());
+      EXPECT_EQ(served.TryReconstructRow(r, row).code(), StatusCode::kIoError)
+          << "cache=" << cache_blocks << " row " << r;
+    }
     std::filesystem::remove(path);
   }
 }

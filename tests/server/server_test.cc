@@ -406,7 +406,6 @@ TEST_F(ServerTest, DiskReadErrorsOnTheCompressedPathAreHttp500) {
                              std::to_string(cache_blocks) + ".model";
     ASSERT_TRUE(model_->SaveToFile(path).ok());
     DiskBackedOptions disk_options;
-    disk_options.io_backend = IoBackendKind::kPread;
     disk_options.cache_blocks = cache_blocks;
     auto store = DiskBackedStore::Open(path, disk_options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();

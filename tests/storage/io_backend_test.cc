@@ -4,11 +4,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include "storage/cached_row_reader.h"
 #include "storage/row_store.h"
@@ -18,10 +18,7 @@ namespace tsc {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  // Per-process suffix: the io_parity_scalar_env re-run executes this
-  // binary while ctest -j runs the discovered tests in their own
-  // processes — fixed names would have them truncating each other.
-  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
+  return ::testing::TempDir() + "/" + name;
 }
 
 Matrix RandomMatrix(std::size_t n, std::size_t m, std::uint64_t seed) {
@@ -31,113 +28,71 @@ Matrix RandomMatrix(std::size_t n, std::size_t m, std::uint64_t seed) {
   return x;
 }
 
-std::vector<IoBackendKind> AllBackends() {
-  return {IoBackendKind::kStream, IoBackendKind::kPread, IoBackendKind::kMmap};
-}
-
-TEST(IoBackendResolveTest, DefaultsToMmapWhenAvailable) {
-  EXPECT_EQ(ResolveIoBackend(nullptr), IoBackendKind::kMmap);
-  EXPECT_EQ(ResolveIoBackend(""), IoBackendKind::kMmap);
-}
-
-TEST(IoBackendResolveTest, EnvOverridesRespected) {
-  EXPECT_EQ(ResolveIoBackend("stream"), IoBackendKind::kStream);
-  EXPECT_EQ(ResolveIoBackend("pread"), IoBackendKind::kPread);
-  EXPECT_EQ(ResolveIoBackend("mmap"), IoBackendKind::kMmap);
-}
-
-TEST(IoBackendResolveTest, UnknownValuesPickTheDefault) {
-  EXPECT_EQ(ResolveIoBackend("uring"), IoBackendKind::kMmap);
-  EXPECT_EQ(ResolveIoBackend("MMAP"), IoBackendKind::kMmap);
-}
-
-TEST(IoBackendResolveTest, ParseNames) {
-  ASSERT_TRUE(ParseIoBackendName("stream").ok());
-  EXPECT_EQ(*ParseIoBackendName("stream"), IoBackendKind::kStream);
-  EXPECT_EQ(*ParseIoBackendName("pread"), IoBackendKind::kPread);
-  EXPECT_EQ(*ParseIoBackendName("mmap"), IoBackendKind::kMmap);
-  EXPECT_FALSE(ParseIoBackendName("uring").ok());
-  EXPECT_FALSE(ParseIoBackendName("").ok());
-}
-
-TEST(IoBackendResolveTest, NamesRoundTrip) {
-  for (const IoBackendKind kind : AllBackends()) {
-    const auto parsed = ParseIoBackendName(IoBackendName(kind));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, kind);
-  }
-}
-
 TEST(IoBackendTest, ReadAtRangeChecked) {
   const Matrix x = RandomMatrix(4, 3, 7);
   const std::string path = TempPath("range.mat");
   ASSERT_TRUE(WriteMatrixFile(path, x).ok());
-  for (const IoBackendKind kind : AllBackends()) {
-    auto io = IoBackend::Open(path, kind);
-    ASSERT_TRUE(io.ok()) << IoBackendName(kind);
-    std::vector<std::uint8_t> buf(16);
-    EXPECT_TRUE((*io)->ReadAt(0, buf).ok());
-    EXPECT_FALSE((*io)->ReadAt((*io)->size() - 8, buf).ok())
-        << IoBackendName(kind) << " must reject past-EOF ranges";
-    std::vector<std::uint8_t> empty;
-    EXPECT_TRUE((*io)->ReadAt((*io)->size(), empty).ok());
-  }
+  auto io = IoBackend::Open(path);
+  ASSERT_TRUE(io.ok());
+  std::vector<std::uint8_t> buf(16);
+  EXPECT_TRUE((*io)->ReadAt(0, buf).ok());
+  EXPECT_FALSE((*io)->ReadAt((*io)->size() - 8, buf).ok())
+      << "past-EOF ranges must be rejected";
+  std::vector<std::uint8_t> empty;
+  EXPECT_TRUE((*io)->ReadAt((*io)->size(), empty).ok());
 }
 
-// The tentpole parity guarantee: every backend returns bit-identical
-// bytes for every read shape the row store exposes.
+// Every read shape the row store exposes returns the bytes written.
 TEST(IoBackendParityTest, RowsCellsBlocksAndBulkAgree) {
   const Matrix x = RandomMatrix(37, 19, 11);
   const std::string path = TempPath("parity.mat");
   ASSERT_TRUE(WriteMatrixFile(path, x).ok());
-  for (const IoBackendKind kind : AllBackends()) {
-    SCOPED_TRACE(IoBackendName(kind));
-    auto reader = RowStoreReader::Open(path, kind);
-    ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader->backend_kind(), kind);
+  auto reader = RowStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok());
 
-    std::vector<double> row(reader->cols());
-    for (const std::size_t i : {0u, 17u, 36u}) {
-      ASSERT_TRUE(reader->ReadRow(i, row).ok());
-      for (std::size_t j = 0; j < reader->cols(); ++j) {
-        EXPECT_EQ(row[j], x(i, j));  // bitwise, not approximate
-      }
+  std::vector<double> row(reader->cols());
+  for (const std::size_t i : {0u, 17u, 36u}) {
+    ASSERT_TRUE(reader->ReadRow(i, row).ok());
+    for (std::size_t j = 0; j < reader->cols(); ++j) {
+      EXPECT_EQ(row[j], x(i, j));  // bitwise, not approximate
     }
-    const auto cell = reader->ReadCell(23, 7);
-    ASSERT_TRUE(cell.ok());
-    EXPECT_EQ(*cell, x(23, 7));
-
-    const auto all = reader->ReadAll();
-    ASSERT_TRUE(all.ok());
-    EXPECT_EQ(*all, x);
-
-    BlockCache::Block block(reader->counter().block_size());
-    ASSERT_TRUE(reader->ReadBlock(0, block).ok());
-    // Block 0 starts with the file header.
-    EXPECT_EQ(std::memcmp(block.data(), "TSCROWS1", 8), 0);
   }
+  const auto cell = reader->ReadCell(23, 7);
+  ASSERT_TRUE(cell.ok());
+  EXPECT_EQ(*cell, x(23, 7));
+
+  const auto all = reader->ReadAll();
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(*all, x);
+
+  BlockCache::Block block(reader->counter().block_size());
+  ASSERT_TRUE(reader->ReadBlock(0, block).ok());
+  // Block 0 starts with the file header.
+  EXPECT_EQ(std::memcmp(block.data(), "TSCROWS1", 8), 0);
 }
 
-TEST(IoBackendParityTest, BlocksBitIdenticalAcrossBackends) {
+TEST(IoBackendParityTest, BlocksMatchTheFileBytes) {
   const Matrix x = RandomMatrix(64, 33, 13);
   const std::string path = TempPath("parity_blocks.mat");
   ASSERT_TRUE(WriteMatrixFile(path, x).ok());
-  auto reference = RowStoreReader::Open(path, IoBackendKind::kStream);
-  ASSERT_TRUE(reference.ok());
-  const std::size_t block_size = reference->counter().block_size();
-  const std::uint64_t blocks =
-      (reference->file_bytes() + block_size - 1) / block_size;
-  for (const IoBackendKind kind : AllBackends()) {
-    SCOPED_TRACE(IoBackendName(kind));
-    auto reader = RowStoreReader::Open(path, kind);
-    ASSERT_TRUE(reader.ok());
-    BlockCache::Block want(block_size);
-    BlockCache::Block got(block_size);
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      ASSERT_TRUE(reference->ReadBlock(b, want).ok());
-      ASSERT_TRUE(reader->ReadBlock(b, got).ok());
-      EXPECT_EQ(want, got) << "block " << b;
-    }
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> bytes(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  auto reader = RowStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  const std::size_t block_size = reader->counter().block_size();
+  const std::uint64_t blocks = (bytes.size() + block_size - 1) / block_size;
+  ASSERT_GT(blocks, 1u);
+  BlockCache::Block got(block_size);
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    ASSERT_TRUE(reader->ReadBlock(b, got).ok());
+    // The last block is zero-padded past the end of the file.
+    BlockCache::Block want(block_size, 0);
+    const std::size_t from = b * block_size;
+    std::copy(bytes.begin() + from,
+              bytes.begin() + std::min(bytes.size(), from + block_size),
+              want.begin());
+    EXPECT_EQ(want, got) << "block " << b;
   }
 }
 
@@ -146,18 +101,15 @@ TEST(IoBackendParityTest, ZeroRowFile) {
   auto writer = RowStoreWriter::Create(path, 5);
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE(writer->Close().ok());
-  for (const IoBackendKind kind : AllBackends()) {
-    SCOPED_TRACE(IoBackendName(kind));
-    auto reader = RowStoreReader::Open(path, kind);
-    ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader->rows(), 0u);
-    EXPECT_EQ(reader->cols(), 5u);
-    const auto all = reader->ReadAll();
-    ASSERT_TRUE(all.ok());
-    EXPECT_EQ(all->rows(), 0u);
-    std::vector<double> row(5);
-    EXPECT_FALSE(reader->ReadRow(0, row).ok());
-  }
+  auto reader = RowStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader->rows(), 0u);
+  EXPECT_EQ(reader->cols(), 5u);
+  const auto all = reader->ReadAll();
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->rows(), 0u);
+  std::vector<double> row(5);
+  EXPECT_FALSE(reader->ReadRow(0, row).ok());
 }
 
 TEST(IoBackendParityTest, TruncatedFileFailsAtOpen) {
@@ -166,14 +118,11 @@ TEST(IoBackendParityTest, TruncatedFileFailsAtOpen) {
   ASSERT_TRUE(WriteMatrixFile(path, x).ok());
   std::filesystem::resize_file(path,
                                std::filesystem::file_size(path) - 16);
-  for (const IoBackendKind kind : AllBackends()) {
-    SCOPED_TRACE(IoBackendName(kind));
-    const auto reader = RowStoreReader::Open(path, kind);
-    ASSERT_FALSE(reader.ok());
-    EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
-    EXPECT_NE(reader.status().ToString().find("size mismatch"),
-              std::string::npos);
-  }
+  const auto reader = RowStoreReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
+  EXPECT_NE(reader.status().ToString().find("size mismatch"),
+            std::string::npos);
 }
 
 TEST(IoBackendParityTest, PaddedFileFailsAtOpen) {
@@ -183,16 +132,12 @@ TEST(IoBackendParityTest, PaddedFileFailsAtOpen) {
   std::ofstream pad(path, std::ios::binary | std::ios::app);
   pad.write("junk", 4);
   pad.close();
-  for (const IoBackendKind kind : AllBackends()) {
-    EXPECT_FALSE(RowStoreReader::Open(path, kind).ok())
-        << IoBackendName(kind);
-  }
+  EXPECT_FALSE(RowStoreReader::Open(path).ok());
 }
 
 TEST(IoBackendParityTest, OpenRangeServesOnlyTheRange) {
   // A section of a larger file: bytes [5000, 5300) of 12000, across a
-  // page edge. Every engine reads inside it and refuses reads outside;
-  // the mmap engine maps just that section.
+  // page edge. Reads inside it succeed; reads outside it fail.
   const std::string path = TempPath("range.bin");
   std::vector<std::uint8_t> bytes(12000);
   for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = i * 7 % 251;
@@ -201,32 +146,20 @@ TEST(IoBackendParityTest, OpenRangeServesOnlyTheRange) {
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
   }
-  for (const IoBackendKind kind : AllBackends()) {
-    SCOPED_TRACE(IoBackendName(kind));
-    auto io = IoBackend::OpenRange(path, kind, 5000, 300);
-    ASSERT_TRUE(io.ok()) << io.status().ToString();
-    EXPECT_EQ((*io)->size(), bytes.size());
-    EXPECT_EQ((*io)->range_offset(), 5000u);
-    std::vector<std::uint8_t> got(300);
-    ASSERT_TRUE((*io)->ReadAt(5000, got).ok());
-    EXPECT_EQ(0, std::memcmp(got.data(), bytes.data() + 5000, got.size()));
-    std::uint8_t one = 0;
-    EXPECT_FALSE((*io)->ReadAt(4999, {&one, 1}).ok());
-    EXPECT_FALSE((*io)->ReadAt(5300, {&one, 1}).ok());
-    const std::span<const std::uint8_t> mapped = (*io)->Mapped();
-    if (kind == IoBackendKind::kMmap) {
-      ASSERT_EQ(mapped.size(), 300u);
-      EXPECT_EQ(0, std::memcmp(mapped.data(), bytes.data() + 5000, 300));
-    } else {
-      EXPECT_TRUE(mapped.empty());
-    }
-  }
+  auto io = IoBackend::OpenRange(path, 5000, 300);
+  ASSERT_TRUE(io.ok()) << io.status().ToString();
+  EXPECT_EQ((*io)->size(), bytes.size());
+  std::vector<std::uint8_t> got(300);
+  ASSERT_TRUE((*io)->ReadAt(5000, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), bytes.data() + 5000, got.size()));
+  std::uint8_t one = 0;
+  EXPECT_FALSE((*io)->ReadAt(4999, {&one, 1}).ok());
+  EXPECT_FALSE((*io)->ReadAt(5300, {&one, 1}).ok());
 }
 
 TEST(IoBackendParityTest, OverflowingHeaderRejected) {
   // A header whose rows * cols * 8 wraps uint64 must not pass the size
-  // check by accident; it must fail as InvalidArgument, on every
-  // backend.
+  // check by accident; it must fail as InvalidArgument.
   const std::string path = TempPath("overflow.mat");
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write("TSCROWS1", 8);
@@ -235,48 +168,29 @@ TEST(IoBackendParityTest, OverflowingHeaderRejected) {
   out.write(reinterpret_cast<const char*>(&rows), 8);
   out.write(reinterpret_cast<const char*>(&cols), 8);
   out.close();
-  for (const IoBackendKind kind : AllBackends()) {
-    SCOPED_TRACE(IoBackendName(kind));
-    const auto reader = RowStoreReader::Open(path, kind);
-    ASSERT_FALSE(reader.ok());
-    EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
-  }
+  const auto reader = RowStoreReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(IoBackendTest, ReadRowViewIsZeroCopyUnderMmap) {
-  const Matrix x = RandomMatrix(9, 7, 23);
-  const std::string path = TempPath("rowview.mat");
+TEST(IoBackendTest, FileShrunkAfterOpenIsAShortReadError) {
+  // The range check passes (the size was fixed at open); the read itself
+  // comes back short, and that is an IoError, not a crash.
+  const Matrix x = RandomMatrix(40, 8, 31);
+  const std::string path = TempPath("shrunk.mat");
   ASSERT_TRUE(WriteMatrixFile(path, x).ok());
-  auto reader = RowStoreReader::Open(path, IoBackendKind::kMmap);
+  auto reader = RowStoreReader::Open(path);
   ASSERT_TRUE(reader.ok());
-  const std::span<const std::uint8_t> mapped = reader->io().Mapped();
-  ASSERT_FALSE(mapped.empty());
-  std::vector<double> scratch(reader->cols(), -1.0);
-  const auto view = reader->ReadRowView(4, scratch);
-  ASSERT_TRUE(view.ok());
-  // The span points into the mapping and the scratch buffer is untouched.
-  const auto* begin = reinterpret_cast<const std::uint8_t*>(view->data());
-  EXPECT_GE(begin, mapped.data());
-  EXPECT_LT(begin, mapped.data() + mapped.size());
-  for (const double v : scratch) EXPECT_EQ(v, -1.0);
-  for (std::size_t j = 0; j < reader->cols(); ++j) {
-    EXPECT_EQ((*view)[j], x(4, j));
-  }
-}
-
-TEST(IoBackendTest, ReadRowViewFallsBackToScratch) {
-  const Matrix x = RandomMatrix(9, 7, 29);
-  const std::string path = TempPath("rowview_scratch.mat");
-  ASSERT_TRUE(WriteMatrixFile(path, x).ok());
-  auto reader = RowStoreReader::Open(path, IoBackendKind::kPread);
-  ASSERT_TRUE(reader.ok());
-  std::vector<double> scratch(reader->cols());
-  const auto view = reader->ReadRowView(2, scratch);
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view->data(), scratch.data());
-  for (std::size_t j = 0; j < reader->cols(); ++j) {
-    EXPECT_EQ((*view)[j], x(2, j));
-  }
+  std::filesystem::resize_file(path, 16);
+  std::vector<double> row(x.cols());
+  const Status status = reader->ReadRow(30, row);
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+  EXPECT_NE(status.ToString().find("short read"), std::string::npos);
+  EXPECT_EQ(reader->ReadCell(30, 2).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(reader->ReadAll().status().code(), StatusCode::kIoError);
+  FileRowSource source(std::move(*reader));
+  ASSERT_TRUE(source.Reset().ok());
+  EXPECT_EQ(source.NextRow(row).status().code(), StatusCode::kIoError);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Thread-safety hammer for the I/O engine: many threads reading one
-// RowStoreReader (per backend) and a DiskBackedStore serving parallel
-// cell queries through a shared buffer pool.
+// RowStoreReader and a DiskBackedStore serving parallel cell queries
+// through a shared buffer pool.
 // Runs plain under `ctest -L io` and instrumented under the tsan preset
 // (the shared "io-tsan" label matches both -L regexes).
 
@@ -14,7 +14,6 @@
 #include "core/disk_backed.h"
 #include "data/generators.h"
 #include "storage/row_source.h"
-#include "storage/io_backend.h"
 #include "storage/row_store.h"
 #include "util/rng.h"
 
@@ -34,50 +33,44 @@ Matrix RandomMatrix(std::size_t n, std::size_t m, std::uint64_t seed) {
   return x;
 }
 
-std::vector<IoBackendKind> AllBackends() {
-  return {IoBackendKind::kStream, IoBackendKind::kPread, IoBackendKind::kMmap};
-}
-
-// The tentpole thread-safety claim: 8 threads on ONE reader, every
-// backend, no shared seek cursor anywhere, values always correct.
+// The thread-safety claim: 8 threads on ONE reader, no shared seek
+// cursor anywhere, values always correct.
 TEST(IoConcurrencyTest, EightThreadsOneReader) {
   const Matrix x = RandomMatrix(96, 31, 1);
   const std::string path = TempPath("conc_reader.mat");
   ASSERT_TRUE(WriteMatrixFile(path, x).ok());
-  for (const IoBackendKind kind : AllBackends()) {
-    SCOPED_TRACE(IoBackendName(kind));
-    auto reader = RowStoreReader::Open(path, kind);
-    ASSERT_TRUE(reader.ok());
-    std::atomic<int> failures{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        std::vector<double> row(x.cols());
-        std::vector<double> scratch(x.cols());
-        Rng rng(100 + t);
-        for (int iter = 0; iter < 300; ++iter) {
-          const std::size_t i =
-              static_cast<std::size_t>(rng.UniformUint64(x.rows()));
-          if (!reader->ReadRow(i, row).ok()) {
-            ++failures;
-            continue;
-          }
-          for (std::size_t j = 0; j < x.cols(); ++j) {
-            if (row[j] != x(i, j)) ++failures;
-          }
-          const auto view = reader->ReadRowView(i, scratch);
-          if (!view.ok() || (*view)[0] != x(i, 0)) ++failures;
-          const auto cell = reader->ReadCell(i, iter % x.cols());
-          if (!cell.ok() || *cell != x(i, iter % x.cols())) ++failures;
+  auto reader = RowStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<double> row(x.cols());
+      std::vector<std::uint8_t> stored(reader->row_stride_bytes());
+      Rng rng(100 + t);
+      for (int iter = 0; iter < 300; ++iter) {
+        const std::size_t i =
+            static_cast<std::size_t>(rng.UniformUint64(x.rows()));
+        if (!reader->ReadRow(i, row).ok()) {
+          ++failures;
+          continue;
         }
-      });
-    }
-    for (auto& thread : threads) thread.join();
-    EXPECT_EQ(failures.load(), 0);
-    // The atomic counter saw every accounted access without tearing.
-    EXPECT_GT(reader->counter().accesses(), 0u);
+        for (std::size_t j = 0; j < x.cols(); ++j) {
+          if (row[j] != x(i, j)) ++failures;
+        }
+        const auto view = reader->ReadQuantRow(i, stored);
+        if (!view.ok() || DecodeQuantValue(*view, 0) != x(i, 0)) ++failures;
+        const auto cell = reader->ReadCell(i, iter % x.cols());
+        if (!cell.ok() || *cell != x(i, iter % x.cols())) ++failures;
+      }
+    });
   }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  // The atomic counter saw every accounted access without tearing:
+  // ReadRow and ReadQuantRow each touch at least one block, ReadCell one.
+  EXPECT_GE(reader->counter().accesses(), 3u * kThreads * 300u);
 }
 
 TEST(IoConcurrencyTest, DiskBackedStoreParallelCells) {

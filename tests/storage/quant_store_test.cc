@@ -20,7 +20,6 @@
 #include "core/svdd_compressor.h"
 #include "obs/metrics.h"
 #include "storage/cached_row_reader.h"
-#include "storage/io_backend.h"
 #include "storage/row_source.h"
 #include "storage/row_store.h"
 #include "util/rng.h"
@@ -212,48 +211,34 @@ TEST(QuantRowStoreTest, F64FormatIsByteIdenticalToLegacyWriter) {
   EXPECT_EQ(a, b);
 }
 
-TEST(QuantRowStoreTest, ReadPathsAgreeAcrossBackends) {
+TEST(QuantRowStoreTest, ReadPathsAgree) {
+  // ReadRow, ReadQuantRow and ReadCell return the bits of the bulk
+  // ReadAll for every encoding.
   const Matrix x = RandomMatrix(14, 11, 77);
-  const IoBackendKind backends[] = {IoBackendKind::kStream,
-                                    IoBackendKind::kPread,
-                                    IoBackendKind::kMmap};
   for (const QuantScheme scheme : kAllSchemes) {
+    SCOPED_TRACE(QuantSchemeName(scheme));
     const std::string path =
         TempPath(std::string("quant_parity_") + QuantSchemeName(scheme));
     ASSERT_TRUE(WriteMatrixFile(path, x, scheme).ok());
-    // Reference values through the default backend.
-    auto ref_reader = RowStoreReader::Open(path);
-    ASSERT_TRUE(ref_reader.ok());
-    const auto ref = ref_reader->ReadAll();
+    auto reader = RowStoreReader::Open(path);
+    ASSERT_TRUE(reader.ok());
+    const auto ref = reader->ReadAll();
     ASSERT_TRUE(ref.ok());
-    for (const IoBackendKind backend : backends) {
-      auto reader = RowStoreReader::Open(path, backend);
-      ASSERT_TRUE(reader.ok());
-      const auto all = reader->ReadAll();
-      ASSERT_TRUE(all.ok());
-      EXPECT_EQ(*all, *ref) << QuantSchemeName(scheme);  // bit-identical
-      std::vector<double> row(x.cols());
-      std::vector<double> row_scratch(x.cols());
-      std::vector<std::uint8_t> scratch(reader->row_stride_bytes());
-      for (const std::size_t i : {0u, 7u, 13u}) {
-        ASSERT_TRUE(reader->ReadRow(i, row).ok());
-        for (std::size_t j = 0; j < x.cols(); ++j) {
-          EXPECT_EQ(row[j], (*ref)(i, j));
-        }
-        const auto view = reader->ReadRowView(i, row_scratch);
-        ASSERT_TRUE(view.ok());
-        for (std::size_t j = 0; j < x.cols(); ++j) {
-          EXPECT_EQ((*view)[j], (*ref)(i, j));
-        }
-        const auto qview = reader->ReadQuantRow(i, scratch);
-        ASSERT_TRUE(qview.ok());
-        for (std::size_t j = 0; j < x.cols(); ++j) {
-          EXPECT_EQ(DecodeQuantValue(*qview, j), (*ref)(i, j));
-        }
-        const auto cell = reader->ReadCell(i, 5);
-        ASSERT_TRUE(cell.ok());
-        EXPECT_EQ(*cell, (*ref)(i, 5));
+    std::vector<double> row(x.cols());
+    std::vector<std::uint8_t> scratch(reader->row_stride_bytes());
+    for (const std::size_t i : {0u, 7u, 13u}) {
+      ASSERT_TRUE(reader->ReadRow(i, row).ok());
+      for (std::size_t j = 0; j < x.cols(); ++j) {
+        EXPECT_EQ(row[j], (*ref)(i, j));  // bit-identical
       }
+      const auto qview = reader->ReadQuantRow(i, scratch);
+      ASSERT_TRUE(qview.ok());
+      for (std::size_t j = 0; j < x.cols(); ++j) {
+        EXPECT_EQ(DecodeQuantValue(*qview, j), (*ref)(i, j));
+      }
+      const auto cell = reader->ReadCell(i, 5);
+      ASSERT_TRUE(cell.ok());
+      EXPECT_EQ(*cell, (*ref)(i, 5));
     }
   }
 }
@@ -266,9 +251,9 @@ TEST(QuantRowStoreTest, ReadCellUsesCachedPathAndCounts) {
     const std::string path =
         TempPath(std::string("quant_cell_") + QuantSchemeName(scheme));
     ASSERT_TRUE(WriteMatrixFile(path, x, scheme).ok());
-    // Under mmap a cell is served from the mapping: one logical block
-    // access, no further syscalls needed.
-    auto reader = RowStoreReader::Open(path, IoBackendKind::kMmap);
+    // A cell reads only its meta and code, and is charged the one block
+    // that holds them.
+    auto reader = RowStoreReader::Open(path);
     ASSERT_TRUE(reader.ok());
     const std::uint64_t before = cell_reads.Value();
     const auto cell = reader->ReadCell(3, 4);

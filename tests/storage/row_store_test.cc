@@ -182,6 +182,46 @@ TEST(FileRowSourceTest, MatchesMatrixSource) {
   EXPECT_FALSE(*end);
 }
 
+TEST(FileRowSourceTest, ChunkedPassesMatchReadRowForEveryEncoding) {
+  // 3000 rows of 64 f64 coefficients are 1.5 MiB: the pass crosses a
+  // chunk edge and ends in a short chunk, and the second pass rereads.
+  const Matrix x = RandomMatrix(3000, 64, 9);
+  for (const QuantScheme scheme :
+       {QuantScheme::kF64, QuantScheme::kF32, QuantScheme::kI16,
+        QuantScheme::kI8}) {
+    SCOPED_TRACE(QuantSchemeName(scheme));
+    const std::string path = TempPath("chunked.mat");
+    ASSERT_TRUE(WriteMatrixFile(path, x, scheme).ok());
+    auto reference = RowStoreReader::Open(path);
+    ASSERT_TRUE(reference.ok());
+    auto reader = RowStoreReader::Open(path);
+    ASSERT_TRUE(reader.ok());
+    FileRowSource source(std::move(*reader));
+    std::vector<double> want(x.cols());
+    std::vector<double> row(x.cols());
+    for (int pass = 0; pass < 2; ++pass) {
+      ASSERT_TRUE(source.Reset().ok());
+      for (std::size_t i = 0; i < x.rows(); ++i) {
+        const auto more = source.NextRow(row);
+        ASSERT_TRUE(more.ok() && *more) << i;
+        ASSERT_TRUE(reference->ReadRow(i, want).ok());
+        ASSERT_EQ(row, want) << "pass " << pass << " row " << i;
+      }
+      const auto end = source.NextRow(row);
+      ASSERT_TRUE(end.ok());
+      EXPECT_FALSE(*end);
+    }
+    // Each chunk is one read, counted as one contiguous range: a pass
+    // touches each block of the rows once (two at a chunk edge).
+    const std::uint64_t payload_blocks =
+        (source.reader().file_bytes() - source.reader().header_bytes()) /
+            source.reader().counter().block_size() +
+        1;
+    EXPECT_LE(source.reader().counter().accesses(), 2 * (payload_blocks + 2));
+    std::filesystem::remove(path);
+  }
+}
+
 TEST(SerializerTest, PrimitivesRoundTrip) {
   const std::string path = TempPath("prims.bin");
   {
