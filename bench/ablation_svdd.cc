@@ -171,9 +171,10 @@ void AblateBloomFilter(const Matrix& x, double space) {
               TablePrinter::Num(table_kb +
                                 static_cast<double>(filter.SizeBytes()) /
                                     1024.0)});
-  out.AddRow({"delta index (row CSR)", "-", "-", TablePrinter::Num(index_ns),
+  out.AddRow({"delta index (row CSR + checkpoints)", "-", "-",
+              TablePrinter::Num(index_ns),
               TablePrinter::Num(static_cast<double>(index->RowIndexBytes() +
-                                                    index->ColumnIndexBytes()) /
+                                                    index->CheckpointBytes()) /
                                 1024.0)});
   std::printf("%s(checksum %g)\n\n", out.ToString().c_str(), sink);
 }

@@ -213,6 +213,19 @@ void BM_SvddBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SvddBuild)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
 
+/// A phone model of `rows` rows x 366 days at 5%, built once per size.
+const SvddModel& PhoneModel(std::size_t rows) {
+  static std::map<std::size_t, std::unique_ptr<SvddModel>> models;
+  std::unique_ptr<SvddModel>& model = models[rows];
+  if (model == nullptr) {
+    const Dataset phone = MakePhoneDataset(rows);
+    auto built = BuildSvddAtSpace(phone.values, 5.0, /*max_candidates=*/8);
+    TSC_CHECK_OK(built.status());
+    model = std::make_unique<SvddModel>(std::move(*built));
+  }
+  return *model;
+}
+
 /// The dashboard max panel: `max(value) ... GROUP BY col` over 1000 rows
 /// x 30 columns, one of 48 seeded panels per iteration, of a phone model
 /// with `range(0)` rows x 366 days at 5%. `range(1)` = 1 times stddev
@@ -225,15 +238,8 @@ void BM_MaxPanel(benchmark::State& state) {
   constexpr std::size_t kPanels = 48;
   const auto rows = static_cast<std::size_t>(state.range(0));
   const bool scan = state.range(1) != 0;
-  static std::map<std::size_t, std::unique_ptr<SvddModel>> models;
-  std::unique_ptr<SvddModel>& model = models[rows];
-  if (model == nullptr) {
-    const Dataset phone = MakePhoneDataset(rows);
-    auto built = BuildSvddAtSpace(phone.values, 5.0, /*max_candidates=*/8);
-    TSC_CHECK_OK(built.status());
-    model = std::make_unique<SvddModel>(std::move(*built));
-  }
-  const QueryExecutor executor(model.get());
+  const SvddModel* model = &PhoneModel(rows);
+  const QueryExecutor executor(model);
   Rng rng(42);
   std::vector<QueryPlan> plans;
   for (std::size_t p = 0; p < kPanels; ++p) {
@@ -266,6 +272,52 @@ BENCHMARK(BM_MaxPanel)
     ->Args({4000, 1})
     ->Args({20000, 0})
     ->Args({20000, 1})
+    ->Unit(benchmark::kMicrosecond);
+
+/// The dashboard's compressed-domain panels, one of 48 seeded panels per
+/// iteration, on PhoneModel(range(0)): `range(1)` = 0 is `sum(value)
+/// GROUP BY col` over every day, `range(1)` = 1 the avg panel's
+/// `avg(value) GROUP BY col` over 90 days (what /api/v1/data runs for
+/// it). Each panel is min(50000, rows / 2) rows high at a seeded start,
+/// so its ends fall anywhere between the delta index's column-sum
+/// checkpoints (DESIGN.md section 17).
+void BM_GroupByPanel(benchmark::State& state) {
+  constexpr std::size_t kPanels = 48;
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const bool avg = state.range(1) != 0;
+  const SvddModel* model = &PhoneModel(rows);
+  const QueryExecutor executor(model);
+  const std::size_t height = std::min<std::size_t>(50000, rows / 2);
+  const std::size_t width = avg ? 90 : model->cols();
+  Rng rng(43);
+  std::vector<QueryPlan> plans;
+  for (std::size_t p = 0; p < kPanels; ++p) {
+    const std::size_t row0 = rng.UniformUint64(rows - height + 1);
+    const std::size_t col0 = rng.UniformUint64(model->cols() - width + 1);
+    QueryAst ast;
+    ast.aggregates = {avg ? AggregateFn::kAvg : AggregateFn::kSum};
+    ast.constraints = {{/*is_row=*/true, {{row0, row0 + height - 1}}},
+                       {/*is_row=*/false, {{col0, col0 + width - 1}}}};
+    ast.group_by = GroupBy::kCol;
+    auto plan = executor.Plan(ast);
+    TSC_CHECK_OK(plan.status());
+    plans.push_back(std::move(*plan));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    auto result = executor.ExecutePlan(plans[next++ % kPanels]);
+    TSC_CHECK_OK(result.status());
+    benchmark::DoNotOptimize(result->values.data());
+  }
+  state.SetLabel(avg ? "avg, 90 days" : "sum, every day");
+}
+BENCHMARK(BM_GroupByPanel)
+    ->Args({4000, 0})
+    ->Args({4000, 1})
+    ->Args({20000, 0})
+    ->Args({20000, 1})
+    ->Args({100000, 0})
+    ->Args({100000, 1})
     ->Unit(benchmark::kMicrosecond);
 
 /// A `GROUP BY col` answer over the phone data's 366 days, written the

@@ -125,7 +125,7 @@ struct LoadedModel {
   std::size_t k = 0;
   std::size_t delta_count = 0;
   std::uint64_t row_index_bytes = 0;
-  std::uint64_t column_index_bytes = 0;
+  std::uint64_t checkpoint_bytes = 0;
 };
 
 StatusOr<LoadedModel> LoadModel(const std::string& path) {
@@ -137,7 +137,7 @@ StatusOr<LoadedModel> LoadModel(const std::string& path) {
     const std::shared_ptr<const DeltaIndex> deltas = svdd->deltas();
     loaded.delta_count = deltas->size();
     loaded.row_index_bytes = deltas->RowIndexBytes();
-    loaded.column_index_bytes = deltas->ColumnIndexBytes();
+    loaded.checkpoint_bytes = deltas->CheckpointBytes();
     loaded.store = std::make_unique<SvddModel>(std::move(*svdd));
     return loaded;
   }
@@ -330,7 +330,9 @@ int CmdInfo(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   if (loaded->kind == "svdd") {
     out << "deltas:      " << loaded->delta_count << "\n"
         << "row index:   " << loaded->row_index_bytes << " bytes\n"
-        << "col index:   " << loaded->column_index_bytes << " bytes\n";
+        << "checkpoints: " << loaded->checkpoint_bytes
+        << " bytes of column sums every " << DeltaIndex::kCheckpointRows
+        << " rows\n";
   }
   out << "bytes:       " << store.CompressedBytes() << "\n"
       << "space:       " << TablePrinter::Percent(store.SpacePercent())
@@ -635,8 +637,9 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       << " sql queries, cache=" << cache_blocks << " blocks\n";
   // Serving footprint, broken down by component: U's rows in the file
   // (at their true, possibly quantized stride), the packed deltas, and the
-  // in-memory V + eigenvalues. The delta index's two orientations are
-  // resident acceleration structures, listed after the charged parts.
+  // in-memory V + eigenvalues. The delta index's row CSR and column-sum
+  // checkpoints are resident acceleration structures, listed after the
+  // charged parts.
   const std::shared_ptr<const DeltaIndex> deltas = disk_model.deltas();
   const std::uint64_t u_bytes = store->u_bytes();
   const std::uint64_t delta_bytes = deltas->PackedBytes();
@@ -659,8 +662,8 @@ int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       << deltas->size() << " entries)\n";
   out << "  v + eigenvalues: " << v_bytes << " bytes\n";
   out << "delta index:      " << deltas->RowIndexBytes()
-      << " bytes row CSR, " << deltas->ColumnIndexBytes()
-      << " bytes column sums (resident, not charged)\n";
+      << " bytes row CSR, " << deltas->CheckpointBytes()
+      << " bytes column-sum checkpoints (resident, not charged)\n";
   out << "cell latency:     "
       << TablePrinter::Num(1e6 * cell_seconds /
                            static_cast<double>(queries == 0 ? 1 : queries))

@@ -62,9 +62,10 @@ class SvddModel final : public CompressedStore {
                            std::span<const std::size_t> col_ids,
                            Matrix* out) const override;
 
-  /// SVD footprint plus packed delta pairs. The index's two orientations
-  /// are main-memory acceleration structures, reported by
-  /// DeltaIndex::RowIndexBytes/ColumnIndexBytes and not charged here.
+  /// SVD footprint plus packed delta pairs. The index's row CSR and
+  /// column-sum checkpoints are main-memory acceleration structures,
+  /// reported by DeltaIndex::RowIndexBytes/CheckpointBytes and not
+  /// charged here.
   std::uint64_t CompressedBytes() const override;
   std::string MethodName() const override { return "svdd"; }
   const SvddModel* compressed_domain() const override { return this; }

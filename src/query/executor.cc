@@ -100,8 +100,8 @@ bool IsLinearAggregate(AggregateFn fn) {
 /// w the selected Lambda-weighted V rows' sum; by col -> dot(u_mass,
 /// lambda.v_j) per column, u_mass the selected rows' U mass from the
 /// block sums. The deltas inside the region come from the domain's delta
-/// index: per-row sums over its row CSR, per-column and total sums over
-/// its column running sums. The runs are the plan's (sorted, disjoint).
+/// index: per-row sums over its row CSR, per-column and total sums from
+/// its column-sum checkpoints and row CSR. The runs are the plan's (sorted, disjoint).
 /// On the disk layout a failed U-row read is the error.
 StatusOr<std::vector<double>> CompressedDomainSums(
     const SvddModel& domain, const AggregateHierarchy& view,

@@ -98,32 +98,21 @@ StatusOr<DeltaIndex> DeltaIndex::Assemble(
     base->row_offsets[row + 1] += base->row_offsets[row];
   }
 
-  // Column orientation: a counting sort of the row CSR by column. Rows
-  // are visited in order, so each column's rows come out ascending.
+  // Column-sum checkpoints: each row of the table is the previous one
+  // plus the next kCheckpointRows rows of the CSR.
+  const std::size_t checkpoints =
+      (rows + kCheckpointRows - 1) / kCheckpointRows;
+  base->col_prefix.assign((checkpoints + 1) * cols, 0.0);
+  for (std::size_t s = 1; s <= checkpoints; ++s) {
+    double* prefix = base->col_prefix.data() + s * cols;
+    std::copy_n(prefix - cols, cols, prefix);
+    const std::size_t end = std::min(s * kCheckpointRows, rows);
+    for (std::uint64_t p = base->row_offsets[(s - 1) * kCheckpointRows];
+         p < base->row_offsets[end]; ++p) {
+      prefix[base->row_cols[p]] += base->row_deltas[p];
+    }
+  }
   const std::size_t total = base->row_cols.size();
-  base->col_offsets.assign(cols + 1, 0);
-  for (const std::uint32_t col : base->row_cols) ++base->col_offsets[col + 1];
-  for (std::size_t col = 0; col < cols; ++col) {
-    base->col_offsets[col + 1] += base->col_offsets[col];
-  }
-  base->col_rows.resize(total);
-  base->col_running.resize(total);
-  std::vector<std::uint64_t> cursor(base->col_offsets.begin(),
-                                    base->col_offsets.end() - 1);
-  for (std::size_t row = 0; row < rows; ++row) {
-    for (std::uint64_t p = base->row_offsets[row];
-         p < base->row_offsets[row + 1]; ++p) {
-      const std::uint64_t slot = cursor[base->row_cols[p]]++;
-      base->col_rows[slot] = static_cast<std::uint32_t>(row);
-      base->col_running[slot] = base->row_deltas[p];
-    }
-  }
-  for (std::size_t col = 0; col < cols; ++col) {
-    for (std::uint64_t p = base->col_offsets[col] + 1;
-         p < base->col_offsets[col + 1]; ++p) {
-      base->col_running[p] += base->col_running[p - 1];
-    }
-  }
 
   DeltaIndex index;
   index.base_ = std::move(base);
@@ -181,10 +170,8 @@ std::uint64_t DeltaIndex::RowIndexBytes() const {
          overlay_.size() * sizeof(Patch);
 }
 
-std::uint64_t DeltaIndex::ColumnIndexBytes() const {
-  return base_->col_offsets.size() * sizeof(std::uint64_t) +
-         base_->col_rows.size() * sizeof(std::uint32_t) +
-         base_->col_running.size() * sizeof(double);
+std::uint64_t DeltaIndex::CheckpointBytes() const {
+  return base_->col_prefix.size() * sizeof(double);
 }
 
 std::span<const std::uint32_t> DeltaIndex::BaseCols(std::size_t row) const {
@@ -217,35 +204,18 @@ std::span<const DeltaIndex::Patch> DeltaIndex::RowPatches(
           static_cast<std::size_t>(last - first)};
 }
 
-double DeltaIndex::BaseColumnSum(std::size_t col, std::size_t lo,
-                                 std::size_t hi, bool* hit) const {
-  const std::uint32_t* all = base_->col_rows.data();
-  const std::uint32_t* first = all + base_->col_offsets[col];
-  const std::uint32_t* last = all + base_->col_offsets[col + 1];
-  if (first == last || lo >= base_->rows) return 0.0;
-  const auto top = static_cast<std::uint32_t>(std::min(hi, base_->rows - 1));
-  const std::uint32_t* a =
-      std::lower_bound(first, last, static_cast<std::uint32_t>(lo));
-  const std::uint32_t* b = std::upper_bound(a, last, top);
-  if (a == b) return 0.0;
-  *hit = true;
-  const double upper = base_->col_running[b - all - 1];
-  return a == first ? upper : upper - base_->col_running[a - all - 1];
-}
-
-bool DeltaIndex::RowWalkIsCheaper(std::size_t selected_rows,
-                                  std::size_t searches) const {
-  // A row visit reads an offset pair and its ~D/N entries; a column
-  // search is two binary searches over its ~D/M rows.
-  const double per_row =
-      1.0 + static_cast<double>(size_) /
-                static_cast<double>(std::max<std::size_t>(rows_, 1));
-  const double per_search =
-      2.0 * std::log2(2.0 + static_cast<double>(size_) /
-                                static_cast<double>(
-                                    std::max<std::size_t>(cols_, 1)));
-  return static_cast<double>(selected_rows) * per_row <
-         static_cast<double>(searches) * per_search;
+std::vector<std::size_t> DeltaIndex::SelectionPositions(
+    std::span<const IdRange> col_ranges) {
+  const std::size_t first_col = col_ranges.front().lo;
+  std::vector<std::size_t> position(col_ranges.back().hi - first_col + 1,
+                                    kUnselected);
+  std::size_t next = 0;
+  for (const IdRange& run : col_ranges) {
+    for (std::size_t col = run.lo; col <= run.hi; ++col) {
+      position[col - first_col] = next++;
+    }
+  }
+  return position;
 }
 
 std::optional<double> DeltaIndex::Find(std::size_t row,
@@ -332,57 +302,87 @@ void DeltaIndex::AddColumnSums(std::span<const IdRange> row_ranges,
                                std::span<const IdRange> col_ranges,
                                std::span<double> out) const {
   if (size_ == 0 || row_ranges.empty() || col_ranges.empty()) return;
+  const Base& base = *base_;
+  // The slot of a column in `out`, or kUnselected.
+  const std::size_t first_col = col_ranges.front().lo;
+  const std::vector<std::size_t> position = SelectionPositions(col_ranges);
+  const auto slot = [&](std::size_t col) {
+    const std::size_t offset = col - first_col;  // wraps below first_col
+    return offset < position.size() ? position[offset] : kUnselected;
+  };
+  // The base deltas alone, summed apart from `out` and added once.
+  std::vector<double> sums(out.size(), 0.0);
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
-  // first[r]: the output slot of column run r's first column.
-  std::vector<std::size_t> first(col_ranges.size());
-  std::size_t selected_cols = 0;
-  for (std::size_t r = 0; r < col_ranges.size(); ++r) {
-    first[r] = selected_cols;
-    selected_cols += col_ranges[r].hi - col_ranges[r].lo + 1;
-  }
-  // Adds `value` to `col`'s slot; false when it is not selected.
-  const auto add = [&](std::size_t col, double value) {
-    const auto it = std::upper_bound(
-        col_ranges.begin(), col_ranges.end(), col,
-        [](std::size_t v, const IdRange& r) { return v < r.lo; });
-    if (it == col_ranges.begin() || col > std::prev(it)->hi) return false;
-    const std::size_t run =
-        static_cast<std::size_t>(it - col_ranges.begin()) - 1;
-    out[first[run] + (col - col_ranges[run].lo)] += value;
-    return true;
+  // sums += sign * the selected base deltas of rows [a, b).
+  const auto walk = [&](std::size_t a, std::size_t b, double sign) {
+    const std::uint64_t* offsets = base.row_offsets.data();
+    for (std::size_t row = a; row < b; ++row) {
+      bool hit = false;
+      for (std::uint64_t e = offsets[row]; e < offsets[row + 1]; ++e) {
+        const std::size_t g = slot(base.row_cols[e]);
+        if (g == kUnselected) continue;
+        sums[g] += sign * base.row_deltas[e];
+        hit = true;
+      }
+      hits += hit ? 1 : 0;
+    }
+    lookups += b - a;
   };
-  const std::size_t searches = selected_cols * row_ranges.size();
-  if (RowWalkIsCheaper(RangesSize(row_ranges), searches)) {
-    for (const IdRange& rr : row_ranges) {
-      for (std::size_t row = rr.lo; row <= rr.hi; ++row) {
-        bool hit = false;
-        ForEachInRow(row, [&](std::size_t col, double delta) {
-          hit = add(col, delta) || hit;
-        });
-        ++lookups;
-        hits += hit ? 1 : 0;
-      }
+  // The index of the checkpoint nearest to row boundary x <= base.rows,
+  // and the boundary of checkpoint s.
+  const auto nearest = [&](std::size_t x) {
+    const std::size_t s = x / kCheckpointRows;
+    const std::size_t below = s * kCheckpointRows;
+    const std::size_t above = std::min(below + kCheckpointRows, base.rows);
+    return below == x || x - below <= above - x ? s : s + 1;
+  };
+  const auto boundary = [&](std::size_t s) {
+    return std::min(s * kCheckpointRows, base.rows);
+  };
+  // sums += sign * (prefix(x) - the prefix at boundary c).
+  const auto walk_between = [&](std::size_t c, std::size_t x, double sign) {
+    if (c <= x) {
+      walk(c, x, sign);
+    } else {
+      walk(x, c, -sign);
     }
-  } else {
+  };
+  for (const IdRange& run : row_ranges) {
+    if (run.lo >= base.rows) continue;
+    const std::size_t lo = run.lo;
+    const std::size_t end = std::min(run.hi + 1, base.rows);
+    if (end - lo <= kCheckpointRows) {
+      walk(lo, end, 1.0);
+      continue;
+    }
+    // prefix(end) - prefix(lo), each prefix a checkpoint row corrected
+    // by the rows between it and the boundary.
+    const std::size_t s_end = nearest(end);
+    const std::size_t s_lo = nearest(lo);
+    const double* upper = base.col_prefix.data() + s_end * cols_;
+    const double* lower = base.col_prefix.data() + s_lo * cols_;
     std::size_t g = 0;
-    ForEachId(col_ranges, [&](std::size_t col) {
-      for (const IdRange& rr : row_ranges) {
-        bool hit = false;
-        out[g] += BaseColumnSum(col, rr.lo, rr.hi, &hit);
-        ++lookups;
-        hits += hit ? 1 : 0;
-      }
-      ++g;
-    });
-    for (const Patch& patch : overlay_) {
-      const std::size_t row = static_cast<std::size_t>(patch.key / cols_);
-      if (InRanges(row_ranges, row)) {
-        add(static_cast<std::size_t>(patch.key % cols_),
-            patch.delta - patch.shadowed);
+    for (const IdRange& cols : col_ranges) {
+      for (std::size_t col = cols.lo; col <= cols.hi; ++col) {
+        sums[g++] += upper[col] - lower[col];
       }
     }
+    lookups += 2;
+    hits += 2;
+    walk_between(boundary(s_end), end, 1.0);
+    walk_between(boundary(s_lo), lo, -1.0);
   }
+  // Overlay patches swap the base delta they shadow for their own.
+  for (const Patch& patch : overlay_) {
+    const std::size_t g = slot(static_cast<std::size_t>(patch.key % cols_));
+    if (g == kUnselected ||
+        !InRanges(row_ranges, static_cast<std::size_t>(patch.key / cols_))) {
+      continue;
+    }
+    sums[g] += patch.delta - patch.shadowed;
+  }
+  for (std::size_t g = 0; g < out.size(); ++g) out[g] += sums[g];
   CountLookups(lookups, hits);
 }
 

@@ -25,16 +25,18 @@ struct DeltaEntry {
 };
 
 /// The SVDD delta side (Section 4.2) as one immutable index, built from
-/// the packed (key, delta) pairs, which are stored sorted by (row, col).
-/// It keeps two orientations of the same deltas:
+/// the packed (key, delta) pairs, which are stored sorted by (row, col):
 ///
 ///   row CSR      u64 row offsets, then u32 columns and f64 deltas. A
 ///                cell is a binary search inside its row's run; a row,
 ///                region or cell batch walks only the selected rows' runs.
-///   column-major u64 column offsets, then u32 rows and the running sum
-///                of the deltas down each column. The delta sum over any
-///                row range of one column is two binary searches, so a
-///                region sum costs O(|C| log gamma) whatever its height.
+///   checkpoints  col_prefix[s][j], the sum of column j's deltas in rows
+///                [0, min(s * kCheckpointRows, rows)). A run of at
+///                most kCheckpointRows rows is folded by walking its
+///                stretch of the row CSR; a longer run is the difference
+///                of two prefixes, each one checkpoint row plus the CSR
+///                rows between its end and the nearer checkpoint, so at
+///                most kCheckpointRows / 2 rows a side whatever its height.
 ///
 /// A patch does not touch an index: WithPatch() returns a new one that
 /// shares the base arrays and adds the patch to a small sorted overlay;
@@ -43,16 +45,19 @@ struct DeltaEntry {
 /// winning for a cell held by both, so the reconstruction of a patched
 /// cell is its SVD value plus exactly the patched delta.
 ///
-/// Accounting: each search of the index (a cell, a row run, or one
-/// column's row-range search) adds one to the `delta.lookups` counter and
-/// to the request's `delta_probes`; `delta.hits` counts the searches that
-/// found at least one delta.
+/// Accounting: `delta.lookups` (and the request's `delta_probes`) counts
+/// one per cell searched and one per CSR row a fold visits; the column
+/// sums also count one per checkpoint row read. `delta.hits` counts the
+/// rows that held a delta the fold kept (a cell that was found) and every
+/// checkpoint row read. The ForEach* visits are not counted.
 class DeltaIndex {
  public:
   /// On-disk bytes of a packed (u64 key, f64 delta) entry.
   static constexpr std::uint64_t kPackedEntryBytes = 8 + 8;
   /// Overlay patches kept beside the base before a merge.
   static constexpr std::size_t kMaxOverlay = 256;
+  /// Row spacing of the column-sum checkpoints.
+  static constexpr std::size_t kCheckpointRows = 512;
 
   /// An empty 0 x 0 index.
   DeltaIndex();
@@ -86,12 +91,12 @@ class DeltaIndex {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   /// Bytes of the packed (key, delta) pairs: the space the paper charges
-  /// the deltas. The two orientations below are uncharged.
+  /// the deltas. The resident structures below are uncharged.
   std::uint64_t PackedBytes() const { return size_ * kPackedEntryBytes; }
   /// Resident bytes of the row CSR plus the overlay.
   std::uint64_t RowIndexBytes() const;
-  /// Resident bytes of the column-major running sums.
-  std::uint64_t ColumnIndexBytes() const;
+  /// Resident bytes of the column-sum checkpoint table.
+  std::uint64_t CheckpointBytes() const;
 
   /// The delta stored for cell (row, col), or nullopt.
   std::optional<double> Find(std::size_t row, std::size_t col) const;
@@ -128,8 +133,8 @@ class DeltaIndex {
 
   /// Visits every delta inside (row runs) x (column runs) as fn(row, c,
   /// delta), c the column's position in the selection (counting through
-  /// the column runs in order), ascending by row, then column. Each
-  /// selected row counts as one lookup.
+  /// the column runs in order), ascending by row, then column. Not
+  /// counted as a lookup.
   template <typename Fn>
   void ForEachInRegion(std::span<const IdRange> row_ranges,
                        std::span<const IdRange> col_ranges, Fn&& fn) const;
@@ -159,9 +164,8 @@ class DeltaIndex {
     std::vector<std::uint64_t> row_offsets{0};  ///< rows + 1
     std::vector<std::uint32_t> row_cols;        ///< by (row, col)
     std::vector<double> row_deltas;
-    std::vector<std::uint64_t> col_offsets{0};  ///< cols + 1
-    std::vector<std::uint32_t> col_rows;        ///< by (col, row)
-    std::vector<double> col_running;  ///< running sum down each column
+    /// col_prefix[s * cols + j] for s in [0, ceil(rows / kCheckpointRows)].
+    std::vector<double> col_prefix;
   };
 
   /// One overlay cell: its delta, and the base delta it shadows (0 when
@@ -187,13 +191,11 @@ class DeltaIndex {
   std::span<const double> BaseDeltas(std::size_t row) const;
   /// Overlay patches of `row`, ascending by column.
   std::span<const Patch> RowPatches(std::size_t row) const;
-  /// Base deltas of column `col` in rows [lo, hi]; `*hit` set when any.
-  double BaseColumnSum(std::size_t col, std::size_t lo, std::size_t hi,
-                       bool* hit) const;
-  /// Whether walking the selected rows' runs beats `searches` column
-  /// searches.
-  bool RowWalkIsCheaper(std::size_t selected_rows,
-                        std::size_t searches) const;
+  /// position[col - col_ranges.front().lo]: the column's place in the
+  /// selection (counting through the runs in order), or kUnselected.
+  static constexpr std::size_t kUnselected = ~std::size_t{0};
+  static std::vector<std::size_t> SelectionPositions(
+      std::span<const IdRange> col_ranges);
 
   std::shared_ptr<const Base> base_;
   std::vector<Patch> overlay_;  ///< sorted by key
@@ -222,31 +224,15 @@ void DeltaIndex::ForEachInRegion(std::span<const IdRange> row_ranges,
                                  std::span<const IdRange> col_ranges,
                                  Fn&& fn) const {
   if (row_ranges.empty() || col_ranges.empty()) return;
-  // position[col - first_col]: the column's place in the selection, or
-  // kUnselected.
-  constexpr std::size_t kUnselected = ~std::size_t{0};
   const std::size_t first_col = col_ranges.front().lo;
-  std::vector<std::size_t> position(col_ranges.back().hi - first_col + 1,
-                                    kUnselected);
-  std::size_t next = 0;
-  for (const IdRange& run : col_ranges) {
-    for (std::size_t col = run.lo; col <= run.hi; ++col) {
-      position[col - first_col] = next++;
-    }
-  }
-  std::uint64_t rows_walked = 0;
-  std::uint64_t hits = 0;
-  std::size_t last_hit = kUnselected;
+  const std::vector<std::size_t> position = SelectionPositions(col_ranges);
   // Visits one delta if its column is selected.
   const auto visit = [&](std::size_t row, std::size_t col, double delta) {
     const std::size_t offset = col - first_col;  // wraps below first_col
     if (offset >= position.size() || position[offset] == kUnselected) return;
     fn(row, position[offset], delta);
-    if (last_hit != row) ++hits;
-    last_hit = row;
   };
   for (const IdRange& run : row_ranges) {
-    rows_walked += run.hi - run.lo + 1;
     if (!overlay_.empty()) {
       for (std::size_t row = run.lo; row <= run.hi; ++row) {
         ForEachInRow(row, [&](std::size_t col, double delta) {
@@ -266,7 +252,6 @@ void DeltaIndex::ForEachInRegion(std::span<const IdRange> row_ranges,
       visit(row, base_->row_cols[e], base_->row_deltas[e]);
     }
   }
-  CountLookups(rows_walked, hits);
 }
 
 /// The current DeltaIndex of a mutable model, published by an atomic

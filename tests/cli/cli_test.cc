@@ -112,11 +112,13 @@ TEST_F(CliPipelineTest, InfoShowsModel) {
   EXPECT_NE(result.out.find("kind:        svdd"), std::string::npos);
   EXPECT_NE(result.out.find("sequences:   200"), std::string::npos);
   EXPECT_NE(result.out.find("length:      40"), std::string::npos);
-  // perfbench reads the components line; the delta index reports both
-  // orientations and there is no Bloom filter left to report.
+  // perfbench reads the components line; the delta index reports its
+  // row CSR and its column-sum checkpoints, and there is no column
+  // orientation or Bloom filter left to report.
   EXPECT_NE(result.out.find("components:  "), std::string::npos);
   EXPECT_NE(result.out.find("row index:   "), std::string::npos);
-  EXPECT_NE(result.out.find("col index:   "), std::string::npos);
+  EXPECT_NE(result.out.find("checkpoints: "), std::string::npos);
+  EXPECT_EQ(result.out.find("col index:"), std::string::npos);
   EXPECT_EQ(result.out.find("bloom"), std::string::npos);
 }
 

@@ -27,9 +27,9 @@
 namespace tsc {
 namespace {
 
-SvddModel BuildModel() {
+SvddModel BuildModel(std::size_t rows = 96) {
   PhoneDatasetConfig config;
-  config.num_customers = 96;
+  config.num_customers = rows;
   config.num_days = 32;
   config.spike_probability = 0.03;
   const Matrix data = GeneratePhoneDataset(config).values;
@@ -42,7 +42,9 @@ SvddModel BuildModel() {
 }
 
 TEST(AggConcurrencyTest, ConcurrentPatchesVersusRollupReads) {
-  SvddModel model = BuildModel();
+  // 5000 rows: the longer selections below span several of the delta
+  // index's column-sum checkpoints.
+  SvddModel model = BuildModel(5000);
   QueryExecutor executor(&model);
   ASSERT_NE(executor.rollup(), nullptr);
 
@@ -70,15 +72,20 @@ TEST(AggConcurrencyTest, ConcurrentPatchesVersusRollupReads) {
     readers.emplace_back([&, r] {
       while (!go.load(std::memory_order_acquire)) {
       }
-      // Rotate through the three aggregate shapes: ungrouped RegionSum,
-      // per-row sums over the row CSR, per-column range sums.
+      // Rotate through the aggregate shapes: ungrouped RegionSum,
+      // per-row sums over the row CSR, per-column range sums over short
+      // runs (walked) and long ones (from checkpoints).
       const char* kQueries[] = {
           "select sum(value), avg(value), count(*)",
           "select sum(value) where row in 5:90 group by row",
           "select sum(value) where row in 0:95 and col in 4:20 group by col",
+          "select sum(value) where row in 700:4300 and col in 4:20 "
+          "group by col",
+          "select sum(value), avg(value) where row in 1000:1030,1500:4999",
       };
+      constexpr int kShapes = sizeof(kQueries) / sizeof(kQueries[0]);
       for (int q = 0; q < kQueriesPerReader; ++q) {
-        const auto result = executor.Execute(kQueries[(r + q) % 3]);
+        const auto result = executor.Execute(kQueries[(r + q) % kShapes]);
         if (!result.ok() || result->rows_reconstructed != 0) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }

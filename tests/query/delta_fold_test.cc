@@ -21,6 +21,7 @@
 #include "core/disk_backed.h"
 #include "core/svdd_compressor.h"
 #include "data/generators.h"
+#include "obs/query_context.h"
 #include "query/executor.h"
 #include "storage/row_source.h"
 #include "util/logging.h"
@@ -386,6 +387,50 @@ TEST(DeltaLoaderTest, ModelLoadersRejectBadKeys) {
   const auto store = DiskBackedStore::Open(model_path);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_EQ(store->model().delta_count(), 2u);
+}
+
+TEST(DeltaProbeTest, GroupByColAndMaxPanelChargeWhatTheyRead) {
+  PhoneDatasetConfig config;
+  config.num_customers = 5000;
+  config.num_days = 24;
+  config.spike_probability = 0.02;
+  const Matrix x = GeneratePhoneDataset(config).values;
+  MatrixRowSource source(&x);
+  SvddBuildOptions options;
+  options.space_percent = 20.0;
+  auto model = BuildSvddModel(&source, options);
+  ASSERT_TRUE(model.ok());
+  const QueryExecutor executor(&*model);
+  const auto charged = [&](const std::string& sql, QueryResult* result) {
+    obs::QueryContext context;
+    const obs::ScopedQueryContext scope(&context);
+    auto answer = executor.Execute(sql);
+    TSC_CHECK_OK(answer.status());
+    *result = std::move(*answer);
+    return context.Costs().delta_probes;
+  };
+
+  // GROUP BY col over lo:hi reads the checkpoints at rows step and
+  // 3 step and walks the step / 2 - 6 rows between the first and lo and
+  // the step / 2 - 40 rows between hi and the second.
+  constexpr std::size_t kStep = DeltaIndex::kCheckpointRows;
+  const std::size_t lo = kStep + kStep / 2 - 6;
+  const std::size_t hi = 2 * kStep + kStep / 2 + 39;
+  QueryResult by_col;
+  EXPECT_EQ(charged("select sum(value) where row in " + std::to_string(lo) +
+                        ":" + std::to_string(hi) + " group by col",
+                    &by_col),
+            2 + (kStep / 2 - 6) + (kStep / 2 - 40));
+  EXPECT_EQ(by_col.rows_reconstructed, 0u);
+
+  // A block-bound max charges the rows of the blocks it reconstructs,
+  // once each; the walk that builds its bounds is not charged.
+  QueryResult max;
+  const std::uint64_t max_probes =
+      charged("select max(value) where row in 1000:1999", &max);
+  EXPECT_EQ(max.strategy_summary, "max=block-bound");
+  EXPECT_GT(max.rows_reconstructed, 0u);
+  EXPECT_EQ(max_probes, max.rows_reconstructed);
 }
 
 }  // namespace

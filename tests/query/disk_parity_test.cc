@@ -81,7 +81,9 @@ std::vector<std::string> ParitySql() {
   const std::vector<std::string> rows = {
       "3:70",      "64:127",        "60:4100",
       "0:" + last, "4000:8200",     "8191:" + last,
-      "17",        "63:64,127:128,4095:4097,4159:8255"};
+      "17",        "63:64,127:128,4095:4097,4159:8255",
+      // Across the delta index's column-sum checkpoints, 512 rows apart.
+      "1000:1030", "1500:6600",     "1023:1024,2047:7169"};
   const std::vector<std::string> cols = {"0:23", "2:9,15"};
   std::vector<std::string> sql;
   for (const std::string& r : rows) {
@@ -99,7 +101,8 @@ std::vector<Params> ParityDataParams() {
   std::vector<Params> requests;
   for (const char* group : {"sum", "avg"}) {
     for (const char* rows :
-         {"3:70", "0:4200", "4095:8299", "1,63:65,8256:8299"}) {
+         {"3:70", "0:4200", "4095:8299", "1,63:65,8256:8299",
+          "1000:1030,1500:6600"}) {
       requests.push_back(
           {{"group", group}, {"rows", rows}, {"after", "1"}, {"before", "22"},
            {"points", "5"}});

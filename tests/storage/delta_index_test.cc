@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/query_context.h"
 #include "storage/bloom_filter.h"
 #include "util/rng.h"
 
@@ -80,6 +81,63 @@ double OracleSum(const Oracle& oracle, std::span<const IdRange> rows,
     }
   }
   return sum;
+}
+
+/// The place of `id` in the selection, counting through the runs in order.
+std::size_t RankInRanges(std::span<const IdRange> runs, std::size_t id) {
+  std::size_t rank = 0;
+  for (const IdRange& run : runs) {
+    if (id <= run.hi) return rank + (id - run.lo);
+    rank += run.hi - run.lo + 1;
+  }
+  return rank;
+}
+
+using Shapes =
+    std::vector<std::pair<std::vector<IdRange>, std::vector<IdRange>>>;
+
+/// RegionSum, AddColumnSums and AddRowSums of every (row runs, column
+/// runs) shape against the oracle.
+void ExpectRangeSumsMatchOracle(const DeltaIndex& index, const Oracle& oracle,
+                                const Shapes& shapes) {
+  for (const auto& [row_runs, col_runs] : shapes) {
+    double magnitude = 0.0;
+    const double want = OracleSum(oracle, row_runs, col_runs, &magnitude);
+    const double tolerance = 1e-12 * (magnitude + 1.0);
+    EXPECT_NEAR(index.RegionSum(row_runs, col_runs), want, tolerance);
+
+    // Per-column and per-row oracle sums, in one pass over the oracle.
+    const std::size_t selected_cols = RangesSize(col_runs);
+    const std::size_t selected_rows = RangesSize(row_runs);
+    std::vector<double> col_want(selected_cols, 0.0);
+    std::vector<double> col_mag(selected_cols, 0.0);
+    std::vector<double> row_want(selected_rows, 0.0);
+    std::vector<double> row_mag(selected_rows, 0.0);
+    for (const auto& [cell, delta] : oracle) {
+      if (!InRanges(row_runs, cell.first) || !InRanges(col_runs, cell.second)) {
+        continue;
+      }
+      const std::size_t c = RankInRanges(col_runs, cell.second);
+      const std::size_t r = RankInRanges(row_runs, cell.first);
+      col_want[c] += delta;
+      col_mag[c] += std::abs(delta);
+      row_want[r] += delta;
+      row_mag[r] += std::abs(delta);
+    }
+
+    std::vector<double> by_col(selected_cols, 0.0);
+    index.AddColumnSums(row_runs, col_runs, by_col);
+    for (std::size_t g = 0; g < selected_cols; ++g) {
+      EXPECT_NEAR(by_col[g], col_want[g], 1e-12 * (col_mag[g] + 1.0))
+          << "column slot " << g;
+    }
+    std::vector<double> by_row(selected_rows, 0.0);
+    index.AddRowSums(row_runs, col_runs, by_row);
+    for (std::size_t g = 0; g < selected_rows; ++g) {
+      EXPECT_NEAR(by_row[g], row_want[g], 1e-12 * (row_mag[g] + 1.0))
+          << "row slot " << g;
+    }
+  }
 }
 
 /// Every fold of `index` against the oracle.
@@ -152,9 +210,9 @@ void ExpectMatchesOracle(const DeltaIndex& index, const Oracle& oracle,
     }
   }
 
-  // Range sums: random multi-run regions, plus the extreme shapes that
-  // take the row walk (one row) and the column searches (one column).
-  std::vector<std::pair<std::vector<IdRange>, std::vector<IdRange>>> shapes;
+  // Range sums: random multi-run regions, plus the extreme shapes: one
+  // row, one column, everything, an empty row and an empty column.
+  Shapes shapes;
   for (int trial = 0; trial < 24; ++trial) {
     shapes.push_back({RandomRuns(rng, rows), RandomRuns(rng, cols)});
   }
@@ -163,40 +221,7 @@ void ExpectMatchesOracle(const DeltaIndex& index, const Oracle& oracle,
   shapes.push_back({{{0, rows - 1}}, {{0, cols - 1}}});
   if (rows > 1) shapes.push_back({{{1, 1}}, {{0, cols - 1}}});  // empty row
   if (cols > 2) shapes.push_back({{{0, rows - 1}}, {{2, 2}}});  // empty col
-  for (const auto& [row_runs, col_runs] : shapes) {
-    double magnitude = 0.0;
-    const double want = OracleSum(oracle, row_runs, col_runs, &magnitude);
-    const double tolerance = 1e-12 * (magnitude + 1.0);
-    EXPECT_NEAR(index.RegionSum(row_runs, col_runs), want, tolerance);
-
-    std::vector<std::size_t> col_ids;
-    for (const IdRange& r : col_runs) {
-      for (std::size_t c = r.lo; c <= r.hi; ++c) col_ids.push_back(c);
-    }
-    std::vector<double> by_col(col_ids.size(), 0.0);
-    index.AddColumnSums(row_runs, col_runs, by_col);
-    for (std::size_t g = 0; g < col_ids.size(); ++g) {
-      double mag = 0.0;
-      const IdRange one{col_ids[g], col_ids[g]};
-      EXPECT_NEAR(by_col[g], OracleSum(oracle, row_runs, {&one, 1}, &mag),
-                  1e-12 * (mag + 1.0))
-          << "column " << col_ids[g];
-    }
-
-    std::vector<std::size_t> row_ids;
-    for (const IdRange& r : row_runs) {
-      for (std::size_t i = r.lo; i <= r.hi; ++i) row_ids.push_back(i);
-    }
-    std::vector<double> by_row(row_ids.size(), 0.0);
-    index.AddRowSums(row_runs, col_runs, by_row);
-    for (std::size_t g = 0; g < row_ids.size(); ++g) {
-      double mag = 0.0;
-      const IdRange one{row_ids[g], row_ids[g]};
-      EXPECT_NEAR(by_row[g], OracleSum(oracle, {&one, 1}, col_runs, &mag),
-                  1e-12 * (mag + 1.0))
-          << "row " << row_ids[g];
-    }
-  }
+  ExpectRangeSumsMatchOracle(index, oracle, shapes);
 }
 
 std::string TempPath(const std::string& name) {
@@ -261,6 +286,139 @@ TEST(DeltaIndexTest, MatchesMapOracle) {
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     ExpectMatchesOracle(*index, oracle, rng);
   }
+}
+
+// The checkpoint spacing, and 3300 rows: 3072 is a multiple of every
+// spacing up to 1024, so the last interval, 3072..3299, is a short one.
+constexpr std::size_t kStep = DeltaIndex::kCheckpointRows;
+constexpr std::size_t kTallRows = 3300;
+constexpr std::size_t kTallCols = 12;
+static_assert(3072 % kStep == 0 && 3 * kStep <= 3072);
+
+/// Row runs whose ends fall on every side of the checkpoints of a
+/// kTallRows-row index, each over all columns, a subset and one column.
+Shapes CheckpointShapes(std::size_t rows, std::size_t cols) {
+  constexpr std::size_t kHalf = kStep / 2;
+  const std::vector<std::vector<IdRange>> row_runs = {
+      // lo nearer kStep, end nearer 3 kStep
+      {{kStep + kHalf - 6, 2 * kStep + kHalf + 39}},
+      // lo nearer 2 kStep, end nearer 3 kStep
+      {{kStep + kHalf + 4, 2 * kStep + kHalf + 40}},
+      {{kStep + kHalf, 2 * kStep + kHalf + 400}},  // lo on a midpoint
+      {{kStep, 2 * kStep - 1}},  // one whole interval: kStep rows, walked
+      {{kStep, 3 * kStep - 1}},  // both ends on checkpoints
+      {{0, kStep - 1}},          // kStep rows, walked
+      {{0, kStep}},              // kStep + 1 rows, from checkpoints
+      {{100, rows - 1}},         // end on the last checkpoint, rows
+      {{500, 3200}},   // end in the short interval, nearer its end
+      {{2000, 3150}},  // end in the short interval, nearer 3072
+      {{3100, 3250}},  // inside the short interval
+      {{10, 1500}, {1600, 1700}, {2000, rows - 1}},
+      {{0, 511}, {600, 2100}, {2900, rows - 1}},
+  };
+  const std::vector<std::vector<IdRange>> col_runs = {
+      {{0, cols - 1}}, {{1, 4}, {7, 7}, {9, cols - 1}}, {{6, 6}}};
+  Shapes shapes;
+  for (const std::vector<IdRange>& rr : row_runs) {
+    for (const std::vector<IdRange>& cr : col_runs) shapes.push_back({rr, cr});
+  }
+  return shapes;
+}
+
+TEST(DeltaIndexTest, CheckpointFoldsMatchOracle) {
+  Rng rng(5);
+  const Oracle tall = RandomOracle(rng, kTallRows, kTallCols, 4 * kTallRows);
+  auto index = DeltaIndex::Build(kTallRows, kTallCols, Entries(tall, kTallCols));
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  // Checkpoints at 0, kStep, ..., 3072 and kTallRows.
+  EXPECT_EQ(index->CheckpointBytes(),
+            (3072 / kStep + 2) * kTallCols * sizeof(double));
+  ExpectMatchesOracle(*index, tall, rng);
+  ExpectRangeSumsMatchOracle(*index, tall,
+                             CheckpointShapes(kTallRows, kTallCols));
+
+  // Rows a whole number of intervals: the last checkpoint is a full one.
+  const std::size_t rows = 4 * kStep;
+  const Oracle even = RandomOracle(rng, rows, 5, 3 * rows);
+  auto exact = DeltaIndex::Build(rows, 5, Entries(even, 5));
+  ASSERT_TRUE(exact.ok());
+  ExpectMatchesOracle(*exact, even, rng);
+  ExpectRangeSumsMatchOracle(*exact, even,
+                             {{{{0, rows - 1}}, {{0, 4}}},
+                              {{{kStep + 100, rows - 1}}, {{0, 4}}},
+                              {{{kStep - 30, 3 * kStep + 30}}, {{1, 3}}},
+                              {{{40, 2 * kStep}, {3 * kStep, rows - 1}},
+                               {{0, 0}}}});
+}
+
+TEST(DeltaIndexTest, CheckpointFoldsSeeOverlayPatches) {
+  Rng rng(6);
+  Oracle oracle = RandomOracle(rng, kTallRows, kTallCols, 4 * kTallRows);
+  // Row 2 kStep is inside the checkpoints of the first shape's run and
+  // walked for the second's; row kStep + 10 is walked, outside the run,
+  // for the first.
+  const std::size_t inside = 2 * kStep;
+  const std::size_t outside = kStep + 10;
+  oracle[{inside, 5}] = 4.0;
+  oracle.erase({outside, 3});
+  oracle[{3250, 9}] = -2.5;  // in the short last interval
+  auto built =
+      DeltaIndex::Build(kTallRows, kTallCols, Entries(oracle, kTallCols));
+  ASSERT_TRUE(built.ok());
+  DeltaIndex index = built->WithPatch(inside, 5, -11.0);  // shadows 4.0
+  index = index.WithPatch(outside, 3, 6.5);                // a new cell
+  index = index.WithPatch(3250, 9, 0.75);                  // shadows -2.5
+  oracle[{inside, 5}] = -11.0;
+  oracle[{outside, 3}] = 6.5;
+  oracle[{3250, 9}] = 0.75;
+  ExpectMatchesOracle(index, oracle, rng);
+  ExpectRangeSumsMatchOracle(index, oracle,
+                             CheckpointShapes(kTallRows, kTallCols));
+}
+
+TEST(DeltaIndexTest, CheckpointFoldsOverGrownRows) {
+  Rng rng(7);
+  Oracle oracle = RandomOracle(rng, kTallRows, kTallCols, 4 * kTallRows);
+  auto built =
+      DeltaIndex::Build(kTallRows, kTallCols, Entries(oracle, kTallCols));
+  ASSERT_TRUE(built.ok());
+  const std::size_t rows = 4500;
+  DeltaIndex grown = built->WithRows(rows).WithPatch(4400, 6, 8.5);
+  oracle[{4400, 6}] = 8.5;
+  Shapes shapes = CheckpointShapes(kTallRows, kTallCols);
+  shapes.push_back({{{0, rows - 1}}, {{0, kTallCols - 1}}});
+  shapes.push_back({{{3000, rows - 1}}, {{0, kTallCols - 1}}});
+  shapes.push_back({{{4000, rows - 1}}, {{6, 6}}});
+  shapes.push_back({{{1000, 4200}}, {{2, 8}}});
+  ExpectMatchesOracle(grown, oracle, rng);
+  ExpectRangeSumsMatchOracle(grown, oracle, shapes);
+}
+
+TEST(DeltaIndexTest, ColumnSumsCountRowsWalkedAndCheckpointsRead) {
+  Rng rng(8);
+  const Oracle oracle = RandomOracle(rng, kTallRows, kTallCols, 4 * kTallRows);
+  auto index =
+      DeltaIndex::Build(kTallRows, kTallCols, Entries(oracle, kTallCols));
+  ASSERT_TRUE(index.ok());
+  const auto probes = [&](std::vector<IdRange> rows) {
+    obs::QueryContext context;
+    const obs::ScopedQueryContext scope(&context);
+    const IdRange cols{0, kTallCols - 1};
+    std::vector<double> sums(kTallCols, 0.0);
+    index->AddColumnSums(rows, {&cols, 1}, sums);
+    return context.Costs().delta_probes;
+  };
+  // A run of at most kStep rows walks each of its rows.
+  EXPECT_EQ(probes({{100, 199}}), 100u);
+  EXPECT_EQ(probes({{0, kStep - 1}}), kStep);
+  // This run reads the checkpoints at rows kStep and 3 kStep and walks
+  // the kStep / 2 - 6 rows between the first and its start and the
+  // kStep / 2 - 40 rows between its end and the second.
+  constexpr std::size_t kHalf = kStep / 2;
+  EXPECT_EQ(probes({{kStep + kHalf - 6, 2 * kStep + kHalf + 39}}),
+            2 + (kHalf - 6) + (kHalf - 40));
+  EXPECT_EQ(probes({{kStep, 3 * kStep - 1}}), 2u);
+  EXPECT_EQ(probes({{kStep, 3 * kStep - 1}, {3100, 3199}}), 2u + 100u);
 }
 
 TEST(DeltaIndexTest, PatchesOverlayAndMergeMatchOracle) {
