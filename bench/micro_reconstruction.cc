@@ -7,6 +7,7 @@
 //   - a disk-backed cell read is one block access plus O(k) arithmetic;
 //   - a dashboard max panel by block bound reconstructs a fraction of
 //     the cells the scan does (stddev over the same panel);
+//   - a one-row max query is one row's reconstruction and its extremes;
 // and for what the server adds on top of an answer:
 //   - writing a 366-group GROUP BY answer as its full HTTP response.
 
@@ -272,7 +273,36 @@ BENCHMARK(BM_MaxPanel)
     ->Args({4000, 1})
     ->Args({20000, 0})
     ->Args({20000, 1})
+    ->Args({100000, 0})
     ->Unit(benchmark::kMicrosecond);
+
+/// `SELECT max(value) WHERE row IN r` at one of 256 seeded rows per
+/// iteration, on PhoneModel(range(0)): a one-row scan of every day,
+/// the single-row class of the dashboard and point workloads.
+void BM_RowMaxQuery(benchmark::State& state) {
+  constexpr std::size_t kQueries = 256;
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const SvddModel* model = &PhoneModel(rows);
+  const QueryExecutor executor(model);
+  Rng rng(44);
+  std::vector<QueryPlan> plans;
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    const std::size_t row = rng.UniformUint64(rows);
+    QueryAst ast;
+    ast.aggregates = {AggregateFn::kMax};
+    ast.constraints = {{/*is_row=*/true, {{row, row}}}};
+    auto plan = executor.Plan(ast);
+    TSC_CHECK_OK(plan.status());
+    plans.push_back(std::move(*plan));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    auto result = executor.ExecutePlan(plans[next++ % kQueries]);
+    TSC_CHECK_OK(result.status());
+    benchmark::DoNotOptimize(result->values.data());
+  }
+}
+BENCHMARK(BM_RowMaxQuery)->Arg(100000)->Unit(benchmark::kMicrosecond);
 
 /// The dashboard's compressed-domain panels, one of 48 seeded panels per
 /// iteration, on PhoneModel(range(0)): `range(1)` = 0 is `sum(value)

@@ -57,7 +57,7 @@ echo "== build_scaling =="
 echo
 echo "== micro_reconstruction =="
 "${BENCH_DIR}/micro_reconstruction" \
-  --benchmark_filter='BM_(DeltaIndexProbe|CellReconstructionVsK|RowReconstruction|PlanPointQuery)' \
+  --benchmark_filter='BM_(DeltaIndexProbe|CellReconstructionVsK|RowReconstruction|PlanPointQuery|MaxPanel/100000/0|RowMaxQuery)' \
   --benchmark_min_time=0.05 \
   --json="${OUT_DIR}/BENCH_micro_reconstruction.json"
 

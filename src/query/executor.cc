@@ -39,8 +39,9 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Per-group accumulator: streaming moments always, buffered values only
-/// when an order statistic (median) is requested.
+/// Per-group accumulator: count, min and max always, the streaming
+/// moments unless every aggregate is min, max or count, and buffered
+/// values only when an order statistic (median) is requested.
 struct GroupAcc {
   RunningStats stats;
   std::vector<double> values;
@@ -76,6 +77,20 @@ bool NeedsValueBuffer(const QueryPlan& plan) {
     }
   }
   return false;
+}
+
+/// True when every aggregate the scan accumulates reads only its
+/// group's count, min and max.
+bool NeedsOnlyCountMinMax(const QueryPlan& plan) {
+  for (std::size_t a = 0; a < plan.aggregates.size(); ++a) {
+    const AggregateFn fn = plan.aggregates[a];
+    if (plan.strategies[a] == ExecutionStrategy::kRowReconstruction &&
+        fn != AggregateFn::kMin && fn != AggregateFn::kMax &&
+        fn != AggregateFn::kCount) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::vector<std::size_t> GroupKeysFor(const QueryPlan& plan) {
@@ -278,6 +293,7 @@ StatusOr<std::vector<GroupAcc>> ScanGroupsBatched(const QueryPlan& plan,
       obs::MetricRegistry::Default().GetCounter("query.batch_cells");
   obs::TraceSpan span("query.scan");
   const bool keep_values = NeedsValueBuffer(plan);
+  const bool count_min_max = NeedsOnlyCountMinMax(plan);
   const std::size_t groups = plan.GroupCount();
   const std::vector<std::size_t> col_ids = ExpandRanges(plan.col_runs);
   std::vector<std::vector<GroupAcc>> shard_accs(
@@ -312,7 +328,11 @@ StatusOr<std::vector<GroupAcc>> ScanGroupsBatched(const QueryPlan& plan,
             g = 0;
             break;
         }
-        accs[g].stats.Add(vals[c]);
+        if (count_min_max) {
+          accs[g].stats.AddCountMinMax(vals[c]);
+        } else {
+          accs[g].stats.Add(vals[c]);
+        }
         if (keep_values) accs[g].values.push_back(vals[c]);
       }
     }
@@ -396,29 +416,37 @@ std::vector<SelectedBlock> SelectedBlocks(std::span<const IdRange> runs) {
   return blocks;
 }
 
+/// Calls fn(stretch) for each run's part inside `selected`'s block,
+/// ascending.
+template <typename Fn>
+void ForEachBlockStretch(std::span<const IdRange> runs,
+                         const SelectedBlock& selected, Fn&& fn) {
+  constexpr std::size_t kRowBlock = RowBlockSums::kRowBlock;
+  const std::size_t lo = selected.block * kRowBlock;
+  const std::size_t hi = lo + kRowBlock - 1;
+  for (std::size_t r = selected.first_run;
+       r < runs.size() && runs[r].lo <= hi; ++r) {
+    fn(IdRange{std::max(runs[r].lo, lo), std::min(runs[r].hi, hi)});
+  }
+}
+
 /// The selected rows of `selected`'s block, ascending, into `*rows`.
 void SelectedBlockRows(std::span<const IdRange> runs,
                        const SelectedBlock& selected,
                        std::vector<std::size_t>* rows) {
-  constexpr std::size_t kRowBlock = RowBlockSums::kRowBlock;
-  const std::size_t lo = selected.block * kRowBlock;
-  const std::size_t hi = lo + kRowBlock - 1;
   rows->clear();
-  for (std::size_t r = selected.first_run;
-       r < runs.size() && runs[r].lo <= hi; ++r) {
-    for (std::size_t i = std::max(runs[r].lo, lo);
-         i <= std::min(runs[r].hi, hi); ++i) {
-      rows->push_back(i);
-    }
-  }
+  ForEachBlockStretch(runs, selected, [rows](IdRange stretch) {
+    for (std::size_t i = stretch.lo; i <= stretch.hi; ++i) rows->push_back(i);
+  });
 }
 
 /// Answers `fn` (min or max) per group of `plan` (grouped by column or
 /// not at all) by branch and bound over U's 64-row block boxes, on the
 /// calling thread. The search's sign turns min into a max of -x.
-///   1. One walk over the selected rows' deltas, from one snapshot, keeps
-///      for each (block, selected column) the largest signed delta, or 0:
-///      a cell whose delta is not above it stays under the SVD bound.
+///   1. A walk over each selected block's stretch of the row CSR, all
+///      from one snapshot, keeps for each (block, selected column) the
+///      largest signed delta, or 0: a cell whose delta is not above it
+///      stays under the SVD bound.
 ///   2. Each (block, column) is bounded by the block box's bound
 ///      (RowBlockSums::BoxBounds, with its rounding allowance) plus
 ///      that delta.
@@ -456,16 +484,19 @@ StatusOr<std::vector<double>> BlockBoundExtremes(
   work->blocks_total += blocks.size();
 
   // 1. The largest signed delta per (block, column), 0 if none is
-  // positive; rows arrive ascending, so a cursor finds their block.
+  // positive: each run's part inside a block is one walk whose deltas
+  // all belong to that block.
   Matrix delta_bound(blocks.size(), cols);
-  std::size_t cursor = 0;
-  domain.deltas()->ForEachInRegion(
-      plan.row_runs, plan.col_runs,
-      [&](std::size_t row, std::size_t c, double delta) {
-        while (blocks[cursor].block != row / RowBlockSums::kRowBlock) ++cursor;
-        double& bound = delta_bound(cursor, c);
-        bound = std::max(bound, sign * delta);
-      });
+  const std::shared_ptr<const DeltaIndex> deltas = domain.deltas();
+  for (std::size_t s = 0; s < blocks.size(); ++s) {
+    const std::span<double> bound = delta_bound.Row(s);
+    ForEachBlockStretch(plan.row_runs, blocks[s], [&](IdRange stretch) {
+      deltas->ForEachInRegion(stretch, plan.col_runs,
+                              [&](std::size_t c, double delta) {
+                                bound[c] = std::max(bound[c], sign * delta);
+                              });
+    });
+  }
 
   // 2. The bound of each (block, column), and each block's largest.
   Matrix weights(k, cols);

@@ -252,34 +252,28 @@ void DeltaIndex::AddToRegion(std::span<const std::size_t> row_ids,
                              std::span<const std::size_t> col_ids,
                              Matrix* out) const {
   if (row_ids.empty() || col_ids.empty()) return;
-  // Each delta finds every copy of its column by one equal_range over
-  // the selected columns in id order; `order` maps back to positions.
-  std::vector<std::size_t> order;
-  std::vector<std::size_t> sorted;
-  std::span<const std::size_t> by_id = col_ids;
-  if (!std::is_sorted(col_ids.begin(), col_ids.end())) {
-    order.resize(col_ids.size());
-    for (std::size_t c = 0; c < order.size(); ++c) order[c] = c;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return col_ids[a] < col_ids[b];
-                     });
-    sorted.resize(col_ids.size());
-    for (std::size_t c = 0; c < order.size(); ++c) {
-      sorted[c] = col_ids[order[c]];
-    }
-    by_id = sorted;
+  // Each delta finds every copy of its column through a table over the
+  // selection's column span: first[col - first_col] is the column's
+  // first position, and next[c] the next position holding c's id.
+  const auto [min_id, max_id] =
+      std::minmax_element(col_ids.begin(), col_ids.end());
+  const std::size_t first_col = *min_id;
+  std::vector<std::size_t> first(*max_id - first_col + 1, kUnselected);
+  std::vector<std::size_t> next(col_ids.size());
+  for (std::size_t c = col_ids.size(); c-- > 0;) {
+    std::size_t& head = first[col_ids[c] - first_col];
+    next[c] = head;
+    head = c;
   }
   std::uint64_t hits = 0;
   for (std::size_t r = 0; r < row_ids.size(); ++r) {
     const std::span<double> dst = out->Row(r);
     bool hit = false;
     ForEachInRow(row_ids[r], [&](std::size_t col, double delta) {
-      const auto [first, last] =
-          std::equal_range(by_id.begin(), by_id.end(), col);
-      for (auto it = first; it != last; ++it) {
-        const std::size_t c = static_cast<std::size_t>(it - by_id.begin());
-        dst[order.empty() ? c : order[c]] += delta;
+      const std::size_t offset = col - first_col;  // wraps below first_col
+      if (offset >= first.size()) return;
+      for (std::size_t c = first[offset]; c != kUnselected; c = next[c]) {
+        dst[c] += delta;
         hit = true;
       }
     });

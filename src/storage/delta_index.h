@@ -131,13 +131,14 @@ class DeltaIndex {
   template <typename Fn>
   void ForEachInRow(std::size_t row, Fn&& fn) const;
 
-  /// Visits every delta inside (row runs) x (column runs) as fn(row, c,
-  /// delta), c the column's position in the selection (counting through
-  /// the column runs in order), ascending by row, then column. Not
-  /// counted as a lookup.
+  /// Visits every delta inside `rows` x (column runs) as fn(c, delta),
+  /// c the column's position in the selection (counting through the
+  /// column runs in order), ascending by row, then column. Without
+  /// overlay patches this is one walk over the run's stretch of the row
+  /// CSR that tracks no row. Not counted as a lookup.
   template <typename Fn>
-  void ForEachInRegion(std::span<const IdRange> row_ranges,
-                       std::span<const IdRange> col_ranges, Fn&& fn) const;
+  void ForEachInRegion(IdRange rows, std::span<const IdRange> col_ranges,
+                       Fn&& fn) const;
 
   /// Visits every delta as fn(row, col, delta) in key order.
   template <typename Fn>
@@ -220,37 +221,31 @@ void DeltaIndex::ForEachInRow(std::size_t row, Fn&& fn) const {
 }
 
 template <typename Fn>
-void DeltaIndex::ForEachInRegion(std::span<const IdRange> row_ranges,
+void DeltaIndex::ForEachInRegion(IdRange rows,
                                  std::span<const IdRange> col_ranges,
                                  Fn&& fn) const {
-  if (row_ranges.empty() || col_ranges.empty()) return;
+  if (rows.lo > rows.hi || col_ranges.empty()) return;
   const std::size_t first_col = col_ranges.front().lo;
   const std::vector<std::size_t> position = SelectionPositions(col_ranges);
   // Visits one delta if its column is selected.
-  const auto visit = [&](std::size_t row, std::size_t col, double delta) {
+  const auto visit = [&](std::size_t col, double delta) {
     const std::size_t offset = col - first_col;  // wraps below first_col
     if (offset >= position.size() || position[offset] == kUnselected) return;
-    fn(row, position[offset], delta);
+    fn(position[offset], delta);
   };
-  for (const IdRange& run : row_ranges) {
-    if (!overlay_.empty()) {
-      for (std::size_t row = run.lo; row <= run.hi; ++row) {
-        ForEachInRow(row, [&](std::size_t col, double delta) {
-          visit(row, col, delta);
-        });
-      }
-      continue;
+  if (!overlay_.empty()) {
+    for (std::size_t row = rows.lo; row <= rows.hi; ++row) {
+      ForEachInRow(row, visit);
     }
-    // The base alone: the run's rows hold one contiguous stretch of the
-    // row CSR, walked straight through.
-    if (run.lo >= base_->rows) continue;
-    const std::size_t hi = std::min(run.hi, base_->rows - 1);
-    const std::uint64_t* offsets = base_->row_offsets.data();
-    std::size_t row = run.lo;
-    for (std::uint64_t e = offsets[run.lo]; e < offsets[hi + 1]; ++e) {
-      while (offsets[row + 1] <= e) ++row;
-      visit(row, base_->row_cols[e], base_->row_deltas[e]);
-    }
+    return;
+  }
+  // The base alone: the run's rows hold one contiguous stretch of the
+  // row CSR, walked straight through.
+  if (rows.lo >= base_->rows) return;
+  const std::size_t hi = std::min(rows.hi, base_->rows - 1);
+  const std::uint64_t end = base_->row_offsets[hi + 1];
+  for (std::uint64_t e = base_->row_offsets[rows.lo]; e < end; ++e) {
+    visit(base_->row_cols[e], base_->row_deltas[e]);
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef TSC_UTIL_STATS_H_
 #define TSC_UTIL_STATS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -12,6 +13,14 @@ namespace tsc {
 class RunningStats {
  public:
   void Add(double value);
+  /// Add() for a stream whose mean, variance and sum are never read:
+  /// counts `value` and folds it into min and max, skipping the moments
+  /// and their division. min(), max() and count() match Add()'s.
+  void AddCountMinMax(double value) {
+    min_ = count_ == 0 ? value : std::min(min_, value);
+    max_ = count_ == 0 ? value : std::max(max_, value);
+    ++count_;
+  }
 
   /// Merges another accumulator (parallel/chunked scans).
   void Merge(const RunningStats& other);

@@ -12,6 +12,7 @@
 #include <ostream>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -385,6 +386,82 @@ TEST(BlockBoundSearchTest, BlocksOfIdenticalRowsKeepTheirTies) {
       }
     }
   }
+}
+
+TEST(BlockBoundSearchTest, RaggedRunsWithPatchedStretchEndsMatchTheScan) {
+  // Runs that start and end inside 64-row blocks on both sides of an
+  // edge, several to a block, so each block's deltas come from one or
+  // more stretches of the row CSR. Patches at the stretches' first and
+  // last rows lift (or sink) cells of blocks that are still in
+  // contention past the running best; the rows between two runs of a
+  // block hold patches the selection must not see. In memory the
+  // patches sit in the delta overlay; the saved model holds them in its
+  // base.
+  SvddModel model = BuildModel(ProfileData(), QuantScheme::kF64);
+  const std::string where =
+      "row in 5:20,30:62,66:90,100:140,200:250,300:301,303:390,950:999 "
+      "and col in 2:9,15";
+  const QueryExecutor before(&model);
+  const QueryResult plain =
+      ExpectScanAnswers(before, "max(value), min(value)", where, "", "plain");
+  const double top = plain.values[0];
+  const double bottom = plain.values[1];
+  for (const auto& [row, col, value] :
+       std::vector<std::tuple<std::size_t, std::size_t, double>>{
+           {62, 3, top + 50.0},      // last row before the 63/64 edge
+           {66, 4, top + 50.0},      // first row after it
+           {128, 3, top + 50.0},     // a run across the 127/128 edge
+           {140, 15, top + 20.0},    // a run's end inside block 2
+           {303, 2, bottom - 30.0},  // a run's start after a one-row gap
+           {390, 9, bottom - 30.0},  // a run's end inside block 6
+           {950, 8, bottom - 10.0},  // the ragged last block
+           {64, 3, top + 900.0},     // unselected rows between runs
+           {302, 2, bottom - 900.0},
+           {25, 15, top + 900.0}}) {
+    ASSERT_TRUE(model.PatchCell(row, col, value).ok());
+  }
+  // The patched cells reconstruct within rounding of their values.
+  const double lifted = std::max({model.ReconstructCell(62, 3),
+                                  model.ReconstructCell(66, 4),
+                                  model.ReconstructCell(128, 3)});
+  const double sunk = std::min(model.ReconstructCell(303, 2),
+                               model.ReconstructCell(390, 9));
+  const std::string path =
+      ::testing::TempDir() + "/block_bound_ragged_runs.model";
+  ASSERT_TRUE(model.SaveToFile(path).ok());
+  DiskBackedOptions options;
+  options.cache_blocks = 3;
+  auto store = DiskBackedStore::Open(path, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const DiskBackedStoreView view(&*store);
+
+  std::vector<double> memory_answers;
+  for (const bool on_disk : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      const QueryExecutor executor = on_disk ? QueryExecutor(&view, threads)
+                                             : QueryExecutor(&model, threads);
+      const std::string context = std::string(on_disk ? "disk" : "memory") +
+                                  " threads=" + std::to_string(threads);
+      std::vector<double> answers;
+      for (const char* group : {"", " group by col"}) {
+        const QueryResult result = ExpectScanAnswers(
+            executor, "max(value), min(value)", where, group, context);
+        answers.insert(answers.end(), result.values.begin(),
+                       result.values.end());
+        if (group[0] == '\0') {
+          EXPECT_TRUE(SameBits(result.values[0], lifted)) << context;
+          EXPECT_TRUE(SameBits(result.values[1], sunk)) << context;
+        }
+      }
+      if (memory_answers.empty()) memory_answers = answers;
+      ASSERT_EQ(answers.size(), memory_answers.size());
+      EXPECT_EQ(std::memcmp(answers.data(), memory_answers.data(),
+                            answers.size() * sizeof(double)),
+                0)
+          << context;
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 /// `model` with its compressed domain, except that every zero cell of

@@ -372,6 +372,52 @@ TEST_F(ExecutorTest, ThreadedSvddFastPathMatchesSerial) {
   }
 }
 
+TEST_F(ExecutorTest, CountMinMaxScansMatchTheFullAccumulator) {
+  // A scan whose aggregates are all min, max or count keeps only those
+  // per group; adding stddev to the plan keeps the moments too. Both
+  // must give the same min, max and count, bit for bit, at any thread
+  // count, and the mixed plan a stddev equal to a hand accumulation.
+  const ScanOnlyStore scan_store(model_);
+  for (const std::string where :
+       {"row in 7", "row in 3:140 and col in 1:30",
+        "row in 0:149 and col in 0:39 group by col"}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      const QueryExecutor executor(&scan_store, threads);
+      const auto lean = executor.Execute(
+          "select max(value), min(value), count(*) where " + where);
+      const auto full = executor.Execute(
+          "select max(value), min(value), count(*), stddev(value) where " +
+          where);
+      ASSERT_TRUE(lean.ok()) << where;
+      ASSERT_TRUE(full.ok()) << where;
+      ASSERT_EQ(lean->group_count(), full->group_count());
+      for (std::size_t g = 0; g < lean->group_count(); ++g) {
+        for (std::size_t a = 0; a < 3; ++a) {
+          EXPECT_EQ(lean->ValueAt(g, a), full->ValueAt(g, a))
+              << where << " threads=" << threads << " group " << g;
+        }
+      }
+    }
+  }
+  // One row is one shard's region, accumulated in column order.
+  const std::vector<std::size_t> row_ids = {7};
+  std::vector<std::size_t> col_ids(model_->cols());
+  for (std::size_t j = 0; j < col_ids.size(); ++j) col_ids[j] = j;
+  Matrix region;
+  ASSERT_TRUE(model_->ReconstructRegion(row_ids, col_ids, &region).ok());
+  RunningStats reference;
+  for (const double value : region.Row(0)) reference.Add(value);
+  const QueryExecutor executor(model_);
+  const auto mixed =
+      executor.Execute("select max(value), stddev(value) where row in 7");
+  ASSERT_TRUE(mixed.ok());
+  EXPECT_EQ(mixed->strategy_summary,
+            "max=row-reconstruction stddev=row-reconstruction");
+  EXPECT_EQ(mixed->values[0], reference.max());
+  EXPECT_EQ(mixed->values[1], reference.stddev());
+  EXPECT_GT(mixed->values[1], 0.0);
+}
+
 TEST_F(ExecutorTest, BatchedScanMatchesPerRowReconstruction) {
   // The batched region scan must agree with a hand scan that calls
   // ReconstructRow per selected row (the pre-batching code path).

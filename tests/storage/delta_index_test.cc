@@ -181,6 +181,8 @@ void ExpectMatchesOracle(const DeltaIndex& index, const Oracle& oracle,
   }
 
   // Regions with unsorted and repeated ids: every copy gets its delta.
+  std::vector<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>>
+      regions;
   for (int trial = 0; trial < 8; ++trial) {
     std::vector<std::size_t> row_ids;
     std::vector<std::size_t> col_ids;
@@ -192,6 +194,20 @@ void ExpectMatchesOracle(const DeltaIndex& index, const Oracle& oracle,
     }
     row_ids.push_back(row_ids.front());
     col_ids.push_back(col_ids.front());
+    regions.push_back({row_ids, col_ids});
+  }
+  // Column 0 and the last column alone, and both of them, unsorted and
+  // repeated, around a middle column: the widest span the table takes.
+  const std::vector<std::size_t> some_rows = {rows - 1, 0, rows / 2, 0,
+                                              rows - 1};
+  regions.push_back({some_rows, {0}});
+  regions.push_back({some_rows, {cols - 1}});
+  regions.push_back({some_rows, {cols - 1, 0, cols / 2, cols - 1, 0}});
+  std::vector<std::size_t> every_col_twice;
+  for (std::size_t col = cols; col-- > 0;) every_col_twice.push_back(col);
+  for (std::size_t col = 0; col < cols; ++col) every_col_twice.push_back(col);
+  regions.push_back({some_rows, every_col_twice});
+  for (const auto& [row_ids, col_ids] : regions) {
     Matrix region(row_ids.size(), col_ids.size());
     for (std::size_t r = 0; r < row_ids.size(); ++r) {
       for (std::size_t c = 0; c < col_ids.size(); ++c) {
@@ -207,6 +223,27 @@ void ExpectMatchesOracle(const DeltaIndex& index, const Oracle& oracle,
                   it == oracle.end() ? base : base + it->second)
             << "region " << row_ids[r] << "," << col_ids[c];
       }
+    }
+  }
+
+  // ForEachInRegion over each run of random row runs: the selected
+  // deltas in (row, column) order, each with its column's position.
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::vector<IdRange> row_runs = RandomRuns(rng, rows);
+    const std::vector<IdRange> col_runs = RandomRuns(rng, cols);
+    for (const IdRange& run : row_runs) {
+      std::vector<std::pair<std::size_t, double>> visited;
+      index.ForEachInRegion(run, col_runs, [&](std::size_t c, double delta) {
+        visited.push_back({c, delta});
+      });
+      std::vector<std::pair<std::size_t, double>> want;
+      for (const auto& [cell, delta] : oracle) {
+        if (cell.first >= run.lo && cell.first <= run.hi &&
+            InRanges(col_runs, cell.second)) {
+          want.push_back({RankInRanges(col_runs, cell.second), delta});
+        }
+      }
+      ASSERT_EQ(visited, want) << "rows " << run.lo << ".." << run.hi;
     }
   }
 
