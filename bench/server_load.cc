@@ -134,9 +134,9 @@ struct Expected {
 /// server's own accounting of the work it did (cache traffic, bytes
 /// read, rows scanned) alongside the client-side QPS numbers.
 const char* const kDeltaCounters[] = {
-    "server.requests",    "server.connections", "server.rejected",
-    "request.count",      "block_cache.hits",   "block_cache.misses",
-    "io.bytes_read",      "query.rows_scanned",
+    "server.requests",  "server.connections", "server.rejected",
+    "block_cache.hits", "block_cache.misses", "io.bytes_read",
+    "query.rows_scanned",
 };
 
 /// Reads one counter out of the /metrics?format=json body. The snapshot

@@ -20,7 +20,6 @@
 #include "core/similarity.h"
 #include "data/dataset.h"
 #include "data/generators.h"
-#include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
 #include "query/executor.h"
@@ -29,7 +28,6 @@
 #include "storage/row_source.h"
 #include "storage/row_store.h"
 #include "util/flags.h"
-#include "util/rng.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
 
@@ -63,18 +61,15 @@ commands:
   similar    --model=MODEL --row=I --count=5 (nearest sequences in SVD space)
   evaluate   --model=MODEL --input=FILE
   reconstruct --model=MODEL --out=FILE.csv [--rows=COUNT]
-  stats      --model=MODEL [--queries=N] [--cache-blocks=N] [--zipf=S]
-             [--seed=S]
-                          (runs a serving workload, prints instrument values)
-             --port=N [--host=IP]  (instead: fetch a running server's
-                          /metrics table + SLO window, see docs/server.md)
+  stats      --port=N [--host=IP]
+                          (a running server's /metrics table and
+                           /healthz?verbose=1, see docs/server.md)
   serve      --model=MODEL [--port=7496] [--bind=ADDR] [--max-concurrent=N]
              [--queue=N]
              [--timeout-ms=MS] [--duration-s=S]
              (--bind defaults to loopback; anything else exposes an
               UNAUTHENTICATED api — see docs/server.md)
              [--cache-blocks=N] [--keys=FILE] [--slowlog=K]
-             [--slo-budget-ms=MS] [--slo-window-s=S]
                           (HTTP query server on 127.0.0.1; endpoints
                            /api/v1/data, /api/v1/query, /api/v1/cell,
                            /api/v1/debug/slow, /metrics, /healthz —
@@ -319,6 +314,14 @@ int CmdCompress(const FlagParser& flags, std::ostream& out,
   return 0;
 }
 
+/// Pulls the SvdModel view out of a loaded model of either kind.
+const SvdModel* SvdViewOf(const LoadedModel& loaded) {
+  if (loaded.kind == "svdd") {
+    return &static_cast<const SvddModel*>(loaded.store.get())->svd();
+  }
+  return static_cast<const SvdModel*>(loaded.store.get());
+}
+
 int CmdInfo(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   auto loaded = LoadModel(flags.GetString("model", ""));
   if (!loaded.ok()) return Fail(err, loaded.status());
@@ -334,6 +337,13 @@ int CmdInfo(const FlagParser& flags, std::ostream& out, std::ostream& err) {
         << " bytes of column sums every " << DeltaIndex::kCheckpointRows
         << " rows\n";
   }
+  // U is charged at its row stride in the file; V and the eigenvalues
+  // stay in memory as doubles.
+  const SvdModel& svd = *SvdViewOf(*loaded);
+  out << "u rows:      " << QuantSchemeName(svd.quant_scheme()) << ", "
+      << QuantRowStride(svd.quant_scheme(), svd.k()) << " bytes/row\n"
+      << "v + lambda:  " << (svd.k() * svd.cols() + svd.k()) * sizeof(double)
+      << " bytes\n";
   out << "bytes:       " << store.CompressedBytes() << "\n"
       << "space:       " << TablePrinter::Percent(store.SpacePercent())
       << " of original\n";
@@ -431,14 +441,6 @@ StatusOr<std::vector<std::size_t>> ParseColRange(const std::string& text,
   std::vector<std::size_t> cols;
   for (std::size_t j = lo; j <= hi; ++j) cols.push_back(j);
   return cols;
-}
-
-/// Pulls the SvdModel view out of a loaded model of either kind.
-const SvdModel* SvdViewOf(const LoadedModel& loaded) {
-  if (loaded.kind == "svdd") {
-    return &static_cast<const SvddModel*>(loaded.store.get())->svd();
-  }
-  return static_cast<const SvdModel*>(loaded.store.get());
 }
 
 int CmdTopK(const FlagParser& flags, std::ostream& out, std::ostream& err) {
@@ -548,138 +550,23 @@ int CmdReconstruct(const FlagParser& flags, std::ostream& out,
   return 0;
 }
 
-/// Opens an SVDD model file as the disk layout (only such a file opens).
-StatusOr<DiskBackedStore> OpenDiskLayout(const FlagParser& flags,
-                                         std::size_t cache_blocks) {
-  DiskBackedOptions options;
-  options.cache_blocks = cache_blocks;
-  return DiskBackedStore::Open(flags.GetString("model", ""), options);
-}
-
-/// Runs the paper's serving scenario end to end against a model file and
-/// prints what the instruments saw: opens the model file as the disk
-/// layout behind a BlockCache buffer pool, replays a
-/// Zipf-skewed cell workload plus a few SQL aggregates, then reports the
-/// derived rates and the full registry snapshot.
+/// Prints a running server's registry table and its verbose health
+/// document.
 int CmdStats(const FlagParser& flags, std::ostream& out, std::ostream& err) {
-  // Remote mode: pull a running server's registry (with the slo.* window
-  // gauges published on scrape) and its verbose health document.
-  if (const int port = flags.GetInt("port", 0); port > 0) {
-    const std::string host = flags.GetString("host", "127.0.0.1");
-    auto metrics = server::HttpGet(host, port, "/metrics?format=table");
-    if (!metrics.ok()) return Fail(err, metrics.status());
-    if (metrics->status != 200) {
-      return Fail(err, Status::IoError("server returned HTTP " +
-                                       std::to_string(metrics->status)));
-    }
-    out << metrics->body;
-    if (auto health = server::HttpGet(host, port, "/healthz?verbose=1");
-        health.ok() && health->status == 200) {
-      out << "\n" << health->body << "\n";
-    }
-    return 0;
+  const int port = flags.GetInt("port", 0);
+  if (port <= 0) return Fail(err, Status::InvalidArgument("--port required"));
+  const std::string host = flags.GetString("host", "127.0.0.1");
+  auto metrics = server::HttpGet(host, port, "/metrics?format=table");
+  if (!metrics.ok()) return Fail(err, metrics.status());
+  if (metrics->status != 200) {
+    return Fail(err, Status::IoError("server returned HTTP " +
+                                     std::to_string(metrics->status)));
   }
-
-  const std::size_t queries =
-      static_cast<std::size_t>(flags.GetInt("queries", 2000));
-  const std::size_t cache_blocks =
-      static_cast<std::size_t>(flags.GetInt("cache-blocks", 64));
-  const double zipf_s = flags.GetDouble("zipf", 1.1);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-
-  // Fresh run: counts below reflect this workload only.
-  obs::MetricRegistry::Default().ResetAll();
-  auto store = OpenDiskLayout(flags, cache_blocks);
-  if (!store.ok()) return Fail(err, store.status());
-
-  // Skewed cell workload: hot rows repeat, so the buffer pool shows its
-  // effect, exactly the Appendix A access pattern.
-  const SvddModel& disk_model = store->model();
-  Rng rng(seed);
-  const ZipfSampler rows(disk_model.rows(), zipf_s);
-  Timer timer;
-  for (std::size_t q = 0; q < queries; ++q) {
-    const std::size_t i = rows.Sample(&rng) - 1;
-    const std::size_t j =
-        static_cast<std::size_t>(rng.UniformUint64(disk_model.cols()));
-    auto value = disk_model.TryReconstructCell(i, j);
-    if (!value.ok()) return Fail(err, value.status());
+  out << metrics->body;
+  if (auto health = server::HttpGet(host, port, "/healthz?verbose=1");
+      health.ok() && health->status == 200) {
+    out << "\n" << health->body << "\n";
   }
-  const double cell_seconds = timer.ElapsedSeconds();
-  // The per-cell-query lines count the cell loop alone, not the SQL
-  // scans below. They come from component-level counters, so they hold
-  // even in a TSC_OBS_DISABLED build; the registry table needs the
-  // instruments compiled in.
-  const std::uint64_t hits = store->cache_hits();
-  const std::uint64_t misses_blocks = store->disk_accesses();
-  const std::uint64_t total_reads = hits + misses_blocks;
-
-  // A few SQL aggregates served straight from the disk layout by the
-  // model over it: sum and avg in the compressed domain (their
-  // runs' ragged end rows read through the cache), max by a batched scan
-  // over the U rows read from the file.
-  const QueryExecutor executor(&disk_model);
-  const std::size_t last_row = disk_model.rows() - 1;
-  const std::vector<std::string> sql = {
-      "SELECT sum(value)",
-      "SELECT avg(value) WHERE row IN 0:" + std::to_string(last_row / 2),
-      "SELECT max(value) WHERE row IN 0:" +
-          std::to_string(std::min<std::size_t>(last_row, 9)),
-  };
-  for (const std::string& text : sql) {
-    auto result = executor.Execute(text);
-    if (!result.ok()) return Fail(err, result.status());
-  }
-
-  out << "serving workload: " << queries << " cell queries ("
-      << "zipf s=" << TablePrinter::Num(zipf_s) << "), " << sql.size()
-      << " sql queries, cache=" << cache_blocks << " blocks\n";
-  // Serving footprint, broken down by component: U's rows in the file
-  // (at their true, possibly quantized stride), the packed deltas, and the
-  // in-memory V + eigenvalues. The delta index's row CSR and column-sum
-  // checkpoints are resident acceleration structures, listed after the
-  // charged parts.
-  const std::shared_ptr<const DeltaIndex> deltas = disk_model.deltas();
-  const std::uint64_t u_bytes = store->u_bytes();
-  const std::uint64_t delta_bytes = deltas->PackedBytes();
-  const std::uint64_t v_bytes =
-      (static_cast<std::uint64_t>(disk_model.k()) * disk_model.cols() +
-       disk_model.k()) *
-      sizeof(double);
-  const std::uint64_t footprint = u_bytes + delta_bytes + v_bytes;
-  const double total_cells = static_cast<double>(disk_model.rows()) *
-                             static_cast<double>(disk_model.cols());
-  out << "footprint:        " << footprint << " bytes total ("
-      << TablePrinter::Num(total_cells == 0.0
-                               ? 0.0
-                               : static_cast<double>(footprint) / total_cells)
-      << " bytes/cell)\n";
-  out << "  u store:        " << u_bytes << " bytes ("
-      << QuantSchemeName(store->u_scheme()) << ", "
-      << store->u_row_stride_bytes() << " bytes/row)\n";
-  out << "  deltas:         " << delta_bytes << " bytes ("
-      << deltas->size() << " entries)\n";
-  out << "  v + eigenvalues: " << v_bytes << " bytes\n";
-  out << "delta index:      " << deltas->RowIndexBytes()
-      << " bytes row CSR, " << deltas->CheckpointBytes()
-      << " bytes column-sum checkpoints (resident, not charged)\n";
-  out << "cell latency:     "
-      << TablePrinter::Num(1e6 * cell_seconds /
-                           static_cast<double>(queries == 0 ? 1 : queries))
-      << " us/query\n";
-  out << "disk accesses:    " << misses_blocks << " ("
-      << TablePrinter::Num(static_cast<double>(misses_blocks) /
-                           static_cast<double>(queries == 0 ? 1 : queries))
-      << " per cell query)\n";
-  out << "cache hit rate:   "
-      << TablePrinter::Percent(total_reads == 0
-                                   ? 0.0
-                                   : 100.0 * static_cast<double>(hits) /
-                                         static_cast<double>(total_reads))
-      << "\n";
-  const obs::StatsSnapshot snapshot = obs::TakeSnapshot();
-  if (!snapshot.empty()) out << "\n" << snapshot.ToTable();
   return 0;
 }
 
@@ -700,7 +587,11 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   std::optional<DiskBackedStore> disk_store;
   const CompressedStore* store = nullptr;
   if (cache_blocks > 0) {
-    auto opened = OpenDiskLayout(flags, cache_blocks);
+    // Only an SVDD model file opens as the disk layout.
+    DiskBackedOptions disk_options;
+    disk_options.cache_blocks = cache_blocks;
+    auto opened =
+        DiskBackedStore::Open(flags.GetString("model", ""), disk_options);
     if (!opened.ok()) return Fail(err, opened.status());
     disk_store.emplace(std::move(*opened));
     store = &disk_store->model();
@@ -730,10 +621,6 @@ int CmdServe(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       static_cast<std::uint64_t>(flags.GetInt("timeout-ms", 2000));
   options.slowlog_capacity =
       static_cast<std::size_t>(flags.GetInt("slowlog", 64));
-  options.slo_window_s =
-      static_cast<std::uint64_t>(flags.GetInt("slo-window-s", 60));
-  options.slo_latency_budget_us =
-      1000.0 * static_cast<double>(flags.GetInt("slo-budget-ms", 250));
 
   // Row-key map backing rows=~regex dimension filters: --keys=FILE (one
   // key per line, at least one per row) or synthetic row<i> names.
@@ -840,14 +727,11 @@ const std::vector<Command> kCommands = {
     {"similar", CmdSimilar, {"model", "row", "count"}},
     {"evaluate", CmdEvaluate, {"model", "input"}},
     {"reconstruct", CmdReconstruct, {"model", "out", "rows"}},
-    {"stats",
-     CmdStats,
-     {"model", "queries", "cache-blocks", "zipf", "seed", "port", "host"}},
+    {"stats", CmdStats, {"port", "host"}},
     {"serve",
      CmdServe,
      {"model", "port", "bind", "max-concurrent", "queue", "timeout-ms",
-      "duration-s", "cache-blocks", "keys", "slowlog",
-      "slo-budget-ms", "slo-window-s"}},
+      "duration-s", "cache-blocks", "keys", "slowlog"}},
     {"slowlog", CmdSlowlog, {"port", "host", "format"}},
 };
 

@@ -720,30 +720,11 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   phase.reset();
   end_pass(2);
 
-  const bool randomized = options.engine == SvddBuildEngine::kRandomized;
-  // Every pass Reset()s the source exactly once, so streamed rows are
-  // passes * n regardless of engine (exact: 3; randomized: 3 + 1 sketch
-  // + power_iterations).
-  const std::uint64_t rows_streamed =
-      static_cast<std::uint64_t>(source->passes_started() - passes_before) *
-      static_cast<std::uint64_t>(n);
-  obs::MetricRegistry::Default().GetGauge("build.k_opt").Set(
-      static_cast<double>(k_opt));
-  obs::MetricRegistry::Default().GetGauge("build.delta_count").Set(
-      static_cast<double>(deltas.size()));
-  obs::MetricRegistry::Default().GetGauge("build.engine").Set(
-      randomized ? 1.0 : 0.0);
-  obs::MetricRegistry::Default().GetGauge("build.sketch_cols").Set(
-      static_cast<double>(sketch_cols));
-  obs::MetricRegistry::Default().GetGauge("build.power_iters").Set(
-      randomized ? static_cast<double>(options.power_iterations) : 0.0);
   obs::MetricRegistry::Default().GetGauge("build.resolved_candidates").Set(
       static_cast<double>(resolved_candidates));
-  obs::MetricRegistry::Default()
-      .GetCounter("build.rows_streamed")
-      .Add(rows_streamed);
 
   if (diagnostics != nullptr) {
+    const bool randomized = options.engine == SvddBuildEngine::kRandomized;
     diagnostics->k_max = k_max;
     diagnostics->k_opt = k_opt;
     diagnostics->delta_count = deltas.size();
@@ -755,7 +736,12 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
     diagnostics->sketch_cols = sketch_cols;
     diagnostics->power_iterations =
         randomized ? options.power_iterations : 0;
-    diagnostics->rows_streamed = rows_streamed;
+    // Every pass Reset()s the source exactly once, so streamed rows are
+    // passes * n regardless of engine (exact: 3; randomized: 3 + 1
+    // sketch + power_iterations).
+    diagnostics->rows_streamed =
+        static_cast<std::uint64_t>(source->passes_started() - passes_before) *
+        static_cast<std::uint64_t>(n);
     diagnostics->resolved_candidates = resolved_candidates;
     diagnostics->candidate_resolved = std::move(resolved);
     diagnostics->pass2_outlier_state_bytes = pass2_state_bytes;

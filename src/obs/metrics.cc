@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
+#include <mutex>
+#include <vector>
 
 namespace tsc::obs {
 
@@ -11,9 +14,50 @@ namespace detail {
 std::atomic<bool> g_instruments_enabled{true};
 constinit thread_local std::uint32_t t_thread_id = 0xffffffffu;
 
+namespace {
+
+/// Ids handed out so far and those whose threads have exited. Leaked on
+/// purpose: threads may exit during static destruction.
+struct ThreadIds {
+  std::mutex mu;
+  std::uint32_t next = 0;
+  std::vector<std::uint32_t> free;  ///< min-heap
+};
+
+ThreadIds& Ids() {
+  static ThreadIds* ids = new ThreadIds();
+  return *ids;
+}
+
+/// Returns the thread's id to the free list when the thread exits. The
+/// mutex orders the exiting thread's last slot writes before the next
+/// owner's first.
+struct ThreadIdRelease {
+  ~ThreadIdRelease() {
+    ThreadIds& ids = Ids();
+    std::lock_guard<std::mutex> lock(ids.mu);
+    ids.free.push_back(t_thread_id);
+    std::push_heap(ids.free.begin(), ids.free.end(), std::greater<>());
+    t_thread_id = 0xffffffffu;
+  }
+};
+
+}  // namespace
+
 std::uint32_t AssignThreadId() {
-  static std::atomic<std::uint32_t> next{0};
-  t_thread_id = next.fetch_add(1, std::memory_order_relaxed);
+  {
+    ThreadIds& ids = Ids();
+    std::lock_guard<std::mutex> lock(ids.mu);
+    if (ids.free.empty()) {
+      t_thread_id = ids.next++;
+    } else {
+      std::pop_heap(ids.free.begin(), ids.free.end(), std::greater<>());
+      t_thread_id = ids.free.back();
+      ids.free.pop_back();
+    }
+  }
+  thread_local ThreadIdRelease release;
+  (void)release;
   return t_thread_id;
 }
 

@@ -28,8 +28,11 @@ bool InstrumentsEnabled();
 namespace detail {
 extern std::atomic<bool> g_instruments_enabled;
 
-/// Small dense id for the calling thread, assigned on first use. Shared by
-/// the counter sharding and the trace recorder's tid column.
+/// Small dense id for the calling thread, assigned on first use and
+/// handed back when the thread exits: a new thread takes the smallest id
+/// no live thread holds, so while at most N threads are live at once
+/// every id is below N. Shared by the counter sharding and the trace
+/// recorder's tid column.
 std::uint32_t AssignThreadId();
 extern constinit thread_local std::uint32_t t_thread_id;
 inline std::uint32_t ThreadId() {
@@ -38,7 +41,8 @@ inline std::uint32_t ThreadId() {
 }
 }  // namespace detail
 
-/// Dense sequential id of the calling thread (0 = first thread that asked).
+/// Dense id of the calling thread (0 = the first thread that asked); an
+/// exited thread's id is reused by a later thread.
 inline std::uint32_t CurrentThreadId() { return detail::ThreadId(); }
 
 // ---------------------------------------------------------------------------
@@ -50,11 +54,12 @@ inline std::uint32_t CurrentThreadId() { return detail::ThreadId(); }
 /// line no other thread writes (~1ns), never a contended RMW. Value()
 /// aggregates the slots on read.
 ///
-/// Threads are mapped to slots by their dense id modulo kSlots; any group
-/// of up to kSlots concurrently-created threads therefore gets distinct
-/// slots and exact counts. A process that churns through more live threads
-/// than that may lose the occasional increment to a slot collision — an
-/// accepted trade for keeping the instrument off the critical path.
+/// Threads are mapped to slots by their dense id modulo kSlots. Ids of
+/// exited threads are reused, so the count is exact while at most kSlots
+/// threads are live at once, however many have come and gone. Beyond
+/// that, two live threads share a slot and may lose increments to each
+/// other — an accepted trade for keeping the instrument off the critical
+/// path.
 class Counter {
  public:
   static constexpr std::size_t kSlots = 64;
@@ -199,16 +204,14 @@ class Histogram {
   /// Interpolated quantile, q in [0, 1], from a consistent bucket copy.
   double Quantile(double q) const;
 
-  /// The quantile interpolation over an externally-held bucket array
-  /// (same log2 layout). Shared with the SLO tracker, which merges
-  /// per-second bucket rings before asking for percentiles.
+  void Reset() noexcept;
+
+ private:
+  /// The quantile interpolation over a copied bucket array.
   static double QuantileFromBuckets(
       const std::array<std::uint64_t, kBuckets>& buckets,
       std::uint64_t count, double observed_max, double q);
 
-  void Reset() noexcept;
-
- private:
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<double> sum_{0.0};
   std::atomic<double> max_{0.0};

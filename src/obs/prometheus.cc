@@ -97,16 +97,6 @@ FamilySplit SplitFamily(const std::string& name) {
     split.label_value = name.substr(kLatency.size());
     return split;
   }
-  if (name.rfind("slo.", 0) == 0) {
-    // slo.<stat>.<endpoint> -> family slo.<stat>, endpoint label.
-    const std::size_t dot = name.find('.', 4);
-    if (dot != std::string::npos && dot + 1 < name.size()) {
-      split.family = name.substr(0, dot);
-      split.label_name = "endpoint";
-      split.label_value = name.substr(dot + 1);
-      return split;
-    }
-  }
   split.family = name;
   return split;
 }

@@ -12,10 +12,10 @@ namespace tsc::obs {
 /// with `# HELP` / `# TYPE` comments, counters get the `_total` suffix,
 /// and log2 histograms are exported natively as cumulative `le` bucket
 /// series plus `_sum`/`_count` (so PromQL `histogram_quantile` works on
-/// them). Dotted suffixes that name a dimension rather than a metric —
-/// `server.latency_us.<endpoint>` and `slo.<stat>.<endpoint>` — fold into
-/// one family with a label, which is what makes per-endpoint dashboards
-/// a one-selector query.
+/// them). The dotted suffix of `server.latency_us.<endpoint>` names a
+/// dimension rather than a metric, so those histograms fold into one
+/// family with an endpoint label, which is what makes per-endpoint
+/// dashboards a one-selector query.
 ///
 /// Serve with `Content-Type: text/plain; version=0.0.4`.
 std::string ToPrometheusText(const StatsSnapshot& snapshot);
@@ -24,7 +24,7 @@ namespace prometheus_detail {
 /// `tsc_` + name with every non-[a-zA-Z0-9_] byte replaced by '_'.
 std::string SanitizeMetricName(const std::string& name);
 /// Splits a dotted name into {family, label_name, label_value} under the
-/// dimension rules above; label_name is empty for plain metrics.
+/// dimension rule above; label_name is empty for plain metrics.
 struct FamilySplit {
   std::string family;       ///< dotted family name, pre-sanitization
   std::string label_name;   ///< "" when the name carries no dimension

@@ -289,8 +289,6 @@ StatusOr<std::vector<GroupAcc>> ScanGroupsBatched(const QueryPlan& plan,
                                                   const CompressedStore& store,
                                                   ThreadPool* pool,
                                                   std::uint64_t* rows_scanned) {
-  static obs::Counter& batch_cells =
-      obs::MetricRegistry::Default().GetCounter("query.batch_cells");
   obs::TraceSpan span("query.scan");
   const bool keep_values = NeedsValueBuffer(plan);
   const bool count_min_max = NeedsOnlyCountMinMax(plan);
@@ -311,7 +309,6 @@ StatusOr<std::vector<GroupAcc>> ScanGroupsBatched(const QueryPlan& plan,
     }
     if (rows->empty()) return Status::Ok();
     TSC_RETURN_IF_ERROR(store.ReconstructRegion(*rows, col_ids, block));
-    batch_cells.Add(rows->size() * col_ids.size());
     std::vector<GroupAcc>& accs = shard_accs[shard];
     for (std::size_t b = 0; b < rows->size(); ++b) {
       const std::span<const double> vals = block->Row(b);
@@ -469,8 +466,6 @@ void SelectedBlockRows(std::span<const IdRange> runs,
 StatusOr<std::vector<double>> BlockBoundExtremes(
     const QueryPlan& plan, AggregateFn fn, const CompressedStore& store,
     const SvddModel& domain, ThreadPool* pool, BlockBoundWork* work) {
-  static obs::Counter& batch_cells =
-      obs::MetricRegistry::Default().GetCounter("query.batch_cells");
   obs::TraceSpan span("query.block_bound");
   if (plan.group_by == GroupBy::kRow) {
     return Status::InvalidArgument("block-bound plan grouped by row");
@@ -552,7 +547,6 @@ StatusOr<std::vector<double>> BlockBoundExtremes(
     ++work->blocks;
     work->rows += rows.size();
     work->cells += rows.size() * live.size();
-    batch_cells.Add(rows.size() * live.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {
       const std::span<const double> values = out.Row(r);
       for (std::size_t l = 0; l < live.size(); ++l) {
@@ -689,11 +683,6 @@ StatusOr<std::string> QueryExecutor::Explain(
 
 StatusOr<QueryResult> QueryExecutor::Execute(
     const std::string& query_text) const {
-  static obs::Histogram& parse_hist =
-      obs::MetricRegistry::Default().GetHistogram("query.parse_us");
-  static obs::Histogram& plan_hist =
-      obs::MetricRegistry::Default().GetHistogram("query.plan_us");
-
   const auto parse_start = std::chrono::steady_clock::now();
   TSC_ASSIGN_OR_RETURN(const QueryAst ast, ParseQuery(query_text));
   const double parse_us = MicrosSince(parse_start);
@@ -705,16 +694,12 @@ StatusOr<QueryResult> QueryExecutor::Execute(
   TSC_ASSIGN_OR_RETURN(QueryResult result, ExecutePlan(plan));
   result.parse_us = parse_us;
   result.plan_us = plan_us;
-  parse_hist.Record(parse_us);
-  plan_hist.Record(plan_us);
   return result;
 }
 
 StatusOr<QueryResult> QueryExecutor::ExecutePlan(const QueryPlan& plan) const {
   static obs::Histogram& exec_hist =
       obs::MetricRegistry::Default().GetHistogram("query.exec_us");
-  static obs::Counter& query_count =
-      obs::MetricRegistry::Default().GetCounter("query.count");
   static obs::Counter& scanned_counter =
       obs::MetricRegistry::Default().GetCounter("query.rows_scanned");
   static obs::Counter& rollup_hits_counter =
@@ -760,7 +745,6 @@ StatusOr<QueryResult> QueryExecutor::ExecutePlan(const QueryPlan& plan) const {
   result.bound_cells = bound_work.cells;
   result.exec_us = MicrosSince(exec_start);
   exec_hist.Record(result.exec_us);
-  query_count.Increment();
   scanned_counter.Add(rows_scanned);
   obs::ChargeRowsScanned(rows_scanned);
   // Per-aggregate strategy accounting: a linear aggregate either ran in

@@ -3,22 +3,6 @@
 #include "obs/metrics.h"
 
 namespace tsc::server {
-namespace {
-
-obs::Gauge& InflightGauge() {
-  static obs::Gauge& gauge =
-      obs::MetricRegistry::Default().GetGauge("server.inflight");
-  return gauge;
-}
-
-obs::Gauge& QueuedGauge() {
-  static obs::Gauge& gauge =
-      obs::MetricRegistry::Default().GetGauge("server.queued");
-  return gauge;
-}
-
-}  // namespace
-
 void AdmissionController::Permit::Release() {
   if (controller_ != nullptr) {
     controller_->Release();
@@ -40,7 +24,6 @@ AdmissionController::Outcome AdmissionController::Acquire(
   if (shutdown_) return Outcome::kShutdown;
   if (active_ < options_.max_concurrent) {
     ++active_;
-    InflightGauge().Set(static_cast<double>(active_));
     *permit = Permit(this);
     return Outcome::kAdmitted;
   }
@@ -49,19 +32,16 @@ AdmissionController::Outcome AdmissionController::Acquire(
     return Outcome::kRejected;
   }
   ++queued_;
-  QueuedGauge().Set(static_cast<double>(queued_));
   const bool got_slot = cv_.wait_until(lock, deadline, [this] {
     return shutdown_ || active_ < options_.max_concurrent;
   });
   --queued_;
-  QueuedGauge().Set(static_cast<double>(queued_));
   if (shutdown_) return Outcome::kShutdown;
   if (!got_slot) {
     queue_timeouts.Increment();
     return Outcome::kTimedOut;
   }
   ++active_;
-  InflightGauge().Set(static_cast<double>(active_));
   *permit = Permit(this);
   return Outcome::kAdmitted;
 }
@@ -88,7 +68,6 @@ void AdmissionController::Release() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     --active_;
-    InflightGauge().Set(static_cast<double>(active_));
   }
   cv_.notify_one();
 }

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "core/query.h"
-#include "obs/metrics.h"
 #include "util/json_writer.h"
 #include "util/lite_regex.h"
 
@@ -191,8 +190,6 @@ StatusOr<std::vector<IdRange>> ResolveRowsPattern(
     const std::string& pattern, const std::vector<std::string>& row_keys,
     std::size_t num_rows) {
   constexpr std::size_t kMaxPatternBytes = 256;
-  static obs::Counter& rows_matched =
-      obs::MetricRegistry::Default().GetCounter("query.rows_matched");
   if (pattern.empty()) return Status::InvalidArgument("empty rows pattern");
   if (pattern.size() > kMaxPatternBytes) {
     return Status::InvalidArgument("rows pattern too long");
@@ -212,17 +209,14 @@ StatusOr<std::vector<IdRange>> ResolveRowsPattern(
   // oversized map must not mint out-of-range indices.
   const std::size_t limit = std::min(row_keys.size(), num_rows);
   std::vector<IdRange> ranges;
-  std::uint64_t matched = 0;
   for (std::size_t i = 0; i < limit; ++i) {
     if (!regex.Search(row_keys[i])) continue;
-    ++matched;
     if (!ranges.empty() && ranges.back().hi + 1 == i) {
       ranges.back().hi = i;  // extend the run
     } else {
       ranges.push_back(IdRange{i, i});
     }
   }
-  rows_matched.Add(matched);
   if (ranges.empty()) {
     return Status::InvalidArgument("rows pattern matched no keys");
   }

@@ -69,8 +69,7 @@ StatusOr<std::vector<IdRange>> ParseRowsParam(const std::string& text,
 /// anywhere in the key, capped at 256 bytes) selects every row whose
 /// key matches; consecutive matches coalesce into ranges. Only the
 /// first `num_rows` keys are consulted, so an oversized key map cannot
-/// produce out-of-range indices. Matches count into the
-/// `query.rows_matched` counter. Zero matches and invalid patterns are
+/// produce out-of-range indices. Zero matches and invalid patterns are
 /// InvalidArgument.
 StatusOr<std::vector<IdRange>> ResolveRowsPattern(
     const std::string& pattern, const std::vector<std::string>& row_keys,

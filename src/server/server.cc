@@ -50,9 +50,22 @@ int StatusToHttp(const Status& status) {
   }
 }
 
-obs::Histogram& EndpointLatency(const std::string& endpoint) {
-  return obs::MetricRegistry::Default().GetHistogram("server.latency_us." +
-                                                     endpoint);
+/// The server.latency_us.<endpoint> histograms of the fixed endpoint
+/// set, looked up once per process.
+struct LatencyHistograms {
+  obs::Histogram& metrics;
+  obs::Histogram& data;
+  obs::Histogram& query;
+  obs::Histogram& cell;
+};
+
+const LatencyHistograms& Latency() {
+  static const LatencyHistograms histograms{
+      obs::MetricRegistry::Default().GetHistogram("server.latency_us.metrics"),
+      obs::MetricRegistry::Default().GetHistogram("server.latency_us.data"),
+      obs::MetricRegistry::Default().GetHistogram("server.latency_us.query"),
+      obs::MetricRegistry::Default().GetHistogram("server.latency_us.cell")};
+  return histograms;
 }
 
 double MicrosSince(Clock::time_point start) {
@@ -71,7 +84,7 @@ void RecordSerializeUs(Clock::time_point start) {
   obs::ChargeSerializeUs(serialize_us);
 }
 
-/// The SLO/slowlog endpoint tag for a request path.
+/// The slow-query log's endpoint tag for a request path.
 std::string EndpointTag(const std::string& path) {
   if (path == "/api/v1/data") return "data";
   if (path == "/api/v1/query") return "query";
@@ -133,11 +146,6 @@ QueryServer::QueryServer(const QueryExecutor* executor,
   admission.max_queue = options_.max_queue;
   admission_ = std::make_unique<AdmissionController>(admission);
   slowlog_ = std::make_unique<obs::SlowQueryLog>(options_.slowlog_capacity);
-  obs::SloTracker::Options slo;
-  slo.window_seconds = options_.slo_window_s;
-  slo.latency_budget_us = options_.slo_latency_budget_us;
-  slo.objective = options_.slo_objective;
-  slo_ = std::make_unique<obs::SloTracker>(slo);
   start_time_ = Clock::now();
 }
 
@@ -341,8 +349,6 @@ std::string QueryServer::HandleRequest(const HttpRequest& request) {
       obs::MetricRegistry::Default().GetCounter("server.requests");
   static obs::Counter& errors_counter =
       obs::MetricRegistry::Default().GetCounter("server.http_errors");
-  static obs::Counter& traced_counter =
-      obs::MetricRegistry::Default().GetCounter("request.count");
   requests_counter.Increment();
 
   const auto started = Clock::now();
@@ -376,9 +382,6 @@ std::string QueryServer::HandleRequest(const HttpRequest& request) {
   }
   if (request.path == "/metrics") {
     const auto scrape_started = Clock::now();
-    // Fold the live SLO window into slo.* gauges so every export format
-    // carries it.
-    slo_->PublishTo(obs::MetricRegistry::Default());
     // By value: Param returns a reference to the fallback temporary
     // when the parameter is absent, which dies at end of statement.
     const std::string format = request.Param("format", "prometheus");
@@ -394,7 +397,7 @@ std::string QueryServer::HandleRequest(const HttpRequest& request) {
       body = obs::ToPrometheusText(obs::TakeSnapshot());
       content_type = "text/plain; version=0.0.4";
     }
-    EndpointLatency("metrics").Record(MicrosSince(scrape_started));
+    Latency().metrics.Record(MicrosSince(scrape_started));
     return SerializeResponse(200, content_type, body, request.keep_alive,
                              extra);
   }
@@ -412,9 +415,9 @@ std::string QueryServer::HandleRequest(const HttpRequest& request) {
   }
 
   // Query plane: run under a request-scoped context so every storage
-  // layer charges its work to this request, then fold the outcome into
-  // the SLO window and the slow-query log. When instruments are off the
-  // context is not installed and the whole block reduces to RouteApi.
+  // layer charges its work to this request, then offer the outcome to
+  // the slow-query log. When instruments are off the context is not
+  // installed and the whole block reduces to RouteApi.
   const bool instruments = obs::InstrumentsEnabled();
   obs::QueryContext context(trace_id);
   int status = 200;
@@ -425,14 +428,11 @@ std::string QueryServer::HandleRequest(const HttpRequest& request) {
   }
   if (status >= 400) errors_counter.Increment();
   if (instruments) {
-    traced_counter.Increment();
     const double latency_us = MicrosSince(started);
-    const std::string endpoint = EndpointTag(request.path);
-    slo_->Record(endpoint, latency_us, status);
     slowlog_->RecordIfSlow(latency_us, [&] {
       obs::SlowQueryEntry entry;
       entry.trace_id = trace_id;
-      entry.endpoint = endpoint;
+      entry.endpoint = EndpointTag(request.path);
       entry.request_line = RequestLine(request);
       entry.http_status = status;
       entry.latency_us = latency_us;
@@ -457,27 +457,6 @@ std::string QueryServer::HealthzVerboseJson() const {
           std::chrono::duration<double>(Clock::now() - start_time_).count());
   json.KV("connections_accepted", connections_accepted());
   json.KV("slowlog_recorded", slowlog_->recorded());
-  json.Key("slo").BeginObject();
-  json.KV("window_s", static_cast<std::uint64_t>(options_.slo_window_s));
-  json.KV("latency_budget_us", options_.slo_latency_budget_us);
-  json.KV("objective", options_.slo_objective);
-  json.Key("endpoints").BeginArray();
-  for (const obs::SloTracker::EndpointStats& stats : slo_->Snapshot()) {
-    json.BeginObject();
-    json.KV("endpoint", stats.endpoint);
-    json.KV("count", stats.count);
-    json.KV("errors", stats.errors);
-    json.KV("shed", stats.shed);
-    json.KV("p50_us", stats.p50_us);
-    json.KV("p99_us", stats.p99_us);
-    json.KV("p999_us", stats.p999_us);
-    json.KV("error_rate", stats.error_rate);
-    json.KV("shed_rate", stats.shed_rate);
-    json.KV("burn_rate", stats.burn_rate);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
   json.EndObject();
   return json.Release();
 }
@@ -508,17 +487,12 @@ std::string QueryServer::RouteApi(const HttpRequest& request,
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(timeout_ms);
 
-  static obs::Histogram& admission_wait_hist =
-      obs::MetricRegistry::Default().GetHistogram(
-          "request.admission_wait_us");
   AdmissionController::Permit permit;
   const auto admission_started = Clock::now();
   const AdmissionController::Outcome outcome =
       admission_->Acquire(deadline, &permit);
-  const double admission_wait_us = MicrosSince(admission_started);
-  admission_wait_hist.Record(admission_wait_us);
   obs::ChargeAdmissionWaitUs(
-      static_cast<std::uint64_t>(admission_wait_us));
+      static_cast<std::uint64_t>(MicrosSince(admission_started)));
   switch (outcome) {
     case AdmissionController::Outcome::kAdmitted:
       break;
@@ -553,7 +527,7 @@ std::string QueryServer::RouteApi(const HttpRequest& request,
                  : DataResultToJson(*result);
       RecordSerializeUs(serialize_started);
     }
-    EndpointLatency("data").Record(
+    Latency().data.Record(
         std::chrono::duration<double, std::micro>(Clock::now() - started)
             .count());
     return body;
@@ -585,7 +559,7 @@ std::string QueryServer::RouteApi(const HttpRequest& request,
       if (request.Param("analyze", "") == "1") body += result->AnalyzeFooter();
       RecordSerializeUs(serialize_started);
     }
-    EndpointLatency("query").Record(
+    Latency().query.Record(
         std::chrono::duration<double, std::micro>(Clock::now() - started)
             .count());
     return body;
@@ -622,7 +596,7 @@ std::string QueryServer::RouteApi(const HttpRequest& request,
     body = json.Release();
     RecordSerializeUs(serialize_started);
   }
-  EndpointLatency("cell").Record(
+  Latency().cell.Record(
       std::chrono::duration<double, std::micro>(Clock::now() - started)
           .count());
   return body;

@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "obs/query_context.h"
-#include "obs/slo.h"
 #include "obs/slowlog.h"
 #include "query/executor.h"
 #include "server/admission.h"
@@ -42,12 +41,8 @@ struct ServerOptions {
   /// Request-shape ceilings.
   HttpLimits http;
   DataApiLimits data;
-  /// Observability: slow-query log depth, SLO window and latency
-  /// budget (burn rate = over-budget rate / (1 - objective)).
+  /// Observability: slow-query log depth.
   std::size_t slowlog_capacity = 64;
-  std::uint64_t slo_window_s = 60;
-  double slo_latency_budget_us = 250'000.0;
-  double slo_objective = 0.999;
   /// Row-key map for `rows=~pattern` dimension filters (one key per
   /// row; empty disables the pattern form).
   std::vector<std::string> row_keys;
@@ -63,7 +58,8 @@ struct ServerOptions {
 ///
 /// Endpoints:
 ///   GET /healthz            liveness probe ("ok"), never queued;
-///                           verbose=1 adds JSON uptime/admission/SLO
+///                           verbose=1 adds JSON uptime, connections
+///                           and the slow-log count
 ///   GET /metrics            Prometheus text exposition (version 0.0.4),
 ///                           never queued; format=json keeps the legacy
 ///                           snapshot JSON, format=table an aligned table
@@ -123,7 +119,6 @@ class QueryServer {
   std::string HandleRequest(const HttpRequest& request);
 
   const obs::SlowQueryLog& slowlog() const { return *slowlog_; }
-  const obs::SloTracker& slo() const { return *slo_; }
 
  private:
   struct Connection {
@@ -144,7 +139,6 @@ class QueryServer {
   ServerOptions options_;
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<obs::SlowQueryLog> slowlog_;
-  std::unique_ptr<obs::SloTracker> slo_;
   std::chrono::steady_clock::time_point start_time_{};
 
   std::atomic<bool> running_{false};

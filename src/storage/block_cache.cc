@@ -17,14 +17,6 @@ struct CacheMetrics {
       obs::MetricRegistry::Default().GetCounter("block_cache.hits");
   obs::Counter& misses =
       obs::MetricRegistry::Default().GetCounter("block_cache.misses");
-  obs::Counter& evictions =
-      obs::MetricRegistry::Default().GetCounter("block_cache.evictions");
-  obs::Counter& evicted_pinned = obs::MetricRegistry::Default().GetCounter(
-      "block_cache.evicted_pinned");
-  obs::Counter& shard_hits =
-      obs::MetricRegistry::Default().GetCounter("cache.shard_hits");
-  obs::Gauge& cached_blocks =
-      obs::MetricRegistry::Default().GetGauge("block_cache.cached_blocks");
 };
 
 CacheMetrics& Metrics() {
@@ -89,19 +81,12 @@ void BlockCache::InstallLocked(Shard& shard, std::uint64_t block_id,
     // Evict the shard's LRU entry. Any Handle still pointing at the
     // victim keeps its bytes alive; only the cache's reference is
     // dropped.
-    const Entry& victim = shard.lru.back();
-    if (victim.data.use_count() > 1) {
-      Metrics().evicted_pinned.Increment();
-    }
-    shard.entries.erase(victim.block_id);
+    shard.entries.erase(shard.lru.back().block_id);
     shard.lru.pop_back();
     ++shard.evictions;
-    Metrics().evictions.Increment();
-    Metrics().cached_blocks.Add(-1.0);
   }
   shard.lru.push_front(Entry{block_id, handle});
   shard.entries[block_id] = shard.lru.begin();
-  Metrics().cached_blocks.Add(1.0);
 }
 
 StatusOr<BlockCache::Handle> BlockCache::Get(std::uint64_t block_id,
@@ -115,7 +100,6 @@ StatusOr<BlockCache::Handle> BlockCache::Get(std::uint64_t block_id,
     if (it != shard.entries.end()) {
       ++shard.hits;
       Metrics().hits.Increment();
-      Metrics().shard_hits.Increment();
       obs::ChargeCacheHit();
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       return it->second->data;
@@ -127,7 +111,6 @@ StatusOr<BlockCache::Handle> BlockCache::Get(std::uint64_t block_id,
       flight = fit->second;
       ++shard.hits;
       Metrics().hits.Increment();
-      Metrics().shard_hits.Increment();
       obs::ChargeCacheHit();
     } else {
       flight = std::make_shared<InFlight>();
@@ -183,14 +166,12 @@ void BlockCache::Invalidate(std::uint64_t block_id) {
   if (it == shard.entries.end()) return;
   shard.lru.erase(it->second);
   shard.entries.erase(it);
-  Metrics().cached_blocks.Add(-1.0);
 }
 
 void BlockCache::Clear() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (auto& [id, flight] : shard->in_flight) flight->invalidated = true;
-    Metrics().cached_blocks.Add(-static_cast<double>(shard->entries.size()));
     shard->lru.clear();
     shard->entries.clear();
   }
@@ -245,12 +226,6 @@ void BlockCache::ResetStats() {
     shard->misses = 0;
     shard->evictions = 0;
   }
-}
-
-BlockCache::~BlockCache() {
-  std::size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) total += shard->entries.size();
-  Metrics().cached_blocks.Add(-static_cast<double>(total));
 }
 
 }  // namespace tsc

@@ -43,7 +43,6 @@ class BlockCache {
   /// shard and therefore exact global LRU semantics.
   BlockCache(std::size_t capacity_blocks, std::size_t block_size,
              std::size_t shards = 0);
-  ~BlockCache();
 
   using FetchFn = std::function<Status(std::uint64_t block_id, Block*)>;
 

@@ -14,13 +14,10 @@
 namespace tsc {
 namespace {
 
-/// Bumps io.reads / io.bytes_read and charges the request in flight.
+/// Bumps io.bytes_read and charges the request in flight.
 void CountRead(std::uint64_t bytes) {
-  static obs::Counter& reads =
-      obs::MetricRegistry::Default().GetCounter("io.reads");
   static obs::Counter& bytes_read =
       obs::MetricRegistry::Default().GetCounter("io.bytes_read");
-  reads.Increment();
   bytes_read.Add(bytes);
   obs::ChargeIoBytes(bytes);
 }

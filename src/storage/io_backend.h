@@ -13,8 +13,8 @@ namespace tsc {
 /// Read-only random access to one file by positional pread(2) on a plain
 /// file descriptor: the paper's unit of cost, one read of one byte range.
 /// There is no seek cursor to share, so concurrent ReadAt calls on one
-/// instance need no lock. Every read is accounted to the obs counters
-/// `io.reads` / `io.bytes_read`.
+/// instance need no lock. Every read's bytes are accounted to the obs
+/// counter `io.bytes_read`.
 class IoBackend {
  public:
   ~IoBackend();

@@ -4,25 +4,9 @@
 #include <cmath>
 #include <cstring>
 
-#include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace tsc {
-namespace {
-
-void CountRowsQuantized() {
-  static obs::Counter& rows =
-      obs::MetricRegistry::Default().GetCounter("quant.rows_quantized");
-  rows.Increment();
-}
-
-void CountRowsDequantized() {
-  static obs::Counter& rows =
-      obs::MetricRegistry::Default().GetCounter("quant.rows_dequantized");
-  rows.Increment();
-}
-
-}  // namespace
 
 const char* QuantSchemeName(QuantScheme scheme) {
   switch (scheme) {
@@ -157,7 +141,6 @@ void EncodeQuantRow(QuantScheme scheme, std::span<const double> row,
                 static_cast<std::int8_t*>(codes));
       break;
   }
-  CountRowsQuantized();
 }
 
 void DecodeQuantRow(const QuantRowView& view, std::span<double> out) {
@@ -182,7 +165,6 @@ void DecodeQuantRow(const QuantRowView& view, std::span<double> out) {
                 view.offset, out);
       break;
   }
-  CountRowsDequantized();
 }
 
 double DecodeQuantValue(const QuantRowView& view, std::size_t i) {

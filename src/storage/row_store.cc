@@ -50,14 +50,11 @@ void DiskAccessCounter::RecordRead(std::uint64_t offset,
   if (length == 0) return;
   static obs::Counter& accesses =
       obs::MetricRegistry::Default().GetCounter("storage.disk.accesses");
-  static obs::Counter& bytes_read =
-      obs::MetricRegistry::Default().GetCounter("storage.disk.bytes_read");
   const std::uint64_t first = offset / block_size_;
   const std::uint64_t last = (offset + length - 1) / block_size_;
   accesses_.fetch_add(last - first + 1, std::memory_order_relaxed);
   bytes_read_.fetch_add(length, std::memory_order_relaxed);
   accesses.Add(last - first + 1);
-  bytes_read.Add(length);
   obs::ChargeBlocksFetched(last - first + 1);
 }
 

@@ -13,6 +13,10 @@
 #include "../core/bloom_section_files.h"
 #include "core/svdd_compressor.h"
 #include "data/dataset.h"
+#include "obs/metrics.h"
+#include "query/executor.h"
+#include "server/http.h"
+#include "server/server.h"
 
 namespace tsc::cli {
 namespace {
@@ -120,6 +124,35 @@ TEST_F(CliPipelineTest, InfoShowsModel) {
   EXPECT_NE(result.out.find("checkpoints: "), std::string::npos);
   EXPECT_EQ(result.out.find("col index:"), std::string::npos);
   EXPECT_EQ(result.out.find("bloom"), std::string::npos);
+
+  // The serving footprint: U's encoding and row stride (8 bytes a
+  // component, or a 16-byte meta and one padded byte a component), and
+  // the memory-resident V + eigenvalues (k x 40 + k doubles).
+  for (const std::string quant : {"f64", "int8"}) {
+    SCOPED_TRACE(quant);
+    const std::string model = TempPath("info_" + quant + ".model");
+    ASSERT_EQ(RunTool({"compress", "--input=" + *data_path_, "--out=" + model,
+                       "--space=15", "--quant=" + quant})
+                  .exit_code,
+              0);
+    const CliResult info = RunTool({"info", "--model=" + model});
+    ASSERT_EQ(info.exit_code, 0) << info.err;
+    const std::string components = "components:  ";
+    const std::size_t at = info.out.find(components);
+    ASSERT_NE(at, std::string::npos) << info.out;
+    const std::size_t k = std::stoull(info.out.substr(at + components.size()));
+    ASSERT_GT(k, 0u);
+    const std::size_t row_bytes = quant == "f64" ? 8 * k : 16 + (k + 7) / 8 * 8;
+    EXPECT_NE(info.out.find("u rows:      " + quant + ", " +
+                            std::to_string(row_bytes) + " bytes/row\n"),
+              std::string::npos)
+        << info.out;
+    EXPECT_NE(info.out.find("v + lambda:  " +
+                            std::to_string((k * 40 + k) * sizeof(double)) +
+                            " bytes\n"),
+              std::string::npos)
+        << info.out;
+  }
 }
 
 TEST_F(CliPipelineTest, CellQueryMatchesAggregate) {
@@ -325,51 +358,31 @@ TEST_F(CliPipelineTest, SqlAnalyzeAppendsFooter) {
   EXPECT_NE(result.out.find("-- parse"), std::string::npos);
 }
 
-TEST_F(CliPipelineTest, StatsServesWorkloadAndPrintsDerivedLines) {
-  const CliResult result = RunTool({"stats", "--model=" + *model_path_,
-                                    "--queries=200", "--cache-blocks=32"});
-  ASSERT_EQ(result.exit_code, 0) << result.err;
-  // Derived lines come from component counters, so they print in every
-  // build flavor (including TSC_OBS_DISABLED).
-  EXPECT_NE(result.out.find("cell queries"), std::string::npos);
-  EXPECT_NE(result.out.find("disk accesses"), std::string::npos);
-  EXPECT_NE(result.out.find("cache hit rate"), std::string::npos);
-  EXPECT_NE(result.out.find("delta index:"), std::string::npos);
-  EXPECT_EQ(result.out.find("bloom"), std::string::npos);
-#ifndef TSC_OBS_DISABLED
-  // The registry table follows with the raw instruments.
-  EXPECT_NE(result.out.find("delta.lookups"), std::string::npos);
-  EXPECT_NE(result.out.find("delta.hits"), std::string::npos);
-  EXPECT_NE(result.out.find("query.exec_us"), std::string::npos);
-#endif
-}
-
-TEST_F(CliPipelineTest, StatsCountsDiskAccessesOfTheCellQueriesOnly) {
-  // One cell query reads at most one U block; the SQL aggregates that
-  // follow it scan the disk layout but must not land in the per-cell
-  // line.
-  const CliResult result = RunTool({"stats", "--model=" + *model_path_,
-                                    "--queries=1", "--cache-blocks=32"});
-  ASSERT_EQ(result.exit_code, 0) << result.err;
-  const std::string label = "disk accesses:";
-  const std::size_t at = result.out.find(label);
-  ASSERT_NE(at, std::string::npos) << result.out;
-  EXPECT_LE(std::stoull(result.out.substr(at + label.size())), 1u)
-      << result.out;
-}
-
-TEST_F(CliPipelineTest, StatsRequiresSvddModel) {
-  const std::string model = TempPath("stats_svd.bin");
-  ASSERT_EQ(RunTool({"compress", "--input=" + *data_path_, "--out=" + model,
-                 "--space=10", "--method=svd"})
-                .exit_code,
-            0);
-  EXPECT_EQ(RunTool({"stats", "--model=" + model}).exit_code, 1);
+TEST_F(CliPipelineTest, StatsPrintsARunningServersMetricsAndHealth) {
+  auto model = SvddModel::LoadFromFile(*model_path_);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const QueryExecutor executor(&*model, 1);
+  server::QueryServer server(&executor, &*model);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server::HttpGet("127.0.0.1", server.port(),
+                              "/api/v1/query?q=SELECT+sum(value)")
+                  .ok());
+  const CliResult stats =
+      RunTool({"stats", "--port=" + std::to_string(server.port())});
+  server.Stop();
+  ASSERT_EQ(stats.exit_code, 0) << stats.err;
+  EXPECT_NE(stats.out.find("server.requests"), std::string::npos)
+      << stats.out;
+  EXPECT_NE(stats.out.find("\"uptime_s\":"), std::string::npos) << stats.out;
+  EXPECT_EQ(stats.out.find("slo."), std::string::npos) << stats.out;
+  EXPECT_EQ(stats.out.find("\"slo\""), std::string::npos) << stats.out;
+  // Without a server to ask there is nothing to print.
+  EXPECT_EQ(RunTool({"stats"}).exit_code, 1);
 }
 
 TEST_F(CliPipelineTest, DiskServingWritesNoFile) {
-  // The model file is the disk layout: serving and stats open it in
-  // place and leave nothing beside it.
+  // The model file is the disk layout: serving opens it in place and
+  // leaves nothing beside it.
   const std::string dir = TempPath("disk_serving_dir");
   std::filesystem::create_directory(dir);
   const std::string model = dir + "/m.model";
@@ -380,9 +393,6 @@ TEST_F(CliPipelineTest, DiskServingWritesNoFile) {
                "--cache-blocks=8"});
   ASSERT_EQ(served.exit_code, 0) << served.err;
   EXPECT_NE(served.out.find("serving from disk layout"), std::string::npos);
-  const CliResult stats =
-      RunTool({"stats", "--model=" + model, "--queries=50"});
-  ASSERT_EQ(stats.exit_code, 0) << stats.err;
   std::vector<std::string> entries;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     entries.push_back(entry.path().filename().string());
@@ -393,7 +403,7 @@ TEST_F(CliPipelineTest, DiskServingWritesNoFile) {
 
 TEST_F(CliPipelineTest, DiskServingRejectsACorruptModelFile) {
   // A byte flipped inside the model file (in U's rows) is caught by the
-  // checksum at open: serve and stats fail instead of serving it.
+  // checksum at open: serve fails instead of serving it.
   const std::string model = TempPath("corrupt.model");
   std::filesystem::copy_file(*model_path_, model,
                              std::filesystem::copy_options::overwrite_existing);
@@ -412,12 +422,13 @@ TEST_F(CliPipelineTest, DiskServingRejectsACorruptModelFile) {
                "--cache-blocks=8"});
   EXPECT_EQ(served.exit_code, 1);
   EXPECT_NE(served.err.find("checksum"), std::string::npos) << served.err;
-  EXPECT_EQ(RunTool({"stats", "--model=" + model}).exit_code, 1);
   std::filesystem::remove(model);
 }
 
 TEST_F(CliPipelineTest, MetricsOutWritesRegistryJson) {
   const std::string metrics_path = TempPath("cli_metrics.json");
+  const std::uint64_t queries_before =
+      obs::MetricRegistry::Default().GetHistogram("query.exec_us").Count();
   const CliResult result =
       RunTool({"sql", "--model=" + *model_path_,
                "--query=SELECT count(*)",
@@ -429,6 +440,15 @@ TEST_F(CliPipelineTest, MetricsOutWritesRegistryJson) {
   buffer << in.rdbuf();
   EXPECT_NE(buffer.str().find("\"counters\""), std::string::npos);
   EXPECT_NE(buffer.str().find("\"histograms\""), std::string::npos);
+#ifndef TSC_OBS_DISABLED
+  // The one query's execution time.
+  EXPECT_NE(buffer.str().find("\"query.exec_us\":{\"count\":" +
+                              std::to_string(queries_before + 1) + ","),
+            std::string::npos)
+      << buffer.str();
+#else
+  (void)queries_before;
+#endif
 }
 
 TEST_F(CliPipelineTest, TraceOutWritesChromeTraceJson) {
@@ -495,17 +515,24 @@ TEST(CliTest, UnknownFlagsAreRejectedPerCommand) {
                                 "--metrics-out=" + TempPath("flags.json")});
   EXPECT_EQ(ok.exit_code, 0) << ok.err;
 
-  // The retired I/O engine choice, on a model that opens.
+  // Retired options of commands that would otherwise run: the I/O
+  // engine choice, stats' local workload and the SLO window.
   for (const std::vector<std::string>& args :
        {std::vector<std::string>{"serve", "--model=" + model, "--port=0",
                                  "--duration-s=1", "--cache-blocks=8",
                                  "--io-backend=mmap"},
-        std::vector<std::string>{"stats", "--model=" + model, "--queries=10",
-                                 "--io-backend=pread"}}) {
+        std::vector<std::string>{"sql", "--model=" + model,
+                                 "--query=SELECT count(*)",
+                                 "--io-backend=pread"},
+        std::vector<std::string>{"stats", "--port=1", "--queries=10"},
+        std::vector<std::string>{"serve", "--model=" + model, "--port=0",
+                                 "--duration-s=1", "--slo-window-s=60"}}) {
     SCOPED_TRACE(args.back());
     const CliResult result = RunTool(args);
     EXPECT_EQ(result.exit_code, 1);
-    EXPECT_NE(result.err.find("unknown flag --io-backend for " + args[0]),
+    const std::string& flag = args.back();
+    EXPECT_NE(result.err.find("unknown flag " + flag.substr(0, flag.find('=')) +
+                              " for " + args[0]),
               std::string::npos)
         << result.err;
   }

@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <thread>
@@ -43,6 +44,45 @@ TEST(CounterTest, ShardedIncrementsAggregateExactly) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(counter.Value(), kThreads * kPerThread);
+}
+
+TEST(CounterTest, ExactOnceThreadsHaveComeAndGone) {
+  SKIP_IF_OBS_DISABLED();
+  // A long-lived thread, then short-lived threads until a thread that
+  // never reused ids would hand the next one the long-lived thread's
+  // slot (id + kSlots), then two live threads hammering one counter.
+  // Reused ids keep the two live threads in different slots.
+  constexpr std::uint64_t kPerThread = 20'000'000;
+  Counter counter;
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  const auto hammer = [&] {
+    (void)CurrentThreadId();
+    ready.fetch_add(1);
+    while (!go.load()) std::this_thread::yield();
+    for (std::uint64_t i = 0; i < kPerThread; ++i) counter.Increment();
+  };
+  std::uint32_t first_id = 0;
+  std::atomic<bool> first_has_id{false};
+  std::thread first([&] {
+    first_id = CurrentThreadId();
+    first_has_id.store(true);
+    hammer();
+  });
+  while (!first_has_id.load()) std::this_thread::yield();
+  const std::uint32_t collide =
+      (first_id + Counter::kSlots - 1) % Counter::kSlots;
+  for (std::size_t t = 0; t < 2 * Counter::kSlots; ++t) {
+    std::uint32_t id = 0;
+    std::thread([&id] { id = CurrentThreadId(); }).join();
+    if (id % Counter::kSlots == collide) break;
+  }
+  std::thread second(hammer);
+  while (ready.load() < 2) std::this_thread::yield();
+  go.store(true);
+  first.join();
+  second.join();
+  EXPECT_EQ(counter.Value(), 2 * kPerThread);
 }
 
 TEST(CounterTest, RuntimeDisableSuppressesIncrements) {
@@ -250,6 +290,10 @@ TEST(ThreadIdTest, DenseAndStablePerThread) {
   std::uint32_t other = mine;
   std::thread([&other] { other = CurrentThreadId(); }).join();
   EXPECT_NE(other, mine);
+  // The exited thread's id goes to the next thread.
+  std::uint32_t next = mine;
+  std::thread([&next] { next = CurrentThreadId(); }).join();
+  EXPECT_EQ(next, other);
 }
 
 }  // namespace

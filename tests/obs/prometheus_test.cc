@@ -96,10 +96,10 @@ TEST(PrometheusTest, NameSanitizationAndFamilySplitting) {
   EXPECT_EQ(split.label_name, "endpoint");
   EXPECT_EQ(split.label_value, "query");
 
-  split = SplitFamily("slo.p99_us.data");
-  EXPECT_EQ(split.family, "slo.p99_us");
-  EXPECT_EQ(split.label_name, "endpoint");
-  EXPECT_EQ(split.label_value, "data");
+  // Only the latency family carries a dimension.
+  split = SplitFamily("request.serialize_us");
+  EXPECT_EQ(split.family, "request.serialize_us");
+  EXPECT_TRUE(split.label_name.empty());
 
   split = SplitFamily("block_cache.hits");
   EXPECT_EQ(split.family, "block_cache.hits");
@@ -112,8 +112,7 @@ TEST(PrometheusTest, CountersGaugesAndLabelsSerialize) {
   MetricRegistry registry;
   registry.GetCounter("block_cache.hits").Add(42);
   registry.GetCounter("server.requests").Add(7);
-  registry.GetGauge("slo.burn_rate.query").Set(1.5);
-  registry.GetGauge("slo.burn_rate.data").Set(0.25);
+  registry.GetGauge("build.resolved_candidates").Set(1.5);
   const std::string text = ToPrometheusText(TakeSnapshot(registry));
   CheckParsesAsPrometheusText(text);
 
@@ -122,15 +121,11 @@ TEST(PrometheusTest, CountersGaugesAndLabelsSerialize) {
       << text;
   EXPECT_NE(text.find("tsc_block_cache_hits_total 42\n"), std::string::npos);
   EXPECT_NE(text.find("tsc_server_requests_total 7\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE tsc_slo_burn_rate gauge\n"), std::string::npos);
-  EXPECT_NE(text.find("tsc_slo_burn_rate{endpoint=\"query\"} 1.5\n"),
+  EXPECT_NE(text.find("# TYPE tsc_build_resolved_candidates gauge\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("tsc_build_resolved_candidates 1.5\n"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("tsc_slo_burn_rate{endpoint=\"data\"} 0.25\n"),
-            std::string::npos);
-  // One shared family header: the TYPE line appears exactly once.
-  const std::string type_line = "# TYPE tsc_slo_burn_rate gauge\n";
-  EXPECT_EQ(text.find(type_line), text.rfind(type_line));
 }
 
 TEST(PrometheusTest, HistogramsEmitCumulativeBuckets) {
@@ -140,6 +135,7 @@ TEST(PrometheusTest, HistogramsEmitCumulativeBuckets) {
   latency.Record(3.0);  // bucket 2: [2, 4)
   latency.Record(3.5);
   latency.Record(100.0);  // bucket 7: [64, 128)
+  registry.GetHistogram("server.latency_us.data").Record(2.0);
   const std::string text = ToPrometheusText(TakeSnapshot(registry));
   CheckParsesAsPrometheusText(text);
 
@@ -170,11 +166,20 @@ TEST(PrometheusTest, HistogramsEmitCumulativeBuckets) {
   EXPECT_NE(text.find("tsc_server_latency_us_sum{endpoint=\"query\"} 107\n"),
             std::string::npos)
       << text;
+  EXPECT_NE(text.find("tsc_server_latency_us_count{endpoint=\"data\"} 1\n"),
+            std::string::npos)
+      << text;
+  // One shared family header: the TYPE line appears exactly once.
+  const std::string type_line = "# TYPE tsc_server_latency_us histogram\n";
+  EXPECT_EQ(text.find(type_line), text.rfind(type_line));
 
   // Cumulative counts never decrease along the le series.
   std::uint64_t previous = 0;
   for (const std::string& line : Lines(text)) {
-    if (line.rfind("tsc_server_latency_us_bucket", 0) != 0) continue;
+    if (line.rfind("tsc_server_latency_us_bucket{endpoint=\"query\"", 0) !=
+        0) {
+      continue;
+    }
     const std::uint64_t count = std::strtoull(
         line.c_str() + line.rfind(' ') + 1, nullptr, 10);
     EXPECT_GE(count, previous) << line;

@@ -161,8 +161,25 @@ TEST_F(ServerObsTest, MetricsSpeaksPrometheusTextByDefault) {
   TestClient client(server.port());
   ASSERT_TRUE(client.connected());
 
-  // Generate some traffic so the families exist.
+  // Generate some traffic so the families exist; then one 400 moves
+  // the error counter (error rate = http_errors / requests) by one.
   ASSERT_EQ(client.Get("/api/v1/query?q=SELECT+sum(value)").status, 200);
+  const auto http_errors = [&client] {
+    const std::string text = client.Get("/metrics").body;
+    const std::string sample = "\ntsc_server_http_errors_total ";
+    const std::size_t at = text.find(sample);
+    EXPECT_NE(at, std::string::npos) << text.substr(0, 2000);
+    return at == std::string::npos
+               ? 0ull
+               : std::strtoull(text.c_str() + at + sample.size(), nullptr, 10);
+  };
+  const unsigned long long errors_before = http_errors();
+  ASSERT_EQ(client.Get("/api/v1/query?q=SELECT+nonsense").status, 400);
+#ifndef TSC_OBS_DISABLED
+  EXPECT_EQ(http_errors(), errors_before + 1);
+#else
+  (void)errors_before;
+#endif
 
   const ClientResponse response = client.Get("/metrics");
   ASSERT_TRUE(response.ok);
@@ -172,14 +189,6 @@ TEST_F(ServerObsTest, MetricsSpeaksPrometheusTextByDefault) {
   EXPECT_NE(text.find("# TYPE tsc_server_requests_total counter\n"),
             std::string::npos);
   EXPECT_NE(text.find("tsc_server_requests_total "), std::string::npos);
-  EXPECT_NE(text.find("# TYPE tsc_request_count_total counter\n"),
-            std::string::npos);
-#ifndef TSC_OBS_DISABLED
-  // The SLO window is folded in as labeled gauges on every scrape.
-  EXPECT_NE(text.find("tsc_slo_count{endpoint=\"query\"} "),
-            std::string::npos)
-      << text.substr(0, 2000);
-#endif
   // Histogram families carry the cumulative le series.
   EXPECT_NE(text.find("tsc_server_latency_us_bucket{endpoint=\"query\",le="),
             std::string::npos);
@@ -231,6 +240,8 @@ TEST_F(ServerObsTest, MetricsKeepsTheLegacyFormats) {
 }
 
 TEST_F(ServerObsTest, HealthzVerboseReportsSloAndUptime) {
+  // The verbose form reports uptime, connections and the slow-log count;
+  // latency quantiles and rates come from /metrics.
   QueryServer server(executor_, model_);
   ASSERT_TRUE(server.Start().ok());
   TestClient client(server.port());
@@ -248,12 +259,10 @@ TEST_F(ServerObsTest, HealthzVerboseReportsSloAndUptime) {
   EXPECT_EQ(verbose.Header("Content-Type"), "application/json");
   EXPECT_NE(verbose.body.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(verbose.body.find("\"uptime_s\":"), std::string::npos);
-  EXPECT_NE(verbose.body.find("\"slo\":"), std::string::npos);
-#ifndef TSC_OBS_DISABLED
-  EXPECT_NE(verbose.body.find("\"endpoint\":\"query\""), std::string::npos)
+  EXPECT_NE(verbose.body.find("\"connections_accepted\":"), std::string::npos)
       << verbose.body;
-  EXPECT_NE(verbose.body.find("\"burn_rate\":"), std::string::npos);
-#endif
+  EXPECT_NE(verbose.body.find("\"slowlog_recorded\":"), std::string::npos);
+  EXPECT_EQ(verbose.body.find("\"slo\""), std::string::npos);
   server.Stop();
 }
 
@@ -334,7 +343,7 @@ TEST_F(ServerObsTest, RowsRegexWithoutKeyMapIsAClientError) {
 }
 
 // Overhead guard over the serving path: the full instrumented request
-// cycle (context install, charges, SLO window, slow-query log) must not
+// cycle (context install, charges, slow-query log) must not
 // make responses more than 5% slower than with instruments runtime-off,
 // inside one binary. Segments run in adjacent disabled/enabled pairs (the
 // order alternating pair by pair), and the score is the median of the

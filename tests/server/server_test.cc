@@ -15,6 +15,7 @@
 
 #include "core/disk_backed.h"
 #include "data/generators.h"
+#include "obs/metrics.h"
 #include "server/admission.h"
 #include "storage/row_source.h"
 #include "tests/server/http_client.h"
@@ -284,7 +285,14 @@ class GatedStore final : public CompressedStore {
   mutable bool open_ = false;
 };
 
+/// Value of a process counter, for before/after deltas.
+std::uint64_t CounterValue(const std::string& name) {
+  return obs::MetricRegistry::Default().GetCounter(name).Value();
+}
+
 TEST_F(ServerTest, AdmissionShedsWith429UnderSaturation) {
+  const std::uint64_t rejected_before = CounterValue("server.rejected");
+  const std::uint64_t timeouts_before = CounterValue("server.queue_timeouts");
   GatedStore gated(model_);
   const QueryExecutor executor(&gated);
   ServerOptions options;
@@ -345,6 +353,55 @@ TEST_F(ServerTest, AdmissionShedsWith429UnderSaturation) {
   EXPECT_EQ(wrong_count.load(), 0);
   EXPECT_GT(ok_count.load(), 0);
   EXPECT_GT(shed_count.load(), 0);
+#ifndef TSC_OBS_DISABLED
+  // The shed counter counts exactly the 429s; nothing waited in a queue.
+  EXPECT_EQ(CounterValue("server.rejected") - rejected_before,
+            static_cast<std::uint64_t>(shed_count.load()));
+  EXPECT_EQ(CounterValue("server.queue_timeouts"), timeouts_before);
+#endif
+}
+
+TEST_F(ServerTest, AdmissionTimesOutQueuedRequestsWith504) {
+  const std::uint64_t rejected_before = CounterValue("server.rejected");
+  const std::uint64_t timeouts_before = CounterValue("server.queue_timeouts");
+  GatedStore gated(model_);
+  const QueryExecutor executor(&gated);
+  ServerOptions options;
+  options.max_concurrent = 1;
+  options.max_queue = 1;
+  QueryServer server(&executor, &gated, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::string target = "/api/v1/query?q=SELECT+stddev(value)";
+  int holder_status = 0;
+  std::thread holder([&] {
+    TestClient client(server.port());
+    holder_status = client.Get(target).status;
+  });
+  gated.WaitForHolder();
+  // While the slot is held, each request waits in the one queue place
+  // until its deadline passes.
+  constexpr int kQueued = 3;
+  int timed_out = 0;
+  {
+    TestClient client(server.port());
+    for (int i = 0; i < kQueued; ++i) {
+      const ClientResponse response = client.Get(target + "&timeout_ms=20");
+      if (response.ok && response.status == 504) ++timed_out;
+    }
+  }
+  gated.Open();
+  holder.join();
+  server.Stop();
+
+  EXPECT_EQ(timed_out, kQueued);
+  EXPECT_EQ(holder_status, 200);
+#ifndef TSC_OBS_DISABLED
+  // The timeout counter counts exactly the 504s; nothing was shed.
+  EXPECT_EQ(CounterValue("server.queue_timeouts") - timeouts_before,
+            static_cast<std::uint64_t>(timed_out));
+  EXPECT_EQ(CounterValue("server.rejected"), rejected_before);
+#endif
 }
 
 TEST(AdmissionControllerTest, AdmitsQueuesRejectsAndTimesOut) {
