@@ -30,15 +30,15 @@
 #include <string>
 #include <vector>
 
-#include "baselines/clustering.h"
 #include "bench_common.h"
 #include "common/bench_datasets.h"
 #include "core/metrics.h"
-#include "core/robust_svd.h"
-#include "core/row_outlier.h"
-#include "core/zero_rows.h"
-#include "storage/bloom_filter.h"
-#include "storage/delta_table.h"
+#include "lib/ablation/bloom_filter.h"
+#include "lib/ablation/delta_table.h"
+#include "lib/ablation/robust_svd.h"
+#include "lib/ablation/row_outlier.h"
+#include "lib/ablation/zero_rows.h"
+#include "lib/baselines/clustering.h"
 #include "storage/row_source.h"
 #include "util/flags.h"
 #include "util/rng.h"

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "common/bench_datasets.h"
-#include "core/visualization.h"
+#include "lib/visualization.h"
 #include "util/flags.h"
 
 namespace {

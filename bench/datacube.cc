@@ -18,7 +18,7 @@
 #include <cstdio>
 #include <functional>
 
-#include "cube/datacube.h"
+#include "lib/datacube.h"
 #include "util/flags.h"
 #include "util/table_printer.h"
 #include "util/timer.h"

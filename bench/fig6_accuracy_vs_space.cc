@@ -18,14 +18,14 @@
 #include <string>
 #include <vector>
 
-#include "baselines/clustering.h"
-#include "baselines/dct.h"
-#include "baselines/wavelet.h"
 #include "common/bench_datasets.h"
 #include "core/metrics.h"
 #include "core/space_budget.h"
+#include "lib/ascii_plot.h"
+#include "lib/baselines/clustering.h"
+#include "lib/baselines/dct.h"
+#include "lib/baselines/wavelet.h"
 #include "storage/row_source.h"
-#include "util/ascii_plot.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/table_printer.h"

@@ -15,7 +15,7 @@
 
 #include "common/bench_datasets.h"
 #include "core/metrics.h"
-#include "util/ascii_plot.h"
+#include "lib/ascii_plot.h"
 #include "util/flags.h"
 #include "util/table_printer.h"
 #include "util/timer.h"

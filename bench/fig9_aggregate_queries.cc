@@ -15,12 +15,12 @@
 #include <cstdio>
 #include <vector>
 
-#include "baselines/sampling.h"
 #include "common/bench_datasets.h"
 #include "common/json_reporter.h"
 #include "core/metrics.h"
 #include "core/query.h"
-#include "util/ascii_plot.h"
+#include "lib/ascii_plot.h"
+#include "lib/baselines/sampling.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/rng.h"

@@ -10,9 +10,9 @@
 
 #include <cstdio>
 
-#include "baselines/huffman.h"
-#include "baselines/lzss.h"
 #include "common/bench_datasets.h"
+#include "lib/baselines/huffman.h"
+#include "lib/baselines/lzss.h"
 #include "util/flags.h"
 #include "util/table_printer.h"
 #include "util/timer.h"

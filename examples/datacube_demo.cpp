@@ -8,7 +8,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "cube/datacube.h"
+#include "lib/datacube.h"
 #include "util/flags.h"
 #include "util/logging.h"
 

@@ -8,11 +8,11 @@
 
 #include <cstdio>
 
-#include "baselines/dct.h"
 #include "core/metrics.h"
 #include "core/svdd_compressor.h"
-#include "core/visualization.h"
 #include "data/generators.h"
+#include "lib/baselines/dct.h"
+#include "lib/visualization.h"
 #include "storage/row_source.h"
 #include "util/flags.h"
 #include "util/logging.h"

@@ -244,10 +244,11 @@ StatusOr<SvdModel> BuildSvdModel(RowSource* source,
                                  const SvdBuildOptions& options);
 
 /// Pass 1 in isolation: accumulates C = X^T X in one scan. Exposed
-/// because the SVDD build and the DataCube extension reuse it. Rows are
-/// dealt to kBuildShards per-shard partial matrices (parallel over `pool`
-/// when given) that are reduced in shard order, so the result does not
-/// depend on the thread count.
+/// because the SVDD build and the bench library's robust-SVD and
+/// row-outlier ablations reuse it. Rows are dealt to kBuildShards
+/// per-shard partial matrices (parallel over `pool` when given) that are
+/// reduced in shard order, so the result does not depend on the thread
+/// count.
 StatusOr<Matrix> AccumulateColumnSimilarity(RowSource* source,
                                             ThreadPool* pool = nullptr);
 

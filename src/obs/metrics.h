@@ -108,8 +108,8 @@ class Counter {
 // Gauge
 // ---------------------------------------------------------------------------
 
-/// Last-written (Set) or accumulated (Add) instantaneous value, e.g. the
-/// number of blocks currently resident across all caches.
+/// Last-written instantaneous value, e.g. the candidates the last build
+/// resolved exactly.
 class Gauge {
  public:
   void Set(double value) noexcept {
@@ -118,18 +118,6 @@ class Gauge {
     value_.store(value, std::memory_order_relaxed);
 #else
     (void)value;
-#endif
-  }
-
-  void Add(double delta) noexcept {
-#ifndef TSC_OBS_DISABLED
-    if (!detail::g_instruments_enabled.load(std::memory_order_relaxed)) return;
-    double current = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(current, current + delta,
-                                         std::memory_order_relaxed)) {
-    }
-#else
-    (void)delta;
 #endif
   }
 

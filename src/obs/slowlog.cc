@@ -8,11 +8,13 @@
 namespace tsc::obs {
 namespace {
 
+#ifndef TSC_OBS_DISABLED
 /// Min-heap comparator: the heap root is the fastest retained request,
 /// i.e. the displacement floor.
 bool SlowerThan(const SlowQueryEntry& a, const SlowQueryEntry& b) {
   return a.latency_us > b.latency_us;
 }
+#endif
 
 void CostsToJson(JsonWriter* json, const QueryCostVector& costs) {
   json->BeginObject();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace tsc {
@@ -63,34 +62,6 @@ StatusOr<QuantRowView> CachedRowReader::ReadQuantRow(
   const std::uint64_t offset = RowOffset(index);
   TSC_RETURN_IF_ERROR(ReadBytes(offset, scratch.subspan(0, stride)));
   return StoredRowView(reader_->scheme(), scratch.data(), cols());
-}
-
-StatusOr<double> CachedRowReader::ReadCell(std::size_t row, std::size_t col) {
-  if (row >= rows() || col >= cols()) {
-    return Status::OutOfRange("cell out of range");
-  }
-  static obs::Counter& cell_reads =
-      obs::MetricRegistry::Default().GetCounter("io.cell_reads");
-  cell_reads.Increment();
-  const QuantScheme scheme = reader_->scheme();
-  const std::uint64_t row_offset = RowOffset(row);
-  if (scheme == QuantScheme::kF64) {
-    double value = 0.0;
-    TSC_RETURN_IF_ERROR(ReadBytes(
-        row_offset + col * sizeof(double),
-        std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(&value),
-                                sizeof(value))));
-    return value;
-  }
-  // Meta + the one code, from cached blocks, into a one-code stored row.
-  const std::size_t elem_bytes = QuantElemBytes(scheme);
-  alignas(8) std::uint8_t cell[kQuantRowMetaBytes + sizeof(double)] = {};
-  TSC_RETURN_IF_ERROR(ReadBytes(
-      row_offset, std::span<std::uint8_t>(cell, kQuantRowMetaBytes)));
-  TSC_RETURN_IF_ERROR(ReadBytes(
-      row_offset + kQuantRowMetaBytes + col * elem_bytes,
-      std::span<std::uint8_t>(cell + kQuantRowMetaBytes, elem_bytes)));
-  return DecodeQuantValue(StoredRowView(scheme, cell, 1), 0);
 }
 
 }  // namespace tsc

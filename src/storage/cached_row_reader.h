@@ -40,11 +40,6 @@ class CachedRowReader {
   StatusOr<QuantRowView> ReadQuantRow(std::size_t index,
                                       std::span<std::uint8_t> scratch);
 
-  /// Reads the single cell (row, col) through the cache: only the
-  /// block(s) holding the row meta and the one code are touched.
-  /// Counted in io.cell_reads.
-  StatusOr<double> ReadCell(std::size_t row, std::size_t col);
-
   /// Disk accesses actually performed (i.e. cache misses, in blocks).
   std::uint64_t disk_accesses() const {
     return reader_->counter().accesses();
@@ -61,7 +56,7 @@ class CachedRowReader {
  private:
   /// Assembles `out.size()` bytes starting at `offset` on the reader's
   /// block grid (RowStoreReader::block_origin) from cached blocks (the
-  /// common path of the row/cell reads above).
+  /// common path of the row reads above).
   Status ReadBytes(std::uint64_t offset, std::span<std::uint8_t> out);
   /// Where row `index` starts on the block grid.
   std::uint64_t RowOffset(std::size_t index) const {

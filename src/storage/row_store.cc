@@ -37,12 +37,6 @@ StatusOr<std::uint64_t> ImageStride(const std::string& path,
   return stride;
 }
 
-void CountCellRead() {
-  static obs::Counter& cell_reads =
-      obs::MetricRegistry::Default().GetCounter("io.cell_reads");
-  cell_reads.Increment();
-}
-
 }  // namespace
 
 void DiskAccessCounter::RecordRead(std::uint64_t offset,
@@ -244,7 +238,6 @@ StatusOr<double> RowStoreReader::ReadCell(std::size_t row, std::size_t col) {
   if (row >= rows_ || col >= cols_) {
     return Status::OutOfRange("cell out of range");
   }
-  CountCellRead();
   const std::uint64_t row_offset =
       header_bytes_ + static_cast<std::uint64_t>(row) * row_stride_;
   const std::size_t elem_bytes = QuantElemBytes(scheme_);

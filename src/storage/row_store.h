@@ -176,8 +176,7 @@ class RowStoreReader {
 
   /// Reads the single cell (row, col) — still accounted as a whole-block
   /// access, exactly like a real disk would behave — by a positional read
-  /// of only the needed bytes (row meta + one code). Counted in
-  /// io.cell_reads.
+  /// of only the needed bytes (row meta + one code).
   StatusOr<double> ReadCell(std::size_t row, std::size_t col);
 
   /// Loads the full matrix with one bulk payload read (small files,

@@ -9,11 +9,12 @@
 // the retired b=4 mode (4 in the header's b field, every number an f64
 // rounded through single precision).
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/svdd_compressor.h"
-#include "storage/bloom_filter.h"
 #include "storage/serializer.h"
 #include "util/logging.h"
 #include "util/status.h"
@@ -24,27 +25,44 @@ namespace tsc {
 /// always write as DeltaIndex::kPackedEntryBytes (the b=4 mode wrote 12).
 inline Status WriteDeltaEntries(const DeltaIndex& deltas,
                                 std::uint64_t entry_bytes,
-                                BinaryWriter* writer, BloomFilter* filter) {
+                                BinaryWriter* writer) {
   TSC_RETURN_IF_ERROR(writer->WriteU64(entry_bytes));
   TSC_RETURN_IF_ERROR(writer->WriteU64(deltas.size()));
   Status status = Status::Ok();
   deltas.ForEach([&](std::size_t row, std::size_t col, double delta) {
     const std::uint64_t key = DeltaIndex::CellKey(row, col, deltas.cols());
-    if (filter != nullptr) filter->Add(key);
     if (status.ok()) status = writer->WriteU64(key);
     if (status.ok()) status = writer->WriteDouble(delta);
   });
   return status;
 }
 
+/// The Bloom filter section older files wrote behind the flag 1: the
+/// bit, hash, entry and word counts as u64s, then the filter's words. A
+/// filter over `entries` keys had 10 bits a key (at least 64) and 7
+/// hashes. The loader checks the header and skips the words, so they are
+/// written as zeros.
+inline Status WriteLegacyBloomSection(std::uint64_t entries,
+                                      BinaryWriter* writer) {
+  const std::uint64_t bits =
+      std::max<std::uint64_t>(64, 10 * std::max<std::uint64_t>(entries, 1));
+  const std::uint64_t words = (bits + 63) / 64;
+  for (const std::uint64_t field : {bits, std::uint64_t{7}, entries, words}) {
+    TSC_RETURN_IF_ERROR(writer->WriteU64(field));
+  }
+  for (std::uint64_t i = 0; i < words; ++i) {
+    TSC_RETURN_IF_ERROR(writer->WriteU64(0));
+  }
+  return Status::Ok();
+}
+
 /// The delta section plus a flagged Bloom filter, as older files had it.
 inline Status WriteDeltasWithBloomSection(const DeltaIndex& deltas,
                                           BinaryWriter* writer) {
-  BloomFilter filter(deltas.size(), 10.0);
-  TSC_RETURN_IF_ERROR(WriteDeltaEntries(
-      deltas, DeltaIndex::kPackedEntryBytes, writer, &filter));
+  TSC_RETURN_IF_ERROR(
+      WriteDeltaEntries(deltas, DeltaIndex::kPackedEntryBytes, writer));
   TSC_RETURN_IF_ERROR(writer->WriteU32(1));
-  return filter.Serialize(writer);
+  return WriteLegacyBloomSection(deltas.size(), writer);
 }
 
 /// An SVDD model file whose delta section carries a Bloom filter.
@@ -77,7 +95,7 @@ inline Status WriteModelWithSnappedU(const SvddModel& model,
   TSC_RETURN_IF_ERROR(writer.WriteMatrix(svd.u()));
   TSC_RETURN_IF_ERROR(WriteDeltaEntries(
       *model.deltas(), b_field == 4 ? 12 : DeltaIndex::kPackedEntryBytes,
-      &writer, nullptr));
+      &writer));
   TSC_RETURN_IF_ERROR(writer.WriteU32(0));  // no Bloom filter follows
   return writer.FinishWithChecksum();
 }

@@ -10,10 +10,10 @@
 
 #include "core/disk_backed.h"
 #include "core/svdd_compressor.h"
-#include "data/streaming_generator.h"
 #include "query/executor.h"
 #include "storage/cached_row_reader.h"
 #include "storage/row_store.h"
+#include "support/streaming_generator.h"
 #include "util/logging.h"
 
 namespace tsc {

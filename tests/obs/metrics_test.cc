@@ -112,9 +112,8 @@ TEST(GaugeTest, SetAndAdd) {
   EXPECT_EQ(gauge.Value(), 0.0);
   gauge.Set(5.0);
   EXPECT_EQ(gauge.Value(), 5.0);
-  gauge.Add(2.5);
-  gauge.Add(-1.0);
-  EXPECT_DOUBLE_EQ(gauge.Value(), 6.5);
+  gauge.Set(-1.5);
+  EXPECT_EQ(gauge.Value(), -1.5);
   gauge.Reset();
   EXPECT_EQ(gauge.Value(), 0.0);
 }

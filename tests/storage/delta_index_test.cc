@@ -14,8 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../core/bloom_section_files.h"
 #include "obs/query_context.h"
-#include "storage/bloom_filter.h"
 #include "util/rng.h"
 
 namespace tsc {
@@ -266,7 +266,7 @@ std::string TempPath(const std::string& name) {
 }
 
 /// Writes a delta section by hand: the given header and pairs, then the
-/// Bloom flag and, when `bloom` is set, a filter over the keys.
+/// Bloom flag and, when it is 1, an old Bloom filter section.
 void WriteSection(const std::string& path, std::uint64_t entry_bytes,
                   std::uint64_t count, const std::vector<DeltaEntry>& entries,
                   std::uint32_t bloom_flag = 0) {
@@ -274,15 +274,13 @@ void WriteSection(const std::string& path, std::uint64_t entry_bytes,
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE(writer->WriteU64(entry_bytes).ok());
   ASSERT_TRUE(writer->WriteU64(count).ok());
-  BloomFilter filter(entries.size(), 10.0);
   for (const DeltaEntry& entry : entries) {
     ASSERT_TRUE(writer->WriteU64(entry.key).ok());
     ASSERT_TRUE(writer->WriteDouble(entry.delta).ok());
-    filter.Add(entry.key);
   }
   ASSERT_TRUE(writer->WriteU32(bloom_flag).ok());
   if (bloom_flag == 1) {
-    ASSERT_TRUE(filter.Serialize(&*writer).ok());
+    ASSERT_TRUE(WriteLegacyBloomSection(entries.size(), &*writer).ok());
   }
   ASSERT_TRUE(writer->FinishWithChecksum().ok());
 }

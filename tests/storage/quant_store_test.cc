@@ -245,8 +245,6 @@ TEST(QuantRowStoreTest, ReadPathsAgree) {
 
 TEST(QuantRowStoreTest, ReadCellUsesCachedPathAndCounts) {
   const Matrix x = RandomMatrix(8, 6, 11);
-  obs::Counter& cell_reads =
-      obs::MetricRegistry::Default().GetCounter("io.cell_reads");
   for (const QuantScheme scheme : kAllSchemes) {
     const std::string path =
         TempPath(std::string("quant_cell_") + QuantSchemeName(scheme));
@@ -255,14 +253,8 @@ TEST(QuantRowStoreTest, ReadCellUsesCachedPathAndCounts) {
     // that holds them.
     auto reader = RowStoreReader::Open(path);
     ASSERT_TRUE(reader.ok());
-    const std::uint64_t before = cell_reads.Value();
     const auto cell = reader->ReadCell(3, 4);
     ASSERT_TRUE(cell.ok());
-#ifndef TSC_OBS_DISABLED
-    EXPECT_EQ(cell_reads.Value(), before + 1);
-#else
-    (void)before;
-#endif
     EXPECT_EQ(reader->counter().accesses(), 1u);
     std::vector<double> row(x.cols());
     ASSERT_TRUE(reader->ReadRow(3, row).ok());
@@ -309,9 +301,6 @@ TEST(QuantCachedReaderTest, CachedReadsMatchDirectReads) {
       for (std::size_t j = 0; j < x.cols(); ++j) {
         EXPECT_EQ(DecodeQuantValue(*qview, j), want[j]);
       }
-      const auto cell = cached.ReadCell(i, 3);
-      ASSERT_TRUE(cell.ok());
-      EXPECT_EQ(*cell, want[3]);
     }
     // The repeats above must have hit the pool, not the disk.
     EXPECT_GT(cached.cache_hits(), 0u);
